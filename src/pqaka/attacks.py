@@ -273,31 +273,14 @@ def _field_multiset(outcome: sim.SessionOutcome) -> Counter:
     """Multiset of radio field values (message tag bytes included)."""
     fields: Counter = Counter()
     for e in outcome.transcript.radio_entries():
-        if not e.data:
-            continue
-        msg = wire.decode(e.data)
-        fields[e.data[:1]] += 1
-        if isinstance(msg, wire.IdRequestMsg):
-            fields[b"\x01" if msg.force_supi else b"\x00"] += 1
-        elif isinstance(msg, wire.IdResponseMsg):
-            for v in (msg.c1, msg.suci_conc, msg.mac_u, msg.id_hn.encode()):
-                fields[v] += 1
-        elif isinstance(msg, wire.ChallengeMsg):
-            for v in (msg.autn.conc, msg.autn.mac):
-                fields[v] += 1
-            if msg.c2 is not None:
-                fields[msg.c2] += 1
-        elif isinstance(msg, wire.ResponseMsg):
-            fields[msg.res_star] += 1
-        elif isinstance(msg, wire.GutiIdMsg):
-            fields[msg.guti] += 1
-        elif isinstance(msg, wire.SecureEnvelopeMsg):
-            fields[msg.ct] += 1
+        if e.data:
+            fields[e.data[:1]] += 1
+            fields.update(wire.field_values(wire.decode(e.data)))
     return fields
 
 
 def _linkability_constants(world: sim.World) -> set[bytes]:
-    tags = {bytes([t]) for t in range(1, 0x0D)}
+    tags = {bytes([tag]) for tag, _ in wire.SCHEMA.values()}
     return tags | _WIRE_CONSTANT_FIELDS | {world.hn.id_hn.encode()}
 
 

@@ -69,11 +69,6 @@ class HnState:
     skip_id_sn_check: bool = False
 
 
-def session_id(identifier: bytes, r_sn: bytes) -> bytes:
-    """Deterministic pending-map key: hash of (c1 or GUTI) and R_SN."""
-    return crypto.hash_h([identifier, r_sn])
-
-
 def hn_identify(
     state: HnState, msg: SnToHnIdentMsg, claimed_id_sn: str
 ) -> tuple[str, bytes, SubscriberRecord]:

@@ -1,16 +1,22 @@
 """Bit-exact wire encoding for every protocol message.
 
-Layout: one message-type tag byte, then each field in declaration order as
-a 4-byte big-endian length prefix followed by the raw bytes. Optional
-fields carry a 1-byte presence flag; single-byte flags are encoded as a
-length-1 field. Decoding is strict: unknown tags, truncation, wrong fixed
-widths and trailing bytes are all rejected with the failing offset.
+One table, ``SCHEMA``, is the only statement of the layout: it maps each
+message class to its tag byte and its ordered ``(field, kind)`` pairs.
+``encode``, ``decode`` and the linkability field walk (``field_values``)
+all iterate it; the untagged SUCI and M payloads are field tuples of the
+same kinds, packed and unpacked by the same walk.
+
+Layout: one message-type tag byte, then each field in table order as a
+4-byte big-endian length prefix followed by the raw bytes. Optional fields
+carry a 1-byte presence flag; single-byte flags are encoded as a length-1
+field. Decoding is strict: unknown tags, truncation, wrong fixed widths and
+trailing bytes are all rejected with the failing offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 GUTI_LEN = 16
 RAND_LEN = 32
@@ -127,21 +133,78 @@ class AbortMsg:
     code: int = 0xFF
 
 
-_TAGS = {
-    IdRequestMsg: 0x01,
-    IdResponseMsg: 0x02,
-    SnToHnIdentMsg: 0x03,
-    HnToSnAuthMsg: 0x04,
-    ChallengeMsg: 0x05,
-    ResponseMsg: 0x06,
-    ConfirmMsg: 0x07,
-    GutiIdMsg: 0x08,
-    GutiSnToHnMsg: 0x09,
-    GutiAssignMsg: 0x0A,
-    SecureEnvelopeMsg: 0x0B,
-    AbortMsg: 0x0C,
+class Kind(NamedTuple):
+    """How one field crosses the wire.
+
+    ``width`` is the exact byte length the field must have (None: any).
+    ``to_raw(value, name)`` turns a field value into bytes and
+    ``from_raw(raw, name, offset)`` turns bytes back; None means the value
+    is the bytes. Each raises on a value it cannot carry. An ``optional``
+    field is preceded by a presence flag and may be None.
+    """
+    width: Optional[int] = None
+    to_raw: Optional[Callable[[object, str], bytes]] = None
+    from_raw: Optional[Callable[[bytes, str, int], object]] = None
+    optional: bool = False
+
+
+def _flag_from_raw(raw: bytes, name: str, at: int) -> bool:
+    if raw not in (b"\x00", b"\x01"):
+        raise ParseError(f"{name} must be 0 or 1", at)
+    return raw == b"\x01"
+
+
+def _utf8_from_raw(raw: bytes, name: str, at: int) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise ParseError(f"{name} is not valid UTF-8", at) from None
+
+
+def _byte_to_raw(value: int, name: str) -> bytes:
+    if not 0 <= value <= 0xFF:
+        raise EncodeError(f"{name} must fit one byte")
+    return bytes([value])
+
+
+def fixed(n: int) -> Kind:
+    return Kind(width=n)
+
+
+VAR = Kind()
+UTF8 = Kind(to_raw=lambda v, name: v.encode(), from_raw=_utf8_from_raw)
+FLAG = Kind(1, lambda v, name: b"\x01" if v else b"\x00", _flag_from_raw)
+BYTE = Kind(1, _byte_to_raw, lambda raw, name, at: raw[0])
+AUTN = Kind(AUTN_LEN, lambda v, name: v.raw, lambda raw, name, at: Autn.from_raw(raw))
+OPTIONAL_VAR = Kind(optional=True)
+
+Fields = tuple[tuple[str, Kind], ...]
+
+# message class -> (tag, fields in wire order == dataclass field order)
+SCHEMA: dict[type, tuple[int, Fields]] = {
+    IdRequestMsg: (0x01, (("force_supi", FLAG),)),
+    IdResponseMsg: (0x02, (("c1", VAR), ("suci_conc", VAR), ("mac_u", fixed(32)),
+                           ("id_hn", UTF8))),
+    SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR), ("mac_u", fixed(32)),
+                            ("r_sn", fixed(RAND_LEN)))),
+    HnToSnAuthMsg: (0x04, (("autn", AUTN), ("hxres_star", fixed(32)), ("m", VAR),
+                           ("c2", OPTIONAL_VAR))),
+    ChallengeMsg: (0x05, (("autn", AUTN), ("c2", OPTIONAL_VAR))),
+    ResponseMsg: (0x06, (("res_star", fixed(32)),)),
+    ConfirmMsg: (0x07, (("ok", FLAG),)),
+    GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
+    GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(RAND_LEN)),
+                           ("r_sn", fixed(RAND_LEN)))),
+    GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),
+                           ("r_sn_prime_new", fixed(RAND_LEN)))),
+    SecureEnvelopeMsg: (0x0B, (("ct", VAR),)),
+    AbortMsg: (0x0C, (("code", BYTE),)),
 }
-_BY_TAG = {v: k for k, v in _TAGS.items()}
+_BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in SCHEMA.items()}
+
+# plaintexts sealed inside SUCI_conc and M; untagged
+_SUCI_PAYLOAD: Fields = (("supi", UTF8), ("pk_u", VAR), ("id_sn", UTF8))
+_M_PAYLOAD: Fields = (("k_seaf", fixed(32)), ("supi", UTF8))
 
 Message = (
     IdRequestMsg | IdResponseMsg | SnToHnIdentMsg | HnToSnAuthMsg
@@ -150,185 +213,107 @@ Message = (
 )
 
 
-def _field(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
-def _require(cond: bool, what: str) -> None:
-    if not cond:
-        raise EncodeError(what)
-
-
-def encode(msg: Message) -> bytes:
-    tag = _TAGS.get(type(msg))
-    if tag is None:
-        raise EncodeError(f"not a protocol message: {type(msg).__name__}")
-    out = [bytes([tag])]
-
-    if isinstance(msg, IdRequestMsg):
-        out.append(_field(b"\x01" if msg.force_supi else b"\x00"))
-    elif isinstance(msg, IdResponseMsg):
-        _require(len(msg.mac_u) == 32, "mac_u must be 32 bytes")
-        out += [_field(msg.c1), _field(msg.suci_conc),
-                _field(msg.mac_u), _field(msg.id_hn.encode())]
-    elif isinstance(msg, SnToHnIdentMsg):
-        _require(len(msg.mac_u) == 32, "mac_u must be 32 bytes")
-        _require(len(msg.r_sn) == RAND_LEN, "r_sn must be 32 bytes")
-        out += [_field(msg.c1), _field(msg.suci_conc),
-                _field(msg.mac_u), _field(msg.r_sn)]
-    elif isinstance(msg, (HnToSnAuthMsg, ChallengeMsg)):
-        out.append(_field(msg.autn.raw))
-        if isinstance(msg, HnToSnAuthMsg):
-            _require(len(msg.hxres_star) == 32, "hxres_star must be 32 bytes")
-            out += [_field(msg.hxres_star), _field(msg.m)]
-        if msg.c2 is None:
-            out.append(_field(b"\x00"))
-        else:
-            out.append(_field(b"\x01"))
-            out.append(_field(msg.c2))
-    elif isinstance(msg, ResponseMsg):
-        _require(len(msg.res_star) == 32, "res_star must be 32 bytes")
-        out.append(_field(msg.res_star))
-    elif isinstance(msg, ConfirmMsg):
-        out.append(_field(b"\x01" if msg.ok else b"\x00"))
-    elif isinstance(msg, GutiIdMsg):
-        _require(len(msg.guti) == GUTI_LEN, "guti must be 16 bytes")
-        out.append(_field(msg.guti))
-    elif isinstance(msg, GutiSnToHnMsg):
-        _require(len(msg.r_sn_prime) == RAND_LEN, "r_sn_prime must be 32 bytes")
-        _require(len(msg.r_sn) == RAND_LEN, "r_sn must be 32 bytes")
-        out += [_field(msg.supi.encode()), _field(msg.r_sn_prime), _field(msg.r_sn)]
-    elif isinstance(msg, GutiAssignMsg):
-        _require(len(msg.guti_new) == GUTI_LEN, "guti_new must be 16 bytes")
-        _require(len(msg.r_sn_prime_new) == RAND_LEN, "r_sn_prime_new must be 32 bytes")
-        out += [_field(msg.guti_new), _field(msg.r_sn_prime_new)]
-    elif isinstance(msg, SecureEnvelopeMsg):
-        out.append(_field(msg.ct))
-    elif isinstance(msg, AbortMsg):
-        _require(0 <= msg.code <= 0xFF, "code must fit one byte")
-        out.append(_field(bytes([msg.code])))
-
+def _pack(fields: Fields, values: dict, out: list[bytes]) -> bytes:
+    """Append each named value to out as a length-prefixed field, checking
+    its kind, and return the joined bytes."""
+    for name, (width, to_raw, _, optional) in fields:
+        value = values[name]
+        if optional:
+            out.append(_PRESENCE[value is not None])
+            if value is None:
+                continue
+        raw = value if to_raw is None else to_raw(value, name)
+        if width is not None and len(raw) != width:
+            raise EncodeError(f"{name} must be {width} bytes")
+        out.append(len(raw).to_bytes(4, "big"))
+        out.append(raw)
     return b"".join(out)
 
 
-def pack_suci_payload(supi: str, pk_u: bytes, id_sn: str) -> bytes:
-    """Plaintext concealed into SUCI_conc: all three fields are encrypted."""
-    return _field(supi.encode()) + _field(pk_u) + _field(id_sn.encode())
+# the presence flag written before an optional field, packed once
+_PRESENCE = {p: _pack((("present", FLAG),), {"present": p}, []) for p in (False, True)}
 
 
-def unpack_suci_payload(data: bytes) -> tuple[str, bytes, str]:
-    r = _Reader(data)
-    supi = r.take_utf8("supi")
-    pk_u = r.take_field()
-    id_sn = r.take_utf8("id_sn")
-    if r.pos != len(data):
-        raise ParseError("trailing bytes in SUCI payload", r.pos)
-    return supi, pk_u, id_sn
+def _unpack(data: bytes, pos: int, fields: Fields) -> tuple[list, int]:
+    """Read fields from data at pos; return their values and the end offset."""
+    values = []
+    end = len(data)
+    for name, (width, _, from_raw, optional) in fields:
+        if optional:
+            (present,), pos = _unpack(data, pos, ((f"{name} present", FLAG),))
+            if not present:
+                values.append(None)
+                continue
+        at = pos
+        if pos + 4 > end:
+            raise ParseError("truncated length prefix", pos)
+        n = int.from_bytes(data[pos:pos + 4], "big")
+        pos += 4
+        if pos + n > end:
+            raise ParseError("truncated field", pos)
+        if width is not None and n != width:
+            raise ParseError(f"{name} must be {width} bytes, got {n}", at)
+        raw = data[pos:pos + n]
+        pos += n
+        values.append(raw if from_raw is None else from_raw(raw, name, at))
+    return values, pos
 
 
-def pack_m_payload(k_seaf: bytes, supi: str) -> bytes:
-    """Plaintext of M: session key and subscriber identity bound together."""
-    return _field(k_seaf) + _field(supi.encode())
-
-
-def unpack_m_payload(data: bytes) -> tuple[bytes, str]:
-    r = _Reader(data)
-    k_seaf = r.take_fixed(32, "k_seaf")
-    supi = r.take_utf8("supi")
-    if r.pos != len(data):
-        raise ParseError("trailing bytes in M payload", r.pos)
-    return k_seaf, supi
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take_field(self) -> bytes:
-        if self.pos + 4 > len(self.data):
-            raise ParseError("truncated length prefix", self.pos)
-        n = int.from_bytes(self.data[self.pos:self.pos + 4], "big")
-        self.pos += 4
-        if self.pos + n > len(self.data):
-            raise ParseError("truncated field", self.pos)
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def take_fixed(self, n: int, what: str) -> bytes:
-        at = self.pos
-        out = self.take_field()
-        if len(out) != n:
-            raise ParseError(f"{what} must be {n} bytes, got {len(out)}", at)
-        return out
-
-    def take_flag(self, what: str) -> bool:
-        at = self.pos
-        raw = self.take_fixed(1, what)
-        if raw not in (b"\x00", b"\x01"):
-            raise ParseError(f"{what} must be 0 or 1", at)
-        return raw == b"\x01"
-
-    def take_utf8(self, what: str) -> str:
-        at = self.pos
-        raw = self.take_field()
-        try:
-            return raw.decode()
-        except UnicodeDecodeError:
-            raise ParseError(f"{what} is not valid UTF-8", at) from None
+def encode(msg: Message) -> bytes:
+    spec = SCHEMA.get(type(msg))
+    if spec is None:
+        raise EncodeError(f"not a protocol message: {type(msg).__name__}")
+    tag, fields = spec
+    return _pack(fields, vars(msg), [bytes([tag])])
 
 
 def decode(data: bytes) -> Message:
     if not data:
         raise ParseError("empty message", 0)
-    tag = data[0]
-    cls = _BY_TAG.get(tag)
-    if cls is None:
-        raise ParseError(f"unknown message tag 0x{tag:02x}", 0)
-    r = _Reader(data)
-    r.pos = 1
+    spec = _BY_TAG.get(data[0])
+    if spec is None:
+        raise ParseError(f"unknown message tag 0x{data[0]:02x}", 0)
+    cls, fields = spec
+    values, pos = _unpack(data, 1, fields)
+    if pos != len(data):
+        raise ParseError("trailing bytes after message", pos)
+    return cls(*values)
 
-    if cls is IdRequestMsg:
-        msg: Message = IdRequestMsg(force_supi=r.take_flag("force_supi"))
-    elif cls is IdResponseMsg:
-        msg = IdResponseMsg(
-            c1=r.take_field(), suci_conc=r.take_field(),
-            mac_u=r.take_fixed(32, "mac_u"), id_hn=r.take_utf8("id_hn"))
-    elif cls is SnToHnIdentMsg:
-        msg = SnToHnIdentMsg(
-            c1=r.take_field(), suci_conc=r.take_field(),
-            mac_u=r.take_fixed(32, "mac_u"), r_sn=r.take_fixed(RAND_LEN, "r_sn"))
-    elif cls in (HnToSnAuthMsg, ChallengeMsg):
-        autn = Autn.from_raw(r.take_fixed(AUTN_LEN, "autn"))
-        if cls is HnToSnAuthMsg:
-            hxres = r.take_fixed(32, "hxres_star")
-            m = r.take_field()
-        c2 = r.take_field() if r.take_flag("c2 present") else None
-        if cls is HnToSnAuthMsg:
-            msg = HnToSnAuthMsg(autn=autn, hxres_star=hxres, m=m, c2=c2)
+
+def field_values(msg: Message) -> Iterator[bytes]:
+    """Each field of msg as the bytes it carries on the wire, AUTN as its
+    conc and mac halves; absent optional fields and presence flags yield
+    nothing."""
+    for name, kind in SCHEMA[type(msg)][1]:
+        value = getattr(msg, name)
+        if value is None:
+            continue
+        if kind is AUTN:
+            yield value.conc
+            yield value.mac
         else:
-            msg = ChallengeMsg(autn=autn, c2=c2)
-    elif cls is ResponseMsg:
-        msg = ResponseMsg(res_star=r.take_fixed(32, "res_star"))
-    elif cls is ConfirmMsg:
-        msg = ConfirmMsg(ok=r.take_flag("ok"))
-    elif cls is GutiIdMsg:
-        msg = GutiIdMsg(guti=r.take_fixed(GUTI_LEN, "guti"))
-    elif cls is GutiSnToHnMsg:
-        msg = GutiSnToHnMsg(
-            supi=r.take_utf8("supi"),
-            r_sn_prime=r.take_fixed(RAND_LEN, "r_sn_prime"),
-            r_sn=r.take_fixed(RAND_LEN, "r_sn"))
-    elif cls is GutiAssignMsg:
-        msg = GutiAssignMsg(
-            guti_new=r.take_fixed(GUTI_LEN, "guti_new"),
-            r_sn_prime_new=r.take_fixed(RAND_LEN, "r_sn_prime_new"))
-    elif cls is SecureEnvelopeMsg:
-        msg = SecureEnvelopeMsg(ct=r.take_field())
-    else:
-        msg = AbortMsg(code=r.take_fixed(1, "code")[0])
+            yield value if kind.to_raw is None else kind.to_raw(value, name)
 
-    if r.pos != len(data):
-        raise ParseError("trailing bytes after message", r.pos)
-    return msg
+
+def pack_suci_payload(supi: str, pk_u: bytes, id_sn: str) -> bytes:
+    """Plaintext concealed into SUCI_conc: all three fields are encrypted."""
+    return _pack(_SUCI_PAYLOAD, {"supi": supi, "pk_u": pk_u, "id_sn": id_sn}, [])
+
+
+def unpack_suci_payload(data: bytes) -> tuple[str, bytes, str]:
+    values, pos = _unpack(data, 0, _SUCI_PAYLOAD)
+    if pos != len(data):
+        raise ParseError("trailing bytes in SUCI payload", pos)
+    return tuple(values)
+
+
+def pack_m_payload(k_seaf: bytes, supi: str) -> bytes:
+    """Plaintext of M: session key and subscriber identity bound together."""
+    return _pack(_M_PAYLOAD, {"k_seaf": k_seaf, "supi": supi}, [])
+
+
+def unpack_m_payload(data: bytes) -> tuple[bytes, str]:
+    values, pos = _unpack(data, 0, _M_PAYLOAD)
+    if pos != len(data):
+        raise ParseError("trailing bytes in M payload", pos)
+    return tuple(values)

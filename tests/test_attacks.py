@@ -1,8 +1,10 @@
 """Adversary-game scenarios and the derivation-closure oracle."""
 
+from collections import Counter
+
 import pytest
 
-from pqaka import attacks, crypto, sim
+from pqaka import attacks, crypto, sim, wire
 from pqaka.crypto import TEST_KEM
 from pqaka.rng import SeededRandom
 
@@ -112,3 +114,17 @@ def test_key_candidate_generation_is_bounded():
     values = [bytes([i]) * 32 for i in range(12)]
     candidates = attacks._key_candidates(values)
     assert 12 <= len(candidates) <= 100_000
+
+
+def test_linkability_multiset_splits_autn_into_halves():
+    """A challenge that repeats only the AUTN mac half is reported as such."""
+    def outcome(conc: bytes, mac: bytes, c2: bytes) -> sim.SessionOutcome:
+        t = sim.SessionTranscript()
+        ch = wire.ChallengeMsg(autn=wire.Autn(conc=conc, mac=mac), c2=c2)
+        t.append(sim.RADIO, "SN->UE", wire.encode(ch), "challenge")
+        return sim.SessionOutcome(completed=False, abort_step=None, transcript=t)
+
+    mac = b"\x07" * 32
+    f1 = attacks._field_multiset(outcome(b"\x01" * 32, mac, b"\x02" * 8))
+    f2 = attacks._field_multiset(outcome(b"\x03" * 32, mac, b"\x04" * 8))
+    assert f1 & f2 == Counter({b"\x05": 1, mac: 1})

@@ -1,8 +1,13 @@
-"""Operational KEM backends built on classical ECDH."""
+"""Operational KEM backends built on classical ECDH, and the liboqs hook."""
+
+import hashlib
+import os
+import sys
+import types
 
 import pytest
 
-from pqaka import crypto, sim
+from pqaka import backends, crypto, sim
 from pqaka.crypto import available_suites, get_suite
 from pqaka.rng import SeededRandom
 
@@ -45,3 +50,70 @@ def test_full_session_on_ecies(name):
     assert supi_run.k_seaf_ue == supi_run.k_seaf_sn == supi_run.k_seaf_hn
     guti_run = sim.run_session(world, "guti", rng=rng)
     assert guti_run.completed and guti_run.key_source == "guti"
+
+
+# --- the liboqs hook, driven by a fake ``oqs`` module -------------------------
+
+# mechanism -> (sk, pk, ct, shared secret) lengths; deliberately unlike the
+# metadata rows, so a registered suite shows which sizes it was built from
+FAKE_OQS_SIZES = {
+    "Kyber512": (40, 41, 42, 32),
+    "Classic-McEliece-348864": (50, 51, 52, 32),
+    "BIKE-L1": (60, 61, 62, 32),
+}
+
+
+class _FakeKem:
+    """Toy KEM with the liboqs binding's interface; draws its own randomness."""
+
+    def __init__(self, mech: str, secret_key: bytes | None = None):
+        self.sk_len, self.pk_len, self.ct_len, self.ss_len = FAKE_OQS_SIZES[mech]
+        self.details = {"length_secret_key": self.sk_len,
+                        "length_public_key": self.pk_len,
+                        "length_ciphertext": self.ct_len,
+                        "length_shared_secret": self.ss_len}
+        self.sk = secret_key
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def _pk(self) -> bytes:
+        return hashlib.shake_256(b"pk" + self.sk).digest(self.pk_len)
+
+    def generate_keypair(self) -> bytes:
+        self.sk = os.urandom(self.sk_len)
+        return self._pk()
+
+    def export_secret_key(self) -> bytes:
+        return self.sk
+
+    def encap_secret(self, pk: bytes) -> tuple[bytes, bytes]:
+        ct = os.urandom(self.ct_len)
+        return ct, hashlib.shake_256(pk + ct).digest(self.ss_len)
+
+    def decap_secret(self, ct: bytes) -> bytes:
+        return hashlib.shake_256(self._pk() + ct).digest(self.ss_len)
+
+
+def test_liboqs_hook_registers_fake_backends(monkeypatch):
+    fake = types.ModuleType("oqs")
+    fake.get_enabled_kem_mechanisms = lambda: list(FAKE_OQS_SIZES)  # no HQC-128
+    fake.KeyEncapsulation = _FakeKem
+    monkeypatch.setitem(sys.modules, "oqs", fake)
+    for name in ("kyber", "mceliece", "bike", "hqc"):
+        monkeypatch.setitem(crypto._REGISTRY, name, crypto._REGISTRY[name])
+
+    backends._try_register_liboqs()
+
+    assert not get_suite("hqc").available
+    for name, sizes in zip(("kyber", "mceliece", "bike"), FAKE_OQS_SIZES.values()):
+        suite = get_suite(name)
+        assert (suite.sk_len, suite.pk_len, suite.ct_len, suite.key_len) == sizes
+        pair = crypto.kem_keygen(suite, SeededRandom(0))
+        ct, k = crypto.kem_encaps(suite, pair.pk, SeededRandom(1))
+        assert crypto.kem_decaps(suite, pair.sk, ct) == k
+        # the binding draws its own randomness: the injected RNG is ignored
+        assert crypto.kem_keygen(suite, SeededRandom(0)) != pair

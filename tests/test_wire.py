@@ -1,6 +1,8 @@
 """Wire format: golden vectors, round-trips, strict-parser totality."""
 
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -165,3 +167,70 @@ def test_m_payload_roundtrip():
         wire.unpack_m_payload(wire.pack_m_payload(bytes(32), "x")[:-1])
     with pytest.raises(wire.ParseError):
         wire.unpack_m_payload(lp(bytes(31)) + lp(b"supi"))
+    with pytest.raises(wire.EncodeError):
+        wire.pack_m_payload(bytes(31), "imsi-2")
+
+
+# --- fixed-width enforcement, from a list written independently of the table --
+
+FIXED_FIELDS = [
+    (wire.IdResponseMsg, "mac_u", 32),
+    (wire.SnToHnIdentMsg, "mac_u", 32),
+    (wire.SnToHnIdentMsg, "r_sn", 32),
+    (wire.HnToSnAuthMsg, "autn", 64),
+    (wire.HnToSnAuthMsg, "hxres_star", 32),
+    (wire.ChallengeMsg, "autn", 64),
+    (wire.ResponseMsg, "res_star", 32),
+    (wire.GutiIdMsg, "guti", 16),
+    (wire.GutiSnToHnMsg, "r_sn_prime", 32),
+    (wire.GutiSnToHnMsg, "r_sn", 32),
+    (wire.GutiAssignMsg, "guti_new", 16),
+    (wire.GutiAssignMsg, "r_sn_prime_new", 32),
+    (wire.AbortMsg, "code", 1),
+]
+SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
+
+
+def _raw(value) -> bytes:
+    if isinstance(value, wire.Autn):
+        return value.raw
+    return bytes([value]) if isinstance(value, int) else value
+
+
+def _field_offsets(blob: bytes) -> list[tuple[int, bytes]]:
+    """(offset of length prefix, raw bytes) of each field after the tag."""
+    out, pos = [], 1
+    while pos < len(blob):
+        n = int.from_bytes(blob[pos:pos + 4], "big")
+        out.append((pos, blob[pos + 4:pos + 4 + n]))
+        pos += 4 + n
+    return out
+
+
+@pytest.mark.parametrize("cls,name,width", FIXED_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in FIXED_FIELDS])
+def test_fixed_width_enforced_on_encode(cls, name, width):
+    if name == "code":
+        bad_values = [0x100, -1]
+    elif name == "autn":   # a stand-in AUTN that bypasses Autn's own check
+        bad_values = [SimpleNamespace(raw=bytes(width - 1)),
+                      SimpleNamespace(raw=bytes(width + 1))]
+    else:
+        bad_values = [bytes(width - 1), bytes(width + 1)]
+    for bad in bad_values:
+        with pytest.raises(wire.EncodeError):
+            wire.encode(dataclasses.replace(SAMPLES[cls], **{name: bad}))
+
+
+@pytest.mark.parametrize("cls,name,width", FIXED_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in FIXED_FIELDS])
+def test_fixed_width_enforced_on_decode(cls, name, width):
+    msg = SAMPLES[cls]
+    blob = wire.encode(msg)
+    [offset] = [at for at, raw in _field_offsets(blob)
+                if raw == _raw(getattr(msg, name))]
+    for n in {0, width - 1}:
+        bad = blob[:offset] + n.to_bytes(4, "big") + blob[offset + 4:]
+        with pytest.raises(wire.ParseError) as exc:
+            wire.decode(bad)
+        assert exc.value.offset == offset
