@@ -115,9 +115,9 @@ def _try_register_liboqs() -> None:
             d = probe.details
 
         def keygen(rng: RandomSource, _mech=mech) -> KemKeyPair:
-            kem = oqs.KeyEncapsulation(_mech)
-            pk = kem.generate_keypair()
-            return KemKeyPair(pk=pk, sk=kem.export_secret_key())
+            with oqs.KeyEncapsulation(_mech) as kem:
+                pk = kem.generate_keypair()
+                return KemKeyPair(pk=pk, sk=kem.export_secret_key())
 
         def encaps(pk: bytes, rng: RandomSource, _mech=mech) -> tuple[bytes, bytes]:
             with oqs.KeyEncapsulation(_mech) as kem:

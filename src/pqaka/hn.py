@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import hmac as _hmac
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import crypto
+from . import crypto, store
 from .crypto import KemKeyPair, KemSuite
 from .rng import RandomSource
 from .wire import (
@@ -40,7 +39,7 @@ class IdentificationAbort(Exception):
         self.code = ABORT_CODE
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriberRecord:
     supi: str
     k: bytes
@@ -181,34 +180,23 @@ def hn_finalize(state: HnState, confirm: ConfirmMsg, sid: bytes) -> None:
         record.k_s_staged = None
     del state.pending[sid]
     if state.persist_path:
-        save_registry(state.persist_path, state.registry)
+        save_registry(state.persist_path, state.registry, pending.supi)
 
 
 # --- registry persistence ---------------------------------------------------
 
-def save_registry(path: str, registry: dict[str, SubscriberRecord]) -> None:
-    """One record per line: supi,hex(K)[,hex(K_S)]; atomic rewrite."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        for supi in sorted(registry):
-            rec = registry[supi]
-            parts = [supi, rec.k.hex()]
-            if rec.k_s is not None:
-                parts.append(rec.k_s.hex())
-            fh.write(",".join(parts) + "\n")
-    os.replace(tmp, path)
+_REGISTRY = store.Table(
+    "registry", "supi TEXT PRIMARY KEY", "k BLOB NOT NULL", "k_s BLOB")
+
+
+def save_registry(path: str, registry: dict[str, SubscriberRecord],
+                  supi: Optional[str] = None) -> None:
+    """Store K and K_S of every subscriber at path; once the store holds
+    this registry, a commit naming its supi writes that row only."""
+    store.save(path, _REGISTRY, registry,
+               lambda s, rec: (s, rec.k, rec.k_s), supi)
 
 
 def load_registry(path: str) -> dict[str, SubscriberRecord]:
-    registry: dict[str, SubscriberRecord] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            rec = SubscriberRecord(supi=parts[0], k=bytes.fromhex(parts[1]))
-            if len(parts) > 2:
-                rec.k_s = bytes.fromhex(parts[2])
-            registry[rec.supi] = rec
-    return registry
+    return {supi: SubscriberRecord(supi=supi, k=k, k_s=k_s)
+            for supi, k, k_s in store.load(path, _REGISTRY)}

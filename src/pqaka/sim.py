@@ -197,7 +197,7 @@ def open_assignment(k_seaf: bytes, env: wire.SecureEnvelopeMsg) -> Optional[wire
     return inner
 
 
-@dataclass
+@dataclass(slots=True)
 class World:
     ue: ue_mod.UeState
     sn: sn_mod.SnState
@@ -237,6 +237,8 @@ def add_subscriber(
     """Provision another UE against the same SN/HN pair."""
     k = rng.bytes(32)
     world.hn.registry[supi] = hn_mod.SubscriberRecord(supi=supi, k=k)
+    if world.hn.persist_path:
+        hn_mod.save_registry(world.hn.persist_path, world.hn.registry, supi)
     return ue_mod.UeState(
         supi=supi, k=k, pk_h=world.hn.kem_pair.pk, id_hn=world.hn.id_hn,
         id_sn_expected=id_sn or world.sn.id_sn, kem=world.suite)

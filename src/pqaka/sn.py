@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import hmac as _hmac
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from . import crypto
+from . import crypto, store
 from .rng import RandomSource
 from .wire import (
     Autn,
@@ -34,7 +33,7 @@ from .wire import (
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class GutiEntry:
     supi: str
     r_sn_prime: bytes
@@ -57,6 +56,14 @@ class SnState:
 
     # test hook: skip GUTI reallocation; negative control for linkability
     reuse_guti: bool = False
+
+    # SUPI -> its GUTI. An entry is trusted only while the table still maps
+    # that GUTI back to the SUPI, so a table changed from outside is tolerated.
+    guti_of: dict[str, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.guti_of = {e.supi: guti for guti, e in self.guti_table.items()}
 
 
 def _session_id(identifier: bytes, r_sn: bytes) -> bytes:
@@ -123,20 +130,22 @@ def sn_verify_response(
 
 def sn_assign_guti(state: SnState, supi: str, rng: RandomSource) -> GutiAssignMsg:
     """Fresh GUTI (collision-checked) and R_SN'; old GUTI for the SUPI goes."""
-    if state.reuse_guti:
-        for old, entry in state.guti_table.items():
-            if entry.supi == supi:
-                return GutiAssignMsg(guti_new=old, r_sn_prime_new=entry.r_sn_prime)
+    old = state.guti_of.get(supi)
+    entry = state.guti_table.get(old)
+    if entry is not None and entry.supi != supi:
+        entry = None
+    if state.reuse_guti and entry is not None:
+        return GutiAssignMsg(guti_new=old, r_sn_prime_new=entry.r_sn_prime)
     guti = rng.bytes(16)
     while guti in state.guti_table:
         guti = rng.bytes(16)
     r_sn_prime = rng.bytes(32)
-    for old, entry in list(state.guti_table.items()):
-        if entry.supi == supi:
-            del state.guti_table[old]
+    if entry is not None:
+        del state.guti_table[old]
     state.guti_table[guti] = GutiEntry(supi=supi, r_sn_prime=r_sn_prime)
+    state.guti_of[supi] = guti
     if state.persist_path:
-        save_guti_table(state.persist_path, state.guti_table)
+        save_guti_table(state.persist_path, state.guti_table, guti)
     return GutiAssignMsg(guti_new=guti, r_sn_prime_new=r_sn_prime)
 
 
@@ -156,25 +165,20 @@ def sn_resolve_guti(
 
 # --- GUTI table persistence --------------------------------------------------
 
-def save_guti_table(path: str, table: dict[bytes, GutiEntry]) -> None:
-    """One entry per line: hex(GUTI),supi,hex(R_SN'); atomic rewrite."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        for guti in sorted(table):
-            entry = table[guti]
-            fh.write(f"{guti.hex()},{entry.supi},{entry.r_sn_prime.hex()}\n")
-    os.replace(tmp, path)
+# keyed by SUPI, so writing a SUPI's row replaces its old GUTI
+_GUTI_TABLE = store.Table(
+    "guti_table", "supi TEXT PRIMARY KEY", "guti BLOB NOT NULL UNIQUE",
+    "r_sn_prime BLOB NOT NULL")
+
+
+def save_guti_table(path: str, table: dict[bytes, GutiEntry],
+                    guti: Optional[bytes] = None) -> None:
+    """Store every (GUTI, SUPI, R_SN') at path; once the store holds this
+    table, a commit naming its new guti writes that SUPI's row only."""
+    store.save(path, _GUTI_TABLE, table,
+               lambda g, e: (e.supi, g, e.r_sn_prime), guti)
 
 
 def load_guti_table(path: str) -> dict[bytes, GutiEntry]:
-    table: dict[bytes, GutiEntry] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            guti_hex, supi, rsp_hex = line.split(",")
-            table[bytes.fromhex(guti_hex)] = GutiEntry(
-                supi=supi, r_sn_prime=bytes.fromhex(rsp_hex))
-    return table
-
+    return {guti: GutiEntry(supi=supi, r_sn_prime=r_sn_prime)
+            for supi, guti, r_sn_prime in store.load(path, _GUTI_TABLE)}

@@ -31,7 +31,7 @@ class ConfigurationError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionKeys:
     ck: bytes
     ik: bytes
@@ -39,7 +39,7 @@ class SessionKeys:
     k_seaf: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class UeState:
     supi: str
     k: bytes                      # long-term key; never leaves this object

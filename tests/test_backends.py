@@ -99,9 +99,20 @@ class _FakeKem:
 
 
 def test_liboqs_hook_registers_fake_backends(monkeypatch):
+    opened, exited = [], []
+
+    class CountingKem(_FakeKem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opened.append(self)
+
+        def __exit__(self, *exc):
+            exited.append(self)
+            return super().__exit__(*exc)
+
     fake = types.ModuleType("oqs")
     fake.get_enabled_kem_mechanisms = lambda: list(FAKE_OQS_SIZES)  # no HQC-128
-    fake.KeyEncapsulation = _FakeKem
+    fake.KeyEncapsulation = CountingKem
     monkeypatch.setitem(sys.modules, "oqs", fake)
     for name in ("kyber", "mceliece", "bike", "hqc"):
         monkeypatch.setitem(crypto._REGISTRY, name, crypto._REGISTRY[name])
@@ -117,3 +128,5 @@ def test_liboqs_hook_registers_fake_backends(monkeypatch):
         assert crypto.kem_decaps(suite, pair.sk, ct) == k
         # the binding draws its own randomness: the injected RNG is ignored
         assert crypto.kem_keygen(suite, SeededRandom(0)) != pair
+    # every binding object, which may hold a secret key, is exited
+    assert opened and exited == opened

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import RandomSource, SeededRandom
@@ -116,6 +118,66 @@ def test_guti_collision_forces_redraw(world, rng):
     assert second.guti_new == b"\x42" * 16          # redrawn after collision
     table_supis = [e.supi for e in world.sn.guti_table.values()]
     assert sorted(table_supis) == ["imsi-1", "imsi-2"]   # stays injective
+
+
+def _assign_by_scan(table, supi, rng, reuse):
+    """Reference: the linear-scan assignment the SUPI -> GUTI index replaced."""
+    if reuse:
+        for old, entry in table.items():
+            if entry.supi == supi:
+                return wire.GutiAssignMsg(guti_new=old, r_sn_prime_new=entry.r_sn_prime)
+    guti = rng.bytes(16)
+    while guti in table:
+        guti = rng.bytes(16)
+    r_sn_prime = rng.bytes(32)
+    for old, entry in list(table.items()):
+        if entry.supi == supi:
+            del table[old]
+    table[guti] = sn_mod.GutiEntry(supi=supi, r_sn_prime=r_sn_prime)
+    return wire.GutiAssignMsg(guti_new=guti, r_sn_prime_new=r_sn_prime)
+
+
+GUTI_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("assign"), st.sampled_from(["imsi-1", "imsi-2", "imsi-3"]),
+              st.booleans()),
+    st.just(("clear",)),       # the table changed from outside
+    st.just(("restart",)),     # a new SnState built from the table, as after a load
+), max_size=40)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32), GUTI_STEPS)
+def test_guti_index_matches_linear_scan(seed, steps):
+    state = sn_mod.SnState(id_sn="sn.example")
+    table = {}
+    rng, ref_rng = SeededRandom(seed), SeededRandom(seed)
+    for step in steps:
+        if step[0] == "clear":
+            state.guti_table.clear()
+            table.clear()
+        elif step[0] == "restart":
+            state = sn_mod.SnState(id_sn="sn.example", guti_table=dict(state.guti_table))
+        else:
+            _, supi, reuse = step
+            state.reuse_guti = reuse
+            got = sn_mod.sn_assign_guti(state, supi, rng)
+            assert got == _assign_by_scan(table, supi, ref_rng, reuse)
+        assert list(state.guti_table.items()) == list(table.items())
+        supis = [e.supi for e in table.values()]
+        assert len(supis) == len(set(supis))       # one GUTI per SUPI
+    assert rng.bytes(8) == ref_rng.bytes(8)        # same draws on both sides
+
+
+def test_guti_index_ignores_a_guti_reassigned_after_clear(world):
+    first = sn_mod.sn_assign_guti(world.sn, "imsi-1", SeededRandom(9))
+    world.sn.guti_table.clear()
+    # the same draws give imsi-2 the GUTI the stale index holds for imsi-1
+    again = sn_mod.sn_assign_guti(world.sn, "imsi-2", SeededRandom(9))
+    assert again.guti_new == first.guti_new
+    world.sn.reuse_guti = True
+    reused = sn_mod.sn_assign_guti(world.sn, "imsi-1", SeededRandom(10))
+    assert reused.guti_new != first.guti_new
+    assert world.sn.guti_table[first.guti_new].supi == "imsi-2"
 
 
 def test_resolve_known_guti_carries_stored_rprime(world, rng):
