@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import crypto, sim, ue as ue_mod, wire
-from .rng import SeededRandom
+from .rng import RandomSource, SeededRandom
 
 CLOSURE_DEPTH = 4
 
@@ -125,7 +125,33 @@ def _core_messages(outcome: sim.SessionOutcome) -> dict[str, wire.Message]:
     }
 
 
-def build_session_graph(world: sim.World, outcome: sim.SessionOutcome) -> DerivationGraph:
+@dataclass
+class OracleCapture:
+    """Test-only UE secrets of one session that the game oracles are given:
+    the ratchet state before the run, and the ephemeral sk_U as the challenge
+    crosses the radio. The simulator never returns them."""
+
+    k_s_prev: Optional[bytes]
+    r_sn_prime: Optional[bytes]
+    sk_u: Optional[bytes] = None
+
+
+def run_captured(world: sim.World, mode: str, rng: RandomSource
+                 ) -> tuple[sim.SessionOutcome, OracleCapture]:
+    """One honest session, with a pass-through challenge tap filling the capture."""
+    capture = OracleCapture(k_s_prev=world.ue.k_s, r_sn_prime=world.ue.r_sn_prime)
+
+    def on_challenge(data: bytes, ctx: sim.AttackerContext) -> bytes:
+        if world.ue.ephemeral is not None:
+            capture.sk_u = world.ue.ephemeral.sk
+        return data
+
+    tap = sim.ScriptedAttacker({"challenge": on_challenge})
+    return sim.run_session(world, mode, tap, rng), capture
+
+
+def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
+                        capture: OracleCapture) -> DerivationGraph:
     """Independent reconstruction of one session's derivation chains."""
     g = DerivationGraph(world.suite)
     radio = _radio_messages(outcome)
@@ -151,7 +177,7 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome) -> Deriva
 
     if outcome.key_source == "supi":
         ident = radio["id-response"]
-        sk_u = outcome.debug["sk_u"]
+        sk_u = capture.sk_u
         g.atom("c1", ident.c1)
         g.atom("suci_conc", ident.suci_conc)
         g.atom("mac_u", ident.mac_u)
@@ -167,8 +193,7 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome) -> Deriva
         k_star = crypto.as_shared_key(crypto.kem_decaps(suite, sk_u, ch.c2))
         g.derived("k_star", k_star, "decaps", ("sk_u", "c2"))
     else:
-        k_s_prev = outcome.debug["k_s_before"]
-        r_sn_prime = outcome.debug["r_sn_prime_before"]
+        k_s_prev, r_sn_prime = capture.k_s_prev, capture.r_sn_prime
         g.atom("k_s_prev", k_s_prev)
         g.atom("r_sn_prime", r_sn_prime)
         k_star = crypto.xor_bytes(k_s_prev, r_sn_prime)
@@ -448,9 +473,9 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
     # SUPI mode
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
-    out = sim.run_session(world, "supi", rng=rng)
+    out, capture = run_captured(world, "supi", rng)
     assert out.completed
-    g = build_session_graph(world, out)
+    g = build_session_graph(world, out, capture)
     base = radio_knowledge(out) | {"k", "sk_h"}
     closure = g.closure(base)
     supi_holds = "k_seaf" not in closure and "k_star" not in closure
@@ -460,9 +485,9 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
                      "k_seaf" in with_sku and with_sku["k_seaf"] <= CLOSURE_DEPTH))
 
     # GUTI mode, ratchet already advanced once
-    out_g = sim.run_session(world, "guti", rng=rng)
+    out_g, capture_g = run_captured(world, "guti", rng)
     assert out_g.completed and out_g.key_source == "guti"
-    gg = build_session_graph(world, out_g)
+    gg = build_session_graph(world, out_g, capture_g)
     base_g = radio_knowledge(out_g) | {"k", "sk_h"}
     closure_g = gg.closure(base_g)
     guti_holds = "k_seaf" not in closure_g and "k_star" not in closure_g

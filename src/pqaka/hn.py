@@ -7,7 +7,6 @@ tell the causes apart.
 
 from __future__ import annotations
 
-import hmac as _hmac
 import logging
 from dataclasses import dataclass, field
 from typing import Optional
@@ -79,7 +78,7 @@ def hn_identify(
         supi, pk_u, id_sn = unpack_suci_payload(plain)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         raise IdentificationAbort() from None
-    if not _hmac.compare_digest(crypto.hmac_tag(k_s1, msg.suci_conc), msg.mac_u):
+    if not crypto.hmac_verify(k_s1, msg.suci_conc, msg.mac_u):
         raise IdentificationAbort()
     if not state.skip_id_sn_check:
         if id_sn != claimed_id_sn or claimed_id_sn not in state.sn_allowlist:
@@ -90,21 +89,6 @@ def hn_identify(
     return supi, pk_u, record
 
 
-@dataclass(frozen=True)
-class AuthVectorBundle:
-    autn: Autn
-    hxres_star: bytes
-    m: bytes
-    c2: Optional[bytes]
-    xres_star: bytes
-    k_seaf: bytes
-    k3: bytes
-
-    def message(self) -> HnToSnAuthMsg:
-        return HnToSnAuthMsg(
-            autn=self.autn, hxres_star=self.hxres_star, m=self.m, c2=self.c2)
-
-
 def _derive_vector(
     state: HnState,
     record: SubscriberRecord,
@@ -113,7 +97,7 @@ def _derive_vector(
     r_sn: bytes,
     id_sn: str,
     sid: bytes,
-) -> AuthVectorBundle:
+) -> HnToSnAuthMsg:
     k = record.k
     id_sn_b = id_sn.encode()
     mac = crypto.prf_f("1", k, [k_star, r_sn])
@@ -132,9 +116,8 @@ def _derive_vector(
     record.k_s_staged = crypto.hash_h([k_star, r_sn])
     state.pending[sid] = PendingAuth(xres_star=xres_star, k_seaf=k_seaf,
                                      supi=record.supi)
-    return AuthVectorBundle(
-        autn=Autn(conc=conc, mac=mac), hxres_star=hxres_star,
-        m=m, c2=c2, xres_star=xres_star, k_seaf=k_seaf, k3=k3)
+    return HnToSnAuthMsg(
+        autn=Autn(conc=conc, mac=mac), hxres_star=hxres_star, m=m, c2=c2)
 
 
 def hn_auth_vector(
@@ -145,7 +128,7 @@ def hn_auth_vector(
     id_sn: str,
     rng: RandomSource,
     sid: bytes,
-) -> AuthVectorBundle:
+) -> HnToSnAuthMsg:
     """SUPI-path vector: fresh encapsulation against the UE public key."""
     c2, k_s2_raw = crypto.kem_encaps(state.kem, pk_u, rng)
     k_s2 = crypto.as_shared_key(k_s2_raw)
@@ -154,7 +137,7 @@ def hn_auth_vector(
 
 def hn_guti_auth_vector(
     state: HnState, msg: GutiSnToHnMsg, id_sn: str, sid: bytes
-) -> AuthVectorBundle:
+) -> HnToSnAuthMsg:
     """GUTI-path vector: ratchet key replaces the encapsulated key, no c2."""
     if not state.skip_id_sn_check and id_sn not in state.sn_allowlist:
         raise IdentificationAbort()

@@ -1,10 +1,11 @@
-"""Deterministic two-channel session orchestrator with attacker hooks.
+"""Deterministic two-channel session driver with a radio attacker.
 
-The radio channel routes every message through the attacker's tap, which
-may pass, drop, or substitute bytes (substitution covers tamper, replay
-and inject). The core channel delivers verbatim, in order, with the
-sender's identity attached; it cannot be tapped. Transcripts keep raw
-bytes so parser bugs cannot hide attacker effects.
+The attacker sees the radio only: every radio message goes through its
+tap, which may pass, drop, or substitute bytes (substitution covers
+tamper, replay and inject). The SN-HN core channel is secure by
+assumption, so it has no tap at all: a core message is encoded, logged
+and decoded verbatim, in order. Transcripts keep raw bytes so parser
+bugs cannot hide attacker effects.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ CORE = "core"
 
 class SetupError(Exception):
     """Inconsistent provisioning detected before any message is sent."""
-
-
-class ThreatModelViolation(Exception):
-    """Attempt to tap, replay or tamper the secure core channel."""
 
 
 @dataclass
@@ -63,27 +60,14 @@ class SessionTranscript:
 
 @dataclass
 class AttackerContext:
-    """Accumulated attacker knowledge, with acquisition timestamps."""
+    """Radio bytes the attacker has seen and the bytes it put in their place."""
 
     observed: list[bytes] = field(default_factory=list)
     injected: list[bytes] = field(default_factory=list)
-    compromised: dict[str, tuple[bytes, int]] = field(default_factory=dict)
-    clock: int = 0
-
-    def tick(self) -> int:
-        self.clock += 1
-        return self.clock
-
-    def observe(self, data: bytes) -> None:
-        self.observed.append(bytes(data))
-        self.tick()
-
-    def add_compromised(self, name: str, value: bytes) -> None:
-        self.compromised[name] = (bytes(value), self.tick())
 
 
 class Attacker:
-    """Base Dolev-Yao attacker: observes everything, changes nothing.
+    """Base Dolev-Yao radio attacker: observes every message, changes nothing.
 
     tap() returns the bytes to deliver, or None to drop the message.
     """
@@ -107,78 +91,6 @@ class ScriptedAttacker(Attacker):
         if handler is None:
             return data
         return handler(data, self.ctx)
-
-
-@dataclass
-class Channel:
-    kind: str
-    attacker: Optional[Attacker] = None
-
-    def add_tap(self, attacker: Attacker) -> None:
-        if self.kind == CORE:
-            raise ThreatModelViolation("core channel cannot be tapped")
-        self.attacker = attacker
-
-    def transmit(self, label: str, data: bytes) -> Optional[bytes]:
-        """Returns delivered bytes (None = dropped by the attacker)."""
-        if self.kind == CORE or self.attacker is None:
-            return data
-        self.attacker.ctx.observe(data)
-        out = self.attacker.tap(label, data)
-        if out is not None and out != data:
-            self.attacker.ctx.injected.append(bytes(out))
-        return out
-
-
-# attacker_act compromise targets; mid-session ephemerals are never legal
-_COMPROMISE_TARGETS = ("ue.k", "hn.sk_h", "hn.registry")
-
-
-def attacker_act(
-    ctx: AttackerContext,
-    action: str,
-    *,
-    entry: Optional[TranscriptEntry] = None,
-    mutation: Optional[Callable[[bytes], bytes]] = None,
-    data: Optional[bytes] = None,
-    target: Optional[str] = None,
-    world: Optional["World"] = None,
-) -> Optional[bytes]:
-    """One attacker capability application; returns bytes to put on the radio
-    (for replay/tamper/inject) or None for knowledge-only actions."""
-    if action == "observe":
-        assert data is not None
-        ctx.observe(data)
-        return None
-    if action in ("replay", "tamper"):
-        assert entry is not None
-        if entry.channel != RADIO:
-            raise ThreatModelViolation("replay/tamper is radio-only")
-        ctx.tick()
-        if action == "replay":
-            ctx.injected.append(entry.data)
-            return entry.data
-        mutated = mutation(entry.data)
-        ctx.injected.append(mutated)
-        return mutated
-    if action == "inject":
-        assert data is not None
-        ctx.injected.append(bytes(data))
-        ctx.tick()
-        return data
-    if action == "compromise":
-        assert world is not None and target in _COMPROMISE_TARGETS
-        if target == "ue.k":
-            ctx.add_compromised("ue.k", world.ue.k)
-        elif target == "hn.sk_h":
-            ctx.add_compromised("hn.sk_h", world.hn.kem_pair.sk)
-        else:
-            for supi, rec in world.hn.registry.items():
-                ctx.add_compromised(f"registry.{supi}.k", rec.k)
-                if rec.k_s is not None:
-                    ctx.add_compromised(f"registry.{supi}.k_s", rec.k_s)
-        return None
-    raise ValueError(f"unknown attacker action {action!r}")
 
 
 def seal_assignment(k_seaf: bytes, msg: wire.GutiAssignMsg) -> wire.SecureEnvelopeMsg:
@@ -255,8 +167,6 @@ class SessionOutcome:
     supi_at_sn: Optional[str] = None
     assignment_delivered: bool = False
     key_source: Optional[str] = None     # "supi" or "guti"
-    sid: Optional[bytes] = None
-    debug: dict = field(default_factory=dict)
 
 
 def _aborted(transcript: SessionTranscript, step: str) -> SessionOutcome:
@@ -285,12 +195,14 @@ def run_session(
         raise SetupError("UE and HN disagree on the HN identity")
 
     t = SessionTranscript()
-    radio = Channel(RADIO, attacker)
-    core = Channel(CORE)
 
     def send_radio(direction: str, label: str, msg: wire.Message) -> Optional[wire.Message]:
-        data = wire.encode(msg)
-        delivered = radio.transmit(label, data)
+        delivered = data = wire.encode(msg)
+        if attacker is not None:
+            attacker.ctx.observed.append(data)
+            delivered = attacker.tap(label, data)
+            if delivered is not None and delivered != data:
+                attacker.ctx.injected.append(bytes(delivered))
         if delivered is None:
             t.append(RADIO, direction, b"", f"{label} [dropped]")
             return None
@@ -301,16 +213,9 @@ def run_session(
             return None
 
     def send_core(direction: str, label: str, msg: wire.Message) -> wire.Message:
-        data = core.transmit(label, wire.encode(msg))
+        data = wire.encode(msg)
         t.append(CORE, direction, data, label)
         return wire.decode(data)
-
-    # capture pre-session ratchet view for the adversary-game oracles
-    world_debug = {
-        "k_s_before": ue.k_s,
-        "r_sn_prime_before": ue.r_sn_prime,
-        "guti_before": ue.guti,
-    }
 
     # 1. identification request
     req = send_radio("SN->UE", "id-request",
@@ -355,16 +260,16 @@ def run_session(
     try:
         if isinstance(at_hn, wire.SnToHnIdentMsg):
             supi, pk_u, record = hn_mod.hn_identify(hn, at_hn, sn.id_sn)
-            bundle = hn_mod.hn_auth_vector(
+            to_sn = hn_mod.hn_auth_vector(
                 hn, record, pk_u, at_hn.r_sn, sn.id_sn, rng, sid)
         else:
-            bundle = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
+            to_sn = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
     except hn_mod.IdentificationAbort:
         send_core("HN->SN", "hn-abort", wire.AbortMsg())
         sn.pending.pop(sid, None)
         return _aborted(t, "hn-identify")
 
-    vector = send_core("HN->SN", "auth-vector", bundle.message())
+    vector = send_core("HN->SN", "auth-vector", to_sn)
 
     # 5. challenge to the UE
     challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
@@ -373,10 +278,6 @@ def run_session(
     ch = send_radio("SN->UE", "challenge", challenge)
     if ch is None or not isinstance(ch, wire.ChallengeMsg):
         return _aborted(t, "challenge")
-
-    if isinstance(ident, wire.IdResponseMsg) and ue.ephemeral is not None:
-        world_debug["sk_u"] = ue.ephemeral.sk
-        world_debug["pk_u"] = ue.ephemeral.pk
 
     # 6. UE response (silent abort emits nothing on the radio)
     response = ue_mod.ue_process_challenge(ue, ch)
@@ -409,15 +310,10 @@ def run_session(
         k_seaf_ue=ue.session_keys.k_seaf if ue.session_keys else None,
         k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
         supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
-        key_source=ue.last_key_source, sid=sid, debug=world_debug)
+        key_source=ue.last_key_source)
 
 
 def export_transcript(outcomes: list[SessionOutcome]) -> list[str]:
     """Line-delimited records: session step channel direction hex annotation."""
-    lines = []
-    for i, outcome in enumerate(outcomes):
-        for e in outcome.transcript.entries:
-            lines.append(
-                f"{i} {e.step} {e.channel} {e.direction} "
-                f"{e.data.hex() or '-'} {e.annotation}")
-    return lines
+    return [f"{i} {line}" for i, outcome in enumerate(outcomes)
+            for line in outcome.transcript.to_lines()]

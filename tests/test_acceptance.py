@@ -66,9 +66,9 @@ def test_criterion_3_exhaustive_bit_flip_and_replay():
     msg = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    bundle = hn_mod.hn_auth_vector(
+    vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, bundle.message())
+    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
     assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge)
 
     raw = challenge.autn.raw + challenge.c2

@@ -95,8 +95,8 @@ def test_closure_rejects_wrong_recipe_bytes():
 
 
 def test_session_graph_reconstructs_anchor_key(world, rng):
-    outcome = sim.run_session(world, "supi", rng=rng)
-    g = attacks.build_session_graph(world, outcome)
+    outcome, capture = attacks.run_captured(world, "supi", rng)
+    g = attacks.build_session_graph(world, outcome, capture)
     # full knowledge (including sk_U) reaches the anchor key within depth 4
     base = attacks.radio_knowledge(outcome) | {"k", "sk_h", "sk_u"}
     closure = g.closure(base)

@@ -1,5 +1,7 @@
 """HN operations: identification, vector derivation, ratchet staging."""
 
+import dataclasses
+
 import pytest
 
 from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
@@ -83,18 +85,34 @@ def test_all_aborts_share_one_code(world, rng):
 def test_vector_internal_consistency(world, rng):
     to_hn, sid = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    bundle = hn_mod.hn_auth_vector(
+    vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+    pending = world.hn.pending[sid]
     # AUTN CONC must unmask to the forwarded R_SN under the subscriber key
     k_star = crypto.as_shared_key(
-        crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, bundle.c2))
+        crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
     ak = crypto.prf_f("5", record.k, [k_star])
-    assert crypto.xor_bytes(bundle.autn.conc, ak) == to_hn.r_sn
-    assert bundle.hxres_star == crypto.hash_h([to_hn.r_sn, bundle.xres_star])
-    # M opens under K3 to the anchored key and identity
-    k_seaf, supi_in_m = wire.unpack_m_payload(crypto.aead_open(bundle.k3, bundle.m))
-    assert (k_seaf, supi_in_m) == (bundle.k_seaf, supi)
-    assert world.hn.pending[sid].xres_star == bundle.xres_star
+    assert crypto.xor_bytes(vector.autn.conc, ak) == to_hn.r_sn
+    assert vector.hxres_star == crypto.hash_h([to_hn.r_sn, pending.xres_star])
+    # M opens under K3 = XRES* xor f5 to the anchored key and identity
+    k3 = crypto.xor_bytes(pending.xres_star, ak)
+    k_seaf, supi_in_m = wire.unpack_m_payload(crypto.aead_open(k3, vector.m))
+    assert (k_seaf, supi_in_m) == (pending.k_seaf, supi)
+
+
+def test_auth_vector_carries_no_session_secrets(world, rng):
+    to_hn, sid = _ident_msg(world, rng)
+    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+    vector = hn_mod.hn_auth_vector(
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+    pending = world.hn.pending[sid]
+    k_star = crypto.as_shared_key(
+        crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
+    k3 = crypto.xor_bytes(pending.xres_star,
+                          crypto.prf_f("5", record.k, [k_star]))
+    secrets = {k3, pending.xres_star, pending.k_seaf}
+    for f in dataclasses.fields(vector):
+        assert getattr(vector, f.name) not in secrets, f.name
 
 
 def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
@@ -102,10 +120,10 @@ def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
     record.k_s = SeededRandom(11).bytes(32)
     r_sn = SeededRandom(12).bytes(32)
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32), r_sn=r_sn)
-    bundle = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid1")
+    vector = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid1")
     # with R' = 0 the derived key K* equals the stored ratchet key
-    assert bundle.autn.mac == crypto.prf_f("1", record.k, [record.k_s, r_sn])
-    assert bundle.c2 is None
+    assert vector.autn.mac == crypto.prf_f("1", record.k, [record.k_s, r_sn])
+    assert vector.c2 is None
 
 
 def test_guti_vector_requires_ratchet_key(world):

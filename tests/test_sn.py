@@ -14,10 +14,10 @@ def _to_challenge(world, rng):
     msg = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    bundle = hn_mod.hn_auth_vector(
+    vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, bundle.message())
-    return sid, bundle, challenge
+    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
+    return sid, vector, challenge
 
 
 def test_forward_identification_fresh_r_sn(world, rng):
@@ -38,32 +38,33 @@ def test_forward_identification_seeded_r_sn(world):
 
 
 def test_forward_challenge_passes_autn_unmodified(world, rng):
-    sid, bundle, challenge = _to_challenge(world, rng)
-    assert challenge.autn == bundle.autn
-    assert challenge.c2 == bundle.c2
+    sid, vector, challenge = _to_challenge(world, rng)
+    assert challenge.autn == vector.autn
+    assert challenge.c2 == vector.c2
     pending = world.sn.pending[sid]
-    assert pending.hxres_star == bundle.hxres_star
-    assert pending.m == bundle.m
+    assert pending.hxres_star == vector.hxres_star
+    assert pending.m == vector.m
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):
-    _sid, bundle, _ = _to_challenge(world, rng)
-    assert sn_mod.sn_forward_challenge(world.sn, b"nosuch", bundle.message()) is None
+    _sid, vector, _ = _to_challenge(world, rng)
+    assert sn_mod.sn_forward_challenge(world.sn, b"nosuch", vector) is None
 
 
 def test_verify_response_recovers_supi_and_key(world, rng):
-    sid, bundle, challenge = _to_challenge(world, rng)
+    sid, _vector, challenge = _to_challenge(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
     assert result is not None
     assert result.supi == world.ue.supi
-    assert result.k_seaf == bundle.k_seaf == world.ue.session_keys.k_seaf
+    k_seaf_hn = world.hn.pending[sid].k_seaf
+    assert result.k_seaf == k_seaf_hn == world.ue.session_keys.k_seaf
     assert result.confirm.ok
     assert sid not in world.sn.pending
 
 
 def test_verify_response_bit_flip_fuzz(world, rng):
-    sid, _bundle, challenge = _to_challenge(world, rng)
+    sid, _vector, challenge = _to_challenge(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     honest = response.res_star
     for bit in range(0, 256, 11):

@@ -14,10 +14,10 @@ def _identified(world, rng):
     msg = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    bundle = hn_mod.hn_auth_vector(
+    vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, bundle.message())
-    return msg, sid, bundle, challenge
+    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
+    return msg, sid, vector, challenge
 
 
 def test_id_response_seed0_matches_independent_composition(world):
@@ -52,16 +52,17 @@ def test_hn_recovers_identity_from_honest_response(world, rng):
 
 
 def test_honest_challenge_response_matches_expected(world, rng):
-    _msg, sid, bundle, challenge = _identified(world, rng)
+    _msg, sid, _vector, challenge = _identified(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     assert response is not None
-    assert response.res_star == bundle.xres_star
-    assert world.ue.session_keys.k_seaf == bundle.k_seaf
+    hn_pending = world.hn.pending[sid]
+    assert response.res_star == hn_pending.xres_star
+    assert world.ue.session_keys.k_seaf == hn_pending.k_seaf
     assert world.ue.last_key_source == "supi"
 
 
 def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
-    _msg, _sid, _bundle, challenge = _identified(world, rng)
+    _msg, _sid, _vector, challenge = _identified(world, rng)
     raw = challenge.autn.raw + challenge.c2
     total_bits = len(raw) * 8
     for bit in range(0, total_bits, 37):   # exhaustively covered in acceptance
@@ -75,7 +76,7 @@ def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
 
 
 def test_replayed_challenge_against_fresh_ephemeral_aborts(world, rng):
-    _msg, _sid, _bundle, old_challenge = _identified(world, rng)
+    _msg, _sid, _vector, old_challenge = _identified(world, rng)
     # new identification: fresh sk_U; the old (c2, AUTN) no longer matches
     ue_mod.ue_identification_response(world.ue, rng)
     assert ue_mod.ue_process_challenge(world.ue, old_challenge) is None
@@ -107,7 +108,7 @@ def test_guti_path_challenge_uses_ratchet_key(world, rng):
 
 
 def test_assignment_commits_pending_ratchet(world, rng):
-    _msg, _sid, bundle, challenge = _identified(world, rng)
+    _msg, _sid, vector, challenge = _identified(world, rng)
     ue_mod.ue_process_challenge(world.ue, challenge)
     pending = world.ue.k_s_pending
     assert pending is not None
@@ -120,7 +121,7 @@ def test_assignment_commits_pending_ratchet(world, rng):
 
 
 def test_duplicate_assignment_ignored(world, rng):
-    _msg, _sid, _bundle, challenge = _identified(world, rng)
+    _msg, _sid, _vector, challenge = _identified(world, rng)
     ue_mod.ue_process_challenge(world.ue, challenge)
     first = wire.GutiAssignMsg(guti_new=b"\x01" * 16, r_sn_prime_new=b"\x02" * 32)
     ue_mod.ue_handle_guti_assignment(world.ue, first)
