@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Optional
 
 from . import crypto, sim, ue as ue_mod, wire
@@ -389,15 +390,28 @@ def _key_candidates(values: list[bytes], depth: int = 2,
         for v in known:
             new.add(crypto.hash_h([v]))
             new.add(crypto.kdf([v]))
-        for a in thirty_two:
-            for b in thirty_two:
-                if a != b:
-                    new.add(crypto.xor_bytes(a, b))
-                new.add(crypto.hash_h([a, b]))
+        # xor is symmetric, so each unordered pair is xored once;
+        # hash_h is order-sensitive and takes every ordered pair
+        for a, b in combinations(thirty_two, 2):
+            new.add(crypto.xor_bytes(a, b))
+        for a, b in product(thirty_two, repeat=2):
+            new.add(crypto.hash_h([a, b]))
         if new <= known:
             break
         known |= new
     return {v for v in known if len(v) == 32}
+
+
+def _count_openings(keys: set[bytes], ciphertext: bytes) -> int:
+    """How many of the keys open the ciphertext."""
+    opened = 0
+    for key in keys:
+        try:
+            crypto.aead_open(key, ciphertext)
+            opened += 1
+        except crypto.AeadFailure:
+            pass
+    return opened
 
 
 def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> Verdict:
@@ -414,13 +428,7 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> 
     pending_m = next(p.m for p in world.sn.pending.values())
     values = _sn_pre_response_values(world, out)
     candidates = _key_candidates(values)
-    opened = 0
-    for key in candidates:
-        try:
-            crypto.aead_open(key, pending_m)
-            opened += 1
-        except crypto.AeadFailure:
-            pass
+    opened = _count_openings(candidates, pending_m)
     part_a = opened == 0
     evidence.append(f"pre-response-keys-tried={len(candidates)} opened={opened}")
 

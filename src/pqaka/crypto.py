@@ -13,6 +13,9 @@ import hmac as _hmac
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from .rng import RandomSource
 
 KEY_LEN = 32
@@ -43,7 +46,7 @@ def _check_key(key: bytes) -> None:
 
 def _lp(inputs: list[bytes] | tuple[bytes, ...]) -> bytes:
     """Length-prefixed concatenation: 4-byte big-endian length per field."""
-    return b"".join(len(x).to_bytes(4, "big") + x for x in inputs)
+    return b"".join([len(x).to_bytes(4, "big") + x for x in inputs])
 
 
 def prf_f(index: str, key: bytes, inputs: list[bytes]) -> bytes:
@@ -82,16 +85,11 @@ def hmac_verify(key: bytes, data: bytes, tag: bytes) -> bool:
 
 def aead_seal(key: bytes, plaintext: bytes) -> bytes:
     """AES-256-GCM under a zero nonce; key must be fresh per session."""
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
     _check_key(key)
     return AESGCM(key).encrypt(_AEAD_NONCE, plaintext, None)
 
 
 def aead_open(key: bytes, ciphertext: bytes) -> bytes:
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
     _check_key(key)
     try:
         return AESGCM(key).decrypt(_AEAD_NONCE, ciphertext, None)
@@ -107,7 +105,7 @@ def as_shared_key(k: bytes) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise CryptoError("xor operands must have equal length")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 @dataclass(frozen=True)

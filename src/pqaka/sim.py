@@ -10,7 +10,7 @@ bugs cannot hide attacker effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import crypto, hn as hn_mod, sn as sn_mod, ue as ue_mod, wire
@@ -58,16 +58,14 @@ class SessionTranscript:
         ]
 
 
-@dataclass
 class AttackerContext:
-    """Radio bytes the attacker has seen and the bytes it put in their place."""
-
-    observed: list[bytes] = field(default_factory=list)
-    injected: list[bytes] = field(default_factory=list)
+    """Passed to every scripted handler; it carries no state, so a handler
+    that needs any keeps it in its own closure."""
 
 
 class Attacker:
-    """Base Dolev-Yao radio attacker: observes every message, changes nothing.
+    """Base Dolev-Yao radio attacker: every radio message passes through
+    tap(), which by default delivers it unchanged.
 
     tap() returns the bytes to deliver, or None to drop the message.
     """
@@ -197,12 +195,9 @@ def run_session(
     t = SessionTranscript()
 
     def send_radio(direction: str, label: str, msg: wire.Message) -> Optional[wire.Message]:
-        delivered = data = wire.encode(msg)
+        delivered = wire.encode(msg)
         if attacker is not None:
-            attacker.ctx.observed.append(data)
-            delivered = attacker.tap(label, data)
-            if delivered is not None and delivered != data:
-                attacker.ctx.injected.append(bytes(delivered))
+            delivered = attacker.tap(label, delivered)
         if delivered is None:
             t.append(RADIO, direction, b"", f"{label} [dropped]")
             return None

@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqaka import attacks, crypto, sim, wire
 from pqaka.crypto import TEST_KEM
@@ -114,6 +116,63 @@ def test_key_candidate_generation_is_bounded():
     values = [bytes([i]) * 32 for i in range(12)]
     candidates = attacks._key_candidates(values)
     assert 12 <= len(candidates) <= 100_000
+
+
+def _key_candidates_ordered_pairs(values, depth=2, budget=100_000):
+    """Reference search: xor and hash_h over every ordered pair."""
+    known = set(values)
+    for _ in range(depth):
+        new = set()
+        thirty_two = sorted(v for v in known if len(v) == 32)
+        if len(thirty_two) ** 2 > budget:
+            break
+        for v in known:
+            new.add(crypto.hash_h([v]))
+            new.add(crypto.kdf([v]))
+        for a in thirty_two:
+            for b in thirty_two:
+                if a != b:
+                    new.add(crypto.xor_bytes(a, b))
+                new.add(crypto.hash_h([a, b]))
+        if new <= known:
+            break
+        known |= new
+    return {v for v in known if len(v) == 32}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.binary(min_size=32, max_size=32), max_size=4))
+def test_key_candidates_match_ordered_pair_reference(values):
+    assert attacks._key_candidates(values) == _key_candidates_ordered_pairs(values)
+
+
+def _sn_search_inputs():
+    """SN-held values and the pending M after a SUPI run whose response
+    was dropped, plus XRES* and K3 = XRES* xor AK from the HN's state."""
+    rng = SeededRandom(0)
+    world = sim.make_world("test", seed=rng)
+    dropper = sim.ScriptedAttacker({"response": lambda data, ctx: None})
+    out = sim.run_session(world, "supi", dropper, rng)
+    (sn_pending,) = world.sn.pending.values()
+    (hn_pending,) = world.hn.pending.values()
+    ak = crypto.xor_bytes(sn_pending.autn.conc, sn_pending.r_sn)
+    k3 = crypto.xor_bytes(hn_pending.xres_star, ak)
+    values = attacks._sn_pre_response_values(world, out)
+    return values, sn_pending.m, hn_pending.xres_star, k3
+
+
+def test_sn_key_search_opens_m_once_given_k3():
+    values, m, _xres_star, k3 = _sn_search_inputs()
+    assert attacks._count_openings(attacks._key_candidates(values), m) == 0
+    assert attacks._count_openings(attacks._key_candidates(values + [k3]), m) == 1
+
+
+def test_sn_key_search_reaches_k3_from_xres_star():
+    """K3 = XRES* xor CONC xor R_SN is two xors deep: the search finds it."""
+    values, m, xres_star, k3 = _sn_search_inputs()
+    candidates = attacks._key_candidates(values + [xres_star])
+    assert k3 in candidates
+    assert attacks._count_openings(candidates, m) == 1
 
 
 def test_linkability_multiset_splits_autn_into_halves():

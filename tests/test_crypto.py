@@ -4,7 +4,8 @@ import hashlib
 import hmac as _hmac
 
 import pytest
-from hypothesis import given, settings
+from cryptography.exceptions import InvalidTag
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golden import CONSTANTS
@@ -145,6 +146,11 @@ def test_length_prefix_resists_field_splicing(a, b):
         assert crypto.hash_h([a, b]) != crypto.hash_h([a + b, b""]) or a == a + b
 
 
+def test_length_prefix_frozen():
+    assert crypto._lp([b"ab", b"xyz"]) == \
+        b"\x00\x00\x00\x02ab\x00\x00\x00\x03xyz"
+
+
 def test_field_boundary_matters():
     assert crypto.hash_h([b"ab", b"c"]) != crypto.hash_h([b"a", b"bc"])
 
@@ -193,8 +199,9 @@ def test_aead_every_bit_flip_rejected():
 def test_aead_wrong_key_rejected():
     key = SeededRandom(9).bytes(32)
     ct = crypto.aead_seal(key, b"secret")
-    with pytest.raises(crypto.AeadFailure):
+    with pytest.raises(crypto.AeadFailure) as failure:
         crypto.aead_open(SeededRandom(10).bytes(32), ct)
+    assert isinstance(failure.value.__cause__, InvalidTag)
 
 
 @settings(max_examples=50)
@@ -222,3 +229,19 @@ def test_xor_involution(a, b):
 def test_xor_length_mismatch():
     with pytest.raises(crypto.CryptoError):
         crypto.xor_bytes(b"ab", b"a")
+
+
+EQUAL_LENGTH_PAIRS = st.integers(0, 64).flatmap(
+    lambda n: st.tuples(st.binary(min_size=n, max_size=n),
+                        st.binary(min_size=n, max_size=n)))
+
+
+@given(EQUAL_LENGTH_PAIRS)
+@example((b"", b""))
+@example((b"\x00\x00\x01", b"\x00\x00\x02"))   # leading zero bytes kept
+@example((b"\x00\x07", b"\x00\x07"))             # all-zero result
+@example((b"\xff" * 64, b"\xff" * 64))
+def test_xor_matches_per_byte_reference(pair):
+    a, b = pair
+    assert crypto.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+    assert crypto.xor_bytes(a, a) == bytes(len(a))
