@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Optional
 
-from . import crypto, sim, ue as ue_mod, wire
+from . import crypto, hn as hn_mod, sim, ue as ue_mod, wire
 from .rng import RandomSource, SeededRandom
 
 CLOSURE_DEPTH = 4
@@ -142,7 +142,7 @@ def run_captured(world: sim.World, mode: str, rng: RandomSource
     """One honest session, with a pass-through challenge tap filling the capture."""
     capture = OracleCapture(k_s_prev=world.ue.k_s, r_sn_prime=world.ue.r_sn_prime)
 
-    def on_challenge(data: bytes, ctx: sim.AttackerContext) -> bytes:
+    def on_challenge(data: bytes, ctx) -> bytes:
         if world.ue.ephemeral is not None:
             capture.sk_u = world.ue.ephemeral.sk
         return data
@@ -235,22 +235,63 @@ def radio_knowledge(outcome: sim.SessionOutcome) -> set[str]:
     return set(atoms) | set(_PUBLIC_IDS)
 
 
+# --- weakened roles ----------------------------------------------------------
+
+class Weakened:
+    """A role module with some functions replaced, passed to run_session for
+    a negative control; every other name is looked up on the module."""
+
+    def __init__(self, module, **replaced):
+        vars(self).update(replaced, _module=module)
+
+    def __getattr__(self, name: str):
+        return getattr(self._module, name)
+
+
+def _ue_without_mac_check(state: ue_mod.UeState, ch: wire.ChallengeMsg
+                          ) -> Optional[wire.ResponseMsg]:
+    """UE that accepts any AUTN MAC on the SUPI path: it puts the MAC it
+    expects, from K, sk_U and CONC, into the challenge before the real check."""
+    k_star = crypto.as_shared_key(
+        crypto.kem_decaps(state.kem, state.ephemeral.sk, ch.c2))
+    r_sn = crypto.xor_bytes(ch.autn.conc, crypto.prf_f("5", state.k, [k_star]))
+    autn = wire.Autn(conc=ch.autn.conc, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
+    return ue_mod.ue_process_challenge(state, wire.ChallengeMsg(autn=autn, c2=ch.c2))
+
+
+def _broken_ue() -> Weakened:
+    """UE whose every session repeats its first SUCI, together with that
+    session's key pair, and its first GUTI."""
+    first: dict[str, object] = {}
+
+    def identification_response(state: ue_mod.UeState, rng: RandomSource):
+        if "suci" not in first:
+            first["suci"] = ue_mod.ue_identification_response(state, rng), state.ephemeral
+        msg, state.ephemeral = first["suci"]
+        return msg
+
+    def guti_identification(state: ue_mod.UeState):
+        msg = ue_mod.ue_guti_identification(state)
+        return msg and first.setdefault("guti", msg)
+
+    return Weakened(ue_mod, ue_identification_response=identification_response,
+                    ue_guti_identification=guti_identification)
+
+
 # --- scenarios ---------------------------------------------------------------
-
-def _flip_bit(data: bytes, bit: int) -> bytes:
-    out = bytearray(data)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
-
 
 def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
                               weaken: frozenset = frozenset()) -> Verdict:
     """Replayed or spliced (c2, AUTN) must be rejected by the UE."""
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
-    if "ue-mac" in weaken:
-        world.ue.skip_mac_check = True
-    a = sim.run_session(world, "supi", rng=rng)
+    ue_roles = (Weakened(ue_mod, ue_process_challenge=_ue_without_mac_check)
+                if "ue-mac" in weaken else ue_mod)
+
+    def run(attacker: Optional[sim.Attacker], rng: RandomSource) -> sim.SessionOutcome:
+        return sim.run_session(world, "supi", attacker, rng, ue_mod=ue_roles)
+
+    a = run(None, rng)
     assert a.completed
     ch_a = _radio_messages(a)["challenge"]
     id_a_bytes = next(e.data for e in a.transcript.radio_entries()
@@ -263,7 +304,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
         nonlocal holds
         attacker = sim.ScriptedAttacker({
             "challenge": lambda data, ctx: wire.encode(make(wire.decode(data)))})
-        out = sim.run_session(world, "supi", attacker, SeededRandom(seed + 1))
+        out = run(attacker, SeededRandom(seed + 1))
         ok = (not out.completed) and out.abort_step == "ue-challenge"
         holds = holds and ok
         evidence.append(f"{name}: abort_step={out.abort_step}")
@@ -278,7 +319,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
     # complete and UE key state stays intact
     guti_before, ks_before = world.ue.guti, world.ue.k_s
     attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: id_a_bytes})
-    out = sim.run_session(world, "supi", attacker, SeededRandom(seed + 2))
+    out = run(attacker, SeededRandom(seed + 2))
     hn_accepted = any(e.annotation == "auth-vector" for e in out.transcript.entries)
     suci_ok = (hn_accepted and not out.completed
                and out.abort_step == "ue-challenge"
@@ -286,7 +327,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
     holds = holds and suci_ok
     evidence.append(f"replay-suci: hn_accepted={hn_accepted} abort_step={out.abort_step}")
 
-    honest = sim.run_session(world, "supi", sim.Attacker(), SeededRandom(seed + 3))
+    honest = run(sim.Attacker(), SeededRandom(seed + 3))
     return Verdict(
         scenario="replay", holds=holds, evidence=evidence,
         controls=[("honest-passthrough-completes", honest.completed)])
@@ -319,21 +360,16 @@ def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
     ue1 = world.ue
     ue2 = sim.add_subscriber(world, "imsi-001010000000002", rng)
 
-    def run(ue: ue_mod.UeState, session_mode: str) -> sim.SessionOutcome:
+    def run(ue: ue_mod.UeState, session_mode: str, roles=ue_mod) -> sim.SessionOutcome:
         w = sim.World(ue=ue, sn=world.sn, hn=world.hn, suite=world.suite)
-        return sim.run_session(w, session_mode, rng=rng)
+        return sim.run_session(w, session_mode, rng=rng, ue_mod=roles)
 
     if mode == "guti":
         assert run(ue1, "supi").completed and run(ue2, "supi").completed
 
-    if broken_ue:
-        if mode == "guti":
-            world.sn.reuse_guti = True   # identifier repeats across sessions
-        else:
-            ue1.reuse_ephemeral = True
-
-    s1 = run(ue1, mode)
-    s2 = run(ue1, mode)
+    ue1_roles = _broken_ue() if broken_ue else ue_mod
+    s1 = run(ue1, mode, ue1_roles)
+    s2 = run(ue1, mode, ue1_roles)
     s3 = run(ue2, mode)
 
     f1, f2, f3 = _field_multiset(s1), _field_multiset(s2), _field_multiset(s3)
@@ -450,14 +486,17 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> 
     part_b = (not out_b.completed) and out_b.abort_step == "ue-challenge"
     evidence.append(f"cross-ue-challenge: abort_step={out_b.abort_step}")
 
-    # (c) vector issued under a different SN identity: the HN-side check is
-    # skipped to let the vector out; the run must still die with no key
+    # (c) vector issued under a different SN identity: the HN is misled into
+    # identifying the UE for the (allowlisted) SN the UE named, which lets
+    # the vector for this SN out; the run must still die with no key
     # material at the SN (the mismatch surfaces at the HXRES* comparison)
     rng3 = SeededRandom(seed + 2)
     world3 = sim.make_world(suite_name, seed=rng3)
     world3.ue.id_sn_expected = "other-sn.example"
-    world3.hn.skip_id_sn_check = True
-    out_c = sim.run_session(world3, "supi", rng=rng3)
+    world3.hn.sn_allowlist.add("other-sn.example")
+    misled_hn = Weakened(hn_mod, hn_identify=lambda state, msg, _claimed:
+                         hn_mod.hn_identify(state, msg, "other-sn.example"))
+    out_c = sim.run_session(world3, "supi", rng=rng3, hn_mod=misled_hn)
     part_c = (not out_c.completed) and out_c.supi_at_sn is None
     evidence.append(f"wrong-sn-vector: abort_step={out_c.abort_step}")
 

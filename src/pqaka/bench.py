@@ -13,7 +13,6 @@ import json
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from . import crypto, wire
 from .crypto import KemSuite, get_suite
@@ -128,9 +127,5 @@ def format_size_table(rows: list[SizeRow]) -> str:
     return "\n".join(lines)
 
 
-def bench_rows_jsonl(rows: list[BenchRow]) -> list[str]:
-    return [json.dumps(vars(r), sort_keys=True) for r in rows]
-
-
-def size_rows_jsonl(rows: list[SizeRow]) -> list[str]:
+def rows_jsonl(rows: list[BenchRow] | list[SizeRow]) -> list[str]:
     return [json.dumps(vars(r), sort_keys=True) for r in rows]

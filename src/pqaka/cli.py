@@ -78,7 +78,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rows = bench.run_bench(_suite_list(parser, args.kem), args.iters)
     print(bench.format_bench_table(rows))
     if args.out:
-        _write_lines(args.out, bench.bench_rows_jsonl(rows))
+        _write_lines(args.out, bench.rows_jsonl(rows))
     return 0
 
 
@@ -86,7 +86,7 @@ def cmd_sizes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rows = bench.run_sizes(_suite_list(parser, args.kem))
     print(bench.format_size_table(rows))
     if args.out:
-        _write_lines(args.out, bench.size_rows_jsonl(rows))
+        _write_lines(args.out, bench.rows_jsonl(rows))
     return 0
 
 
@@ -133,18 +133,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config: {exc}")
-        # flags take precedence: re-parse with config values as defaults
-        for key, value in defaults.items():
-            flag = f"--{key.replace('_', '-')}"
-            if flag not in argv and hasattr(args, key):
-                setattr(args, key, value)
-    return args
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            defaults = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config: {exc}")
+    if not isinstance(defaults, dict):
+        parser.error("config must be a JSON object")
+    # config values become flags (one per list item) right after the command,
+    # so argparse checks them like any flag and a user flag after them wins
+    flags = [f"--{key.replace('_', '-')}={v}" for key, value in defaults.items()
+             if hasattr(args, key) for v in (value if isinstance(value, list) else [value])]
+    start = argv.index("--config") + 2 if "--config" in argv else 0   # past its path
+    at = argv.index(args.command, start) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -1,6 +1,6 @@
 """Cryptographic core: KEM abstraction, test KEM, and the symmetric suite.
 
-The symmetric family f1..f5, f1*, f5* is a keyed PRF (HMAC-SHA-256 with a
+The symmetric family f1..f5 is a keyed PRF (HMAC-SHA-256 with a
 one-byte domain tag), not MILENAGE. All symmetric values are 32 bytes so
 every XOR in the protocol is well-typed. The test KEM is insecure by
 design: a deterministic construction over SHA-256 used as a test double.
@@ -23,8 +23,7 @@ AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
 # domain-separation tags for the f-family
-_F_TAGS = {"1": 0x01, "2": 0x02, "3": 0x03, "4": 0x04,
-           "5": 0x05, "1s": 0x06, "5s": 0x07}
+_F_TAGS = {"1": 0x01, "2": 0x02, "3": 0x03, "4": 0x04, "5": 0x05}
 
 
 class CryptoError(Exception):

@@ -63,9 +63,6 @@ class HnState:
     pending: dict[bytes, PendingAuth] = field(default_factory=dict)
     persist_path: Optional[str] = None
 
-    # test hook for the compromised-SN scenario; never set in honest runs
-    skip_id_sn_check: bool = False
-
 
 def hn_identify(
     state: HnState, msg: SnToHnIdentMsg, claimed_id_sn: str
@@ -80,9 +77,8 @@ def hn_identify(
         raise IdentificationAbort() from None
     if not crypto.hmac_verify(k_s1, msg.suci_conc, msg.mac_u):
         raise IdentificationAbort()
-    if not state.skip_id_sn_check:
-        if id_sn != claimed_id_sn or claimed_id_sn not in state.sn_allowlist:
-            raise IdentificationAbort()
+    if id_sn != claimed_id_sn or claimed_id_sn not in state.sn_allowlist:
+        raise IdentificationAbort()
     record = state.registry.get(supi)
     if record is None:
         raise IdentificationAbort()
@@ -139,7 +135,7 @@ def hn_guti_auth_vector(
     state: HnState, msg: GutiSnToHnMsg, id_sn: str, sid: bytes
 ) -> HnToSnAuthMsg:
     """GUTI-path vector: ratchet key replaces the encapsulated key, no c2."""
-    if not state.skip_id_sn_check and id_sn not in state.sn_allowlist:
+    if id_sn not in state.sn_allowlist:
         raise IdentificationAbort()
     record = state.registry.get(msg.supi)
     if record is None or record.k_s is None:

@@ -58,11 +58,6 @@ class SessionTranscript:
         ]
 
 
-class AttackerContext:
-    """Passed to every scripted handler; it carries no state, so a handler
-    that needs any keeps it in its own closure."""
-
-
 class Attacker:
     """Base Dolev-Yao radio attacker: every radio message passes through
     tap(), which by default delivers it unchanged.
@@ -70,25 +65,22 @@ class Attacker:
     tap() returns the bytes to deliver, or None to drop the message.
     """
 
-    def __init__(self):
-        self.ctx = AttackerContext()
-
     def tap(self, label: str, data: bytes) -> Optional[bytes]:
         return data
 
 
 class ScriptedAttacker(Attacker):
-    """Per-label handlers: handler(data, ctx) -> delivered bytes or None."""
+    """Per-label handlers: handler(data, ctx) -> delivered bytes or None,
+    where ctx is always None; a handler keeps any state in its closure."""
 
-    def __init__(self, handlers: dict[str, Callable[[bytes, AttackerContext], Optional[bytes]]]):
-        super().__init__()
+    def __init__(self, handlers: dict[str, Callable[[bytes, None], Optional[bytes]]]):
         self.handlers = dict(handlers)
 
     def tap(self, label: str, data: bytes) -> Optional[bytes]:
         handler = self.handlers.get(label)
         if handler is None:
             return data
-        return handler(data, self.ctx)
+        return handler(data, None)
 
 
 def seal_assignment(k_seaf: bytes, msg: wire.GutiAssignMsg) -> wire.SecureEnvelopeMsg:
@@ -176,8 +168,10 @@ def run_session(
     mode: str = "supi",
     attacker: Optional[Attacker] = None,
     rng: Optional[RandomSource] = None,
+    *, ue_mod=ue_mod, hn_mod=hn_mod,
 ) -> SessionOutcome:
-    """Drive one full authentication session over both channels."""
+    """Drive one full authentication session over both channels, calling
+    the UE and HN roles by name on ue_mod and hn_mod (weakened in games)."""
     if mode not in ("supi", "guti"):
         raise ValueError("mode must be 'supi' or 'guti'")
     rng = rng or SeededRandom(0)

@@ -54,9 +54,6 @@ class SnState:
     pending: dict[bytes, PendingSession] = field(default_factory=dict)
     persist_path: Optional[str] = None
 
-    # test hook: skip GUTI reallocation; negative control for linkability
-    reuse_guti: bool = False
-
     # SUPI -> its GUTI. An entry is trusted only while the table still maps
     # that GUTI back to the SUPI, so a table changed from outside is tolerated.
     guti_of: dict[str, bytes] = field(
@@ -131,16 +128,11 @@ def sn_verify_response(
 def sn_assign_guti(state: SnState, supi: str, rng: RandomSource) -> GutiAssignMsg:
     """Fresh GUTI (collision-checked) and R_SN'; old GUTI for the SUPI goes."""
     old = state.guti_of.get(supi)
-    entry = state.guti_table.get(old)
-    if entry is not None and entry.supi != supi:
-        entry = None
-    if state.reuse_guti and entry is not None:
-        return GutiAssignMsg(guti_new=old, r_sn_prime_new=entry.r_sn_prime)
     guti = rng.bytes(16)
     while guti in state.guti_table:
         guti = rng.bytes(16)
     r_sn_prime = rng.bytes(32)
-    if entry is not None:
+    if old in state.guti_table and state.guti_table[old].supi == supi:
         del state.guti_table[old]
     state.guti_table[guti] = GutiEntry(supi=supi, r_sn_prime=r_sn_prime)
     state.guti_of[supi] = guti

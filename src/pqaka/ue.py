@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hmac as _hmac
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import crypto
@@ -55,22 +55,11 @@ class UeState:
     session_keys: Optional[SessionKeys] = None
     last_key_source: Optional[str] = None    # "supi" or "guti"
 
-    # deliberately insecure test hooks; negative controls only
-    reuse_ephemeral: bool = False
-    skip_mac_check: bool = False
-    _cached_response: Optional[tuple[IdResponseMsg, KemKeyPair]] = field(
-        default=None, repr=False)
-
 
 def ue_identification_response(state: UeState, rng: RandomSource) -> IdResponseMsg:
     """SUPI-based identification: fresh KEM pair, SUCI concealment, MAC."""
     if state.pk_h is None:
         raise ConfigurationError("UE has no HN public key provisioned")
-    if state.reuse_ephemeral and state._cached_response is not None:
-        msg, pair = state._cached_response
-        state.ephemeral = pair
-        return msg
-
     pair = crypto.kem_keygen(state.kem, rng)
     state.ephemeral = pair
     c1, k_s1_raw = crypto.kem_encaps(state.kem, state.pk_h, rng)
@@ -79,11 +68,7 @@ def ue_identification_response(state: UeState, rng: RandomSource) -> IdResponseM
         k_s1, pack_suci_payload(state.supi, pair.pk, state.id_sn_expected))
     mac_u = crypto.hmac_tag(k_s1, suci_conc)
     del k_s1  # single-use; not retained in state
-
-    msg = IdResponseMsg(c1=c1, suci_conc=suci_conc, mac_u=mac_u, id_hn=state.id_hn)
-    if state.reuse_ephemeral:
-        state._cached_response = (msg, pair)
-    return msg
+    return IdResponseMsg(c1=c1, suci_conc=suci_conc, mac_u=mac_u, id_hn=state.id_hn)
 
 
 def ue_guti_identification(state: UeState) -> Optional[GutiIdMsg]:
@@ -121,7 +106,7 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
     ak = crypto.prf_f("5", state.k, [k_star])
     r_sn = crypto.xor_bytes(ch.autn.conc, ak)
     mac = crypto.prf_f("1", state.k, [k_star, r_sn])
-    if not state.skip_mac_check and not _hmac.compare_digest(mac, ch.autn.mac):
+    if not _hmac.compare_digest(mac, ch.autn.mac):
         _abort(state)
         return None
 
@@ -148,6 +133,4 @@ def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg) -> UeState:
     state.k_s = state.k_s_pending
     state.k_s_pending = None
     state.ephemeral = None
-    if not state.reuse_ephemeral:
-        state._cached_response = None
     return state

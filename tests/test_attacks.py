@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaka import attacks, crypto, sim, wire
+from pqaka import attacks, crypto, sim, ue as ue_mod, wire
 from pqaka.crypto import TEST_KEM
 from pqaka.rng import SeededRandom
 
@@ -24,6 +24,12 @@ def test_replay_scenario_holds():
 def test_replay_scenario_fails_without_ue_mac_check():
     v = attacks.scenario_replay_challenge(weaken=frozenset({"ue-mac"}))
     assert not v.holds
+    # the UE lets every splice through: the two that replay c2 die at the
+    # SN's HXRES* check, and a replayed AUTN with a fresh c2 completes
+    assert v.evidence[1:4] == [
+        "replay-c2-and-autn: abort_step=sn-verify",
+        "replay-c2-fresh-autn: abort_step=sn-verify",
+        "replay-autn-fresh-c2: abort_step=None"]
 
 
 def test_linkability_scenario_holds_both_modes():
@@ -33,9 +39,20 @@ def test_linkability_scenario_holds_both_modes():
         assert _all_controls_ok(v), mode
 
 
-def test_linkability_broken_ue_detected():
-    v = attacks.scenario_linkability_probe(broken_ue=True)
+@pytest.mark.parametrize("mode", ["supi", "guti"])
+def test_linkability_broken_ue_detected(mode):
+    v = attacks.scenario_linkability_probe(mode=mode, broken_ue=True)
     assert not v.holds
+
+
+def test_broken_ue_reaches_only_the_sessions_it_is_passed_to(world, rng):
+    broken = attacks._broken_ue()
+    c1s = []
+    for roles in (broken, broken, ue_mod):
+        out = sim.run_session(world, "supi", rng=rng, ue_mod=roles)
+        assert out.completed
+        c1s.append(attacks._radio_messages(out)["id-response"].c1)
+    assert c1s[0] == c1s[1] != c1s[2]
 
 
 def test_sn_binding_scenario_holds():

@@ -117,9 +117,44 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert {line.split()[0] for line in out.read_text().splitlines()} == {"0"}
 
 
+def test_config_yields_to_flag_given_with_equals_sign(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sessions": 3}))
+    out = tmp_path / "c.log"
+    assert run_cli("--config", str(cfg), "run", "--sessions=1",
+                   f"--out={out}") == 0
+    assert {line.split()[0] for line in out.read_text().splitlines()} == {"0"}
+
+
+def test_config_values_are_parsed_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "c.log"
+    cfg.write_text(json.dumps({"sessions": "2"}))
+    assert run_cli("--config", str(cfg), "run", "--out", str(out)) == 0
+    assert {line.split()[0] for line in out.read_text().splitlines()} == {"0", "1"}
+    cfg.write_text(json.dumps({"weaken": ["ue-mac"]}))
+    assert run_cli("--config", str(cfg), "attack", "replay", "--out", str(out)) == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"sessions": "two"}, {"sessions": 2.5}, {"mode": "bogus"}])
+def test_config_value_rejected_by_argparse_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(cfg), "run", "--out", str(tmp_path / "c.log"))
+    assert exc.value.code == 2
+    assert next(iter(config)) in capsys.readouterr().err
+
+
 def test_config_unreadable_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("--config", str(tmp_path / "missing.json"), "run")
+    assert exc.value.code == 2
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(cfg), "run")
     assert exc.value.code == 2
 
 

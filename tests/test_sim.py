@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from pqaka import crypto, sim, wire
+from pqaka import crypto, hn as hn_mod, sim, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
 
@@ -176,6 +176,25 @@ def test_outcomes_carry_no_secrets(world, rng):
             if f.name not in exempt:
                 leaked = secrets.intersection(_leaves(getattr(outcome, f.name)))
                 assert not leaked, f.name
+
+
+@pytest.mark.parametrize("module, name", [
+    (ue_mod, "ue_process_challenge"), (hn_mod, "hn_finalize")])
+def test_default_roles_are_looked_up_at_call_time(world, rng, monkeypatch,
+                                                  module, name):
+    """A role function patched on its module after import is the one
+    every session calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    for mode in ("supi", "guti", "supi"):
+        assert sim.run_session(world, mode, rng=rng).completed
+    assert len(calls) == 3
 
 
 def test_misconfigured_world_raises_setup_error(rng):

@@ -121,12 +121,8 @@ def test_guti_collision_forces_redraw(world, rng):
     assert sorted(table_supis) == ["imsi-1", "imsi-2"]   # stays injective
 
 
-def _assign_by_scan(table, supi, rng, reuse):
+def _assign_by_scan(table, supi, rng):
     """Reference: the linear-scan assignment the SUPI -> GUTI index replaced."""
-    if reuse:
-        for old, entry in table.items():
-            if entry.supi == supi:
-                return wire.GutiAssignMsg(guti_new=old, r_sn_prime_new=entry.r_sn_prime)
     guti = rng.bytes(16)
     while guti in table:
         guti = rng.bytes(16)
@@ -139,8 +135,7 @@ def _assign_by_scan(table, supi, rng, reuse):
 
 
 GUTI_STEPS = st.lists(st.one_of(
-    st.tuples(st.just("assign"), st.sampled_from(["imsi-1", "imsi-2", "imsi-3"]),
-              st.booleans()),
+    st.tuples(st.just("assign"), st.sampled_from(["imsi-1", "imsi-2", "imsi-3"])),
     st.just(("clear",)),       # the table changed from outside
     st.just(("restart",)),     # a new SnState built from the table, as after a load
 ), max_size=40)
@@ -159,10 +154,9 @@ def test_guti_index_matches_linear_scan(seed, steps):
         elif step[0] == "restart":
             state = sn_mod.SnState(id_sn="sn.example", guti_table=dict(state.guti_table))
         else:
-            _, supi, reuse = step
-            state.reuse_guti = reuse
+            _, supi = step
             got = sn_mod.sn_assign_guti(state, supi, rng)
-            assert got == _assign_by_scan(table, supi, ref_rng, reuse)
+            assert got == _assign_by_scan(table, supi, ref_rng)
         assert list(state.guti_table.items()) == list(table.items())
         supis = [e.supi for e in table.values()]
         assert len(supis) == len(set(supis))       # one GUTI per SUPI
@@ -175,10 +169,11 @@ def test_guti_index_ignores_a_guti_reassigned_after_clear(world):
     # the same draws give imsi-2 the GUTI the stale index holds for imsi-1
     again = sn_mod.sn_assign_guti(world.sn, "imsi-2", SeededRandom(9))
     assert again.guti_new == first.guti_new
-    world.sn.reuse_guti = True
-    reused = sn_mod.sn_assign_guti(world.sn, "imsi-1", SeededRandom(10))
-    assert reused.guti_new != first.guti_new
+    # imsi-1's fresh assignment must not take the entry from imsi-2
+    fresh = sn_mod.sn_assign_guti(world.sn, "imsi-1", SeededRandom(10))
+    assert fresh.guti_new != first.guti_new
     assert world.sn.guti_table[first.guti_new].supi == "imsi-2"
+    assert world.sn.guti_table[fresh.guti_new].supi == "imsi-1"
 
 
 def test_resolve_known_guti_carries_stored_rprime(world, rng):
