@@ -107,6 +107,18 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
+def session_keys(k: bytes, k_star: bytes, r_sn: bytes, conc: bytes,
+                 id_sn: str) -> tuple[bytes, bytes, bytes]:
+    """The key schedule UE and HN share: (RES*, K_SEAF, next K_S)."""
+    id_sn_b = id_sn.encode()
+    res = prf_f("2", k, [k_star])
+    ck = prf_f("3", k, [k_star])
+    ik = prf_f("4", k, [k_star])
+    res_star = kdf([ck, ik, k_star, res, id_sn_b])
+    k_ausf = kdf([ck, ik, k_star, conc, id_sn_b])
+    return res_star, kdf([k_ausf, id_sn_b]), hash_h([k_star, r_sn])
+
+
 @dataclass(frozen=True)
 class KemKeyPair:
     pk: bytes

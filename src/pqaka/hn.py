@@ -43,7 +43,6 @@ class SubscriberRecord:
     supi: str
     k: bytes
     k_s: Optional[bytes] = None
-    k_s_staged: Optional[bytes] = None
 
 
 @dataclass
@@ -51,6 +50,7 @@ class PendingAuth:
     xres_star: bytes
     k_seaf: bytes
     supi: str
+    k_s_new: bytes                            # committed on confirmation
 
 
 @dataclass
@@ -94,26 +94,17 @@ def _derive_vector(
     id_sn: str,
     sid: bytes,
 ) -> HnToSnAuthMsg:
-    k = record.k
-    id_sn_b = id_sn.encode()
-    mac = crypto.prf_f("1", k, [k_star, r_sn])
-    xres = crypto.prf_f("2", k, [k_star])
-    f5 = crypto.prf_f("5", k, [k_star])
+    mac = crypto.prf_f("1", record.k, [k_star, r_sn])
+    f5 = crypto.prf_f("5", record.k, [k_star])
     conc = crypto.xor_bytes(f5, r_sn)
-    ck = crypto.prf_f("3", k, [k_star])
-    ik = crypto.prf_f("4", k, [k_star])
-    xres_star = crypto.kdf([ck, ik, k_star, xres, id_sn_b])
-    hxres_star = crypto.hash_h([r_sn, xres_star])
-    k_ausf = crypto.kdf([ck, ik, k_star, conc, id_sn_b])
-    k_seaf = crypto.kdf([k_ausf, id_sn_b])
+    xres_star, k_seaf, k_s_new = crypto.session_keys(
+        record.k, k_star, r_sn, conc, id_sn)
     k3 = crypto.xor_bytes(xres_star, f5)
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
-
-    record.k_s_staged = crypto.hash_h([k_star, r_sn])
     state.pending[sid] = PendingAuth(xres_star=xres_star, k_seaf=k_seaf,
-                                     supi=record.supi)
-    return HnToSnAuthMsg(
-        autn=Autn(conc=conc, mac=mac), hxres_star=hxres_star, m=m, c2=c2)
+                                     supi=record.supi, k_s_new=k_s_new)
+    return HnToSnAuthMsg(autn=Autn(conc=conc, mac=mac),
+                         hxres_star=crypto.hash_h([r_sn, xres_star]), m=m, c2=c2)
 
 
 def hn_auth_vector(
@@ -145,7 +136,7 @@ def hn_guti_auth_vector(
 
 
 def hn_finalize(state: HnState, confirm: ConfirmMsg, sid: bytes) -> None:
-    """Commit the staged ratchet key on SN confirmation."""
+    """Commit the confirmed session's own ratchet key."""
     pending = state.pending.get(sid)
     if pending is None:
         log.info("confirmation for unknown session; ignored")
@@ -153,10 +144,7 @@ def hn_finalize(state: HnState, confirm: ConfirmMsg, sid: bytes) -> None:
     if not confirm.ok:
         log.info("negative confirmation; staged key kept for retry")
         return
-    record = state.registry[pending.supi]
-    if record.k_s_staged is not None:
-        record.k_s = record.k_s_staged
-        record.k_s_staged = None
+    state.registry[pending.supi].k_s = pending.k_s_new
     del state.pending[sid]
     if state.persist_path:
         save_registry(state.persist_path, state.registry, pending.supi)

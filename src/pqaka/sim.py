@@ -288,18 +288,18 @@ def run_session(
     envelope = seal_assignment(result.k_seaf, result.assignment)
     delivered = send_radio("SN->UE", "guti-assign", envelope)
     assignment_delivered = False
-    if isinstance(delivered, wire.SecureEnvelopeMsg) and ue.session_keys:
-        inner = open_assignment(ue.session_keys.k_seaf, delivered)
+    if isinstance(delivered, wire.SecureEnvelopeMsg) and ue.k_seaf:
+        inner = open_assignment(ue.k_seaf, delivered)
         if inner is not None:
             ue_mod.ue_handle_guti_assignment(ue, inner)
             assignment_delivered = True
 
     return SessionOutcome(
         completed=True, abort_step=None, transcript=t,
-        k_seaf_ue=ue.session_keys.k_seaf if ue.session_keys else None,
+        k_seaf_ue=ue.k_seaf,
         k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
         supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
-        key_source=ue.last_key_source)
+        key_source="guti" if ch.c2 is None else "supi")
 
 
 def export_transcript(outcomes: list[SessionOutcome]) -> list[str]:

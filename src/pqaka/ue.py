@@ -32,14 +32,6 @@ class ConfigurationError(Exception):
 
 
 @dataclass(slots=True)
-class SessionKeys:
-    ck: bytes
-    ik: bytes
-    k_ausf: bytes
-    k_seaf: bytes
-
-
-@dataclass(slots=True)
 class UeState:
     supi: str
     k: bytes                      # long-term key; never leaves this object
@@ -52,8 +44,7 @@ class UeState:
     k_s_pending: Optional[bytes] = None      # staged until GUTI assignment
     r_sn_prime: Optional[bytes] = None
     ephemeral: Optional[KemKeyPair] = None   # sk_U/pk_U, session-scoped
-    session_keys: Optional[SessionKeys] = None
-    last_key_source: Optional[str] = None    # "supi" or "guti"
+    k_seaf: Optional[bytes] = None           # anchor key of the last session
 
 
 def ue_identification_response(state: UeState, rng: RandomSource) -> IdResponseMsg:
@@ -95,13 +86,11 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
         except crypto.CryptoError:
             _abort(state)
             return None
-        state.last_key_source = "supi"
     else:
         if state.k_s is None or state.r_sn_prime is None:
             _abort(state)
             return None
         k_star = crypto.xor_bytes(state.k_s, state.r_sn_prime)
-        state.last_key_source = "guti"
 
     ak = crypto.prf_f("5", state.k, [k_star])
     r_sn = crypto.xor_bytes(ch.autn.conc, ak)
@@ -110,16 +99,8 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
         _abort(state)
         return None
 
-    res = crypto.prf_f("2", state.k, [k_star])
-    ck = crypto.prf_f("3", state.k, [k_star])
-    ik = crypto.prf_f("4", state.k, [k_star])
-    id_sn = state.id_sn_expected.encode()
-    res_star = crypto.kdf([ck, ik, k_star, res, id_sn])
-    k_ausf = crypto.kdf([ck, ik, k_star, ch.autn.conc, id_sn])
-    k_seaf = crypto.kdf([k_ausf, id_sn])
-
-    state.session_keys = SessionKeys(ck=ck, ik=ik, k_ausf=k_ausf, k_seaf=k_seaf)
-    state.k_s_pending = crypto.hash_h([k_star, r_sn])
+    res_star, state.k_seaf, state.k_s_pending = crypto.session_keys(
+        state.k, k_star, r_sn, ch.autn.conc, state.id_sn_expected)
     return ResponseMsg(res_star=res_star)
 
 

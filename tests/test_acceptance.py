@@ -47,10 +47,12 @@ def test_criterion_2_guti_ratchet_chain_with_lost_confirmation():
             # confirm is sent; both sides keep the previous ratchet key and
             # the next session still authenticates with it
             dropper = sim.ScriptedAttacker({"response": lambda d, c: None})
+            before = set(world.hn.pending)
             lost = sim.run_session(world, "guti", dropper, rng)
             assert not lost.completed and lost.abort_step == "response"
             assert world.ue.k_s == record.k_s        # old key on both sides
-            assert record.k_s_staged is not None     # kept pending for retry
+            (lost_sid,) = set(world.hn.pending) - before
+            assert world.hn.pending[lost_sid].k_s_new is not None  # for retry
         outcome = sim.run_session(world, "guti", rng=rng)
         assert outcome.completed and outcome.key_source == "guti"
         assert world.ue.k_s == record.k_s is not None

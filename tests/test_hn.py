@@ -140,10 +140,10 @@ def test_finalize_commits_staged_key(world, rng):
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
                           rng, sid)
-    staged = record.k_s_staged
+    staged = world.hn.pending[sid].k_s_new
     assert staged is not None and record.k_s is None
     hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=True), sid)
-    assert record.k_s == staged and record.k_s_staged is None
+    assert record.k_s == staged
     assert sid not in world.hn.pending
 
 
@@ -153,9 +153,9 @@ def test_finalize_twice_second_ignored(world, rng):
     hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
                           rng, sid)
     hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=True), sid)
-    snapshot = (record.k_s, record.k_s_staged)
+    snapshot = (record.k_s, dict(world.hn.pending))
     hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=True), sid)
-    assert (record.k_s, record.k_s_staged) == snapshot
+    assert (record.k_s, world.hn.pending) == snapshot
 
 
 def test_no_confirm_keeps_old_key_and_staged_retry(world, rng):
@@ -166,8 +166,58 @@ def test_no_confirm_keeps_old_key_and_staged_retry(world, rng):
                           rng, sid)
     hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=False), sid)
     assert record.k_s == b"\x0a" * 32            # old key untouched
-    assert record.k_s_staged is not None          # retained for retry
-    assert sid in world.hn.pending
+    assert world.hn.pending[sid].k_s_new is not None   # retained for retry
+
+
+# --- overlapping sessions of one subscriber ---------------------------------
+
+def _guti_challenge(world, rng):
+    """A GUTI session by role calls, up to the challenge the SN sends."""
+    to_hn, sid = sn_mod.sn_resolve_guti(
+        world.sn, ue_mod.ue_guti_identification(world.ue), rng)
+    vector = hn_mod.hn_guti_auth_vector(world.hn, to_hn, world.sn.id_sn, sid)
+    return sid, sn_mod.sn_forward_challenge(world.sn, sid, vector)
+
+
+def _complete(world, sid, challenge, rng):
+    """UE answers, SN verifies, HN commits, UE takes the GUTI assignment."""
+    response = ue_mod.ue_process_challenge(world.ue, challenge)
+    result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
+    hn_mod.hn_finalize(world.hn, result.confirm, sid)
+    ue_mod.ue_handle_guti_assignment(world.ue, result.assignment)
+
+
+def _assert_ratchet_in_step(world, rng):
+    assert world.ue.k_s == world.hn.registry[world.ue.supi].k_s is not None
+    for _ in range(3):
+        outcome = sim.run_session(world, "guti", rng=rng)
+        assert outcome.completed and outcome.key_source == "guti"
+
+
+def test_overlapping_guti_sessions_keep_ratchet_in_step(world, rng):
+    assert sim.run_session(world, "supi", rng=rng).completed
+    sid_a, challenge_a = _guti_challenge(world, rng)      # held back
+    _sid_b, challenge_b = _guti_challenge(world, rng)
+    assert ue_mod.ue_process_challenge(world.ue, challenge_b) is not None
+    _complete(world, sid_a, challenge_a, rng)             # B's response lost
+    _assert_ratchet_in_step(world, rng)
+
+
+def test_replayed_suci_during_supi_session_keeps_ratchet_in_step(world, rng):
+    old = ue_mod.ue_identification_response(world.ue, rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    to_hn, sid = _ident_msg(world, rng)
+    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+    vector = hn_mod.hn_auth_vector(
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+    # the attacker replays the recorded SUCI from its own device
+    replay, sid_r = sn_mod.sn_forward_identification(world.sn, old, rng)
+    _s, pk_r, _r = hn_mod.hn_identify(world.hn, replay, world.sn.id_sn)
+    hn_mod.hn_auth_vector(
+        world.hn, record, pk_r, replay.r_sn, world.sn.id_sn, rng, sid_r)
+    _complete(world, sid, sn_mod.sn_forward_challenge(world.sn, sid, vector),
+              rng)
+    _assert_ratchet_in_step(world, rng)
 
 
 def test_registry_persistence_roundtrip(tmp_path):

@@ -58,7 +58,7 @@ def test_dropped_challenge_aborts_without_commits(world, rng):
     attacker = sim.ScriptedAttacker({"challenge": lambda data, ctx: None})
     outcome = sim.run_session(world, "supi", attacker, rng)
     assert not outcome.completed and outcome.abort_step == "challenge"
-    assert world.ue.session_keys is None
+    assert world.ue.k_seaf is None
     assert world.ue.k_s is None
     assert world.hn.registry[world.ue.supi].k_s is None
     assert world.ue.guti is None

@@ -58,7 +58,7 @@ def test_verify_response_recovers_supi_and_key(world, rng):
     assert result is not None
     assert result.supi == world.ue.supi
     k_seaf_hn = world.hn.pending[sid].k_seaf
-    assert result.k_seaf == k_seaf_hn == world.ue.session_keys.k_seaf
+    assert result.k_seaf == k_seaf_hn == world.ue.k_seaf
     assert result.confirm.ok
     assert sid not in world.sn.pending
 

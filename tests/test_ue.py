@@ -27,6 +27,20 @@ def test_id_response_seed0_matches_independent_composition(world):
     assert world.ue.ephemeral.pk == SESSION_VALUES["pk_u"]
 
 
+def test_key_schedule_matches_independent_oracle():
+    world = sim.make_world("test", seed=0)
+    outcome = sim.run_session(world, "supi", rng=SeededRandom(1))
+    assert outcome.completed and world.ue.k_seaf == SESSION_VALUES["k_seaf"]
+    assert (world.ue.k_s == world.hn.registry[world.ue.supi].k_s
+            == SESSION_VALUES["k_s_next"])
+    r_sn = wire.decode(SESSION_WIRE["sn-hn-ident"]).r_sn
+    conc = wire.decode(SESSION_WIRE["challenge"]).autn.conc
+    assert crypto.session_keys(
+        SESSION_VALUES["k"], SESSION_VALUES["k_star"], r_sn, conc,
+        "sn.example") == (SESSION_VALUES["res_star"], SESSION_VALUES["k_seaf"],
+                          SESSION_VALUES["k_s_next"])
+
+
 def test_id_response_requires_hn_key(world):
     world.ue.pk_h = None
     with pytest.raises(ue_mod.ConfigurationError):
@@ -57,8 +71,7 @@ def test_honest_challenge_response_matches_expected(world, rng):
     assert response is not None
     hn_pending = world.hn.pending[sid]
     assert response.res_star == hn_pending.xres_star
-    assert world.ue.session_keys.k_seaf == hn_pending.k_seaf
-    assert world.ue.last_key_source == "supi"
+    assert world.ue.k_seaf == hn_pending.k_seaf
 
 
 def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
