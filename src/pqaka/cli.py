@@ -75,6 +75,8 @@ def _suite_list(parser: argparse.ArgumentParser, csv: str) -> list[str]:
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.iters < 2:
+        parser.error("--iters must be at least 2: the IQR needs two samples")
     rows = bench.run_bench(_suite_list(parser, args.kem), args.iters)
     print(bench.format_bench_table(rows))
     if args.out:

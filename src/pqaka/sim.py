@@ -11,11 +11,11 @@ bugs cannot hide attacker effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from . import crypto, hn as hn_mod, sn as sn_mod, ue as ue_mod, wire
 from .crypto import KemSuite, get_suite
-from .rng import RandomSource, SeededRandom
+from .rng import OsRandom, RandomSource, SeededRandom
 
 RADIO = "radio"
 CORE = "core"
@@ -163,18 +163,19 @@ def _aborted(transcript: SessionTranscript, step: str) -> SessionOutcome:
     return SessionOutcome(completed=False, abort_step=step, transcript=transcript)
 
 
-def run_session(
+def session(
     world: World,
     mode: str = "supi",
-    attacker: Optional[Attacker] = None,
     rng: Optional[RandomSource] = None,
     *, ue_mod=ue_mod, hn_mod=hn_mod,
-) -> SessionOutcome:
-    """Drive one full authentication session over both channels, calling
-    the UE and HN roles by name on ue_mod and hn_mod (weakened in games)."""
+) -> Generator[tuple[str, bytes], Optional[bytes], SessionOutcome]:
+    """One authentication session over both channels, calling the UE and HN
+    roles by name on ue_mod and hn_mod (weakened in games). Yields (label,
+    bytes) per radio message, is sent the bytes the radio delivers (None if
+    dropped) and returns the SessionOutcome."""
     if mode not in ("supi", "guti"):
         raise ValueError("mode must be 'supi' or 'guti'")
-    rng = rng or SeededRandom(0)
+    rng = rng or OsRandom()
     ue, sn, hn = world.ue, world.sn, world.hn
 
     if ue.supi not in hn.registry:
@@ -188,10 +189,8 @@ def run_session(
 
     t = SessionTranscript()
 
-    def send_radio(direction: str, label: str, msg: wire.Message) -> Optional[wire.Message]:
-        delivered = wire.encode(msg)
-        if attacker is not None:
-            delivered = attacker.tap(label, delivered)
+    def send_radio(direction: str, label: str, msg: wire.Message):
+        delivered = yield label, wire.encode(msg)
         if delivered is None:
             t.append(RADIO, direction, b"", f"{label} [dropped]")
             return None
@@ -207,8 +206,8 @@ def run_session(
         return wire.decode(data)
 
     # 1. identification request
-    req = send_radio("SN->UE", "id-request",
-                     wire.IdRequestMsg(force_supi=(mode == "supi")))
+    req = yield from send_radio("SN->UE", "id-request",
+                                wire.IdRequestMsg(force_supi=(mode == "supi")))
     if req is None:
         return _aborted(t, "id-request")
 
@@ -219,7 +218,7 @@ def run_session(
     if ident is None:
         ident = ue_mod.ue_identification_response(ue, rng)
     label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
-    received = send_radio("UE->SN", label, ident)
+    received = yield from send_radio("UE->SN", label, ident)
     if received is None:
         return _aborted(t, label)
 
@@ -228,11 +227,11 @@ def run_session(
         resolved = sn_mod.sn_resolve_guti(sn, received, rng)
         if isinstance(resolved, wire.IdRequestMsg):
             # unknown GUTI: request SUPI-based identification
-            req2 = send_radio("SN->UE", "id-request", resolved)
+            req2 = yield from send_radio("SN->UE", "id-request", resolved)
             if req2 is None:
                 return _aborted(t, "id-request")
             ident = ue_mod.ue_identification_response(ue, rng)
-            received = send_radio("UE->SN", "id-response", ident)
+            received = yield from send_radio("UE->SN", "id-response", ident)
             if received is None or not isinstance(received, wire.IdResponseMsg):
                 return _aborted(t, "id-response")
         else:
@@ -264,7 +263,7 @@ def run_session(
     challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
     if challenge is None:
         return _aborted(t, "sn-challenge")
-    ch = send_radio("SN->UE", "challenge", challenge)
+    ch = yield from send_radio("SN->UE", "challenge", challenge)
     if ch is None or not isinstance(ch, wire.ChallengeMsg):
         return _aborted(t, "challenge")
 
@@ -272,7 +271,7 @@ def run_session(
     response = ue_mod.ue_process_challenge(ue, ch)
     if response is None:
         return _aborted(t, "ue-challenge")
-    resp = send_radio("UE->SN", "response", response)
+    resp = yield from send_radio("UE->SN", "response", response)
     if resp is None or not isinstance(resp, wire.ResponseMsg):
         return _aborted(t, "response")
 
@@ -286,7 +285,7 @@ def run_session(
     hn_mod.hn_finalize(hn, result.confirm, sid)
 
     envelope = seal_assignment(result.k_seaf, result.assignment)
-    delivered = send_radio("SN->UE", "guti-assign", envelope)
+    delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
     assignment_delivered = False
     if isinstance(delivered, wire.SecureEnvelopeMsg) and ue.k_seaf:
         inner = open_assignment(ue.k_seaf, delivered)
@@ -300,6 +299,24 @@ def run_session(
         k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
         supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
         key_source="guti" if ch.c2 is None else "supi")
+
+
+def run_session(
+    world: World,
+    mode: str = "supi",
+    attacker: Optional[Attacker] = None,
+    rng: Optional[RandomSource] = None,
+    *, ue_mod=ue_mod, hn_mod=hn_mod,
+) -> SessionOutcome:
+    """Drive one session to its end through the attacker's tap."""
+    steps = session(world, mode, rng, ue_mod=ue_mod, hn_mod=hn_mod)
+    tap = (attacker or Attacker()).tap
+    message = next(steps)
+    while True:
+        try:
+            message = steps.send(tap(*message))
+        except StopIteration as stop:
+            return stop.value
 
 
 def export_transcript(outcomes: list[SessionOutcome]) -> list[str]:

@@ -100,6 +100,14 @@ def test_bench_runs_on_test_kem(tmp_path, capsys):
     assert row["ue_cost_ms"] >= row["hn_cost_ms"] >= 0
 
 
+@pytest.mark.parametrize("iters", ["0", "1"])
+def test_bench_fewer_than_two_iters_usage_error(capsys, iters):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--kem", "test", "--iters", iters)
+    assert exc.value.code == 2
+    assert "--iters" in capsys.readouterr().err
+
+
 def test_bench_unavailable_suite_reported(capsys):
     assert run_cli("bench", "--kem", "kyber", "--iters", "2") == 0
     assert "unavailable" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """HN operations: identification, vector derivation, ratchet staging."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -171,20 +172,23 @@ def test_no_confirm_keeps_old_key_and_staged_retry(world, rng):
 
 # --- overlapping sessions of one subscriber ---------------------------------
 
-def _guti_challenge(world, rng):
-    """A GUTI session by role calls, up to the challenge the SN sends."""
-    to_hn, sid = sn_mod.sn_resolve_guti(
-        world.sn, ue_mod.ue_guti_identification(world.ue), rng)
-    vector = hn_mod.hn_guti_auth_vector(world.hn, to_hn, world.sn.id_sn, sid)
-    return sid, sn_mod.sn_forward_challenge(world.sn, sid, vector)
+def _run_until(steps, label):
+    """Pass a session's radio messages through until it yields `label`;
+    return the bytes of that message, which is held."""
+    message = next(steps)
+    while message[0] != label:
+        message = steps.send(message[1])
+    return message[1]
 
 
-def _complete(world, sid, challenge, rng):
-    """UE answers, SN verifies, HN commits, UE takes the GUTI assignment."""
-    response = ue_mod.ue_process_challenge(world.ue, challenge)
-    result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
-    hn_mod.hn_finalize(world.hn, result.confirm, sid)
-    ue_mod.ue_handle_guti_assignment(world.ue, result.assignment)
+def _finish(steps, delivered):
+    """Deliver `delivered` for the held message, pass the rest through and
+    return the session's outcome."""
+    try:
+        while True:
+            delivered = steps.send(delivered)[1]
+    except StopIteration as stop:
+        return stop.value
 
 
 def _assert_ratchet_in_step(world, rng):
@@ -196,27 +200,29 @@ def _assert_ratchet_in_step(world, rng):
 
 def test_overlapping_guti_sessions_keep_ratchet_in_step(world, rng):
     assert sim.run_session(world, "supi", rng=rng).completed
-    sid_a, challenge_a = _guti_challenge(world, rng)      # held back
-    _sid_b, challenge_b = _guti_challenge(world, rng)
-    assert ue_mod.ue_process_challenge(world.ue, challenge_b) is not None
-    _complete(world, sid_a, challenge_a, rng)             # B's response lost
+    a = sim.session(world, "guti", rng)
+    challenge_a = _run_until(a, "challenge")                # held back
+    b = sim.session(world, "guti", rng)
+    _run_until(b, "response")
+    assert _finish(b, None).abort_step == "response"        # B's response lost
+    outcome = _finish(a, challenge_a)
+    assert outcome.completed and outcome.key_source == "guti"
     _assert_ratchet_in_step(world, rng)
 
 
 def test_replayed_suci_during_supi_session_keeps_ratchet_in_step(world, rng):
-    old = ue_mod.ue_identification_response(world.ue, rng)
-    assert sim.run_session(world, "supi", rng=rng).completed
-    to_hn, sid = _ident_msg(world, rng)
-    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+    earlier = sim.run_session(world, "supi", rng=rng)
+    old = next(e.data for e in earlier.transcript.radio_entries()
+               if e.annotation == "id-response")
+    honest = sim.session(world, "supi", rng)
+    challenge = _run_until(honest, "challenge")             # held back
     # the attacker replays the recorded SUCI from its own device
-    replay, sid_r = sn_mod.sn_forward_identification(world.sn, old, rng)
-    _s, pk_r, _r = hn_mod.hn_identify(world.hn, replay, world.sn.id_sn)
-    hn_mod.hn_auth_vector(
-        world.hn, record, pk_r, replay.r_sn, world.sn.id_sn, rng, sid_r)
-    _complete(world, sid, sn_mod.sn_forward_challenge(world.sn, sid, vector),
-              rng)
+    device = sim.World(ue=copy.deepcopy(world.ue), sn=world.sn, hn=world.hn,
+                       suite=world.suite)
+    replay = sim.session(device, "supi", rng)
+    _run_until(replay, "id-response")
+    assert replay.send(old)[0] == "challenge"               # HN built a vector
+    assert _finish(honest, challenge).completed
     _assert_ratchet_in_step(world, rng)
 
 

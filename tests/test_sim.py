@@ -129,6 +129,54 @@ def test_dropped_assignment_still_completes(path):
         _HONEST[path][:-1] + ["guti-assign [dropped]"])
 
 
+def _pass_through(steps):
+    """Drive a session with every radio message delivered unchanged; return
+    the labels it yielded and its outcome."""
+    labels = []
+    try:
+        label, data = next(steps)
+        while True:
+            labels.append(label)
+            label, data = steps.send(data)
+    except StopIteration as stop:
+        return labels, stop.value
+
+
+@pytest.mark.parametrize("path", list(_HONEST))
+def test_session_yields_radio_labels_like_run_session(path):
+    world, rng, mode = _provisioned(path)
+    labels, outcome = _pass_through(sim.session(world, mode, rng))
+    assert labels == [a for a in _HONEST[path] if a not in _CORE_LABELS]
+    world, rng, mode = _provisioned(path)
+    driven = sim.run_session(world, mode, rng=rng)
+    assert outcome.transcript.to_lines() == driven.transcript.to_lines()
+
+
+@pytest.mark.parametrize("mode", ["supi", "guti"])
+def test_interleaved_sessions_of_two_subscribers_agree_on_keys(world, rng, mode):
+    other = sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
+                      sn=world.sn, hn=world.hn, suite=world.suite)
+    worlds = (world, other)
+    for w in worlds:
+        assert sim.run_session(w, "supi", rng=rng).completed
+    live = [sim.session(w, mode, rng) for w in worlds]
+    messages = [next(steps) for steps in live]
+    outcomes = [None, None]
+    while None in outcomes:          # one radio message of each in turn
+        for i, steps in enumerate(live):
+            if outcomes[i] is None:
+                try:
+                    messages[i] = steps.send(messages[i][1])
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+    for w, outcome in zip(worlds, outcomes):
+        assert outcome.completed and outcome.key_source == mode
+        assert outcome.supi_at_sn == w.ue.supi
+        assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn
+        assert outcome.k_seaf_ue is not None
+    assert outcomes[0].k_seaf_ue != outcomes[1].k_seaf_ue
+
+
 def test_core_messages_never_reach_the_attacker(world, rng):
     seen = []
     attacker = sim.ScriptedAttacker(
@@ -250,3 +298,15 @@ def test_export_transcript_lines(world, rng):
     assert len(lines) == 8
     assert all(line.startswith("0 ") for line in lines)
 
+
+
+def test_default_rng_makes_supi_sessions_unlinkable(world):
+    """Without an injected rng, two SUPI sessions of one UE send different
+    concealed identifiers."""
+    c1 = []
+    for _ in range(2):
+        outcome = sim.run_session(world, "supi")
+        assert outcome.completed
+        c1.append(next(wire.decode(e.data).c1 for e in outcome.transcript.entries
+                       if e.annotation == "id-response"))
+    assert c1[0] != c1[1]
