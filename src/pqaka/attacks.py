@@ -50,9 +50,12 @@ class DerivationGraph:
     def __init__(self, suite: crypto.KemSuite):
         self.suite = suite
         self.nodes: dict[str, _Node] = {}
+        self.public: set[str] = set()      # atoms a radio attacker knows
 
-    def atom(self, name: str, value: bytes) -> None:
+    def atom(self, name: str, value: bytes, public: bool = False) -> None:
         self.nodes.setdefault(name, _Node(value=bytes(value)))
+        if public:
+            self.public.add(name)
 
     def derived(self, name: str, value: bytes, op: str, inputs: tuple[str, ...]) -> None:
         node = self.nodes.setdefault(name, _Node(value=bytes(value)))
@@ -74,8 +77,6 @@ class DerivationGraph:
             return wire.unpack_suci_payload(crypto.aead_open(values[0], values[1]))[0].encode()
         if op == "open-suci-pk":
             return wire.unpack_suci_payload(crypto.aead_open(values[0], values[1]))[1]
-        if op == "open-m-kseaf":
-            return wire.unpack_m_payload(crypto.aead_open(values[0], values[1]))[0]
         raise ValueError(f"unknown op {op!r}")
 
     def closure(self, base: set[str], depth: int = CLOSURE_DEPTH) -> dict[str, int]:
@@ -118,14 +119,6 @@ def _radio_messages(outcome: sim.SessionOutcome) -> dict[str, wire.Message]:
     return out
 
 
-def _core_messages(outcome: sim.SessionOutcome) -> dict[str, wire.Message]:
-    return {
-        e.annotation: wire.decode(e.data)
-        for e in outcome.transcript.entries
-        if e.channel == sim.CORE
-    }
-
-
 @dataclass
 class OracleCapture:
     """Test-only UE secrets of one session that the game oracles are given:
@@ -153,10 +146,10 @@ def run_captured(world: sim.World, mode: str, rng: RandomSource
 
 def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
                         capture: OracleCapture) -> DerivationGraph:
-    """Independent reconstruction of one session's derivation chains."""
+    """Independent reconstruction of one session's derivation chains; the
+    atoms taken from radio bytes, and the public identities, form g.public."""
     g = DerivationGraph(world.suite)
     radio = _radio_messages(outcome)
-    core = _core_messages(outcome)
     suite = world.suite
 
     k = world.ue.k
@@ -164,26 +157,24 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     id_sn = world.sn.id_sn.encode()
     g.atom("k", k)
     g.atom("sk_h", sk_h)
-    g.atom("id_sn", id_sn)
-    g.atom("id_hn", world.hn.id_hn.encode())
+    g.atom("id_sn", id_sn, public=True)
+    g.atom("id_hn", world.hn.id_hn.encode(), public=True)
 
     ch = radio["challenge"]
     resp = radio["response"]
     conc, mac = ch.autn.conc, ch.autn.mac
-    g.atom("conc", conc)
-    g.atom("mac", mac)
-    g.atom("res_star", resp.res_star)
-    vector = core["auth-vector"]
-    g.atom("m", vector.m)
+    g.atom("conc", conc, public=True)
+    g.atom("mac", mac, public=True)
+    g.atom("res_star", resp.res_star, public=True)
 
     if outcome.key_source == "supi":
         ident = radio["id-response"]
         sk_u = capture.sk_u
-        g.atom("c1", ident.c1)
-        g.atom("suci_conc", ident.suci_conc)
-        g.atom("mac_u", ident.mac_u)
+        g.atom("c1", ident.c1, public=True)
+        g.atom("suci_conc", ident.suci_conc, public=True)
+        g.atom("mac_u", ident.mac_u, public=True)
         g.atom("sk_u", sk_u)
-        g.atom("c2", ch.c2)
+        g.atom("c2", ch.c2, public=True)
 
         k_s1 = crypto.as_shared_key(crypto.kem_decaps(suite, sk_h, ident.c1))
         g.derived("k_s1", k_s1, "decaps", ("sk_h", "c1"))
@@ -213,26 +204,12 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     g.derived("ik", ik, "f4", ("k", "k_star"))
     g.derived("res_star", crypto.kdf([ck, ik, k_star, res, id_sn]),
               "kdf", ("ck", "ik", "k_star", "res", "id_sn"))
-    k3 = crypto.xor_bytes(resp.res_star, ak)
-    g.derived("k3", k3, "xor", ("res_star", "ak"))
     k_ausf = crypto.kdf([ck, ik, k_star, conc, id_sn])
     g.derived("k_ausf", k_ausf, "kdf", ("ck", "ik", "k_star", "conc", "id_sn"))
     k_seaf = crypto.kdf([k_ausf, id_sn])
     g.derived("k_seaf", k_seaf, "kdf", ("k_ausf", "id_sn"))
-    g.derived("k_seaf", k_seaf, "open-m-kseaf", ("k3", "m"))
     g.derived("k_s_new", crypto.hash_h([k_star, r_sn]), "hash", ("k_star", "r_sn"))
     return g
-
-
-# radio-visible atom names per key-establishment path
-_RADIO_ATOMS_SUPI = {"c1", "suci_conc", "mac_u", "conc", "mac", "c2", "res_star"}
-_RADIO_ATOMS_GUTI = {"conc", "mac", "res_star"}
-_PUBLIC_IDS = {"id_sn", "id_hn"}
-
-
-def radio_knowledge(outcome: sim.SessionOutcome) -> set[str]:
-    atoms = _RADIO_ATOMS_SUPI if outcome.key_source == "supi" else _RADIO_ATOMS_GUTI
-    return set(atoms) | set(_PUBLIC_IDS)
 
 
 # --- weakened roles ----------------------------------------------------------
@@ -523,7 +500,7 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
     out, capture = run_captured(world, "supi", rng)
     assert out.completed
     g = build_session_graph(world, out, capture)
-    base = radio_knowledge(out) | {"k", "sk_h"}
+    base = g.public | {"k", "sk_h"}
     closure = g.closure(base)
     supi_holds = "k_seaf" not in closure and "k_star" not in closure
     evidence.append(f"supi: closure={sorted(closure)}")
@@ -535,7 +512,7 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
     out_g, capture_g = run_captured(world, "guti", rng)
     assert out_g.completed and out_g.key_source == "guti"
     gg = build_session_graph(world, out_g, capture_g)
-    base_g = radio_knowledge(out_g) | {"k", "sk_h"}
+    base_g = gg.public | {"k", "sk_h"}
     closure_g = gg.closure(base_g)
     guti_holds = "k_seaf" not in closure_g and "k_star" not in closure_g
     evidence.append(f"guti: closure={sorted(closure_g)}")
@@ -545,7 +522,7 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
 
     # backward direction: session i's anchor key does not yield session i+1's
     gg.atom("k_seaf_prev", out.k_seaf_ue)
-    backward = gg.closure(radio_knowledge(out_g) | {"k_seaf_prev"})
+    backward = gg.closure(gg.public | {"k_seaf_prev"})
     backward_holds = "k_seaf" not in backward
     evidence.append(f"backward: k_seaf_next_derivable={'k_seaf' in backward}")
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from . import crypto, wire
 from .crypto import KemSuite, get_suite
 from .rng import OsRandom
+from .sim import ID_HN, ID_SN
 
 _SUPI = "imsi-001010000000001"
-_ID_SN = "sn.example"
-_ID_HN = "hn.example"
 
 
 @dataclass
@@ -81,12 +80,12 @@ def size_row(suite: KemSuite) -> SizeRow:
     c1 = bytes(suite.ct_len)
     pk_u = bytes(suite.pk_len)
     suci_conc = bytes(
-        len(wire.pack_suci_payload(_SUPI, pk_u, _ID_SN)) + crypto.AEAD_TAG_OVERHEAD)
+        len(wire.pack_suci_payload(_SUPI, pk_u, ID_SN)) + crypto.AEAD_TAG_OVERHEAD)
     m = bytes(len(wire.pack_m_payload(bytes(32), _SUPI)) + crypto.AEAD_TAG_OVERHEAD)
     autn = wire.Autn(conc=bytes(32), mac=bytes(32))
     msgs = {
         "IdResponseMsg": wire.IdResponseMsg(
-            c1=c1, suci_conc=suci_conc, mac_u=bytes(32), id_hn=_ID_HN),
+            c1=c1, suci_conc=suci_conc, mac_u=bytes(32), id_hn=ID_HN),
         "HnToSnAuthMsg": wire.HnToSnAuthMsg(
             autn=autn, hxres_star=bytes(32), m=m, c2=bytes(suite.ct_len)),
         "ChallengeMsg": wire.ChallengeMsg(autn=autn, c2=bytes(suite.ct_len)),

@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--kem", default="test")
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--out", help="verdict output file")
-    p_attack.add_argument("--weaken", action="append",
-                          help=argparse.SUPPRESS)   # test hook, e.g. ue-mac
+    p_attack.add_argument("--weaken", action="append", choices=["ue-mac"],
+                          help=argparse.SUPPRESS)   # negative-control hook
     p_attack.set_defaults(func=cmd_attack)
 
     p_bench = sub.add_parser("bench", help="time KEM primitives per suite")

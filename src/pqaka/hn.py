@@ -16,7 +16,6 @@ from .crypto import KemKeyPair, KemSuite
 from .rng import RandomSource
 from .wire import (
     Autn,
-    ConfirmMsg,
     GutiSnToHnMsg,
     HnToSnAuthMsg,
     SnToHnIdentMsg,
@@ -135,19 +134,17 @@ def hn_guti_auth_vector(
     return _derive_vector(state, record, k_s_prime, None, msg.r_sn, id_sn, sid)
 
 
-def hn_finalize(state: HnState, confirm: ConfirmMsg, sid: bytes) -> None:
-    """Commit the confirmed session's own ratchet key."""
-    pending = state.pending.get(sid)
+def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:
+    """Commit the confirmed session's own ratchet key and return its K_seaf
+    (None for an unknown session)."""
+    pending = state.pending.pop(sid, None)
     if pending is None:
         log.info("confirmation for unknown session; ignored")
-        return
-    if not confirm.ok:
-        log.info("negative confirmation; staged key kept for retry")
-        return
+        return None
     state.registry[pending.supi].k_s = pending.k_s_new
-    del state.pending[sid]
     if state.persist_path:
         save_registry(state.persist_path, state.registry, pending.supi)
+    return pending.k_seaf
 
 
 # --- registry persistence ---------------------------------------------------

@@ -20,6 +20,10 @@ from .rng import OsRandom, RandomSource, SeededRandom
 RADIO = "radio"
 CORE = "core"
 
+# the one SN and HN of every world
+ID_SN = "sn.example"
+ID_HN = "hn.example"
+
 
 class SetupError(Exception):
     """Inconsistent provisioning detected before any message is sent."""
@@ -111,31 +115,24 @@ def make_world(
     suite_name: str = "test",
     seed: int | RandomSource = 0,
     supi: str = "imsi-001010000000001",
-    id_sn: str = "sn.example",
-    id_hn: str = "hn.example",
-    k: Optional[bytes] = None,
 ) -> World:
     """A consistently provisioned UE/SN/HN triple."""
     rng = seed if isinstance(seed, RandomSource) else SeededRandom(seed)
     suite = get_suite(suite_name)
-    if k is None:
-        k = rng.bytes(32)
+    k = rng.bytes(32)
     hn_pair = crypto.kem_keygen(suite, rng)
     hn = hn_mod.HnState(
-        id_hn=id_hn, kem=suite, kem_pair=hn_pair,
+        id_hn=ID_HN, kem=suite, kem_pair=hn_pair,
         registry={supi: hn_mod.SubscriberRecord(supi=supi, k=k)},
-        sn_allowlist={id_sn})
+        sn_allowlist={ID_SN})
     ue = ue_mod.UeState(
-        supi=supi, k=k, pk_h=hn_pair.pk, id_hn=id_hn,
-        id_sn_expected=id_sn, kem=suite)
-    sn = sn_mod.SnState(id_sn=id_sn)
+        supi=supi, k=k, pk_h=hn_pair.pk, id_hn=ID_HN,
+        id_sn_expected=ID_SN, kem=suite)
+    sn = sn_mod.SnState(id_sn=ID_SN)
     return World(ue=ue, sn=sn, hn=hn, suite=suite)
 
 
-def add_subscriber(
-    world: World, supi: str, rng: RandomSource,
-    id_sn: Optional[str] = None,
-) -> ue_mod.UeState:
+def add_subscriber(world: World, supi: str, rng: RandomSource) -> ue_mod.UeState:
     """Provision another UE against the same SN/HN pair."""
     k = rng.bytes(32)
     world.hn.registry[supi] = hn_mod.SubscriberRecord(supi=supi, k=k)
@@ -143,13 +140,12 @@ def add_subscriber(
         hn_mod.save_registry(world.hn.persist_path, world.hn.registry, supi)
     return ue_mod.UeState(
         supi=supi, k=k, pk_h=world.hn.kem_pair.pk, id_hn=world.hn.id_hn,
-        id_sn_expected=id_sn or world.sn.id_sn, kem=world.suite)
+        id_sn_expected=world.sn.id_sn, kem=world.suite)
 
 
 @dataclass
 class SessionOutcome:
-    completed: bool
-    abort_step: Optional[str]
+    abort_step: Optional[str]            # None: the session completed
     transcript: SessionTranscript
     k_seaf_ue: Optional[bytes] = None
     k_seaf_sn: Optional[bytes] = None
@@ -158,9 +154,13 @@ class SessionOutcome:
     assignment_delivered: bool = False
     key_source: Optional[str] = None     # "supi" or "guti"
 
+    @property
+    def completed(self) -> bool:
+        return self.abort_step is None
+
 
 def _aborted(transcript: SessionTranscript, step: str) -> SessionOutcome:
-    return SessionOutcome(completed=False, abort_step=step, transcript=transcript)
+    return SessionOutcome(abort_step=step, transcript=transcript)
 
 
 def session(
@@ -279,10 +279,8 @@ def session(
     result = sn_mod.sn_verify_response(sn, sid, resp, rng)
     if result is None:
         return _aborted(t, "sn-verify")
-    hn_pending = hn.pending.get(sid)
-    k_seaf_hn = hn_pending.k_seaf if hn_pending else None
-    send_core("SN->HN", "confirm", result.confirm)
-    hn_mod.hn_finalize(hn, result.confirm, sid)
+    send_core("SN->HN", "confirm", wire.ConfirmMsg())
+    k_seaf_hn = hn_mod.hn_finalize(hn, sid)
 
     envelope = seal_assignment(result.k_seaf, result.assignment)
     delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
@@ -294,7 +292,7 @@ def session(
             assignment_delivered = True
 
     return SessionOutcome(
-        completed=True, abort_step=None, transcript=t,
+        abort_step=None, transcript=t,
         k_seaf_ue=ue.k_seaf,
         k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
         supi_at_sn=result.supi, assignment_delivered=assignment_delivered,

@@ -17,7 +17,6 @@ from .rng import RandomSource
 from .wire import (
     Autn,
     ChallengeMsg,
-    ConfirmMsg,
     GutiAssignMsg,
     GutiIdMsg,
     GutiSnToHnMsg,
@@ -96,7 +95,6 @@ def sn_forward_challenge(
 class SnSessionResult:
     supi: str
     k_seaf: bytes
-    confirm: ConfirmMsg
     assignment: GutiAssignMsg
 
 
@@ -107,22 +105,18 @@ def sn_verify_response(
     p = state.pending.get(sid)
     if p is None or p.hxres_star is None:
         return None
+    del state.pending[sid]          # one response is checked per challenge
     if not _hmac.compare_digest(
             crypto.hash_h([p.r_sn, msg.res_star]), p.hxres_star):
-        del state.pending[sid]
         return None
     f5 = crypto.xor_bytes(p.autn.conc, p.r_sn)
     k3 = crypto.xor_bytes(msg.res_star, f5)
     try:
         k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m))
     except (crypto.AeadFailure, ParseError):
-        del state.pending[sid]
         return None
-    del state.pending[sid]
     assignment = sn_assign_guti(state, supi, rng)
-    return SnSessionResult(
-        supi=supi, k_seaf=k_seaf, confirm=ConfirmMsg(ok=True),
-        assignment=assignment)
+    return SnSessionResult(supi=supi, k_seaf=k_seaf, assignment=assignment)
 
 
 def sn_assign_guti(state: SnState, supi: str, rng: RandomSource) -> GutiAssignMsg:

@@ -104,14 +104,13 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
     return ResponseMsg(res_star=res_star)
 
 
-def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg) -> UeState:
+def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg) -> None:
     """Commit the pending ratchet key; doubles as completion confirmation."""
     if state.k_s_pending is None:
         log.info("GUTI assignment with no pending session; ignored")
-        return state
+        return
     state.guti = msg.guti_new
     state.r_sn_prime = msg.r_sn_prime_new
     state.k_s = state.k_s_pending
     state.k_s_pending = None
     state.ephemeral = None
-    return state

@@ -117,16 +117,17 @@ def test_session_graph_reconstructs_anchor_key(world, rng):
     outcome, capture = attacks.run_captured(world, "supi", rng)
     g = attacks.build_session_graph(world, outcome, capture)
     # full knowledge (including sk_U) reaches the anchor key within depth 4
-    base = attacks.radio_knowledge(outcome) | {"k", "sk_h", "sk_u"}
+    base = g.public | {"k", "sk_h", "sk_u"}
     closure = g.closure(base)
     assert "k_seaf" in closure
 
 
-def test_radio_knowledge_distinguishes_paths(world, rng):
-    supi_run = sim.run_session(world, "supi", rng=rng)
-    guti_run = sim.run_session(world, "guti", rng=rng)
-    assert "c1" in attacks.radio_knowledge(supi_run)
-    assert "c1" not in attacks.radio_knowledge(guti_run)
+def test_session_graph_public_set_distinguishes_paths(world, rng):
+    supi = attacks.build_session_graph(world, *attacks.run_captured(world, "supi", rng))
+    guti = attacks.build_session_graph(world, *attacks.run_captured(world, "guti", rng))
+    assert supi.public == {"id_sn", "id_hn", "c1", "suci_conc", "mac_u", "c2",
+                           "conc", "mac", "res_star"}
+    assert guti.public == {"id_sn", "id_hn", "conc", "mac", "res_star"}
 
 
 def test_key_candidate_generation_is_bounded():
@@ -198,7 +199,7 @@ def test_linkability_multiset_splits_autn_into_halves():
         t = sim.SessionTranscript()
         ch = wire.ChallengeMsg(autn=wire.Autn(conc=conc, mac=mac), c2=c2)
         t.append(sim.RADIO, "SN->UE", wire.encode(ch), "challenge")
-        return sim.SessionOutcome(completed=False, abort_step=None, transcript=t)
+        return sim.SessionOutcome(abort_step=None, transcript=t)
 
     mac = b"\x07" * 32
     f1 = attacks._field_multiset(outcome(b"\x01" * 32, mac, b"\x02" * 8))

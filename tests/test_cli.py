@@ -69,6 +69,19 @@ def test_attack_weakened_ue_fails():
     assert run_cli("attack", "replay", "--weaken", "ue-mac") == 1
 
 
+def test_attack_unknown_weakening_usage_error(tmp_path, capsys):
+    """A misspelt negative control is refused, not run as the honest game."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("attack", "replay", "--weaken", "ue-mca")
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weaken": ["typo"]}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(cfg), "attack", "replay")
+    assert exc.value.code == 2
+    assert "typo" in capsys.readouterr().err
+
+
 def test_sizes_kyber_row(capsys):
     assert run_cli("sizes", "--kem", "kyber") == 0
     out = capsys.readouterr().out

@@ -141,10 +141,10 @@ def test_finalize_commits_staged_key(world, rng):
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
                           rng, sid)
-    staged = world.hn.pending[sid].k_s_new
-    assert staged is not None and record.k_s is None
-    hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=True), sid)
-    assert record.k_s == staged
+    pending = world.hn.pending[sid]
+    assert pending.k_s_new is not None and record.k_s is None
+    assert hn_mod.hn_finalize(world.hn, sid) == pending.k_seaf
+    assert record.k_s == pending.k_s_new
     assert sid not in world.hn.pending
 
 
@@ -153,21 +153,10 @@ def test_finalize_twice_second_ignored(world, rng):
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
                           rng, sid)
-    hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=True), sid)
+    assert hn_mod.hn_finalize(world.hn, sid) is not None
     snapshot = (record.k_s, dict(world.hn.pending))
-    hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=True), sid)
+    assert hn_mod.hn_finalize(world.hn, sid) is None
     assert (record.k_s, world.hn.pending) == snapshot
-
-
-def test_no_confirm_keeps_old_key_and_staged_retry(world, rng):
-    to_hn, sid = _ident_msg(world, rng)
-    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    record.k_s = b"\x0a" * 32
-    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
-                          rng, sid)
-    hn_mod.hn_finalize(world.hn, wire.ConfirmMsg(ok=False), sid)
-    assert record.k_s == b"\x0a" * 32            # old key untouched
-    assert world.hn.pending[sid].k_s_new is not None   # retained for retry
 
 
 # --- overlapping sessions of one subscriber ---------------------------------

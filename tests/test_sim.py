@@ -54,6 +54,28 @@ def test_unknown_guti_triggers_reidentification(world, rng):
     assert annotations.count("id-request") == 2   # fallback request to the UE
 
 
+def test_hn_identification_abort_ends_session_and_frees_pending(world, rng):
+    def zero_mac(data, ctx):
+        return wire.encode(dataclasses.replace(wire.decode(data), mac_u=bytes(32)))
+
+    attacker = sim.ScriptedAttacker({"id-response": zero_mac})
+    outcome = sim.run_session(world, "supi", attacker, rng)
+    assert not outcome.completed and outcome.abort_step == "hn-identify"
+    last = outcome.transcript.entries[-1]
+    assert (last.channel, last.annotation) == (sim.CORE, "hn-abort")
+    assert last.data == wire.encode(wire.AbortMsg())
+    assert world.sn.pending == {} and world.hn.pending == {}
+
+
+def test_foreign_message_for_id_response_aborts_at_sn_ident(world, rng):
+    foreign = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
+    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: foreign})
+    outcome = sim.run_session(world, "supi", attacker, rng)
+    assert not outcome.completed and outcome.abort_step == "sn-ident"
+    assert outcome.transcript.entries[-1].data == foreign
+    assert not any(e.channel == sim.CORE for e in outcome.transcript.entries)
+
+
 def test_dropped_challenge_aborts_without_commits(world, rng):
     attacker = sim.ScriptedAttacker({"challenge": lambda data, ctx: None})
     outcome = sim.run_session(world, "supi", attacker, rng)

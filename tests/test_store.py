@@ -93,6 +93,20 @@ def test_store_removed_while_open_is_written_whole_again(tmp_path, role):
     assert load(path) == mapping(worlds[1])
 
 
+def test_registry_saved_back_to_an_earlier_store_rewrites_it_whole(tmp_path):
+    """Saved to A, then B, then A again: A missed B's commits, so the third
+    save writes every row, not only the named one."""
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    registry = {**_sample("hn", "imsi-1"), **_sample("hn", "imsi-2")}
+    hn_mod.save_registry(a, registry)
+    hn_mod.save_registry(b, registry)
+    registry["imsi-1"].k_s = b"\x05" * 32
+    hn_mod.save_registry(b, registry, "imsi-1")
+    registry["imsi-2"].k_s = b"\x06" * 32
+    hn_mod.save_registry(a, registry, "imsi-2")
+    assert hn_mod.load_registry(a) == registry
+
+
 @pytest.mark.parametrize("role", ROLES)
 def test_load_of_missing_store_raises_and_creates_nothing(tmp_path, role):
     _, load, _ = ROLES[role]

@@ -102,6 +102,18 @@ def test_challenge_without_ephemeral_aborts(world):
     assert ue_mod.ue_process_challenge(world.ue, ch) is None
 
 
+@pytest.mark.parametrize("bad", ["short-c2", "guti-without-k_s"])
+def test_bad_second_challenge_aborts_silently_and_clears_session(world, rng, bad):
+    _msg, _sid, _vector, challenge = _identified(world, rng)
+    assert ue_mod.ue_process_challenge(world.ue, challenge) is not None
+    assert world.ue.k_s_pending is not None and world.ue.ephemeral is not None
+    c2 = challenge.c2[:-1] if bad == "short-c2" else None
+    assert world.ue.k_s is None
+    assert ue_mod.ue_process_challenge(
+        world.ue, wire.ChallengeMsg(autn=challenge.autn, c2=c2)) is None
+    assert world.ue.k_s_pending is None and world.ue.ephemeral is None
+
+
 def test_guti_identification_requires_ratchet_state(world):
     assert ue_mod.ue_guti_identification(world.ue) is None  # no GUTI yet
     world.ue.guti = bytes(16)

@@ -105,6 +105,16 @@ def test_decode_trailing_byte_rejected():
     assert exc.value.offset == len(blob)
 
 
+def test_decode_invalid_utf8_rejected_at_its_field():
+    msg = wire.IdResponseMsg(c1=b"\x01", suci_conc=b"\x02\x03",
+                             mac_u=bytes(32), id_hn="h")
+    blob = wire.encode(msg)
+    with pytest.raises(wire.ParseError) as exc:
+        wire.decode(blob[:-1] + b"\xff")
+    # tag, then c1, suci_conc and mac_u, each behind a 4-byte length
+    assert exc.value.offset == 1 + (4 + 1) + (4 + 2) + (4 + 32)
+
+
 def test_decode_truncated_rejected():
     blob = wire.encode(wire.GutiIdMsg(guti=bytes(16)))
     with pytest.raises(wire.ParseError):
@@ -163,6 +173,9 @@ def test_suci_payload_roundtrip():
 def test_m_payload_roundtrip():
     packed = wire.pack_m_payload(bytes(32), "imsi-2")
     assert wire.unpack_m_payload(packed) == (bytes(32), "imsi-2")
+    with pytest.raises(wire.ParseError) as exc:
+        wire.unpack_m_payload(packed + b"\x00")
+    assert exc.value.offset == len(packed)
     with pytest.raises(wire.ParseError):
         wire.unpack_m_payload(wire.pack_m_payload(bytes(32), "x")[:-1])
     with pytest.raises(wire.ParseError):
