@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from . import crypto, hn as hn_mod, sim, ue as ue_mod, wire
@@ -230,7 +230,7 @@ def _ue_without_mac_check(state: ue_mod.UeState, ch: wire.ChallengeMsg
     """UE that accepts any AUTN MAC on the SUPI path: it puts the MAC it
     expects, from K, sk_U and CONC, into the challenge before the real check."""
     k_star = crypto.as_shared_key(
-        crypto.kem_decaps(state.kem, state.ephemeral.sk, ch.c2))
+        crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
     r_sn = crypto.xor_bytes(ch.autn.conc, crypto.prf_f("5", state.k, [k_star]))
     autn = wire.Autn(conc=ch.autn.conc, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
     return ue_mod.ue_process_challenge(state, wire.ChallengeMsg(autn=autn, c2=ch.c2))
@@ -396,35 +396,20 @@ def _key_candidates(values: list[bytes], depth: int = 2,
     """
     known = set(values)
     for _ in range(depth):
-        new: set[bytes] = set()
         thirty_two = sorted(v for v in known if len(v) == 32)
         if len(thirty_two) ** 2 > budget:
             break
-        for v in known:
-            new.add(crypto.hash_h([v]))
-            new.add(crypto.kdf([v]))
+        # kdf and hash_h are one construction, so one call covers both
+        new = {crypto.hash_h([v]) for v in known}
         # xor is symmetric, so each unordered pair is xored once;
         # hash_h is order-sensitive and takes every ordered pair
-        for a, b in combinations(thirty_two, 2):
-            new.add(crypto.xor_bytes(a, b))
-        for a, b in product(thirty_two, repeat=2):
-            new.add(crypto.hash_h([a, b]))
+        ints = [int.from_bytes(v, "big") for v in thirty_two]
+        new.update((a ^ b).to_bytes(32, "big") for a, b in combinations(ints, 2))
+        new.update(crypto.hash_h_pairs(thirty_two))
         if new <= known:
             break
         known |= new
     return {v for v in known if len(v) == 32}
-
-
-def _count_openings(keys: set[bytes], ciphertext: bytes) -> int:
-    """How many of the keys open the ciphertext."""
-    opened = 0
-    for key in keys:
-        try:
-            crypto.aead_open(key, ciphertext)
-            opened += 1
-        except crypto.AeadFailure:
-            pass
-    return opened
 
 
 def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> Verdict:
@@ -441,7 +426,7 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> 
     pending_m = next(p.m for p in world.sn.pending.values())
     values = _sn_pre_response_values(world, out)
     candidates = _key_candidates(values)
-    opened = _count_openings(candidates, pending_m)
+    opened = crypto.count_openings(candidates, pending_m)
     part_a = opened == 0
     evidence.append(f"pre-response-keys-tried={len(candidates)} opened={opened}")
 

@@ -8,6 +8,8 @@ metadata-only and operations on them raise SuiteUnavailableError.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -22,25 +24,30 @@ from .crypto import KemKeyPair, KemSuite, hash_h, register_suite
 from .rng import RandomSource
 
 
+def _x25519_load(sk: bytes) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(sk)
+
+
+def _x25519_pk_bytes(priv: X25519PrivateKey) -> bytes:
+    return priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+
+
 def _x25519_keygen(rng: RandomSource) -> KemKeyPair:
     sk = rng.bytes(32)
-    priv = X25519PrivateKey.from_private_bytes(sk)
-    pk = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KemKeyPair(pk=pk, sk=sk)
+    priv = _x25519_load(sk)
+    return KemKeyPair(pk=_x25519_pk_bytes(priv), sk=sk, handle=priv)
 
 
 def _x25519_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
-    eph = X25519PrivateKey.from_private_bytes(rng.bytes(32))
-    eph_pk = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    eph = _x25519_load(rng.bytes(32))
+    eph_pk = _x25519_pk_bytes(eph)
     shared = eph.exchange(X25519PublicKey.from_public_bytes(pk))
     return eph_pk, hash_h([eph_pk, pk, shared])
 
 
-def _x25519_decaps(sk: bytes, ct: bytes) -> bytes:
-    priv = X25519PrivateKey.from_private_bytes(sk)
-    pk = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+def _x25519_decaps(priv: X25519PrivateKey, pk: Optional[bytes], ct: bytes) -> bytes:
     shared = priv.exchange(X25519PublicKey.from_public_bytes(ct))
-    return hash_h([ct, pk, shared])
+    return hash_h([ct, pk or _x25519_pk_bytes(priv), shared])
 
 
 _P256 = ec.SECP256R1()
@@ -58,10 +65,14 @@ def _p256_pk_bytes(priv: ec.EllipticCurvePrivateKey) -> bytes:
     )
 
 
+def _p256_load(sk: bytes) -> ec.EllipticCurvePrivateKey:
+    return ec.derive_private_key(int.from_bytes(sk, "big"), _P256)
+
+
 def _p256_keygen(rng: RandomSource) -> KemKeyPair:
     priv = _p256_priv_from_rng(rng)
     sk = priv.private_numbers().private_value.to_bytes(32, "big")
-    return KemKeyPair(pk=_p256_pk_bytes(priv), sk=sk)
+    return KemKeyPair(pk=_p256_pk_bytes(priv), sk=sk, handle=priv)
 
 
 def _p256_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
@@ -72,17 +83,18 @@ def _p256_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
     return eph_pk, hash_h([eph_pk, pk, shared])
 
 
-def _p256_decaps(sk: bytes, ct: bytes) -> bytes:
-    priv = ec.derive_private_key(int.from_bytes(sk, "big"), _P256)
+def _p256_decaps(priv: ec.EllipticCurvePrivateKey, pk: Optional[bytes],
+                 ct: bytes) -> bytes:
     peer = ec.EllipticCurvePublicKey.from_encoded_point(_P256, ct)
     shared = priv.exchange(ec.ECDH(), peer)
-    return hash_h([ct, _p256_pk_bytes(priv), shared])
+    return hash_h([ct, pk or _p256_pk_bytes(priv), shared])
 
 
 register_suite(KemSuite(
     name="ecies-x25519",
     sk_len=32, pk_len=32, ct_len=32, key_len=32,
     keygen=_x25519_keygen, encaps=_x25519_encaps, decaps=_x25519_decaps,
+    load_sk=_x25519_load,
 ))
 
 # compressed-point encodings: 33 bytes, one more than the raw coordinate
@@ -90,6 +102,7 @@ register_suite(KemSuite(
     name="ecies-p256",
     sk_len=32, pk_len=33, ct_len=33, key_len=32,
     keygen=_p256_keygen, encaps=_p256_encaps, decaps=_p256_decaps,
+    load_sk=_p256_load,
 ))
 
 
@@ -121,7 +134,7 @@ def _try_register_liboqs() -> None:
             with oqs.KeyEncapsulation(_mech) as kem:
                 return kem.encap_secret(pk)
 
-        def decaps(sk: bytes, ct: bytes, _mech=mech) -> bytes:
+        def decaps(sk: bytes, pk: Optional[bytes], ct: bytes, _mech=mech) -> bytes:
             with oqs.KeyEncapsulation(_mech, sk) as kem:
                 return kem.decap_secret(ct)
 

@@ -56,6 +56,9 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     suite = _suite_or_exit(parser, args.kem)
     if not suite.available:
         parser.error(f"KEM suite {suite.name!r} has no operational backend")
+    if args.weaken and args.scenario not in ("replay", "all"):
+        # ue-mac weakens replay only; any other game would run honestly
+        parser.error(f"--weaken does not apply to {args.scenario!r}")
     names = list(attacks.SCENARIOS) if args.scenario == "all" else [args.scenario]
     weaken = frozenset(args.weaken or [])
     verdicts = attacks.run_scenarios(names, suite.name, args.seed, weaken=weaken)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -73,6 +73,20 @@ def hash_h(inputs: list[bytes]) -> bytes:
     return hashlib.sha256(_lp(inputs)).digest()
 
 
+def hash_h_pairs(values: list[bytes]) -> list[bytes]:
+    """hash_h([a, b]) for every ordered pair in product(values, repeat=2)
+    order; each a's length-prefixed field is hashed once."""
+    fields = [_lp([v]) for v in values]
+    out = []
+    for a in fields:
+        prefix = hashlib.sha256(a)
+        for b in fields:
+            h = prefix.copy()
+            h.update(b)
+            out.append(h.digest())
+    return out
+
+
 def hmac_tag(key: bytes, data: bytes) -> bytes:
     _check_key(key)
     return _hmac.new(key, data, hashlib.sha256).digest()
@@ -94,6 +108,20 @@ def aead_open(key: bytes, ciphertext: bytes) -> bytes:
         return AESGCM(key).decrypt(_AEAD_NONCE, ciphertext, None)
     except InvalidTag as exc:
         raise AeadFailure("ciphertext rejected") from exc
+
+
+def count_openings(keys: Iterable[bytes], ciphertext: bytes) -> int:
+    """How many of the keys open the ciphertext: one aead_open per key,
+    without raising an AeadFailure for each key that fails."""
+    opened = 0
+    for key in keys:
+        _check_key(key)
+        try:
+            AESGCM(key).decrypt(_AEAD_NONCE, ciphertext, None)
+        except InvalidTag:
+            continue
+        opened += 1
+    return opened
 
 
 def as_shared_key(k: bytes) -> bytes:
@@ -123,6 +151,12 @@ def session_keys(k: bytes, k_star: bytes, r_sn: bytes, conc: bytes,
 class KemKeyPair:
     pk: bytes
     sk: bytes
+    # sk loaded by the suite (see KemSuite.load_sk); None: not loaded yet.
+    # Loaded keys do not pickle, so a pickled or deep-copied pair drops it.
+    handle: object = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {"pk": self.pk, "sk": self.sk, "handle": None}
 
 
 @dataclass(frozen=True)
@@ -131,6 +165,10 @@ class KemSuite:
 
     A suite with callables set to None is metadata-only: its sizes appear
     in reports but key operations raise SuiteUnavailableError.
+
+    decaps(handle, pk, ct) takes the sk as load_sk loaded it, and the pk
+    of the pair, or None for the suite to derive it from the handle.
+    Without load_sk the handle is the sk bytes.
     """
 
     name: str
@@ -140,7 +178,8 @@ class KemSuite:
     key_len: int
     keygen: Optional[Callable[[RandomSource], KemKeyPair]] = field(default=None)
     encaps: Optional[Callable[[bytes, RandomSource], tuple[bytes, bytes]]] = field(default=None)
-    decaps: Optional[Callable[[bytes, bytes], bytes]] = field(default=None)
+    decaps: Optional[Callable[[object, Optional[bytes], bytes], bytes]] = field(default=None)
+    load_sk: Optional[Callable[[bytes], object]] = field(default=None)
 
     @property
     def available(self) -> bool:
@@ -167,22 +206,40 @@ def kem_encaps(suite: KemSuite, pk: bytes, rng: RandomSource) -> tuple[bytes, by
     return ct, k
 
 
-def kem_decaps(suite: KemSuite, sk: bytes, ct: bytes) -> bytes:
+def _load_sk(suite: KemSuite, sk: bytes) -> object:
+    return suite.load_sk(sk) if suite.load_sk else sk
+
+
+def kem_load(suite: KemSuite, pair: KemKeyPair) -> KemKeyPair:
+    """The pair with its sk loaded into the suite's handle."""
+    return replace(pair, handle=_load_sk(suite, pair.sk))
+
+
+def kem_decaps(suite: KemSuite, sk: bytes | KemKeyPair, ct: bytes) -> bytes:
+    """Decapsulate under raw sk bytes, or under a key pair with its pk and
+    handle; raw bytes, or a pair without a handle, are loaded for this call."""
     if not suite.available:
         raise SuiteUnavailableError(f"KEM backend {suite.name!r} not compiled in")
+    if isinstance(sk, KemKeyPair):
+        sk, pk, handle = sk.sk, sk.pk, sk.handle
+    else:
+        pk = handle = None
     if len(sk) != suite.sk_len:
         raise CryptoError(f"{suite.name}: sk must be {suite.sk_len} bytes")
     if len(ct) != suite.ct_len:
         raise CryptoError(f"{suite.name}: ct must be {suite.ct_len} bytes")
-    return suite.decaps(sk, ct)
+    return suite.decaps(_load_sk(suite, sk) if handle is None else handle, pk, ct)
 
 
 # --- test KEM -------------------------------------------------------------
 
+def _test_pk(sk: bytes) -> bytes:
+    return _hmac.new(sk, b"pk", hashlib.sha256).digest()
+
+
 def _test_keygen(rng: RandomSource) -> KemKeyPair:
     sk = rng.bytes(32)
-    pk = _hmac.new(sk, b"pk", hashlib.sha256).digest()
-    return KemKeyPair(pk=pk, sk=sk)
+    return KemKeyPair(pk=_test_pk(sk), sk=sk, handle=sk)
 
 
 def _test_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
@@ -190,9 +247,8 @@ def _test_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
     return r, hash_h([pk, r])
 
 
-def _test_decaps(sk: bytes, ct: bytes) -> bytes:
-    pk = _hmac.new(sk, b"pk", hashlib.sha256).digest()
-    return hash_h([pk, ct])
+def _test_decaps(sk: bytes, pk: Optional[bytes], ct: bytes) -> bytes:
+    return hash_h([pk or _test_pk(sk), ct])
 
 
 TEST_KEM = KemSuite(

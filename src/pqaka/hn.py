@@ -67,9 +67,11 @@ def hn_identify(
     state: HnState, msg: SnToHnIdentMsg, claimed_id_sn: str
 ) -> tuple[str, bytes, SubscriberRecord]:
     """Recover (SUPI, pk_U) from the concealed identifier, or abort."""
+    if state.kem_pair.handle is None:        # a pickled pair drops its handle
+        state.kem_pair = crypto.kem_load(state.kem, state.kem_pair)
     try:
         k_s1 = crypto.as_shared_key(
-            crypto.kem_decaps(state.kem, state.kem_pair.sk, msg.c1))
+            crypto.kem_decaps(state.kem, state.kem_pair, msg.c1))
         plain = crypto.aead_open(k_s1, msg.suci_conc)
         supi, pk_u, id_sn = unpack_suci_payload(plain)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):

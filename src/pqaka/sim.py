@@ -223,6 +223,7 @@ def session(
         return _aborted(t, label)
 
     # 3. SN to HN over the core channel
+    to_hn = None
     if isinstance(received, wire.GutiIdMsg):
         resolved = sn_mod.sn_resolve_guti(sn, received, rng)
         if isinstance(resolved, wire.IdRequestMsg):
@@ -232,13 +233,13 @@ def session(
                 return _aborted(t, "id-request")
             ident = ue_mod.ue_identification_response(ue, rng)
             received = yield from send_radio("UE->SN", "id-response", ident)
-            if received is None or not isinstance(received, wire.IdResponseMsg):
+            if received is None:
                 return _aborted(t, "id-response")
         else:
             to_hn, sid = resolved
     if isinstance(received, wire.IdResponseMsg):
         to_hn, sid = sn_mod.sn_forward_identification(sn, received, rng)
-    elif not isinstance(received, wire.GutiIdMsg):
+    elif to_hn is None:
         return _aborted(t, "sn-ident")   # attacker substituted a foreign type
 
     ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"

@@ -43,7 +43,7 @@ class UeState:
     k_s: Optional[bytes] = None              # confirmed ratchet key
     k_s_pending: Optional[bytes] = None      # staged until GUTI assignment
     r_sn_prime: Optional[bytes] = None
-    ephemeral: Optional[KemKeyPair] = None   # sk_U/pk_U, session-scoped
+    ephemeral: Optional[KemKeyPair] = None   # sk_U/pk_U and sk_U's handle, session-scoped
     k_seaf: Optional[bytes] = None           # anchor key of the last session
 
 
@@ -82,7 +82,7 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
             return None
         try:
             k_star = crypto.as_shared_key(
-                crypto.kem_decaps(state.kem, state.ephemeral.sk, ch.c2))
+                crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
         except crypto.CryptoError:
             _abort(state)
             return None

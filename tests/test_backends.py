@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 import sys
 import types
 
@@ -50,6 +51,60 @@ def test_full_session_on_ecies(name):
     assert supi_run.k_seaf_ue == supi_run.k_seaf_sn == supi_run.k_seaf_hn
     guti_run = sim.run_session(world, "guti", rng=rng)
     assert guti_run.completed and guti_run.key_source == "guti"
+
+
+# --- loaded private keys -----------------------------------------------------
+
+@pytest.mark.parametrize("name", available_suites())
+def test_decaps_with_handle_equals_decaps_from_raw_sk(name):
+    suite = get_suite(name)
+    for seed in range(5):
+        pair = crypto.kem_keygen(suite, SeededRandom(seed))
+        ct, k = crypto.kem_encaps(suite, pair.pk, SeededRandom(seed + 100))
+        unpickled = pickle.loads(pickle.dumps(pair))
+        assert unpickled == pair and unpickled.handle is None
+        reloaded = crypto.kem_load(suite, unpickled)
+        keys = {crypto.kem_decaps(suite, sk, ct)
+                for sk in (pair.sk, pair, reloaded, unpickled)}
+        assert keys == {k}
+
+
+def _count_x25519_loads(monkeypatch) -> list[bytes]:
+    """Every sk that the x25519 backend loads from now on."""
+    loads = []
+    real = backends.X25519PrivateKey.from_private_bytes
+
+    def counting(sk: bytes):
+        loads.append(sk)
+        return real(sk)
+
+    monkeypatch.setattr(backends, "X25519PrivateKey",
+                        types.SimpleNamespace(from_private_bytes=counting))
+    return loads
+
+
+def test_supi_session_on_x25519_loads_three_private_keys(monkeypatch):
+    rng = SeededRandom(5)
+    world = sim.make_world("ecies-x25519", seed=rng)
+    loads = _count_x25519_loads(monkeypatch)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    # UE keygen, UE encaps and HN encaps; both decaps use a held key
+    assert len(loads) == 3
+    assert world.hn.kem_pair.sk not in loads
+
+
+def test_unpickled_world_replays_session_and_loads_sk_h_once(monkeypatch):
+    rng = SeededRandom(6)
+    world = sim.make_world("ecies-x25519", seed=rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    blob = pickle.dumps((world, rng))
+    loads = _count_x25519_loads(monkeypatch)
+    twin, twin_rng = pickle.loads(blob)
+    expected = sim.run_session(world, "supi", rng=rng).transcript.to_lines()
+    assert sim.run_session(twin, "supi", rng=twin_rng).transcript.to_lines() == expected
+    for _ in range(2):
+        assert sim.run_session(twin, "supi", rng=twin_rng).completed
+    assert loads.count(world.hn.kem_pair.sk) <= 1
 
 
 # --- the liboqs hook, driven by a fake ``oqs`` module -------------------------
@@ -126,6 +181,7 @@ def test_liboqs_hook_registers_fake_backends(monkeypatch):
         pair = crypto.kem_keygen(suite, SeededRandom(0))
         ct, k = crypto.kem_encaps(suite, pair.pk, SeededRandom(1))
         assert crypto.kem_decaps(suite, pair.sk, ct) == k
+        assert crypto.kem_decaps(suite, pair, ct) == k
         # the binding draws its own randomness: the injected RNG is ignored
         assert crypto.kem_keygen(suite, SeededRandom(0)) != pair
     # every binding object, which may hold a secret key, is exited

@@ -69,6 +69,15 @@ def test_attack_weakened_ue_fails():
     assert run_cli("attack", "replay", "--weaken", "ue-mac") == 1
 
 
+@pytest.mark.parametrize("scenario", ["linkability", "sn-binding", "forward-secrecy"])
+def test_attack_weakening_on_game_without_it_is_usage_error(scenario, capsys):
+    """ue-mac weakens the replay game only; elsewhere it would run the honest game."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("attack", scenario, "--weaken", "ue-mac")
+    assert exc.value.code == 2
+    assert scenario in capsys.readouterr().err
+
+
 def test_attack_unknown_weakening_usage_error(tmp_path, capsys):
     """A misspelt negative control is refused, not run as the honest game."""
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import hmac as _hmac
+from itertools import product
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -155,6 +156,13 @@ def test_field_boundary_matters():
     assert crypto.hash_h([b"ab", b"c"]) != crypto.hash_h([b"a", b"bc"])
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.binary(max_size=40), max_size=8))
+def test_hash_h_pairs_matches_hash_h_per_ordered_pair(values):
+    assert crypto.hash_h_pairs(values) == [
+        crypto.hash_h([a, b]) for a, b in product(values, repeat=2)]
+
+
 # --- hmac --------------------------------------------------------------------
 
 def test_hmac_honest_pair_verifies():
@@ -208,6 +216,24 @@ def test_aead_wrong_key_rejected():
 @given(KEY32, st.binary(max_size=256))
 def test_aead_roundtrip_property(key, pt):
     assert crypto.aead_open(key, crypto.aead_seal(key, pt)) == pt
+
+
+def test_count_openings_matches_per_key_open_count():
+    key = SeededRandom(11).bytes(32)
+    ct = crypto.aead_seal(key, b"secret")
+    keys = {key} | {SeededRandom(i).bytes(32) for i in range(20)}
+
+    def opens(k: bytes) -> bool:
+        try:
+            crypto.aead_open(k, ct)
+        except crypto.AeadFailure:
+            return False
+        return True
+
+    assert crypto.count_openings(keys, ct) == sum(map(opens, keys)) == 1
+    assert crypto.count_openings(keys - {key}, ct) == 0
+    with pytest.raises(crypto.CryptoError):
+        crypto.count_openings([key, bytes(31)], ct)
 
 
 # --- helpers -----------------------------------------------------------------

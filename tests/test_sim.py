@@ -67,15 +67,6 @@ def test_hn_identification_abort_ends_session_and_frees_pending(world, rng):
     assert world.sn.pending == {} and world.hn.pending == {}
 
 
-def test_foreign_message_for_id_response_aborts_at_sn_ident(world, rng):
-    foreign = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
-    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: foreign})
-    outcome = sim.run_session(world, "supi", attacker, rng)
-    assert not outcome.completed and outcome.abort_step == "sn-ident"
-    assert outcome.transcript.entries[-1].data == foreign
-    assert not any(e.channel == sim.CORE for e in outcome.transcript.entries)
-
-
 def test_dropped_challenge_aborts_without_commits(world, rng):
     attacker = sim.ScriptedAttacker({"challenge": lambda data, ctx: None})
     outcome = sim.run_session(world, "supi", attacker, rng)
@@ -126,6 +117,19 @@ def _radio_drops():
         radio = [i for i, a in enumerate(annotations) if a not in _CORE_LABELS]
         for n, at in enumerate(radio[:-1]):      # guti-assign: see below
             yield pytest.param(path, n, at, id=f"{path}-{n}-{annotations[at]}")
+
+
+@pytest.mark.parametrize("path", ["supi", "fallback"])
+def test_foreign_message_for_id_response_aborts_at_sn_ident(path):
+    """A foreign type in place of the id-response gets one label on either
+    path; a dropped id-response keeps the label id-response."""
+    world, rng, mode = _provisioned(path)
+    foreign = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
+    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: foreign})
+    outcome = sim.run_session(world, mode, attacker, rng)
+    assert not outcome.completed and outcome.abort_step == "sn-ident"
+    assert outcome.transcript.entries[-1].data == foreign
+    assert not any(e.channel == sim.CORE for e in outcome.transcript.entries)
 
 
 @pytest.mark.parametrize("path,n,at", list(_radio_drops()))

@@ -1,6 +1,7 @@
 """UE operations: identification, challenge processing, ratchet commit."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -163,3 +164,23 @@ def test_three_guti_sessions_keep_ratchet_agreement(world, rng):
         outcome = sim.run_session(world, "guti", rng=rng)
         assert outcome.completed and outcome.key_source == "guti"
         assert world.ue.k_s == record.k_s
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["completed", "aborted"])
+def test_ue_holds_no_key_handle_after_session(tamper):
+    """sk_U's loaded key lives in the ephemeral pair and goes with it."""
+    rng = SeededRandom(7)
+    world = sim.make_world("ecies-x25519", seed=rng)
+    held = []
+
+    def on_challenge(data, ctx):
+        held.append(world.ue.ephemeral.handle is not None)
+        return data[:-1] + bytes([data[-1] ^ 1]) if tamper else data
+
+    tap = sim.ScriptedAttacker({"challenge": on_challenge})
+    outcome = sim.run_session(world, "supi", tap, rng)
+    assert held == [True]
+    assert outcome.abort_step == ("ue-challenge" if tamper else None)
+    for f in dataclasses.fields(ue_mod.UeState):
+        value = getattr(world.ue, f.name)
+        assert value is None or isinstance(value, (bytes, str, crypto.KemSuite)), f.name
