@@ -151,8 +151,7 @@ def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:
 
 # --- registry persistence ---------------------------------------------------
 
-_REGISTRY = store.Table(
-    "registry", "supi TEXT PRIMARY KEY", "k BLOB NOT NULL", "k_s BLOB")
+_REGISTRY = store.Table("registry", "supi", "k", "k_s", nullable="k_s")
 
 
 def save_registry(path: str, registry: dict[str, SubscriberRecord],

@@ -172,7 +172,8 @@ def session(
     """One authentication session over both channels, calling the UE and HN
     roles by name on ue_mod and hn_mod (weakened in games). Yields (label,
     bytes) per radio message, is sent the bytes the radio delivers (None if
-    dropped) and returns the SessionOutcome."""
+    dropped) and returns the SessionOutcome. However it ends, the UE then
+    holds no sk_U drawn for it."""
     if mode not in ("supi", "guti"):
         raise ValueError("mode must be 'supi' or 'guti'")
     rng = rng or OsRandom()
@@ -188,6 +189,7 @@ def session(
         raise SetupError("UE and HN disagree on the HN identity")
 
     t = SessionTranscript()
+    drawn = None     # the sk_U pair this session drew
 
     def send_radio(direction: str, label: str, msg: wire.Message):
         delivered = yield label, wire.encode(msg)
@@ -205,99 +207,105 @@ def session(
         t.append(CORE, direction, data, label)
         return wire.decode(data)
 
-    # 1. identification request
-    req = yield from send_radio("SN->UE", "id-request",
-                                wire.IdRequestMsg(force_supi=(mode == "supi")))
-    if req is None:
-        return _aborted(t, "id-request")
-
-    # 2. identification (GUTI first when allowed, SUPI otherwise or fallback)
-    ident: Optional[wire.Message] = None
-    if isinstance(req, wire.IdRequestMsg) and not req.force_supi:
-        ident = ue_mod.ue_guti_identification(ue)
-    if ident is None:
-        ident = ue_mod.ue_identification_response(ue, rng)
-    label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
-    received = yield from send_radio("UE->SN", label, ident)
-    if received is None:
-        return _aborted(t, label)
-
-    # 3. SN to HN over the core channel
-    to_hn = None
-    if isinstance(received, wire.GutiIdMsg):
-        resolved = sn_mod.sn_resolve_guti(sn, received, rng)
-        if isinstance(resolved, wire.IdRequestMsg):
-            # unknown GUTI: request SUPI-based identification
-            req2 = yield from send_radio("SN->UE", "id-request", resolved)
-            if req2 is None:
-                return _aborted(t, "id-request")
-            ident = ue_mod.ue_identification_response(ue, rng)
-            received = yield from send_radio("UE->SN", "id-response", ident)
-            if received is None:
-                return _aborted(t, "id-response")
-        else:
-            to_hn, sid = resolved
-    if isinstance(received, wire.IdResponseMsg):
-        to_hn, sid = sn_mod.sn_forward_identification(sn, received, rng)
-    elif to_hn is None:
-        return _aborted(t, "sn-ident")   # attacker substituted a foreign type
-
-    ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"
-    at_hn = send_core("SN->HN", ident_label, to_hn)
-
-    # 4. HN: identification and authentication vector
     try:
-        if isinstance(at_hn, wire.SnToHnIdentMsg):
-            supi, pk_u, record = hn_mod.hn_identify(hn, at_hn, sn.id_sn)
-            to_sn = hn_mod.hn_auth_vector(
-                hn, record, pk_u, at_hn.r_sn, sn.id_sn, rng, sid)
-        else:
-            to_sn = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
-    except hn_mod.IdentificationAbort:
-        send_core("HN->SN", "hn-abort", wire.AbortMsg())
-        sn.pending.pop(sid, None)
-        return _aborted(t, "hn-identify")
+        # 1. identification request
+        req = yield from send_radio("SN->UE", "id-request",
+                                    wire.IdRequestMsg(force_supi=(mode == "supi")))
+        if req is None:
+            return _aborted(t, "id-request")
 
-    vector = send_core("HN->SN", "auth-vector", to_sn)
+        # 2. identification (GUTI first when allowed, SUPI otherwise or fallback)
+        ident: Optional[wire.Message] = None
+        if isinstance(req, wire.IdRequestMsg) and not req.force_supi:
+            ident = ue_mod.ue_guti_identification(ue)
+        if ident is None:
+            ident = ue_mod.ue_identification_response(ue, rng)
+            drawn = ue.ephemeral
+        label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
+        received = yield from send_radio("UE->SN", label, ident)
+        if received is None:
+            return _aborted(t, label)
 
-    # 5. challenge to the UE
-    challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
-    if challenge is None:
-        return _aborted(t, "sn-challenge")
-    ch = yield from send_radio("SN->UE", "challenge", challenge)
-    if ch is None or not isinstance(ch, wire.ChallengeMsg):
-        return _aborted(t, "challenge")
+        # 3. SN to HN over the core channel
+        to_hn = None
+        if isinstance(received, wire.GutiIdMsg):
+            resolved = sn_mod.sn_resolve_guti(sn, received, rng)
+            if isinstance(resolved, wire.IdRequestMsg):
+                # unknown GUTI: request SUPI-based identification
+                req2 = yield from send_radio("SN->UE", "id-request", resolved)
+                if req2 is None:
+                    return _aborted(t, "id-request")
+                ident = ue_mod.ue_identification_response(ue, rng)
+                drawn = ue.ephemeral
+                received = yield from send_radio("UE->SN", "id-response", ident)
+                if received is None:
+                    return _aborted(t, "id-response")
+            else:
+                to_hn, sid = resolved
+        if isinstance(received, wire.IdResponseMsg):
+            to_hn, sid = sn_mod.sn_forward_identification(sn, received, rng)
+        elif to_hn is None:
+            return _aborted(t, "sn-ident")   # attacker substituted a foreign type
 
-    # 6. UE response (silent abort emits nothing on the radio)
-    response = ue_mod.ue_process_challenge(ue, ch)
-    if response is None:
-        return _aborted(t, "ue-challenge")
-    resp = yield from send_radio("UE->SN", "response", response)
-    if resp is None or not isinstance(resp, wire.ResponseMsg):
-        return _aborted(t, "response")
+        ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"
+        at_hn = send_core("SN->HN", ident_label, to_hn)
 
-    # 7. SN verification, confirmation, GUTI reassignment
-    result = sn_mod.sn_verify_response(sn, sid, resp, rng)
-    if result is None:
-        return _aborted(t, "sn-verify")
-    send_core("SN->HN", "confirm", wire.ConfirmMsg())
-    k_seaf_hn = hn_mod.hn_finalize(hn, sid)
+        # 4. HN: identification and authentication vector
+        try:
+            if isinstance(at_hn, wire.SnToHnIdentMsg):
+                supi, pk_u, record = hn_mod.hn_identify(hn, at_hn, sn.id_sn)
+                to_sn = hn_mod.hn_auth_vector(
+                    hn, record, pk_u, at_hn.r_sn, sn.id_sn, rng, sid)
+            else:
+                to_sn = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
+        except hn_mod.IdentificationAbort:
+            send_core("HN->SN", "hn-abort", wire.AbortMsg())
+            sn.pending.pop(sid, None)
+            return _aborted(t, "hn-identify")
 
-    envelope = seal_assignment(result.k_seaf, result.assignment)
-    delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
-    assignment_delivered = False
-    if isinstance(delivered, wire.SecureEnvelopeMsg) and ue.k_seaf:
-        inner = open_assignment(ue.k_seaf, delivered)
-        if inner is not None:
-            ue_mod.ue_handle_guti_assignment(ue, inner)
-            assignment_delivered = True
+        vector = send_core("HN->SN", "auth-vector", to_sn)
 
-    return SessionOutcome(
-        abort_step=None, transcript=t,
-        k_seaf_ue=ue.k_seaf,
-        k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
-        supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
-        key_source="guti" if ch.c2 is None else "supi")
+        # 5. challenge to the UE
+        challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
+        if challenge is None:
+            return _aborted(t, "sn-challenge")
+        ch = yield from send_radio("SN->UE", "challenge", challenge)
+        if ch is None or not isinstance(ch, wire.ChallengeMsg):
+            return _aborted(t, "challenge")
+
+        # 6. UE response (silent abort emits nothing on the radio)
+        response = ue_mod.ue_process_challenge(ue, ch)
+        if response is None:
+            return _aborted(t, "ue-challenge")
+        resp = yield from send_radio("UE->SN", "response", response)
+        if resp is None or not isinstance(resp, wire.ResponseMsg):
+            return _aborted(t, "response")
+
+        # 7. SN verification, confirmation, GUTI reassignment
+        result = sn_mod.sn_verify_response(sn, sid, resp, rng)
+        if result is None:
+            return _aborted(t, "sn-verify")
+        send_core("SN->HN", "confirm", wire.ConfirmMsg())
+        k_seaf_hn = hn_mod.hn_finalize(hn, sid)
+
+        envelope = seal_assignment(result.k_seaf, result.assignment)
+        delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
+        assignment_delivered = False
+        if isinstance(delivered, wire.SecureEnvelopeMsg) and ue.k_seaf:
+            inner = open_assignment(ue.k_seaf, delivered)
+            if inner is not None:
+                ue_mod.ue_handle_guti_assignment(ue, inner)
+                assignment_delivered = True
+
+        return SessionOutcome(
+            abort_step=None, transcript=t,
+            k_seaf_ue=ue.k_seaf,
+            k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
+            supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
+            key_source="guti" if ch.c2 is None else "supi")
+    finally:
+        if drawn is not None and ue.ephemeral is drawn:
+            ue.ephemeral = None
 
 
 def run_session(

@@ -153,8 +153,7 @@ def sn_resolve_guti(
 
 # keyed by SUPI, so writing a SUPI's row replaces its old GUTI
 _GUTI_TABLE = store.Table(
-    "guti_table", "supi TEXT PRIMARY KEY", "guti BLOB NOT NULL UNIQUE",
-    "r_sn_prime BLOB NOT NULL")
+    "guti_table", "supi", "guti", "r_sn_prime", unique="guti")
 
 
 def save_guti_table(path: str, table: dict[bytes, GutiEntry],

@@ -1,107 +1,120 @@
-"""Durable role state: one single-table sqlite file per role, keyed by SUPI.
+"""Durable role state: one append-only record log per role, keyed by SUPI.
 
-The HN keeps its subscriber registry and the SN its GUTI table here. The
-first save of a mapping to a path writes every row in one transaction;
-after that, a commit writes only the row it changed, so its cost does not
-grow with the number of subscribers. The file runs in WAL mode with
-``synchronous=NORMAL``: a crash of the process loses no committed row, and a
-power loss can lose the last commits but leaves a consistent file.
-
-Connections are cached here by path rather than kept on the role state, so
-that the state stays picklable. ``sqlite3`` is imported when the first store
-is opened, because processes that never persist should not pay for it.
+A file is a header naming its table and the format version, then records:
+the body's length and ``zlib.crc32``, 4 bytes each, then the body, the row's
+fields, each length-prefixed, a nullable one after a presence byte. The last
+record of a SUPI is its row. A commit appends its one row in one unsynced
+``os.write``. The first save of a mapping, and compaction once appended
+records outnumber the rows by COMPACT_SLACK, write the file whole through a
+fsynced ``path + ".tmp"``. A power loss can drop the last commits, but ``load``
+never returns a torn row. File descriptors are cached here by path, not kept
+on the role state, so the state stays picklable.
 """
 
 from __future__ import annotations
 
-import errno
 import os
+import struct
+import zlib
+from dataclasses import dataclass
 from itertools import starmap
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
-if TYPE_CHECKING:
-    import sqlite3
-
-# page cache per connection in KiB; the writes are one row each, so a small
-# cache costs nothing and keeps a 10k-row store's memory down
-CACHE_KIB = 64
+VERSION = 1
+COMPACT_SLACK = 64
+_FRAME = struct.Struct("<II")      # body length, zlib.crc32 of the body
 
 
 class Table:
-    """One role's table. The first column is the SUPI every row is keyed on."""
+    """One role's table: rows keyed on the SUPI in the first column, bytes in
+    the others, None only in the nullable one, no two SUPIs on a unique one."""
 
-    def __init__(self, name: str, *columns: str):
-        names = [c.split()[0] for c in columns]
-        updates = ", ".join(f"{n} = excluded.{n}" for n in names[1:])
-        self.create = (f"CREATE TABLE IF NOT EXISTS {name} "
-                       f"({', '.join(columns)}) WITHOUT ROWID")
-        self.select = f"SELECT {', '.join(names)} FROM {name}"
-        self.clear = f"DELETE FROM {name}"
-        self.upsert = (f"INSERT INTO {name} VALUES ({', '.join('?' * len(names))}) "
-                       f"ON CONFLICT ({names[0]}) DO UPDATE SET {updates}")
+    def __init__(self, name: str, *columns: str, nullable: str = "", unique: str = ""):
+        self.name, self.columns = name, columns
+        self.header = f"pqaka-store {VERSION} {name}\n".encode()
+        self.nullable = [c == nullable for c in columns]
+        self.unique = columns.index(unique) if unique else None
 
+    def encode(self, row: tuple) -> bytes:
+        body = bytearray()
+        for value, nullable in zip((row[0].encode(), *row[1:]), self.nullable):
+            if nullable:
+                body.append(value is not None)
+                if value is None:
+                    continue
+            body += len(value).to_bytes(4, "little") + value
+        return _FRAME.pack(len(body), zlib.crc32(body)) + body
 
-_connections: dict[str, sqlite3.Connection] = {}
-# path -> the mapping whose every entry the store at that path holds; the
-# reference keeps the mapping alive, so its identity cannot be reused
-_mirrored: dict[str, Mapping] = {}
-
-
-def _connect(path: str, table: Table) -> sqlite3.Connection:
-    db = _connections.get(path)
-    if db is None:
-        import sqlite3
-
-        db = sqlite3.connect(path, isolation_level=None)
-        try:
-            db.execute("PRAGMA journal_mode=WAL")
-            db.execute("PRAGMA synchronous=NORMAL")
-            db.execute(f"PRAGMA cache_size=-{CACHE_KIB}")
-            db.execute(table.create)
-        except sqlite3.DatabaseError:      # e.g. the file is not a database
-            db.close()
-            raise
-        _connections[path] = db
-    return db
+    def decode(self, body: bytes) -> tuple:
+        fields, at = [], 0
+        for nullable in self.nullable:
+            at += nullable
+            if nullable and not body[at - 1]:
+                fields.append(None)
+                continue
+            end = at + 4 + int.from_bytes(body[at:at + 4], "little")
+            fields.append(body[at + 4:end])
+            at = end
+        return (fields[0].decode(), *fields[1:])
 
 
-def _close(path: str) -> None:
-    db = _connections.pop(path, None)
-    if db is not None:
-        db.close()
-    _mirrored.pop(path, None)
+@dataclass
+class _Log:
+    fd: int             # opened O_APPEND
+    mapping: Mapping    # held whole by the file; the reference keeps its id unique
+    appended: int = 0   # records since the last whole write
+
+
+_logs: dict[str, _Log] = {}
 
 
 def save(path: str, table: Table, mapping: Mapping,
          row: Callable[[object, object], tuple], key: Optional[object] = None) -> None:
     """Make the store at path hold mapping; entry (k, v) is stored as row(k, v).
-
-    key names the one entry a commit changed. If the store already holds
-    this mapping, only that entry's row is written. Otherwise (the first
-    save to the path, or no key) the store is replaced by every entry of the
-    mapping in one transaction.
-    """
-    if not os.path.exists(path):
-        _close(path)       # new, or removed since it was opened: write it whole
-    db = _connect(path, table)
-    if key is not None and _mirrored.get(path) is mapping:
-        db.execute(table.upsert, row(key, mapping[key]))
+    key names the entry a commit changed; if the file holds this mapping, only
+    its row is appended, else (also if removed) the file is written whole."""
+    log = _logs.get(path)
+    if (key is not None and log is not None and log.mapping is mapping
+            and log.appended < len(mapping) + COMPACT_SLACK
+            and os.fstat(log.fd).st_nlink):
+        record = table.encode(row(key, mapping[key]))
+        if os.write(log.fd, record) != len(record):
+            os.close(_logs.pop(path).fd)   # torn: the next save writes it whole
+            raise OSError(f"short write to {path}")
+        log.appended += 1
         return
-    db.execute("BEGIN")
+    with open(path + ".tmp", "wb") as f:
+        f.write(table.header)
+        f.writelines(map(table.encode, starmap(row, mapping.items())))
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(path + ".tmp", path)
+    parent = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
-        db.execute(table.clear)
-        db.executemany(table.upsert, starmap(row, mapping.items()))
-    except BaseException:
-        db.execute("ROLLBACK")
-        raise
-    db.execute("COMMIT")
-    for other in [p for p, m in _mirrored.items() if m is mapping]:
-        del _mirrored[other]       # those stores stop receiving its commits
-    _mirrored[path] = mapping
+        os.fsync(parent)
+    finally:
+        os.close(parent)
+    for other in [p for p, l in _logs.items() if p == path or l.mapping is mapping]:
+        os.close(_logs.pop(other).fd)    # the others stop receiving its commits
+    _logs[path] = _Log(os.open(path, os.O_WRONLY | os.O_APPEND), mapping)
 
 
 def load(path: str, table: Table) -> Iterator[tuple]:
-    """Every row of the store at path. A missing store is an error, not empty."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return _connect(path, table).execute(table.select)
+    """Every row of the store at path, from the longest prefix of whole
+    records with valid checksums. A missing store is an error, not empty."""
+    with open(path, "rb") as f:
+        if f.read(len(table.header)) != table.header:
+            raise ValueError(f"{path} is not a version {VERSION} {table.name} store")
+        data = f.read()
+    rows, at = {}, _FRAME.size
+    while at <= len(data):
+        size, crc = _FRAME.unpack_from(data, at - _FRAME.size)
+        body = data[at:at + size]
+        if len(body) < size or zlib.crc32(body) != crc:
+            break
+        row = table.decode(body)
+        rows[row[0]] = row
+        at += size + _FRAME.size
+    if table.unique is not None and len({r[table.unique] for r in rows.values()}) < len(rows):
+        raise ValueError(f"{path}: two SUPIs hold one {table.columns[table.unique]}")
+    return iter(rows.values())

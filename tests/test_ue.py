@@ -184,3 +184,52 @@ def test_ue_holds_no_key_handle_after_session(tamper):
     for f in dataclasses.fields(ue_mod.UeState):
         value = getattr(world.ue, f.name)
         assert value is None or isinstance(value, (bytes, str, crypto.KemSuite)), f.name
+
+
+@pytest.mark.parametrize("mode,label", [
+    ("supi", "challenge"), ("supi", "response"), ("supi", "guti-assign"),
+    ("fallback", "challenge"), ("fallback", "response"), ("fallback", "guti-assign"),
+])
+def test_ue_drops_sk_u_when_session_ends_after_id_response(mode, label):
+    """However a session ends once sk_U is drawn, the UE no longer holds it."""
+    rng = SeededRandom(8)
+    world = sim.make_world("ecies-x25519", seed=rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    if mode == "fallback":
+        world.sn.guti_table.clear()      # the SN forgot the UE's GUTI
+    held = []
+
+    def drop(data, ctx):
+        held.append(world.ue.ephemeral is not None)
+        return None
+
+    outcome = sim.run_session(world, "guti" if mode == "fallback" else "supi",
+                              sim.ScriptedAttacker({label: drop}), rng)
+    assert held == [True]
+    assert outcome.abort_step == (None if label == "guti-assign" else label)
+    assert world.ue.ephemeral is None
+
+
+def test_ending_session_leaves_an_overlapping_sessions_sk_u(world, rng):
+    def to_challenge(steps):
+        message = next(steps)
+        while message[0] != "challenge":
+            message = steps.send(message[1])
+        return message[1]
+
+    a = sim.session(world, "supi", rng)
+    to_challenge(a)
+    b = sim.session(world, "supi", rng)
+    challenge_b = to_challenge(b)
+    pair_b = world.ue.ephemeral
+    with pytest.raises(StopIteration) as stop:
+        a.send(None)                     # A's challenge is lost
+    assert stop.value.value.abort_step == "challenge"
+    assert world.ue.ephemeral is pair_b
+    message = b.send(challenge_b)
+    while True:
+        try:
+            message = b.send(message[1])
+        except StopIteration as stop:
+            assert stop.value.completed
+            break
