@@ -4,9 +4,9 @@ Forward secrecy is decided by a knowledge-closure oracle: the session's
 value-derivation graph is rebuilt independently from raw secrets and
 transcript bytes, and a value counts as derivable only if a chain of at
 most four real operation applications (re-executed, not assumed) reaches
-it from the attacker's knowledge set. Every scenario also runs at least
-one deliberately weakened configuration whose verdict must flip, proving
-the test can discriminate.
+it from the attacker's knowledge set. Every scenario also runs controls
+that must flip, and WEAKENINGS names the weakened UEs each game must fail
+with, proving the games can discriminate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from . import crypto, hn as hn_mod, sim, ue as ue_mod, wire
+from . import crypto, hn as hn_mod, sim, ue, wire
 from .rng import RandomSource, SeededRandom
 
 CLOSURE_DEPTH = 4
@@ -225,15 +225,14 @@ class Weakened:
         return getattr(self._module, name)
 
 
-def _ue_without_mac_check(state: ue_mod.UeState, ch: wire.ChallengeMsg
-                          ) -> Optional[wire.ResponseMsg]:
+def _ue_without_mac_check(state: ue.UeState, ch: wire.ChallengeMsg) -> Optional[wire.ResponseMsg]:
     """UE that accepts any AUTN MAC on the SUPI path: it puts the MAC it
     expects, from K, sk_U and CONC, into the challenge before the real check."""
     k_star = crypto.as_shared_key(
         crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
     r_sn = crypto.xor_bytes(ch.autn.conc, crypto.prf_f("5", state.k, [k_star]))
     autn = wire.Autn(conc=ch.autn.conc, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
-    return ue_mod.ue_process_challenge(state, wire.ChallengeMsg(autn=autn, c2=ch.c2))
+    return ue.ue_process_challenge(state, wire.ChallengeMsg(autn=autn, c2=ch.c2))
 
 
 def _broken_ue() -> Weakened:
@@ -241,32 +240,30 @@ def _broken_ue() -> Weakened:
     session's key pair, and its first GUTI."""
     first: dict[str, object] = {}
 
-    def identification_response(state: ue_mod.UeState, rng: RandomSource):
+    def identification_response(state: ue.UeState, rng: RandomSource):
         if "suci" not in first:
-            first["suci"] = ue_mod.ue_identification_response(state, rng), state.ephemeral
+            first["suci"] = ue.ue_identification_response(state, rng), state.ephemeral
         msg, state.ephemeral = first["suci"]
         return msg
 
-    def guti_identification(state: ue_mod.UeState):
-        msg = ue_mod.ue_guti_identification(state)
+    def guti_identification(state: ue.UeState):
+        msg = ue.ue_guti_identification(state)
         return msg and first.setdefault("guti", msg)
 
-    return Weakened(ue_mod, ue_identification_response=identification_response,
+    return Weakened(ue, ue_identification_response=identification_response,
                     ue_guti_identification=guti_identification)
 
 
 # --- scenarios ---------------------------------------------------------------
 
 def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
-                              weaken: frozenset = frozenset()) -> Verdict:
+                              *, ue_mod=ue) -> Verdict:
     """Replayed or spliced (c2, AUTN) must be rejected by the UE."""
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
-    ue_roles = (Weakened(ue_mod, ue_process_challenge=_ue_without_mac_check)
-                if "ue-mac" in weaken else ue_mod)
 
     def run(attacker: Optional[sim.Attacker], rng: RandomSource) -> sim.SessionOutcome:
-        return sim.run_session(world, "supi", attacker, rng, ue_mod=ue_roles)
+        return sim.run_session(world, "supi", attacker, rng, ue_mod=ue_mod)
 
     a = run(None, rng)
     assert a.completed
@@ -282,8 +279,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
         attacker = sim.ScriptedAttacker({
             "challenge": lambda data, ctx: wire.encode(make(wire.decode(data)))})
         out = run(attacker, SeededRandom(seed + 1))
-        ok = (not out.completed) and out.abort_step == "ue-challenge"
-        holds = holds and ok
+        holds = holds and out.abort_step == "ue-challenge"
         evidence.append(f"{name}: abort_step={out.abort_step}")
 
     splice("replay-c2-and-autn", lambda ch_b: ch_a)
@@ -298,8 +294,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
     attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: id_a_bytes})
     out = run(attacker, SeededRandom(seed + 2))
     hn_accepted = any(e.annotation == "auth-vector" for e in out.transcript.entries)
-    suci_ok = (hn_accepted and not out.completed
-               and out.abort_step == "ue-challenge"
+    suci_ok = (hn_accepted and out.abort_step == "ue-challenge"
                and world.ue.guti == guti_before and world.ue.k_s == ks_before)
     holds = holds and suci_ok
     evidence.append(f"replay-suci: hn_accepted={hn_accepted} abort_step={out.abort_step}")
@@ -329,24 +324,22 @@ def _linkability_constants(world: sim.World) -> set[bytes]:
 
 
 def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
-                               mode: str = "supi",
-                               broken_ue: bool = False) -> Verdict:
-    """No UE-specific radio field value may repeat across sessions."""
+                               mode: str = "supi", *, ue_mod=ue) -> Verdict:
+    """No UE-specific radio field value may repeat across the UE's sessions."""
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
     ue1 = world.ue
     ue2 = sim.add_subscriber(world, "imsi-001010000000002", rng)
 
-    def run(ue: ue_mod.UeState, session_mode: str, roles=ue_mod) -> sim.SessionOutcome:
-        w = sim.World(ue=ue, sn=world.sn, hn=world.hn, suite=world.suite)
+    def run(state: ue.UeState, session_mode: str, roles=ue) -> sim.SessionOutcome:
+        w = sim.World(ue=state, sn=world.sn, hn=world.hn, suite=world.suite)
         return sim.run_session(w, session_mode, rng=rng, ue_mod=roles)
 
     if mode == "guti":
         assert run(ue1, "supi").completed and run(ue2, "supi").completed
 
-    ue1_roles = _broken_ue() if broken_ue else ue_mod
-    s1 = run(ue1, mode, ue1_roles)
-    s2 = run(ue1, mode, ue1_roles)
+    s1 = run(ue1, mode, ue_mod)
+    s2 = run(ue1, mode, ue_mod)
     s3 = run(ue2, mode)
 
     f1, f2, f3 = _field_multiset(s1), _field_multiset(s2), _field_multiset(s3)
@@ -360,9 +353,9 @@ def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
         f"cross-ue-repeats={sorted(v.hex() for v in cross_ue)}",
     ]
     controls: list[tuple[str, bool]] = []
-    if not broken_ue:
+    if ue_mod is ue:
         flipped = not scenario_linkability_probe(
-            suite_name, seed + 17, mode=mode, broken_ue=True).holds
+            suite_name, seed + 17, ue_mod=_broken_ue(), mode=mode).holds
         controls.append(("broken-ue-reuse-detected", flipped))
     return Verdict(scenario="linkability", holds=holds,
                    evidence=evidence, controls=controls)
@@ -378,13 +371,8 @@ def _sn_pre_response_values(world: sim.World, outcome: sim.SessionOutcome) -> li
             values += [p.autn.conc, p.autn.mac]
         if p.m:
             values.append(p.m)
-    for e in outcome.transcript.radio_entries():
-        if not e.data:
-            continue
-        msg = wire.decode(e.data)
-        if isinstance(msg, wire.IdResponseMsg):
-            values += [msg.c1, msg.suci_conc, msg.mac_u]
-    return values
+    ident = _radio_messages(outcome)["id-response"]
+    return values + [ident.c1, ident.suci_conc, ident.mac_u]
 
 
 def _key_candidates(values: list[bytes], depth: int = 2,
@@ -412,9 +400,10 @@ def _key_candidates(values: list[bytes], depth: int = 2,
     return {v for v in known if len(v) == 32}
 
 
-def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> Verdict:
+def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
+                                    *, ue_mod=ue) -> Verdict:
     """The SN cannot separate or pre-learn (SUPI, K_seaf), and cannot bind
-    a vector issued for one session to another UE."""
+    a vector issued for one session to another UE (run with ue_mod)."""
     evidence: list[str] = []
 
     # (a) pre-response decryption closure over SN-held material
@@ -444,8 +433,8 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0) -> 
                       if e.annotation == "challenge")
     attacker_b = sim.ScriptedAttacker({"challenge": lambda data, ctx: ch_a_bytes})
     world_b = sim.World(ue=ue_b, sn=world2.sn, hn=world2.hn, suite=world2.suite)
-    out_b = sim.run_session(world_b, "supi", attacker_b, rng2)
-    part_b = (not out_b.completed) and out_b.abort_step == "ue-challenge"
+    out_b = sim.run_session(world_b, "supi", attacker_b, rng2, ue_mod=ue_mod)
+    part_b = out_b.abort_step == "ue-challenge"
     evidence.append(f"cross-ue-challenge: abort_step={out_b.abort_step}")
 
     # (c) vector issued under a different SN identity: the HN is misled into
@@ -525,13 +514,25 @@ SCENARIOS = {
 }
 
 
+class UnusedWeakening(ValueError):
+    """run_scenarios, before any game runs: the weakening lists none of the games named."""
+
+
+# weakening -> (factory of weakened UE roles, games given them as ue_mod, each must fail)
+WEAKENINGS = {
+    "ue-mac": (lambda: Weakened(ue, ue_process_challenge=_ue_without_mac_check),
+               {"replay", "sn-binding"}),
+    "ue-reuse": (_broken_ue, {"linkability"}),
+}
+
+
 def run_scenarios(names: list[str], suite_name: str = "test", seed: int = 0,
                   weaken: frozenset = frozenset()) -> list[Verdict]:
-    verdicts = []
-    for name in names:
-        fn = SCENARIOS[name]
-        if name == "replay":
-            verdicts.append(fn(suite_name, seed, weaken=weaken))
-        else:
-            verdicts.append(fn(suite_name, seed))
-    return verdicts
+    roles = {}
+    for weakening in sorted(weaken):
+        make, games = WEAKENINGS[weakening]
+        if games.isdisjoint(names):
+            raise UnusedWeakening(f"weakening {weakening} flips none of: {', '.join(names)}")
+        roles.update((game, make) for game in games)
+    return [SCENARIOS[name](suite_name, seed, **(
+        {"ue_mod": roles[name]()} if name in roles else {})) for name in names]

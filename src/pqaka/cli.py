@@ -56,12 +56,12 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     suite = _suite_or_exit(parser, args.kem)
     if not suite.available:
         parser.error(f"KEM suite {suite.name!r} has no operational backend")
-    if args.weaken and args.scenario not in ("replay", "all"):
-        # ue-mac weakens replay only; any other game would run honestly
-        parser.error(f"--weaken does not apply to {args.scenario!r}")
     names = list(attacks.SCENARIOS) if args.scenario == "all" else [args.scenario]
-    weaken = frozenset(args.weaken or [])
-    verdicts = attacks.run_scenarios(names, suite.name, args.seed, weaken=weaken)
+    try:
+        verdicts = attacks.run_scenarios(names, suite.name, args.seed,
+                                         weaken=frozenset(args.weaken or []))
+    except attacks.UnusedWeakening as exc:
+        parser.error(str(exc))
     lines = [v.to_line() for v in verdicts]
     _write_lines(args.out, lines)
     if args.out:
@@ -111,12 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_attack = sub.add_parser("attack", help="run adversary-game scenarios")
-    p_attack.add_argument("scenario",
-                          choices=sorted(attacks.SCENARIOS) + ["all"])
+    p_attack.add_argument("scenario", choices=sorted(attacks.SCENARIOS) + ["all"])
     p_attack.add_argument("--kem", default="test")
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--out", help="verdict output file")
-    p_attack.add_argument("--weaken", action="append", choices=["ue-mac"],
+    p_attack.add_argument("--weaken", action="append", choices=sorted(attacks.WEAKENINGS),
                           help=argparse.SUPPRESS)   # negative-control hook
     p_attack.set_defaults(func=cmd_attack)
 

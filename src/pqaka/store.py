@@ -72,7 +72,8 @@ def save(path: str, table: Table, mapping: Mapping,
          row: Callable[[object, object], tuple], key: Optional[object] = None) -> None:
     """Make the store at path hold mapping; entry (k, v) is stored as row(k, v).
     key names the entry a commit changed; if the file holds this mapping, only
-    its row is appended, else (also if removed) the file is written whole."""
+    its row is appended, else (also if removed) the file is written whole.
+    A file with another table's header, or none, is refused (ValueError)."""
     log = _logs.get(path)
     if (key is not None and log is not None and log.mapping is mapping
             and log.appended < len(mapping) + COMPACT_SLACK
@@ -83,6 +84,10 @@ def save(path: str, table: Table, mapping: Mapping,
             raise OSError(f"short write to {path}")
         log.appended += 1
         return
+    if os.path.exists(path):       # e.g. the other role's store on the same path
+        with open(path, "rb") as f:
+            if f.read(len(table.header)) != table.header:
+                raise ValueError(f"{path} is not a {table.name} store; not overwritten")
     with open(path + ".tmp", "wb") as f:
         f.write(table.header)
         f.writelines(map(table.encode, starmap(row, mapping.items())))

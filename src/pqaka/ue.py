@@ -97,6 +97,8 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
     mac = crypto.prf_f("1", state.k, [k_star, r_sn])
     if not _hmac.compare_digest(mac, ch.autn.mac):
         _abort(state)
+        if ch.c2 is None:    # the HN may hold another K_S: identify by SUPI next
+            state.guti = None
         return None
 
     res_star, state.k_seaf, state.k_s_pending = crypto.session_keys(

@@ -110,7 +110,7 @@ def test_criterion_6_linkability_with_broken_ue_control():
         verdict = attacks.scenario_linkability_probe(mode=mode)
         assert verdict.holds, mode
         assert dict(verdict.controls)["broken-ue-reuse-detected"], mode
-    assert not attacks.scenario_linkability_probe(broken_ue=True).holds
+    assert not attacks.scenario_linkability_probe(ue_mod=attacks._broken_ue()).holds
 
 
 def test_criterion_7_communication_cost_table_exact():

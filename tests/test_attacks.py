@@ -22,7 +22,8 @@ def test_replay_scenario_holds():
 
 
 def test_replay_scenario_fails_without_ue_mac_check():
-    v = attacks.scenario_replay_challenge(weaken=frozenset({"ue-mac"}))
+    make_roles, _games = attacks.WEAKENINGS["ue-mac"]
+    v = attacks.scenario_replay_challenge(ue_mod=make_roles())
     assert not v.holds
     # the UE lets every splice through: the two that replay c2 die at the
     # SN's HXRES* check, and a replayed AUTN with a fresh c2 completes
@@ -41,8 +42,45 @@ def test_linkability_scenario_holds_both_modes():
 
 @pytest.mark.parametrize("mode", ["supi", "guti"])
 def test_linkability_broken_ue_detected(mode):
-    v = attacks.scenario_linkability_probe(mode=mode, broken_ue=True)
+    v = attacks.scenario_linkability_probe(mode=mode, ue_mod=attacks._broken_ue())
     assert not v.holds
+
+
+# (weakening, game, linkability mode) for every game a weakening lists
+WEAKENED_GAMES = [
+    (weakening, game, mode)
+    for weakening, (_make, games) in attacks.WEAKENINGS.items()
+    for game in sorted(games)
+    for mode in (["supi", "guti"] if game == "linkability" else [None])]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
+@pytest.mark.parametrize("weakening, game, mode", WEAKENED_GAMES)
+def test_each_weakening_fails_every_game_it_lists(weakening, game, mode, suite, seed):
+    make_roles, _games = attacks.WEAKENINGS[weakening]
+    kwargs = {"mode": mode} if mode else {}
+    v = attacks.SCENARIOS[game](suite, seed, ue_mod=make_roles(), **kwargs)
+    assert not v.holds
+
+
+def test_weakened_sn_binding_game_fails_at_the_sn():
+    """With ue-mac, UE B answers UE A's forwarded challenge; the SN's
+    HXRES* check, not the UE, then ends the session."""
+    make_roles, _games = attacks.WEAKENINGS["ue-mac"]
+    v = attacks.scenario_compromised_sn_binding(ue_mod=make_roles())
+    assert "cross-ue-challenge: abort_step=sn-verify" in v.evidence
+
+
+def test_run_scenarios_refuses_a_weakening_that_lists_none_of_the_games(monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a game ran before the weakenings were checked")
+
+    monkeypatch.setattr(sim, "run_session", no_session)
+    for weakening, (_make, games) in attacks.WEAKENINGS.items():
+        others = [n for n in attacks.SCENARIOS if n not in games]
+        with pytest.raises(attacks.UnusedWeakening, match=others[0]):
+            attacks.run_scenarios(others, weaken=frozenset({weakening}))
 
 
 def test_broken_ue_reaches_only_the_sessions_it_is_passed_to(world, rng):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pqaka import cli
+from pqaka import attacks, cli
 from pqaka.crypto import available_suites
 
 
@@ -69,13 +69,24 @@ def test_attack_weakened_ue_fails():
     assert run_cli("attack", "replay", "--weaken", "ue-mac") == 1
 
 
-@pytest.mark.parametrize("scenario", ["linkability", "sn-binding", "forward-secrecy"])
+@pytest.mark.parametrize("scenario", list(attacks.SCENARIOS))
 def test_attack_weakening_on_game_without_it_is_usage_error(scenario, capsys):
-    """ue-mac weakens the replay game only; elsewhere it would run the honest game."""
-    with pytest.raises(SystemExit) as exc:
-        run_cli("attack", scenario, "--weaken", "ue-mac")
-    assert exc.value.code == 2
-    assert scenario in capsys.readouterr().err
+    """A weakening that does not list the game would run the honest game."""
+    unlisted = [w for w, (_make, games) in attacks.WEAKENINGS.items()
+                if scenario not in games]
+    assert unlisted
+    for weakening in unlisted:
+        with pytest.raises(SystemExit) as exc:
+            run_cli("attack", scenario, "--weaken", weakening)
+        assert exc.value.code == 2
+        assert scenario in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weakening", list(attacks.WEAKENINGS))
+def test_attack_weakening_fails_each_game_it_lists(weakening):
+    _make, games = attacks.WEAKENINGS[weakening]
+    for scenario in sorted(games) + ["all"]:
+        assert run_cli("attack", scenario, "--weaken", weakening) == 1, scenario
 
 
 def test_attack_unknown_weakening_usage_error(tmp_path, capsys):

@@ -54,6 +54,50 @@ def test_unknown_guti_triggers_reidentification(world, rng):
     assert annotations.count("id-request") == 2   # fallback request to the UE
 
 
+def test_lost_hn_pending_entry_heals_at_the_next_session():
+    """An HN restart during a GUTI session loses its staged K_S while the UE
+    and SN commit theirs. The next GUTI challenge fails at the UE, which then
+    identifies by SUPI, and the ratchet is in step again."""
+    rng = SeededRandom(1)
+    world = sim.make_world("test", seed=rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    steps = sim.session(world, "guti", rng)
+    label, data = next(steps)
+    while label != "response":
+        label, data = steps.send(data)
+    world.hn.pending.clear()
+    try:
+        while True:
+            label, data = steps.send(data)
+    except StopIteration as stop:
+        lost = stop.value
+    assert lost.completed and lost.k_seaf_hn is None
+    outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(5)]
+    assert [o.abort_step for o in outcomes] == ["ue-challenge"] + [None] * 4
+    assert [o.key_source for o in outcomes[1:]] == ["supi", "guti", "guti", "guti"]
+
+
+def test_failed_guti_challenge_sends_every_ue_to_supi_alike(world, rng):
+    """A victim's GUTI challenge replayed to the victim and to a second UE
+    fails at both, and both identify by SUPI next: the failure does not
+    tell the two apart."""
+    other = sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
+                      sn=world.sn, hn=world.hn, suite=world.suite)
+    for w in (world, other):
+        assert sim.run_session(w, "supi", rng=rng).completed
+    recorded = sim.run_session(world, "guti", rng=rng)
+    assert recorded.completed and recorded.key_source == "guti"
+    old = next(e.data for e in recorded.transcript.radio_entries()
+               if e.annotation == "challenge")
+    replay = sim.ScriptedAttacker({"challenge": lambda data, ctx: old})
+    for w in (world, other):
+        assert sim.run_session(w, "guti", replay, rng).abort_step == "ue-challenge"
+        nxt = sim.run_session(w, "guti", rng=rng)
+        assert [e.annotation for e in nxt.transcript.radio_entries()][:2] == [
+            "id-request", "id-response"]
+        assert nxt.completed and nxt.key_source == "supi"
+
+
 def test_hn_identification_abort_ends_session_and_frees_pending(world, rng):
     def zero_mac(data, ctx):
         return wire.encode(dataclasses.replace(wire.decode(data), mac_u=bytes(32)))

@@ -202,6 +202,34 @@ def test_file_with_a_wrong_header_raises(tmp_path):
             load(old)
 
 
+@pytest.mark.parametrize("first", ROLES)
+def test_save_refuses_the_path_of_the_other_roles_store(tmp_path, first):
+    """One file holds one role's table: the other role's first save raises
+    and writes nothing, so the file still loads as the first role's."""
+    second = next(role for role in ROLES if role != first)
+    path = str(tmp_path / "shared")
+    ROLES[first][0](path, _rows(first, 2))
+    with open(path, "rb") as f:
+        data = f.read()
+    with pytest.raises(ValueError, match="shared"):
+        ROLES[second][0](path, _rows(second, 2))
+    with open(path, "rb") as f:
+        assert f.read() == data
+    assert os.listdir(tmp_path) == ["shared"]
+    assert ROLES[first][1](path) == _rows(first, 2)
+
+
+def test_roles_given_one_persist_path_fail_at_the_second_save(tmp_path):
+    """The SN commits first in a session; the HN's save then raises instead
+    of replacing the SN's table with its own."""
+    rng = SeededRandom(7)
+    world = _provisioned(2, rng)[0]
+    world.hn.persist_path = world.sn.persist_path = path = str(tmp_path / "state")
+    with pytest.raises(ValueError):
+        sim.run_session(world, "guti", rng=rng)
+    assert sn_mod.load_guti_table(path) == world.sn.guti_table
+
+
 def test_guti_table_with_two_supis_on_one_guti_raises(tmp_path):
     path = str(tmp_path / "sn")
     table = _rows("sn", 2)
