@@ -38,6 +38,23 @@ class Verdict:
 
 # --- derivation-graph knowledge closure -------------------------------------
 
+def _open_suci(key: bytes, suci_conc: bytes) -> tuple[str, bytes, bytes]:
+    return wire.unpack_suci_payload(crypto.aead_open(key, suci_conc))
+
+
+# recipe op -> its executable form, called as _OPS[op](suite, *input_values)
+_OPS = {
+    "decaps": lambda suite, sk, ct: crypto.as_shared_key(crypto.kem_decaps(suite, sk, ct)),
+    **{f"f{i}": lambda suite, key, *values, i=i: crypto.prf_f(i, key, list(values))
+       for i in "12345"},
+    "kdf": lambda suite, *values: crypto.kdf(list(values)),
+    "hash": lambda suite, *values: crypto.hash_h(list(values)),
+    "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
+    "open-suci-supi": lambda suite, key, ct: _open_suci(key, ct)[0].encode(),
+    "open-suci-pk": lambda suite, key, ct: _open_suci(key, ct)[1],
+}
+
+
 @dataclass
 class _Node:
     value: bytes
@@ -57,27 +74,12 @@ class DerivationGraph:
         if public:
             self.public.add(name)
 
-    def derived(self, name: str, value: bytes, op: str, inputs: tuple[str, ...]) -> None:
-        node = self.nodes.setdefault(name, _Node(value=bytes(value)))
-        node.recipes.append((op, inputs))
-
-    def _apply(self, op: str, values: list[bytes]) -> bytes:
-        if op == "decaps":
-            return crypto.as_shared_key(
-                crypto.kem_decaps(self.suite, values[0], values[1]))
-        if op.startswith("f"):
-            return crypto.prf_f(op[1:], values[0], values[1:])
-        if op == "kdf":
-            return crypto.kdf(values)
-        if op == "hash":
-            return crypto.hash_h(values)
-        if op == "xor":
-            return crypto.xor_bytes(values[0], values[1])
-        if op == "open-suci-supi":
-            return wire.unpack_suci_payload(crypto.aead_open(values[0], values[1]))[0].encode()
-        if op == "open-suci-pk":
-            return wire.unpack_suci_payload(crypto.aead_open(values[0], values[1]))[1]
-        raise ValueError(f"unknown op {op!r}")
+    def derived(self, name: str, op: str, *inputs: str) -> None:
+        """Add a recipe; a new node takes the bytes it computes, a node that
+        already holds bytes keeps them."""
+        if name not in self.nodes:
+            self.nodes[name] = _Node(_OPS[op](self.suite, *(self.nodes[i].value for i in inputs)))
+        self.nodes[name].recipes.append((op, inputs))
 
     def closure(self, base: set[str], depth: int = CLOSURE_DEPTH) -> dict[str, int]:
         """Names deducible from base within `depth` operation applications.
@@ -97,7 +99,7 @@ class DerivationGraph:
                     if d > depth:
                         continue
                     try:
-                        got = self._apply(op, [self.nodes[i].value for i in inputs])
+                        got = _OPS[op](self.suite, *(self.nodes[i].value for i in inputs))
                     except (crypto.CryptoError, crypto.AeadFailure, wire.ParseError):
                         continue
                     if got == node.value:
@@ -147,68 +149,49 @@ def run_captured(world: sim.World, mode: str, rng: RandomSource
 def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
                         capture: OracleCapture) -> DerivationGraph:
     """Independent reconstruction of one session's derivation chains; the
-    atoms taken from radio bytes, and the public identities, form g.public."""
+    atoms taken from radio bytes, and the public identities, form g.public.
+    Raises ValueError unless the rebuilt k_seaf is the UE's K_seaf."""
     g = DerivationGraph(world.suite)
     radio = _radio_messages(outcome)
-    suite = world.suite
-
-    k = world.ue.k
-    sk_h = world.hn.kem_pair.sk
-    id_sn = world.sn.id_sn.encode()
-    g.atom("k", k)
-    g.atom("sk_h", sk_h)
-    g.atom("id_sn", id_sn, public=True)
+    g.atom("k", world.ue.k)
+    g.atom("sk_h", world.hn.kem_pair.sk)
+    g.atom("id_sn", world.sn.id_sn.encode(), public=True)
     g.atom("id_hn", world.hn.id_hn.encode(), public=True)
 
     ch = radio["challenge"]
-    resp = radio["response"]
-    conc, mac = ch.autn.conc, ch.autn.mac
-    g.atom("conc", conc, public=True)
-    g.atom("mac", mac, public=True)
-    g.atom("res_star", resp.res_star, public=True)
+    g.atom("conc", ch.autn.conc, public=True)
+    g.atom("mac", ch.autn.mac, public=True)
+    g.atom("res_star", radio["response"].res_star, public=True)
 
     if outcome.key_source == "supi":
         ident = radio["id-response"]
-        sk_u = capture.sk_u
         g.atom("c1", ident.c1, public=True)
         g.atom("suci_conc", ident.suci_conc, public=True)
         g.atom("mac_u", ident.mac_u, public=True)
-        g.atom("sk_u", sk_u)
+        g.atom("sk_u", capture.sk_u)
         g.atom("c2", ch.c2, public=True)
-
-        k_s1 = crypto.as_shared_key(crypto.kem_decaps(suite, sk_h, ident.c1))
-        g.derived("k_s1", k_s1, "decaps", ("sk_h", "c1"))
-        supi, pk_u, _ = wire.unpack_suci_payload(
-            crypto.aead_open(k_s1, ident.suci_conc))
-        g.derived("supi", supi.encode(), "open-suci-supi", ("k_s1", "suci_conc"))
-        g.derived("pk_u", pk_u, "open-suci-pk", ("k_s1", "suci_conc"))
-        k_star = crypto.as_shared_key(crypto.kem_decaps(suite, sk_u, ch.c2))
-        g.derived("k_star", k_star, "decaps", ("sk_u", "c2"))
+        g.atom("supi", world.ue.supi.encode())     # the SUCI must open to it
+        g.derived("k_s1", "decaps", "sk_h", "c1")
+        g.derived("supi", "open-suci-supi", "k_s1", "suci_conc")
+        g.derived("pk_u", "open-suci-pk", "k_s1", "suci_conc")
+        g.derived("k_star", "decaps", "sk_u", "c2")
     else:
-        k_s_prev, r_sn_prime = capture.k_s_prev, capture.r_sn_prime
-        g.atom("k_s_prev", k_s_prev)
-        g.atom("r_sn_prime", r_sn_prime)
-        k_star = crypto.xor_bytes(k_s_prev, r_sn_prime)
-        g.derived("k_star", k_star, "xor", ("k_s_prev", "r_sn_prime"))
+        g.atom("k_s_prev", capture.k_s_prev)
+        g.atom("r_sn_prime", capture.r_sn_prime)
+        g.derived("k_star", "xor", "k_s_prev", "r_sn_prime")
 
-    ak = crypto.prf_f("5", k, [k_star])
-    g.derived("ak", ak, "f5", ("k", "k_star"))
-    r_sn = crypto.xor_bytes(conc, ak)
-    g.derived("r_sn", r_sn, "xor", ("conc", "ak"))
-    g.derived("mac", crypto.prf_f("1", k, [k_star, r_sn]), "f1", ("k", "k_star", "r_sn"))
-    res = crypto.prf_f("2", k, [k_star])
-    ck = crypto.prf_f("3", k, [k_star])
-    ik = crypto.prf_f("4", k, [k_star])
-    g.derived("res", res, "f2", ("k", "k_star"))
-    g.derived("ck", ck, "f3", ("k", "k_star"))
-    g.derived("ik", ik, "f4", ("k", "k_star"))
-    g.derived("res_star", crypto.kdf([ck, ik, k_star, res, id_sn]),
-              "kdf", ("ck", "ik", "k_star", "res", "id_sn"))
-    k_ausf = crypto.kdf([ck, ik, k_star, conc, id_sn])
-    g.derived("k_ausf", k_ausf, "kdf", ("ck", "ik", "k_star", "conc", "id_sn"))
-    k_seaf = crypto.kdf([k_ausf, id_sn])
-    g.derived("k_seaf", k_seaf, "kdf", ("k_ausf", "id_sn"))
-    g.derived("k_s_new", crypto.hash_h([k_star, r_sn]), "hash", ("k_star", "r_sn"))
+    g.derived("ak", "f5", "k", "k_star")
+    g.derived("r_sn", "xor", "conc", "ak")
+    g.derived("mac", "f1", "k", "k_star", "r_sn")
+    g.derived("res", "f2", "k", "k_star")
+    g.derived("ck", "f3", "k", "k_star")
+    g.derived("ik", "f4", "k", "k_star")
+    g.derived("res_star", "kdf", "ck", "ik", "k_star", "res", "id_sn")
+    g.derived("k_ausf", "kdf", "ck", "ik", "k_star", "conc", "id_sn")
+    g.derived("k_seaf", "kdf", "k_ausf", "id_sn")
+    g.derived("k_s_new", "hash", "k_star", "r_sn")
+    if g.nodes["k_seaf"].value != outcome.k_seaf_ue:
+        raise ValueError("the rebuilt k_seaf is not the session's K_seaf")
     return g
 
 
@@ -467,43 +450,32 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
     """Long-term compromise after the fact must not reveal session keys."""
     evidence: list[str] = []
     controls: list[tuple[str, bool]] = []
-
-    # SUPI mode
+    holds = True
+    k_seaf: dict[str, bytes] = {}
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
-    out, capture = run_captured(world, "supi", rng)
-    assert out.completed
-    g = build_session_graph(world, out, capture)
-    base = g.public | {"k", "sk_h"}
-    closure = g.closure(base)
-    supi_holds = "k_seaf" not in closure and "k_star" not in closure
-    evidence.append(f"supi: closure={sorted(closure)}")
-    with_sku = g.closure(base | {"sk_u"})
-    controls.append(("supi-sk_u-reveals-k_seaf",
-                     "k_seaf" in with_sku and with_sku["k_seaf"] <= CLOSURE_DEPTH))
-
-    # GUTI mode, ratchet already advanced once
-    out_g, capture_g = run_captured(world, "guti", rng)
-    assert out_g.completed and out_g.key_source == "guti"
-    gg = build_session_graph(world, out_g, capture_g)
-    base_g = gg.public | {"k", "sk_h"}
-    closure_g = gg.closure(base_g)
-    guti_holds = "k_seaf" not in closure_g and "k_star" not in closure_g
-    evidence.append(f"guti: closure={sorted(closure_g)}")
-    with_ratchet = gg.closure(base_g | {"k_s_prev", "r_sn_prime"})
-    controls.append(("guti-pre-ratchet-state-reveals-k_seaf",
-                     "k_seaf" in with_ratchet))
+    # (path, control, the UE secrets that must reveal k_seaf); the GUTI
+    # session runs with the ratchet already advanced once
+    for mode, control, secrets in (
+            ("supi", "supi-sk_u-reveals-k_seaf", {"sk_u"}),
+            ("guti", "guti-pre-ratchet-state-reveals-k_seaf", {"k_s_prev", "r_sn_prime"})):
+        out, capture = run_captured(world, mode, rng)
+        assert out.completed and out.key_source == mode
+        k_seaf[mode] = out.k_seaf_ue
+        g = build_session_graph(world, out, capture)
+        base = g.public | {"k", "sk_h"}
+        closure = g.closure(base)
+        holds = holds and "k_seaf" not in closure and "k_star" not in closure
+        evidence.append(f"{mode}: closure={sorted(closure)}")
+        controls.append((control, "k_seaf" in g.closure(base | secrets)))
 
     # backward direction: session i's anchor key does not yield session i+1's
-    gg.atom("k_seaf_prev", out.k_seaf_ue)
-    backward = gg.closure(gg.public | {"k_seaf_prev"})
-    backward_holds = "k_seaf" not in backward
+    g.atom("k_seaf_prev", k_seaf["supi"])
+    backward = g.closure(g.public | {"k_seaf_prev"})
+    holds = holds and "k_seaf" not in backward
     evidence.append(f"backward: k_seaf_next_derivable={'k_seaf' in backward}")
-
-    return Verdict(
-        scenario="forward-secrecy",
-        holds=supi_holds and guti_holds and backward_holds,
-        evidence=evidence, controls=controls)
+    return Verdict(scenario="forward-secrecy", holds=holds,
+                   evidence=evidence, controls=controls)
 
 
 SCENARIOS = {

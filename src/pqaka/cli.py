@@ -13,13 +13,17 @@ from .crypto import get_suite, registered_suites
 from .rng import SeededRandom
 
 
-def _write_lines(path: Optional[str], lines: list[str]) -> None:
+def _write_lines(parser: argparse.ArgumentParser, path: Optional[str],
+                 lines: list[str]) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror}")
 
 
 def _suite_or_exit(parser: argparse.ArgumentParser, name: str):
@@ -31,6 +35,8 @@ def _suite_or_exit(parser: argparse.ArgumentParser, name: str):
 
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.sessions < 0:
+        parser.error("--sessions must not be negative")
     suite = _suite_or_exit(parser, args.kem)
     if not suite.available:
         parser.error(f"KEM suite {suite.name!r} has no operational backend")
@@ -45,7 +51,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if mode == "guti" and world.ue.guti is None:
             mode = "supi"    # nothing to resolve yet; provision first
         outcomes.append(sim.run_session(world, mode, rng=rng))
-    _write_lines(args.out, sim.export_transcript(outcomes))
+    _write_lines(parser, args.out, sim.export_transcript(outcomes))
     failed = [i for i, o in enumerate(outcomes) if not o.completed]
     for i in failed:
         print(f"session {i} aborted at {outcomes[i].abort_step}", file=sys.stderr)
@@ -63,7 +69,7 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     except attacks.UnusedWeakening as exc:
         parser.error(str(exc))
     lines = [v.to_line() for v in verdicts]
-    _write_lines(args.out, lines)
+    _write_lines(parser, args.out, lines)
     if args.out:
         for line in lines:
             print(line.split(" evidence=")[0])
@@ -83,7 +89,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rows = bench.run_bench(_suite_list(parser, args.kem), args.iters)
     print(bench.format_bench_table(rows))
     if args.out:
-        _write_lines(args.out, bench.rows_jsonl(rows))
+        _write_lines(parser, args.out, bench.rows_jsonl(rows))
     return 0
 
 
@@ -91,7 +97,7 @@ def cmd_sizes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rows = bench.run_sizes(_suite_list(parser, args.kem))
     print(bench.format_size_table(rows))
     if args.out:
-        _write_lines(args.out, bench.rows_jsonl(rows))
+        _write_lines(parser, args.out, bench.rows_jsonl(rows))
     return 0
 
 

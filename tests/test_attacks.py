@@ -1,5 +1,6 @@
 """Adversary-game scenarios and the derivation-closure oracle."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -123,11 +124,10 @@ def test_verdicts_carry_witness_evidence():
 
 def test_closure_re_executes_recipes():
     g = attacks.DerivationGraph(TEST_KEM)
-    a, b = b"\x01" * 32, b"\x02" * 32
-    g.atom("a", a)
-    g.atom("b", b)
-    g.derived("x", crypto.xor_bytes(a, b), "xor", ("a", "b"))
-    g.derived("y", crypto.kdf([crypto.xor_bytes(a, b)]), "kdf", ("x",))
+    g.atom("a", b"\x01" * 32)
+    g.atom("b", b"\x02" * 32)
+    g.derived("x", "xor", "a", "b")
+    g.derived("y", "kdf", "x")
     closure = g.closure({"a", "b"})
     assert closure["x"] == 1 and closure["y"] == 2
 
@@ -135,10 +135,8 @@ def test_closure_re_executes_recipes():
 def test_closure_depth_bound():
     g = attacks.DerivationGraph(TEST_KEM)
     g.atom("v0", b"\x03" * 32)
-    prev = b"\x03" * 32
     for i in range(1, 7):
-        prev = crypto.kdf([prev])
-        g.derived(f"v{i}", prev, "kdf", (f"v{i-1}",))
+        g.derived(f"v{i}", "kdf", f"v{i-1}")
     closure = g.closure({"v0"}, depth=4)
     assert "v4" in closure and "v5" not in closure
 
@@ -146,8 +144,9 @@ def test_closure_depth_bound():
 def test_closure_rejects_wrong_recipe_bytes():
     g = attacks.DerivationGraph(TEST_KEM)
     g.atom("a", b"\x04" * 32)
-    # claimed derivation whose recipe does not reproduce the value
-    g.derived("bogus", b"\xff" * 32, "kdf", ("a",))
+    # a node that holds bytes keeps them; its recipe does not reproduce them
+    g.atom("bogus", b"\xff" * 32)
+    g.derived("bogus", "kdf", "a")
     assert "bogus" not in g.closure({"a"})
 
 
@@ -158,6 +157,15 @@ def test_session_graph_reconstructs_anchor_key(world, rng):
     base = g.public | {"k", "sk_h", "sk_u"}
     closure = g.closure(base)
     assert "k_seaf" in closure
+
+
+def test_session_graph_refuses_an_outcome_with_another_k_seaf(world, rng):
+    """The rebuilt k_seaf is the session's K_seaf, or the graph is refused."""
+    outcome, capture = attacks.run_captured(world, "supi", rng)
+    attacks.build_session_graph(world, outcome, capture)
+    forged = dataclasses.replace(outcome, k_seaf_ue=bytes(32))
+    with pytest.raises(ValueError, match="k_seaf"):
+        attacks.build_session_graph(world, forged, capture)
 
 
 def test_session_graph_public_set_distinguishes_paths(world, rng):

@@ -27,6 +27,24 @@ def test_run_zero_sessions(tmp_path):
     assert out.read_text() == ""
 
 
+def test_run_negative_sessions_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--sessions", "-3")
+    assert exc.value.code == 2
+    assert "--sessions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["attack", "replay"]])
+def test_unwritable_out_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("pqaka: error:")]
+    assert len(errors) == 1 and str(out) in errors[0]
+
+
 def test_run_unknown_kem_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--kem", "nosuch")
