@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from . import crypto, hn as hn_mod, sim, ue, wire
 from .rng import RandomSource, SeededRandom
@@ -210,12 +210,20 @@ class Weakened:
 
 def _ue_without_mac_check(state: ue.UeState, ch: wire.ChallengeMsg) -> Optional[wire.ResponseMsg]:
     """UE that accepts any AUTN MAC on the SUPI path: it puts the MAC it
-    expects, from K, sk_U and CONC, into the challenge before the real check."""
-    k_star = crypto.as_shared_key(
-        crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
-    r_sn = crypto.xor_bytes(ch.autn.conc, crypto.prf_f("5", state.k, [k_star]))
-    autn = wire.Autn(conc=ch.autn.conc, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
-    return ue.ue_process_challenge(state, wire.ChallengeMsg(autn=autn, c2=ch.c2))
+    expects, from K, sk_U and CONC, into the challenge before the real check.
+    A challenge it cannot splice (no c2, no pending sk_U, or a c2 that does
+    not decapsulate) goes to the honest UE as it came."""
+    if ch.c2 is not None and state.ephemeral is not None:
+        try:
+            k_star = crypto.as_shared_key(
+                crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
+        except crypto.CryptoError:
+            pass
+        else:
+            r_sn = crypto.xor_bytes(ch.autn.conc, crypto.prf_f("5", state.k, [k_star]))
+            ch = wire.ChallengeMsg(c2=ch.c2, autn=wire.Autn(
+                conc=ch.autn.conc, mac=crypto.prf_f("1", state.k, [k_star, r_sn])))
+    return ue.ue_process_challenge(state, ch)
 
 
 def _broken_ue() -> Weakened:
@@ -498,13 +506,20 @@ WEAKENINGS = {
 }
 
 
-def run_scenarios(names: list[str], suite_name: str = "test", seed: int = 0,
-                  weaken: frozenset = frozenset()) -> list[Verdict]:
+def weakened_roles(names: list[str], weaken: frozenset) -> dict[str, Callable[[], Weakened]]:
+    """The factory of weakened roles for each of the named games that a
+    weakening in weaken lists; UnusedWeakening if one lists none of them."""
     roles = {}
     for weakening in sorted(weaken):
         make, games = WEAKENINGS[weakening]
         if games.isdisjoint(names):
             raise UnusedWeakening(f"weakening {weakening} flips none of: {', '.join(names)}")
         roles.update((game, make) for game in games)
+    return roles
+
+
+def run_scenarios(names: list[str], suite_name: str = "test", seed: int = 0,
+                  weaken: frozenset = frozenset()) -> list[Verdict]:
+    roles = weakened_roles(names, weaken)
     return [SCENARIOS[name](suite_name, seed, **(
         {"ue_mod": roles[name]()} if name in roles else {})) for name in names]

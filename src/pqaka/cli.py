@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Optional
+from typing import Optional, TextIO
 
 from . import backends  # noqa: F401  (registers the real KEM suites)
 from . import attacks, bench, sim
@@ -13,17 +14,20 @@ from .crypto import get_suite, registered_suites
 from .rng import SeededRandom
 
 
-def _write_lines(parser: argparse.ArgumentParser, path: Optional[str],
-                 lines: list[str]) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
+def _open_out(parser: argparse.ArgumentParser,
+              path: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
+    """The --out file, opened before any work so that a bad path costs
+    none; stdout when no path is given."""
     if not path:
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return open(path, "w")
     except OSError as exc:
         parser.error(f"cannot write {path}: {exc.strerror}")
+
+
+def _write_lines(out: TextIO, lines: list[str]) -> None:
+    out.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def _suite_or_exit(parser: argparse.ArgumentParser, name: str):
@@ -40,18 +44,19 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     suite = _suite_or_exit(parser, args.kem)
     if not suite.available:
         parser.error(f"KEM suite {suite.name!r} has no operational backend")
-    rng = SeededRandom(args.seed)
-    world = sim.make_world(suite.name, seed=rng)
-    outcomes = []
-    for i in range(args.sessions):
-        if args.mode == "mixed":
-            mode = "supi" if i % 2 == 0 else "guti"
-        else:
-            mode = args.mode
-        if mode == "guti" and world.ue.guti is None:
-            mode = "supi"    # nothing to resolve yet; provision first
-        outcomes.append(sim.run_session(world, mode, rng=rng))
-    _write_lines(parser, args.out, sim.export_transcript(outcomes))
+    with _open_out(parser, args.out) as out:
+        rng = SeededRandom(args.seed)
+        world = sim.make_world(suite.name, seed=rng)
+        outcomes = []
+        for i in range(args.sessions):
+            if args.mode == "mixed":
+                mode = "supi" if i % 2 == 0 else "guti"
+            else:
+                mode = args.mode
+            if mode == "guti" and world.ue.guti is None:
+                mode = "supi"    # nothing to resolve yet; provision first
+            outcomes.append(sim.run_session(world, mode, rng=rng))
+        _write_lines(out, sim.export_transcript(outcomes))
     failed = [i for i, o in enumerate(outcomes) if not o.completed]
     for i in failed:
         print(f"session {i} aborted at {outcomes[i].abort_step}", file=sys.stderr)
@@ -63,13 +68,15 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if not suite.available:
         parser.error(f"KEM suite {suite.name!r} has no operational backend")
     names = list(attacks.SCENARIOS) if args.scenario == "all" else [args.scenario]
+    weaken = frozenset(args.weaken or [])
     try:
-        verdicts = attacks.run_scenarios(names, suite.name, args.seed,
-                                         weaken=frozenset(args.weaken or []))
+        attacks.weakened_roles(names, weaken)
     except attacks.UnusedWeakening as exc:
         parser.error(str(exc))
-    lines = [v.to_line() for v in verdicts]
-    _write_lines(parser, args.out, lines)
+    with _open_out(parser, args.out) as out:
+        verdicts = attacks.run_scenarios(names, suite.name, args.seed, weaken=weaken)
+        lines = [v.to_line() for v in verdicts]
+        _write_lines(out, lines)
     if args.out:
         for line in lines:
             print(line.split(" evidence=")[0])
@@ -86,18 +93,22 @@ def _suite_list(parser: argparse.ArgumentParser, csv: str) -> list[str]:
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.iters < 2:
         parser.error("--iters must be at least 2: the IQR needs two samples")
-    rows = bench.run_bench(_suite_list(parser, args.kem), args.iters)
-    print(bench.format_bench_table(rows))
-    if args.out:
-        _write_lines(parser, args.out, bench.rows_jsonl(rows))
+    names = _suite_list(parser, args.kem)
+    with _open_out(parser, args.out) as out:
+        rows = bench.run_bench(names, args.iters)
+        print(bench.format_bench_table(rows))
+        if args.out:
+            _write_lines(out, bench.rows_jsonl(rows))
     return 0
 
 
 def cmd_sizes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    rows = bench.run_sizes(_suite_list(parser, args.kem))
-    print(bench.format_size_table(rows))
-    if args.out:
-        _write_lines(parser, args.out, bench.rows_jsonl(rows))
+    names = _suite_list(parser, args.kem)
+    with _open_out(parser, args.out) as out:
+        rows = bench.run_sizes(names)
+        print(bench.format_size_table(rows))
+        if args.out:
+            _write_lines(out, bench.rows_jsonl(rows))
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -23,7 +23,12 @@ AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
 # domain-separation tags for the f-family
-_F_TAGS = {"1": 0x01, "2": 0x02, "3": 0x03, "4": 0x04, "5": 0x05}
+_F_TAGS = {"1": b"\x01", "2": b"\x02", "3": b"\x03", "4": b"\x04", "5": b"\x05"}
+
+# RFC 2104 key pads as bytes.translate tables: byte b becomes b ^ pad
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_SHA256_BLOCK = 64
 
 
 class CryptoError(Exception):
@@ -45,18 +50,42 @@ def _check_key(key: bytes) -> None:
 
 def _lp(inputs: list[bytes] | tuple[bytes, ...]) -> bytes:
     """Length-prefixed concatenation: 4-byte big-endian length per field."""
-    return b"".join([len(x).to_bytes(4, "big") + x for x in inputs])
+    parts = []
+    for x in inputs:
+        parts.append(len(x).to_bytes(4, "big"))
+        parts.append(x)
+    return b"".join(parts)
 
 
-def prf_f(index: str, key: bytes, inputs: list[bytes]) -> bytes:
-    """f_index(key, inputs): HMAC-SHA-256 over a tag byte plus the inputs."""
+class PrfKey(NamedTuple):
+    """A key loaded for the f-family: the SHA-256 states after HMAC's inner
+    and outer key blocks. It is derived from the key, so keep it in a local
+    for the calls of one session, never in role state or outcomes."""
+    inner: object
+    outer: object
+
+
+def prf_key(key: bytes) -> PrfKey:
+    """Check the key and hash its two HMAC-SHA-256 key blocks once."""
+    _check_key(key)
+    block = key.ljust(_SHA256_BLOCK, b"\0")
+    return PrfKey(hashlib.sha256(block.translate(_IPAD)),
+                  hashlib.sha256(block.translate(_OPAD)))
+
+
+def prf_f(index: str, key: bytes | PrfKey, inputs: list[bytes]) -> bytes:
+    """f_index(key, inputs): HMAC-SHA-256 over a tag byte plus the inputs,
+    under the raw key or the PrfKey that prf_key loaded from it."""
     if index not in _F_TAGS:
         raise CryptoError(f"unknown f-index {index!r}")
-    _check_key(key)
+    inner, outer = key if isinstance(key, PrfKey) else prf_key(key)
     if not inputs:
         raise CryptoError("f-family requires at least one input")
-    msg = bytes([_F_TAGS[index]]) + _lp(inputs)
-    return _hmac.new(key, msg, hashlib.sha256).digest()
+    inner = inner.copy()
+    inner.update(_F_TAGS[index] + _lp(inputs))
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def kdf(inputs: list[bytes]) -> bytes:
@@ -135,9 +164,10 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def session_keys(k: bytes, k_star: bytes, r_sn: bytes, conc: bytes,
+def session_keys(k: bytes | PrfKey, k_star: bytes, r_sn: bytes, conc: bytes,
                  id_sn: str) -> tuple[bytes, bytes, bytes]:
-    """The key schedule UE and HN share: (RES*, K_SEAF, next K_S)."""
+    """The key schedule UE and HN share: (RES*, K_SEAF, next K_S), under
+    the raw K or its PrfKey."""
     id_sn_b = id_sn.encode()
     res = prf_f("2", k, [k_star])
     ck = prf_f("3", k, [k_star])

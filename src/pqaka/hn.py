@@ -95,11 +95,12 @@ def _derive_vector(
     id_sn: str,
     sid: bytes,
 ) -> HnToSnAuthMsg:
-    mac = crypto.prf_f("1", record.k, [k_star, r_sn])
-    f5 = crypto.prf_f("5", record.k, [k_star])
+    k = crypto.prf_key(record.k)
+    mac = crypto.prf_f("1", k, [k_star, r_sn])
+    f5 = crypto.prf_f("5", k, [k_star])
     conc = crypto.xor_bytes(f5, r_sn)
     xres_star, k_seaf, k_s_new = crypto.session_keys(
-        record.k, k_star, r_sn, conc, id_sn)
+        k, k_star, r_sn, conc, id_sn)
     k3 = crypto.xor_bytes(xres_star, f5)
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
     state.pending[sid] = PendingAuth(xres_star=xres_star, k_seaf=k_seaf,

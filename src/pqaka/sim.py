@@ -2,10 +2,13 @@
 
 The attacker sees the radio only: every radio message goes through its
 tap, which may pass, drop, or substitute bytes (substitution covers
-tamper, replay and inject). The SN-HN core channel is secure by
-assumption, so it has no tap at all: a core message is encoded, logged
-and decoded verbatim, in order. Transcripts keep raw bytes so parser
-bugs cannot hide attacker effects.
+tamper, replay and inject). Delivered bytes that differ from the bytes
+sent are decoded, so every attacker effect reaches the parser; bytes
+delivered unchanged hand the receiver the sender's own frozen message,
+which is what decoding them would give. The SN-HN core channel is secure
+by assumption, so it has no tap at all: a core message is encoded and
+logged, in order, and the receiver gets the message sent. Transcripts
+keep raw bytes so parser bugs cannot hide attacker effects.
 """
 
 from __future__ import annotations
@@ -192,20 +195,22 @@ def session(
     drawn = None     # the sk_U pair this session drew
 
     def send_radio(direction: str, label: str, msg: wire.Message):
-        delivered = yield label, wire.encode(msg)
+        data = wire.encode(msg)
+        delivered = yield label, data
         if delivered is None:
             t.append(RADIO, direction, b"", f"{label} [dropped]")
             return None
         t.append(RADIO, direction, delivered, label)
+        if delivered == data:
+            return msg
         try:
             return wire.decode(delivered)
         except wire.ParseError:
             return None
 
     def send_core(direction: str, label: str, msg: wire.Message) -> wire.Message:
-        data = wire.encode(msg)
-        t.append(CORE, direction, data, label)
-        return wire.decode(data)
+        t.append(CORE, direction, wire.encode(msg), label)
+        return msg
 
     try:
         # 1. identification request

@@ -92,9 +92,10 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
             return None
         k_star = crypto.xor_bytes(state.k_s, state.r_sn_prime)
 
-    ak = crypto.prf_f("5", state.k, [k_star])
+    k = crypto.prf_key(state.k)
+    ak = crypto.prf_f("5", k, [k_star])
     r_sn = crypto.xor_bytes(ch.autn.conc, ak)
-    mac = crypto.prf_f("1", state.k, [k_star, r_sn])
+    mac = crypto.prf_f("1", k, [k_star, r_sn])
     if not _hmac.compare_digest(mac, ch.autn.mac):
         _abort(state)
         if ch.c2 is None:    # the HN may hold another K_S: identify by SUPI next
@@ -102,7 +103,7 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
         return None
 
     res_star, state.k_seaf, state.k_s_pending = crypto.session_keys(
-        state.k, k_star, r_sn, ch.autn.conc, state.id_sn_expected)
+        k, k_star, r_sn, ch.autn.conc, state.id_sn_expected)
     return ResponseMsg(res_star=res_star)
 
 

@@ -73,6 +73,40 @@ def test_weakened_sn_binding_game_fails_at_the_sn():
     assert "cross-ue-challenge: abort_step=sn-verify" in v.evidence
 
 
+def test_ue_without_mac_check_aborts_a_guti_challenge(world, rng):
+    """The weakening only skips the MAC check where it can splice in the
+    MAC it expects (a SUPI challenge); a GUTI challenge has no c2."""
+    assert sim.run_session(world, "supi", rng=rng).completed
+    make_roles, _games = attacks.WEAKENINGS["ue-mac"]
+    out = sim.run_session(world, "guti", rng=rng, ue_mod=make_roles())
+    assert out.completed and out.key_source == "guti"
+
+
+def test_ue_without_mac_check_aborts_a_challenge_with_no_pending_sk_u(world, rng):
+    make_roles, _games = attacks.WEAKENINGS["ue-mac"]
+    challenge = {}
+
+    def keep(data, ctx):
+        challenge["data"] = data
+        return data
+
+    first = sim.run_session(world, "supi", sim.ScriptedAttacker({"challenge": keep}), rng)
+    assert first.completed and world.ue.ephemeral is None
+    ch = wire.decode(challenge["data"])
+    assert make_roles().ue_process_challenge(world.ue, ch) is None
+
+
+def test_ue_without_mac_check_aborts_a_c2_it_cannot_decapsulate(world, rng):
+    def short_c2(data, ctx):
+        ch = wire.decode(data)
+        return wire.encode(wire.ChallengeMsg(autn=ch.autn, c2=ch.c2[:-1]))
+
+    make_roles, _games = attacks.WEAKENINGS["ue-mac"]
+    out = sim.run_session(world, "supi", sim.ScriptedAttacker({"challenge": short_c2}),
+                          rng, ue_mod=make_roles())
+    assert out.abort_step == "ue-challenge"
+
+
 def test_run_scenarios_refuses_a_weakening_that_lists_none_of_the_games(monkeypatch):
     def no_session(*args, **kwargs):
         raise AssertionError("a game ran before the weakenings were checked")

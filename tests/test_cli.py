@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pqaka import attacks, cli
+from pqaka import attacks, cli, sim
 from pqaka.crypto import available_suites
 
 
@@ -43,6 +43,27 @@ def test_unwritable_out_usage_error(tmp_path, capsys, argv):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("pqaka: error:")]
     assert len(errors) == 1 and str(out) in errors[0]
+
+
+@pytest.mark.parametrize("argv", [["run", "--sessions", "3"], ["attack", "replay"]])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    monkeypatch.setattr(sim, "run_session", no_work)
+    monkeypatch.setattr(attacks, "run_scenarios", no_work)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path / "missing" / "x"))
+    assert exc.value.code == 2
+
+
+def test_unused_weakening_leaves_out_untouched(tmp_path):
+    out = tmp_path / "verdicts.log"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("attack", "linkability", "--weaken", "ue-mac", "--out", str(out))
+    assert exc.value.code == 2
+    assert out.read_text() == "kept\n"
 
 
 def test_run_unknown_kem_usage_error(capsys):

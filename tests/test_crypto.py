@@ -1,7 +1,10 @@
 """Cryptographic core: frozen independent-oracle values and properties."""
 
+import dataclasses
+import gc
 import hashlib
 import hmac as _hmac
+import types
 from itertools import product
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golden import CONSTANTS
-from pqaka import crypto
+from pqaka import crypto, sim, wire
 from pqaka.crypto import TEST_KEM
 from pqaka.rng import SeededRandom
 
@@ -119,6 +122,69 @@ def test_f_rejects_bad_inputs():
 
 def test_f_output_is_32_bytes():
     assert len(crypto.prf_f("2", bytes(32), [b"payload"])) == 32
+
+
+@settings(max_examples=200)
+@given(KEY32, st.sampled_from("12345"),
+       st.lists(st.binary(max_size=80), min_size=1, max_size=3))
+def test_f_under_a_loaded_key_is_hmac_sha256(key, index, inputs):
+    expected = _hmac.new(key, bytes([int(index)]) + crypto._lp(inputs),
+                         hashlib.sha256).digest()
+    loaded = crypto.prf_key(key)
+    assert crypto.prf_f(index, loaded, inputs) == expected
+    assert crypto.prf_f(index, loaded, inputs) == expected     # reusable
+    assert crypto.prf_f(index, key, inputs) == expected
+
+
+def test_f5_zero_frozen_under_a_loaded_key():
+    assert crypto.prf_f("5", crypto.prf_key(bytes(32)), [bytes(32)]) == \
+        CONSTANTS["f5_zero"]
+
+
+@pytest.mark.parametrize("length", [0, 31, 33, 64])
+def test_prf_key_rejects_wrong_key_length(length):
+    with pytest.raises(crypto.CryptoError):
+        crypto.prf_key(bytes(length))
+
+
+def _hash_objects_reachable_from(roots):
+    """Every hashlib hash object reachable from roots, not following
+    classes, modules or functions (the KEM suite's callables)."""
+    hash_type = type(hashlib.sha256())
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, hash_type):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_loaded_key_outlives_its_session():
+    """K loaded for the f-family lives in locals only: after a completed and
+    an aborted session no hash object is left in role state or outcomes."""
+    world = sim.make_world("test", seed=0)
+    rng = SeededRandom(1)
+    done = sim.run_session(world, "supi", rng=rng)
+
+    def bad_mac(data, ctx):
+        ch = wire.decode(data)
+        autn = wire.Autn(conc=ch.autn.conc, mac=bytes(32))
+        return wire.encode(wire.ChallengeMsg(autn=autn, c2=ch.c2))
+
+    aborted = sim.run_session(world, "guti", sim.ScriptedAttacker({"challenge": bad_mac}), rng)
+    assert done.completed and aborted.abort_step == "ue-challenge"
+    roots = [world.ue, world.sn, world.hn, done, aborted]
+    assert _hash_objects_reachable_from(roots) == []
+    # the walk would find a loaded key kept in a slotted role state or outcome
+    loaded = crypto.prf_key(world.ue.k)
+    for kept in (dataclasses.replace(world.ue, k_seaf=loaded),
+                 dataclasses.replace(done, key_source={"k": [loaded]})):
+        assert len(_hash_objects_reachable_from([kept])) == 2
 
 
 # --- kdf / hash_h ------------------------------------------------------------

@@ -222,6 +222,67 @@ def test_session_yields_radio_labels_like_run_session(path):
     assert outcome.transcript.to_lines() == driven.transcript.to_lines()
 
 
+def _same_exactly(a, b) -> bool:
+    """a == b, with each field, nested ones too, of the same exact type."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same_exactly(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("path", list(_HONEST))
+def test_every_message_a_role_builds_decodes_to_itself(path, monkeypatch):
+    """The receiver of unchanged bytes gets the sender's message instead
+    of decoding them; that is sound because each message the roles build
+    is exactly what decoding its encoding gives."""
+    world, rng, mode = _provisioned(path)
+    built = []
+    encode = wire.encode
+
+    def recording(msg):
+        built.append(msg)
+        return encode(msg)
+
+    monkeypatch.setattr(wire, "encode", recording)
+    assert sim.run_session(world, mode, rng=rng).completed
+    assert {type(m) for m in built} >= {
+        wire.IdRequestMsg, wire.ChallengeMsg, wire.ResponseMsg, wire.ConfirmMsg,
+        wire.HnToSnAuthMsg, wire.SecureEnvelopeMsg, wire.GutiAssignMsg}
+    for msg in built:
+        assert _same_exactly(wire.decode(encode(msg)), msg), msg
+
+
+def _outcome_fields(outcome):
+    return ([getattr(outcome, f.name) for f in dataclasses.fields(outcome)
+             if f.name != "transcript"], outcome.transcript.to_lines())
+
+
+@pytest.mark.parametrize("path", list(_HONEST))
+def test_equal_copies_of_the_sent_bytes_decode_to_the_same_session(path, monkeypatch):
+    """Delivering an equal copy of the sent bytes ends the session exactly
+    as passing them on does, and neither is decoded again: the decoder
+    sees only the sealed assignment's plaintext."""
+    world, rng, mode = _provisioned(path)
+    passed = sim.run_session(world, mode, rng=rng)
+    world, rng, mode = _provisioned(path)
+    decoded = []
+    decode = wire.decode
+
+    def counting(data):
+        decoded.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(wire, "decode", counting)
+    copied = sim.run_session(world, mode, rng=rng, attacker=sim.ScriptedAttacker(
+        {label: lambda data, ctx: bytes(bytearray(data))
+         for label in _HONEST[path] if label not in _CORE_LABELS}))
+    assert passed.completed
+    assert _outcome_fields(copied) == _outcome_fields(passed)
+    assert len(decoded) == 1 and decoded[0][0] == wire.SCHEMA[wire.GutiAssignMsg][0]
+
+
 @pytest.mark.parametrize("mode", ["supi", "guti"])
 def test_interleaved_sessions_of_two_subscribers_agree_on_keys(world, rng, mode):
     other = sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
