@@ -26,6 +26,16 @@ def _open_out(parser: argparse.ArgumentParser,
         parser.error(f"cannot write {path}: {exc.strerror}")
 
 
+# SeededRandom takes 0 <= seed < 2**256, and a game seeds with up to seed + 17
+MAX_SEED = 2**256 - 18
+_SEED_RANGE = "0 to 2**256-18"
+
+
+def _check_seed(parser: argparse.ArgumentParser, seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        parser.error(f"--seed {seed} is not in {_SEED_RANGE}")
+
+
 def _write_lines(out: TextIO, lines: list[str]) -> None:
     out.write("\n".join(lines) + ("\n" if lines else ""))
 
@@ -44,6 +54,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     suite = _suite_or_exit(parser, args.kem)
     if not suite.available:
         parser.error(f"KEM suite {suite.name!r} has no operational backend")
+    _check_seed(parser, args.seed)
     with _open_out(parser, args.out) as out:
         rng = SeededRandom(args.seed)
         world = sim.make_world(suite.name, seed=rng)
@@ -73,6 +84,7 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         attacks.weakened_roles(names, weaken)
     except attacks.UnusedWeakening as exc:
         parser.error(str(exc))
+    _check_seed(parser, args.seed)
     with _open_out(parser, args.out) as out:
         verdicts = attacks.run_scenarios(names, suite.name, args.seed, weaken=weaken)
         lines = [v.to_line() for v in verdicts]
@@ -123,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--kem", default="test")
     p_run.add_argument("--sessions", type=int, default=1)
     p_run.add_argument("--mode", choices=["supi", "guti", "mixed"], default="supi")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=0, help=f"{_SEED_RANGE} (default 0)")
     p_run.add_argument("--out", help="transcript output file")
     p_run.set_defaults(func=cmd_run)
 
     p_attack = sub.add_parser("attack", help="run adversary-game scenarios")
     p_attack.add_argument("scenario", choices=sorted(attacks.SCENARIOS) + ["all"])
     p_attack.add_argument("--kem", default="test")
-    p_attack.add_argument("--seed", type=int, default=0)
+    p_attack.add_argument("--seed", type=int, default=0, help=f"{_SEED_RANGE} (default 0)")
     p_attack.add_argument("--out", help="verdict output file")
     p_attack.add_argument("--weaken", action="append", choices=sorted(attacks.WEAKENINGS),
                           help=argparse.SUPPRESS)   # negative-control hook

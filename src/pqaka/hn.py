@@ -1,8 +1,8 @@
 """HN state machine: subscriber registry, identification, vector generation.
 
-Every identification failure raises the same IdentificationAbort with one
-fixed code, so the SN (and anything observing the core channel) cannot
-tell the causes apart.
+Every identification failure, whatever its cause, raises the same
+IdentificationAbort, so the SN (and anything observing the core channel)
+cannot tell the causes apart.
 """
 
 from __future__ import annotations
@@ -26,15 +26,9 @@ from .wire import (
 
 log = logging.getLogger(__name__)
 
-ABORT_CODE = 0xFF
-
 
 class IdentificationAbort(Exception):
-    """Generic abort; the code is identical for every failure cause."""
-
-    def __init__(self):
-        super().__init__("identification aborted")
-        self.code = ABORT_CODE
+    """Generic abort, raised alike for every failure cause."""
 
 
 @dataclass(slots=True)

@@ -213,44 +213,34 @@ def session(
         return msg
 
     try:
-        # 1. identification request
-        req = yield from send_radio("SN->UE", "id-request",
-                                    wire.IdRequestMsg(force_supi=(mode == "supi")))
-        if req is None:
-            return _aborted(t, "id-request")
-
-        # 2. identification (GUTI first when allowed, SUPI otherwise or fallback)
-        ident: Optional[wire.Message] = None
-        if isinstance(req, wire.IdRequestMsg) and not req.force_supi:
-            ident = ue_mod.ue_guti_identification(ue)
-        if ident is None:
-            ident = ue_mod.ue_identification_response(ue, rng)
-            drawn = ue.ephemeral
-        label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
-        received = yield from send_radio("UE->SN", label, ident)
-        if received is None:
-            return _aborted(t, label)
-
-        # 3. SN to HN over the core channel
-        to_hn = None
-        if isinstance(received, wire.GutiIdMsg):
-            resolved = sn_mod.sn_resolve_guti(sn, received, rng)
-            if isinstance(resolved, wire.IdRequestMsg):
-                # unknown GUTI: request SUPI-based identification
-                req2 = yield from send_radio("SN->UE", "id-request", resolved)
-                if req2 is None:
-                    return _aborted(t, "id-request")
+        # 1-3. identification, in at most two rounds: the UE answers with its
+        # GUTI only a first request that allows one, and with a SUCI otherwise;
+        # an unknown GUTI makes the SN's fallback the second round's request
+        request = wire.IdRequestMsg(force_supi=(mode == "supi"))
+        for first in (True, False):
+            req = yield from send_radio("SN->UE", "id-request", request)
+            if req is None:
+                return _aborted(t, "id-request")
+            ident: Optional[wire.Message] = None
+            if first and isinstance(req, wire.IdRequestMsg) and not req.force_supi:
+                ident = ue_mod.ue_guti_identification(ue)
+            if ident is None:
                 ident = ue_mod.ue_identification_response(ue, rng)
                 drawn = ue.ephemeral
-                received = yield from send_radio("UE->SN", "id-response", ident)
-                if received is None:
-                    return _aborted(t, "id-response")
+            label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
+            received = yield from send_radio("UE->SN", label, ident)
+            if received is None:
+                return _aborted(t, label)
+            if isinstance(received, wire.IdResponseMsg):
+                forwarded = sn_mod.sn_forward_identification(sn, received, rng)
+            elif first and isinstance(received, wire.GutiIdMsg):
+                forwarded = sn_mod.sn_resolve_guti(sn, received, rng)
             else:
-                to_hn, sid = resolved
-        if isinstance(received, wire.IdResponseMsg):
-            to_hn, sid = sn_mod.sn_forward_identification(sn, received, rng)
-        elif to_hn is None:
-            return _aborted(t, "sn-ident")   # attacker substituted a foreign type
+                return _aborted(t, "sn-ident")   # a foreign type, or a GUTI again
+            if not isinstance(forwarded, wire.IdRequestMsg):
+                break
+            request = forwarded
+        to_hn, sid = forwarded
 
         ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"
         at_hn = send_core("SN->HN", ident_label, to_hn)
@@ -282,6 +272,7 @@ def session(
         response = ue_mod.ue_process_challenge(ue, ch)
         if response is None:
             return _aborted(t, "ue-challenge")
+        k_seaf_ue = ue.k_seaf     # a later session's challenge may replace it
         resp = yield from send_radio("UE->SN", "response", response)
         if resp is None or not isinstance(resp, wire.ResponseMsg):
             return _aborted(t, "response")
@@ -304,7 +295,7 @@ def session(
 
         return SessionOutcome(
             abort_step=None, transcript=t,
-            k_seaf_ue=ue.k_seaf,
+            k_seaf_ue=k_seaf_ue,
             k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
             supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
             key_source="guti" if ch.c2 is None else "supi")

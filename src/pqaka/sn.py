@@ -62,17 +62,19 @@ class SnState:
         self.guti_of = {e.supi: guti for guti, e in self.guti_table.items()}
 
 
-def _session_id(identifier: bytes, r_sn: bytes) -> bytes:
-    return crypto.hash_h([identifier, r_sn])
+def _open_session(state: SnState, identifier: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
+    """Draw a fresh R_SN and open pending session sid = H(identifier, R_SN)."""
+    r_sn = rng.bytes(32)
+    sid = crypto.hash_h([identifier, r_sn])
+    state.pending[sid] = PendingSession(r_sn=r_sn)
+    return r_sn, sid
 
 
 def sn_forward_identification(
     state: SnState, msg: IdResponseMsg, rng: RandomSource
 ) -> tuple[SnToHnIdentMsg, bytes]:
     """Draw a fresh R_SN and forward the concealed identifier to the HN."""
-    r_sn = rng.bytes(32)
-    sid = _session_id(msg.c1, r_sn)
-    state.pending[sid] = PendingSession(r_sn=r_sn)
+    r_sn, sid = _open_session(state, msg.c1, rng)
     return SnToHnIdentMsg(
         c1=msg.c1, suci_conc=msg.suci_conc, mac_u=msg.mac_u, r_sn=r_sn), sid
 
@@ -142,9 +144,7 @@ def sn_resolve_guti(
     entry = state.guti_table.get(msg.guti)
     if entry is None:
         return IdRequestMsg(force_supi=True)
-    r_sn = rng.bytes(32)
-    sid = _session_id(msg.guti, r_sn)
-    state.pending[sid] = PendingSession(r_sn=r_sn)
+    r_sn, sid = _open_session(state, msg.guti, rng)
     return GutiSnToHnMsg(
         supi=entry.supi, r_sn_prime=entry.r_sn_prime, r_sn=r_sn), sid
 

@@ -34,6 +34,35 @@ def test_run_negative_sessions_usage_error(capsys):
     assert "--sessions" in capsys.readouterr().err
 
 
+# the largest seed whose seed + 17, the largest offset a game adds, still
+# fits SeededRandom's 256 bits
+LARGEST_SEED = 2**256 - 18
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(-1, id="negative"), pytest.param(LARGEST_SEED + 1, id="largest+1"),
+    pytest.param(2**256, id="2**256")])
+@pytest.mark.parametrize("argv", [["run"], ["attack", "replay"]], ids=["run", "attack"])
+def test_out_of_range_seed_usage_error(tmp_path, capsys, argv, seed):
+    """A seed that some game's SeededRandom(seed + offset) cannot take is
+    refused before --out is opened."""
+    out = tmp_path / "kept.log"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", str(seed), "--out", str(out))
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("pqaka: error:")]
+    assert len(errors) == 1 and "--seed" in errors[0]
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "--mode", "mixed", "--sessions", "2"],
+                                  ["attack", "all"]], ids=["run", "attack"])
+def test_largest_seed_runs(argv):
+    assert run_cli(*argv, "--seed", str(LARGEST_SEED)) == 0
+
+
 @pytest.mark.parametrize("argv", [["run"], ["attack", "replay"]])
 def test_unwritable_out_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "x"

@@ -61,3 +61,24 @@ def test_mixed_run_transcript_pinned():
                 for i in range(20)]
     text = "".join(line + "\n" for line in sim.export_transcript(outcomes))
     assert hashlib.sha256(text.encode()).hexdigest() == MIXED_RUN_SHA256
+
+
+# SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
+# cleared before each GUTI session, so that every one of them falls back to
+# SUPI-based identification
+FALLBACK_RUN_SHA256 = "03318556c0c51a1df27ae82c037a1c23005e2ebdf6d1dd1cc50d9ede3c73efc6"
+
+
+def test_fallback_run_transcript_pinned():
+    rng = SeededRandom(3)
+    world = sim.make_world("test", seed=rng)
+    outcomes = []
+    for i in range(10):
+        if i % 2:
+            world.sn.guti_table.clear()
+        outcomes.append(sim.run_session(world, "guti" if i % 2 else "supi", rng=rng))
+    assert all(o.completed and o.key_source == "supi" for o in outcomes)
+    assert [sum(e.annotation == "id-request" for e in o.transcript.entries)
+            for o in outcomes] == [1, 2] * 5
+    text = "".join(line + "\n" for line in sim.export_transcript(outcomes))
+    assert hashlib.sha256(text.encode()).hexdigest() == FALLBACK_RUN_SHA256

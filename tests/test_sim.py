@@ -163,17 +163,61 @@ def _radio_drops():
             yield pytest.param(path, n, at, id=f"{path}-{n}-{annotations[at]}")
 
 
-@pytest.mark.parametrize("path", ["supi", "fallback"])
-def test_foreign_message_for_id_response_aborts_at_sn_ident(path):
+def _foreign_type(world, rng):
+    return wire.encode(wire.ResponseMsg(res_star=bytes(32)))
+
+
+def _known_guti(world, rng):
+    """The GUTI the SN holds for a second subscriber of the world."""
+    other = sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
+                      sn=world.sn, hn=world.hn, suite=world.suite)
+    assert sim.run_session(other, "supi", rng=rng).completed
+    return wire.encode(wire.GutiIdMsg(guti=other.ue.guti))
+
+
+@pytest.mark.parametrize("path,forge", [
+    pytest.param("supi", _foreign_type, id="supi"),
+    pytest.param("fallback", _foreign_type, id="fallback"),
+    pytest.param("fallback", _known_guti, id="fallback-known-guti")])
+def test_foreign_message_for_id_response_aborts_at_sn_ident(path, forge):
     """A foreign type in place of the id-response gets one label on either
-    path; a dropped id-response keeps the label id-response."""
+    path, and so does a GUTI, even a known one, in answer to the fallback's
+    request; a dropped id-response keeps the label id-response."""
     world, rng, mode = _provisioned(path)
-    foreign = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
-    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: foreign})
+    forged = forge(world, rng)
+    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: forged})
     outcome = sim.run_session(world, mode, attacker, rng)
     assert not outcome.completed and outcome.abort_step == "sn-ident"
-    assert outcome.transcript.entries[-1].data == foreign
+    assert outcome.transcript.entries[-1].data == forged
     assert not any(e.channel == sim.CORE for e in outcome.transcript.entries)
+    assert world.sn.pending == {}
+
+
+def _nth_replaced(n, data):
+    """A handler that delivers `data` for the n-th message of its label."""
+    seen = []
+
+    def handler(sent, ctx):
+        seen.append(sent)
+        return data if len(seen) == n else sent
+    return handler
+
+
+@pytest.mark.parametrize("path,n,substitute", [
+    pytest.param("guti", 1, wire.ResponseMsg(res_star=bytes(32)), id="first-foreign"),
+    pytest.param("fallback", 2, wire.IdRequestMsg(force_supi=False),
+                 id="fallback-guti-allowed")])
+def test_id_request_that_allows_no_guti_gets_a_suci(path, n, substitute):
+    """The UE answers with its GUTI only to a first request that allows
+    one; any other request it is delivered gets a SUCI."""
+    world, rng, mode = _provisioned(path)
+    attacker = sim.ScriptedAttacker(
+        {"id-request": _nth_replaced(n, wire.encode(substitute))})
+    outcome = sim.run_session(world, mode, attacker, rng)
+    assert outcome.completed and outcome.key_source == "supi"
+    request_at, answer_at = outcome.transcript.radio_entries()[2 * n - 2:2 * n]
+    assert request_at.data == wire.encode(substitute)
+    assert answer_at.annotation == "id-response"
 
 
 @pytest.mark.parametrize("path,n,at", list(_radio_drops()))
