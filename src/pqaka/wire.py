@@ -6,11 +6,16 @@ message class to its tag byte and its ordered ``(field, kind)`` pairs.
 all iterate it; the untagged SUCI and M payloads are field tuples of the
 same kinds, packed and unpacked by the same walk.
 
-Layout: one message-type tag byte, then each field in table order as a
-4-byte big-endian length prefix followed by the raw bytes. Optional fields
-carry a 1-byte presence flag; single-byte flags are encoded as a length-1
-field. Decoding is strict: unknown tags, truncation, wrong fixed widths and
-trailing bytes are all rejected with the failing offset.
+Layout: one message-type tag byte, then each field in table order. A
+field whose kind fixes its width (``fixed(n)``, ``AUTN``, ``FLAG``,
+``BYTE``) is sent as its raw bytes alone; a variable-length field (``VAR``,
+``UTF8``, ``OPTIONAL_VAR``) is a 4-byte big-endian length prefix followed by
+its raw bytes, as in the V and LV formats of 3GPP TS 24.007 §11.2. A 2-byte
+length would not carry McEliece's 261,120-byte public key. An optional
+field is preceded by one raw presence byte, 0x00 or 0x01. Decoding is
+strict and canonical: unknown tags, truncation, a flag or presence byte
+other than 0 or 1, invalid UTF-8 and trailing bytes are all rejected with
+the failing offset.
 """
 
 from __future__ import annotations
@@ -136,11 +141,12 @@ class AbortMsg:
 class Kind(NamedTuple):
     """How one field crosses the wire.
 
-    ``width`` is the exact byte length the field must have (None: any).
-    ``to_raw(value, name)`` turns a field value into bytes and
-    ``from_raw(raw, name, offset)`` turns bytes back; None means the value
-    is the bytes. Each raises on a value it cannot carry. An ``optional``
-    field is preceded by a presence flag and may be None.
+    ``width`` is the exact byte length the field must have, and a field
+    with a width is sent raw, with no length prefix (None: any length, sent
+    behind a 4-byte length). ``to_raw(value, name)`` turns a field value
+    into bytes and ``from_raw(raw, name, offset)`` turns bytes back; None
+    means the value is the bytes. Each raises on a value it cannot carry. An ``optional``
+    field is preceded by a raw presence byte, 0 or 1, and may be None.
     """
     width: Optional[int] = None
     to_raw: Optional[Callable[[object, str], bytes]] = None
@@ -214,24 +220,21 @@ Message = (
 
 
 def _pack(fields: Fields, values: dict, out: list[bytes]) -> bytes:
-    """Append each named value to out as a length-prefixed field, checking
-    its kind, and return the joined bytes."""
+    """Append each named value to out, raw if its kind fixes the width and
+    length-prefixed otherwise, checking its kind; return the joined bytes."""
     for name, (width, to_raw, _, optional) in fields:
         value = values[name]
         if optional:
-            out.append(_PRESENCE[value is not None])
+            out.append(b"\x00" if value is None else b"\x01")
             if value is None:
                 continue
         raw = value if to_raw is None else to_raw(value, name)
-        if width is not None and len(raw) != width:
+        if width is None:
+            out.append(len(raw).to_bytes(4, "big"))
+        elif len(raw) != width:
             raise EncodeError(f"{name} must be {width} bytes")
-        out.append(len(raw).to_bytes(4, "big"))
         out.append(raw)
     return b"".join(out)
-
-
-# the presence flag written before an optional field, packed once
-_PRESENCE = {p: _pack((("present", FLAG),), {"present": p}, []) for p in (False, True)}
 
 
 def _unpack(data: bytes, pos: int, fields: Fields) -> tuple[list, int]:
@@ -240,19 +243,22 @@ def _unpack(data: bytes, pos: int, fields: Fields) -> tuple[list, int]:
     end = len(data)
     for name, (width, _, from_raw, optional) in fields:
         if optional:
-            (present,), pos = _unpack(data, pos, ((f"{name} present", FLAG),))
+            if pos >= end:
+                raise ParseError(f"truncated {name} presence flag", pos)
+            present = _flag_from_raw(data[pos:pos + 1], f"{name} presence flag", pos)
+            pos += 1
             if not present:
                 values.append(None)
                 continue
         at = pos
-        if pos + 4 > end:
-            raise ParseError("truncated length prefix", pos)
-        n = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
+        n = width
+        if n is None:
+            if pos + 4 > end:
+                raise ParseError("truncated length prefix", pos)
+            n = int.from_bytes(data[pos:pos + 4], "big")
+            pos += 4
         if pos + n > end:
             raise ParseError("truncated field", pos)
-        if width is not None and n != width:
-            raise ParseError(f"{name} must be {width} bytes, got {n}", at)
         raw = data[pos:pos + n]
         pos += n
         values.append(raw if from_raw is None else from_raw(raw, name, at))

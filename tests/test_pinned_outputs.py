@@ -51,7 +51,7 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem test --sessions 20 --mode mixed --seed 3 --out F`
-MIXED_RUN_SHA256 = "0ab7c00d182b79e69b95618891a7b570e61632e5ec01765118f7e7334971544d"
+MIXED_RUN_SHA256 = "ede22ef54973effc1cdff383d4388dcdb434ff917bc15e173ad7d61efb498e06"
 
 
 def test_mixed_run_transcript_pinned():
@@ -66,7 +66,7 @@ def test_mixed_run_transcript_pinned():
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification
-FALLBACK_RUN_SHA256 = "03318556c0c51a1df27ae82c037a1c23005e2ebdf6d1dd1cc50d9ede3c73efc6"
+FALLBACK_RUN_SHA256 = "ed392925fc318806c26d080cce6457ec42dbdb46b2f1f8e7dbc1062f578c7e77"
 
 
 def test_fallback_run_transcript_pinned():

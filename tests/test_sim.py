@@ -40,6 +40,41 @@ def test_honest_guti_session_has_no_c2(world, rng):
     assert ch.c2 is None
 
 
+# one honest session's communication cost per suite and path, as (radio,
+# core) bytes, and the radio size of each of its messages
+SESSION_BYTES = {
+    "test": {"supi": (384, 407), "guti": (188, 265)},
+    "ecies-x25519": {"supi": (384, 407), "guti": (188, 265)},
+    "ecies-p256": {"supi": (387, 410), "guti": (188, 265)},
+}
+RADIO_MESSAGE_BYTES = {
+    "supi": {"id-request": 2, "id-response": 177, "challenge": 102,
+             "response": 33, "guti-assign": 70},
+    "guti": {"id-request": 2, "guti-id": 17, "challenge": 66,
+             "response": 33, "guti-assign": 70},
+}
+# a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
+P256_SUPI_RADIO_BYTES = {"id-response": 179, "challenge": 103}
+
+
+@pytest.mark.parametrize("suite", list(SESSION_BYTES))
+def test_session_communication_cost_pinned(suite):
+    rng = SeededRandom(0)
+    world = sim.make_world(suite, seed=rng)
+    for path in ("supi", "guti"):    # the GUTI session uses the GUTI just assigned
+        outcome = sim.run_session(world, path, rng=rng)
+        assert outcome.completed and outcome.key_source == path
+        radio = {e.annotation: len(e.data) for e in outcome.transcript.entries
+                 if e.channel == sim.RADIO}
+        core = sum(len(e.data) for e in outcome.transcript.entries
+                   if e.channel == sim.CORE)
+        want = dict(RADIO_MESSAGE_BYTES[path])
+        if (suite, path) == ("ecies-p256", "supi"):
+            want.update(P256_SUPI_RADIO_BYTES)
+        assert radio == want
+        assert (sum(radio.values()), core) == SESSION_BYTES[suite][path]
+
+
 def test_guti_mode_without_state_falls_back_to_supi(world, rng):
     outcome = sim.run_session(world, "guti", rng=rng)
     assert outcome.completed and outcome.key_source == "supi"

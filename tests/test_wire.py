@@ -18,16 +18,16 @@ def lp(data: bytes) -> bytes:
 
 def test_response_msg_zero_layout():
     encoded = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
-    assert encoded == b"\x06" + b"\x00\x00\x00\x20" + bytes(32)
+    assert encoded == b"\x06" + bytes(32)   # fixed width: no length prefix
 
 
 def test_id_request_layout():
-    assert wire.encode(wire.IdRequestMsg(force_supi=True)) == b"\x01" + lp(b"\x01")
-    assert wire.encode(wire.IdRequestMsg(force_supi=False)) == b"\x01" + lp(b"\x00")
+    assert wire.encode(wire.IdRequestMsg(force_supi=True)) == b"\x01\x01"
+    assert wire.encode(wire.IdRequestMsg(force_supi=False)) == b"\x01\x00"
 
 
 def test_abort_layout():
-    assert wire.encode(wire.AbortMsg()) == b"\x0c" + lp(b"\xff")
+    assert wire.encode(wire.AbortMsg()) == b"\x0c\xff"
 
 
 # --- golden vectors (one honest session, frozen from an independent oracle) --
@@ -111,8 +111,8 @@ def test_decode_invalid_utf8_rejected_at_its_field():
     blob = wire.encode(msg)
     with pytest.raises(wire.ParseError) as exc:
         wire.decode(blob[:-1] + b"\xff")
-    # tag, then c1, suci_conc and mac_u, each behind a 4-byte length
-    assert exc.value.offset == 1 + (4 + 1) + (4 + 2) + (4 + 32)
+    # tag, then c1 and suci_conc behind a 4-byte length, and raw mac_u
+    assert exc.value.offset == 1 + (4 + 1) + (4 + 2) + 32
 
 
 def test_decode_truncated_rejected():
@@ -122,14 +122,16 @@ def test_decode_truncated_rejected():
 
 
 def test_decode_wrong_fixed_width_rejected():
-    # a GutiIdMsg whose field claims 15 bytes
+    # a GutiIdMsg with a 15- or 17-byte GUTI
     with pytest.raises(wire.ParseError):
-        wire.decode(b"\x08" + lp(bytes(15)))
+        wire.decode(b"\x08" + bytes(15))
+    with pytest.raises(wire.ParseError):
+        wire.decode(b"\x08" + bytes(17))
 
 
 def test_decode_bad_flag_rejected():
     with pytest.raises(wire.ParseError):
-        wire.decode(b"\x01" + lp(b"\x02"))
+        wire.decode(b"\x01\x02")
 
 
 def test_parser_totality_on_random_bytes():
@@ -179,7 +181,7 @@ def test_m_payload_roundtrip():
     with pytest.raises(wire.ParseError):
         wire.unpack_m_payload(wire.pack_m_payload(bytes(32), "x")[:-1])
     with pytest.raises(wire.ParseError):
-        wire.unpack_m_payload(lp(bytes(31)) + lp(b"supi"))
+        wire.unpack_m_payload(bytes(31))
     with pytest.raises(wire.EncodeError):
         wire.pack_m_payload(bytes(31), "imsi-2")
 
@@ -204,22 +206,6 @@ FIXED_FIELDS = [
 SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
 
 
-def _raw(value) -> bytes:
-    if isinstance(value, wire.Autn):
-        return value.raw
-    return bytes([value]) if isinstance(value, int) else value
-
-
-def _field_offsets(blob: bytes) -> list[tuple[int, bytes]]:
-    """(offset of length prefix, raw bytes) of each field after the tag."""
-    out, pos = [], 1
-    while pos < len(blob):
-        n = int.from_bytes(blob[pos:pos + 4], "big")
-        out.append((pos, blob[pos + 4:pos + 4 + n]))
-        pos += 4 + n
-    return out
-
-
 @pytest.mark.parametrize("cls,name,width", FIXED_FIELDS,
                          ids=[f"{c.__name__}.{n}" for c, n, _ in FIXED_FIELDS])
 def test_fixed_width_enforced_on_encode(cls, name, width):
@@ -235,15 +221,58 @@ def test_fixed_width_enforced_on_encode(cls, name, width):
             wire.encode(dataclasses.replace(SAMPLES[cls], **{name: bad}))
 
 
-@pytest.mark.parametrize("cls,name,width", FIXED_FIELDS,
-                         ids=[f"{c.__name__}.{n}" for c, n, _ in FIXED_FIELDS])
-def test_fixed_width_enforced_on_decode(cls, name, width):
-    msg = SAMPLES[cls]
-    blob = wire.encode(msg)
-    [offset] = [at for at, raw in _field_offsets(blob)
-                if raw == _raw(getattr(msg, name))]
-    for n in {0, width - 1}:
-        bad = blob[:offset] + n.to_bytes(4, "big") + blob[offset + 4:]
-        with pytest.raises(wire.ParseError) as exc:
-            wire.decode(bad)
-        assert exc.value.offset == offset
+# --- strictness property, over every message type and both sealed payloads --
+
+def _flag_offsets(msg) -> list[int]:
+    """Offsets of the FLAG and presence bytes in encode(msg), written
+    independently of the table."""
+    if isinstance(msg, (wire.IdRequestMsg, wire.ConfirmMsg)):
+        return [1]
+    if isinstance(msg, wire.ChallengeMsg):
+        return [1 + 64]
+    if isinstance(msg, wire.HnToSnAuthMsg):
+        return [1 + 64 + 32 + 4 + len(msg.m)]
+    return []
+
+
+def _strict_cases():
+    r = random.Random(18)
+    samples = [m for _ in range(8) for m in _random_messages(r)]
+    samples += [dataclasses.replace(m, c2=c2) for m in list(samples)
+                if isinstance(m, (wire.HnToSnAuthMsg, wire.ChallengeMsg))
+                for c2 in (None, b"", b"\x05")]
+    cases = {cls.__name__: (wire.encode, wire.decode,
+                            [m for m in samples if type(m) is cls])
+             for cls in wire.SCHEMA}
+    cases["suci-payload"] = (
+        lambda v: wire.pack_suci_payload(*v), wire.unpack_suci_payload,
+        [("imsi-" + str(r.getrandbits(40)), r.randbytes(r.randint(0, 64)),
+          "sn-" + "é" * r.randint(0, 3)) for _ in range(8)])
+    cases["m-payload"] = (
+        lambda v: wire.pack_m_payload(*v), wire.unpack_m_payload,
+        [(r.randbytes(32), "imsi-" + str(r.getrandbits(40))) for _ in range(8)])
+    return cases
+
+
+STRICT_CASES = _strict_cases()
+
+
+@pytest.mark.parametrize("case", list(STRICT_CASES))
+def test_decoding_is_strict_and_canonical(case):
+    encode, decode, values = STRICT_CASES[case]
+    assert values
+    for value in values:
+        blob = encode(value)
+        assert decode(blob) == value
+        for n in range(len(blob)):
+            with pytest.raises(wire.ParseError):
+                decode(blob[:n])
+        with pytest.raises(wire.ParseError, match="trailing bytes") as exc:
+            decode(blob + b"\x00")
+        assert exc.value.offset == len(blob)
+        for at in _flag_offsets(value):
+            assert blob[at] in (0, 1)
+            for bad in range(2, 256):
+                with pytest.raises(wire.ParseError) as exc:
+                    decode(blob[:at] + bytes([bad]) + blob[at + 1:])
+                assert exc.value.offset == at
