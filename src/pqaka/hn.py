@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import crypto, store
+from . import crypto, store, wire
 from .crypto import KemKeyPair, KemSuite
 from .rng import RandomSource
 from .wire import (
@@ -44,6 +44,9 @@ class PendingAuth:
     k_seaf: bytes
     supi: str
     k_s_new: bytes                            # committed on confirmation
+
+
+PENDING_MAX = 64    # sessions awaiting confirmation, bounded as in sn
 
 
 @dataclass
@@ -99,6 +102,8 @@ def _derive_vector(
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
     state.pending[sid] = PendingAuth(xres_star=xres_star, k_seaf=k_seaf,
                                      supi=record.supi, k_s_new=k_s_new)
+    if len(state.pending) > PENDING_MAX:      # evict the oldest session
+        del state.pending[next(iter(state.pending))]
     return HnToSnAuthMsg(autn=Autn(conc=conc, mac=mac),
                          hxres_star=crypto.hash_h([r_sn, xres_star]), m=m, c2=c2)
 
@@ -146,7 +151,8 @@ def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:
 
 # --- registry persistence ---------------------------------------------------
 
-_REGISTRY = store.Table("registry", "supi", "k", "k_s", nullable="k_s")
+_REGISTRY = store.Table("registry", (("supi", wire.UTF8), ("k", wire.fixed(32)),
+                                     ("k_s", wire.Kind(32, optional=True))))
 
 
 def save_registry(path: str, registry: dict[str, SubscriberRecord],

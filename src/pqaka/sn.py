@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from . import crypto, store
+from . import crypto, store, wire
 from .rng import RandomSource
 from .wire import (
     Autn,
@@ -46,6 +46,11 @@ class PendingSession:
     m: Optional[bytes] = None
 
 
+# Sessions awaiting their next message; one more evicts the oldest, so
+# replays cannot grow the table. Tests and benchmarks hold at most 4.
+PENDING_MAX = 64
+
+
 @dataclass
 class SnState:
     id_sn: str
@@ -67,6 +72,8 @@ def _open_session(state: SnState, identifier: bytes, rng: RandomSource) -> tuple
     r_sn = rng.bytes(32)
     sid = crypto.hash_h([identifier, r_sn])
     state.pending[sid] = PendingSession(r_sn=r_sn)
+    if len(state.pending) > PENDING_MAX:      # evict the oldest session
+        del state.pending[next(iter(state.pending))]
     return r_sn, sid
 
 
@@ -153,7 +160,8 @@ def sn_resolve_guti(
 
 # keyed by SUPI, so writing a SUPI's row replaces its old GUTI
 _GUTI_TABLE = store.Table(
-    "guti_table", "supi", "guti", "r_sn_prime", unique="guti")
+    "guti_table", (("supi", wire.UTF8), ("guti", wire.fixed(wire.GUTI_LEN)),
+                   ("r_sn_prime", wire.fixed(wire.RAND_LEN))), unique="guti")
 
 
 def save_guti_table(path: str, table: dict[bytes, GutiEntry],

@@ -1,14 +1,15 @@
 """Durable role state: one append-only record log per role, keyed by SUPI.
 
 A file is a header naming its table and the format version, then records:
-the body's length and ``zlib.crc32``, 4 bytes each, then the body, the row's
-fields, each length-prefixed, a nullable one after a presence byte. The last
-record of a SUPI is its row. A commit appends its one row in one unsynced
-``os.write``. The first save of a mapping, and compaction once appended
-records outnumber the rows by COMPACT_SLACK, write the file whole through a
-fsynced ``path + ".tmp"``. A power loss can drop the last commits, but ``load``
-never returns a torn row. File descriptors are cached here by path, not kept
-on the role state, so the state stays picklable.
+the body's length and ``zlib.crc32``, 4 bytes each, then the body, the row
+packed by ``wire.pack_fields`` in the table's field kinds, as a message's
+fields are after its tag. The last record of a SUPI is its row. A commit
+appends its one row in one unsynced ``os.write``. The first save of a
+mapping, and compaction once appended records outnumber the rows by
+COMPACT_SLACK, write the file whole through a fsynced ``path + ".tmp"``. A
+power loss can drop the last commits, but ``load`` never returns a torn row.
+File descriptors are cached here by path, not kept on the role state, so the
+state stays picklable.
 """
 
 from __future__ import annotations
@@ -20,42 +21,28 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterator, Mapping, Optional
 
-VERSION = 1
+from .wire import Fields, ParseError, pack_fields, unpack_fields
+
+VERSION = 2
 COMPACT_SLACK = 64
 _FRAME = struct.Struct("<II")      # body length, zlib.crc32 of the body
 
 
 class Table:
-    """One role's table: rows keyed on the SUPI in the first column, bytes in
-    the others, None only in the nullable one, no two SUPIs on a unique one."""
+    """One role's table: rows keyed on the SUPI in the first field, no two
+    SUPIs on the unique one; each row is packed by wire's field walk."""
 
-    def __init__(self, name: str, *columns: str, nullable: str = "", unique: str = ""):
-        self.name, self.columns = name, columns
+    def __init__(self, name: str, fields: Fields, unique: str = ""):
+        self.name, self.fields = name, fields
         self.header = f"pqaka-store {VERSION} {name}\n".encode()
-        self.nullable = [c == nullable for c in columns]
-        self.unique = columns.index(unique) if unique else None
+        self.unique = [f for f, _ in fields].index(unique) if unique else None
 
     def encode(self, row: tuple) -> bytes:
-        body = bytearray()
-        for value, nullable in zip((row[0].encode(), *row[1:]), self.nullable):
-            if nullable:
-                body.append(value is not None)
-                if value is None:
-                    continue
-            body += len(value).to_bytes(4, "little") + value
+        body = pack_fields(self.fields, row, [])
         return _FRAME.pack(len(body), zlib.crc32(body)) + body
 
-    def decode(self, body: bytes) -> tuple:
-        fields, at = [], 0
-        for nullable in self.nullable:
-            at += nullable
-            if nullable and not body[at - 1]:
-                fields.append(None)
-                continue
-            end = at + 4 + int.from_bytes(body[at:at + 4], "little")
-            fields.append(body[at + 4:end])
-            at = end
-        return (fields[0].decode(), *fields[1:])
+    def decode(self, body: bytes) -> list:
+        return unpack_fields(self.fields, body, 0, f"in {self.name} record")
 
 
 @dataclass
@@ -104,9 +91,9 @@ def save(path: str, table: Table, mapping: Mapping,
     _logs[path] = _Log(os.open(path, os.O_WRONLY | os.O_APPEND), mapping)
 
 
-def load(path: str, table: Table) -> Iterator[tuple]:
+def load(path: str, table: Table) -> Iterator[list]:
     """Every row of the store at path, from the longest prefix of whole
-    records with valid checksums. A missing store is an error, not empty."""
+    records that check and parse. A missing store is an error, not empty."""
     with open(path, "rb") as f:
         if f.read(len(table.header)) != table.header:
             raise ValueError(f"{path} is not a version {VERSION} {table.name} store")
@@ -117,9 +104,12 @@ def load(path: str, table: Table) -> Iterator[tuple]:
         body = data[at:at + size]
         if len(body) < size or zlib.crc32(body) != crc:
             break
-        row = table.decode(body)
+        try:
+            row = table.decode(body)
+        except ParseError:      # e.g. a zero-filled tail: size 0, crc32(b"") = 0
+            break
         rows[row[0]] = row
         at += size + _FRAME.size
     if table.unique is not None and len({r[table.unique] for r in rows.values()}) < len(rows):
-        raise ValueError(f"{path}: two SUPIs hold one {table.columns[table.unique]}")
+        raise ValueError(f"{path}: two SUPIs hold one {table.fields[table.unique][0]}")
     return iter(rows.values())

@@ -3,8 +3,9 @@
 One table, ``SCHEMA``, is the only statement of the layout: it maps each
 message class to its tag byte and its ordered ``(field, kind)`` pairs.
 ``encode``, ``decode`` and the linkability field walk (``field_values``)
-all iterate it; the untagged SUCI and M payloads are field tuples of the
-same kinds, packed and unpacked by the same walk.
+all iterate it. ``pack_fields`` and ``unpack_fields`` pack and parse the
+fields of every message after its tag, of the untagged SUCI and M payloads,
+and of each ``store`` record's body, which is one row in this layout.
 
 Layout: one message-type tag byte, then each field in table order. A
 field whose kind fixes its width (``fixed(n)``, ``AUTN``, ``FLAG``,
@@ -21,7 +22,7 @@ the failing offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 GUTI_LEN = 16
 RAND_LEN = 32
@@ -219,11 +220,10 @@ Message = (
 )
 
 
-def _pack(fields: Fields, values: dict, out: list[bytes]) -> bytes:
-    """Append each named value to out, raw if its kind fixes the width and
-    length-prefixed otherwise, checking its kind; return the joined bytes."""
-    for name, (width, to_raw, _, optional) in fields:
-        value = values[name]
+def pack_fields(fields: Fields, values: Iterable, out: list[bytes]) -> bytes:
+    """Append values, in field order, to out, raw if its kind fixes the width
+    and length-prefixed otherwise, checking each kind; return the joined bytes."""
+    for (name, (width, to_raw, _, optional)), value in zip(fields, values, strict=True):
         if optional:
             out.append(b"\x00" if value is None else b"\x01")
             if value is None:
@@ -237,8 +237,9 @@ def _pack(fields: Fields, values: dict, out: list[bytes]) -> bytes:
     return b"".join(out)
 
 
-def _unpack(data: bytes, pos: int, fields: Fields) -> tuple[list, int]:
-    """Read fields from data at pos; return their values and the end offset."""
+def unpack_fields(fields: Fields, data: bytes, pos: int, where: str) -> list:
+    """Read fields from data at pos to its end; bytes left after the last
+    field are rejected as trailing bytes ``where``."""
     values = []
     end = len(data)
     for name, (width, _, from_raw, optional) in fields:
@@ -262,7 +263,9 @@ def _unpack(data: bytes, pos: int, fields: Fields) -> tuple[list, int]:
         raw = data[pos:pos + n]
         pos += n
         values.append(raw if from_raw is None else from_raw(raw, name, at))
-    return values, pos
+    if pos != end:
+        raise ParseError(f"trailing bytes {where}", pos)
+    return values
 
 
 def encode(msg: Message) -> bytes:
@@ -270,7 +273,7 @@ def encode(msg: Message) -> bytes:
     if spec is None:
         raise EncodeError(f"not a protocol message: {type(msg).__name__}")
     tag, fields = spec
-    return _pack(fields, vars(msg), [bytes([tag])])
+    return pack_fields(fields, vars(msg).values(), [bytes([tag])])
 
 
 def decode(data: bytes) -> Message:
@@ -280,10 +283,7 @@ def decode(data: bytes) -> Message:
     if spec is None:
         raise ParseError(f"unknown message tag 0x{data[0]:02x}", 0)
     cls, fields = spec
-    values, pos = _unpack(data, 1, fields)
-    if pos != len(data):
-        raise ParseError("trailing bytes after message", pos)
-    return cls(*values)
+    return cls(*unpack_fields(fields, data, 1, "after message"))
 
 
 def field_values(msg: Message) -> Iterator[bytes]:
@@ -303,23 +303,17 @@ def field_values(msg: Message) -> Iterator[bytes]:
 
 def pack_suci_payload(supi: str, pk_u: bytes, id_sn: str) -> bytes:
     """Plaintext concealed into SUCI_conc: all three fields are encrypted."""
-    return _pack(_SUCI_PAYLOAD, {"supi": supi, "pk_u": pk_u, "id_sn": id_sn}, [])
+    return pack_fields(_SUCI_PAYLOAD, (supi, pk_u, id_sn), [])
 
 
 def unpack_suci_payload(data: bytes) -> tuple[str, bytes, str]:
-    values, pos = _unpack(data, 0, _SUCI_PAYLOAD)
-    if pos != len(data):
-        raise ParseError("trailing bytes in SUCI payload", pos)
-    return tuple(values)
+    return tuple(unpack_fields(_SUCI_PAYLOAD, data, 0, "in SUCI payload"))
 
 
 def pack_m_payload(k_seaf: bytes, supi: str) -> bytes:
     """Plaintext of M: session key and subscriber identity bound together."""
-    return _pack(_M_PAYLOAD, {"k_seaf": k_seaf, "supi": supi}, [])
+    return pack_fields(_M_PAYLOAD, (k_seaf, supi), [])
 
 
 def unpack_m_payload(data: bytes) -> tuple[bytes, str]:
-    values, pos = _unpack(data, 0, _M_PAYLOAD)
-    if pos != len(data):
-        raise ParseError("trailing bytes in M payload", pos)
-    return tuple(values)
+    return tuple(unpack_fields(_M_PAYLOAD, data, 0, "in M payload"))

@@ -1,5 +1,7 @@
 """CLI: exit codes, outputs, config handling."""
 
+import hashlib
+import importlib.util
 import json
 
 import pytest
@@ -190,6 +192,34 @@ def test_sizes_default_covers_all_registered(capsys):
     out = capsys.readouterr().out
     for name in ("test", "kyber", "mceliece", "bike", "hqc"):
         assert any(line.startswith(name) for line in out.splitlines())
+
+
+# `pqaka sizes` with no flags: the communication-cost columns, whose message
+# sizes run through wire.pack_suci_payload and wire.pack_m_payload
+SIZES_TABLE = """\
+algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp
+---------------------------------------------------------------------------------
+bike               5223     1541     1573    32     3227     1751     1643     33
+ecies-p256           32       33       33    32      179      211      103     33
+ecies-x25519         32       32       32    32      177      210      102     33
+hqc                2289     2249     4481    64     6843     4659     4551     33
+kyber              1632      800      768    32     1681      946      838     33
+mceliece           6452   261120      128    32   261361      306      198     33
+test                 32       32       32    32      177      210      102     33
+"""
+# its SHA-256, which CI checks against the installed console script
+SIZES_TABLE_SHA256 = "4aea7aa02afcb33f3f1b2fa6ec3afff5841a86862ecfa824c6ff801ce00a276c"
+
+
+# pinned from the built-in size metadata: with liboqs importable, backends
+# replaces the bike/hqc/kyber/mceliece rows with liboqs's own lengths
+@pytest.mark.skipif(importlib.util.find_spec("oqs") is not None,
+                    reason="liboqs sets the post-quantum rows")
+def test_default_sizes_table_pinned(capsys):
+    assert run_cli("sizes") == 0
+    out = capsys.readouterr().out
+    assert out == SIZES_TABLE
+    assert hashlib.sha256(out.encode()).hexdigest() == SIZES_TABLE_SHA256
 
 
 def test_bench_runs_on_test_kem(tmp_path, capsys):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from pqaka import crypto, hn as hn_mod, sim, ue as ue_mod, wire
+from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
 
@@ -520,3 +520,76 @@ def test_default_rng_makes_supi_sessions_unlinkable(world):
         c1.append(next(wire.decode(e.data).c1 for e in outcome.transcript.entries
                        if e.annotation == "id-response"))
     assert c1[0] != c1[1]
+
+
+def _replay_suci(world, rng, times):
+    """Replay one recorded SUCI of world's UE times over: each replay opens a
+    session at the SN and at the HN that the UE then aborts."""
+    recorded = sim.run_session(world, "supi", rng=rng)
+    old = next(e.data for e in recorded.transcript.radio_entries()
+               if e.annotation == "id-response")
+    replay = sim.ScriptedAttacker({"id-response": lambda data, ctx: old})
+    for _ in range(times):
+        assert sim.run_session(world, "supi", replay, rng).abort_step == "ue-challenge"
+
+
+def test_replayed_suci_leaves_at_most_pending_max_entries(world, rng):
+    _replay_suci(world, rng, max(sn_mod.PENDING_MAX, hn_mod.PENDING_MAX) + 10)
+    assert len(world.sn.pending) == sn_mod.PENDING_MAX
+    assert len(world.hn.pending) == hn_mod.PENDING_MAX
+
+
+def _guti_session_around(world, rng, in_flight):
+    """Run a GUTI session of world's UE, calling in_flight() while its RES*
+    is on the radio; return its outcome."""
+    steps = sim.session(world, "guti", rng)
+    label, data = next(steps)
+    while label != "response":
+        label, data = steps.send(data)
+    in_flight()
+    try:
+        while True:
+            label, data = steps.send(data)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _second_ue(world, rng):
+    return sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
+                     sn=world.sn, hn=world.hn, suite=world.suite)
+
+
+def test_session_evicted_while_its_response_is_in_flight_aborts_then_heals(world, rng):
+    """Replays from another UE push a GUTI session's entries out of both
+    pending tables before its RES* arrives: the SN aborts it, nothing is
+    committed, and the UE's next GUTI session completes."""
+    other = _second_ue(world, rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    replays = max(sn_mod.PENDING_MAX, hn_mod.PENDING_MAX)
+    evicted = _guti_session_around(world, rng, lambda: _replay_suci(other, rng, replays))
+    assert not evicted.completed and evicted.abort_step == "sn-verify"
+    nxt = sim.run_session(world, "guti", rng=rng)
+    assert nxt.completed and nxt.key_source == "guti"
+
+
+def test_session_only_the_hn_evicted_heals_as_a_lost_hn_entry(world, rng):
+    """Sessions of another UE whose RES* is corrupted leave their entries at
+    the HN only, and push a GUTI session's HN entry out before its RES*
+    arrives: the SN completes it, the HN commits nothing, and the next GUTI
+    challenge fails at the UE, which then identifies by SUPI."""
+    other = _second_ue(world, rng)
+    corrupt = sim.ScriptedAttacker(
+        {"response": lambda data, ctx: data[:-1] + bytes([data[-1] ^ 1])})
+
+    def flood():
+        for _ in range(hn_mod.PENDING_MAX):
+            assert sim.run_session(other, "supi", corrupt, rng).abort_step == "sn-verify"
+        assert len(world.sn.pending) == 1
+        assert len(world.hn.pending) == hn_mod.PENDING_MAX
+
+    assert sim.run_session(world, "supi", rng=rng).completed
+    evicted = _guti_session_around(world, rng, flood)
+    assert evicted.completed and evicted.k_seaf_hn is None
+    outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(3)]
+    assert [o.abort_step for o in outcomes] == ["ue-challenge", None, None]
+    assert [o.key_source for o in outcomes[1:]] == ["supi", "guti"]

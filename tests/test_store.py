@@ -3,6 +3,8 @@
 import os
 import pickle
 import sqlite3
+import struct
+import zlib
 
 import pytest
 
@@ -183,6 +185,26 @@ def test_torn_or_corrupt_last_record_loads_the_state_before_it(tmp_path, role):
         assert load_copy(bytes(flipped)) == before, at
 
 
+@pytest.mark.parametrize("role", ROLES)
+@pytest.mark.parametrize("tail", [b"\x00" * 8, b"\x00" * 4096, b"\x05\x00\x00\x00"],
+                         ids=["zero-record", "zero-page", "short-body"])
+def test_checksummed_tail_that_does_not_parse_loads_the_state_before_it(
+        tmp_path, role, tail):
+    """A zero-filled tail after a power loss frames an empty body whose
+    crc32 is 0, which checks; a body too short for the row checks too."""
+    save, load, _ = ROLES[role]
+    path = str(tmp_path / role)
+    mapping = _rows(role, 3)
+    save(path, mapping)
+    _commit(role, path, mapping, 0, b"\x0a" * 32)
+    before = load(path)
+    if len(tail) < 8:
+        tail = _record(tail)
+    with open(path, "ab") as f:
+        f.write(tail)
+    assert load(path) == before == mapping
+
+
 def test_file_with_a_wrong_header_raises(tmp_path):
     hn_path, sn_path, old = (str(tmp_path / n) for n in ("hn", "sn", "old.db"))
     hn_mod.save_registry(hn_path, _rows("hn", 2))
@@ -282,3 +304,68 @@ def test_short_write_raises_and_the_next_save_writes_whole(tmp_path, monkeypatch
     monkeypatch.undo()
     _commit("hn", path, registry, 2, b"\x0e" * 32)
     assert hn_mod.load_registry(path) == registry
+
+
+# --- the file layout, written out by hand -------------------------------------
+
+def _record(body):
+    """One record: the body's length and zlib.crc32, little-endian 4 bytes
+    each, then the body."""
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+def _utf8(text):
+    """A variable-length field: 4-byte big-endian length, then the bytes."""
+    return len(text.encode()).to_bytes(4, "big") + text.encode()
+
+
+# role -> (the mapping, its file: header, then one record per row with the
+# fixed-width fields raw and K_S behind a presence byte)
+LAYOUT = {
+    "hn": ({"imsi-1": hn_mod.SubscriberRecord("imsi-1", b"\x01" * 32, b"\x02" * 32),
+            "imsi-ü": hn_mod.SubscriberRecord("imsi-ü", b"\x03" * 32, None)},
+           b"pqaka-store 2 registry\n"
+           + _record(_utf8("imsi-1") + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
+           + _record(_utf8("imsi-ü") + b"\x03" * 32 + b"\x00")),
+    "sn": ({b"\x04" * 16: sn_mod.GutiEntry("imsi-1", b"\x05" * 32)},
+           b"pqaka-store 2 guti_table\n"
+           + _record(_utf8("imsi-1") + b"\x04" * 16 + b"\x05" * 32)),
+}
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_store_file_layout_pinned(tmp_path, role):
+    save, load, _ = ROLES[role]
+    mapping, data = LAYOUT[role]
+    path = str(tmp_path / role)
+    save(path, mapping)
+    with open(path, "rb") as f:
+        assert f.read() == data
+    assert load(path) == mapping
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_version_1_store_is_refused_by_load_and_save(tmp_path, role):
+    """The former layout: every field behind a 4-byte little-endian length,
+    K_S behind a presence byte."""
+    save, load, _ = ROLES[role]
+
+    def field(value):
+        return len(value).to_bytes(4, "little") + value
+
+    if role == "hn":
+        data = b"pqaka-store 1 registry\n" + _record(
+            field(b"imsi-1") + field(b"\x01" * 32) + b"\x01" + field(b"\x02" * 32))
+    else:
+        data = b"pqaka-store 1 guti_table\n" + _record(
+            field(b"imsi-1") + field(b"\x04" * 16) + field(b"\x05" * 32))
+    path = str(tmp_path / role)
+    with open(path, "wb") as f:
+        f.write(data)
+    with pytest.raises(ValueError):
+        load(path)
+    with pytest.raises(ValueError):
+        save(path, LAYOUT[role][0])
+    with open(path, "rb") as f:
+        assert f.read() == data
+    assert os.listdir(tmp_path) == [role]
