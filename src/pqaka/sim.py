@@ -280,6 +280,8 @@ def session(
         # 7. SN verification, confirmation, GUTI reassignment
         result = sn_mod.sn_verify_response(sn, sid, resp, rng)
         if result is None:
+            send_core("SN->HN", "sn-abort", wire.AbortMsg())
+            hn.pending.pop(sid, None)
             return _aborted(t, "sn-verify")
         send_core("SN->HN", "confirm", wire.ConfirmMsg())
         k_seaf_hn = hn_mod.hn_finalize(hn, sid)

@@ -3,13 +3,15 @@
 A file is a header naming its table and the format version, then records:
 the body's length and ``zlib.crc32``, 4 bytes each, then the body, the row
 packed by ``wire.pack_fields`` in the table's field kinds, as a message's
-fields are after its tag. The last record of a SUPI is its row. A commit
-appends its one row in one unsynced ``os.write``. The first save of a
-mapping, and compaction once appended records outnumber the rows by
-COMPACT_SLACK, write the file whole through a fsynced ``path + ".tmp"``. A
-power loss can drop the last commits, but ``load`` never returns a torn row.
-File descriptors are cached here by path, not kept on the role state, so the
-state stays picklable.
+fields are after its tag: fixed-width fields raw, the SUPI behind its DER
+length, one byte below 128 B. The header's version changes with that
+layout, and a file of another version is refused. The last record of a
+SUPI is its row. A commit appends its one row in one unsynced
+``os.write``. The first save of a mapping, and compaction once appended
+records outnumber the rows by COMPACT_SLACK, write the file whole through a
+fsynced ``path + ".tmp"``. A power loss can drop the last commits, but
+``load`` never returns a torn row. File descriptors are cached here by
+path, not kept on the role state, so the state stays picklable.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterator, Mapping, Optional
 
 from .wire import Fields, ParseError, pack_fields, unpack_fields
 
-VERSION = 2
+VERSION = 3
 COMPACT_SLACK = 64
 _FRAME = struct.Struct("<II")      # body length, zlib.crc32 of the body
 

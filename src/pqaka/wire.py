@@ -10,13 +10,17 @@ and of each ``store`` record's body, which is one row in this layout.
 Layout: one message-type tag byte, then each field in table order. A
 field whose kind fixes its width (``fixed(n)``, ``AUTN``, ``FLAG``,
 ``BYTE``) is sent as its raw bytes alone; a variable-length field (``VAR``,
-``UTF8``, ``OPTIONAL_VAR``) is a 4-byte big-endian length prefix followed by
-its raw bytes, as in the V and LV formats of 3GPP TS 24.007 §11.2. A 2-byte
-length would not carry McEliece's 261,120-byte public key. An optional
-field is preceded by one raw presence byte, 0x00 or 0x01. Decoding is
-strict and canonical: unknown tags, truncation, a flag or presence byte
-other than 0 or 1, invalid UTF-8 and trailing bytes are all rejected with
-the failing offset.
+``UTF8``, ``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
+in the V and LV formats of 3GPP TS 24.007 §11.2. The prefix is the definite
+length of ASN.1 DER (X.690 §8.1.3, minimal as §10.1 asks): a length of 0 to
+127 is one byte, and a longer one is ``0x80 | k`` followed by its k
+big-endian bytes, k from 1 to 4. On the test and ECIES suites every
+field is shorter than 128 bytes, so each prefix is one byte; four length
+bytes still carry McEliece's 261,120-byte public key. An optional field is
+preceded by one raw presence byte, 0x00 or 0x01. Decoding is strict and
+canonical: unknown tags, truncation, a long-form or zero-led length a
+shorter prefix could carry, a flag or presence byte other than 0 or 1,
+invalid UTF-8 and trailing bytes are all rejected with the failing offset.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class ResponseMsg:
 
 @dataclass(frozen=True)
 class ConfirmMsg:
-    ok: bool = True
+    """SN-to-HN confirmation that the UE's RES* checked; its tag alone."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ class Kind(NamedTuple):
 
     ``width`` is the exact byte length the field must have, and a field
     with a width is sent raw, with no length prefix (None: any length, sent
-    behind a 4-byte length). ``to_raw(value, name)`` turns a field value
+    behind its DER length). ``to_raw(value, name)`` turns a field value
     into bytes and ``from_raw(raw, name, offset)`` turns bytes back; None
     means the value is the bytes. Each raises on a value it cannot carry. An ``optional``
     field is preceded by a raw presence byte, 0 or 1, and may be None.
@@ -198,7 +202,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
                            ("c2", OPTIONAL_VAR))),
     ChallengeMsg: (0x05, (("autn", AUTN), ("c2", OPTIONAL_VAR))),
     ResponseMsg: (0x06, (("res_star", fixed(32)),)),
-    ConfirmMsg: (0x07, (("ok", FLAG),)),
+    ConfirmMsg: (0x07, ()),
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
     GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(RAND_LEN)),
                            ("r_sn", fixed(RAND_LEN)))),
@@ -220,9 +224,21 @@ Message = (
 )
 
 
+def _length_prefix(n: int, name: str) -> bytes:
+    """n as a DER definite length: one byte below 128, else 0x80 | k and
+    the k minimal big-endian bytes of n."""
+    if n < 0x80:
+        return bytes((n,))
+    k = (n.bit_length() + 7) // 8
+    if k > 4:
+        raise EncodeError(f"{name} is longer than 2**32 - 1 bytes")
+    return bytes((0x80 | k,)) + n.to_bytes(k, "big")
+
+
 def pack_fields(fields: Fields, values: Iterable, out: list[bytes]) -> bytes:
     """Append values, in field order, to out, raw if its kind fixes the width
-    and length-prefixed otherwise, checking each kind; return the joined bytes."""
+    and behind a DER length otherwise, checking each kind; return the joined
+    bytes."""
     for (name, (width, to_raw, _, optional)), value in zip(fields, values, strict=True):
         if optional:
             out.append(b"\x00" if value is None else b"\x01")
@@ -230,7 +246,7 @@ def pack_fields(fields: Fields, values: Iterable, out: list[bytes]) -> bytes:
                 continue
         raw = value if to_raw is None else to_raw(value, name)
         if width is None:
-            out.append(len(raw).to_bytes(4, "big"))
+            out.append(_length_prefix(len(raw), name))
         elif len(raw) != width:
             raise EncodeError(f"{name} must be {width} bytes")
         out.append(raw)
@@ -254,10 +270,20 @@ def unpack_fields(fields: Fields, data: bytes, pos: int, where: str) -> list:
         at = pos
         n = width
         if n is None:
-            if pos + 4 > end:
-                raise ParseError("truncated length prefix", pos)
-            n = int.from_bytes(data[pos:pos + 4], "big")
-            pos += 4
+            if pos >= end:
+                raise ParseError("truncated length prefix", at)
+            n = data[pos]
+            pos += 1
+            if n & 0x80:
+                k = n & 0x7F
+                if not 1 <= k <= 4:
+                    raise ParseError(f"length prefix of {k} length bytes", at)
+                if pos + k > end:
+                    raise ParseError("truncated length prefix", at)
+                n = int.from_bytes(data[pos:pos + k], "big")
+                if n < 0x80 or not data[pos]:
+                    raise ParseError("non-minimal length prefix", at)
+                pos += k
         if pos + n > end:
             raise ParseError("truncated field", pos)
         raw = data[pos:pos + n]

@@ -12,16 +12,16 @@ CONSTANTS = {
 
 SESSION_WIRE = {
     'id-request': bytes.fromhex('0101'),
-    'id-response': bytes.fromhex('020000002064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d0000005a6d6e349845c35cd3e783567f1e22c51cf2c5331a82541c7916142281a6552fb9596dfe57253f21f7f9ff21a881faa7db2b568791eda3e02a6ca474788427e4e6584e37d74c668356ea5af790d38195789aa5a8b0b183d3159edf0e6de99f22b49f798bef5e167d1eb3430baf5886c37d7259f32d236a5576914f0000000a686e2e6578616d706c65'),
-    'sn-hn-ident': bytes.fromhex('030000002064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d0000005a6d6e349845c35cd3e783567f1e22c51cf2c5331a82541c7916142281a6552fb9596dfe57253f21f7f9ff21a881faa7db2b568791eda3e02a6ca474788427e4e6584e37d74c668356ea5af790d38195789aa5a8b0b183d3159edf0e6de99f22b49f798bef5e167d1eb3430baf5886c37d7259f32d236a5576914f9a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
-    'auth-vector': bytes.fromhex('04420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda9b7bcf7c29e65a1c470bc4e72c6cca5fda991df4421586c406c8abc23e94547af178db78083d4773929f048a5b8f1e7900000048b49d519d0ffdd2626e3d5e80de1469a188fc8cd947777c775f0abe2a1f3fbdec0481c41f59522fbd361ba5109ca468b5ec4e512c346449aa4a8dc0b34ee43e35885393abcc4187c30100000020ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
-    'challenge': bytes.fromhex('05420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda9b7bcf7c29e65a1c470bc4e72c6cca5f0100000020ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
+    'id-response': bytes.fromhex('022064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d51790759ff45831f8afb83577e1e23c51cf2c5331a8344f46732c99d341f1fd7f0b39796412caf2cc4b1da08a04505d15b5e87393a62ed63842082a998e54a94804e7f8d3f62174f0a44b2fee7049ed0e8c00747de4132bc1a7b2679ce6267931951ab6390dcb5026eb83f65695a4de460a10a686e2e6578616d706c65'),
+    'sn-hn-ident': bytes.fromhex('032064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d51790759ff45831f8afb83577e1e23c51cf2c5331a8344f46732c99d341f1fd7f0b39796412caf2cc4b1da08a04505d15b5e87393a62ed63842082a998e54a94804e7f8d3f62174f0a44b2fee7049ed0e8c00747de4132bc1a7b2679ce6267931951ab6390dcb5026eb83f65695a4de460a19a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
+    'auth-vector': bytes.fromhex('04420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda9b7bcf7c29e65a1c470bc4e72c6cca5fda991df4421586c406c8abc23e94547af178db78083d4773929f048a5b8f1e7945b49d519d0ffdd2626e3d5e80de1469a188fc8cd947777c775f0abe2a1f3fbdec10e8a97859126ce42a1ba4119ca568b5ec4e512c352d2d54e2fde7a90c14497485a89fd53a0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
+    'challenge': bytes.fromhex('05420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda9b7bcf7c29e65a1c470bc4e72c6cca5f0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
     'response': bytes.fromhex('06abd83a4482b9d407c1e93dcc7f01819249dd92acf5c63f0ee71f08c14f2a8a4c'),
-    'confirm': bytes.fromhex('0701'),
+    'confirm': bytes.fromhex('07'),
     'guti-id': bytes.fromhex('08de8d192421cc79eb37484270549b5258'),
-    'sn-hn-guti': bytes.fromhex('0900000014696d73692d303031303130303030303030303031a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b89a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
+    'sn-hn-guti': bytes.fromhex('0914696d73692d303031303130303030303030303031a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b89a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
     'guti-assign': bytes.fromhex('0ade8d192421cc79eb37484270549b5258a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b8'),
-    'secure-envelope': bytes.fromhex('0b0000004112b5e994fce4d70f6028c0a2088b4f5a0b234251a67a644415b8d9ba7fe6faa4716c21c84d95a6f70ae9e2dcd6a4a2e834a37c3389b2e6e9be3bd16507da2f9281'),
+    'secure-envelope': bytes.fromhex('0b4112b5e994fce4d70f6028c0a2088b4f5a0b234251a67a644415b8d9ba7fe6faa4716c21c84d95a6f70ae9e2dcd6a4a2e834a37c3389b2e6e9be3bd16507da2f9281'),
     'abort': bytes.fromhex('0cff'),
 }
 

@@ -3,19 +3,26 @@
 Until fixed-width fields were sent raw, every field of a message crossed the
 wire behind a 4-byte big-endian length. LEGACY_WIRE is the honest session of
 golden.py in that layout, frozen from the same independent oracle. The
-current vectors follow from it using only hashlib and AES-256-GCM, so they
-stay independent of the encoder they check:
+current vectors follow from it using only hashlib, hmac and AES-256-GCM, so
+they stay independent of the encoder they check:
 
 - a field whose width the protocol fixes (AUTN, RES*, HXRES*, MAC_U, R_SN,
   R_SN', GUTI) and every one-byte flag or presence flag loses its length
-  prefix; variable-length fields keep theirs;
-- the two ciphertexts over a plaintext with such a field are opened and
-  sealed again: M in auth-vector (its K_seaf), under K3 = RES* xor CONC xor
-  R_SN, and the secure envelope (the GUTI assignment), under SHA-256 of the
-  length-prefixed K_seaf and b"guti-transport". Both use the zero nonce.
+  prefix, and ConfirmMsg's always-set flag is gone, leaving its tag alone;
+- a variable-length field keeps a length prefix, now the DER definite
+  length: each field of this session is shorter than 128 bytes, so its
+  prefix is the one byte of its length;
+- the three ciphertexts over a plaintext with such a field are opened and
+  sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
+  ID_SN, all variable-length) under K_S1, with MAC_U, HMAC-SHA-256 under
+  K_S1 of SUCI_conc, computed again; M in auth-vector (its K_seaf and SUPI),
+  under K3 = RES* xor CONC xor R_SN; and the secure envelope (the GUTI
+  assignment), under SHA-256 of the 4-byte length-prefixed K_seaf and
+  b"guti-transport". All use the zero nonce.
 """
 
 import hashlib
+import hmac
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -37,7 +44,8 @@ LEGACY_WIRE = {
 }
 
 
-# each vector's fields in wire order: "r" is sent raw now, "l" keeps its length
+# each vector's fields in wire order: "r" is sent raw now, "l" keeps a
+# length prefix and "x" is no longer sent
 LAYOUT = {
     "id-request": "r",        # force_supi
     "id-response": "llrl",    # c1, suci_conc, mac_u, id_hn
@@ -45,7 +53,7 @@ LAYOUT = {
     "auth-vector": "rrlrl",   # autn, hxres_star, m, c2 presence, c2
     "challenge": "rrl",       # autn, c2 presence, c2
     "response": "r",          # res_star
-    "confirm": "r",           # ok
+    "confirm": "x",           # ok, always set
     "guti-id": "r",           # guti
     "sn-hn-guti": "lrr",      # supi, r_sn_prime, r_sn
     "guti-assign": "rr",      # guti_new, r_sn_prime_new
@@ -53,11 +61,19 @@ LAYOUT = {
     "abort": "r",             # code
 }
 SUPI = b"imsi-001010000000001"
+ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
 
 
 def _lp(data: bytes) -> bytes:
+    """The former prefix, and crypto's on KDF and hash inputs: 4-byte length."""
     return len(data).to_bytes(4, "big") + data
+
+
+def _der(data: bytes) -> bytes:
+    """The wire's prefix on a field shorter than 128 bytes: one length byte."""
+    assert len(data) < 128
+    return bytes([len(data)]) + data
 
 
 def _legacy_fields(blob: bytes) -> list[bytes]:
@@ -77,20 +93,28 @@ def _reseal(key: bytes, ct: bytes, old_plain: bytes, new_plain: bytes) -> bytes:
 
 def derive_session_wire() -> dict[str, bytes]:
     fields = {name: _legacy_fields(blob) for name, blob in LEGACY_WIRE.items()}
-    k_seaf = SESSION_VALUES["k_seaf"]
+    k_seaf, k_s1 = SESSION_VALUES["k_seaf"], SESSION_VALUES["k_s1"]
+    pk_u = SESSION_VALUES["pk_u"]
+    suci_conc = _reseal(k_s1, fields["id-response"][1],
+                        _lp(SUPI) + _lp(pk_u) + _lp(ID_SN),
+                        _der(SUPI) + _der(pk_u) + _der(ID_SN))
+    mac_u = hmac.new(k_s1, suci_conc, hashlib.sha256).digest()
+    assert fields["sn-hn-ident"][:3] == fields["id-response"][:3]
+    for name in ("id-response", "sn-hn-ident"):
+        fields[name][1:3] = [suci_conc, mac_u]
     conc, r_sn = fields["auth-vector"][0][:32], fields["sn-hn-ident"][3]
     k3 = bytes(a ^ b ^ c for a, b, c in
                zip(SESSION_VALUES["res_star"], conc, r_sn, strict=True))
     fields["auth-vector"][2] = _reseal(
-        k3, fields["auth-vector"][2], _lp(k_seaf) + _lp(SUPI), k_seaf + _lp(SUPI))
+        k3, fields["auth-vector"][2], _lp(k_seaf) + _lp(SUPI), k_seaf + _der(SUPI))
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
-               f if kind == "r" else _lp(f)
+               {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))
            for name in LEGACY_WIRE}
     envelope_key = hashlib.sha256(_lp(k_seaf) + _lp(b"guti-transport")).digest()
     ct = _reseal(envelope_key, fields["secure-envelope"][0],
                  LEGACY_WIRE["guti-assign"], out["guti-assign"])
-    out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _lp(ct)
+    out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(ct)
     return out
 
 

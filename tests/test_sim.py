@@ -41,20 +41,22 @@ def test_honest_guti_session_has_no_c2(world, rng):
 
 
 # one honest session's communication cost per suite and path, as (radio,
-# core) bytes, and the radio size of each of its messages
+# core) bytes, and the radio size of each of its messages; the core bytes
+# are sn-hn-ident 180 (sn-hn-guti 86), auth-vector 201 (168) and confirm 1.
+# Every variable-length field here is under 128 B: its length is one byte
 SESSION_BYTES = {
-    "test": {"supi": (384, 407), "guti": (188, 265)},
-    "ecies-x25519": {"supi": (384, 407), "guti": (188, 265)},
-    "ecies-p256": {"supi": (387, 410), "guti": (188, 265)},
+    "test": {"supi": (360, 382), "guti": (185, 255)},
+    "ecies-x25519": {"supi": (360, 382), "guti": (185, 255)},
+    "ecies-p256": {"supi": (363, 385), "guti": (185, 255)},
 }
 RADIO_MESSAGE_BYTES = {
-    "supi": {"id-request": 2, "id-response": 177, "challenge": 102,
-             "response": 33, "guti-assign": 70},
+    "supi": {"id-request": 2, "id-response": 159, "challenge": 99,
+             "response": 33, "guti-assign": 67},
     "guti": {"id-request": 2, "guti-id": 17, "challenge": 66,
-             "response": 33, "guti-assign": 70},
+             "response": 33, "guti-assign": 67},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
-P256_SUPI_RADIO_BYTES = {"id-response": 179, "challenge": 103}
+P256_SUPI_RADIO_BYTES = {"id-response": 161, "challenge": 100}
 
 
 @pytest.mark.parametrize("suite", list(SESSION_BYTES))
@@ -572,24 +574,37 @@ def test_session_evicted_while_its_response_is_in_flight_aborts_then_heals(world
     assert nxt.completed and nxt.key_source == "guti"
 
 
-def test_session_only_the_hn_evicted_heals_as_a_lost_hn_entry(world, rng):
-    """Sessions of another UE whose RES* is corrupted leave their entries at
-    the HN only, and push a GUTI session's HN entry out before its RES*
-    arrives: the SN completes it, the HN commits nothing, and the next GUTI
-    challenge fails at the UE, which then identifies by SUPI."""
-    other = _second_ue(world, rng)
-    corrupt = sim.ScriptedAttacker(
-        {"response": lambda data, ctx: data[:-1] + bytes([data[-1] ^ 1])})
+def test_session_only_the_hn_evicted_heals_as_a_lost_hn_entry(world, rng, tmp_path):
+    """The HN is rebuilt from its store while a GUTI session's RES* is on the
+    radio, so its entry is lost at the HN only: the SN completes the session,
+    the HN commits nothing, and the next GUTI challenge fails at the UE,
+    which then identifies by SUPI."""
+    world.hn.persist_path = str(tmp_path / "registry")
+    hn_mod.save_registry(world.hn.persist_path, world.hn.registry)
 
-    def flood():
-        for _ in range(hn_mod.PENDING_MAX):
-            assert sim.run_session(other, "supi", corrupt, rng).abort_step == "sn-verify"
-        assert len(world.sn.pending) == 1
-        assert len(world.hn.pending) == hn_mod.PENDING_MAX
+    def restart():
+        assert len(world.sn.pending) == len(world.hn.pending) == 1
+        world.hn.registry = hn_mod.load_registry(world.hn.persist_path)
+        world.hn.pending = {}
 
     assert sim.run_session(world, "supi", rng=rng).completed
-    evicted = _guti_session_around(world, rng, flood)
+    evicted = _guti_session_around(world, rng, restart)
     assert evicted.completed and evicted.k_seaf_hn is None
     outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(3)]
     assert [o.abort_step for o in outcomes] == ["ue-challenge", None, None]
     assert [o.key_source for o in outcomes[1:]] == ["supi", "guti"]
+
+
+def test_failed_res_star_frees_the_hn_entry(world, rng):
+    """A RES* that fails at the SN ends the session at the HN too: the SN
+    sends it an abort, and neither role keeps a pending entry."""
+    corrupt = sim.ScriptedAttacker(
+        {"response": lambda data, ctx: data[:-1] + bytes([data[-1] ^ 1])})
+    outcome = sim.run_session(world, "supi", corrupt, rng)
+    assert outcome.abort_step == "sn-verify"
+    last = outcome.transcript.entries[-1]
+    assert (last.channel, last.direction, last.annotation) == (
+        sim.CORE, "SN->HN", "sn-abort")
+    assert last.data == wire.encode(wire.AbortMsg())
+    assert len(world.sn.pending) == 0
+    assert len(world.hn.pending) == 0

@@ -315,8 +315,10 @@ def _record(body):
 
 
 def _utf8(text):
-    """A variable-length field: 4-byte big-endian length, then the bytes."""
-    return len(text.encode()).to_bytes(4, "big") + text.encode()
+    """A variable-length field shorter than 128 bytes: its length in one
+    byte, then the bytes."""
+    assert len(text.encode()) < 128
+    return bytes([len(text.encode())]) + text.encode()
 
 
 # role -> (the mapping, its file: header, then one record per row with the
@@ -324,11 +326,11 @@ def _utf8(text):
 LAYOUT = {
     "hn": ({"imsi-1": hn_mod.SubscriberRecord("imsi-1", b"\x01" * 32, b"\x02" * 32),
             "imsi-ü": hn_mod.SubscriberRecord("imsi-ü", b"\x03" * 32, None)},
-           b"pqaka-store 2 registry\n"
+           b"pqaka-store 3 registry\n"
            + _record(_utf8("imsi-1") + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
            + _record(_utf8("imsi-ü") + b"\x03" * 32 + b"\x00")),
     "sn": ({b"\x04" * 16: sn_mod.GutiEntry("imsi-1", b"\x05" * 32)},
-           b"pqaka-store 2 guti_table\n"
+           b"pqaka-store 3 guti_table\n"
            + _record(_utf8("imsi-1") + b"\x04" * 16 + b"\x05" * 32)),
 }
 
@@ -344,21 +346,9 @@ def test_store_file_layout_pinned(tmp_path, role):
     assert load(path) == mapping
 
 
-@pytest.mark.parametrize("role", ROLES)
-def test_version_1_store_is_refused_by_load_and_save(tmp_path, role):
-    """The former layout: every field behind a 4-byte little-endian length,
-    K_S behind a presence byte."""
+def _refused_by_load_and_save(tmp_path, role, data):
+    """A file holding data is refused by load and by save, and left as is."""
     save, load, _ = ROLES[role]
-
-    def field(value):
-        return len(value).to_bytes(4, "little") + value
-
-    if role == "hn":
-        data = b"pqaka-store 1 registry\n" + _record(
-            field(b"imsi-1") + field(b"\x01" * 32) + b"\x01" + field(b"\x02" * 32))
-    else:
-        data = b"pqaka-store 1 guti_table\n" + _record(
-            field(b"imsi-1") + field(b"\x04" * 16) + field(b"\x05" * 32))
     path = str(tmp_path / role)
     with open(path, "wb") as f:
         f.write(data)
@@ -369,3 +359,34 @@ def test_version_1_store_is_refused_by_load_and_save(tmp_path, role):
     with open(path, "rb") as f:
         assert f.read() == data
     assert os.listdir(tmp_path) == [role]
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_version_1_store_is_refused_by_load_and_save(tmp_path, role):
+    """The former layout: every field behind a 4-byte little-endian length,
+    K_S behind a presence byte."""
+
+    def field(value):
+        return len(value).to_bytes(4, "little") + value
+
+    if role == "hn":
+        data = b"pqaka-store 1 registry\n" + _record(
+            field(b"imsi-1") + field(b"\x01" * 32) + b"\x01" + field(b"\x02" * 32))
+    else:
+        data = b"pqaka-store 1 guti_table\n" + _record(
+            field(b"imsi-1") + field(b"\x04" * 16) + field(b"\x05" * 32))
+    _refused_by_load_and_save(tmp_path, role, data)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_version_2_store_is_refused_by_load_and_save(tmp_path, role):
+    """The former layout: fixed-width fields raw, the SUPI behind a 4-byte
+    big-endian length, K_S behind a presence byte."""
+    supi = len(b"imsi-1").to_bytes(4, "big") + b"imsi-1"
+    if role == "hn":
+        data = b"pqaka-store 2 registry\n" + _record(
+            supi + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
+    else:
+        data = b"pqaka-store 2 guti_table\n" + _record(
+            supi + b"\x04" * 16 + b"\x05" * 32)
+    _refused_by_load_and_save(tmp_path, role, data)

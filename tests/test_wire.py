@@ -11,7 +11,9 @@ from pqaka import wire
 
 
 def lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
+    """A short variable-length field: one length byte, then the bytes."""
+    assert len(data) < 128
+    return bytes([len(data)]) + data
 
 
 # --- layout-forced encodings ---------------------------------------------
@@ -28,6 +30,77 @@ def test_id_request_layout():
 
 def test_abort_layout():
     assert wire.encode(wire.AbortMsg()) == b"\x0c\xff"
+
+
+def test_confirm_is_its_tag_alone():
+    assert wire.encode(wire.ConfirmMsg()) == b"\x07"
+    assert wire.decode(b"\x07") == wire.ConfirmMsg()
+    with pytest.raises(wire.ParseError, match="trailing bytes") as exc:
+        wire.decode(b"\x07\x01")
+    assert exc.value.offset == 1
+
+
+# --- DER length prefixes, written by hand (X.690 §8.1.3, minimal) ---------
+
+DER_LENGTHS = [
+    (0, "00"), (127, "7f"), (128, "8180"), (255, "81ff"), (256, "820100"),
+    (65_535, "82ffff"), (65_536, "83010000"), (261_120, "8303fc00"),
+]
+
+
+@pytest.mark.parametrize("n,prefix", DER_LENGTHS, ids=[str(n) for n, _ in DER_LENGTHS])
+def test_length_prefix_round_trips(n, prefix):
+    ct = bytes(range(256)) * (n // 256) + bytes(n % 256)
+    blob = wire.encode(wire.SecureEnvelopeMsg(ct=ct))
+    assert blob == b"\x0b" + bytes.fromhex(prefix) + ct
+    assert wire.decode(blob) == wire.SecureEnvelopeMsg(ct=ct)
+
+
+class _Sized(bytes):
+    """Empty bytes that report a length, to size a prefix without allocating it."""
+
+    def __new__(cls, n: int):
+        self = super().__new__(cls)
+        self.n = n
+        return self
+
+    def __len__(self):
+        return self.n
+
+
+def test_length_prefix_takes_at_most_four_length_bytes():
+    assert wire.encode(wire.SecureEnvelopeMsg(ct=_Sized(2**32 - 1))) == \
+        bytes.fromhex("0b84ffffffff")
+    with pytest.raises(wire.EncodeError):
+        wire.encode(wire.SecureEnvelopeMsg(ct=_Sized(2**32)))
+
+
+# a prefix the strict decoder refuses, then enough bytes for the length it claims
+BAD_PREFIXES = {
+    "long-form-under-128": "8105" + "00" * 5,
+    "leading-zero": "820090" + "00" * 0x90,
+    "no-length-bytes": "80",
+    "five-length-bytes": "850000000001" + "00",
+    "truncated-long-form": "8201",
+}
+# (message bytes before the prefix, bytes after the field) per position
+PREFIX_SITES = {
+    "envelope-ct": ("0b", ""),
+    "suci-conc": ("02" + "01aa", "00" * 32 + "00"),
+    "optional-c2": ("05" + "00" * 64 + "01", ""),
+}
+
+
+@pytest.mark.parametrize("site", list(PREFIX_SITES))
+@pytest.mark.parametrize("bad", list(BAD_PREFIXES))
+def test_bad_length_prefix_rejected_at_its_offset(bad, site):
+    before, after = (bytes.fromhex(h) for h in PREFIX_SITES[site])
+    blob = before + bytes.fromhex(BAD_PREFIXES[bad])
+    if bad != "truncated-long-form":
+        blob += after
+    with pytest.raises(wire.ParseError, match="length prefix") as exc:
+        wire.decode(blob)
+    assert exc.value.offset == len(before)
 
 
 # --- golden vectors (one honest session, frozen from an independent oracle) --
@@ -68,7 +141,7 @@ def _random_messages(r: random.Random):
         wire.HnToSnAuthMsg(autn=autn, hxres_star=b(32), m=b(r.randint(0, 80)), c2=c2),
         wire.ChallengeMsg(autn=autn, c2=c2),
         wire.ResponseMsg(res_star=b(32)),
-        wire.ConfirmMsg(ok=r.random() < 0.5),
+        wire.ConfirmMsg(),
         wire.GutiIdMsg(guti=b(16)),
         wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(32)),
         wire.GutiAssignMsg(guti_new=b(16), r_sn_prime_new=b(32)),
@@ -111,8 +184,8 @@ def test_decode_invalid_utf8_rejected_at_its_field():
     blob = wire.encode(msg)
     with pytest.raises(wire.ParseError) as exc:
         wire.decode(blob[:-1] + b"\xff")
-    # tag, then c1 and suci_conc behind a 4-byte length, and raw mac_u
-    assert exc.value.offset == 1 + (4 + 1) + (4 + 2) + 32
+    # tag, then c1 and suci_conc behind a one-byte length, and raw mac_u
+    assert exc.value.offset == 1 + (1 + 1) + (1 + 2) + 32
 
 
 def test_decode_truncated_rejected():
@@ -226,12 +299,12 @@ def test_fixed_width_enforced_on_encode(cls, name, width):
 def _flag_offsets(msg) -> list[int]:
     """Offsets of the FLAG and presence bytes in encode(msg), written
     independently of the table."""
-    if isinstance(msg, (wire.IdRequestMsg, wire.ConfirmMsg)):
+    if isinstance(msg, wire.IdRequestMsg):
         return [1]
     if isinstance(msg, wire.ChallengeMsg):
         return [1 + 64]
     if isinstance(msg, wire.HnToSnAuthMsg):
-        return [1 + 64 + 32 + 4 + len(msg.m)]
+        return [1 + 64 + 32 + 1 + len(msg.m)]   # m is shorter than 128 B
     return []
 
 
@@ -241,6 +314,8 @@ def _strict_cases():
     samples += [dataclasses.replace(m, c2=c2) for m in list(samples)
                 if isinstance(m, (wire.HnToSnAuthMsg, wire.ChallengeMsg))
                 for c2 in (None, b"", b"\x05")]
+    # long-form lengths: 0x81 and 0x82 prefixes
+    samples += [wire.SecureEnvelopeMsg(ct=r.randbytes(n)) for n in (128, 300)]
     cases = {cls.__name__: (wire.encode, wire.decode,
                             [m for m in samples if type(m) is cls])
              for cls in wire.SCHEMA}
