@@ -1,22 +1,21 @@
 """Executable adversary games, each returning a machine-checkable verdict.
 
-Forward secrecy is decided by a knowledge-closure oracle: the session's
-value-derivation graph is rebuilt independently from raw secrets and
-transcript bytes, and a value counts as derivable only if a chain of at
-most four real operation applications (re-executed, not assumed) reaches
-it from the attacker's knowledge set. Every scenario also runs controls
-that must flip, and WEAKENINGS names the weakened UEs each game must fail
-with, proving the games can discriminate.
+Forward secrecy, and what a compromised SN knows before RES*, are decided
+by a knowledge-closure oracle: the session's value-derivation graph is
+rebuilt independently from raw secrets and transcript bytes, and a value
+counts as derivable only if a chain of at most four real operation
+applications (re-executed, not assumed) reaches it from the attacker's
+knowledge set. Every scenario also runs controls that must flip, and
+WEAKENINGS names the weakened roles each game must fail with.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from . import crypto, hn as hn_mod, sim, ue, wire
+from . import crypto, hn, sim, ue, wire
 from .rng import RandomSource, SeededRandom
 
 CLOSURE_DEPTH = 4
@@ -38,8 +37,8 @@ class Verdict:
 
 # --- derivation-graph knowledge closure -------------------------------------
 
-def _open_suci(key: bytes, suci_conc: bytes) -> tuple[str, bytes, bytes]:
-    return wire.unpack_suci_payload(crypto.aead_open(key, suci_conc))
+def _opened(key: bytes, ct: bytes, unpack: Callable[[bytes], tuple]) -> tuple:
+    return unpack(crypto.aead_open(key, ct))
 
 
 # recipe op -> its executable form, called as _OPS[op](suite, *input_values)
@@ -50,8 +49,10 @@ _OPS = {
     "kdf": lambda suite, *values: crypto.kdf(list(values)),
     "hash": lambda suite, *values: crypto.hash_h(list(values)),
     "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
-    "open-suci-supi": lambda suite, key, ct: _open_suci(key, ct)[0].encode(),
-    "open-suci-pk": lambda suite, key, ct: _open_suci(key, ct)[1],
+    "open-suci-supi": lambda suite, key, ct: _opened(key, ct, wire.unpack_suci_payload)[0].encode(),
+    "open-suci-pk": lambda suite, key, ct: _opened(key, ct, wire.unpack_suci_payload)[1],
+    "open-m-k_seaf": lambda suite, key, m: _opened(key, m, wire.unpack_m_payload)[0],
+    "open-m-supi": lambda suite, key, m: _opened(key, m, wire.unpack_m_payload)[1].encode(),
 }
 
 
@@ -124,17 +125,20 @@ def _radio_messages(outcome: sim.SessionOutcome) -> dict[str, wire.Message]:
 @dataclass
 class OracleCapture:
     """Test-only UE secrets of one session that the game oracles are given:
-    the ratchet state before the run, and the ephemeral sk_U as the challenge
-    crosses the radio. The simulator never returns them."""
+    the ratchet state before the run, the ephemeral sk_U as the challenge
+    crosses the radio, and the UE's K_seaf as its response does. The
+    simulator never returns them."""
 
     k_s_prev: Optional[bytes]
     r_sn_prime: Optional[bytes]
     sk_u: Optional[bytes] = None
+    k_seaf: Optional[bytes] = None
 
 
-def run_captured(world: sim.World, mode: str, rng: RandomSource
-                 ) -> tuple[sim.SessionOutcome, OracleCapture]:
-    """One honest session, with a pass-through challenge tap filling the capture."""
+def run_captured(world: sim.World, mode: str, rng: RandomSource, drop_response: bool = False,
+                 **roles) -> tuple[sim.SessionOutcome, OracleCapture]:
+    """One session run with roles (ue_mod=, hn_mod=), its challenge and response
+    taps filling the capture; drop_response then drops the response."""
     capture = OracleCapture(k_s_prev=world.ue.k_s, r_sn_prime=world.ue.r_sn_prime)
 
     def on_challenge(data: bytes, ctx) -> bytes:
@@ -142,15 +146,20 @@ def run_captured(world: sim.World, mode: str, rng: RandomSource
             capture.sk_u = world.ue.ephemeral.sk
         return data
 
-    tap = sim.ScriptedAttacker({"challenge": on_challenge})
-    return sim.run_session(world, mode, tap, rng), capture
+    def on_response(data: bytes, ctx) -> Optional[bytes]:
+        capture.k_seaf = world.ue.k_seaf
+        return None if drop_response else data
+
+    tap = sim.ScriptedAttacker({"challenge": on_challenge, "response": on_response})
+    return sim.run_session(world, mode, tap, rng, **roles), capture
 
 
 def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
                         capture: OracleCapture) -> DerivationGraph:
     """Independent reconstruction of one session's derivation chains; the
     atoms taken from radio bytes, and the public identities, form g.public.
-    Raises ValueError unless the rebuilt k_seaf is the UE's K_seaf."""
+    RES* is an atom only if the response crossed the radio. Raises
+    ValueError unless the rebuilt k_seaf is the UE's captured K_seaf."""
     g = DerivationGraph(world.suite)
     radio = _radio_messages(outcome)
     g.atom("k", world.ue.k)
@@ -161,9 +170,10 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     ch = radio["challenge"]
     g.atom("conc", ch.autn.conc, public=True)
     g.atom("mac", ch.autn.mac, public=True)
-    g.atom("res_star", radio["response"].res_star, public=True)
+    if "response" in radio:
+        g.atom("res_star", radio["response"].res_star, public=True)
 
-    if outcome.key_source == "supi":
+    if ch.c2 is not None:                          # the SUPI path
         ident = radio["id-response"]
         g.atom("c1", ident.c1, public=True)
         g.atom("suci_conc", ident.suci_conc, public=True)
@@ -190,9 +200,26 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     g.derived("k_ausf", "kdf", "ck", "ik", "k_star", "conc", "id_sn")
     g.derived("k_seaf", "kdf", "k_ausf", "id_sn")
     g.derived("k_s_new", "hash", "k_star", "r_sn")
-    if g.nodes["k_seaf"].value != outcome.k_seaf_ue:
+    if g.nodes["k_seaf"].value != capture.k_seaf:
         raise ValueError("the rebuilt k_seaf is not the session's K_seaf")
     return g
+
+
+def sn_pre_response_graph(world: sim.World, outcome: sim.SessionOutcome,
+                          capture: OracleCapture) -> tuple[DerivationGraph, set[str]]:
+    """The session graph of a run whose response was dropped, with the SN's
+    pending (R_SN, M, HXRES*) and the recipes by which RES* opens M, and the
+    SN's knowledge before RES* arrives: the radio atoms and what it holds."""
+    g = build_session_graph(world, outcome, capture)
+    (pending,) = world.sn.pending.values()
+    for name in ("r_sn", "m", "hxres_star"):
+        g.atom(name, getattr(pending, name))
+    g.derived("hxres_star", "hash", "r_sn", "res_star")
+    g.derived("ak", "xor", "conc", "r_sn")
+    g.derived("k3", "xor", "res_star", "ak")
+    g.derived("k_seaf", "open-m-k_seaf", "k3", "m")
+    g.derived("supi", "open-m-supi", "k3", "m")
+    return g, (g.public - {"res_star"}) | {"r_sn", "m", "hxres_star"}
 
 
 # --- weakened roles ----------------------------------------------------------
@@ -243,6 +270,17 @@ def _broken_ue() -> Weakened:
 
     return Weakened(ue, ue_identification_response=identification_response,
                     ue_guti_identification=guti_identification)
+
+
+def _hn_sealing_m_under_ak(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
+                           id_sn: str, rng: RandomSource, sid: bytes) -> wire.HnToSnAuthMsg:
+    """SUPI-path HN that seals M under AK = CONC xor R_SN, a key the SN
+    holds before RES* arrives, instead of under K3."""
+    vector = hn.hn_auth_vector(state, record, pk_u, r_sn, id_sn, rng, sid)
+    pending = state.pending[sid]
+    ak = crypto.xor_bytes(vector.autn.conc, r_sn)
+    return replace(vector, m=crypto.aead_seal(
+        ak, wire.pack_m_payload(pending.k_seaf, pending.supi)))
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -296,9 +334,6 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
         controls=[("honest-passthrough-completes", honest.completed)])
 
 
-_WIRE_CONSTANT_FIELDS = {b"\x00", b"\x01"}
-
-
 def _field_multiset(outcome: sim.SessionOutcome) -> Counter:
     """Multiset of radio field values (message tag bytes included)."""
     fields: Counter = Counter()
@@ -310,8 +345,9 @@ def _field_multiset(outcome: sim.SessionOutcome) -> Counter:
 
 
 def _linkability_constants(world: sim.World) -> set[bytes]:
+    """Message tags, the one-byte flag values and the HN identity."""
     tags = {bytes([tag]) for tag, _ in wire.SCHEMA.values()}
-    return tags | _WIRE_CONSTANT_FIELDS | {world.hn.id_hn.encode()}
+    return tags | {b"\x00", b"\x01", world.hn.id_hn.encode()}
 
 
 def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
@@ -352,68 +388,28 @@ def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
                    evidence=evidence, controls=controls)
 
 
-def _sn_pre_response_values(world: sim.World, outcome: sim.SessionOutcome) -> list[bytes]:
-    values: list[bytes] = [world.sn.id_sn.encode()]
-    for p in world.sn.pending.values():
-        values.append(p.r_sn)
-        if p.hxres_star:
-            values.append(p.hxres_star)
-        if p.autn:
-            values += [p.autn.conc, p.autn.mac]
-        if p.m:
-            values.append(p.m)
-    ident = _radio_messages(outcome)["id-response"]
-    return values + [ident.c1, ident.suci_conc, ident.mac_u]
-
-
-def _key_candidates(values: list[bytes], depth: int = 2,
-                    budget: int = 100_000) -> set[bytes]:
-    """32-byte values reachable by xor/hash/kdf combinations, budget-capped.
-
-    Depth 2 covers every key shape the protocol ever forms from SN-held
-    material (K3 itself is a single xor of two 32-byte values).
-    """
-    known = set(values)
-    for _ in range(depth):
-        thirty_two = sorted(v for v in known if len(v) == 32)
-        if len(thirty_two) ** 2 > budget:
-            break
-        # kdf and hash_h are one construction, so one call covers both
-        new = {crypto.hash_h([v]) for v in known}
-        # xor is symmetric, so each unordered pair is xored once;
-        # hash_h is order-sensitive and takes every ordered pair
-        ints = [int.from_bytes(v, "big") for v in thirty_two]
-        new.update((a ^ b).to_bytes(32, "big") for a, b in combinations(ints, 2))
-        new.update(crypto.hash_h_pairs(thirty_two))
-        if new <= known:
-            break
-        known |= new
-    return {v for v in known if len(v) == 32}
-
-
 def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
-                                    *, ue_mod=ue) -> Verdict:
+                                    *, ue_mod=ue, hn_mod=hn) -> Verdict:
     """The SN cannot separate or pre-learn (SUPI, K_seaf), and cannot bind
-    a vector issued for one session to another UE (run with ue_mod)."""
+    a vector issued for one session to another UE (run with ue_mod); part
+    (a) runs its session with hn_mod."""
     evidence: list[str] = []
 
-    # (a) pre-response decryption closure over SN-held material
+    # (a) pre-response knowledge closure of the SN, and every 32-byte value
+    # in it tried on M, which catches M sealed under a known key other than K3
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
-    attacker = sim.ScriptedAttacker({"response": lambda data, ctx: None})
-    out = sim.run_session(world, "supi", attacker, rng)
-    assert not out.completed
-    pending_m = next(p.m for p in world.sn.pending.values())
-    values = _sn_pre_response_values(world, out)
-    candidates = _key_candidates(values)
-    opened = crypto.count_openings(candidates, pending_m)
-    part_a = opened == 0
-    evidence.append(f"pre-response-keys-tried={len(candidates)} opened={opened}")
-
-    supi_bytes = world.ue.supi.encode()
-    no_early_supi = all(supi_bytes not in v for v in values)
-    part_a = part_a and no_early_supi
-    evidence.append(f"supi-absent-from-sn-state={no_early_supi}")
+    out, capture = run_captured(world, "supi", rng, drop_response=True, hn_mod=hn_mod)
+    g, base = sn_pre_response_graph(world, out, capture)
+    known = g.closure(base)
+    # what M binds, and the keys that open it or come before it
+    learned = [n for n in ("k3", "k_seaf", "supi", "k_star") if n in known]
+    keys = {g.nodes[n].value for n in known if len(g.nodes[n].value) == crypto.KEY_LEN}
+    opened = crypto.count_openings(keys, g.nodes["m"].value)
+    no_early_supi = all(g.nodes["supi"].value not in g.nodes[n].value for n in base)
+    part_a = opened == 0 and not learned and no_early_supi
+    evidence += [f"pre-response-keys-tried={len(keys)} opened={opened}",
+                 f"pre-response-secrets={learned}", f"supi-absent-from-sn-state={no_early_supi}"]
 
     # (b) malicious SN forwards UE-A's challenge into UE-B's session
     rng2 = SeededRandom(seed + 1)
@@ -436,8 +432,8 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     world3 = sim.make_world(suite_name, seed=rng3)
     world3.ue.id_sn_expected = "other-sn.example"
     world3.hn.sn_allowlist.add("other-sn.example")
-    misled_hn = Weakened(hn_mod, hn_identify=lambda state, msg, _claimed:
-                         hn_mod.hn_identify(state, msg, "other-sn.example"))
+    misled_hn = Weakened(hn, hn_identify=lambda state, msg, _claimed:
+                         hn.hn_identify(state, msg, "other-sn.example"))
     out_c = sim.run_session(world3, "supi", rng=rng3, hn_mod=misled_hn)
     part_c = (not out_c.completed) and out_c.supi_at_sn is None
     evidence.append(f"wrong-sn-vector: abort_step={out_c.abort_step}")
@@ -498,28 +494,31 @@ class UnusedWeakening(ValueError):
     """run_scenarios, before any game runs: the weakening lists none of the games named."""
 
 
-# weakening -> (factory of weakened UE roles, games given them as ue_mod, each must fail)
+# weakening -> (factory of the weakened roles, as run_session keywords,
+# given to each game listed; each of those games must fail)
 WEAKENINGS = {
-    "ue-mac": (lambda: Weakened(ue, ue_process_challenge=_ue_without_mac_check),
+    "ue-mac": (lambda: {"ue_mod": Weakened(ue, ue_process_challenge=_ue_without_mac_check)},
                {"replay", "sn-binding"}),
-    "ue-reuse": (_broken_ue, {"linkability"}),
+    "ue-reuse": (lambda: {"ue_mod": _broken_ue()}, {"linkability"}),
+    "hn-seal-ak": (lambda: {"hn_mod": Weakened(hn, hn_auth_vector=_hn_sealing_m_under_ak)},
+                   {"sn-binding"}),
 }
 
 
-def weakened_roles(names: list[str], weaken: frozenset) -> dict[str, Callable[[], Weakened]]:
-    """The factory of weakened roles for each of the named games that a
-    weakening in weaken lists; UnusedWeakening if one lists none of them."""
-    roles = {}
+def weakened_roles(names: list[str], weaken: frozenset) -> dict[str, dict[str, Weakened]]:
+    """Per named game, the run_session keywords of the roles weakened for it;
+    UnusedWeakening if a weakening in weaken lists none of the games."""
+    roles: dict[str, dict[str, Weakened]] = {}
     for weakening in sorted(weaken):
         make, games = WEAKENINGS[weakening]
         if games.isdisjoint(names):
             raise UnusedWeakening(f"weakening {weakening} flips none of: {', '.join(names)}")
-        roles.update((game, make) for game in games)
+        for game in games & set(names):
+            roles.setdefault(game, {}).update(make())
     return roles
 
 
 def run_scenarios(names: list[str], suite_name: str = "test", seed: int = 0,
                   weaken: frozenset = frozenset()) -> list[Verdict]:
     roles = weakened_roles(names, weaken)
-    return [SCENARIOS[name](suite_name, seed, **(
-        {"ue_mod": roles[name]()} if name in roles else {})) for name in names]
+    return [SCENARIOS[name](suite_name, seed, **roles.get(name, {})) for name in names]

@@ -102,20 +102,6 @@ def hash_h(inputs: list[bytes]) -> bytes:
     return hashlib.sha256(_lp(inputs)).digest()
 
 
-def hash_h_pairs(values: list[bytes]) -> list[bytes]:
-    """hash_h([a, b]) for every ordered pair in product(values, repeat=2)
-    order; each a's length-prefixed field is hashed once."""
-    fields = [_lp([v]) for v in values]
-    out = []
-    for a in fields:
-        prefix = hashlib.sha256(a)
-        for b in fields:
-            h = prefix.copy()
-            h.update(b)
-            out.append(h.digest())
-    return out
-
-
 def hmac_tag(key: bytes, data: bytes) -> bytes:
     _check_key(key)
     return _hmac.new(key, data, hashlib.sha256).digest()

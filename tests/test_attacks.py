@@ -4,8 +4,6 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pqaka import attacks, crypto, sim, ue as ue_mod, wire
 from pqaka.crypto import TEST_KEM
@@ -24,7 +22,7 @@ def test_replay_scenario_holds():
 
 def test_replay_scenario_fails_without_ue_mac_check():
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
-    v = attacks.scenario_replay_challenge(ue_mod=make_roles())
+    v = attacks.scenario_replay_challenge(**make_roles())
     assert not v.holds
     # the UE lets every splice through: the two that replay c2 die at the
     # SN's HXRES* check, and a replayed AUTN with a fresh c2 completes
@@ -61,7 +59,7 @@ WEAKENED_GAMES = [
 def test_each_weakening_fails_every_game_it_lists(weakening, game, mode, suite, seed):
     make_roles, _games = attacks.WEAKENINGS[weakening]
     kwargs = {"mode": mode} if mode else {}
-    v = attacks.SCENARIOS[game](suite, seed, ue_mod=make_roles(), **kwargs)
+    v = attacks.SCENARIOS[game](suite, seed, **make_roles(), **kwargs)
     assert not v.holds
 
 
@@ -69,7 +67,7 @@ def test_weakened_sn_binding_game_fails_at_the_sn():
     """With ue-mac, UE B answers UE A's forwarded challenge; the SN's
     HXRES* check, not the UE, then ends the session."""
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
-    v = attacks.scenario_compromised_sn_binding(ue_mod=make_roles())
+    v = attacks.scenario_compromised_sn_binding(**make_roles())
     assert "cross-ue-challenge: abort_step=sn-verify" in v.evidence
 
 
@@ -78,7 +76,7 @@ def test_ue_without_mac_check_aborts_a_guti_challenge(world, rng):
     MAC it expects (a SUPI challenge); a GUTI challenge has no c2."""
     assert sim.run_session(world, "supi", rng=rng).completed
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
-    out = sim.run_session(world, "guti", rng=rng, ue_mod=make_roles())
+    out = sim.run_session(world, "guti", rng=rng, **make_roles())
     assert out.completed and out.key_source == "guti"
 
 
@@ -93,7 +91,7 @@ def test_ue_without_mac_check_aborts_a_challenge_with_no_pending_sk_u(world, rng
     first = sim.run_session(world, "supi", sim.ScriptedAttacker({"challenge": keep}), rng)
     assert first.completed and world.ue.ephemeral is None
     ch = wire.decode(challenge["data"])
-    assert make_roles().ue_process_challenge(world.ue, ch) is None
+    assert make_roles()["ue_mod"].ue_process_challenge(world.ue, ch) is None
 
 
 def test_ue_without_mac_check_aborts_a_c2_it_cannot_decapsulate(world, rng):
@@ -103,7 +101,7 @@ def test_ue_without_mac_check_aborts_a_c2_it_cannot_decapsulate(world, rng):
 
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
     out = sim.run_session(world, "supi", sim.ScriptedAttacker({"challenge": short_c2}),
-                          rng, ue_mod=make_roles())
+                          rng, **make_roles())
     assert out.abort_step == "ue-challenge"
 
 
@@ -194,12 +192,13 @@ def test_session_graph_reconstructs_anchor_key(world, rng):
 
 
 def test_session_graph_refuses_an_outcome_with_another_k_seaf(world, rng):
-    """The rebuilt k_seaf is the session's K_seaf, or the graph is refused."""
+    """The rebuilt k_seaf is the UE's K_seaf, or the graph is refused."""
     outcome, capture = attacks.run_captured(world, "supi", rng)
+    assert capture.k_seaf == outcome.k_seaf_ue
     attacks.build_session_graph(world, outcome, capture)
-    forged = dataclasses.replace(outcome, k_seaf_ue=bytes(32))
+    forged = dataclasses.replace(capture, k_seaf=bytes(32))
     with pytest.raises(ValueError, match="k_seaf"):
-        attacks.build_session_graph(world, forged, capture)
+        attacks.build_session_graph(world, outcome, forged)
 
 
 def test_session_graph_public_set_distinguishes_paths(world, rng):
@@ -210,67 +209,84 @@ def test_session_graph_public_set_distinguishes_paths(world, rng):
     assert guti.public == {"id_sn", "id_hn", "conc", "mac", "res_star"}
 
 
-def test_key_candidate_generation_is_bounded():
-    values = [bytes([i]) * 32 for i in range(12)]
-    candidates = attacks._key_candidates(values)
-    assert 12 <= len(candidates) <= 100_000
+# --- the SN's knowledge before RES* arrives ----------------------------------
+
+SN_SECRETS = {"k3", "k_seaf", "supi", "k_star"}
 
 
-def _key_candidates_ordered_pairs(values, depth=2, budget=100_000):
-    """Reference search: xor and hash_h over every ordered pair."""
-    known = set(values)
-    for _ in range(depth):
-        new = set()
-        thirty_two = sorted(v for v in known if len(v) == 32)
-        if len(thirty_two) ** 2 > budget:
-            break
-        for v in known:
-            new.add(crypto.hash_h([v]))
-            new.add(crypto.kdf([v]))
-        for a in thirty_two:
-            for b in thirty_two:
-                if a != b:
-                    new.add(crypto.xor_bytes(a, b))
-                new.add(crypto.hash_h([a, b]))
-        if new <= known:
-            break
-        known |= new
-    return {v for v in known if len(v) == 32}
+def _sn_pre_response(suite="test", seed=0, **roles):
+    """A SUPI run whose response was dropped, its SN graph and SN base."""
+    rng = SeededRandom(seed)
+    world = sim.make_world(suite, seed=rng)
+    out, capture = attacks.run_captured(world, "supi", rng, drop_response=True, **roles)
+    assert out.abort_step == "response" and out.k_seaf_ue is None
+    g, base = attacks.sn_pre_response_graph(world, out, capture)
+    return world, g, base
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(min_size=32, max_size=32), max_size=4))
-def test_key_candidates_match_ordered_pair_reference(values):
-    assert attacks._key_candidates(values) == _key_candidates_ordered_pairs(values)
+def _openings(g, names):
+    """How many distinct 32-byte values of the named nodes open M."""
+    keys = {g.nodes[n].value for n in names if len(g.nodes[n].value) == 32}
+    return crypto.count_openings(keys, g.nodes["m"].value)
 
 
-def _sn_search_inputs():
-    """SN-held values and the pending M after a SUPI run whose response
-    was dropped, plus XRES* and K3 = XRES* xor AK from the HN's state."""
-    rng = SeededRandom(0)
-    world = sim.make_world("test", seed=rng)
-    dropper = sim.ScriptedAttacker({"response": lambda data, ctx: None})
-    out = sim.run_session(world, "supi", dropper, rng)
-    (sn_pending,) = world.sn.pending.values()
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
+def test_sn_base_alone_derives_no_session_secret(suite):
+    _world, g, base = _sn_pre_response(suite)
+    assert "res_star" not in base and {"r_sn", "m", "hxres_star"} <= base
+    closure = g.closure(base)
+    assert SN_SECRETS.isdisjoint(closure)
+    assert "ak" in closure and _openings(g, closure) == 0
+
+
+def test_hn_xres_star_gives_the_sn_k3_which_opens_m_once():
+    """K3 = XRES* xor CONC xor R_SN is two xors deep from the HN's XRES*."""
+    world, g, base = _sn_pre_response()
     (hn_pending,) = world.hn.pending.values()
-    ak = crypto.xor_bytes(sn_pending.autn.conc, sn_pending.r_sn)
-    k3 = crypto.xor_bytes(hn_pending.xres_star, ak)
-    values = attacks._sn_pre_response_values(world, out)
-    return values, sn_pending.m, hn_pending.xres_star, k3
+    g.atom("xres_star", hn_pending.xres_star)
+    g.derived("k3", "xor", "xres_star", "ak")
+    closure = g.closure(base | {"xres_star"})
+    assert closure["k3"] == 2
+    assert _openings(g, closure) == 1
 
 
-def test_sn_key_search_opens_m_once_given_k3():
-    values, m, _xres_star, k3 = _sn_search_inputs()
-    assert crypto.count_openings(attacks._key_candidates(values), m) == 0
-    assert crypto.count_openings(attacks._key_candidates(values + [k3]), m) == 1
+def test_res_star_gives_the_sn_k_seaf_and_supi():
+    """The honest-SN control as a closure: RES* opens M."""
+    world, g, base = _sn_pre_response()
+    closure = g.closure(base | {"res_star"})
+    assert {"k3", "k_seaf", "supi"} <= closure.keys()
+    (sn_pending,) = world.sn.pending.values()
+    k_seaf, supi = wire.unpack_m_payload(crypto.aead_open(g.nodes["k3"].value, sn_pending.m))
+    assert (g.nodes["k_seaf"].value, g.nodes["supi"].value) == (k_seaf, supi.encode())
+    assert supi == world.ue.supi
 
 
-def test_sn_key_search_reaches_k3_from_xres_star():
-    """K3 = XRES* xor CONC xor R_SN is two xors deep: the search finds it."""
-    values, m, xres_star, k3 = _sn_search_inputs()
-    candidates = attacks._key_candidates(values + [xres_star])
-    assert k3 in candidates
-    assert crypto.count_openings(candidates, m) == 1
+def test_hn_sealing_m_under_ak_fails_at_the_honest_sn(world, rng):
+    """M does not open under K3 once HXRES* has matched: the SN aborts with
+    no SUPI, and its sn-abort frees the HN's entry."""
+    make_roles, _games = attacks.WEAKENINGS["hn-seal-ak"]
+    out = sim.run_session(world, "supi", rng=rng, **make_roles())
+    assert out.abort_step == "sn-verify"
+    assert out.supi_at_sn is None
+    assert world.hn.pending == {} and world.sn.pending == {}
+
+
+def test_hn_sealing_m_under_ak_is_caught_by_the_opening_test_only():
+    """The open-M recipes raise inside closure, so the graph admits no
+    secret; the key AK, which the SN derives, opens M."""
+    make_roles, _games = attacks.WEAKENINGS["hn-seal-ak"]
+    _world, g, base = _sn_pre_response(**make_roles())
+    with pytest.raises(crypto.AeadFailure):
+        attacks._OPS["open-m-k_seaf"](g.suite, g.nodes["k3"].value, g.nodes["m"].value)
+    closure = g.closure(base | {"res_star"})
+    assert "k3" in closure and "k_seaf" not in closure
+    closure = g.closure(base)
+    assert SN_SECRETS.isdisjoint(closure)
+    assert _openings(g, closure) == 1
+    assert crypto.count_openings([g.nodes["ak"].value], g.nodes["m"].value) == 1
+    (v,) = attacks.run_scenarios(["sn-binding"], weaken=frozenset({"hn-seal-ak"}))
+    assert not v.holds
+    assert v.evidence[:2] == ["pre-response-keys-tried=8 opened=1", "pre-response-secrets=[]"]
 
 
 def test_linkability_multiset_splits_autn_into_halves():

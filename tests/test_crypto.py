@@ -5,7 +5,6 @@ import gc
 import hashlib
 import hmac as _hmac
 import types
-from itertools import product
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -220,13 +219,6 @@ def test_length_prefix_frozen():
 
 def test_field_boundary_matters():
     assert crypto.hash_h([b"ab", b"c"]) != crypto.hash_h([b"a", b"bc"])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.binary(max_size=40), max_size=8))
-def test_hash_h_pairs_matches_hash_h_per_ordered_pair(values):
-    assert crypto.hash_h_pairs(values) == [
-        crypto.hash_h([a, b]) for a, b in product(values, repeat=2)]
 
 
 # --- hmac --------------------------------------------------------------------

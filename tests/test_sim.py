@@ -91,29 +91,6 @@ def test_unknown_guti_triggers_reidentification(world, rng):
     assert annotations.count("id-request") == 2   # fallback request to the UE
 
 
-def test_lost_hn_pending_entry_heals_at_the_next_session():
-    """An HN restart during a GUTI session loses its staged K_S while the UE
-    and SN commit theirs. The next GUTI challenge fails at the UE, which then
-    identifies by SUPI, and the ratchet is in step again."""
-    rng = SeededRandom(1)
-    world = sim.make_world("test", seed=rng)
-    assert sim.run_session(world, "supi", rng=rng).completed
-    steps = sim.session(world, "guti", rng)
-    label, data = next(steps)
-    while label != "response":
-        label, data = steps.send(data)
-    world.hn.pending.clear()
-    try:
-        while True:
-            label, data = steps.send(data)
-    except StopIteration as stop:
-        lost = stop.value
-    assert lost.completed and lost.k_seaf_hn is None
-    outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(5)]
-    assert [o.abort_step for o in outcomes] == ["ue-challenge"] + [None] * 4
-    assert [o.key_source for o in outcomes[1:]] == ["supi", "guti", "guti", "guti"]
-
-
 def test_failed_guti_challenge_sends_every_ue_to_supi_alike(world, rng):
     """A victim's GUTI challenge replayed to the victim and to a second UE
     fails at both, and both identify by SUPI next: the failure does not
@@ -574,25 +551,40 @@ def test_session_evicted_while_its_response_is_in_flight_aborts_then_heals(world
     assert nxt.completed and nxt.key_source == "guti"
 
 
-def test_session_only_the_hn_evicted_heals_as_a_lost_hn_entry(world, rng, tmp_path):
-    """The HN is rebuilt from its store while a GUTI session's RES* is on the
-    radio, so its entry is lost at the HN only: the SN completes the session,
-    the HN commits nothing, and the next GUTI challenge fails at the UE,
-    which then identifies by SUPI."""
+def _clear_hn_pending(world, tmp_path):
+    return world.hn.pending.clear
+
+
+def _rebuild_hn_from_store(world, tmp_path):
     world.hn.persist_path = str(tmp_path / "registry")
     hn_mod.save_registry(world.hn.persist_path, world.hn.registry)
 
     def restart():
-        assert len(world.sn.pending) == len(world.hn.pending) == 1
         world.hn.registry = hn_mod.load_registry(world.hn.persist_path)
         world.hn.pending = {}
+    return restart
+
+
+@pytest.mark.parametrize("lose_entry", [_clear_hn_pending, _rebuild_hn_from_store],
+                         ids=["pending-cleared", "rebuilt-from-store"])
+def test_lost_hn_pending_entry_heals_at_the_next_session(lose_entry, world, rng, tmp_path):
+    """The HN loses its staged K_S while a GUTI session's RES* is on the
+    radio, so the entry is lost at the HN only: the UE and SN complete the
+    session and commit theirs, the HN commits nothing. The next GUTI
+    challenge fails at the UE, which then identifies by SUPI, and the
+    ratchet is in step again."""
+    lose = lose_entry(world, tmp_path)
+
+    def in_flight():
+        assert len(world.sn.pending) == len(world.hn.pending) == 1
+        lose()
 
     assert sim.run_session(world, "supi", rng=rng).completed
-    evicted = _guti_session_around(world, rng, restart)
-    assert evicted.completed and evicted.k_seaf_hn is None
-    outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(3)]
-    assert [o.abort_step for o in outcomes] == ["ue-challenge", None, None]
-    assert [o.key_source for o in outcomes[1:]] == ["supi", "guti"]
+    lost = _guti_session_around(world, rng, in_flight)
+    assert lost.completed and lost.k_seaf_hn is None
+    outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(5)]
+    assert [o.abort_step for o in outcomes] == ["ue-challenge"] + [None] * 4
+    assert [o.key_source for o in outcomes[1:]] == ["supi", "guti", "guti", "guti"]
 
 
 def test_failed_res_star_frees_the_hn_entry(world, rng):
