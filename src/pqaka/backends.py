@@ -1,109 +1,73 @@
 """Real KEM backends behind the suite registry.
 
 Two ECIES profiles (Curve25519, secp256r1) are always built, serving as the
-classical baseline. Post-quantum backends are wired up only when the
-optional liboqs python binding is importable; otherwise the PQ names stay
-metadata-only and operations on them raise SuiteUnavailableError.
+classical baseline: one DH-KEM construction, registered once per curve.
+Post-quantum backends are wired up only when the optional liboqs python
+binding is importable; otherwise the PQ names stay metadata-only and
+operations on them raise SuiteUnavailableError.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.asymmetric import ec, x25519
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import KemKeyPair, KemSuite, hash_h, register_suite
+from .crypto import CryptoError, KemKeyPair, KemSuite, hash_h, register_suite
 from .rng import RandomSource
 
 
-def _x25519_load(sk: bytes) -> X25519PrivateKey:
-    return X25519PrivateKey.from_private_bytes(sk)
+def _register_dh_kem(name: str, pk_len: int, sk_from_rng: Callable, load: Callable,
+                     pk_bytes: Callable, exchange: Callable) -> None:
+    """Register TS 33.501 Annex C's ECIES KEM over one curve as RFC 9180's DHKEM:
+    ct is an ephemeral pk and the key hash_h(ct, pk, shared secret). A peer
+    point that exchange(priv, peer) rejects is a CryptoError: the role aborts."""
+
+    def dh(priv: object, peer: bytes) -> bytes:
+        try:
+            return exchange(priv, peer)
+        except ValueError:
+            raise CryptoError(f"{name}: peer point rejected") from None
+
+    def keygen(rng: RandomSource) -> KemKeyPair:
+        sk = sk_from_rng(rng)
+        priv = load(sk)
+        return KemKeyPair(pk=pk_bytes(priv), sk=sk, handle=priv)
+
+    def encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
+        eph = load(sk_from_rng(rng))
+        ct = pk_bytes(eph)
+        return ct, hash_h([ct, pk, dh(eph, pk)])
+
+    def decaps(priv: object, pk: Optional[bytes], ct: bytes) -> bytes:
+        return hash_h([ct, pk or pk_bytes(priv), dh(priv, ct)])
+
+    register_suite(KemSuite(
+        name=name, sk_len=32, pk_len=pk_len, ct_len=pk_len, key_len=32,
+        keygen=keygen, encaps=encaps, decaps=decaps, load_sk=load))
 
 
-def _x25519_pk_bytes(priv: X25519PrivateKey) -> bytes:
-    return priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+# profile A: sk is 32 drawn bytes, pk the raw 32-byte u-coordinate
+_register_dh_kem(
+    "ecies-x25519", 32, lambda rng: rng.bytes(32),
+    lambda sk: X25519PrivateKey.from_private_bytes(sk),   # looked up per call
+    lambda priv: priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
+    lambda priv, peer: priv.exchange(x25519.X25519PublicKey.from_public_bytes(peer)))
 
-
-def _x25519_keygen(rng: RandomSource) -> KemKeyPair:
-    sk = rng.bytes(32)
-    priv = _x25519_load(sk)
-    return KemKeyPair(pk=_x25519_pk_bytes(priv), sk=sk, handle=priv)
-
-
-def _x25519_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
-    eph = _x25519_load(rng.bytes(32))
-    eph_pk = _x25519_pk_bytes(eph)
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(pk))
-    return eph_pk, hash_h([eph_pk, pk, shared])
-
-
-def _x25519_decaps(priv: X25519PrivateKey, pk: Optional[bytes], ct: bytes) -> bytes:
-    shared = priv.exchange(X25519PublicKey.from_public_bytes(ct))
-    return hash_h([ct, pk or _x25519_pk_bytes(priv), shared])
-
-
+# profile B: sk is d = drawn int mod (n - 1) + 1, pk a 33-byte compressed point
 _P256 = ec.SECP256R1()
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
-
-
-def _p256_priv_from_rng(rng: RandomSource) -> ec.EllipticCurvePrivateKey:
-    d = int.from_bytes(rng.bytes(32), "big") % (_P256_ORDER - 1) + 1
-    return ec.derive_private_key(d, _P256)
-
-
-def _p256_pk_bytes(priv: ec.EllipticCurvePrivateKey) -> bytes:
-    return priv.public_key().public_bytes(
-        Encoding.X962, PublicFormat.CompressedPoint
-    )
-
-
-def _p256_load(sk: bytes) -> ec.EllipticCurvePrivateKey:
-    return ec.derive_private_key(int.from_bytes(sk, "big"), _P256)
-
-
-def _p256_keygen(rng: RandomSource) -> KemKeyPair:
-    priv = _p256_priv_from_rng(rng)
-    sk = priv.private_numbers().private_value.to_bytes(32, "big")
-    return KemKeyPair(pk=_p256_pk_bytes(priv), sk=sk, handle=priv)
-
-
-def _p256_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
-    eph = _p256_priv_from_rng(rng)
-    eph_pk = _p256_pk_bytes(eph)
-    peer = ec.EllipticCurvePublicKey.from_encoded_point(_P256, pk)
-    shared = eph.exchange(ec.ECDH(), peer)
-    return eph_pk, hash_h([eph_pk, pk, shared])
-
-
-def _p256_decaps(priv: ec.EllipticCurvePrivateKey, pk: Optional[bytes],
-                 ct: bytes) -> bytes:
-    peer = ec.EllipticCurvePublicKey.from_encoded_point(_P256, ct)
-    shared = priv.exchange(ec.ECDH(), peer)
-    return hash_h([ct, pk or _p256_pk_bytes(priv), shared])
-
-
-register_suite(KemSuite(
-    name="ecies-x25519",
-    sk_len=32, pk_len=32, ct_len=32, key_len=32,
-    keygen=_x25519_keygen, encaps=_x25519_encaps, decaps=_x25519_decaps,
-    load_sk=_x25519_load,
-))
-
-# compressed-point encodings: 33 bytes, one more than the raw coordinate
-register_suite(KemSuite(
-    name="ecies-p256",
-    sk_len=32, pk_len=33, ct_len=33, key_len=32,
-    keygen=_p256_keygen, encaps=_p256_encaps, decaps=_p256_decaps,
-    load_sk=_p256_load,
-))
+_register_dh_kem(
+    "ecies-p256", 33,
+    lambda rng: (int.from_bytes(rng.bytes(32), "big") % (_P256_ORDER - 1) + 1
+                 ).to_bytes(32, "big"),
+    lambda sk: ec.derive_private_key(int.from_bytes(sk, "big"), _P256),
+    lambda priv: priv.public_key().public_bytes(
+        Encoding.X962, PublicFormat.CompressedPoint),
+    lambda priv, peer: priv.exchange(
+        ec.ECDH(), ec.EllipticCurvePublicKey.from_encoded_point(_P256, peer)))
 
 
 def _try_register_liboqs() -> None:

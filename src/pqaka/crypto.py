@@ -201,6 +201,10 @@ class KemSuite:
     def available(self) -> bool:
         return self.keygen is not None
 
+    def __reduce__(self):
+        # pickled and copied by name: a backend's callables may be closures
+        return get_suite, (self.name,)
+
 
 def kem_keygen(suite: KemSuite, rng: RandomSource) -> KemKeyPair:
     if not suite.available:

@@ -117,8 +117,13 @@ def hn_auth_vector(
     rng: RandomSource,
     sid: bytes,
 ) -> HnToSnAuthMsg:
-    """SUPI-path vector: fresh encapsulation against the UE public key."""
-    c2, k_s2_raw = crypto.kem_encaps(state.kem, pk_u, rng)
+    """SUPI-path vector: fresh encapsulation against the UE public key. A
+    pk_U the suite rejects (a SUCI forged by a subscriber's own device)
+    aborts like any identification failure."""
+    try:
+        c2, k_s2_raw = crypto.kem_encaps(state.kem, pk_u, rng)
+    except crypto.CryptoError:
+        raise IdentificationAbort() from None
     k_s2 = crypto.as_shared_key(k_s2_raw)
     return _derive_vector(state, record, k_s2, c2, r_sn, id_sn, sid)
 

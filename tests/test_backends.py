@@ -1,5 +1,7 @@
 """Operational KEM backends built on classical ECDH, and the liboqs hook."""
 
+import copy
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -7,8 +9,14 @@ import sys
 import types
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from pqaka import backends, crypto, sim
+from pqaka import backends, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.crypto import available_suites, get_suite
 from pqaka.rng import SeededRandom
 
@@ -51,6 +59,109 @@ def test_full_session_on_ecies(name):
     assert supi_run.k_seaf_ue == supi_run.k_seaf_sn == supi_run.k_seaf_hn
     guti_run = sim.run_session(world, "guti", rng=rng)
     assert guti_run.completed and guti_run.key_source == "guti"
+
+
+# --- an independent reference: TS 33.501 Annex C's ECIES KEM ----------------
+# pk is the curve point (raw X25519, compressed P-256), ct the ephemeral pk
+# and the key SHA-256 over ct, pk and the shared secret, each field behind a
+# 4-byte big-endian length; built here from the curve library alone
+
+_P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
+def _x25519_reference(rng):
+    """(sk, private key, pk) drawn as the suite draws them: sk is 32 bytes."""
+    sk = rng.bytes(32)
+    priv = X25519PrivateKey.from_private_bytes(sk)
+    return sk, priv, priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+
+
+def _p256_reference(rng):
+    """d = the 32 drawn bytes mod (n - 1) + 1, and sk is d's 32 bytes."""
+    d = int.from_bytes(rng.bytes(32), "big") % (_P256_ORDER - 1) + 1
+    priv = ec.derive_private_key(d, ec.SECP256R1())
+    pk = priv.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+    return d.to_bytes(32, "big"), priv, pk
+
+
+REFERENCE = {
+    "ecies-x25519": (_x25519_reference, lambda priv, peer: priv.exchange(
+        X25519PublicKey.from_public_bytes(peer))),
+    "ecies-p256": (_p256_reference, lambda priv, peer: priv.exchange(
+        ec.ECDH(), ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), peer))),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ECIES)
+def test_ecies_matches_an_independent_reference(name, seed):
+    keypair, exchange = REFERENCE[name]
+    suite = get_suite(name)
+    sk, priv, pk = keypair(SeededRandom(seed))
+    pair = crypto.kem_keygen(suite, SeededRandom(seed))
+    assert (pair.sk, pair.pk) == (sk, pk)
+    _eph_sk, eph, ct = keypair(SeededRandom(seed + 100))
+    fields = (ct, pk, exchange(eph, pk))
+    key = hashlib.sha256(b"".join(len(f).to_bytes(4, "big") + f for f in fields)).digest()
+    assert exchange(priv, ct) == fields[2]
+    assert crypto.kem_encaps(suite, pk, SeededRandom(seed + 100)) == (ct, key)
+    assert crypto.kem_decaps(suite, sk, ct) == key
+    assert crypto.kem_decaps(suite, pair, ct) == key
+
+
+# --- peer points the curve rejects --------------------------------------------
+
+def _zeroed(field: str):
+    """A radio handler that delivers the message with field all zero bytes."""
+    def handler(data, ctx):
+        msg = wire.decode(data)
+        zero = bytes(len(getattr(msg, field)))
+        return wire.encode(dataclasses.replace(msg, **{field: zero}))
+    return handler
+
+
+@pytest.mark.parametrize("name", ECIES)
+def test_rejected_point_in_c1_aborts_at_hn_identify(name):
+    rng = SeededRandom(5)
+    world = sim.make_world(name, seed=rng)
+    attacker = sim.ScriptedAttacker({"id-response": _zeroed("c1")})
+    outcome = sim.run_session(world, "supi", attacker, rng)
+    assert outcome.abort_step == "hn-identify"
+    last = outcome.transcript.entries[-1]
+    assert (last.channel, last.annotation) == (sim.CORE, "hn-abort")
+    assert world.sn.pending == {} and world.hn.pending == {}
+
+
+@pytest.mark.parametrize("name", ECIES)
+def test_rejected_point_in_c2_aborts_at_ue_challenge(name):
+    rng = SeededRandom(5)
+    world = sim.make_world(name, seed=rng)
+    attacker = sim.ScriptedAttacker({"challenge": _zeroed("c2")})
+    outcome = sim.run_session(world, "supi", attacker, rng)
+    assert outcome.abort_step == "ue-challenge"
+    assert world.ue.ephemeral is None and world.ue.k_seaf is None
+
+
+@pytest.mark.parametrize("name", ECIES)
+def test_every_bit_flip_of_c2_aborts_silently(name):
+    """Criterion 3's seed-3 drive on a curve: a flipped c2 is another
+    point, a point off the curve or no encoding at all, and the UE aborts
+    silently on each (on P-256, 129 of the 264 flips are not points)."""
+    rng = SeededRandom(3)
+    world = sim.make_world(name, seed=rng)
+    msg = ue_mod.ue_identification_response(world.ue, rng)
+    to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
+    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+    vector = hn_mod.hn_auth_vector(
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
+    assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge)
+    assert len(challenge.c2) == world.suite.ct_len
+    for bit in range(len(challenge.c2) * 8):
+        c2 = bytearray(challenge.c2)
+        c2[bit // 8] ^= 1 << (bit % 8)
+        ch = wire.ChallengeMsg(autn=challenge.autn, c2=bytes(c2))
+        assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch) is None, bit
 
 
 # --- loaded private keys -----------------------------------------------------
@@ -105,6 +216,15 @@ def test_unpickled_world_replays_session_and_loads_sk_h_once(monkeypatch):
     for _ in range(2):
         assert sim.run_session(twin, "supi", rng=twin_rng).completed
     assert loads.count(world.hn.kem_pair.sk) <= 1
+
+
+@pytest.mark.parametrize("name", available_suites())
+def test_pickled_and_copied_suites_are_the_registered_suite(name):
+    world = sim.make_world(name, seed=0)
+    suite = get_suite(name)
+    twin = pickle.loads(pickle.dumps(world))
+    assert twin.suite is twin.ue.kem is twin.hn.kem is suite
+    assert copy.deepcopy(world.ue).kem is suite
 
 
 # --- the liboqs hook, driven by a fake ``oqs`` module -------------------------

@@ -235,6 +235,48 @@ def test_replayed_suci_during_supi_session_keeps_ratchet_in_step(world, rng):
     _assert_ratchet_in_step(world, rng)
 
 
+def _forged_id_response(world, pk_u, rng) -> bytes:
+    """The id-response a device holding pk_H and a registered SUPI seals
+    around a pk_U of its choosing: it opens and MACs correctly at the HN."""
+    c1, k_raw = crypto.kem_encaps(world.suite, world.ue.pk_h, rng)
+    k_s1 = crypto.as_shared_key(k_raw)
+    suci_conc = crypto.aead_seal(
+        k_s1, wire.pack_suci_payload(world.ue.supi, pk_u, world.sn.id_sn))
+    return wire.encode(wire.IdResponseMsg(
+        c1=c1, suci_conc=suci_conc, mac_u=crypto.hmac_tag(k_s1, suci_conc),
+        id_hn=world.ue.id_hn))
+
+
+# a pk_U of the wrong length, or of the right length but no point on the curve
+BAD_PK_U = [("test", bytes(31)), ("ecies-x25519", bytes(31)),
+            ("ecies-x25519", bytes(32)), ("ecies-p256", bytes(32)),
+            ("ecies-p256", bytes(33))]
+
+
+@pytest.mark.parametrize("name, pk_u", BAD_PK_U,
+                         ids=[f"{n}-{len(pk)}B" for n, pk in BAD_PK_U])
+def test_forged_suci_with_a_bad_pk_u_aborts_at_hn_identify(name, pk_u):
+    rng = SeededRandom(8)
+    world = sim.make_world(name, seed=rng)
+    to_hn, sid = sn_mod.sn_forward_identification(
+        world.sn, wire.decode(_forged_id_response(world, pk_u, rng)), rng)
+    supi, got_pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+    assert (supi, got_pk_u) == (world.ue.supi, pk_u)
+    with pytest.raises(hn_mod.IdentificationAbort):
+        hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn,
+                              world.sn.id_sn, rng, sid)
+    assert world.hn.pending == {}
+    world.sn.pending.clear()
+
+    forged = _forged_id_response(world, pk_u, rng)
+    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: forged})
+    outcome = sim.run_session(world, "supi", attacker, rng)
+    assert outcome.abort_step == "hn-identify"
+    last = outcome.transcript.entries[-1]
+    assert (last.channel, last.annotation) == (sim.CORE, "hn-abort")
+    assert world.sn.pending == {} and world.hn.pending == {}
+
+
 def test_registry_persistence_roundtrip(tmp_path):
     registry = {
         "imsi-1": hn_mod.SubscriberRecord(supi="imsi-1", k=b"\x01" * 32),
