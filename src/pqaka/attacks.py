@@ -168,8 +168,8 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     g.atom("id_hn", world.hn.id_hn.encode(), public=True)
 
     ch = radio["challenge"]
-    g.atom("conc", ch.autn.conc, public=True)
-    g.atom("mac", ch.autn.mac, public=True)
+    g.atom("conc", ch.conc, public=True)
+    g.atom("mac", ch.mac, public=True)
     if "response" in radio:
         g.atom("res_star", radio["response"].res_star, public=True)
 
@@ -247,9 +247,8 @@ def _ue_without_mac_check(state: ue.UeState, ch: wire.ChallengeMsg) -> Optional[
         except crypto.CryptoError:
             pass
         else:
-            r_sn = crypto.xor_bytes(ch.autn.conc, crypto.prf_f("5", state.k, [k_star]))
-            ch = wire.ChallengeMsg(c2=ch.c2, autn=wire.Autn(
-                conc=ch.autn.conc, mac=crypto.prf_f("1", state.k, [k_star, r_sn])))
+            r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", state.k, [k_star]))
+            ch = replace(ch, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
     return ue.ue_process_challenge(state, ch)
 
 
@@ -278,7 +277,7 @@ def _hn_sealing_m_under_ak(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
     holds before RES* arrives, instead of under K3."""
     vector = hn.hn_auth_vector(state, record, pk_u, r_sn, id_sn, rng, sid)
     pending = state.pending[sid]
-    ak = crypto.xor_bytes(vector.autn.conc, r_sn)
+    ak = crypto.xor_bytes(vector.conc, r_sn)
     return replace(vector, m=crypto.aead_seal(
         ak, wire.pack_m_payload(pending.k_seaf, pending.supi)))
 
@@ -312,10 +311,8 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
         evidence.append(f"{name}: abort_step={out.abort_step}")
 
     splice("replay-c2-and-autn", lambda ch_b: ch_a)
-    splice("replay-c2-fresh-autn",
-           lambda ch_b: wire.ChallengeMsg(autn=ch_b.autn, c2=ch_a.c2))
-    splice("replay-autn-fresh-c2",
-           lambda ch_b: wire.ChallengeMsg(autn=ch_a.autn, c2=ch_b.c2))
+    splice("replay-c2-fresh-autn", lambda ch_b: replace(ch_b, c2=ch_a.c2))
+    splice("replay-autn-fresh-c2", lambda ch_b: replace(ch_a, c2=ch_b.c2))
 
     # replayed concealed identifier: HN accepts, but the session cannot
     # complete and UE key state stays intact

@@ -82,13 +82,14 @@ def size_row(suite: KemSuite) -> SizeRow:
     suci_conc = bytes(
         len(wire.pack_suci_payload(_SUPI, pk_u, ID_SN)) + crypto.AEAD_TAG_OVERHEAD)
     m = bytes(len(wire.pack_m_payload(bytes(32), _SUPI)) + crypto.AEAD_TAG_OVERHEAD)
-    autn = wire.Autn(conc=bytes(32), mac=bytes(32))
     msgs = {
         "IdResponseMsg": wire.IdResponseMsg(
             c1=c1, suci_conc=suci_conc, mac_u=bytes(32), id_hn=ID_HN),
         "HnToSnAuthMsg": wire.HnToSnAuthMsg(
-            autn=autn, hxres_star=bytes(32), m=m, c2=bytes(suite.ct_len)),
-        "ChallengeMsg": wire.ChallengeMsg(autn=autn, c2=bytes(suite.ct_len)),
+            conc=bytes(32), mac=bytes(32), hxres_star=bytes(32), m=m,
+            c2=bytes(suite.ct_len)),
+        "ChallengeMsg": wire.ChallengeMsg(conc=bytes(32), mac=bytes(32),
+                                          c2=bytes(suite.ct_len)),
         "ResponseMsg": wire.ResponseMsg(res_star=bytes(32)),
     }
     return SizeRow(

@@ -43,9 +43,8 @@ def _write_lines(out: TextIO, lines: list[str]) -> None:
 def _suite_or_exit(parser: argparse.ArgumentParser, name: str):
     try:
         return get_suite(name)
-    except KeyError:
-        parser.error(
-            f"unknown KEM suite {name!r}; registered: {', '.join(registered_suites())}")
+    except KeyError as exc:
+        parser.error(exc.args[0])
 
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -177,8 +176,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         parser.error("config must be a JSON object")
     # config values become flags (one per list item) right after the command,
     # so argparse checks them like any flag and a user flag after them wins
-    flags = [f"--{key.replace('_', '-')}={v}" for key, value in defaults.items()
-             if hasattr(args, key) for v in (value if isinstance(value, list) else [value])]
+    flags = []
+    for key, value in defaults.items():
+        if not hasattr(args, key):
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            # bool first: True is an int, but would be formatted as "True"
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+                parser.error(f"config {key!r}: {json.dumps(v)} is not a string or a number")
+            flags.append(f"--{key.replace('_', '-')}={v}")
     start = argv.index("--config") + 2 if "--config" in argv else 0   # past its path
     at = argv.index(args.command, start) + 1
     return parser.parse_args(argv[:at] + flags + argv[at:])

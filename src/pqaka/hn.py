@@ -15,7 +15,6 @@ from . import crypto, store, wire
 from .crypto import KemKeyPair, KemSuite
 from .rng import RandomSource
 from .wire import (
-    Autn,
     GutiSnToHnMsg,
     HnToSnAuthMsg,
     SnToHnIdentMsg,
@@ -104,7 +103,7 @@ def _derive_vector(
                                      supi=record.supi, k_s_new=k_s_new)
     if len(state.pending) > PENDING_MAX:      # evict the oldest session
         del state.pending[next(iter(state.pending))]
-    return HnToSnAuthMsg(autn=Autn(conc=conc, mac=mac),
+    return HnToSnAuthMsg(conc=conc, mac=mac,
                          hxres_star=crypto.hash_h([r_sn, xres_star]), m=m, c2=c2)
 
 

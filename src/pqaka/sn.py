@@ -1,7 +1,7 @@
 """SN state machine: forwarding, R_SN generation, response check, GUTI table.
 
 Before a valid RES* arrives, SN state for a SUCI-initiated session holds
-only (R_SN, HXRES*, AUTN, M); the session key and SUPI come out of one
+only (R_SN, HXRES*, CONC, M); the session key and SUPI come out of one
 AEAD open over M, so they cannot be separated or learned early.
 """
 
@@ -15,7 +15,6 @@ from typing import Optional, Union
 from . import crypto, store, wire
 from .rng import RandomSource
 from .wire import (
-    Autn,
     ChallengeMsg,
     GutiAssignMsg,
     GutiIdMsg,
@@ -42,7 +41,7 @@ class GutiEntry:
 class PendingSession:
     r_sn: bytes
     hxres_star: Optional[bytes] = None
-    autn: Optional[Autn] = None
+    conc: Optional[bytes] = None
     m: Optional[bytes] = None
 
 
@@ -89,15 +88,15 @@ def sn_forward_identification(
 def sn_forward_challenge(
     state: SnState, sid: bytes, msg: HnToSnAuthMsg
 ) -> Optional[ChallengeMsg]:
-    """Retain the checkable material; pass only (AUTN, c2) to the UE."""
+    """Retain the checkable material; pass only (CONC, MAC, c2) to the UE."""
     p = state.pending.get(sid)
     if p is None:
         log.info("auth vector for unknown session; dropped")
         return None
     p.hxres_star = msg.hxres_star
-    p.autn = msg.autn
+    p.conc = msg.conc
     p.m = msg.m
-    return ChallengeMsg(autn=msg.autn, c2=msg.c2)
+    return ChallengeMsg(conc=msg.conc, mac=msg.mac, c2=msg.c2)
 
 
 @dataclass
@@ -118,7 +117,7 @@ def sn_verify_response(
     if not _hmac.compare_digest(
             crypto.hash_h([p.r_sn, msg.res_star]), p.hxres_star):
         return None
-    f5 = crypto.xor_bytes(p.autn.conc, p.r_sn)
+    f5 = crypto.xor_bytes(p.conc, p.r_sn)
     k3 = crypto.xor_bytes(msg.res_star, f5)
     try:
         k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m))

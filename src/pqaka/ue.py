@@ -94,16 +94,16 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
 
     k = crypto.prf_key(state.k)
     ak = crypto.prf_f("5", k, [k_star])
-    r_sn = crypto.xor_bytes(ch.autn.conc, ak)
+    r_sn = crypto.xor_bytes(ch.conc, ak)
     mac = crypto.prf_f("1", k, [k_star, r_sn])
-    if not _hmac.compare_digest(mac, ch.autn.mac):
+    if not _hmac.compare_digest(mac, ch.mac):
         _abort(state)
         if ch.c2 is None:    # the HN may hold another K_S: identify by SUPI next
             state.guti = None
         return None
 
     res_star, state.k_seaf, state.k_s_pending = crypto.session_keys(
-        k, k_star, r_sn, ch.autn.conc, state.id_sn_expected)
+        k, k_star, r_sn, ch.conc, state.id_sn_expected)
     return ResponseMsg(res_star=res_star)
 
 

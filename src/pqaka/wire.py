@@ -8,9 +8,9 @@ fields of every message after its tag, of the untagged SUCI and M payloads,
 and of each ``store`` record's body, which is one row in this layout.
 
 Layout: one message-type tag byte, then each field in table order. A
-field whose kind fixes its width (``fixed(n)``, ``AUTN``, ``FLAG``,
-``BYTE``) is sent as its raw bytes alone; a variable-length field (``VAR``,
-``UTF8``, ``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
+field whose kind fixes its width (``fixed(n)``, ``FLAG``, ``BYTE``) is
+sent as its raw bytes alone; a variable-length field (``VAR``, ``UTF8``,
+``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
 in the V and LV formats of 3GPP TS 24.007 §11.2. The prefix is the definite
 length of ASN.1 DER (X.690 §8.1.3, minimal as §10.1 asks): a length of 0 to
 127 is one byte, and a longer one is ``0x80 | k`` followed by its k
@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 GUTI_LEN = 16
 RAND_LEN = 32
-AUTN_LEN = 64
 
 
 class EncodeError(Exception):
@@ -41,26 +40,6 @@ class ParseError(Exception):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class Autn:
-    conc: bytes  # f5(K, K*) xor R_SN
-    mac: bytes
-
-    def __post_init__(self):
-        if len(self.conc) != RAND_LEN or len(self.mac) != RAND_LEN:
-            raise EncodeError("AUTN halves must be 32 bytes each")
-
-    @property
-    def raw(self) -> bytes:
-        return self.conc + self.mac
-
-    @classmethod
-    def from_raw(cls, raw: bytes) -> "Autn":
-        if len(raw) != AUTN_LEN:
-            raise EncodeError("AUTN must be 64 bytes")
-        return cls(conc=raw[:RAND_LEN], mac=raw[RAND_LEN:])
 
 
 @dataclass(frozen=True)
@@ -87,7 +66,8 @@ class SnToHnIdentMsg:
 
 @dataclass(frozen=True)
 class HnToSnAuthMsg:
-    autn: Autn
+    conc: bytes  # f5(K, K*) xor R_SN; conc and mac are the paper's AUTN
+    mac: bytes
     hxres_star: bytes
     m: bytes
     c2: Optional[bytes] = None  # absent on the GUTI path
@@ -95,7 +75,8 @@ class HnToSnAuthMsg:
 
 @dataclass(frozen=True)
 class ChallengeMsg:
-    autn: Autn
+    conc: bytes  # conc and mac are the paper's AUTN, as HN sent them
+    mac: bytes
     c2: Optional[bytes] = None
 
 
@@ -186,7 +167,6 @@ VAR = Kind()
 UTF8 = Kind(to_raw=lambda v, name: v.encode(), from_raw=_utf8_from_raw)
 FLAG = Kind(1, lambda v, name: b"\x01" if v else b"\x00", _flag_from_raw)
 BYTE = Kind(1, _byte_to_raw, lambda raw, name, at: raw[0])
-AUTN = Kind(AUTN_LEN, lambda v, name: v.raw, lambda raw, name, at: Autn.from_raw(raw))
 OPTIONAL_VAR = Kind(optional=True)
 
 Fields = tuple[tuple[str, Kind], ...]
@@ -198,9 +178,10 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
                            ("id_hn", UTF8))),
     SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR), ("mac_u", fixed(32)),
                             ("r_sn", fixed(RAND_LEN)))),
-    HnToSnAuthMsg: (0x04, (("autn", AUTN), ("hxres_star", fixed(32)), ("m", VAR),
-                           ("c2", OPTIONAL_VAR))),
-    ChallengeMsg: (0x05, (("autn", AUTN), ("c2", OPTIONAL_VAR))),
+    HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(32)),
+                           ("hxres_star", fixed(32)), ("m", VAR), ("c2", OPTIONAL_VAR))),
+    ChallengeMsg: (0x05, (("conc", fixed(RAND_LEN)), ("mac", fixed(32)),
+                          ("c2", OPTIONAL_VAR))),
     ResponseMsg: (0x06, (("res_star", fixed(32)),)),
     ConfirmMsg: (0x07, ()),
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
@@ -313,17 +294,11 @@ def decode(data: bytes) -> Message:
 
 
 def field_values(msg: Message) -> Iterator[bytes]:
-    """Each field of msg as the bytes it carries on the wire, AUTN as its
-    conc and mac halves; absent optional fields and presence flags yield
-    nothing."""
+    """Each field of msg as the bytes it carries on the wire; absent
+    optional fields and presence flags yield nothing."""
     for name, kind in SCHEMA[type(msg)][1]:
         value = getattr(msg, name)
-        if value is None:
-            continue
-        if kind is AUTN:
-            yield value.conc
-            yield value.mac
-        else:
+        if value is not None:
             yield value if kind.to_raw is None else kind.to_raw(value, name)
 
 

@@ -97,7 +97,7 @@ def test_ue_without_mac_check_aborts_a_challenge_with_no_pending_sk_u(world, rng
 def test_ue_without_mac_check_aborts_a_c2_it_cannot_decapsulate(world, rng):
     def short_c2(data, ctx):
         ch = wire.decode(data)
-        return wire.encode(wire.ChallengeMsg(autn=ch.autn, c2=ch.c2[:-1]))
+        return wire.encode(dataclasses.replace(ch, c2=ch.c2[:-1]))
 
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
     out = sim.run_session(world, "supi", sim.ScriptedAttacker({"challenge": short_c2}),
@@ -293,7 +293,7 @@ def test_linkability_multiset_splits_autn_into_halves():
     """A challenge that repeats only the AUTN mac half is reported as such."""
     def outcome(conc: bytes, mac: bytes, c2: bytes) -> sim.SessionOutcome:
         t = sim.SessionTranscript()
-        ch = wire.ChallengeMsg(autn=wire.Autn(conc=conc, mac=mac), c2=c2)
+        ch = wire.ChallengeMsg(conc=conc, mac=mac, c2=c2)
         t.append(sim.RADIO, "SN->UE", wire.encode(ch), "challenge")
         return sim.SessionOutcome(abort_step=None, transcript=t)
 

@@ -160,7 +160,7 @@ def test_every_bit_flip_of_c2_aborts_silently(name):
     for bit in range(len(challenge.c2) * 8):
         c2 = bytearray(challenge.c2)
         c2[bit // 8] ^= 1 << (bit % 8)
-        ch = wire.ChallengeMsg(autn=challenge.autn, c2=bytes(c2))
+        ch = dataclasses.replace(challenge, c2=bytes(c2))
         assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch) is None, bit
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from pqaka import attacks, cli, sim
-from pqaka.crypto import available_suites
+from pqaka.crypto import available_suites, registered_suites
 
 
 def run_cli(*argv):
@@ -101,8 +101,9 @@ def test_run_unknown_kem_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--kem", "nosuch")
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "nosuch" in err and "test" in err     # lists registered suites
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pqaka: error: unknown KEM suite 'nosuch'; registered: "
+        + ", ".join(registered_suites()))
 
 
 def test_run_metadata_only_kem_usage_error():
@@ -285,6 +286,22 @@ def test_config_value_rejected_by_argparse_is_usage_error(tmp_path, capsys, conf
         run_cli("--config", str(cfg), "run", "--out", str(tmp_path / "c.log"))
     assert exc.value.code == 2
     assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"out": None}, {"out": True}, {"sessions": False}, {"out": {"a": 1}},
+    {"weaken": ["ue-mac", None]}, {"weaken": [["ue-mac"]]}])
+def test_config_value_not_a_string_or_number_is_usage_error(
+        tmp_path, monkeypatch, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    command = ["attack", "replay"] if "weaken" in config else ["run"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(cfg), *command)
+    assert exc.value.code == 2
+    assert f"config {next(iter(config))!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]   # no --out opened
 
 
 def test_config_unreadable_usage_error(tmp_path):

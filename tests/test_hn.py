@@ -93,7 +93,7 @@ def test_vector_internal_consistency(world, rng):
     k_star = crypto.as_shared_key(
         crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
     ak = crypto.prf_f("5", record.k, [k_star])
-    assert crypto.xor_bytes(vector.autn.conc, ak) == to_hn.r_sn
+    assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
     assert vector.hxres_star == crypto.hash_h([to_hn.r_sn, pending.xres_star])
     # M opens under K3 = XRES* xor f5 to the anchored key and identity
     k3 = crypto.xor_bytes(pending.xres_star, ak)
@@ -123,7 +123,7 @@ def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32), r_sn=r_sn)
     vector = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid1")
     # with R' = 0 the derived key K* equals the stored ratchet key
-    assert vector.autn.mac == crypto.prf_f("1", record.k, [record.k_s, r_sn])
+    assert vector.mac == crypto.prf_f("1", record.k, [record.k_s, r_sn])
     assert vector.c2 is None
 
 

@@ -55,32 +55,25 @@ def test_attack_verdict_lines_pinned(suite, seed):
     assert [v.to_line() for v in verdicts] == _verdict_lines(KEYS_TRIED[suite])
 
 
-# SHA-256 of `pqaka run --kem test --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned with both below when variable-length fields took DER length prefixes
-MIXED_RUN_SHA256 = "15c86aaefd6d7406163821666137a82c86eaf32dc7245e7df1e4698c4c1aa4a6"
+# SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
+# test and ecies-p256 re-pinned when variable-length fields took DER length
+# prefixes. The ECIES runs are the pins on profile A's and profile B's bytes,
+# so a change to a backend's keygen, point encoding or key derivation shows here
+MIXED_RUN_SHA256 = {
+    "test": "15c86aaefd6d7406163821666137a82c86eaf32dc7245e7df1e4698c4c1aa4a6",
+    "ecies-x25519": "bb51eb994eef21959eda2596e38b577c16060b7c65b59a142f50c640fe1f6f7a",
+    "ecies-p256": "473f14dcd26b453fa94c0f60b71138aef82fb787fff7689436d0e12a8f4a76c6",
+}
 
 
-def _mixed_run_sha256(suite: str) -> str:
+@pytest.mark.parametrize("suite", list(MIXED_RUN_SHA256))
+def test_mixed_run_transcript_pinned(suite):
     rng = SeededRandom(3)
     world = sim.make_world(suite, seed=rng)
     outcomes = [sim.run_session(world, "supi" if i % 2 == 0 else "guti", rng=rng)
                 for i in range(20)]
     text = "".join(line + "\n" for line in sim.export_transcript(outcomes))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def test_mixed_run_transcript_pinned():
-    assert _mixed_run_sha256("test") == MIXED_RUN_SHA256
-
-
-# the same run on ecies-p256 (`pqaka run --kem ecies-p256 ...`): the one pin
-# on P-256's bytes, so a change to that backend's keygen, point encoding or
-# key derivation shows here
-P256_MIXED_RUN_SHA256 = "473f14dcd26b453fa94c0f60b71138aef82fb787fff7689436d0e12a8f4a76c6"
-
-
-def test_p256_mixed_run_transcript_pinned():
-    assert _mixed_run_sha256("ecies-p256") == P256_MIXED_RUN_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_RUN_SHA256[suite]
 
 
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table

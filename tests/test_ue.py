@@ -35,7 +35,7 @@ def test_key_schedule_matches_independent_oracle():
     assert (world.ue.k_s == world.hn.registry[world.ue.supi].k_s
             == SESSION_VALUES["k_s_next"])
     r_sn = wire.decode(SESSION_WIRE["sn-hn-ident"]).r_sn
-    conc = wire.decode(SESSION_WIRE["challenge"]).autn.conc
+    conc = wire.decode(SESSION_WIRE["challenge"]).conc
     assert crypto.session_keys(
         SESSION_VALUES["k"], SESSION_VALUES["k_star"], r_sn, conc,
         "sn.example") == (SESSION_VALUES["res_star"], SESSION_VALUES["k_seaf"],
@@ -77,14 +77,14 @@ def test_honest_challenge_response_matches_expected(world, rng):
 
 def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
     _msg, _sid, _vector, challenge = _identified(world, rng)
-    raw = challenge.autn.raw + challenge.c2
+    raw = challenge.conc + challenge.mac + challenge.c2
     total_bits = len(raw) * 8
     for bit in range(0, total_bits, 37):   # exhaustively covered in acceptance
         mutated = bytearray(raw)
         mutated[bit // 8] ^= 1 << (bit % 8)
         ue = copy.deepcopy(world.ue)
-        ch = wire.ChallengeMsg(
-            autn=wire.Autn.from_raw(bytes(mutated[:64])), c2=bytes(mutated[64:]))
+        ch = wire.ChallengeMsg(conc=bytes(mutated[:32]), mac=bytes(mutated[32:64]),
+                               c2=bytes(mutated[64:]))
         assert ue_mod.ue_process_challenge(ue, ch) is None
         assert ue.ephemeral is None and ue.k_s_pending is None
 
@@ -97,8 +97,7 @@ def test_replayed_challenge_against_fresh_ephemeral_aborts(world, rng):
 
 
 def test_challenge_without_ephemeral_aborts(world):
-    ch = wire.ChallengeMsg(
-        autn=wire.Autn(conc=bytes(32), mac=bytes(32)), c2=bytes(32))
+    ch = wire.ChallengeMsg(conc=bytes(32), mac=bytes(32), c2=bytes(32))
     assert world.ue.ephemeral is None
     assert ue_mod.ue_process_challenge(world.ue, ch) is None
 
@@ -111,7 +110,7 @@ def test_bad_second_challenge_aborts_silently_and_clears_session(world, rng, bad
     c2 = challenge.c2[:-1] if bad == "short-c2" else None
     assert world.ue.k_s is None
     assert ue_mod.ue_process_challenge(
-        world.ue, wire.ChallengeMsg(autn=challenge.autn, c2=c2)) is None
+        world.ue, dataclasses.replace(challenge, c2=c2)) is None
     assert world.ue.k_s_pending is None and world.ue.ephemeral is None
 
 
