@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -107,10 +107,6 @@ def hmac_tag(key: bytes, data: bytes) -> bytes:
     return _hmac.new(key, data, hashlib.sha256).digest()
 
 
-def hmac_verify(key: bytes, data: bytes, tag: bytes) -> bool:
-    return _hmac.compare_digest(hmac_tag(key, data), tag)
-
-
 def aead_seal(key: bytes, plaintext: bytes) -> bytes:
     """AES-256-GCM under a zero nonce; key must be fresh per session."""
     _check_key(key)
@@ -123,20 +119,6 @@ def aead_open(key: bytes, ciphertext: bytes) -> bytes:
         return AESGCM(key).decrypt(_AEAD_NONCE, ciphertext, None)
     except InvalidTag as exc:
         raise AeadFailure("ciphertext rejected") from exc
-
-
-def count_openings(keys: Iterable[bytes], ciphertext: bytes) -> int:
-    """How many of the keys open the ciphertext: one aead_open per key,
-    without raising an AeadFailure for each key that fails."""
-    opened = 0
-    for key in keys:
-        _check_key(key)
-        try:
-            AESGCM(key).decrypt(_AEAD_NONCE, ciphertext, None)
-        except InvalidTag:
-            continue
-        opened += 1
-    return opened
 
 
 def as_shared_key(k: bytes) -> bytes:

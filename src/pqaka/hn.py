@@ -7,6 +7,7 @@ cannot tell the causes apart.
 
 from __future__ import annotations
 
+import hmac
 import logging
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,7 +40,6 @@ class SubscriberRecord:
 
 @dataclass
 class PendingAuth:
-    xres_star: bytes
     k_seaf: bytes
     supi: str
     k_s_new: bytes                            # committed on confirmation
@@ -72,7 +72,7 @@ def hn_identify(
         supi, pk_u, id_sn = unpack_suci_payload(plain)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         raise IdentificationAbort() from None
-    if not crypto.hmac_verify(k_s1, msg.suci_conc, msg.mac_u):
+    if not hmac.compare_digest(crypto.hmac_tag(k_s1, msg.suci_conc), msg.mac_u):
         raise IdentificationAbort()
     if id_sn != claimed_id_sn or claimed_id_sn not in state.sn_allowlist:
         raise IdentificationAbort()
@@ -95,16 +95,16 @@ def _derive_vector(
     mac = crypto.prf_f("1", k, [k_star, r_sn])
     f5 = crypto.prf_f("5", k, [k_star])
     conc = crypto.xor_bytes(f5, r_sn)
-    xres_star, k_seaf, k_s_new = crypto.session_keys(
+    res_star, k_seaf, k_s_new = crypto.session_keys(
         k, k_star, r_sn, conc, id_sn)
-    k3 = crypto.xor_bytes(xres_star, f5)
+    k3 = crypto.xor_bytes(res_star, f5)
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
-    state.pending[sid] = PendingAuth(xres_star=xres_star, k_seaf=k_seaf,
-                                     supi=record.supi, k_s_new=k_s_new)
+    state.pending[sid] = PendingAuth(k_seaf=k_seaf, supi=record.supi,
+                                     k_s_new=k_s_new)
     if len(state.pending) > PENDING_MAX:      # evict the oldest session
         del state.pending[next(iter(state.pending))]
     return HnToSnAuthMsg(conc=conc, mac=mac,
-                         hxres_star=crypto.hash_h([r_sn, xres_star]), m=m, c2=c2)
+                         hxres_star=crypto.hash_h([r_sn, res_star]), m=m, c2=c2)
 
 
 def hn_auth_vector(

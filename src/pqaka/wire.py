@@ -8,7 +8,7 @@ fields of every message after its tag, of the untagged SUCI and M payloads,
 and of each ``store`` record's body, which is one row in this layout.
 
 Layout: one message-type tag byte, then each field in table order. A
-field whose kind fixes its width (``fixed(n)``, ``FLAG``, ``BYTE``) is
+field whose kind fixes its width (``fixed(n)``, ``FLAG``) is
 sent as its raw bytes alone; a variable-length field (``VAR``, ``UTF8``,
 ``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
 in the V and LV formats of 3GPP TS 24.007 §11.2. The prefix is the definite
@@ -120,8 +120,8 @@ class SecureEnvelopeMsg:
 
 @dataclass(frozen=True)
 class AbortMsg:
-    """HN-to-SN generic abort; every failure cause carries the same code."""
-    code: int = 0xFF
+    """Generic abort on the core channel, its tag alone, so no failure cause
+    can be told apart: HN-to-SN as ``hn-abort``, SN-to-HN as ``sn-abort``."""
 
 
 class Kind(NamedTuple):
@@ -153,12 +153,6 @@ def _utf8_from_raw(raw: bytes, name: str, at: int) -> str:
         raise ParseError(f"{name} is not valid UTF-8", at) from None
 
 
-def _byte_to_raw(value: int, name: str) -> bytes:
-    if not 0 <= value <= 0xFF:
-        raise EncodeError(f"{name} must fit one byte")
-    return bytes([value])
-
-
 def fixed(n: int) -> Kind:
     return Kind(width=n)
 
@@ -166,7 +160,6 @@ def fixed(n: int) -> Kind:
 VAR = Kind()
 UTF8 = Kind(to_raw=lambda v, name: v.encode(), from_raw=_utf8_from_raw)
 FLAG = Kind(1, lambda v, name: b"\x01" if v else b"\x00", _flag_from_raw)
-BYTE = Kind(1, _byte_to_raw, lambda raw, name, at: raw[0])
 OPTIONAL_VAR = Kind(optional=True)
 
 Fields = tuple[tuple[str, Kind], ...]
@@ -190,7 +183,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
     GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),
                            ("r_sn_prime_new", fixed(RAND_LEN)))),
     SecureEnvelopeMsg: (0x0B, (("ct", VAR),)),
-    AbortMsg: (0x0C, (("code", BYTE),)),
+    AbortMsg: (0x0C, ()),
 }
 _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in SCHEMA.items()}
 

@@ -22,7 +22,7 @@ SESSION_WIRE = {
     'sn-hn-guti': bytes.fromhex('0914696d73692d303031303130303030303030303031a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b89a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
     'guti-assign': bytes.fromhex('0ade8d192421cc79eb37484270549b5258a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b8'),
     'secure-envelope': bytes.fromhex('0b4112b5e994fce4d70f6028c0a2088b4f5a0b234251a67a644415b8d9ba7fe6faa4716c21c84d95a6f70ae9e2dcd6a4a2e834a37c3389b2e6e9be3bd16507da2f9281'),
-    'abort': bytes.fromhex('0cff'),
+    'abort': bytes.fromhex('0c'),
 }
 
 SESSION_VALUES = {

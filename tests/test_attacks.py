@@ -169,7 +169,7 @@ def test_closure_depth_bound():
     g.atom("v0", b"\x03" * 32)
     for i in range(1, 7):
         g.derived(f"v{i}", "kdf", f"v{i-1}")
-    closure = g.closure({"v0"}, depth=4)
+    closure = g.closure({"v0"})
     assert "v4" in closure and "v5" not in closure
 
 
@@ -224,10 +224,28 @@ def _sn_pre_response(suite="test", seed=0, **roles):
     return world, g, base
 
 
+def test_opening_count_matches_per_key_open_count():
+    key = SeededRandom(11).bytes(32)
+    ct = crypto.aead_seal(key, b"secret")
+    keys = {key} | {SeededRandom(i).bytes(32) for i in range(20)}
+
+    def opens(k: bytes) -> bool:
+        try:
+            crypto.aead_open(k, ct)
+        except crypto.AeadFailure:
+            return False
+        return True
+
+    assert attacks.opening_count(keys, ct) == sum(map(opens, keys)) == 1
+    assert attacks.opening_count(keys - {key}, ct) == 0
+    with pytest.raises(crypto.CryptoError):
+        attacks.opening_count([key, bytes(31)], ct)
+
+
 def _openings(g, names):
     """How many distinct 32-byte values of the named nodes open M."""
     keys = {g.nodes[n].value for n in names if len(g.nodes[n].value) == 32}
-    return crypto.count_openings(keys, g.nodes["m"].value)
+    return attacks.opening_count(keys, g.nodes["m"].value)
 
 
 @pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
@@ -240,10 +258,13 @@ def test_sn_base_alone_derives_no_session_secret(suite):
 
 
 def test_hn_xres_star_gives_the_sn_k3_which_opens_m_once():
-    """K3 = XRES* xor CONC xor R_SN is two xors deep from the HN's XRES*."""
+    """K3 = XRES* xor CONC xor R_SN is two xors deep from the XRES* the HN
+    computes."""
     world, g, base = _sn_pre_response()
-    (hn_pending,) = world.hn.pending.values()
-    g.atom("xres_star", hn_pending.xres_star)
+    xres_star, _, _ = crypto.session_keys(
+        world.hn.registry[world.ue.supi].k,
+        *(g.nodes[n].value for n in ("k_star", "r_sn", "conc")), world.sn.id_sn)
+    g.atom("xres_star", xres_star)
     g.derived("k3", "xor", "xres_star", "ak")
     closure = g.closure(base | {"xres_star"})
     assert closure["k3"] == 2
@@ -283,7 +304,7 @@ def test_hn_sealing_m_under_ak_is_caught_by_the_opening_test_only():
     closure = g.closure(base)
     assert SN_SECRETS.isdisjoint(closure)
     assert _openings(g, closure) == 1
-    assert crypto.count_openings([g.nodes["ak"].value], g.nodes["m"].value) == 1
+    assert attacks.opening_count([g.nodes["ak"].value], g.nodes["m"].value) == 1
     (v,) = attacks.run_scenarios(["sn-binding"], weaken=frozenset({"hn-seal-ak"}))
     assert not v.holds
     assert v.evidence[:2] == ["pre-response-keys-tried=8 opened=1", "pre-response-secrets=[]"]

@@ -8,7 +8,8 @@ they stay independent of the encoder they check:
 
 - a field whose width the protocol fixes (AUTN, RES*, HXRES*, MAC_U, R_SN,
   R_SN', GUTI) and every one-byte flag or presence flag loses its length
-  prefix, and ConfirmMsg's always-set flag is gone, leaving its tag alone;
+  prefix, and ConfirmMsg's always-set flag and AbortMsg's constant code
+  are gone, leaving each its tag alone;
 - a variable-length field keeps a length prefix, now the DER definite
   length: each field of this session is shorter than 128 bytes, so its
   prefix is the one byte of its length;
@@ -58,7 +59,7 @@ LAYOUT = {
     "sn-hn-guti": "lrr",      # supi, r_sn_prime, r_sn
     "guti-assign": "rr",      # guti_new, r_sn_prime_new
     "secure-envelope": "l",   # ct
-    "abort": "r",             # code
+    "abort": "x",             # code, a constant
 }
 SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"

@@ -94,9 +94,11 @@ def test_vector_internal_consistency(world, rng):
         crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
     ak = crypto.prf_f("5", record.k, [k_star])
     assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
-    assert vector.hxres_star == crypto.hash_h([to_hn.r_sn, pending.xres_star])
+    xres_star, _, _ = crypto.session_keys(
+        record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
+    assert vector.hxres_star == crypto.hash_h([to_hn.r_sn, xres_star])
     # M opens under K3 = XRES* xor f5 to the anchored key and identity
-    k3 = crypto.xor_bytes(pending.xres_star, ak)
+    k3 = crypto.xor_bytes(xres_star, ak)
     k_seaf, supi_in_m = wire.unpack_m_payload(crypto.aead_open(k3, vector.m))
     assert (k_seaf, supi_in_m) == (pending.k_seaf, supi)
 
@@ -109,9 +111,10 @@ def test_auth_vector_carries_no_session_secrets(world, rng):
     pending = world.hn.pending[sid]
     k_star = crypto.as_shared_key(
         crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
-    k3 = crypto.xor_bytes(pending.xres_star,
-                          crypto.prf_f("5", record.k, [k_star]))
-    secrets = {k3, pending.xres_star, pending.k_seaf}
+    xres_star, _, _ = crypto.session_keys(
+        record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
+    k3 = crypto.xor_bytes(xres_star, crypto.prf_f("5", record.k, [k_star]))
+    secrets = {k3, xres_star, pending.k_seaf}
     for f in dataclasses.fields(vector):
         assert getattr(vector, f.name) not in secrets, f.name
 

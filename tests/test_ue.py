@@ -68,10 +68,15 @@ def test_hn_recovers_identity_from_honest_response(world, rng):
 
 def test_honest_challenge_response_matches_expected(world, rng):
     _msg, sid, _vector, challenge = _identified(world, rng)
+    k_star = crypto.as_shared_key(
+        crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, challenge.c2))
+    xres_star, _, _ = crypto.session_keys(
+        world.hn.registry[world.ue.supi].k, k_star, world.sn.pending[sid].r_sn,
+        challenge.conc, world.sn.id_sn)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     assert response is not None
     hn_pending = world.hn.pending[sid]
-    assert response.res_star == hn_pending.xres_star
+    assert response.res_star == xres_star
     assert world.ue.k_seaf == hn_pending.k_seaf
 
 

@@ -28,7 +28,7 @@ def test_id_request_layout():
 
 
 def test_abort_layout():
-    assert wire.encode(wire.AbortMsg()) == b"\x0c\xff"
+    assert wire.encode(wire.AbortMsg()) == SESSION_WIRE["abort"]
 
 
 def test_confirm_is_its_tag_alone():
@@ -36,6 +36,14 @@ def test_confirm_is_its_tag_alone():
     assert wire.decode(b"\x07") == wire.ConfirmMsg()
     with pytest.raises(wire.ParseError, match="trailing bytes") as exc:
         wire.decode(b"\x07\x01")
+    assert exc.value.offset == 1
+
+
+def test_abort_is_its_tag_alone():
+    assert wire.encode(wire.AbortMsg()) == b"\x0c"
+    assert wire.decode(b"\x0c") == wire.AbortMsg()
+    with pytest.raises(wire.ParseError, match="trailing bytes") as exc:
+        wire.decode(b"\x0c\xff")
     assert exc.value.offset == 1
 
 
@@ -146,7 +154,7 @@ def _random_messages(r: random.Random):
         wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(32)),
         wire.GutiAssignMsg(guti_new=b(16), r_sn_prime_new=b(32)),
         wire.SecureEnvelopeMsg(ct=b(r.randint(0, 100))),
-        wire.AbortMsg(code=r.randint(0, 255)),
+        wire.AbortMsg(),
     ]
 
 
@@ -283,7 +291,6 @@ FIXED_FIELDS = [
     (wire.GutiSnToHnMsg, "r_sn", 32),
     (wire.GutiAssignMsg, "guti_new", 16),
     (wire.GutiAssignMsg, "r_sn_prime_new", 32),
-    (wire.AbortMsg, "code", 1),
 ]
 SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
 
@@ -291,11 +298,7 @@ SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
 @pytest.mark.parametrize("cls,name,width", FIXED_FIELDS,
                          ids=[f"{c.__name__}.{n}" for c, n, _ in FIXED_FIELDS])
 def test_fixed_width_enforced_on_encode(cls, name, width):
-    if name == "code":
-        bad_values = [0x100, -1]
-    else:
-        bad_values = [bytes(width - 1), bytes(width + 1)]
-    for bad in bad_values:
+    for bad in [bytes(width - 1), bytes(width + 1)]:
         with pytest.raises(wire.EncodeError):
             wire.encode(dataclasses.replace(SAMPLES[cls], **{name: bad}))
 
