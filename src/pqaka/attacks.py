@@ -48,6 +48,7 @@ _OPS = {
        for i in "12345"},
     "kdf": lambda suite, *values: crypto.kdf(list(values)),
     "hash": lambda suite, *values: crypto.hash_h(list(values)),
+    "hxres": lambda suite, r_sn, res_star: crypto.hxres(r_sn, res_star),
     "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
     "open-suci-supi": lambda suite, key, ct: _opened(key, ct, wire.unpack_suci_payload)[0].encode(),
     "open-suci-pk": lambda suite, key, ct: _opened(key, ct, wire.unpack_suci_payload)[1],
@@ -226,7 +227,7 @@ def sn_pre_response_graph(world: sim.World, outcome: sim.SessionOutcome,
     (pending,) = world.sn.pending.values()
     for name in ("r_sn", "m", "hxres_star"):
         g.atom(name, getattr(pending, name))
-    g.derived("hxres_star", "hash", "r_sn", "res_star")
+    g.derived("hxres_star", "hxres", "r_sn", "res_star")
     g.derived("ak", "xor", "conc", "r_sn")
     g.derived("k3", "xor", "res_star", "ak")
     g.derived("k_seaf", "open-m-k_seaf", "k3", "m")

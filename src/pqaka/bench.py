@@ -77,20 +77,19 @@ def run_bench(suite_names: list[str], iters: int) -> list[BenchRow]:
 
 def size_row(suite: KemSuite) -> SizeRow:
     """Protocol message sizes for this suite, measured on real encodings."""
-    c1 = bytes(suite.ct_len)
-    pk_u = bytes(suite.pk_len)
-    suci_conc = bytes(
-        len(wire.pack_suci_payload(_SUPI, pk_u, ID_SN)) + crypto.AEAD_TAG_OVERHEAD)
-    m = bytes(len(wire.pack_m_payload(bytes(32), _SUPI)) + crypto.AEAD_TAG_OVERHEAD)
+    c = bytes(suite.ct_len)
+    suci_conc = bytes(len(wire.pack_suci_payload(_SUPI, bytes(suite.pk_len), ID_SN))
+                      + crypto.AEAD_TAG_OVERHEAD)
+    m = bytes(len(wire.pack_m_payload(bytes(crypto.KEY_LEN), _SUPI))
+              + crypto.AEAD_TAG_OVERHEAD)
+    conc, check = bytes(wire.RAND_LEN), bytes(crypto.CHECK_LEN)
     msgs = {
         "IdResponseMsg": wire.IdResponseMsg(
-            c1=c1, suci_conc=suci_conc, mac_u=bytes(32), id_hn=ID_HN),
+            c1=c, suci_conc=suci_conc, mac_u=check, id_hn=ID_HN),
         "HnToSnAuthMsg": wire.HnToSnAuthMsg(
-            conc=bytes(32), mac=bytes(32), hxres_star=bytes(32), m=m,
-            c2=bytes(suite.ct_len)),
-        "ChallengeMsg": wire.ChallengeMsg(conc=bytes(32), mac=bytes(32),
-                                          c2=bytes(suite.ct_len)),
-        "ResponseMsg": wire.ResponseMsg(res_star=bytes(32)),
+            conc=conc, mac=check, hxres_star=check, m=m, c2=c),
+        "ChallengeMsg": wire.ChallengeMsg(conc=conc, mac=check, c2=c),
+        "ResponseMsg": wire.ResponseMsg(res_star=bytes(crypto.KEY_LEN)),
     }
     return SizeRow(
         name=suite.name, sk_len=suite.sk_len, pk_len=suite.pk_len,

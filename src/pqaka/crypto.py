@@ -1,9 +1,11 @@
 """Cryptographic core: KEM abstraction, test KEM, and the symmetric suite.
 
 The symmetric family f1..f5 is a keyed PRF (HMAC-SHA-256 with a
-one-byte domain tag), not MILENAGE. All symmetric values are 32 bytes so
-every XOR in the protocol is well-typed. The test KEM is insecure by
-design: a deterministic construction over SHA-256 used as a test double.
+one-byte domain tag), not MILENAGE. Keys and XOR operands are 32 bytes,
+so every XOR in the protocol is well-typed; the check values (MAC_U, the
+AUTN MAC and HXRES*) are 16 bytes, the width of the AEAD tags. The test
+KEM is insecure by design: a deterministic construction over SHA-256 used
+as a test double.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .rng import RandomSource
 
 KEY_LEN = 32
+CHECK_LEN = 16      # MAC_U, the AUTN MAC and HXRES*: no key, no XOR operand
 AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
-# domain-separation tags for the f-family
-_F_TAGS = {"1": b"\x01", "2": b"\x02", "3": b"\x03", "4": b"\x04", "5": b"\x05"}
+# f-index -> (domain-separation tag, output width); f1 is the AUTN MAC
+_F_FAMILY = {"1": (b"\x01", CHECK_LEN), "2": (b"\x02", KEY_LEN), "3": (b"\x03", KEY_LEN),
+             "4": (b"\x04", KEY_LEN), "5": (b"\x05", KEY_LEN)}
 
 # RFC 2104 key pads as bytes.translate tables: byte b becomes b ^ pad
 _IPAD = bytes(b ^ 0x36 for b in range(256))
@@ -75,17 +79,19 @@ def prf_key(key: bytes) -> PrfKey:
 
 def prf_f(index: str, key: bytes | PrfKey, inputs: list[bytes]) -> bytes:
     """f_index(key, inputs): HMAC-SHA-256 over a tag byte plus the inputs,
-    under the raw key or the PrfKey that prf_key loaded from it."""
-    if index not in _F_TAGS:
+    under the raw key or the PrfKey that prf_key loaded from it, cut to the
+    index's width (its leftmost bytes, RFC 2104 §5)."""
+    if index not in _F_FAMILY:
         raise CryptoError(f"unknown f-index {index!r}")
+    tag, width = _F_FAMILY[index]
     inner, outer = key if isinstance(key, PrfKey) else prf_key(key)
     if not inputs:
         raise CryptoError("f-family requires at least one input")
     inner = inner.copy()
-    inner.update(_F_TAGS[index] + _lp(inputs))
+    inner.update(tag + _lp(inputs))
     outer = outer.copy()
     outer.update(inner.digest())
-    return outer.digest()
+    return outer.digest()[:width]
 
 
 def kdf(inputs: list[bytes]) -> bytes:
@@ -102,9 +108,16 @@ def hash_h(inputs: list[bytes]) -> bytes:
     return hashlib.sha256(_lp(inputs)).digest()
 
 
+def hxres(r_sn: bytes, res_star: bytes) -> bytes:
+    """HXRES*: the 128 least significant bits of h(R_SN, RES*), as TS 33.501
+    Annex A.5 takes them from SHA-256."""
+    return hash_h([r_sn, res_star])[-CHECK_LEN:]
+
+
 def hmac_tag(key: bytes, data: bytes) -> bytes:
+    """MAC_U: the leftmost CHECK_LEN bytes of HMAC-SHA-256 (RFC 2104 §5)."""
     _check_key(key)
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.new(key, data, hashlib.sha256).digest()[:CHECK_LEN]
 
 
 def aead_seal(key: bytes, plaintext: bytes) -> bytes:

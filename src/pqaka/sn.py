@@ -114,8 +114,7 @@ def sn_verify_response(
     if p is None or p.hxres_star is None:
         return None
     del state.pending[sid]          # one response is checked per challenge
-    if not _hmac.compare_digest(
-            crypto.hash_h([p.r_sn, msg.res_star]), p.hxres_star):
+    if not _hmac.compare_digest(crypto.hxres(p.r_sn, msg.res_star), p.hxres_star):
         return None
     f5 = crypto.xor_bytes(p.conc, p.r_sn)
     k3 = crypto.xor_bytes(msg.res_star, f5)

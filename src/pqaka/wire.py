@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from .crypto import CHECK_LEN
+
 GUTI_LEN = 16
 RAND_LEN = 32
 
@@ -167,13 +169,14 @@ Fields = tuple[tuple[str, Kind], ...]
 # message class -> (tag, fields in wire order == dataclass field order)
 SCHEMA: dict[type, tuple[int, Fields]] = {
     IdRequestMsg: (0x01, (("force_supi", FLAG),)),
-    IdResponseMsg: (0x02, (("c1", VAR), ("suci_conc", VAR), ("mac_u", fixed(32)),
-                           ("id_hn", UTF8))),
-    SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR), ("mac_u", fixed(32)),
-                            ("r_sn", fixed(RAND_LEN)))),
-    HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(32)),
-                           ("hxres_star", fixed(32)), ("m", VAR), ("c2", OPTIONAL_VAR))),
-    ChallengeMsg: (0x05, (("conc", fixed(RAND_LEN)), ("mac", fixed(32)),
+    IdResponseMsg: (0x02, (("c1", VAR), ("suci_conc", VAR),
+                           ("mac_u", fixed(CHECK_LEN)), ("id_hn", UTF8))),
+    SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR),
+                            ("mac_u", fixed(CHECK_LEN)), ("r_sn", fixed(RAND_LEN)))),
+    HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
+                           ("hxres_star", fixed(CHECK_LEN)), ("m", VAR),
+                           ("c2", OPTIONAL_VAR))),
+    ChallengeMsg: (0x05, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
                           ("c2", OPTIONAL_VAR))),
     ResponseMsg: (0x06, (("res_star", fixed(32)),)),
     ConfirmMsg: (0x07, ()),

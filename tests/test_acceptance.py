@@ -73,15 +73,18 @@ def test_criterion_3_exhaustive_bit_flip_and_replay():
     challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
     assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge)
 
+    # the widths of the challenge's fixed fields, as SCHEMA sends them
+    widths = {name: kind.width for name, kind in wire.SCHEMA[wire.ChallengeMsg][1]}
+    mac_at, c2_at = widths["conc"], widths["conc"] + widths["mac"]
     raw = challenge.conc + challenge.mac + challenge.c2
     aborts = 0
     total = len(raw) * 8
-    assert total == (64 + 32) * 8
+    assert total == (c2_at + world.suite.ct_len) * 8
     for bit in range(total):
         mutated = bytearray(raw)
         mutated[bit // 8] ^= 1 << (bit % 8)
-        ch = wire.ChallengeMsg(conc=bytes(mutated[:32]), mac=bytes(mutated[32:64]),
-                               c2=bytes(mutated[64:]))
+        ch = wire.ChallengeMsg(conc=bytes(mutated[:mac_at]), mac=bytes(mutated[mac_at:c2_at]),
+                               c2=bytes(mutated[c2_at:]))
         if ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch) is None:
             aborts += 1
     assert aborts == total                      # 100% silent abort

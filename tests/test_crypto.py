@@ -127,8 +127,9 @@ def test_f_output_is_32_bytes():
 @given(KEY32, st.sampled_from("12345"),
        st.lists(st.binary(max_size=80), min_size=1, max_size=3))
 def test_f_under_a_loaded_key_is_hmac_sha256(key, index, inputs):
+    # f1, the AUTN MAC, keeps the leftmost 16 bytes of the HMAC
     expected = _hmac.new(key, bytes([int(index)]) + crypto._lp(inputs),
-                         hashlib.sha256).digest()
+                         hashlib.sha256).digest()[:16 if index == "1" else 32]
     loaded = crypto.prf_key(key)
     assert crypto.prf_f(index, loaded, inputs) == expected
     assert crypto.prf_f(index, loaded, inputs) == expected     # reusable
@@ -172,7 +173,7 @@ def test_no_loaded_key_outlives_its_session():
 
     def bad_mac(data, ctx):
         ch = wire.decode(data)
-        return wire.encode(dataclasses.replace(ch, mac=bytes(32)))
+        return wire.encode(dataclasses.replace(ch, mac=bytes(crypto.CHECK_LEN)))
 
     aborted = sim.run_session(world, "guti", sim.ScriptedAttacker({"challenge": bad_mac}), rng)
     assert done.completed and aborted.abort_step == "ue-challenge"
@@ -194,6 +195,12 @@ def test_kdf_empty_field_frozen():
 
 def test_hash_h_zero_zero_frozen():
     assert crypto.hash_h([bytes(32), bytes(32)]) == CONSTANTS["hash_h_zero_zero"]
+
+
+def test_hxres_is_the_128_least_significant_bits_of_hash_h():
+    r_sn, res_star = SeededRandom(1).bytes(32), SeededRandom(2).bytes(32)
+    digest = hashlib.sha256(crypto._lp([r_sn, res_star])).digest()
+    assert crypto.hxres(r_sn, res_star) == digest[16:]
 
 
 def test_kdf_deterministic_and_rejects_empty_list():
@@ -226,7 +233,7 @@ def test_hmac_honest_pair_verifies():
     key, data = SeededRandom(3).bytes(32), b"payload"
     tag = crypto.hmac_tag(key, data)
     assert _hmac.compare_digest(crypto.hmac_tag(key, data), tag)
-    assert tag == _hmac.new(key, data, hashlib.sha256).digest()
+    assert tag == _hmac.new(key, data, hashlib.sha256).digest()[:16]
 
 
 def test_hmac_flipped_data_changes_tag():

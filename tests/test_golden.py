@@ -13,13 +13,17 @@ they stay independent of the encoder they check:
 - a variable-length field keeps a length prefix, now the DER definite
   length: each field of this session is shorter than 128 bytes, so its
   prefix is the one byte of its length;
+- the three check values are 16 bytes, no longer 32: the AUTN MAC (f1,
+  HMAC-SHA-256) and MAC_U keep their leftmost 16 bytes, as RFC 2104 §5
+  truncates an HMAC, and HXRES* its 128 least significant bits, the last
+  16 bytes, as TS 33.501 Annex A.5 takes them;
 - the three ciphertexts over a plaintext with such a field are opened and
   sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
   ID_SN, all variable-length) under K_S1, with MAC_U, HMAC-SHA-256 under
-  K_S1 of SUCI_conc, computed again; M in auth-vector (its K_seaf and SUPI),
-  under K3 = RES* xor CONC xor R_SN; and the secure envelope (the GUTI
-  assignment), under SHA-256 of the 4-byte length-prefixed K_seaf and
-  b"guti-transport". All use the zero nonce.
+  K_S1 of SUCI_conc cut to 16 bytes, computed again; M in auth-vector (its
+  K_seaf and SUPI), under K3 = RES* xor CONC xor R_SN; and the secure
+  envelope (the GUTI assignment), under SHA-256 of the 4-byte
+  length-prefixed K_seaf and b"guti-transport". All use the zero nonce.
 """
 
 import hashlib
@@ -64,6 +68,7 @@ LAYOUT = {
 SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
+CHECK_LEN = 16              # MAC_U, the AUTN MAC and HXRES* on the wire
 
 
 def _lp(data: bytes) -> bytes:
@@ -99,11 +104,15 @@ def derive_session_wire() -> dict[str, bytes]:
     suci_conc = _reseal(k_s1, fields["id-response"][1],
                         _lp(SUPI) + _lp(pk_u) + _lp(ID_SN),
                         _der(SUPI) + _der(pk_u) + _der(ID_SN))
-    mac_u = hmac.new(k_s1, suci_conc, hashlib.sha256).digest()
+    mac_u = hmac.new(k_s1, suci_conc, hashlib.sha256).digest()[:CHECK_LEN]
     assert fields["sn-hn-ident"][:3] == fields["id-response"][:3]
     for name in ("id-response", "sn-hn-ident"):
         fields[name][1:3] = [suci_conc, mac_u]
+    assert fields["challenge"][0] == fields["auth-vector"][0]
     conc, r_sn = fields["auth-vector"][0][:32], fields["sn-hn-ident"][3]
+    for name in ("auth-vector", "challenge"):       # AUTN = CONC || MAC
+        fields[name][0] = fields[name][0][:32 + CHECK_LEN]
+    fields["auth-vector"][1] = fields["auth-vector"][1][-CHECK_LEN:]   # HXRES*
     k3 = bytes(a ^ b ^ c for a, b, c in
                zip(SESSION_VALUES["res_star"], conc, r_sn, strict=True))
     fields["auth-vector"][2] = _reseal(

@@ -39,10 +39,22 @@ def test_identify_rejects_unlisted_sn(world, rng):
 
 def test_identify_rejects_zeroed_mac(world, rng):
     to_hn, _sid = _ident_msg(world, rng)
-    bad = wire.SnToHnIdentMsg(
-        c1=to_hn.c1, suci_conc=to_hn.suci_conc, mac_u=bytes(32), r_sn=to_hn.r_sn)
+    bad = wire.SnToHnIdentMsg(c1=to_hn.c1, suci_conc=to_hn.suci_conc,
+                              mac_u=bytes(crypto.CHECK_LEN), r_sn=to_hn.r_sn)
     with pytest.raises(hn_mod.IdentificationAbort):
         hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
+
+
+def test_identify_rejects_every_one_bit_flip_of_mac_u(world, rng):
+    to_hn, _sid = _ident_msg(world, rng)
+    assert len(to_hn.mac_u) == crypto.CHECK_LEN
+    hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)      # the honest tag passes
+    for bit in range(crypto.CHECK_LEN * 8):
+        mac_u = bytearray(to_hn.mac_u)
+        mac_u[bit // 8] ^= 1 << (bit % 8)
+        bad = dataclasses.replace(to_hn, mac_u=bytes(mac_u))
+        with pytest.raises(hn_mod.IdentificationAbort):
+            hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
 
 
 def test_identify_rejects_tampered_ciphertext(world, rng):
@@ -70,7 +82,7 @@ def test_all_aborts_share_one_code(world, rng):
         to_hn, _sid = _ident_msg(w, SeededRandom(1))
         if mutate == "mac":
             to_hn = wire.SnToHnIdentMsg(c1=to_hn.c1, suci_conc=to_hn.suci_conc,
-                                        mac_u=bytes(32), r_sn=to_hn.r_sn)
+                                        mac_u=bytes(crypto.CHECK_LEN), r_sn=to_hn.r_sn)
             claimed = w.sn.id_sn
         elif mutate == "registry":
             w.hn.registry.clear()
@@ -96,7 +108,8 @@ def test_vector_internal_consistency(world, rng):
     assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
     xres_star, _, _ = crypto.session_keys(
         record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
-    assert vector.hxres_star == crypto.hash_h([to_hn.r_sn, xres_star])
+    # HXRES*: the 128 least significant bits of h(R_SN, XRES*)
+    assert vector.hxres_star == crypto.hash_h([to_hn.r_sn, xres_star])[-16:]
     # M opens under K3 = XRES* xor f5 to the anchored key and identity
     k3 = crypto.xor_bytes(xres_star, ak)
     k_seaf, supi_in_m = wire.unpack_m_payload(crypto.aead_open(k3, vector.m))

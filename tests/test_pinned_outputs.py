@@ -41,11 +41,11 @@ def _verdict_lines(keys_tried: int) -> list[str]:
     ]
 
 
-# re-pinned when sn-binding's part (a) became a closure over the session
-# graph: the keys tried on M are the 32-byte values of the SN's closure
-# (CONC, MAC, MAC_U, R_SN, HXRES*, AK, and c1 and c2 where the KEM makes
-# them 32 bytes), no longer 6,416 (3,555 on ecies-p256) brute-force keys
-KEYS_TRIED = {"test": 8, "ecies-x25519": 8, "ecies-p256": 6}
+# the keys tried on M are the 32-byte values of the SN's closure: CONC,
+# R_SN, AK, and c1 and c2 where the KEM makes them 32 bytes. Re-pinned from
+# 8 (6 on ecies-p256) when MAC, MAC_U and HXRES* went to 16 bytes, too
+# short to be a key
+KEYS_TRIED = {"test": 5, "ecies-x25519": 5, "ecies-p256": 3}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -56,13 +56,13 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# test and ecies-p256 re-pinned when variable-length fields took DER length
-# prefixes. The ECIES runs are the pins on profile A's and profile B's bytes,
+# re-pinned when MAC_U, the AUTN MAC and HXRES* went from 32 to 16 bytes.
+# The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "15c86aaefd6d7406163821666137a82c86eaf32dc7245e7df1e4698c4c1aa4a6",
-    "ecies-x25519": "bb51eb994eef21959eda2596e38b577c16060b7c65b59a142f50c640fe1f6f7a",
-    "ecies-p256": "473f14dcd26b453fa94c0f60b71138aef82fb787fff7689436d0e12a8f4a76c6",
+    "test": "b1b1326f4313d9e7b3fddac7ace3742687e88fe8f37d5d05efcaded2e1d44c5d",
+    "ecies-x25519": "87e3d232d885dde5a2e920f5f3750d4a4346415c3ad8b1a93e3c21b24b8ddbd0",
+    "ecies-p256": "1f69915f9fedcfc8d731e48384d747a710968468919814e1cb5f85336865e285",
 }
 
 
@@ -78,8 +78,8 @@ def test_mixed_run_transcript_pinned(suite):
 
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
 # cleared before each GUTI session, so that every one of them falls back to
-# SUPI-based identification
-FALLBACK_RUN_SHA256 = "4e013fad2640b4ba7050e1af2755606b682d9fdec49e9f08227debd53d991276"
+# SUPI-based identification; re-pinned with the 16-byte check values
+FALLBACK_RUN_SHA256 = "3c99e1c99fa1643f5ef484ad82c3a04310626edf5fc7587a2b86f8c2be04042a"
 
 
 def test_fallback_run_transcript_pinned():

@@ -82,14 +82,15 @@ def test_honest_challenge_response_matches_expected(world, rng):
 
 def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
     _msg, _sid, _vector, challenge = _identified(world, rng)
+    mac_at, c2_at = len(challenge.conc), len(challenge.conc) + len(challenge.mac)
     raw = challenge.conc + challenge.mac + challenge.c2
     total_bits = len(raw) * 8
     for bit in range(0, total_bits, 37):   # exhaustively covered in acceptance
         mutated = bytearray(raw)
         mutated[bit // 8] ^= 1 << (bit % 8)
         ue = copy.deepcopy(world.ue)
-        ch = wire.ChallengeMsg(conc=bytes(mutated[:32]), mac=bytes(mutated[32:64]),
-                               c2=bytes(mutated[64:]))
+        ch = wire.ChallengeMsg(conc=bytes(mutated[:mac_at]), mac=bytes(mutated[mac_at:c2_at]),
+                               c2=bytes(mutated[c2_at:]))
         assert ue_mod.ue_process_challenge(ue, ch) is None
         assert ue.ephemeral is None and ue.k_s_pending is None
 

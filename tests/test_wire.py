@@ -93,8 +93,8 @@ BAD_PREFIXES = {
 # (message bytes before the prefix, bytes after the field) per position
 PREFIX_SITES = {
     "envelope-ct": ("0b", ""),
-    "suci-conc": ("02" + "01aa", "00" * 32 + "00"),
-    "optional-c2": ("05" + "00" * 64 + "01", ""),
+    "suci-conc": ("02" + "01aa", "00" * 16 + "00"),
+    "optional-c2": ("05" + "00" * 48 + "01", ""),
 }
 
 
@@ -122,7 +122,7 @@ def test_golden_id_response_fields():
     msg = wire.decode(SESSION_WIRE["id-response"])
     assert isinstance(msg, wire.IdResponseMsg)
     assert msg.id_hn == "hn.example"
-    assert len(msg.c1) == 32 and len(msg.mac_u) == 32
+    assert len(msg.c1) == 32 and len(msg.mac_u) == 16
 
 
 def test_golden_challenge_has_c2_and_guti_assign_sizes():
@@ -137,15 +137,15 @@ def test_golden_challenge_has_c2_and_guti_assign_sizes():
 
 def _random_messages(r: random.Random):
     b = r.randbytes
-    conc, mac = b(32), b(32)
+    conc, mac = b(32), b(16)
     c2 = b(r.randint(1, 64)) if r.random() < 0.5 else None
     supi = "imsi-" + "".join(r.choices("0123456789", k=15))
     return [
         wire.IdRequestMsg(force_supi=r.random() < 0.5),
         wire.IdResponseMsg(c1=b(r.randint(0, 64)), suci_conc=b(r.randint(0, 64)),
-                           mac_u=b(32), id_hn=supi),
-        wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(32), r_sn=b(32)),
-        wire.HnToSnAuthMsg(conc=conc, mac=mac, hxres_star=b(32), m=b(r.randint(0, 80)),
+                           mac_u=b(16), id_hn=supi),
+        wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(16), r_sn=b(32)),
+        wire.HnToSnAuthMsg(conc=conc, mac=mac, hxres_star=b(16), m=b(r.randint(0, 80)),
                            c2=c2),
         wire.ChallengeMsg(conc=conc, mac=mac, c2=c2),
         wire.ResponseMsg(res_star=b(32)),
@@ -188,12 +188,12 @@ def test_decode_trailing_byte_rejected():
 
 def test_decode_invalid_utf8_rejected_at_its_field():
     msg = wire.IdResponseMsg(c1=b"\x01", suci_conc=b"\x02\x03",
-                             mac_u=bytes(32), id_hn="h")
+                             mac_u=bytes(16), id_hn="h")
     blob = wire.encode(msg)
     with pytest.raises(wire.ParseError) as exc:
         wire.decode(blob[:-1] + b"\xff")
     # tag, then c1 and suci_conc behind a one-byte length, and raw mac_u
-    assert exc.value.offset == 1 + (1 + 1) + (1 + 2) + 32
+    assert exc.value.offset == 1 + (1 + 1) + (1 + 2) + 16
 
 
 def test_decode_truncated_rejected():
@@ -234,7 +234,7 @@ def test_encode_rejects_bad_widths():
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.GutiIdMsg(guti=bytes(17)))
     with pytest.raises(wire.EncodeError):
-        wire.encode(wire.ChallengeMsg(conc=bytes(31), mac=bytes(32)))
+        wire.encode(wire.ChallengeMsg(conc=bytes(31), mac=bytes(16)))
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.IdResponseMsg(c1=b"", suci_conc=b"", mac_u=b"x", id_hn="h"))
 
@@ -277,14 +277,14 @@ def test_m_payload_roundtrip():
 # --- fixed-width enforcement, from a list written independently of the table --
 
 FIXED_FIELDS = [
-    (wire.IdResponseMsg, "mac_u", 32),
-    (wire.SnToHnIdentMsg, "mac_u", 32),
+    (wire.IdResponseMsg, "mac_u", 16),
+    (wire.SnToHnIdentMsg, "mac_u", 16),
     (wire.SnToHnIdentMsg, "r_sn", 32),
     (wire.HnToSnAuthMsg, "conc", 32),
-    (wire.HnToSnAuthMsg, "mac", 32),
-    (wire.HnToSnAuthMsg, "hxres_star", 32),
+    (wire.HnToSnAuthMsg, "mac", 16),
+    (wire.HnToSnAuthMsg, "hxres_star", 16),
     (wire.ChallengeMsg, "conc", 32),
-    (wire.ChallengeMsg, "mac", 32),
+    (wire.ChallengeMsg, "mac", 16),
     (wire.ResponseMsg, "res_star", 32),
     (wire.GutiIdMsg, "guti", 16),
     (wire.GutiSnToHnMsg, "r_sn_prime", 32),
@@ -311,9 +311,9 @@ def _flag_offsets(msg) -> list[int]:
     if isinstance(msg, wire.IdRequestMsg):
         return [1]
     if isinstance(msg, wire.ChallengeMsg):
-        return [1 + 64]
+        return [1 + 32 + 16]
     if isinstance(msg, wire.HnToSnAuthMsg):
-        return [1 + 64 + 32 + 1 + len(msg.m)]   # m is shorter than 128 B
+        return [1 + 32 + 16 + 16 + 1 + len(msg.m)]   # m is shorter than 128 B
     return []
 
 
