@@ -50,8 +50,11 @@ _OPS = {
     "hash": lambda suite, *values: crypto.hash_h(list(values)),
     "hxres": lambda suite, r_sn, res_star: crypto.hxres(r_sn, res_star),
     "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
-    "open-suci-supi": lambda suite, key, ct: _opened(key, ct, wire.unpack_suci_payload)[0].encode(),
-    "open-suci-pk": lambda suite, key, ct: _opened(key, ct, wire.unpack_suci_payload)[1],
+    # SUCI_conc opens with MAC_U, its AEAD tag, appended
+    "open-suci-supi": lambda suite, key, ct, tag: _opened(
+        key, ct + tag, wire.unpack_suci_payload)[0].encode(),
+    "open-suci-pk": lambda suite, key, ct, tag: _opened(
+        key, ct + tag, wire.unpack_suci_payload)[1],
     "open-m-k_seaf": lambda suite, key, m: _opened(key, m, wire.unpack_m_payload)[0],
     "open-m-supi": lambda suite, key, m: _opened(key, m, wire.unpack_m_payload)[1].encode(),
 }
@@ -195,8 +198,8 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
         g.atom("c2", ch.c2, public=True)
         g.atom("supi", world.ue.supi.encode())     # the SUCI must open to it
         g.derived("k_s1", "decaps", "sk_h", "c1")
-        g.derived("supi", "open-suci-supi", "k_s1", "suci_conc")
-        g.derived("pk_u", "open-suci-pk", "k_s1", "suci_conc")
+        g.derived("supi", "open-suci-supi", "k_s1", "suci_conc", "mac_u")
+        g.derived("pk_u", "open-suci-pk", "k_s1", "suci_conc", "mac_u")
         g.derived("k_star", "decaps", "sk_u", "c2")
     else:
         g.atom("k_s_prev", capture.k_s_prev)

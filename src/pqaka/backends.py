@@ -2,9 +2,11 @@
 
 Two ECIES profiles (Curve25519, secp256r1) are always built, serving as the
 classical baseline: one DH-KEM construction, registered once per curve.
-Post-quantum backends are wired up only when the optional liboqs python
-binding is importable; otherwise the PQ names stay metadata-only and
-operations on them raise SuiteUnavailableError.
+ML-KEM-768 and ML-KEM-1024 (FIPS 203) are registered when the installed
+``cryptography`` has its ``mlkem`` module. The other post-quantum backends
+are wired up only when the optional liboqs python binding is importable;
+otherwise the PQ names stay metadata-only and operations on them raise
+SuiteUnavailableError.
 """
 
 from __future__ import annotations
@@ -68,6 +70,52 @@ _register_dh_kem(
         Encoding.X962, PublicFormat.CompressedPoint),
     lambda priv, peer: priv.exchange(
         ec.ECDH(), ec.EllipticCurvePublicKey.from_encoded_point(_P256, peer)))
+
+
+# FIPS 203 parameter sets: suite name, class-name stem in cryptography's
+# mlkem module, pk and ct lengths; sk is the 64-byte seed d || z, key 32 B
+_MLKEM = (("ml-kem-768", "MLKEM768", 1184, 1088),
+          ("ml-kem-1024", "MLKEM1024", 1568, 1568))
+
+
+def _register_mlkem(name: str, pk_len: int, ct_len: int, load: Callable,
+                    public: Callable) -> None:
+    """Register one ML-KEM parameter set: keygen draws the seed from the
+    RandomSource and load (from_seed_bytes) expands it, but encapsulate()
+    draws its own randomness, so c1 and c2 cannot be seeded. A pk that
+    public (from_public_bytes) rejects is a CryptoError: the role aborts. A
+    wrong ct decapsulates to a key the peer lacks (implicit rejection)."""
+
+    def keygen(rng: RandomSource) -> KemKeyPair:
+        sk = rng.bytes(64)
+        priv = load(sk)
+        return KemKeyPair(pk=priv.public_key().public_bytes_raw(), sk=sk, handle=priv)
+
+    def encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
+        try:
+            key, ct = public(pk).encapsulate()
+        except ValueError:
+            raise CryptoError(f"{name}: public key rejected") from None
+        return ct, key
+
+    register_suite(KemSuite(
+        name=name, sk_len=64, pk_len=pk_len, ct_len=ct_len, key_len=32,
+        keygen=keygen, encaps=encaps,
+        decaps=lambda priv, pk, ct: priv.decapsulate(ct), load_sk=load))
+
+
+def _try_register_mlkem() -> None:
+    try:
+        from cryptography.hazmat.primitives.asymmetric import mlkem
+    except ImportError:
+        return
+    for name, stem, pk_len, ct_len in _MLKEM:
+        _register_mlkem(name, pk_len, ct_len,
+                        getattr(mlkem, stem + "PrivateKey").from_seed_bytes,
+                        getattr(mlkem, stem + "PublicKey").from_public_bytes)
+
+
+_try_register_mlkem()
 
 
 def _try_register_liboqs() -> None:

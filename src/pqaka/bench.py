@@ -78,14 +78,15 @@ def run_bench(suite_names: list[str], iters: int) -> list[BenchRow]:
 def size_row(suite: KemSuite) -> SizeRow:
     """Protocol message sizes for this suite, measured on real encodings."""
     c = bytes(suite.ct_len)
-    suci_conc = bytes(len(wire.pack_suci_payload(_SUPI, bytes(suite.pk_len), ID_SN))
-                      + crypto.AEAD_TAG_OVERHEAD)
+    # SUCI_conc is the bare ciphertext; its AEAD tag is sent as MAC_U
+    suci_conc = bytes(len(wire.pack_suci_payload(_SUPI, bytes(suite.pk_len), ID_SN)))
+    tag = bytes(crypto.AEAD_TAG_OVERHEAD)
     m = bytes(len(wire.pack_m_payload(bytes(crypto.KEY_LEN), _SUPI))
               + crypto.AEAD_TAG_OVERHEAD)
     conc, check = bytes(wire.RAND_LEN), bytes(crypto.CHECK_LEN)
     msgs = {
         "IdResponseMsg": wire.IdResponseMsg(
-            c1=c, suci_conc=suci_conc, mac_u=check, id_hn=ID_HN),
+            c1=c, suci_conc=suci_conc, mac_u=tag, id_hn=ID_HN),
         "HnToSnAuthMsg": wire.HnToSnAuthMsg(
             conc=conc, mac=check, hxres_star=check, m=m, c2=c),
         "ChallengeMsg": wire.ChallengeMsg(conc=conc, mac=check, c2=c),

@@ -2,10 +2,10 @@
 
 The symmetric family f1..f5 is a keyed PRF (HMAC-SHA-256 with a
 one-byte domain tag), not MILENAGE. Keys and XOR operands are 32 bytes,
-so every XOR in the protocol is well-typed; the check values (MAC_U, the
-AUTN MAC and HXRES*) are 16 bytes, the width of the AEAD tags. The test
-KEM is insecure by design: a deterministic construction over SHA-256 used
-as a test double.
+so every XOR in the protocol is well-typed; the check values (the AUTN MAC
+and HXRES*) are 16 bytes, the width of the AEAD tags, and MAC_U is the AEAD
+tag of SUCI_conc. The test KEM is insecure by design: a deterministic
+construction over SHA-256 used as a test double.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .rng import RandomSource
 
 KEY_LEN = 32
-CHECK_LEN = 16      # MAC_U, the AUTN MAC and HXRES*: no key, no XOR operand
+CHECK_LEN = 16      # the AUTN MAC and HXRES*: no key, no XOR operand
 AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
@@ -115,7 +115,9 @@ def hxres(r_sn: bytes, res_star: bytes) -> bytes:
 
 
 def hmac_tag(key: bytes, data: bytes) -> bytes:
-    """MAC_U: the leftmost CHECK_LEN bytes of HMAC-SHA-256 (RFC 2104 §5)."""
+    """The leftmost CHECK_LEN bytes of HMAC-SHA-256 (RFC 2104 §5). No role
+    calls it since MAC_U became SUCI_conc's AEAD tag; it is kept because
+    perfbench/tracer.py wraps it by name."""
     _check_key(key)
     return _hmac.new(key, data, hashlib.sha256).digest()[:CHECK_LEN]
 

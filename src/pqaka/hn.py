@@ -7,7 +7,6 @@ cannot tell the causes apart.
 
 from __future__ import annotations
 
-import hmac
 import logging
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,18 +61,17 @@ class HnState:
 def hn_identify(
     state: HnState, msg: SnToHnIdentMsg, claimed_id_sn: str
 ) -> tuple[str, bytes, SubscriberRecord]:
-    """Recover (SUPI, pk_U) from the concealed identifier, or abort."""
+    """Recover (SUPI, pk_U) from the concealed identifier, or abort. MAC_U
+    is SUCI_conc's AEAD tag, so opening checks it."""
     if state.kem_pair.handle is None:        # a pickled pair drops its handle
         state.kem_pair = crypto.kem_load(state.kem, state.kem_pair)
     try:
         k_s1 = crypto.as_shared_key(
             crypto.kem_decaps(state.kem, state.kem_pair, msg.c1))
-        plain = crypto.aead_open(k_s1, msg.suci_conc)
+        plain = crypto.aead_open(k_s1, msg.suci_conc + msg.mac_u)
         supi, pk_u, id_sn = unpack_suci_payload(plain)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         raise IdentificationAbort() from None
-    if not hmac.compare_digest(crypto.hmac_tag(k_s1, msg.suci_conc), msg.mac_u):
-        raise IdentificationAbort()
     if id_sn != claimed_id_sn or claimed_id_sn not in state.sn_allowlist:
         raise IdentificationAbort()
     record = state.registry.get(supi)

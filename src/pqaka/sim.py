@@ -212,6 +212,12 @@ def session(
         t.append(CORE, direction, wire.encode(msg), label)
         return msg
 
+    def sn_abort(step: str) -> SessionOutcome:
+        """The SN ends the session at the HN too, which drops its entry."""
+        send_core("SN->HN", "sn-abort", wire.AbortMsg())
+        hn.pending.pop(sid, None)
+        return _aborted(t, step)
+
     try:
         # 1-3. identification, in at most two rounds: the UE answers with its
         # GUTI only a first request that allows one, and with a SUCI otherwise;
@@ -263,7 +269,7 @@ def session(
         # 5. challenge to the UE
         challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
         if challenge is None:
-            return _aborted(t, "sn-challenge")
+            return sn_abort("sn-challenge")
         ch = yield from send_radio("SN->UE", "challenge", challenge)
         if ch is None or not isinstance(ch, wire.ChallengeMsg):
             return _aborted(t, "challenge")
@@ -280,9 +286,7 @@ def session(
         # 7. SN verification, confirmation, GUTI reassignment
         result = sn_mod.sn_verify_response(sn, sid, resp, rng)
         if result is None:
-            send_core("SN->HN", "sn-abort", wire.AbortMsg())
-            hn.pending.pop(sid, None)
-            return _aborted(t, "sn-verify")
+            return sn_abort("sn-verify")
         send_core("SN->HN", "confirm", wire.ConfirmMsg())
         k_seaf_hn = hn_mod.hn_finalize(hn, sid)
 

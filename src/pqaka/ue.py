@@ -48,18 +48,20 @@ class UeState:
 
 
 def ue_identification_response(state: UeState, rng: RandomSource) -> IdResponseMsg:
-    """SUPI-based identification: fresh KEM pair, SUCI concealment, MAC."""
+    """SUPI-based identification: fresh KEM pair, SUCI concealment. The AEAD's
+    tag is sent as MAC_U, apart from the ciphertext SUCI_conc."""
     if state.pk_h is None:
         raise ConfigurationError("UE has no HN public key provisioned")
     pair = crypto.kem_keygen(state.kem, rng)
     state.ephemeral = pair
     c1, k_s1_raw = crypto.kem_encaps(state.kem, state.pk_h, rng)
     k_s1 = crypto.as_shared_key(k_s1_raw)
-    suci_conc = crypto.aead_seal(
+    sealed = crypto.aead_seal(
         k_s1, pack_suci_payload(state.supi, pair.pk, state.id_sn_expected))
-    mac_u = crypto.hmac_tag(k_s1, suci_conc)
     del k_s1  # single-use; not retained in state
-    return IdResponseMsg(c1=c1, suci_conc=suci_conc, mac_u=mac_u, id_hn=state.id_hn)
+    cut = len(sealed) - crypto.AEAD_TAG_OVERHEAD
+    return IdResponseMsg(c1=c1, suci_conc=sealed[:cut], mac_u=sealed[cut:],
+                         id_hn=state.id_hn)
 
 
 def ue_guti_identification(state: UeState) -> Optional[GutiIdMsg]:

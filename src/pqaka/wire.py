@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .crypto import CHECK_LEN
+from .crypto import AEAD_TAG_OVERHEAD, CHECK_LEN
 
 GUTI_LEN = 16
 RAND_LEN = 32
@@ -53,8 +53,8 @@ class IdRequestMsg:
 @dataclass(frozen=True)
 class IdResponseMsg:
     c1: bytes
-    suci_conc: bytes
-    mac_u: bytes
+    suci_conc: bytes  # the AEAD ciphertext of the SUCI payload, and
+    mac_u: bytes      # its AEAD tag
     id_hn: str
 
 
@@ -170,9 +170,9 @@ Fields = tuple[tuple[str, Kind], ...]
 SCHEMA: dict[type, tuple[int, Fields]] = {
     IdRequestMsg: (0x01, (("force_supi", FLAG),)),
     IdResponseMsg: (0x02, (("c1", VAR), ("suci_conc", VAR),
-                           ("mac_u", fixed(CHECK_LEN)), ("id_hn", UTF8))),
+                           ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("id_hn", UTF8))),
     SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR),
-                            ("mac_u", fixed(CHECK_LEN)), ("r_sn", fixed(RAND_LEN)))),
+                            ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("r_sn", fixed(RAND_LEN)))),
     HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
                            ("hxres_star", fixed(CHECK_LEN)), ("m", VAR),
                            ("c2", OPTIONAL_VAR))),

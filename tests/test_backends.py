@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from pqaka import backends, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
+from pqaka import attacks, backends, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.crypto import available_suites, get_suite
 from pqaka.rng import SeededRandom
 
@@ -306,3 +306,89 @@ def test_liboqs_hook_registers_fake_backends(monkeypatch):
         assert crypto.kem_keygen(suite, SeededRandom(0)) != pair
     # every binding object, which may hold a secret key, is exited
     assert opened and exited == opened
+
+
+# --- ML-KEM from cryptography's mlkem module, where it exists -----------------
+
+# FIPS 203 Table 3: (sk, pk, ct, shared key) lengths, the sk as the 64-byte
+# seed d || z (its expanded decapsulation key is 2,400 / 3,168 bytes)
+FIPS_203_SIZES = {"ml-kem-768": (64, 1184, 1088, 32), "ml-kem-1024": (64, 1568, 1568, 32)}
+MLKEM = [name for name in FIPS_203_SIZES if name in crypto.registered_suites()]
+needs_mlkem = pytest.mark.skipif(not MLKEM, reason="cryptography has no mlkem module")
+
+
+@needs_mlkem
+@pytest.mark.parametrize("name", MLKEM)
+def test_mlkem_sizes_are_fips_203(name):
+    suite = get_suite(name)
+    assert (suite.sk_len, suite.pk_len, suite.ct_len, suite.key_len) == FIPS_203_SIZES[name]
+    pair = crypto.kem_keygen(suite, SeededRandom(0))
+    ct, k = crypto.kem_encaps(suite, pair.pk, SeededRandom(1))
+    assert (len(pair.sk), len(pair.pk), len(ct), len(k)) == FIPS_203_SIZES[name]
+    assert crypto.kem_decaps(suite, pair.sk, ct) == crypto.kem_decaps(suite, pair, ct) == k
+
+
+@needs_mlkem
+@pytest.mark.parametrize("name", MLKEM)
+def test_mlkem_keygen_is_the_drawn_seed_and_encaps_is_not_seeded(name):
+    suite = get_suite(name)
+    pair = crypto.kem_keygen(suite, SeededRandom(4))
+    assert pair.sk == SeededRandom(4).bytes(64)
+    assert crypto.kem_keygen(suite, SeededRandom(4)) == pair
+    # encapsulate() draws its own randomness: one RNG state, two ciphertexts
+    assert (crypto.kem_encaps(suite, pair.pk, SeededRandom(1))
+            != crypto.kem_encaps(suite, pair.pk, SeededRandom(1)))
+
+
+@needs_mlkem
+@pytest.mark.parametrize("name", MLKEM)
+def test_mlkem_pk_failing_the_modulus_check_is_a_crypto_error(name):
+    """Every 12-bit coefficient of an all-0xFF pk is 4095, not below q."""
+    suite = get_suite(name)
+    with pytest.raises(crypto.CryptoError):
+        crypto.kem_encaps(suite, b"\xff" * suite.pk_len, SeededRandom(1))
+
+
+@needs_mlkem
+@pytest.mark.parametrize("path", ["supi", "guti"])
+@pytest.mark.parametrize("name", MLKEM)
+def test_mlkem_sessions_agree_on_one_k_seaf(name, path):
+    rng = SeededRandom(9)
+    world = sim.make_world(name, seed=rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    keys = set()
+    for _ in range(100):
+        outcome = sim.run_session(world, path, rng=rng)
+        assert outcome.completed and outcome.key_source == path
+        assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn is not None
+        keys.add(outcome.k_seaf_ue)
+    assert len(keys) == 100
+
+
+@needs_mlkem
+@pytest.mark.parametrize("field, label, step", [("c1", "id-response", "hn-identify"),
+                                                ("c2", "challenge", "ue-challenge")])
+@pytest.mark.parametrize("name", MLKEM)
+def test_mlkem_flipped_ciphertext_aborts_at_the_same_step_as_ecies(name, field, label, step):
+    """A flipped ct decapsulates to another key, which the AEAD (c1) or the
+    AUTN MAC (c2) then rejects."""
+    def flip(data, ctx):
+        msg = wire.decode(data)
+        ct = bytearray(getattr(msg, field))
+        ct[0] ^= 1
+        return wire.encode(dataclasses.replace(msg, **{field: bytes(ct)}))
+
+    rng = SeededRandom(5)
+    world = sim.make_world(name, seed=rng)
+    outcome = sim.run_session(world, "supi", sim.ScriptedAttacker({label: flip}), rng)
+    assert outcome.abort_step == step
+
+
+@needs_mlkem
+@pytest.mark.parametrize("name", MLKEM)
+def test_mlkem_games_hold_and_weakenings_flip_them(name):
+    verdicts = attacks.run_scenarios(list(attacks.SCENARIOS), name, 0)
+    assert all(v.holds and all(ok for _n, ok in v.controls) for v in verdicts)
+    for weakening, (_make, games) in attacks.WEAKENINGS.items():
+        weakened = attacks.run_scenarios(sorted(games), name, 0, weaken=frozenset({weakening}))
+        assert not any(v.holds for v in weakened), weakening

@@ -3,7 +3,7 @@
 Until fixed-width fields were sent raw, every field of a message crossed the
 wire behind a 4-byte big-endian length. LEGACY_WIRE is the honest session of
 golden.py in that layout, frozen from the same independent oracle. The
-current vectors follow from it using only hashlib, hmac and AES-256-GCM, so
+current vectors follow from it using only hashlib and AES-256-GCM, so
 they stay independent of the encoder they check:
 
 - a field whose width the protocol fixes (AUTN, RES*, HXRES*, MAC_U, R_SN,
@@ -13,21 +13,22 @@ they stay independent of the encoder they check:
 - a variable-length field keeps a length prefix, now the DER definite
   length: each field of this session is shorter than 128 bytes, so its
   prefix is the one byte of its length;
-- the three check values are 16 bytes, no longer 32: the AUTN MAC (f1,
-  HMAC-SHA-256) and MAC_U keep their leftmost 16 bytes, as RFC 2104 §5
-  truncates an HMAC, and HXRES* its 128 least significant bits, the last
-  16 bytes, as TS 33.501 Annex A.5 takes them;
+- the two check values are 16 bytes, no longer 32: the AUTN MAC (f1,
+  HMAC-SHA-256) keeps its leftmost 16 bytes, as RFC 2104 §5 truncates an
+  HMAC, and HXRES* its 128 least significant bits, the last 16 bytes, as
+  TS 33.501 Annex A.5 takes them;
 - the three ciphertexts over a plaintext with such a field are opened and
   sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
-  ID_SN, all variable-length) under K_S1, with MAC_U, HMAC-SHA-256 under
-  K_S1 of SUCI_conc cut to 16 bytes, computed again; M in auth-vector (its
+  ID_SN, all variable-length) under K_S1; M in auth-vector (its
   K_seaf and SUPI), under K3 = RES* xor CONC xor R_SN; and the secure
   envelope (the GUTI assignment), under SHA-256 of the 4-byte
-  length-prefixed K_seaf and b"guti-transport". All use the zero nonce.
+  length-prefixed K_seaf and b"guti-transport". All use the zero nonce;
+- MAC_U is no longer an HMAC of SUCI_conc but SUCI_conc's GCM tag: the
+  last 16 bytes of the sealed SUCI payload cross the wire as MAC_U, and
+  SUCI_conc is the ciphertext before them.
 """
 
 import hashlib
-import hmac
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -68,7 +69,8 @@ LAYOUT = {
 SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
-CHECK_LEN = 16              # MAC_U, the AUTN MAC and HXRES* on the wire
+CHECK_LEN = 16              # the AUTN MAC and HXRES* on the wire
+TAG_LEN = 16                # AES-256-GCM's tag, sent as MAC_U
 
 
 def _lp(data: bytes) -> bytes:
@@ -101,10 +103,10 @@ def derive_session_wire() -> dict[str, bytes]:
     fields = {name: _legacy_fields(blob) for name, blob in LEGACY_WIRE.items()}
     k_seaf, k_s1 = SESSION_VALUES["k_seaf"], SESSION_VALUES["k_s1"]
     pk_u = SESSION_VALUES["pk_u"]
+    payload = _der(SUPI) + _der(pk_u) + _der(ID_SN)
     suci_conc = _reseal(k_s1, fields["id-response"][1],
-                        _lp(SUPI) + _lp(pk_u) + _lp(ID_SN),
-                        _der(SUPI) + _der(pk_u) + _der(ID_SN))
-    mac_u = hmac.new(k_s1, suci_conc, hashlib.sha256).digest()[:CHECK_LEN]
+                        _lp(SUPI) + _lp(pk_u) + _lp(ID_SN), payload)[:-TAG_LEN]
+    mac_u = AESGCM(k_s1).encrypt(ZERO_NONCE, payload, None)[-TAG_LEN:]
     assert fields["sn-hn-ident"][:3] == fields["id-response"][:3]
     for name in ("id-response", "sn-hn-ident"):
         fields[name][1:3] = [suci_conc, mac_u]

@@ -40,16 +40,16 @@ def test_identify_rejects_unlisted_sn(world, rng):
 def test_identify_rejects_zeroed_mac(world, rng):
     to_hn, _sid = _ident_msg(world, rng)
     bad = wire.SnToHnIdentMsg(c1=to_hn.c1, suci_conc=to_hn.suci_conc,
-                              mac_u=bytes(crypto.CHECK_LEN), r_sn=to_hn.r_sn)
+                              mac_u=bytes(crypto.AEAD_TAG_OVERHEAD), r_sn=to_hn.r_sn)
     with pytest.raises(hn_mod.IdentificationAbort):
         hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
 
 
 def test_identify_rejects_every_one_bit_flip_of_mac_u(world, rng):
     to_hn, _sid = _ident_msg(world, rng)
-    assert len(to_hn.mac_u) == crypto.CHECK_LEN
+    assert len(to_hn.mac_u) == crypto.AEAD_TAG_OVERHEAD
     hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)      # the honest tag passes
-    for bit in range(crypto.CHECK_LEN * 8):
+    for bit in range(crypto.AEAD_TAG_OVERHEAD * 8):
         mac_u = bytearray(to_hn.mac_u)
         mac_u[bit // 8] ^= 1 << (bit % 8)
         bad = dataclasses.replace(to_hn, mac_u=bytes(mac_u))
@@ -57,14 +57,27 @@ def test_identify_rejects_every_one_bit_flip_of_mac_u(world, rng):
             hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
 
 
-def test_identify_rejects_tampered_ciphertext(world, rng):
+def test_identify_rejects_every_one_bit_flip_of_suci_conc(world, rng):
+    """MAC_U is SUCI_conc's AEAD tag: with the tag intact, no flipped
+    ciphertext bit gets past identification."""
     to_hn, _sid = _ident_msg(world, rng)
-    bad = wire.SnToHnIdentMsg(
-        c1=to_hn.c1,
-        suci_conc=bytes([to_hn.suci_conc[0] ^ 1]) + to_hn.suci_conc[1:],
-        mac_u=to_hn.mac_u, r_sn=to_hn.r_sn)
-    with pytest.raises(hn_mod.IdentificationAbort):
-        hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
+    for bit in range(len(to_hn.suci_conc) * 8):
+        suci_conc = bytearray(to_hn.suci_conc)
+        suci_conc[bit // 8] ^= 1 << (bit % 8)
+        bad = dataclasses.replace(to_hn, suci_conc=bytes(suci_conc))
+        with pytest.raises(hn_mod.IdentificationAbort):
+            hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
+
+
+def test_identify_rejects_mac_u_of_another_suci_of_the_same_ue(world, rng):
+    to_hn, _sid = _ident_msg(world, rng)
+    other, _other_sid = _ident_msg(world, rng)
+    assert other.mac_u != to_hn.mac_u
+    for c1 in (to_hn.c1, other.c1):     # under either SUCI's K_S1
+        bad = dataclasses.replace(to_hn, c1=c1, mac_u=other.mac_u)
+        with pytest.raises(hn_mod.IdentificationAbort):
+            hn_mod.hn_identify(world.hn, bad, world.sn.id_sn)
+    hn_mod.hn_identify(world.hn, other, world.sn.id_sn)     # its own SUCI opens
 
 
 def test_identify_rejects_unknown_subscriber(world, rng):
@@ -82,7 +95,7 @@ def test_all_aborts_share_one_code(world, rng):
         to_hn, _sid = _ident_msg(w, SeededRandom(1))
         if mutate == "mac":
             to_hn = wire.SnToHnIdentMsg(c1=to_hn.c1, suci_conc=to_hn.suci_conc,
-                                        mac_u=bytes(crypto.CHECK_LEN), r_sn=to_hn.r_sn)
+                                        mac_u=bytes(crypto.AEAD_TAG_OVERHEAD), r_sn=to_hn.r_sn)
             claimed = w.sn.id_sn
         elif mutate == "registry":
             w.hn.registry.clear()
@@ -253,14 +266,14 @@ def test_replayed_suci_during_supi_session_keeps_ratchet_in_step(world, rng):
 
 def _forged_id_response(world, pk_u, rng) -> bytes:
     """The id-response a device holding pk_H and a registered SUPI seals
-    around a pk_U of its choosing: it opens and MACs correctly at the HN."""
+    around a pk_U of its choosing: it opens, tag and all, at the HN."""
     c1, k_raw = crypto.kem_encaps(world.suite, world.ue.pk_h, rng)
     k_s1 = crypto.as_shared_key(k_raw)
-    suci_conc = crypto.aead_seal(
+    sealed = crypto.aead_seal(
         k_s1, wire.pack_suci_payload(world.ue.supi, pk_u, world.sn.id_sn))
+    tag = crypto.AEAD_TAG_OVERHEAD
     return wire.encode(wire.IdResponseMsg(
-        c1=c1, suci_conc=suci_conc, mac_u=crypto.hmac_tag(k_s1, suci_conc),
-        id_hn=world.ue.id_hn))
+        c1=c1, suci_conc=sealed[:-tag], mac_u=sealed[-tag:], id_hn=world.ue.id_hn))
 
 
 # a pk_U of the wrong length, or of the right length but no point on the curve

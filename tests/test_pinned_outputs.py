@@ -56,13 +56,13 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when MAC_U, the AUTN MAC and HXRES* went from 32 to 16 bytes.
+# re-pinned when MAC_U became SUCI_conc's AEAD tag, 16 bytes fewer per SUCI.
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "b1b1326f4313d9e7b3fddac7ace3742687e88fe8f37d5d05efcaded2e1d44c5d",
-    "ecies-x25519": "87e3d232d885dde5a2e920f5f3750d4a4346415c3ad8b1a93e3c21b24b8ddbd0",
-    "ecies-p256": "1f69915f9fedcfc8d731e48384d747a710968468919814e1cb5f85336865e285",
+    "test": "6e726b497dec25b16bd0ef42a162053018b46f7b94292bb943183d5909639ca7",
+    "ecies-x25519": "a99fc57215b64ea7216ae2bc4aa88a8a7965cff5c9ed23d3297a65b72bd2fc50",
+    "ecies-p256": "c5145273509db5ae2ba1619fcd9cac9f69e017b0f5390387ba1f83dc40d1c81f",
 }
 
 
@@ -78,8 +78,8 @@ def test_mixed_run_transcript_pinned(suite):
 
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
 # cleared before each GUTI session, so that every one of them falls back to
-# SUPI-based identification; re-pinned with the 16-byte check values
-FALLBACK_RUN_SHA256 = "3c99e1c99fa1643f5ef484ad82c3a04310626edf5fc7587a2b86f8c2be04042a"
+# SUPI-based identification; re-pinned when MAC_U became SUCI_conc's AEAD tag
+FALLBACK_RUN_SHA256 = "ac41d37d0a8fc1f8ccb4d9d4fc41c0edba297e3127deef36ba538e65a51501a0"
 
 
 def test_fallback_run_transcript_pinned():

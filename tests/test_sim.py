@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
+from pqaka import attacks, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
 
@@ -42,21 +42,23 @@ def test_honest_guti_session_has_no_c2(world, rng):
 
 # one honest session's communication cost per suite and path, as (radio,
 # core) bytes, and the radio size of each of its messages; the core bytes
-# are sn-hn-ident 164 (sn-hn-guti 86), auth-vector 169 (136) and confirm 1.
-# Every variable-length field here is under 128 B: its length is one byte
+# are sn-hn-ident 148 (sn-hn-guti 86), auth-vector 169 (136) and confirm 1.
+# Every variable-length field here is under 128 B: its length is one byte.
+# Re-pinned when MAC_U became SUCI_conc's AEAD tag, no longer an HMAC beside
+# it: id-response and sn-hn-ident each carry 16 bytes fewer
 SESSION_BYTES = {
-    "test": {"supi": (328, 334), "guti": (169, 223)},
-    "ecies-x25519": {"supi": (328, 334), "guti": (169, 223)},
-    "ecies-p256": {"supi": (331, 337), "guti": (169, 223)},
+    "test": {"supi": (312, 318), "guti": (169, 223)},
+    "ecies-x25519": {"supi": (312, 318), "guti": (169, 223)},
+    "ecies-p256": {"supi": (315, 321), "guti": (169, 223)},
 }
 RADIO_MESSAGE_BYTES = {
-    "supi": {"id-request": 2, "id-response": 143, "challenge": 83,
+    "supi": {"id-request": 2, "id-response": 127, "challenge": 83,
              "response": 33, "guti-assign": 67},
     "guti": {"id-request": 2, "guti-id": 17, "challenge": 50,
              "response": 33, "guti-assign": 67},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
-P256_SUPI_RADIO_BYTES = {"id-response": 145, "challenge": 84}
+P256_SUPI_RADIO_BYTES = {"id-response": 129, "challenge": 84}
 
 
 @pytest.mark.parametrize("suite", list(SESSION_BYTES))
@@ -114,7 +116,8 @@ def test_failed_guti_challenge_sends_every_ue_to_supi_alike(world, rng):
 
 def test_hn_identification_abort_ends_session_and_frees_pending(world, rng):
     def zero_mac(data, ctx):
-        return wire.encode(dataclasses.replace(wire.decode(data), mac_u=bytes(crypto.CHECK_LEN)))
+        return wire.encode(dataclasses.replace(
+            wire.decode(data), mac_u=bytes(crypto.AEAD_TAG_OVERHEAD)))
 
     attacker = sim.ScriptedAttacker({"id-response": zero_mac})
     outcome = sim.run_session(world, "supi", attacker, rng)
@@ -458,7 +461,7 @@ def test_compromised_sk_h_opens_recorded_suci(world, rng):
     k_s1 = crypto.as_shared_key(
         crypto.kem_decaps(world.suite, sk_h, id_resp.c1))
     supi, _pk_u, _id_sn = wire.unpack_suci_payload(
-        crypto.aead_open(k_s1, id_resp.suci_conc))
+        crypto.aead_open(k_s1, id_resp.suci_conc + id_resp.mac_u))
     assert supi == world.ue.supi
 
 
@@ -600,3 +603,24 @@ def test_failed_res_star_frees_the_hn_entry(world, rng):
     assert last.data == wire.encode(wire.AbortMsg())
     assert len(world.sn.pending) == 0
     assert len(world.hn.pending) == 0
+
+
+def test_lost_sn_entry_at_the_challenge_frees_the_hn_entry(world, rng):
+    """The SN's entry is gone when the HN's vector arrives, as when other
+    sessions evict it meanwhile: the SN aborts at sn-challenge and sends
+    the HN an abort, so neither role keeps a pending entry."""
+    def auth_vector_after_sn_loss(state, *args):
+        world.sn.pending.clear()
+        return hn_mod.hn_auth_vector(state, *args)
+
+    hn_losing_sn = attacks.Weakened(hn_mod, hn_auth_vector=auth_vector_after_sn_loss)
+    outcome = sim.run_session(world, "supi", rng=rng, hn_mod=hn_losing_sn)
+    assert outcome.abort_step == "sn-challenge"
+    last = outcome.transcript.entries[-1]
+    assert (last.channel, last.direction, last.annotation) == (
+        sim.CORE, "SN->HN", "sn-abort")
+    assert last.data == wire.encode(wire.AbortMsg())
+    assert world.sn.pending == {} and world.hn.pending == {}
+    assert world.ue.ephemeral is None
+    assert sim.run_session(world, "supi", rng=rng).completed
+    assert world.hn.pending == {}
