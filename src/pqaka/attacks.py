@@ -125,17 +125,10 @@ def opening_count(keys: Iterable[bytes], ct: bytes) -> int:
     return opened
 
 
-def _radio_messages(outcome: sim.SessionOutcome) -> dict[str, wire.Message]:
-    """Last decoded radio message per annotation label."""
-    out: dict[str, wire.Message] = {}
-    for e in outcome.transcript.radio_entries():
-        if not e.data:
-            continue
-        try:
-            out[e.annotation] = wire.decode(e.data)
-        except wire.ParseError:
-            pass
-    return out
+def _radio(outcome: sim.SessionOutcome) -> dict[str, bytes]:
+    """The last bytes the radio delivered per label; a dropped message is
+    logged as "<label> [dropped]"."""
+    return {e.annotation: e.data for e in outcome.transcript.radio_entries()}
 
 
 @dataclass
@@ -177,20 +170,20 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     RES* is an atom only if the response crossed the radio. Raises
     ValueError unless the rebuilt k_seaf is the UE's captured K_seaf."""
     g = DerivationGraph(world.suite)
-    radio = _radio_messages(outcome)
+    radio = _radio(outcome)
     g.atom("k", world.ue.k)
     g.atom("sk_h", world.hn.kem_pair.sk)
     g.atom("id_sn", world.sn.id_sn.encode(), public=True)
     g.atom("id_hn", world.hn.id_hn.encode(), public=True)
 
-    ch = radio["challenge"]
+    ch = wire.decode(radio["challenge"])
     g.atom("conc", ch.conc, public=True)
     g.atom("mac", ch.mac, public=True)
     if "response" in radio:
-        g.atom("res_star", radio["response"].res_star, public=True)
+        g.atom("res_star", wire.decode(radio["response"]).res_star, public=True)
 
     if ch.c2 is not None:                          # the SUPI path
-        ident = radio["id-response"]
+        ident = wire.decode(radio["id-response"])
         g.atom("c1", ident.c1, public=True)
         g.atom("suci_conc", ident.suci_conc, public=True)
         g.atom("mac_u", ident.mac_u, public=True)
@@ -311,9 +304,8 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
 
     a = run(None, rng)
     assert a.completed
-    ch_a = _radio_messages(a)["challenge"]
-    id_a_bytes = next(e.data for e in a.transcript.radio_entries()
-                      if e.annotation == "id-response")
+    radio_a = _radio(a)
+    ch_a = wire.decode(radio_a["challenge"])
 
     evidence: list[str] = [f"session-A completed steps={len(a.transcript.entries)}"]
     holds = True
@@ -333,7 +325,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
     # replayed concealed identifier: HN accepts, but the session cannot
     # complete and UE key state stays intact
     guti_before, ks_before = world.ue.guti, world.ue.k_s
-    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: id_a_bytes})
+    attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: radio_a["id-response"]})
     out = run(attacker, SeededRandom(seed + 2))
     hn_accepted = any(e.annotation == "auth-vector" for e in out.transcript.entries)
     suci_ok = (hn_accepted and out.abort_step == "ue-challenge"
@@ -405,13 +397,15 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
                                     *, ue_mod=ue, hn_mod=hn) -> Verdict:
     """The SN cannot separate or pre-learn (SUPI, K_seaf), and cannot bind
     a vector issued for one session to another UE (run with ue_mod); part
-    (a) runs its session with hn_mod."""
+    (a) runs its session with hn_mod. The three parts share one world."""
     evidence: list[str] = []
-
-    # (a) pre-response knowledge closure of the SN, and every 32-byte value
-    # in it tried on M, which catches M sealed under a known key other than K3
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
+
+    # (a) pre-response knowledge closure of the SN, and every 32-byte value
+    # in it tried on M, which catches M sealed under a known key other than
+    # K3; it runs first, as sn_pre_response_graph unpacks the SN's only
+    # pending entry
     out, capture = run_captured(world, "supi", rng, drop_response=True, hn_mod=hn_mod)
     g, base = sn_pre_response_graph(world, out, capture)
     known = g.closure(base)
@@ -424,16 +418,14 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     evidence += [f"pre-response-keys-tried={len(keys)} opened={opened}",
                  f"pre-response-secrets={learned}", f"supi-absent-from-sn-state={no_early_supi}"]
 
-    # (b) malicious SN forwards UE-A's challenge into UE-B's session
-    rng2 = SeededRandom(seed + 1)
-    world2 = sim.make_world(suite_name, seed=rng2)
-    ue_b = sim.add_subscriber(world2, "imsi-001010000000002", rng2)
-    out_a = sim.run_session(world2, "supi", rng=rng2)
-    ch_a_bytes = next(e.data for e in out_a.transcript.radio_entries()
-                      if e.annotation == "challenge")
-    attacker_b = sim.ScriptedAttacker({"challenge": lambda data, ctx: ch_a_bytes})
-    world_b = sim.World(ue=ue_b, sn=world2.sn, hn=world2.hn, suite=world2.suite)
-    out_b = sim.run_session(world_b, "supi", attacker_b, rng2, ue_mod=ue_mod)
+    # (b) malicious SN forwards UE-A's challenge into UE-B's session; A's
+    # honest session is also the control: an honest SN recovers (SUPI,
+    # K_seaf) once RES* arrives
+    ue_b = sim.add_subscriber(world, "imsi-001010000000002", rng)
+    out_a = sim.run_session(world, "supi", rng=rng)
+    control_ok = out_a.completed and out_a.supi_at_sn == world.ue.supi
+    attacker_b = sim.ScriptedAttacker({"challenge": lambda data, ctx: _radio(out_a)["challenge"]})
+    out_b = sim.run_session(replace(world, ue=ue_b), "supi", attacker_b, rng, ue_mod=ue_mod)
     part_b = out_b.abort_step == "ue-challenge"
     evidence.append(f"cross-ue-challenge: abort_step={out_b.abort_step}")
 
@@ -441,21 +433,13 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     # identifying the UE for the (allowlisted) SN the UE named, which lets
     # the vector for this SN out; the run must still die with no key
     # material at the SN (the mismatch surfaces at the HXRES* comparison)
-    rng3 = SeededRandom(seed + 2)
-    world3 = sim.make_world(suite_name, seed=rng3)
-    world3.ue.id_sn_expected = "other-sn.example"
-    world3.hn.sn_allowlist.add("other-sn.example")
+    world.ue.id_sn_expected = "other-sn.example"
+    world.hn.sn_allowlist.add("other-sn.example")
     misled_hn = Weakened(hn, hn_identify=lambda state, msg, _claimed:
                          hn.hn_identify(state, msg, "other-sn.example"))
-    out_c = sim.run_session(world3, "supi", rng=rng3, hn_mod=misled_hn)
+    out_c = sim.run_session(world, "supi", rng=rng, hn_mod=misled_hn)
     part_c = (not out_c.completed) and out_c.supi_at_sn is None
     evidence.append(f"wrong-sn-vector: abort_step={out_c.abort_step}")
-
-    # control: an honest SN recovers (SUPI, K_seaf) only after RES*
-    rng4 = SeededRandom(seed + 3)
-    world4 = sim.make_world(suite_name, seed=rng4)
-    honest = sim.run_session(world4, "supi", rng=rng4)
-    control_ok = honest.completed and honest.supi_at_sn == world4.ue.supi
 
     return Verdict(
         scenario="sn-binding", holds=part_a and part_b and part_c,

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from pqaka import attacks, crypto, sim, ue as ue_mod, wire
+from pqaka import attacks, crypto, sim, sn, ue as ue_mod, wire
 from pqaka.crypto import TEST_KEM
 from pqaka.rng import SeededRandom
 
@@ -122,7 +122,7 @@ def test_broken_ue_reaches_only_the_sessions_it_is_passed_to(world, rng):
     for roles in (broken, broken, ue_mod):
         out = sim.run_session(world, "supi", rng=rng, ue_mod=roles)
         assert out.completed
-        c1s.append(attacks._radio_messages(out)["id-response"].c1)
+        c1s.append(wire.decode(attacks._radio(out)["id-response"]).c1)
     assert c1s[0] == c1s[1] != c1s[2]
 
 
@@ -130,6 +130,17 @@ def test_sn_binding_scenario_holds():
     v = attacks.scenario_compromised_sn_binding()
     assert v.holds and _all_controls_ok(v)
     assert any("opened=0" in e for e in v.evidence)
+
+
+def test_sn_binding_control_fails_when_the_sn_never_accepts_a_response(monkeypatch):
+    """Part (a) drops its response before the SN's check, B aborts at its
+    UE and (c) at sn-verify, so the game holds; A cannot complete."""
+    monkeypatch.setattr(sn, "sn_verify_response", lambda *args: None)
+    v = attacks.scenario_compromised_sn_binding()
+    assert v.holds
+    assert v.evidence[3:] == ["cross-ue-challenge: abort_step=ue-challenge",
+                              "wrong-sn-vector: abort_step=sn-verify"]
+    assert v.controls == [("honest-sn-recovers-after-response", False)]
 
 
 def test_forward_secrecy_scenario_holds():

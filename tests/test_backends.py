@@ -16,7 +16,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from pqaka import attacks, backends, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
+from drive import to_challenge
+from pqaka import attacks, backends, crypto, sim, ue as ue_mod, wire
 from pqaka.crypto import available_suites, get_suite
 from pqaka.rng import SeededRandom
 
@@ -149,12 +150,7 @@ def test_every_bit_flip_of_c2_aborts_silently(name):
     silently on each (on P-256, 129 of the 264 flips are not points)."""
     rng = SeededRandom(3)
     world = sim.make_world(name, seed=rng)
-    msg = ue_mod.ue_identification_response(world.ue, rng)
-    to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
-    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
+    _msg, _sid, _vector, challenge = to_challenge(world, rng)
     assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge)
     assert len(challenge.c2) == world.suite.ct_len
     for bit in range(len(challenge.c2) * 8):

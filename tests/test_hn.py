@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from drive import finish, run_until
 from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
@@ -190,25 +191,6 @@ def test_finalize_twice_second_ignored(world, rng):
 
 # --- overlapping sessions of one subscriber ---------------------------------
 
-def _run_until(steps, label):
-    """Pass a session's radio messages through until it yields `label`;
-    return the bytes of that message, which is held."""
-    message = next(steps)
-    while message[0] != label:
-        message = steps.send(message[1])
-    return message[1]
-
-
-def _finish(steps, delivered):
-    """Deliver `delivered` for the held message, pass the rest through and
-    return the session's outcome."""
-    try:
-        while True:
-            delivered = steps.send(delivered)[1]
-    except StopIteration as stop:
-        return stop.value
-
-
 def _assert_ratchet_in_step(world, rng):
     assert world.ue.k_s == world.hn.registry[world.ue.supi].k_s is not None
     for _ in range(3):
@@ -219,11 +201,11 @@ def _assert_ratchet_in_step(world, rng):
 def test_overlapping_guti_sessions_keep_ratchet_in_step(world, rng):
     assert sim.run_session(world, "supi", rng=rng).completed
     a = sim.session(world, "guti", rng)
-    challenge_a = _run_until(a, "challenge")                # held back
+    challenge_a = run_until(a, "challenge")                 # held back
     b = sim.session(world, "guti", rng)
-    _run_until(b, "response")
-    assert _finish(b, None).abort_step == "response"        # B's response lost
-    outcome = _finish(a, challenge_a)
+    run_until(b, "response")
+    assert finish(b, None).abort_step == "response"         # B's response lost
+    outcome = finish(a, challenge_a)
     assert outcome.completed and outcome.key_source == "guti"
     _assert_ratchet_in_step(world, rng)
 
@@ -236,10 +218,10 @@ def test_overlapped_sessions_each_report_their_own_ue_key(world, rng, mode):
     assignment commits."""
     assert sim.run_session(world, "supi", rng=rng).completed
     a = sim.session(world, mode, rng)
-    response_a = _run_until(a, "response")                  # held back
+    response_a = run_until(a, "response")                   # held back
     b = sim.session(world, mode, rng)
-    response_b = _run_until(b, "response")                  # held back
-    outcomes = [_finish(a, response_a), _finish(b, response_b)]
+    response_b = run_until(b, "response")                   # held back
+    outcomes = [finish(a, response_a), finish(b, response_b)]
     for outcome in outcomes:
         assert outcome.completed and outcome.key_source == mode
         assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn
@@ -253,14 +235,14 @@ def test_replayed_suci_during_supi_session_keeps_ratchet_in_step(world, rng):
     old = next(e.data for e in earlier.transcript.radio_entries()
                if e.annotation == "id-response")
     honest = sim.session(world, "supi", rng)
-    challenge = _run_until(honest, "challenge")             # held back
+    challenge = run_until(honest, "challenge")              # held back
     # the attacker replays the recorded SUCI from its own device
     device = sim.World(ue=copy.deepcopy(world.ue), sn=world.sn, hn=world.hn,
                        suite=world.suite)
     replay = sim.session(device, "supi", rng)
-    _run_until(replay, "id-response")
+    run_until(replay, "id-response")
     assert replay.send(old)[0] == "challenge"               # HN built a vector
-    assert _finish(honest, challenge).completed
+    assert finish(honest, challenge).completed
     _assert_ratchet_in_step(world, rng)
 
 

@@ -521,21 +521,6 @@ def test_replayed_suci_leaves_at_most_pending_max_entries(world, rng):
     assert len(world.hn.pending) == hn_mod.PENDING_MAX
 
 
-def _guti_session_around(world, rng, in_flight):
-    """Run a GUTI session of world's UE, calling in_flight() while its RES*
-    is on the radio; return its outcome."""
-    steps = sim.session(world, "guti", rng)
-    label, data = next(steps)
-    while label != "response":
-        label, data = steps.send(data)
-    in_flight()
-    try:
-        while True:
-            label, data = steps.send(data)
-    except StopIteration as stop:
-        return stop.value
-
-
 def _second_ue(world, rng):
     return sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
                      sn=world.sn, hn=world.hn, suite=world.suite)
@@ -548,7 +533,12 @@ def test_session_evicted_while_its_response_is_in_flight_aborts_then_heals(world
     other = _second_ue(world, rng)
     assert sim.run_session(world, "supi", rng=rng).completed
     replays = max(sn_mod.PENDING_MAX, hn_mod.PENDING_MAX)
-    evicted = _guti_session_around(world, rng, lambda: _replay_suci(other, rng, replays))
+
+    def in_flight(data, ctx):
+        _replay_suci(other, rng, replays)
+        return data
+
+    evicted = sim.run_session(world, "guti", sim.ScriptedAttacker({"response": in_flight}), rng)
     assert not evicted.completed and evicted.abort_step == "sn-verify"
     nxt = sim.run_session(world, "guti", rng=rng)
     assert nxt.completed and nxt.key_source == "guti"
@@ -578,12 +568,13 @@ def test_lost_hn_pending_entry_heals_at_the_next_session(lose_entry, world, rng,
     ratchet is in step again."""
     lose = lose_entry(world, tmp_path)
 
-    def in_flight():
+    def in_flight(data, ctx):
         assert len(world.sn.pending) == len(world.hn.pending) == 1
         lose()
+        return data
 
     assert sim.run_session(world, "supi", rng=rng).completed
-    lost = _guti_session_around(world, rng, in_flight)
+    lost = sim.run_session(world, "guti", sim.ScriptedAttacker({"response": in_flight}), rng)
     assert lost.completed and lost.k_seaf_hn is None
     outcomes = [sim.run_session(world, "guti", rng=rng) for _ in range(5)]
     assert [o.abort_step for o in outcomes] == ["ue-challenge"] + [None] * 4

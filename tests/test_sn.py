@@ -6,18 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
+from drive import to_challenge
+from pqaka import crypto, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import RandomSource, SeededRandom
-
-
-def _to_challenge(world, rng):
-    msg = ue_mod.ue_identification_response(world.ue, rng)
-    to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
-    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
-    return sid, vector, challenge
 
 
 def test_forward_identification_fresh_r_sn(world, rng):
@@ -38,7 +29,7 @@ def test_forward_identification_seeded_r_sn(world):
 
 
 def test_forward_challenge_passes_autn_unmodified(world, rng):
-    sid, vector, challenge = _to_challenge(world, rng)
+    _msg, sid, vector, challenge = to_challenge(world, rng)
     assert (challenge.conc, challenge.mac) == (vector.conc, vector.mac)
     assert challenge.c2 == vector.c2
     pending = world.sn.pending[sid]
@@ -47,12 +38,12 @@ def test_forward_challenge_passes_autn_unmodified(world, rng):
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):
-    _sid, vector, _ = _to_challenge(world, rng)
+    _msg, _sid, vector, _challenge = to_challenge(world, rng)
     assert sn_mod.sn_forward_challenge(world.sn, b"nosuch", vector) is None
 
 
 def test_verify_response_recovers_supi_and_key(world, rng):
-    sid, _vector, challenge = _to_challenge(world, rng)
+    _msg, sid, _vector, challenge = to_challenge(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
     assert result is not None
@@ -63,7 +54,7 @@ def test_verify_response_recovers_supi_and_key(world, rng):
 
 
 def test_verify_response_bit_flip_fuzz(world, rng):
-    sid, _vector, challenge = _to_challenge(world, rng)
+    _msg, sid, _vector, challenge = to_challenge(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     honest = response.res_star
     for bit in range(0, 256, 11):

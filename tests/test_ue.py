@@ -5,20 +5,10 @@ import dataclasses
 
 import pytest
 
+from drive import finish, run_until, to_challenge
 from golden import SESSION_WIRE, SESSION_VALUES
 from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
-
-
-def _identified(world, rng):
-    """Run the flow up to the challenge by direct module calls."""
-    msg = ue_mod.ue_identification_response(world.ue, rng)
-    to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
-    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
-    return msg, sid, vector, challenge
 
 
 def test_id_response_seed0_matches_independent_composition(world):
@@ -67,7 +57,7 @@ def test_hn_recovers_identity_from_honest_response(world, rng):
 
 
 def test_honest_challenge_response_matches_expected(world, rng):
-    _msg, sid, _vector, challenge = _identified(world, rng)
+    _msg, sid, _vector, challenge = to_challenge(world, rng)
     k_star = crypto.as_shared_key(
         crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, challenge.c2))
     xres_star, _, _ = crypto.session_keys(
@@ -81,7 +71,7 @@ def test_honest_challenge_response_matches_expected(world, rng):
 
 
 def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
-    _msg, _sid, _vector, challenge = _identified(world, rng)
+    _msg, _sid, _vector, challenge = to_challenge(world, rng)
     mac_at, c2_at = len(challenge.conc), len(challenge.conc) + len(challenge.mac)
     raw = challenge.conc + challenge.mac + challenge.c2
     total_bits = len(raw) * 8
@@ -96,7 +86,7 @@ def test_single_bit_flips_cause_silent_abort_sampled(world, rng):
 
 
 def test_replayed_challenge_against_fresh_ephemeral_aborts(world, rng):
-    _msg, _sid, _vector, old_challenge = _identified(world, rng)
+    _msg, _sid, _vector, old_challenge = to_challenge(world, rng)
     # new identification: fresh sk_U; the old (c2, AUTN) no longer matches
     ue_mod.ue_identification_response(world.ue, rng)
     assert ue_mod.ue_process_challenge(world.ue, old_challenge) is None
@@ -110,7 +100,7 @@ def test_challenge_without_ephemeral_aborts(world):
 
 @pytest.mark.parametrize("bad", ["short-c2", "guti-without-k_s"])
 def test_bad_second_challenge_aborts_silently_and_clears_session(world, rng, bad):
-    _msg, _sid, _vector, challenge = _identified(world, rng)
+    _msg, _sid, _vector, challenge = to_challenge(world, rng)
     assert ue_mod.ue_process_challenge(world.ue, challenge) is not None
     assert world.ue.k_s_pending is not None and world.ue.ephemeral is not None
     c2 = challenge.c2[:-1] if bad == "short-c2" else None
@@ -139,7 +129,7 @@ def test_guti_path_challenge_uses_ratchet_key(world, rng):
 
 
 def test_assignment_commits_pending_ratchet(world, rng):
-    _msg, _sid, vector, challenge = _identified(world, rng)
+    _msg, _sid, vector, challenge = to_challenge(world, rng)
     ue_mod.ue_process_challenge(world.ue, challenge)
     pending = world.ue.k_s_pending
     assert pending is not None
@@ -152,7 +142,7 @@ def test_assignment_commits_pending_ratchet(world, rng):
 
 
 def test_duplicate_assignment_ignored(world, rng):
-    _msg, _sid, _vector, challenge = _identified(world, rng)
+    _msg, _sid, _vector, challenge = to_challenge(world, rng)
     ue_mod.ue_process_challenge(world.ue, challenge)
     first = wire.GutiAssignMsg(guti_new=b"\x01" * 16, r_sn_prime_new=b"\x02" * 32)
     ue_mod.ue_handle_guti_assignment(world.ue, first)
@@ -216,25 +206,11 @@ def test_ue_drops_sk_u_when_session_ends_after_id_response(mode, label):
 
 
 def test_ending_session_leaves_an_overlapping_sessions_sk_u(world, rng):
-    def to_challenge(steps):
-        message = next(steps)
-        while message[0] != "challenge":
-            message = steps.send(message[1])
-        return message[1]
-
     a = sim.session(world, "supi", rng)
-    to_challenge(a)
+    run_until(a, "challenge")
     b = sim.session(world, "supi", rng)
-    challenge_b = to_challenge(b)
+    challenge_b = run_until(b, "challenge")
     pair_b = world.ue.ephemeral
-    with pytest.raises(StopIteration) as stop:
-        a.send(None)                     # A's challenge is lost
-    assert stop.value.value.abort_step == "challenge"
+    assert finish(a, None).abort_step == "challenge"     # A's challenge is lost
     assert world.ue.ephemeral is pair_b
-    message = b.send(challenge_b)
-    while True:
-        try:
-            message = b.send(message[1])
-        except StopIteration as stop:
-            assert stop.value.completed
-            break
+    assert finish(b, challenge_b).completed
