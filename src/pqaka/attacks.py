@@ -447,6 +447,17 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
         controls=[("honest-sn-recovers-after-response", control_ok)])
 
 
+def _backward_closure(g: DerivationGraph, k_seaf_prev: bytes) -> dict[str, int]:
+    """What a radio attacker deduces in a GUTI session's graph g once it
+    holds k_seaf_prev, the K_seaf of the session that assigned the GUTI.
+    The graph learns how that K_seaf makes R_SN', which it then yields;
+    the K_S that R_SN' masks must stay out of reach."""
+    g.atom("k_seaf_prev", k_seaf_prev)
+    g.atom("r_sn_prime_label", b"r-sn-prime", public=True)
+    g.derived("r_sn_prime", "kdf", "k_seaf_prev", "r_sn_prime_label")
+    return g.closure(g.public | {"k_seaf_prev"})
+
+
 def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Verdict:
     """Long-term compromise after the fact must not reveal session keys."""
     evidence: list[str] = []
@@ -471,8 +482,7 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
         controls.append((control, "k_seaf" in g.closure(base | secrets)))
 
     # backward direction: session i's anchor key does not yield session i+1's
-    g.atom("k_seaf_prev", k_seaf["supi"])
-    backward = g.closure(g.public | {"k_seaf_prev"})
+    backward = _backward_closure(g, k_seaf["supi"])
     holds = holds and "k_seaf" not in backward
     evidence.append(f"backward: k_seaf_next_derivable={'k_seaf' in backward}")
     return Verdict(scenario="forward-secrecy", holds=holds,

@@ -91,6 +91,10 @@ def size_row(suite: KemSuite) -> SizeRow:
             conc=conc, mac=check, hxres_star=check, m=m, c2=c),
         "ChallengeMsg": wire.ChallengeMsg(conc=conc, mac=check, c2=c),
         "ResponseMsg": wire.ResponseMsg(res_star=bytes(crypto.KEY_LEN)),
+        # the GUTI assignment as it crosses the radio, sealed
+        "SecureEnvelopeMsg": wire.SecureEnvelopeMsg(ct=bytes(
+            len(wire.encode(wire.GutiAssignMsg(guti_new=bytes(wire.GUTI_LEN))))
+            + crypto.AEAD_TAG_OVERHEAD)),
     }
     return SizeRow(
         name=suite.name, sk_len=suite.sk_len, pk_len=suite.pk_len,
@@ -117,13 +121,14 @@ def format_bench_table(rows: list[BenchRow]) -> str:
 
 def format_size_table(rows: list[SizeRow]) -> str:
     header = (f"{'algorithm':<14} {'sk':>8} {'pk':>8} {'ct':>8} {'key':>5} "
-              f"{'id-resp':>8} {'hn-sn':>8} {'chall':>8} {'resp':>6}")
+              f"{'id-resp':>8} {'hn-sn':>8} {'chall':>8} {'resp':>6} {'assign':>7}")
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r.name:<14} {r.sk_len:>8} {r.pk_len:>8} {r.ct_len:>8} {r.key_len:>5} "
             f"{r.msg_bytes['IdResponseMsg']:>8} {r.msg_bytes['HnToSnAuthMsg']:>8} "
-            f"{r.msg_bytes['ChallengeMsg']:>8} {r.msg_bytes['ResponseMsg']:>6}")
+            f"{r.msg_bytes['ChallengeMsg']:>8} {r.msg_bytes['ResponseMsg']:>6} "
+            f"{r.msg_bytes['SecureEnvelopeMsg']:>7}")
     return "\n".join(lines)
 
 

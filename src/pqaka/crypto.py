@@ -136,6 +136,13 @@ def aead_open(key: bytes, ciphertext: bytes) -> bytes:
         raise AeadFailure("ciphertext rejected") from exc
 
 
+def r_sn_prime(k_seaf: bytes) -> bytes:
+    """R_SN', the GUTI path's ratchet mask, from the K_seaf of the session
+    that assigned the GUTI: UE and SN both hold that key, so each derives
+    R_SN' and the radio never carries it."""
+    return kdf([k_seaf, b"r-sn-prime"])
+
+
 def as_shared_key(k: bytes) -> bytes:
     """Normalize a KEM shared secret to the protocol's 32-byte key width."""
     return k if len(k) == KEY_LEN else kdf([k])

@@ -122,24 +122,26 @@ def sn_verify_response(
         k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m))
     except (crypto.AeadFailure, ParseError):
         return None
-    assignment = sn_assign_guti(state, supi, rng)
+    assignment = sn_assign_guti(state, supi, k_seaf, rng)
     return SnSessionResult(supi=supi, k_seaf=k_seaf, assignment=assignment)
 
 
-def sn_assign_guti(state: SnState, supi: str, rng: RandomSource) -> GutiAssignMsg:
-    """Fresh GUTI (collision-checked) and R_SN'; old GUTI for the SUPI goes."""
+def sn_assign_guti(state: SnState, supi: str, k_seaf: bytes,
+                   rng: RandomSource) -> GutiAssignMsg:
+    """Fresh GUTI (collision-checked), stored with the R_SN' derived from the
+    session's K_seaf; old GUTI for the SUPI goes."""
     old = state.guti_of.get(supi)
     guti = rng.bytes(16)
     while guti in state.guti_table:
         guti = rng.bytes(16)
-    r_sn_prime = rng.bytes(32)
+    r_sn_prime = crypto.r_sn_prime(k_seaf)
     if old in state.guti_table and state.guti_table[old].supi == supi:
         del state.guti_table[old]
     state.guti_table[guti] = GutiEntry(supi=supi, r_sn_prime=r_sn_prime)
     state.guti_of[supi] = guti
     if state.persist_path:
         save_guti_table(state.persist_path, state.guti_table, guti)
-    return GutiAssignMsg(guti_new=guti, r_sn_prime_new=r_sn_prime)
+    return GutiAssignMsg(guti_new=guti)
 
 
 def sn_resolve_guti(

@@ -110,12 +110,13 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
 
 
 def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg) -> None:
-    """Commit the pending ratchet key; doubles as completion confirmation."""
+    """Commit the pending ratchet key, and R_SN' derived from the K_seaf
+    that opened the assignment; doubles as completion confirmation."""
     if state.k_s_pending is None:
         log.info("GUTI assignment with no pending session; ignored")
         return
     state.guti = msg.guti_new
-    state.r_sn_prime = msg.r_sn_prime_new
+    state.r_sn_prime = crypto.r_sn_prime(state.k_seaf)
     state.k_s = state.k_s_pending
     state.k_s_pending = None
     state.ephemeral = None

@@ -106,16 +106,16 @@ class GutiSnToHnMsg:
 
 @dataclass(frozen=True)
 class GutiAssignMsg:
+    """The new GUTI alone: R_SN' is derived from K_seaf at both ends."""
     guti_new: bytes
-    r_sn_prime_new: bytes
 
 
 @dataclass(frozen=True)
 class SecureEnvelopeMsg:
     """A message sealed under a key derived from the session's K_seaf.
 
-    Carries the GUTI assignment: the ratchet material must cross the radio
-    only over the secure channel the session just established.
+    Carries the GUTI assignment: the new GUTI must cross the radio only
+    over the secure channel the session just established.
     """
     ct: bytes
 
@@ -183,8 +183,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
     GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(RAND_LEN)),
                            ("r_sn", fixed(RAND_LEN)))),
-    GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),
-                           ("r_sn_prime_new", fixed(RAND_LEN)))),
+    GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),)),
     SecureEnvelopeMsg: (0x0B, (("ct", VAR),)),
     AbortMsg: (0x0C, ()),
 }

@@ -19,9 +19,9 @@ SESSION_WIRE = {
     'response': bytes.fromhex('06abd83a4482b9d407c1e93dcc7f01819249dd92acf5c63f0ee71f08c14f2a8a4c'),
     'confirm': bytes.fromhex('07'),
     'guti-id': bytes.fromhex('08de8d192421cc79eb37484270549b5258'),
-    'sn-hn-guti': bytes.fromhex('0914696d73692d303031303130303030303030303031a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b89a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
-    'guti-assign': bytes.fromhex('0ade8d192421cc79eb37484270549b5258a4cacb0810db33c4d13d762ca52925593faf87365cf855b09fbed033a1f4a1b8'),
-    'secure-envelope': bytes.fromhex('0b4112b5e994fce4d70f6028c0a2088b4f5a0b234251a67a644415b8d9ba7fe6faa4716c21c84d95a6f70ae9e2dcd6a4a2e834a37c3389b2e6e9be3bd16507da2f9281'),
+    'sn-hn-guti': bytes.fromhex('0914696d73692d3030313031303030303030303030313730a19b554ea4ae5194c9dd48ebce49db9504666f8b2ae9beb754ec6c0d913e9a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
+    'guti-assign': bytes.fromhex('0ade8d192421cc79eb37484270549b5258'),
+    'secure-envelope': bytes.fromhex('0b2112b5e994fce4d70f6028c0a2088b4f5a0b0178130f8ed5ec5211599a8050df288a'),
     'abort': bytes.fromhex('0c'),
 }
 

@@ -212,6 +212,20 @@ def test_session_graph_refuses_an_outcome_with_another_k_seaf(world, rng):
         attacks.build_session_graph(world, outcome, forged)
 
 
+def test_backward_closure_derives_r_sn_prime_but_not_the_next_k_seaf(world, rng):
+    """The K_seaf of the session that assigned the GUTI yields its R_SN',
+    by the graph's recipe, and nothing behind the K_S that R_SN' masks."""
+    first, _ = attacks.run_captured(world, "supi", rng)
+    out, capture = attacks.run_captured(world, "guti", rng)
+    g = attacks.build_session_graph(world, out, capture)
+    backward = attacks._backward_closure(g, first.k_seaf_ue)
+    assert backward["r_sn_prime"] == 1
+    assert {"k_s_prev", "k_star", "k_seaf"}.isdisjoint(backward)
+    # a wrong previous K_seaf does not reproduce the session's R_SN'
+    g = attacks.build_session_graph(world, out, capture)
+    assert "r_sn_prime" not in attacks._backward_closure(g, bytes(32))
+
+
 def test_session_graph_public_set_distinguishes_paths(world, rng):
     supi = attacks.build_session_graph(world, *attacks.run_captured(world, "supi", rng))
     guti = attacks.build_session_graph(world, *attacks.run_captured(world, "guti", rng))

@@ -199,7 +199,8 @@ def test_sizes_default_covers_all_registered(capsys):
     name for name in ("ml-kem-768", "ml-kem-1024") if name in registered_suites()])
 def test_sizes_match_a_real_supi_session(suite, capsys):
     """The message columns, encoded from placeholders, are the lengths an
-    honest SUPI session of the same SUPI sends."""
+    honest SUPI session of the same SUPI sends; assign is its sealed GUTI
+    assignment."""
     assert run_cli("sizes", "--kem", suite) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     row = next(r for r in rows if r.split()[0] == suite)
@@ -209,28 +210,28 @@ def test_sizes_match_a_real_supi_session(suite, capsys):
     assert outcome.completed
     sent = {e.annotation: len(e.data) for e in outcome.transcript.entries}
     entries = {"id-resp": "id-response", "hn-sn": "auth-vector",
-               "chall": "challenge", "resp": "response"}
+               "chall": "challenge", "resp": "response", "assign": "guti-assign"}
     assert {col: int(columns[col]) for col in entries} == \
         {col: sent[entry] for col, entry in entries.items()}
 
 
 # `pqaka sizes` with no flags: the communication-cost columns, whose message
 # sizes run through wire.pack_suci_payload and wire.pack_m_payload.
-# Re-pinned when the ml-kem rows were added and MAC_U became SUCI_conc's
-# AEAD tag, which made every id-resp 16 bytes shorter. CI checks the
-# installed console script's output against this table
+# Re-pinned when the assign column (the sealed GUTI assignment, 35 bytes
+# since R_SN' is derived, not sent) was added. CI checks the installed
+# console script's output against this table
 SIZES_TABLE = """\
-algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp
----------------------------------------------------------------------------------
-bike               5223     1541     1573    32     3183     1712     1626     33
-ecies-p256           32       33       33    32      129      170       84     33
-ecies-x25519         32       32       32    32      127      169       83     33
-hqc                2289     2249     4481    64     6799     4620     4534     33
-kyber              1632      800      768    32     1637      907      821     33
-mceliece           6452   261120      128    32   261318      266      180     33
-ml-kem-1024          64     1568     1568    32     3205     1707     1621     33
-ml-kem-768           64     1184     1088    32     2341     1227     1141     33
-test                 32       32       32    32      127      169       83     33
+algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp  assign
+-----------------------------------------------------------------------------------------
+bike               5223     1541     1573    32     3183     1712     1626     33      35
+ecies-p256           32       33       33    32      129      170       84     33      35
+ecies-x25519         32       32       32    32      127      169       83     33      35
+hqc                2289     2249     4481    64     6799     4620     4534     33      35
+kyber              1632      800      768    32     1637      907      821     33      35
+mceliece           6452   261120      128    32   261318      266      180     33      35
+ml-kem-1024          64     1568     1568    32     3205     1707     1621     33      35
+ml-kem-768           64     1184     1088    32     2341     1227     1141     33      35
+test                 32       32       32    32      127      169       83     33      35
 """
 MLKEM_ROWS = ("ml-kem-768 ", "ml-kem-1024 ")
 

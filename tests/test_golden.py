@@ -25,7 +25,11 @@ they stay independent of the encoder they check:
   length-prefixed K_seaf and b"guti-transport". All use the zero nonce;
 - MAC_U is no longer an HMAC of SUCI_conc but SUCI_conc's GCM tag: the
   last 16 bytes of the sealed SUCI payload cross the wire as MAC_U, and
-  SUCI_conc is the ciphertext before them.
+  SUCI_conc is the ciphertext before them;
+- R_SN' is no longer drawn by the SN and sent in the GUTI assignment,
+  which is the GUTI alone: both ends derive it as SHA-256 of the 4-byte
+  length-prefixed K_seaf and b"r-sn-prime", and sn-hn-guti carries that.
+  The GUTI is drawn before R_SN' was, so it keeps its bytes.
 """
 
 import hashlib
@@ -62,7 +66,7 @@ LAYOUT = {
     "confirm": "x",           # ok, always set
     "guti-id": "r",           # guti
     "sn-hn-guti": "lrr",      # supi, r_sn_prime, r_sn
-    "guti-assign": "rr",      # guti_new, r_sn_prime_new
+    "guti-assign": "rx",      # guti_new, r_sn_prime_new (derived now)
     "secure-envelope": "l",   # ct
     "abort": "x",             # code, a constant
 }
@@ -103,10 +107,9 @@ def derive_session_wire() -> dict[str, bytes]:
     fields = {name: _legacy_fields(blob) for name, blob in LEGACY_WIRE.items()}
     k_seaf, k_s1 = SESSION_VALUES["k_seaf"], SESSION_VALUES["k_s1"]
     pk_u = SESSION_VALUES["pk_u"]
-    payload = _der(SUPI) + _der(pk_u) + _der(ID_SN)
-    suci_conc = _reseal(k_s1, fields["id-response"][1],
-                        _lp(SUPI) + _lp(pk_u) + _lp(ID_SN), payload)[:-TAG_LEN]
-    mac_u = AESGCM(k_s1).encrypt(ZERO_NONCE, payload, None)[-TAG_LEN:]
+    sealed = _reseal(k_s1, fields["id-response"][1], _lp(SUPI) + _lp(pk_u) + _lp(ID_SN),
+                     _der(SUPI) + _der(pk_u) + _der(ID_SN))
+    suci_conc, mac_u = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
     assert fields["sn-hn-ident"][:3] == fields["id-response"][:3]
     for name in ("id-response", "sn-hn-ident"):
         fields[name][1:3] = [suci_conc, mac_u]
@@ -119,6 +122,8 @@ def derive_session_wire() -> dict[str, bytes]:
                zip(SESSION_VALUES["res_star"], conc, r_sn, strict=True))
     fields["auth-vector"][2] = _reseal(
         k3, fields["auth-vector"][2], _lp(k_seaf) + _lp(SUPI), k_seaf + _der(SUPI))
+    assert fields["sn-hn-guti"][1] == fields["guti-assign"][1]
+    fields["sn-hn-guti"][1] = hashlib.sha256(_lp(k_seaf) + _lp(b"r-sn-prime")).digest()
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
                {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))

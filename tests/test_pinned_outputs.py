@@ -56,13 +56,15 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when MAC_U became SUCI_conc's AEAD tag, 16 bytes fewer per SUCI.
+# re-pinned when R_SN' came to be derived from K_seaf, not drawn and sent
+# (32 bytes fewer per guti-assign, and 32 bytes fewer drawn from the seeded
+# stream per assignment).
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "6e726b497dec25b16bd0ef42a162053018b46f7b94292bb943183d5909639ca7",
-    "ecies-x25519": "a99fc57215b64ea7216ae2bc4aa88a8a7965cff5c9ed23d3297a65b72bd2fc50",
-    "ecies-p256": "c5145273509db5ae2ba1619fcd9cac9f69e017b0f5390387ba1f83dc40d1c81f",
+    "test": "183d53910469acdcf4fa455adc82d3f3f2317c10d5fed98df22fc6745210aa41",
+    "ecies-x25519": "388d77dab1533731a0095f3a9f4be066dc3de2896bc54a724dcefd5eda19e103",
+    "ecies-p256": "451f7485736826b89f6f4466a04ee2923e77b31c6793c6153a05c1f3725fe8cc",
 }
 
 
@@ -78,8 +80,9 @@ def test_mixed_run_transcript_pinned(suite):
 
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
 # cleared before each GUTI session, so that every one of them falls back to
-# SUPI-based identification; re-pinned when MAC_U became SUCI_conc's AEAD tag
-FALLBACK_RUN_SHA256 = "ac41d37d0a8fc1f8ccb4d9d4fc41c0edba297e3127deef36ba538e65a51501a0"
+# SUPI-based identification; re-pinned with MIXED_RUN_SHA256, for the same
+# change
+FALLBACK_RUN_SHA256 = "1320c284b491eef0b0141a0690c3ef5cc4523ea680f42d0f6e137c5e85cb18ef"
 
 
 def test_fallback_run_transcript_pinned():

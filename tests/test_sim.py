@@ -44,18 +44,18 @@ def test_honest_guti_session_has_no_c2(world, rng):
 # core) bytes, and the radio size of each of its messages; the core bytes
 # are sn-hn-ident 148 (sn-hn-guti 86), auth-vector 169 (136) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
-# Re-pinned when MAC_U became SUCI_conc's AEAD tag, no longer an HMAC beside
-# it: id-response and sn-hn-ident each carry 16 bytes fewer
+# Re-pinned when R_SN' came to be derived from K_seaf, no longer sent in the
+# GUTI assignment: guti-assign carries 32 bytes fewer
 SESSION_BYTES = {
-    "test": {"supi": (312, 318), "guti": (169, 223)},
-    "ecies-x25519": {"supi": (312, 318), "guti": (169, 223)},
-    "ecies-p256": {"supi": (315, 321), "guti": (169, 223)},
+    "test": {"supi": (280, 318), "guti": (137, 223)},
+    "ecies-x25519": {"supi": (280, 318), "guti": (137, 223)},
+    "ecies-p256": {"supi": (283, 321), "guti": (137, 223)},
 }
 RADIO_MESSAGE_BYTES = {
     "supi": {"id-request": 2, "id-response": 127, "challenge": 83,
-             "response": 33, "guti-assign": 67},
+             "response": 33, "guti-assign": 35},
     "guti": {"id-request": 2, "guti-id": 17, "challenge": 50,
-             "response": 33, "guti-assign": 67},
+             "response": 33, "guti-assign": 35},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
 P256_SUPI_RADIO_BYTES = {"id-response": 129, "challenge": 84}
@@ -77,6 +77,31 @@ def test_session_communication_cost_pinned(suite):
             want.update(P256_SUPI_RADIO_BYTES)
         assert radio == want
         assert (sum(radio.values()), core) == SESSION_BYTES[suite][path]
+
+
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519"])
+def test_r_sn_prime_agreed_at_every_end_and_never_sent(suite):
+    """Along SUPI -> GUTI -> GUTI, the UE's R_SN', the SN's stored one, the
+    one the next sn-hn-guti carries to the HN and the one derived from the
+    session's K_seaf are the same 32 bytes, and no radio entry holds them."""
+    rng = SeededRandom(12)
+    world = sim.make_world(suite, seed=rng)
+    outcomes, derived = [], []
+    for mode in ("supi", "guti", "guti"):
+        out = sim.run_session(world, mode, rng=rng)
+        assert out.completed and out.key_source == mode and out.assignment_delivered
+        if derived:       # the HN gets the previous session's R_SN' from the SN
+            (to_hn,) = [wire.decode(e.data) for e in out.transcript.entries
+                        if e.annotation == "sn-hn-guti"]
+            assert to_hn.r_sn_prime == derived[-1]
+        r_sn_prime = crypto.r_sn_prime(out.k_seaf_ue)
+        assert world.ue.r_sn_prime == world.sn.guti_table[world.ue.guti].r_sn_prime \
+            == r_sn_prime
+        outcomes.append(out)
+        derived.append(r_sn_prime)
+    assert len(set(derived)) == 3
+    radio = [e.data for out in outcomes for e in out.transcript.radio_entries()]
+    assert not any(r in data for r in derived for data in radio)
 
 
 def test_guti_mode_without_state_falls_back_to_supi(world, rng):
@@ -478,7 +503,7 @@ def test_transcript_is_byte_faithful_under_tamper(world, rng):
 
 def test_assignment_envelope_roundtrip():
     k_seaf = SeededRandom(20).bytes(32)
-    msg = wire.GutiAssignMsg(guti_new=b"\x05" * 16, r_sn_prime_new=b"\x06" * 32)
+    msg = wire.GutiAssignMsg(guti_new=b"\x05" * 16)
     env = sim.seal_assignment(k_seaf, msg)
     assert sim.open_assignment(k_seaf, env) == msg
     assert sim.open_assignment(SeededRandom(21).bytes(32), env) is None

@@ -72,18 +72,24 @@ def test_verify_response_unknown_session(world, rng):
         world.sn, b"nosuch", wire.ResponseMsg(res_star=bytes(32)), rng) is None
 
 
+K_SEAF_1, K_SEAF_2 = SeededRandom(31).bytes(32), SeededRandom(32).bytes(32)
+
+
 def test_guti_assignments_fresh_and_indexed(world, rng):
-    a = sn_mod.sn_assign_guti(world.sn, "imsi-1", rng)
-    b = sn_mod.sn_assign_guti(world.sn, "imsi-2", rng)
+    a = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
+    b = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, rng)
     assert a.guti_new != b.guti_new
-    assert a.r_sn_prime_new != b.r_sn_prime_new
-    assert world.sn.guti_table[a.guti_new].supi == "imsi-1"
-    assert world.sn.guti_table[b.guti_new].supi == "imsi-2"
+    entry_a, entry_b = world.sn.guti_table[a.guti_new], world.sn.guti_table[b.guti_new]
+    assert (entry_a.supi, entry_b.supi) == ("imsi-1", "imsi-2")
+    # two assignments under different K_seaf carry different R_SN'
+    assert entry_a.r_sn_prime == crypto.r_sn_prime(K_SEAF_1)
+    assert entry_b.r_sn_prime == crypto.r_sn_prime(K_SEAF_2)
+    assert entry_a.r_sn_prime != entry_b.r_sn_prime
 
 
 def test_guti_reassignment_drops_old_entry(world, rng):
-    a = sn_mod.sn_assign_guti(world.sn, "imsi-1", rng)
-    b = sn_mod.sn_assign_guti(world.sn, "imsi-1", rng)
+    a = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
+    b = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_2, rng)
     assert a.guti_new not in world.sn.guti_table
     assert world.sn.guti_table[b.guti_new].supi == "imsi-1"
     supis = [e.supi for e in world.sn.guti_table.values()]
@@ -94,7 +100,7 @@ class _CollidingRng(RandomSource):
     """First GUTI draw repeats an existing table key, forcing a redraw."""
 
     def __init__(self, collide_with: bytes):
-        self.queue = [collide_with, b"\x42" * 16, b"\x43" * 32]
+        self.queue = [collide_with, b"\x42" * 16]
 
     def bytes(self, n: int) -> bytes:
         out = self.queue.pop(0)
@@ -103,25 +109,25 @@ class _CollidingRng(RandomSource):
 
 
 def test_guti_collision_forces_redraw(world, rng):
-    first = sn_mod.sn_assign_guti(world.sn, "imsi-1", rng)
+    first = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
     colliding = _CollidingRng(first.guti_new)
-    second = sn_mod.sn_assign_guti(world.sn, "imsi-2", colliding)
+    second = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, colliding)
     assert second.guti_new == b"\x42" * 16          # redrawn after collision
+    assert colliding.queue == []                    # and R_SN' draws nothing
     table_supis = [e.supi for e in world.sn.guti_table.values()]
     assert sorted(table_supis) == ["imsi-1", "imsi-2"]   # stays injective
 
 
-def _assign_by_scan(table, supi, rng):
+def _assign_by_scan(table, supi, k_seaf, rng):
     """Reference: the linear-scan assignment the SUPI -> GUTI index replaced."""
     guti = rng.bytes(16)
     while guti in table:
         guti = rng.bytes(16)
-    r_sn_prime = rng.bytes(32)
     for old, entry in list(table.items()):
         if entry.supi == supi:
             del table[old]
-    table[guti] = sn_mod.GutiEntry(supi=supi, r_sn_prime=r_sn_prime)
-    return wire.GutiAssignMsg(guti_new=guti, r_sn_prime_new=r_sn_prime)
+    table[guti] = sn_mod.GutiEntry(supi=supi, r_sn_prime=crypto.r_sn_prime(k_seaf))
+    return wire.GutiAssignMsg(guti_new=guti)
 
 
 GUTI_STEPS = st.lists(st.one_of(
@@ -137,7 +143,7 @@ def test_guti_index_matches_linear_scan(seed, steps):
     state = sn_mod.SnState(id_sn="sn.example")
     table = {}
     rng, ref_rng = SeededRandom(seed), SeededRandom(seed)
-    for step in steps:
+    for i, step in enumerate(steps):
         if step[0] == "clear":
             state.guti_table.clear()
             table.clear()
@@ -145,8 +151,9 @@ def test_guti_index_matches_linear_scan(seed, steps):
             state = sn_mod.SnState(id_sn="sn.example", guti_table=dict(state.guti_table))
         else:
             _, supi = step
-            got = sn_mod.sn_assign_guti(state, supi, rng)
-            assert got == _assign_by_scan(table, supi, ref_rng)
+            k_seaf = hashlib.sha256(i.to_bytes(4, "big")).digest()
+            got = sn_mod.sn_assign_guti(state, supi, k_seaf, rng)
+            assert got == _assign_by_scan(table, supi, k_seaf, ref_rng)
         assert list(state.guti_table.items()) == list(table.items())
         supis = [e.supi for e in table.values()]
         assert len(supis) == len(set(supis))       # one GUTI per SUPI
@@ -154,25 +161,25 @@ def test_guti_index_matches_linear_scan(seed, steps):
 
 
 def test_guti_index_ignores_a_guti_reassigned_after_clear(world):
-    first = sn_mod.sn_assign_guti(world.sn, "imsi-1", SeededRandom(9))
+    first = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, SeededRandom(9))
     world.sn.guti_table.clear()
     # the same draws give imsi-2 the GUTI the stale index holds for imsi-1
-    again = sn_mod.sn_assign_guti(world.sn, "imsi-2", SeededRandom(9))
+    again = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, SeededRandom(9))
     assert again.guti_new == first.guti_new
     # imsi-1's fresh assignment must not take the entry from imsi-2
-    fresh = sn_mod.sn_assign_guti(world.sn, "imsi-1", SeededRandom(10))
+    fresh = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, SeededRandom(10))
     assert fresh.guti_new != first.guti_new
     assert world.sn.guti_table[first.guti_new].supi == "imsi-2"
     assert world.sn.guti_table[fresh.guti_new].supi == "imsi-1"
 
 
 def test_resolve_known_guti_carries_stored_rprime(world, rng):
-    assign = sn_mod.sn_assign_guti(world.sn, "imsi-1", rng)
+    assign = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
     resolved = sn_mod.sn_resolve_guti(
         world.sn, wire.GutiIdMsg(guti=assign.guti_new), rng)
     msg, sid = resolved
     assert msg.supi == "imsi-1"
-    assert msg.r_sn_prime == assign.r_sn_prime_new
+    assert msg.r_sn_prime == crypto.r_sn_prime(K_SEAF_1)
     assert world.sn.pending[sid].r_sn == msg.r_sn
 
 

@@ -133,10 +133,10 @@ def test_assignment_commits_pending_ratchet(world, rng):
     ue_mod.ue_process_challenge(world.ue, challenge)
     pending = world.ue.k_s_pending
     assert pending is not None
-    assign = wire.GutiAssignMsg(guti_new=b"\x01" * 16, r_sn_prime_new=b"\x02" * 32)
+    assign = wire.GutiAssignMsg(guti_new=b"\x01" * 16)
     ue_mod.ue_handle_guti_assignment(world.ue, assign)
     assert world.ue.guti == b"\x01" * 16
-    assert world.ue.r_sn_prime == b"\x02" * 32
+    assert world.ue.r_sn_prime == crypto.r_sn_prime(world.ue.k_seaf)
     assert world.ue.k_s == pending
     assert world.ue.k_s_pending is None and world.ue.ephemeral is None
 
@@ -144,10 +144,10 @@ def test_assignment_commits_pending_ratchet(world, rng):
 def test_duplicate_assignment_ignored(world, rng):
     _msg, _sid, _vector, challenge = to_challenge(world, rng)
     ue_mod.ue_process_challenge(world.ue, challenge)
-    first = wire.GutiAssignMsg(guti_new=b"\x01" * 16, r_sn_prime_new=b"\x02" * 32)
+    first = wire.GutiAssignMsg(guti_new=b"\x01" * 16)
     ue_mod.ue_handle_guti_assignment(world.ue, first)
     snapshot = (world.ue.guti, world.ue.r_sn_prime, world.ue.k_s)
-    second = wire.GutiAssignMsg(guti_new=b"\x03" * 16, r_sn_prime_new=b"\x04" * 32)
+    second = wire.GutiAssignMsg(guti_new=b"\x03" * 16)
     ue_mod.ue_handle_guti_assignment(world.ue, second)
     assert (world.ue.guti, world.ue.r_sn_prime, world.ue.k_s) == snapshot
 

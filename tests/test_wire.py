@@ -130,7 +130,7 @@ def test_golden_challenge_has_c2_and_guti_assign_sizes():
     assert isinstance(ch, wire.ChallengeMsg) and ch.c2 is not None
     ga = wire.decode(SESSION_WIRE["guti-assign"])
     assert isinstance(ga, wire.GutiAssignMsg)
-    assert len(ga.guti_new) == 16 and len(ga.r_sn_prime_new) == 32
+    assert len(ga.guti_new) == 16
 
 
 # --- randomized round-trips ---------------------------------------------
@@ -152,7 +152,7 @@ def _random_messages(r: random.Random):
         wire.ConfirmMsg(),
         wire.GutiIdMsg(guti=b(16)),
         wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(32)),
-        wire.GutiAssignMsg(guti_new=b(16), r_sn_prime_new=b(32)),
+        wire.GutiAssignMsg(guti_new=b(16)),
         wire.SecureEnvelopeMsg(ct=b(r.randint(0, 100))),
         wire.AbortMsg(),
     ]
@@ -290,7 +290,6 @@ FIXED_FIELDS = [
     (wire.GutiSnToHnMsg, "r_sn_prime", 32),
     (wire.GutiSnToHnMsg, "r_sn", 32),
     (wire.GutiAssignMsg, "guti_new", 16),
-    (wire.GutiAssignMsg, "r_sn_prime_new", 32),
 ]
 SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
 
