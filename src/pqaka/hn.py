@@ -63,6 +63,8 @@ def hn_identify(
 ) -> tuple[str, bytes, SubscriberRecord]:
     """Recover (SUPI, pk_U) from the concealed identifier, or abort. MAC_U
     is SUCI_conc's AEAD tag, so opening checks it."""
+    if claimed_id_sn not in state.sn_allowlist:     # before any KEM work
+        raise IdentificationAbort()
     if state.kem_pair.handle is None:        # a pickled pair drops its handle
         state.kem_pair = crypto.kem_load(state.kem, state.kem_pair)
     try:
@@ -72,7 +74,7 @@ def hn_identify(
         supi, pk_u, id_sn = unpack_suci_payload(plain)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         raise IdentificationAbort() from None
-    if id_sn != claimed_id_sn or claimed_id_sn not in state.sn_allowlist:
+    if id_sn != claimed_id_sn:
         raise IdentificationAbort()
     record = state.registry.get(supi)
     if record is None:

@@ -31,11 +31,21 @@ def test_identify_rejects_wrong_claimed_sn(world, rng):
         hn_mod.hn_identify(world.hn, to_hn, "other-sn.example")
 
 
-def test_identify_rejects_unlisted_sn(world, rng):
+def test_identify_rejects_unlisted_sn(world, rng, monkeypatch):
     to_hn, _sid = _ident_msg(world, rng)
     world.hn.sn_allowlist.clear()
+    decaps_calls = []
+    real_decaps = crypto.kem_decaps
+
+    def counting(*args):
+        decaps_calls.append(args)
+        return real_decaps(*args)
+
+    monkeypatch.setattr(crypto, "kem_decaps", counting)
     with pytest.raises(hn_mod.IdentificationAbort):
         hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+    # an SN off the allowlist is refused before any KEM work is spent on it
+    assert decaps_calls == []
 
 
 def test_identify_rejects_zeroed_mac(world, rng):

@@ -104,6 +104,34 @@ def test_r_sn_prime_agreed_at_every_end_and_never_sent(suite):
     assert not any(r in data for r in derived for data in radio)
 
 
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519"])
+def test_stolen_hn_row_does_not_reveal_the_next_guti_session_key(suite):
+    """The next GUTI session's K* is K_S xor R_SN', with K_S in the HN's
+    store and R_SN' in the SN's. Whoever reads the HN's row (K, K_S) before
+    a GUTI session and sees its challenge on the radio still lacks that
+    session's K_seaf; only with the SN's R_SN' added does it follow."""
+    rng = SeededRandom(13)
+    world = sim.make_world(suite, seed=rng)
+    sim.run_session(world, "supi", rng=rng)
+    for _ in range(2):
+        record = world.hn.registry[world.ue.supi]
+        stolen_k, stolen_k_s = record.k, record.k_s
+        sn_share = world.sn.guti_table[world.ue.guti].r_sn_prime
+        out = sim.run_session(world, "guti", rng=rng)
+        assert out.completed and out.key_source == "guti"
+        (ch,) = [wire.decode(e.data) for e in out.transcript.radio_entries()
+                 if e.annotation == "challenge"]
+
+        def k_seaf_from(k_star):
+            r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", stolen_k, [k_star]))
+            return crypto.session_keys(stolen_k, k_star, r_sn, ch.conc,
+                                       world.sn.id_sn)[1]
+
+        assert k_seaf_from(stolen_k_s) != out.k_seaf_ue
+        # the control: the two stores together do give the session key
+        assert k_seaf_from(crypto.xor_bytes(stolen_k_s, sn_share)) == out.k_seaf_ue
+
+
 def test_guti_mode_without_state_falls_back_to_supi(world, rng):
     outcome = sim.run_session(world, "guti", rng=rng)
     assert outcome.completed and outcome.key_source == "supi"
