@@ -4,15 +4,16 @@ Forward secrecy, and what a compromised SN knows before RES*, are decided
 by a knowledge-closure oracle: the session's value-derivation graph is
 rebuilt independently from raw secrets and transcript bytes, and a value
 counts as derivable only if a chain of at most four real operation
-applications (re-executed, not assumed) reaches it from the attacker's
-knowledge set. Every scenario also runs controls that must flip, and
-WEAKENINGS names the weakened roles each game must fail with.
+applications (each executed once, when its recipe is added, not assumed)
+reaches it from the attacker's knowledge set. Every scenario also runs
+controls that must flip, and WEAKENINGS names the weakened roles each game
+must fail with.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Optional
 
 from . import crypto, hn, sim, ue, wire
@@ -48,7 +49,6 @@ _OPS = {
        for i in "12345"},
     "kdf": lambda suite, *values: crypto.kdf(list(values)),
     "hash": lambda suite, *values: crypto.hash_h(list(values)),
-    "hxres": lambda suite, r_sn, res_star: crypto.hxres(r_sn, res_star),
     "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
     # SUCI_conc opens with MAC_U, its AEAD tag, appended
     "open-suci-supi": lambda suite, key, ct, tag: _opened(
@@ -63,7 +63,8 @@ _OPS = {
 @dataclass
 class _Node:
     value: bytes
-    recipes: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
+    # (op, inputs, whether op on the inputs' bytes reproduces value)
+    recipes: list[tuple[str, tuple[str, ...], bool]] = field(default_factory=list)
 
 
 class DerivationGraph:
@@ -80,36 +81,42 @@ class DerivationGraph:
             self.public.add(name)
 
     def derived(self, name: str, op: str, *inputs: str) -> None:
-        """Add a recipe; a new node takes the bytes it computes, a node that
-        already holds bytes keeps them."""
-        if name not in self.nodes:
-            self.nodes[name] = _Node(_OPS[op](self.suite, *(self.nodes[i].value for i in inputs)))
-        self.nodes[name].recipes.append((op, inputs))
+        """Add a recipe and run its op once, on the inputs' bytes. A new node
+        takes the bytes it computes; a node that already holds bytes keeps
+        them, and the recipe records whether the op reproduces them (an op
+        that raises does not)."""
+        values = [self.nodes[i].value for i in inputs]
+        node = self.nodes.get(name)
+        if node is None:
+            self.nodes[name] = _Node(_OPS[op](self.suite, *values), [(op, inputs, True)])
+            return
+        try:
+            reproduces = _OPS[op](self.suite, *values) == node.value
+        except (crypto.CryptoError, crypto.AeadFailure, wire.ParseError):
+            reproduces = False
+        node.recipes.append((op, inputs, reproduces))
 
     def closure(self, base: set[str]) -> dict[str, int]:
         """Names deducible from base within CLOSURE_DEPTH operation applications.
 
-        Each step re-executes the recipe on the already-deduced values and
-        admits the node only if the recomputed bytes match the session's.
+        A step admits a node by a recipe whose inputs are already deduced and
+        whose op, run when the recipe was added, reproduced the session's bytes.
         """
         depths = {n: 0 for n in base if n in self.nodes}
         for _ in range(CLOSURE_DEPTH):
+            known = len(depths)
             for name, node in self.nodes.items():
                 if name in depths:
                     continue
-                for op, inputs in node.recipes:
-                    if not all(i in depths for i in inputs):
+                for _op, inputs, reproduces in node.recipes:
+                    if not reproduces or not all(i in depths for i in inputs):
                         continue
                     d = 1 + max(depths[i] for i in inputs)
-                    if d > CLOSURE_DEPTH:
-                        continue
-                    try:
-                        got = _OPS[op](self.suite, *(self.nodes[i].value for i in inputs))
-                    except (crypto.CryptoError, crypto.AeadFailure, wire.ParseError):
-                        continue
-                    if got == node.value:
+                    if d <= CLOSURE_DEPTH:
                         depths[name] = d
                         break
+            if len(depths) == known:      # a round that admits nothing is a fixpoint
+                break
         return depths
 
 
@@ -216,19 +223,20 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
 
 def sn_pre_response_graph(world: sim.World, outcome: sim.SessionOutcome,
                           capture: OracleCapture) -> tuple[DerivationGraph, set[str]]:
-    """The session graph of a run whose response was dropped, with the SN's
-    pending (R_SN, M, HXRES*) and the recipes by which RES* opens M, and the
-    SN's knowledge before RES* arrives: the radio atoms and what it holds."""
+    """The session graph of a run whose response was dropped, with every
+    field of the SN's pending entry (R_SN, CONC, M) and the recipes by which
+    RES* opens M, and the SN's knowledge before RES* arrives: the radio atoms
+    and what it holds."""
     g = build_session_graph(world, outcome, capture)
     (pending,) = world.sn.pending.values()
-    for name in ("r_sn", "m", "hxres_star"):
+    held = [f.name for f in fields(pending)]
+    for name in held:
         g.atom(name, getattr(pending, name))
-    g.derived("hxres_star", "hxres", "r_sn", "res_star")
     g.derived("ak", "xor", "conc", "r_sn")
     g.derived("k3", "xor", "res_star", "ak")
     g.derived("k_seaf", "open-m-k_seaf", "k3", "m")
     g.derived("supi", "open-m-supi", "k3", "m")
-    return g, (g.public - {"res_star"}) | {"r_sn", "m", "hxres_star"}
+    return g, (g.public - {"res_star"}) | set(held)
 
 
 # --- weakened roles ----------------------------------------------------------
@@ -432,7 +440,8 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     # (c) vector issued under a different SN identity: the HN is misled into
     # identifying the UE for the (allowlisted) SN the UE named, which lets
     # the vector for this SN out; the run must still die with no key
-    # material at the SN (the mismatch surfaces at the HXRES* comparison)
+    # material at the SN (the UE's RES*, bound to the other SN, does not
+    # open M)
     world.ue.id_sn_expected = "other-sn.example"
     world.hn.sn_allowlist.add("other-sn.example")
     misled_hn = Weakened(hn, hn_identify=lambda state, msg, _claimed:
@@ -458,6 +467,17 @@ def _backward_closure(g: DerivationGraph, k_seaf_prev: bytes) -> dict[str, int]:
     return g.closure(g.public | {"k_seaf_prev"})
 
 
+# a GUTI session's ratchet shares as the roles store them, by graph atom:
+# the HN's row (SUPI, K, K_S) and the SN's GUTI table entry (SUPI, GUTI, R_SN')
+STORES = {"stolen-hn-row": "k_s_prev", "stolen-sn-store": "r_sn_prime"}
+
+
+def _stolen_stores(g: DerivationGraph, base: set[str]) -> list[tuple[str, bool]]:
+    """Per role store, whether base plus that store's share reaches the
+    k_seaf of g, a GUTI session's graph."""
+    return [(name, "k_seaf" in g.closure(base | {share})) for name, share in STORES.items()]
+
+
 def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Verdict:
     """Long-term compromise after the fact must not reveal session keys."""
     evidence: list[str] = []
@@ -480,6 +500,12 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
         holds = holds and "k_seaf" not in closure and "k_star" not in closure
         evidence.append(f"{mode}: closure={sorted(closure)}")
         controls.append((control, "k_seaf" in g.closure(base | secrets)))
+
+    # one stolen role store, with {K, sk_H} and the radio, does not give the
+    # GUTI session's key; the control above, holding both stores, does
+    for name, reached in _stolen_stores(g, base):
+        holds = holds and not reached
+        evidence.append(f"{name}: k_seaf_derivable={reached}")
 
     # backward direction: session i's anchor key does not yield session i+1's
     backward = _backward_closure(g, k_seaf["supi"])

@@ -88,7 +88,7 @@ def size_row(suite: KemSuite) -> SizeRow:
         "IdResponseMsg": wire.IdResponseMsg(
             c1=c, suci_conc=suci_conc, mac_u=tag, id_hn=ID_HN),
         "HnToSnAuthMsg": wire.HnToSnAuthMsg(
-            conc=conc, mac=check, hxres_star=check, m=m, c2=c),
+            conc=conc, mac=check, m=m, c2=c),
         "ChallengeMsg": wire.ChallengeMsg(conc=conc, mac=check, c2=c),
         "ResponseMsg": wire.ResponseMsg(res_star=bytes(crypto.KEY_LEN)),
         # the GUTI assignment as it crosses the radio, sealed

@@ -2,10 +2,11 @@
 
 The symmetric family f1..f5 is a keyed PRF (HMAC-SHA-256 with a
 one-byte domain tag), not MILENAGE. Keys and XOR operands are 32 bytes,
-so every XOR in the protocol is well-typed; the check values (the AUTN MAC
-and HXRES*) are 16 bytes, the width of the AEAD tags, and MAC_U is the AEAD
-tag of SUCI_conc. The test KEM is insecure by design: a deterministic
-construction over SHA-256 used as a test double.
+so every XOR in the protocol is well-typed; the AUTN MAC, the one check
+value, is 16 bytes, the width of the AEAD tags. MAC_U is the AEAD tag of
+SUCI_conc, and the SN checks RES* by opening M, whose tag is under K3.
+The test KEM is insecure by design: a deterministic construction over
+SHA-256 used as a test double.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .rng import RandomSource
 
 KEY_LEN = 32
-CHECK_LEN = 16      # the AUTN MAC and HXRES*: no key, no XOR operand
+CHECK_LEN = 16      # the AUTN MAC: no key, no XOR operand
 AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
@@ -106,12 +107,6 @@ def hash_h(inputs: list[bytes]) -> bytes:
     if not inputs:
         raise CryptoError("hash_h requires at least one input")
     return hashlib.sha256(_lp(inputs)).digest()
-
-
-def hxres(r_sn: bytes, res_star: bytes) -> bytes:
-    """HXRES*: the 128 least significant bits of h(R_SN, RES*), as TS 33.501
-    Annex A.5 takes them from SHA-256."""
-    return hash_h([r_sn, res_star])[-CHECK_LEN:]
 
 
 def hmac_tag(key: bytes, data: bytes) -> bytes:

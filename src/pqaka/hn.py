@@ -103,8 +103,7 @@ def _derive_vector(
                                      k_s_new=k_s_new)
     if len(state.pending) > PENDING_MAX:      # evict the oldest session
         del state.pending[next(iter(state.pending))]
-    return HnToSnAuthMsg(conc=conc, mac=mac,
-                         hxres_star=crypto.hxres(r_sn, res_star), m=m, c2=c2)
+    return HnToSnAuthMsg(conc=conc, mac=mac, m=m, c2=c2)
 
 
 def hn_auth_vector(

@@ -1,13 +1,14 @@
 """SN state machine: forwarding, R_SN generation, response check, GUTI table.
 
 Before a valid RES* arrives, SN state for a SUCI-initiated session holds
-only (R_SN, HXRES*, CONC, M); the session key and SUPI come out of one
-AEAD open over M, so they cannot be separated or learned early.
+only (R_SN, CONC, M); the session key and SUPI come out of one AEAD open
+over M, so they cannot be separated or learned early. That open is also
+the SN's RES* check: M is sealed under K3 = XRES* xor CONC xor R_SN, so
+its GCM tag fails for any RES* other than XRES*.
 """
 
 from __future__ import annotations
 
-import hmac as _hmac
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -40,7 +41,6 @@ class GutiEntry:
 @dataclass
 class PendingSession:
     r_sn: bytes
-    hxres_star: Optional[bytes] = None
     conc: Optional[bytes] = None
     m: Optional[bytes] = None
 
@@ -93,7 +93,6 @@ def sn_forward_challenge(
     if p is None:
         log.info("auth vector for unknown session; dropped")
         return None
-    p.hxres_star = msg.hxres_star
     p.conc = msg.conc
     p.m = msg.m
     return ChallengeMsg(conc=msg.conc, mac=msg.mac, c2=msg.c2)
@@ -109,18 +108,17 @@ class SnSessionResult:
 def sn_verify_response(
     state: SnState, sid: bytes, msg: ResponseMsg, rng: RandomSource
 ) -> Optional[SnSessionResult]:
-    """HXRES* check, then recover (K_seaf, SUPI) from M in one decryption."""
+    """Check RES* by opening M under K3 = RES* xor AK, AK = CONC xor R_SN:
+    the one decryption that recovers (K_seaf, SUPI) fails for any RES*
+    other than the XRES* the HN sealed M under."""
     p = state.pending.get(sid)
-    if p is None or p.hxres_star is None:
+    if p is None or p.m is None:
         return None
     del state.pending[sid]          # one response is checked per challenge
-    if not _hmac.compare_digest(crypto.hxres(p.r_sn, msg.res_star), p.hxres_star):
-        return None
-    f5 = crypto.xor_bytes(p.conc, p.r_sn)
-    k3 = crypto.xor_bytes(msg.res_star, f5)
     try:
+        k3 = crypto.xor_bytes(msg.res_star, crypto.xor_bytes(p.conc, p.r_sn))
         k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m))
-    except (crypto.AeadFailure, ParseError):
+    except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         return None
     assignment = sn_assign_guti(state, supi, k_seaf, rng)
     return SnSessionResult(supi=supi, k_seaf=k_seaf, assignment=assignment)

@@ -70,7 +70,6 @@ class SnToHnIdentMsg:
 class HnToSnAuthMsg:
     conc: bytes  # f5(K, K*) xor R_SN; conc and mac are the paper's AUTN
     mac: bytes
-    hxres_star: bytes
     m: bytes
     c2: Optional[bytes] = None  # absent on the GUTI path
 
@@ -174,8 +173,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
     SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR),
                             ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("r_sn", fixed(RAND_LEN)))),
     HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
-                           ("hxres_star", fixed(CHECK_LEN)), ("m", VAR),
-                           ("c2", OPTIONAL_VAR))),
+                           ("m", VAR), ("c2", OPTIONAL_VAR))),
     ChallengeMsg: (0x05, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
                           ("c2", OPTIONAL_VAR))),
     ResponseMsg: (0x06, (("res_star", fixed(32)),)),

@@ -14,7 +14,7 @@ SESSION_WIRE = {
     'id-request': bytes.fromhex('0101'),
     'id-response': bytes.fromhex('022064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d41790759ff45831f8afb83577e1e23c51cf2c5331a8344f46732c99d341f1fd7f0b39796412caf2cc4b1da08a04505d15b5e87393a62ed63842082a998e54a94804e7f8d3f62174f0a44b2fee7049ed0e8c00a686e2e6578616d706c65'),
     'sn-hn-ident': bytes.fromhex('032064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d41790759ff45831f8afb83577e1e23c51cf2c5331a8344f46732c99d341f1fd7f0b39796412caf2cc4b1da08a04505d15b5e87393a62ed63842082a998e54a94804e7f8d3f62174f0a44b2fee7049ed0e8c09a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
-    'auth-vector': bytes.fromhex('04420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5edaf178db78083d4773929f048a5b8f1e7945b49d519d0ffdd2626e3d5e80de1469a188fc8cd947777c775f0abe2a1f3fbdec10e8a97859126ce42a1ba4119ca568b5ec4e512c352d2d54e2fde7a90c14497485a89fd53a0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
+    'auth-vector': bytes.fromhex('04420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda45b49d519d0ffdd2626e3d5e80de1469a188fc8cd947777c775f0abe2a1f3fbdec10e8a97859126ce42a1ba4119ca568b5ec4e512c352d2d54e2fde7a90c14497485a89fd53a0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
     'challenge': bytes.fromhex('05420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
     'response': bytes.fromhex('06abd83a4482b9d407c1e93dcc7f01819249dd92acf5c63f0ee71f08c14f2a8a4c'),
     'confirm': bytes.fromhex('07'),

@@ -25,7 +25,8 @@ def test_replay_scenario_fails_without_ue_mac_check():
     v = attacks.scenario_replay_challenge(**make_roles())
     assert not v.holds
     # the UE lets every splice through: the two that replay c2 die at the
-    # SN's HXRES* check, and a replayed AUTN with a fresh c2 completes
+    # SN, whose M does not open under their RES*, and a replayed AUTN with
+    # a fresh c2 completes
     assert v.evidence[1:4] == [
         "replay-c2-and-autn: abort_step=sn-verify",
         "replay-c2-fresh-autn: abort_step=sn-verify",
@@ -64,8 +65,8 @@ def test_each_weakening_fails_every_game_it_lists(weakening, game, mode, suite, 
 
 
 def test_weakened_sn_binding_game_fails_at_the_sn():
-    """With ue-mac, UE B answers UE A's forwarded challenge; the SN's
-    HXRES* check, not the UE, then ends the session."""
+    """With ue-mac, UE B answers UE A's forwarded challenge; the SN, whose
+    M does not open under B's RES*, not the UE, then ends the session."""
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
     v = attacks.scenario_compromised_sn_binding(**make_roles())
     assert "cross-ue-challenge: abort_step=sn-verify" in v.evidence
@@ -184,6 +185,22 @@ def test_closure_depth_bound():
     assert "v4" in closure and "v5" not in closure
 
 
+def test_closure_runs_each_recipe_once_when_it_is_added(monkeypatch):
+    """derived runs the op and stores whether it reproduces the node's
+    bytes; closure reads that and runs no op."""
+    g = attacks.DerivationGraph(TEST_KEM)
+    g.atom("a", b"\x05" * 32)
+    g.atom("b", b"\x06" * 32)
+    g.derived("x", "xor", "a", "b")
+    g.derived("x", "kdf", "a")             # does not reproduce x
+    g.derived("x", "open-m-k_seaf", "a", "b")   # raises: does not either
+    assert g.nodes["x"].recipes == [("xor", ("a", "b"), True), ("kdf", ("a",), False),
+                                    ("open-m-k_seaf", ("a", "b"), False)]
+    monkeypatch.setattr(attacks, "_OPS", {})
+    assert g.closure({"a"}) == {"a": 0}
+    assert g.closure({"a", "b"}) == {"a": 0, "b": 0, "x": 1}
+
+
 def test_closure_rejects_wrong_recipe_bytes():
     g = attacks.DerivationGraph(TEST_KEM)
     g.atom("a", b"\x04" * 32)
@@ -224,6 +241,22 @@ def test_backward_closure_derives_r_sn_prime_but_not_the_next_k_seaf(world, rng)
     # a wrong previous K_seaf does not reproduce the session's R_SN'
     g = attacks.build_session_graph(world, out, capture)
     assert "r_sn_prime" not in attacks._backward_closure(g, bytes(32))
+
+
+def test_stolen_store_check_fires_when_the_hn_row_holds_k_star(world, rng):
+    """With R_SN' folded into the K_S the HN stores, the row alone is the
+    next GUTI session's K*: the R_SN' left to mask it is the all-zero
+    string, which every party knows."""
+    attacks.run_captured(world, "supi", rng)
+    out, capture = attacks.run_captured(world, "guti", rng)
+    folded = dataclasses.replace(
+        capture, k_s_prev=crypto.xor_bytes(capture.k_s_prev, capture.r_sn_prime),
+        r_sn_prime=bytes(32))
+    g = attacks.build_session_graph(world, out, folded)
+    g.public.add("r_sn_prime")
+    base = g.public | {"k", "sk_h"}
+    assert "k_seaf" not in g.closure(base)
+    assert attacks._stolen_stores(g, base)[0] == ("stolen-hn-row", True)
 
 
 def test_session_graph_public_set_distinguishes_paths(world, rng):
@@ -276,7 +309,7 @@ def _openings(g, names):
 @pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
 def test_sn_base_alone_derives_no_session_secret(suite):
     _world, g, base = _sn_pre_response(suite)
-    assert "res_star" not in base and {"r_sn", "m", "hxres_star"} <= base
+    assert "res_star" not in base and {"r_sn", "conc", "m"} <= base
     closure = g.closure(base)
     assert SN_SECRETS.isdisjoint(closure)
     assert "ak" in closure and _openings(g, closure) == 0
@@ -308,7 +341,7 @@ def test_res_star_gives_the_sn_k_seaf_and_supi():
 
 
 def test_hn_sealing_m_under_ak_fails_at_the_honest_sn(world, rng):
-    """M does not open under K3 once HXRES* has matched: the SN aborts with
+    """M does not open under K3 even for the right RES*: the SN aborts with
     no SUPI, and its sn-abort frees the HN's entry."""
     make_roles, _games = attacks.WEAKENINGS["hn-seal-ak"]
     out = sim.run_session(world, "supi", rng=rng, **make_roles())

@@ -197,12 +197,6 @@ def test_hash_h_zero_zero_frozen():
     assert crypto.hash_h([bytes(32), bytes(32)]) == CONSTANTS["hash_h_zero_zero"]
 
 
-def test_hxres_is_the_128_least_significant_bits_of_hash_h():
-    r_sn, res_star = SeededRandom(1).bytes(32), SeededRandom(2).bytes(32)
-    digest = hashlib.sha256(crypto._lp([r_sn, res_star])).digest()
-    assert crypto.hxres(r_sn, res_star) == digest[16:]
-
-
 def test_kdf_deterministic_and_rejects_empty_list():
     assert crypto.kdf([b"a", b"b"]) == crypto.kdf([b"a", b"b"])
     with pytest.raises(crypto.CryptoError):

@@ -6,17 +6,17 @@ golden.py in that layout, frozen from the same independent oracle. The
 current vectors follow from it using only hashlib and AES-256-GCM, so
 they stay independent of the encoder they check:
 
-- a field whose width the protocol fixes (AUTN, RES*, HXRES*, MAC_U, R_SN,
-  R_SN', GUTI) and every one-byte flag or presence flag loses its length
+- a field whose width the protocol fixes (AUTN, RES*, MAC_U, R_SN, R_SN',
+  GUTI) and every one-byte flag or presence flag loses its length
   prefix, and ConfirmMsg's always-set flag and AbortMsg's constant code
   are gone, leaving each its tag alone;
 - a variable-length field keeps a length prefix, now the DER definite
   length: each field of this session is shorter than 128 bytes, so its
   prefix is the one byte of its length;
-- the two check values are 16 bytes, no longer 32: the AUTN MAC (f1,
-  HMAC-SHA-256) keeps its leftmost 16 bytes, as RFC 2104 §5 truncates an
-  HMAC, and HXRES* its 128 least significant bits, the last 16 bytes, as
-  TS 33.501 Annex A.5 takes them;
+- the AUTN MAC is 16 bytes, no longer 32: f1 (HMAC-SHA-256) keeps its
+  leftmost 16 bytes, as RFC 2104 §5 truncates an HMAC;
+- HXRES* is no longer sent in auth-vector: the SN checks RES* by opening
+  M, whose AES-GCM tag is under K3, so the HN's hash of XRES* is gone;
 - the three ciphertexts over a plaintext with such a field are opened and
   sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
   ID_SN, all variable-length) under K_S1; M in auth-vector (its
@@ -60,7 +60,7 @@ LAYOUT = {
     "id-request": "r",        # force_supi
     "id-response": "llrl",    # c1, suci_conc, mac_u, id_hn
     "sn-hn-ident": "llrr",    # c1, suci_conc, mac_u, r_sn
-    "auth-vector": "rrlrl",   # autn, hxres_star, m, c2 presence, c2
+    "auth-vector": "rxlrl",   # autn, hxres_star (dropped), m, c2 presence, c2
     "challenge": "rrl",       # autn, c2 presence, c2
     "response": "r",          # res_star
     "confirm": "x",           # ok, always set
@@ -73,7 +73,7 @@ LAYOUT = {
 SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
-CHECK_LEN = 16              # the AUTN MAC and HXRES* on the wire
+CHECK_LEN = 16              # the AUTN MAC on the wire
 TAG_LEN = 16                # AES-256-GCM's tag, sent as MAC_U
 
 
@@ -117,7 +117,6 @@ def derive_session_wire() -> dict[str, bytes]:
     conc, r_sn = fields["auth-vector"][0][:32], fields["sn-hn-ident"][3]
     for name in ("auth-vector", "challenge"):       # AUTN = CONC || MAC
         fields[name][0] = fields[name][0][:32 + CHECK_LEN]
-    fields["auth-vector"][1] = fields["auth-vector"][1][-CHECK_LEN:]   # HXRES*
     k3 = bytes(a ^ b ^ c for a, b, c in
                zip(SESSION_VALUES["res_star"], conc, r_sn, strict=True))
     fields["auth-vector"][2] = _reseal(

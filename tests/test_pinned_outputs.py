@@ -37,14 +37,16 @@ def _verdict_lines(keys_tried: int) -> list[str]:
         "guti-pre-ratchet-state-reveals-k_seaf=ok] "
         f"evidence=[supi: closure={supi_closure};"
         "guti: closure=['conc', 'id_hn', 'id_sn', 'k', 'mac', 'res_star', 'sk_h'];"
+        "stolen-hn-row: k_seaf_derivable=False;stolen-sn-store: k_seaf_derivable=False;"
         "backward: k_seaf_next_derivable=False]",
     ]
 
 
 # the keys tried on M are the 32-byte values of the SN's closure: CONC,
 # R_SN, AK, and c1 and c2 where the KEM makes them 32 bytes. Re-pinned from
-# 8 (6 on ecies-p256) when MAC, MAC_U and HXRES* went to 16 bytes, too
-# short to be a key
+# 8 (6 on ecies-p256) when MAC, MAC_U and the former HXRES* went to 16
+# bytes, too short to be a key. The forward-secrecy line was re-pinned when
+# the game gained its two stolen-store evidence items
 KEYS_TRIED = {"test": 5, "ecies-x25519": 5, "ecies-p256": 3}
 
 
@@ -56,15 +58,14 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when R_SN' came to be derived from K_seaf, not drawn and sent
-# (32 bytes fewer per guti-assign, and 32 bytes fewer drawn from the seeded
-# stream per assignment).
+# re-pinned when the HN stopped sending HXRES* (16 bytes fewer per
+# auth-vector; the SN checks RES* by opening M, and no draw changes).
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "183d53910469acdcf4fa455adc82d3f3f2317c10d5fed98df22fc6745210aa41",
-    "ecies-x25519": "388d77dab1533731a0095f3a9f4be066dc3de2896bc54a724dcefd5eda19e103",
-    "ecies-p256": "451f7485736826b89f6f4466a04ee2923e77b31c6793c6153a05c1f3725fe8cc",
+    "test": "9405e5e59cdf048c6ec0505514b6f3a7b226cca384740d03accd8c173cccb483",
+    "ecies-x25519": "18ebe7b014abb94f99fa1796daf67bd8606e0d89d1bd0f3653a8c471bb38a68c",
+    "ecies-p256": "f4b56963c1d50fd2b6a136c8a64848059c440dfc7e2ecab450738e79014cefa0",
 }
 
 
@@ -82,7 +83,7 @@ def test_mixed_run_transcript_pinned(suite):
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification; re-pinned with MIXED_RUN_SHA256, for the same
 # change
-FALLBACK_RUN_SHA256 = "1320c284b491eef0b0141a0690c3ef5cc4523ea680f42d0f6e137c5e85cb18ef"
+FALLBACK_RUN_SHA256 = "99ae66f0dfef22ca195629c0b8d017197b8c31e6c93d2208498c4d62b4e1951a"
 
 
 def test_fallback_run_transcript_pinned():

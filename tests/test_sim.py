@@ -42,14 +42,14 @@ def test_honest_guti_session_has_no_c2(world, rng):
 
 # one honest session's communication cost per suite and path, as (radio,
 # core) bytes, and the radio size of each of its messages; the core bytes
-# are sn-hn-ident 148 (sn-hn-guti 86), auth-vector 169 (136) and confirm 1.
+# are sn-hn-ident 148 (sn-hn-guti 86), auth-vector 153 (120) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
-# Re-pinned when R_SN' came to be derived from K_seaf, no longer sent in the
-# GUTI assignment: guti-assign carries 32 bytes fewer
+# Re-pinned when the HN stopped sending HXRES*: auth-vector carries 16 bytes
+# fewer, and the radio is unchanged
 SESSION_BYTES = {
-    "test": {"supi": (280, 318), "guti": (137, 223)},
-    "ecies-x25519": {"supi": (280, 318), "guti": (137, 223)},
-    "ecies-p256": {"supi": (283, 321), "guti": (137, 223)},
+    "test": {"supi": (280, 302), "guti": (137, 207)},
+    "ecies-x25519": {"supi": (280, 302), "guti": (137, 207)},
+    "ecies-p256": {"supi": (283, 305), "guti": (137, 207)},
 }
 RADIO_MESSAGE_BYTES = {
     "supi": {"id-request": 2, "id-response": 127, "challenge": 83,

@@ -1,5 +1,6 @@
 """SN operations: forwarding, response verification, GUTI table."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -33,8 +34,18 @@ def test_forward_challenge_passes_autn_unmodified(world, rng):
     assert (challenge.conc, challenge.mac) == (vector.conc, vector.mac)
     assert challenge.c2 == vector.c2
     pending = world.sn.pending[sid]
-    assert pending.hxres_star == vector.hxres_star
-    assert pending.m == vector.m
+    assert (pending.conc, pending.m) == (vector.conc, vector.m)
+
+
+def test_pending_session_holds_r_sn_conc_and_m_only(world, rng):
+    """Before RES* the SN keeps its R_SN and the vector's CONC and M, no
+    check value: opening M under K3 is its RES* check."""
+    assert [f.name for f in dataclasses.fields(sn_mod.PendingSession)] == ["r_sn", "conc", "m"]
+    _msg, sid, vector, _challenge = to_challenge(world, rng)
+    pending = world.sn.pending[sid]
+    assert crypto.xor_bytes(pending.conc, pending.r_sn) == crypto.prf_f(
+        "5", world.ue.k, [crypto.as_shared_key(crypto.kem_decaps(
+            world.suite, world.ue.ephemeral, vector.c2))])
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):
@@ -57,7 +68,7 @@ def test_verify_response_bit_flip_fuzz(world, rng):
     _msg, sid, _vector, challenge = to_challenge(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     honest = response.res_star
-    for bit in range(0, 256, 11):
+    for bit in range(256):
         pending_backup = dict(world.sn.pending)
         mutated = bytearray(honest)
         mutated[bit // 8] ^= 1 << (bit % 8)
@@ -65,6 +76,20 @@ def test_verify_response_bit_flip_fuzz(world, rng):
         assert sn_mod.sn_verify_response(world.sn, sid, bad, rng) is None
         assert sid not in world.sn.pending      # pending cleared on mismatch
         world.sn.pending.update(pending_backup)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2 ** 256 - 1))
+def test_verify_response_rejects_every_res_star_but_xres_star(delta):
+    """RES* = XRES* xor delta, delta nonzero, spans every other 32-byte
+    RES*: M does not open, so the SN returns None and keeps no entry."""
+    world, rng = sim.make_world("test", seed=0), SeededRandom(1)
+    _msg, sid, _vector, challenge = to_challenge(world, rng)
+    xres_star = ue_mod.ue_process_challenge(world.ue, challenge).res_star
+    bad = crypto.xor_bytes(xres_star, delta.to_bytes(32, "big"))
+    assert sn_mod.sn_verify_response(
+        world.sn, sid, wire.ResponseMsg(res_star=bad), rng) is None
+    assert world.sn.pending == {}
 
 
 def test_verify_response_unknown_session(world, rng):

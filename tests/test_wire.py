@@ -145,8 +145,7 @@ def _random_messages(r: random.Random):
         wire.IdResponseMsg(c1=b(r.randint(0, 64)), suci_conc=b(r.randint(0, 64)),
                            mac_u=b(16), id_hn=supi),
         wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(16), r_sn=b(32)),
-        wire.HnToSnAuthMsg(conc=conc, mac=mac, hxres_star=b(16), m=b(r.randint(0, 80)),
-                           c2=c2),
+        wire.HnToSnAuthMsg(conc=conc, mac=mac, m=b(r.randint(0, 80)), c2=c2),
         wire.ChallengeMsg(conc=conc, mac=mac, c2=c2),
         wire.ResponseMsg(res_star=b(32)),
         wire.ConfirmMsg(),
@@ -282,7 +281,6 @@ FIXED_FIELDS = [
     (wire.SnToHnIdentMsg, "r_sn", 32),
     (wire.HnToSnAuthMsg, "conc", 32),
     (wire.HnToSnAuthMsg, "mac", 16),
-    (wire.HnToSnAuthMsg, "hxres_star", 16),
     (wire.ChallengeMsg, "conc", 32),
     (wire.ChallengeMsg, "mac", 16),
     (wire.ResponseMsg, "res_star", 32),
@@ -312,7 +310,7 @@ def _flag_offsets(msg) -> list[int]:
     if isinstance(msg, wire.ChallengeMsg):
         return [1 + 32 + 16]
     if isinstance(msg, wire.HnToSnAuthMsg):
-        return [1 + 32 + 16 + 16 + 1 + len(msg.m)]   # m is shorter than 128 B
+        return [1 + 32 + 16 + 1 + len(msg.m)]   # m is shorter than 128 B
     return []
 
 
