@@ -3,9 +3,9 @@
 Forward secrecy, and what a compromised SN knows before RES*, are decided
 by a knowledge-closure oracle: the session's value-derivation graph is
 rebuilt independently from raw secrets and transcript bytes, and a value
-counts as derivable only if a chain of at most four real operation
-applications (each executed once, when its recipe is added, not assumed)
-reaches it from the attacker's knowledge set. Every scenario also runs
+counts as derivable only if a chain of real operation applications (each
+executed once, when its recipe is added, not assumed) reaches it from the
+attacker's knowledge set. Every scenario also runs
 controls that must flip, and WEAKENINGS names the weakened roles each game
 must fail with.
 """
@@ -18,8 +18,6 @@ from typing import Callable, Iterable, Optional
 
 from . import crypto, hn, sim, ue, wire
 from .rng import RandomSource, SeededRandom
-
-CLOSURE_DEPTH = 4
 
 
 @dataclass
@@ -48,6 +46,8 @@ _OPS = {
     **{f"f{i}": lambda suite, key, *values, i=i: crypto.prf_f(i, key, list(values))
        for i in "12345"},
     "kdf": lambda suite, *values: crypto.kdf(list(values)),
+    # RES*: the CHECK_LEN least significant bytes of the kdf (TS 33.501 A.4)
+    "kdf-res": lambda suite, *values: crypto.kdf(list(values))[-crypto.CHECK_LEN:],
     "hash": lambda suite, *values: crypto.hash_h(list(values)),
     "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
     # SUCI_conc opens with MAC_U, its AEAD tag, appended
@@ -97,27 +97,22 @@ class DerivationGraph:
         node.recipes.append((op, inputs, reproduces))
 
     def closure(self, base: set[str]) -> dict[str, int]:
-        """Names deducible from base within CLOSURE_DEPTH operation applications.
+        """Names deducible from base, each with the fewest rounds that reach it.
 
-        A step admits a node by a recipe whose inputs are already deduced and
-        whose op, run when the recipe was added, reproduced the session's bytes.
+        Round r admits every node with a recipe whose inputs were all deduced
+        before the round and whose op, run when the recipe was added,
+        reproduced the session's bytes; a round that admits nothing ends it.
         """
         depths = {n: 0 for n in base if n in self.nodes}
-        for _ in range(CLOSURE_DEPTH):
-            known = len(depths)
-            for name, node in self.nodes.items():
-                if name in depths:
-                    continue
-                for _op, inputs, reproduces in node.recipes:
-                    if not reproduces or not all(i in depths for i in inputs):
-                        continue
-                    d = 1 + max(depths[i] for i in inputs)
-                    if d <= CLOSURE_DEPTH:
-                        depths[name] = d
-                        break
-            if len(depths) == known:      # a round that admits nothing is a fixpoint
-                break
-        return depths
+        rounds = 0
+        while True:
+            rounds += 1
+            admitted = [name for name, node in self.nodes.items() if name not in depths
+                        and any(reproduces and all(i in depths for i in inputs)
+                                for _op, inputs, reproduces in node.recipes)]
+            if not admitted:
+                return depths
+            depths.update(dict.fromkeys(admitted, rounds))
 
 
 def opening_count(keys: Iterable[bytes], ct: bytes) -> int:
@@ -212,7 +207,7 @@ def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
     g.derived("res", "f2", "k", "k_star")
     g.derived("ck", "f3", "k", "k_star")
     g.derived("ik", "f4", "k", "k_star")
-    g.derived("res_star", "kdf", "ck", "ik", "k_star", "res", "id_sn")
+    g.derived("res_star", "kdf-res", "ck", "ik", "k_star", "res", "r_sn", "id_sn")
     g.derived("k_ausf", "kdf", "ck", "ik", "k_star", "conc", "id_sn")
     g.derived("k_seaf", "kdf", "k_ausf", "id_sn")
     g.derived("k_s_new", "hash", "k_star", "r_sn")
@@ -233,7 +228,7 @@ def sn_pre_response_graph(world: sim.World, outcome: sim.SessionOutcome,
     for name in held:
         g.atom(name, getattr(pending, name))
     g.derived("ak", "xor", "conc", "r_sn")
-    g.derived("k3", "xor", "res_star", "ak")
+    g.derived("k3", "kdf", "res_star", "ak")
     g.derived("k_seaf", "open-m-k_seaf", "k3", "m")
     g.derived("supi", "open-m-supi", "k3", "m")
     return g, (g.public - {"res_star"}) | set(held)

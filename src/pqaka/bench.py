@@ -90,7 +90,7 @@ def size_row(suite: KemSuite) -> SizeRow:
         "HnToSnAuthMsg": wire.HnToSnAuthMsg(
             conc=conc, mac=check, m=m, c2=c),
         "ChallengeMsg": wire.ChallengeMsg(conc=conc, mac=check, c2=c),
-        "ResponseMsg": wire.ResponseMsg(res_star=bytes(crypto.KEY_LEN)),
+        "ResponseMsg": wire.ResponseMsg(res_star=check),
         # the GUTI assignment as it crosses the radio, sealed
         "SecureEnvelopeMsg": wire.SecureEnvelopeMsg(ct=bytes(
             len(wire.encode(wire.GutiAssignMsg(guti_new=bytes(wire.GUTI_LEN))))

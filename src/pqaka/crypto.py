@@ -2,9 +2,10 @@
 
 The symmetric family f1..f5 is a keyed PRF (HMAC-SHA-256 with a
 one-byte domain tag), not MILENAGE. Keys and XOR operands are 32 bytes,
-so every XOR in the protocol is well-typed; the AUTN MAC, the one check
-value, is 16 bytes, the width of the AEAD tags. MAC_U is the AEAD tag of
-SUCI_conc, and the SN checks RES* by opening M, whose tag is under K3.
+so every XOR in the protocol is well-typed; the AUTN MAC and RES*, the
+check values, are 16 bytes, the width of the AEAD tags. MAC_U is the AEAD
+tag of SUCI_conc, and the SN checks RES* by opening M, whose tag is under
+K3 = KDF(RES*, AK).
 The test KEM is insecure by design: a deterministic construction over
 SHA-256 used as a test double.
 """
@@ -22,7 +23,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .rng import RandomSource
 
 KEY_LEN = 32
-CHECK_LEN = 16      # the AUTN MAC: no key, no XOR operand
+CHECK_LEN = 16      # the AUTN MAC and RES*: no key, no XOR operand
 AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
@@ -152,12 +153,14 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 def session_keys(k: bytes | PrfKey, k_star: bytes, r_sn: bytes, conc: bytes,
                  id_sn: str) -> tuple[bytes, bytes, bytes]:
     """The key schedule UE and HN share: (RES*, K_SEAF, next K_S), under
-    the raw K or its PrfKey."""
+    the raw K or its PrfKey. RES* is the CHECK_LEN least significant bytes
+    of its KDF output, as TS 33.501 Annex A.4 takes them, and binds R_SN,
+    so it is fresh per session even where K* repeats (the GUTI path)."""
     id_sn_b = id_sn.encode()
     res = prf_f("2", k, [k_star])
     ck = prf_f("3", k, [k_star])
     ik = prf_f("4", k, [k_star])
-    res_star = kdf([ck, ik, k_star, res, id_sn_b])
+    res_star = kdf([ck, ik, k_star, res, r_sn, id_sn_b])[-CHECK_LEN:]
     k_ausf = kdf([ck, ik, k_star, conc, id_sn_b])
     return res_star, kdf([k_ausf, id_sn_b]), hash_h([k_star, r_sn])
 

@@ -97,7 +97,7 @@ def _derive_vector(
     conc = crypto.xor_bytes(f5, r_sn)
     res_star, k_seaf, k_s_new = crypto.session_keys(
         k, k_star, r_sn, conc, id_sn)
-    k3 = crypto.xor_bytes(res_star, f5)
+    k3 = crypto.kdf([res_star, f5])
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
     state.pending[sid] = PendingAuth(k_seaf=k_seaf, supi=record.supi,
                                      k_s_new=k_s_new)

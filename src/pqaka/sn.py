@@ -3,8 +3,8 @@
 Before a valid RES* arrives, SN state for a SUCI-initiated session holds
 only (R_SN, CONC, M); the session key and SUPI come out of one AEAD open
 over M, so they cannot be separated or learned early. That open is also
-the SN's RES* check: M is sealed under K3 = XRES* xor CONC xor R_SN, so
-its GCM tag fails for any RES* other than XRES*.
+the SN's RES* check: M is sealed under K3 = KDF(XRES*, AK), AK = CONC xor
+R_SN, so its GCM tag fails for any RES* other than XRES*.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class SnSessionResult:
 def sn_verify_response(
     state: SnState, sid: bytes, msg: ResponseMsg, rng: RandomSource
 ) -> Optional[SnSessionResult]:
-    """Check RES* by opening M under K3 = RES* xor AK, AK = CONC xor R_SN:
+    """Check RES* by opening M under K3 = KDF(RES*, AK), AK = CONC xor R_SN:
     the one decryption that recovers (K_seaf, SUPI) fails for any RES*
     other than the XRES* the HN sealed M under."""
     p = state.pending.get(sid)
@@ -116,7 +116,7 @@ def sn_verify_response(
         return None
     del state.pending[sid]          # one response is checked per challenge
     try:
-        k3 = crypto.xor_bytes(msg.res_star, crypto.xor_bytes(p.conc, p.r_sn))
+        k3 = crypto.kdf([msg.res_star, crypto.xor_bytes(p.conc, p.r_sn)])
         k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m))
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         return None

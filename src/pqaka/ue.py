@@ -88,8 +88,8 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
         except crypto.CryptoError:
             _abort(state)
             return None
-    else:
-        if state.k_s is None or state.r_sn_prime is None:
+    else:       # the GUTI path: never in a session that drew sk_U
+        if state.ephemeral is not None or state.k_s is None or state.r_sn_prime is None:
             _abort(state)
             return None
         k_star = crypto.xor_bytes(state.k_s, state.r_sn_prime)

@@ -176,7 +176,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
                            ("m", VAR), ("c2", OPTIONAL_VAR))),
     ChallengeMsg: (0x05, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
                           ("c2", OPTIONAL_VAR))),
-    ResponseMsg: (0x06, (("res_star", fixed(32)),)),
+    ResponseMsg: (0x06, (("res_star", fixed(CHECK_LEN)),)),
     ConfirmMsg: (0x07, ()),
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
     GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(RAND_LEN)),

@@ -1,5 +1,6 @@
-# generated by an independent oracle script; do not edit by hand. SESSION_WIRE
-# is derived from that oracle's vectors by tests/test_golden.py.
+# generated by an independent oracle script; do not edit by hand. SESSION_WIRE,
+# and SESSION_VALUES' 16-byte res_star, are derived from that oracle's vectors
+# by tests/test_golden.py.
 CONSTANTS = {
     'kem_seed0_sk': bytes.fromhex('2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb'),
     'kem_seed0_pk': bytes.fromhex('da9fc1a3c567b81076977ee9adb7a83482c6fbaf9bbfaf0d50dd837ef15442d3'),
@@ -14,9 +15,9 @@ SESSION_WIRE = {
     'id-request': bytes.fromhex('0101'),
     'id-response': bytes.fromhex('022064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d41790759ff45831f8afb83577e1e23c51cf2c5331a8344f46732c99d341f1fd7f0b39796412caf2cc4b1da08a04505d15b5e87393a62ed63842082a998e54a94804e7f8d3f62174f0a44b2fee7049ed0e8c00a686e2e6578616d706c65'),
     'sn-hn-ident': bytes.fromhex('032064af77cf4efc95ceed9df59465aeb158a75266342e87eaf75727fe7848733d9d41790759ff45831f8afb83577e1e23c51cf2c5331a8344f46732c99d341f1fd7f0b39796412caf2cc4b1da08a04505d15b5e87393a62ed63842082a998e54a94804e7f8d3f62174f0a44b2fee7049ed0e8c09a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
-    'auth-vector': bytes.fromhex('04420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda45b49d519d0ffdd2626e3d5e80de1469a188fc8cd947777c775f0abe2a1f3fbdec10e8a97859126ce42a1ba4119ca568b5ec4e512c352d2d54e2fde7a90c14497485a89fd53a0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
+    'auth-vector': bytes.fromhex('04420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda45c134be821b078504ab71cede828c8404e8f879d64530fc4518cb34da5f61e237d4c47f4499af6fb959b09e9fc8917aea37f15c0ed36e2d19eb4a1732f572e379df0b895e820120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
     'challenge': bytes.fromhex('05420c07b1cfffe785974638c6d3dc0dd0412fc79457cce189d4fd6bf1aa10562e057bded317b00399bddd3c6dd97c5eda0120ea07967cfcb36ce127c216f8aa955932cb06e2181fad06ab0c868a71e919dfdd'),
-    'response': bytes.fromhex('06abd83a4482b9d407c1e93dcc7f01819249dd92acf5c63f0ee71f08c14f2a8a4c'),
+    'response': bytes.fromhex('06191dceb8a361526894e0f81918f329e3'),
     'confirm': bytes.fromhex('07'),
     'guti-id': bytes.fromhex('08de8d192421cc79eb37484270549b5258'),
     'sn-hn-guti': bytes.fromhex('0914696d73692d3030313031303030303030303030313730a19b554ea4ae5194c9dd48ebce49db9504666f8b2ae9beb754ec6c0d913e9a76a6f7fcb7d22ba1bbd0541d72ad952494d4c90a35efe5dccb9c6da61e402a'),
@@ -33,7 +34,7 @@ SESSION_VALUES = {
     'pk_u': bytes.fromhex('d82f24ddbf956165dc94556f0973d504585c4156fc0c9ca337d689dd2208b898'),
     'k_s1': bytes.fromhex('c0b257103c0bd7dffff1107c12d671868c2fe66a24eee6129857a671f80b4baa'),
     'k_star': bytes.fromhex('449d5bfc8873f406fa135b7f1daf71fb9a987236122547fe2b4545899af07d56'),
-    'res_star': bytes.fromhex('abd83a4482b9d407c1e93dcc7f01819249dd92acf5c63f0ee71f08c14f2a8a4c'),
+    'res_star': bytes.fromhex('191dceb8a361526894e0f81918f329e3'),
     'k_seaf': bytes.fromhex('df96ac20cf4a216c4c1c20e3b27d36198f79f2b447bb1efdce31deb5ed3503e8'),
     'k_s_next': bytes.fromhex('8844d1f578d7ab2ac89f57501244d27ffd5f01c708d730bea4d50f1a8d519c39'),
 }

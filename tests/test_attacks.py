@@ -24,13 +24,13 @@ def test_replay_scenario_fails_without_ue_mac_check():
     make_roles, _games = attacks.WEAKENINGS["ue-mac"]
     v = attacks.scenario_replay_challenge(**make_roles())
     assert not v.holds
-    # the UE lets every splice through: the two that replay c2 die at the
-    # SN, whose M does not open under their RES*, and a replayed AUTN with
-    # a fresh c2 completes
+    # the UE lets every splice through, and each dies at the SN, whose M
+    # does not open under their RES*: the two that replay c2 answer with
+    # another K*, and a replayed AUTN unmasks another R_SN, which RES* binds
     assert v.evidence[1:4] == [
         "replay-c2-and-autn: abort_step=sn-verify",
         "replay-c2-fresh-autn: abort_step=sn-verify",
-        "replay-autn-fresh-c2: abort_step=None"]
+        "replay-autn-fresh-c2: abort_step=sn-verify"]
 
 
 def test_linkability_scenario_holds_both_modes():
@@ -176,13 +176,29 @@ def test_closure_re_executes_recipes():
     assert closure["x"] == 1 and closure["y"] == 2
 
 
-def test_closure_depth_bound():
+def test_closure_reaches_the_end_of_a_long_chain():
+    """No depth cap: a six-kdf chain is deduced to its end, v6 at round 6."""
     g = attacks.DerivationGraph(TEST_KEM)
     g.atom("v0", b"\x03" * 32)
     for i in range(1, 7):
         g.derived(f"v{i}", "kdf", f"v{i-1}")
-    closure = g.closure({"v0"})
-    assert "v4" in closure and "v5" not in closure
+    assert g.closure({"v0"}) == {f"v{i}": i for i in range(7)}
+
+
+def test_closure_admits_each_node_at_its_fewest_rounds():
+    """y is reached by xor(x3, a) at the end of a three-kdf chain, and by
+    xor(a, t) in one round; z = kdf(y) is then two rounds from the base."""
+    g = attacks.DerivationGraph(TEST_KEM)
+    g.atom("a", b"\x07" * 32)
+    g.derived("x1", "kdf", "a")
+    g.derived("x2", "kdf", "x1")
+    g.derived("x3", "kdf", "x2")
+    g.atom("t", g.nodes["x3"].value)
+    g.derived("y", "xor", "x3", "a")
+    g.derived("y", "xor", "a", "t")
+    g.derived("z", "kdf", "y")
+    assert g.closure({"a", "t"}) == {"a": 0, "t": 0, "x1": 1, "y": 1,
+                                     "x2": 2, "z": 2, "x3": 3}
 
 
 def test_closure_runs_each_recipe_once_when_it_is_added(monkeypatch):
@@ -213,7 +229,7 @@ def test_closure_rejects_wrong_recipe_bytes():
 def test_session_graph_reconstructs_anchor_key(world, rng):
     outcome, capture = attacks.run_captured(world, "supi", rng)
     g = attacks.build_session_graph(world, outcome, capture)
-    # full knowledge (including sk_U) reaches the anchor key within depth 4
+    # full knowledge (including sk_U) reaches the anchor key
     base = g.public | {"k", "sk_h", "sk_u"}
     closure = g.closure(base)
     assert "k_seaf" in closure
@@ -316,14 +332,14 @@ def test_sn_base_alone_derives_no_session_secret(suite):
 
 
 def test_hn_xres_star_gives_the_sn_k3_which_opens_m_once():
-    """K3 = XRES* xor CONC xor R_SN is two xors deep from the XRES* the HN
-    computes."""
+    """K3 = KDF(XRES*, CONC xor R_SN) is two operations deep from the XRES*
+    the HN computes."""
     world, g, base = _sn_pre_response()
     xres_star, _, _ = crypto.session_keys(
         world.hn.registry[world.ue.supi].k,
         *(g.nodes[n].value for n in ("k_star", "r_sn", "conc")), world.sn.id_sn)
     g.atom("xres_star", xres_star)
-    g.derived("k3", "xor", "xres_star", "ak")
+    g.derived("k3", "kdf", "xres_star", "ak")
     closure = g.closure(base | {"xres_star"})
     assert closure["k3"] == 2
     assert _openings(g, closure) == 1

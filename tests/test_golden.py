@@ -17,12 +17,20 @@ they stay independent of the encoder they check:
   leftmost 16 bytes, as RFC 2104 §5 truncates an HMAC;
 - HXRES* is no longer sent in auth-vector: the SN checks RES* by opening
   M, whose AES-GCM tag is under K3, so the HN's hash of XRES* is gone;
+- RES* binds R_SN and is 16 bytes: the last 16 bytes of SHA-256 over the
+  4-byte length-prefixed CK, IK, K*, RES, R_SN and ID_SN, where RES, CK
+  and IK are f2, f3 and f4 of K*, HMAC-SHA-256 under K over the f-index
+  byte and K* length-prefixed (TS 33.501 A.4 keeps RES*'s 128 least
+  significant bits). The former RES* is checked against the same formula
+  without R_SN, untruncated, before the new one replaces it;
 - the three ciphertexts over a plaintext with such a field are opened and
   sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
   ID_SN, all variable-length) under K_S1; M in auth-vector (its
-  K_seaf and SUPI), under K3 = RES* xor CONC xor R_SN; and the secure
-  envelope (the GUTI assignment), under SHA-256 of the 4-byte
-  length-prefixed K_seaf and b"guti-transport". All use the zero nonce;
+  K_seaf and SUPI), opened under the former K3 = RES* xor CONC xor R_SN
+  and sealed under K3 = SHA-256 of the length-prefixed RES* and
+  AK = CONC xor R_SN; and the secure envelope (the GUTI assignment),
+  under SHA-256 of the 4-byte length-prefixed K_seaf and
+  b"guti-transport". All use the zero nonce;
 - MAC_U is no longer an HMAC of SUCI_conc but SUCI_conc's GCM tag: the
   last 16 bytes of the sealed SUCI payload cross the wire as MAC_U, and
   SUCI_conc is the ciphertext before them;
@@ -33,6 +41,7 @@ they stay independent of the encoder they check:
 """
 
 import hashlib
+import hmac
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -73,7 +82,7 @@ LAYOUT = {
 SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
-CHECK_LEN = 16              # the AUTN MAC on the wire
+CHECK_LEN = 16              # the AUTN MAC and RES* on the wire
 TAG_LEN = 16                # AES-256-GCM's tag, sent as MAC_U
 
 
@@ -88,6 +97,15 @@ def _der(data: bytes) -> bytes:
     return bytes([len(data)]) + data
 
 
+def _kdf(*inputs: bytes) -> bytes:
+    return hashlib.sha256(b"".join(map(_lp, inputs))).digest()
+
+
+def _f(index: int, k: bytes, k_star: bytes) -> bytes:
+    """f_index(K, K*): HMAC-SHA-256 under K over the index byte and K*."""
+    return hmac.new(k, bytes([index]) + _lp(k_star), hashlib.sha256).digest()
+
+
 def _legacy_fields(blob: bytes) -> list[bytes]:
     fields, pos = [], 1
     while pos < len(blob):
@@ -98,9 +116,16 @@ def _legacy_fields(blob: bytes) -> list[bytes]:
     return fields
 
 
-def _reseal(key: bytes, ct: bytes, old_plain: bytes, new_plain: bytes) -> bytes:
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+
+
+def _reseal(key: bytes, ct: bytes, old_plain: bytes, new_plain: bytes,
+            new_key: bytes | None = None) -> bytes:
+    """Open ct under key, check it held old_plain, and seal new_plain under
+    new_key, or under key again."""
     assert AESGCM(key).decrypt(ZERO_NONCE, ct, None) == old_plain
-    return AESGCM(key).encrypt(ZERO_NONCE, new_plain, None)
+    return AESGCM(new_key or key).encrypt(ZERO_NONCE, new_plain, None)
 
 
 def derive_session_wire() -> dict[str, bytes]:
@@ -117,17 +142,24 @@ def derive_session_wire() -> dict[str, bytes]:
     conc, r_sn = fields["auth-vector"][0][:32], fields["sn-hn-ident"][3]
     for name in ("auth-vector", "challenge"):       # AUTN = CONC || MAC
         fields[name][0] = fields[name][0][:32 + CHECK_LEN]
-    k3 = bytes(a ^ b ^ c for a, b, c in
-               zip(SESSION_VALUES["res_star"], conc, r_sn, strict=True))
+    k, k_star = SESSION_VALUES["k"], SESSION_VALUES["k_star"]
+    res, ck, ik = (_f(i, k, k_star) for i in (2, 3, 4))
+    old_res_star = fields["response"][0]
+    assert _kdf(ck, ik, k_star, res, ID_SN) == old_res_star
+    res_star = _kdf(ck, ik, k_star, res, r_sn, ID_SN)[-CHECK_LEN:]
+    assert res_star == SESSION_VALUES["res_star"]
+    fields["response"][0] = res_star
+    ak = _xor(conc, r_sn)
     fields["auth-vector"][2] = _reseal(
-        k3, fields["auth-vector"][2], _lp(k_seaf) + _lp(SUPI), k_seaf + _der(SUPI))
+        _xor(old_res_star, ak), fields["auth-vector"][2], _lp(k_seaf) + _lp(SUPI),
+        k_seaf + _der(SUPI), new_key=_kdf(res_star, ak))
     assert fields["sn-hn-guti"][1] == fields["guti-assign"][1]
-    fields["sn-hn-guti"][1] = hashlib.sha256(_lp(k_seaf) + _lp(b"r-sn-prime")).digest()
+    fields["sn-hn-guti"][1] = _kdf(k_seaf, b"r-sn-prime")
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
                {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))
            for name in LEGACY_WIRE}
-    envelope_key = hashlib.sha256(_lp(k_seaf) + _lp(b"guti-transport")).digest()
+    envelope_key = _kdf(k_seaf, b"guti-transport")
     ct = _reseal(envelope_key, fields["secure-envelope"][0],
                  LEGACY_WIRE["guti-assign"], out["guti-assign"])
     out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(ct)

@@ -132,8 +132,8 @@ def test_vector_internal_consistency(world, rng):
     assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
     xres_star, _, _ = crypto.session_keys(
         record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
-    # M opens under K3 = XRES* xor f5 to the anchored key and identity
-    k3 = crypto.xor_bytes(xres_star, ak)
+    # M opens under K3 = KDF(XRES*, f5) to the anchored key and identity
+    k3 = crypto.kdf([xres_star, ak])
     k_seaf, supi_in_m = wire.unpack_m_payload(crypto.aead_open(k3, vector.m))
     assert (k_seaf, supi_in_m) == (pending.k_seaf, supi)
 
@@ -148,7 +148,7 @@ def test_auth_vector_carries_no_session_secrets(world, rng):
         crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
     xres_star, _, _ = crypto.session_keys(
         record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
-    k3 = crypto.xor_bytes(xres_star, crypto.prf_f("5", record.k, [k_star]))
+    k3 = crypto.kdf([xres_star, crypto.prf_f("5", record.k, [k_star])])
     secrets = {k3, xres_star, pending.k_seaf}
     for f in dataclasses.fields(vector):
         assert getattr(vector, f.name) not in secrets, f.name

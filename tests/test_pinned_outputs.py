@@ -58,14 +58,15 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when the HN stopped sending HXRES* (16 bytes fewer per
-# auth-vector; the SN checks RES* by opening M, and no draw changes).
+# re-pinned when RES* went to 16 bytes and took R_SN as a KDF input (16
+# bytes fewer per response, M sealed under K3 = KDF(RES*, AK); no draw
+# changes).
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "9405e5e59cdf048c6ec0505514b6f3a7b226cca384740d03accd8c173cccb483",
-    "ecies-x25519": "18ebe7b014abb94f99fa1796daf67bd8606e0d89d1bd0f3653a8c471bb38a68c",
-    "ecies-p256": "f4b56963c1d50fd2b6a136c8a64848059c440dfc7e2ecab450738e79014cefa0",
+    "test": "a21e9391586a5014e6238d86225b49021413190f9ec6f41e468e2d75c3e185b0",
+    "ecies-x25519": "e6cd68e2cd9568a4fd1745ebfef9ac1b1624af8b22b38e48c79f3af8741b1f03",
+    "ecies-p256": "30c580655328881d0dbffe0bfc041f8a953ccd804587cac0efd345ccbf38f6ae",
 }
 
 
@@ -83,7 +84,7 @@ def test_mixed_run_transcript_pinned(suite):
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification; re-pinned with MIXED_RUN_SHA256, for the same
 # change
-FALLBACK_RUN_SHA256 = "99ae66f0dfef22ca195629c0b8d017197b8c31e6c93d2208498c4d62b4e1951a"
+FALLBACK_RUN_SHA256 = "224527247303b2a63932973e7cb0cfe528ef363b3dc09765d5ec5ee353fa2621"
 
 
 def test_fallback_run_transcript_pinned():

@@ -44,18 +44,18 @@ def test_honest_guti_session_has_no_c2(world, rng):
 # core) bytes, and the radio size of each of its messages; the core bytes
 # are sn-hn-ident 148 (sn-hn-guti 86), auth-vector 153 (120) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
-# Re-pinned when the HN stopped sending HXRES*: auth-vector carries 16 bytes
-# fewer, and the radio is unchanged
+# Re-pinned when RES* went to 16 bytes: the response carries 16 bytes fewer,
+# and the core is unchanged
 SESSION_BYTES = {
-    "test": {"supi": (280, 302), "guti": (137, 207)},
-    "ecies-x25519": {"supi": (280, 302), "guti": (137, 207)},
-    "ecies-p256": {"supi": (283, 305), "guti": (137, 207)},
+    "test": {"supi": (264, 302), "guti": (121, 207)},
+    "ecies-x25519": {"supi": (264, 302), "guti": (121, 207)},
+    "ecies-p256": {"supi": (267, 305), "guti": (121, 207)},
 }
 RADIO_MESSAGE_BYTES = {
     "supi": {"id-request": 2, "id-response": 127, "challenge": 83,
-             "response": 33, "guti-assign": 35},
+             "response": 17, "guti-assign": 35},
     "guti": {"id-request": 2, "guti-id": 17, "challenge": 50,
-             "response": 33, "guti-assign": 35},
+             "response": 17, "guti-assign": 35},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
 P256_SUPI_RADIO_BYTES = {"id-response": 129, "challenge": 84}
@@ -167,6 +167,45 @@ def test_failed_guti_challenge_sends_every_ue_to_supi_alike(world, rng):
         assert nxt.completed and nxt.key_source == "supi"
 
 
+def _recording(label, sent, drop=False):
+    """An attacker that records each `label` message sent, and drops it if drop."""
+    def handler(data, ctx):
+        sent.append(data)
+        return None if drop else data
+    return sim.ScriptedAttacker({label: handler})
+
+
+def test_guti_res_star_is_fresh_after_a_dropped_response(world, rng):
+    """RES* binds R_SN: a GUTI session whose response was dropped leaves the
+    UE on the same K*, and its next honest GUTI session still sends other
+    RES* bytes, so a recorded RES* answers no later challenge."""
+    assert sim.run_session(world, "supi", rng=rng).completed
+    sent = []
+    dropped = sim.run_session(world, "guti", _recording("response", sent, drop=True), rng)
+    assert dropped.abort_step == "response"
+    again = sim.run_session(world, "guti", _recording("response", sent), rng)
+    assert again.completed and again.key_source == "guti"
+    assert len(sent) == 2 and sent[0] != sent[1]
+
+
+def test_recorded_guti_challenge_in_a_supi_session_ends_at_the_ue(world, rng):
+    """A UE that drew sk_U this session answers no challenge without c2,
+    even one of its own ratchet epoch."""
+    assert sim.run_session(world, "supi", rng=rng).completed
+    ratchet = (world.ue.k_s, world.ue.r_sn_prime)
+    # a GUTI challenge of the UE's current epoch, its response dropped
+    recorded = []
+    attacker = _recording("challenge", recorded)
+    attacker.handlers["response"] = lambda data, ctx: None
+    assert sim.run_session(world, "guti", attacker, rng).abort_step == "response"
+    (old,) = recorded
+    replay = sim.ScriptedAttacker({"challenge": lambda data, ctx: old})
+    out = sim.run_session(world, "supi", replay, rng)
+    assert out.abort_step == "ue-challenge"
+    assert "response" not in [e.annotation for e in out.transcript.radio_entries()]
+    assert (world.ue.k_s, world.ue.r_sn_prime) == ratchet
+
+
 def test_hn_identification_abort_ends_session_and_frees_pending(world, rng):
     def zero_mac(data, ctx):
         return wire.encode(dataclasses.replace(
@@ -234,7 +273,7 @@ def _radio_drops():
 
 
 def _foreign_type(world, rng):
-    return wire.encode(wire.ResponseMsg(res_star=bytes(32)))
+    return wire.encode(wire.ResponseMsg(res_star=bytes(crypto.CHECK_LEN)))
 
 
 def _known_guti(world, rng):
@@ -274,7 +313,8 @@ def _nth_replaced(n, data):
 
 
 @pytest.mark.parametrize("path,n,substitute", [
-    pytest.param("guti", 1, wire.ResponseMsg(res_star=bytes(32)), id="first-foreign"),
+    pytest.param("guti", 1, wire.ResponseMsg(res_star=bytes(crypto.CHECK_LEN)),
+                 id="first-foreign"),
     pytest.param("fallback", 2, wire.IdRequestMsg(force_supi=False),
                  id="fallback-guti-allowed")])
 def test_id_request_that_allows_no_guti_gets_a_suci(path, n, substitute):

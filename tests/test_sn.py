@@ -68,7 +68,8 @@ def test_verify_response_bit_flip_fuzz(world, rng):
     _msg, sid, _vector, challenge = to_challenge(world, rng)
     response = ue_mod.ue_process_challenge(world.ue, challenge)
     honest = response.res_star
-    for bit in range(256):
+    assert len(honest) == crypto.CHECK_LEN
+    for bit in range(8 * crypto.CHECK_LEN):
         pending_backup = dict(world.sn.pending)
         mutated = bytearray(honest)
         mutated[bit // 8] ^= 1 << (bit % 8)
@@ -79,14 +80,14 @@ def test_verify_response_bit_flip_fuzz(world, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 2 ** 256 - 1))
+@given(st.integers(1, 2 ** 128 - 1))
 def test_verify_response_rejects_every_res_star_but_xres_star(delta):
-    """RES* = XRES* xor delta, delta nonzero, spans every other 32-byte
+    """RES* = XRES* xor delta, delta nonzero, spans every other 128-bit
     RES*: M does not open, so the SN returns None and keeps no entry."""
     world, rng = sim.make_world("test", seed=0), SeededRandom(1)
     _msg, sid, _vector, challenge = to_challenge(world, rng)
     xres_star = ue_mod.ue_process_challenge(world.ue, challenge).res_star
-    bad = crypto.xor_bytes(xres_star, delta.to_bytes(32, "big"))
+    bad = crypto.xor_bytes(xres_star, delta.to_bytes(crypto.CHECK_LEN, "big"))
     assert sn_mod.sn_verify_response(
         world.sn, sid, wire.ResponseMsg(res_star=bad), rng) is None
     assert world.sn.pending == {}
@@ -94,7 +95,7 @@ def test_verify_response_rejects_every_res_star_but_xres_star(delta):
 
 def test_verify_response_unknown_session(world, rng):
     assert sn_mod.sn_verify_response(
-        world.sn, b"nosuch", wire.ResponseMsg(res_star=bytes(32)), rng) is None
+        world.sn, b"nosuch", wire.ResponseMsg(res_star=bytes(crypto.CHECK_LEN)), rng) is None
 
 
 K_SEAF_1, K_SEAF_2 = SeededRandom(31).bytes(32), SeededRandom(32).bytes(32)

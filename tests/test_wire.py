@@ -18,8 +18,20 @@ def lp(data: bytes) -> bytes:
 # --- layout-forced encodings ---------------------------------------------
 
 def test_response_msg_zero_layout():
-    encoded = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
-    assert encoded == b"\x06" + bytes(32)   # fixed width: no length prefix
+    encoded = wire.encode(wire.ResponseMsg(res_star=bytes(16)))
+    assert encoded == b"\x06" + bytes(16)   # fixed width: no length prefix
+
+
+def test_response_msg_carries_a_128_bit_res_star_only():
+    """RES* is 16 bytes, as TS 33.501 sizes it: a 32-byte RES* does not
+    encode, and 32 bytes after the tag are 16 trailing bytes."""
+    res_star = bytes(range(16))
+    assert wire.decode(b"\x06" + res_star) == wire.ResponseMsg(res_star=res_star)
+    with pytest.raises(wire.EncodeError):
+        wire.encode(wire.ResponseMsg(res_star=bytes(32)))
+    with pytest.raises(wire.ParseError, match="trailing bytes") as exc:
+        wire.decode(b"\x06" + bytes(32))
+    assert exc.value.offset == 17
 
 
 def test_id_request_layout():
@@ -147,7 +159,7 @@ def _random_messages(r: random.Random):
         wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(16), r_sn=b(32)),
         wire.HnToSnAuthMsg(conc=conc, mac=mac, m=b(r.randint(0, 80)), c2=c2),
         wire.ChallengeMsg(conc=conc, mac=mac, c2=c2),
-        wire.ResponseMsg(res_star=b(32)),
+        wire.ResponseMsg(res_star=b(16)),
         wire.ConfirmMsg(),
         wire.GutiIdMsg(guti=b(16)),
         wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(32)),
@@ -179,7 +191,7 @@ def test_decode_unknown_tag_rejected():
 
 
 def test_decode_trailing_byte_rejected():
-    blob = wire.encode(wire.ResponseMsg(res_star=bytes(32)))
+    blob = wire.encode(wire.ResponseMsg(res_star=bytes(16)))
     with pytest.raises(wire.ParseError) as exc:
         wire.decode(blob + b"\x00")
     assert exc.value.offset == len(blob)
@@ -229,7 +241,7 @@ def test_parser_totality_on_random_bytes():
 
 def test_encode_rejects_bad_widths():
     with pytest.raises(wire.EncodeError):
-        wire.encode(wire.ResponseMsg(res_star=bytes(31)))
+        wire.encode(wire.ResponseMsg(res_star=bytes(15)))
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.GutiIdMsg(guti=bytes(17)))
     with pytest.raises(wire.EncodeError):
@@ -283,7 +295,7 @@ FIXED_FIELDS = [
     (wire.HnToSnAuthMsg, "mac", 16),
     (wire.ChallengeMsg, "conc", 32),
     (wire.ChallengeMsg, "mac", 16),
-    (wire.ResponseMsg, "res_star", 32),
+    (wire.ResponseMsg, "res_star", 16),
     (wire.GutiIdMsg, "guti", 16),
     (wire.GutiSnToHnMsg, "r_sn_prime", 32),
     (wire.GutiSnToHnMsg, "r_sn", 32),
