@@ -228,6 +228,7 @@ def sn_pre_response_graph(world: sim.World, outcome: sim.SessionOutcome,
     for name in held:
         g.atom(name, getattr(pending, name))
     g.derived("ak", "xor", "conc", "r_sn")
+    g.derived("k_ak", "kdf", "ak")          # a 32-byte key from AK alone
     g.derived("k3", "kdf", "res_star", "ak")
     g.derived("k_seaf", "open-m-k_seaf", "k3", "m")
     g.derived("supi", "open-m-supi", "k3", "m")
@@ -285,13 +286,13 @@ def _broken_ue() -> Weakened:
 
 def _hn_sealing_m_under_ak(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
                            id_sn: str, rng: RandomSource, sid: bytes) -> wire.HnToSnAuthMsg:
-    """SUPI-path HN that seals M under AK = CONC xor R_SN, a key the SN
-    holds before RES* arrives, instead of under K3."""
+    """SUPI-path HN that seals M under KDF(AK), AK = CONC xor R_SN, a key
+    the SN can form before RES* arrives, instead of under K3."""
     vector = hn.hn_auth_vector(state, record, pk_u, r_sn, id_sn, rng, sid)
     pending = state.pending[sid]
     ak = crypto.xor_bytes(vector.conc, r_sn)
     return replace(vector, m=crypto.aead_seal(
-        ak, wire.pack_m_payload(pending.k_seaf, pending.supi)))
+        crypto.kdf([ak]), wire.pack_m_payload(pending.k_seaf, pending.supi)))
 
 
 # --- scenarios ---------------------------------------------------------------

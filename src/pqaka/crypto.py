@@ -1,11 +1,12 @@
 """Cryptographic core: KEM abstraction, test KEM, and the symmetric suite.
 
 The symmetric family f1..f5 is a keyed PRF (HMAC-SHA-256 with a
-one-byte domain tag), not MILENAGE. Keys and XOR operands are 32 bytes,
-so every XOR in the protocol is well-typed; the AUTN MAC and RES*, the
-check values, are 16 bytes, the width of the AEAD tags. MAC_U is the AEAD
-tag of SUCI_conc, and the SN checks RES* by opening M, whose tag is under
-K3 = KDF(RES*, AK).
+one-byte domain tag), not MILENAGE. Keys are 32 bytes. R_SN is 16 bytes,
+as 5G sizes RAND, and so is its mask AK = f5, so both XORs in the
+protocol are well-typed: K_S xor R_SN' at 32 bytes, AK xor R_SN at 16.
+The AUTN MAC and RES*, the check values, are 16 bytes, the width of the
+AEAD tags. MAC_U is the AEAD tag of SUCI_conc, and the SN checks RES* by
+opening M, whose tag is under K3 = KDF(RES*, AK).
 The test KEM is insecure by design: a deterministic construction over
 SHA-256 used as a test double.
 """
@@ -24,12 +25,13 @@ from .rng import RandomSource
 
 KEY_LEN = 32
 CHECK_LEN = 16      # the AUTN MAC and RES*: no key, no XOR operand
+RAND_LEN = 16       # R_SN and AK = f5, which masks it into CONC (TS 33.102 RAND)
 AEAD_TAG_OVERHEAD = 16
 _AEAD_NONCE = bytes(12)  # keys are single-use per session; fixed nonce is safe
 
-# f-index -> (domain-separation tag, output width); f1 is the AUTN MAC
+# f-index -> (domain-separation tag, output width); f1 is the AUTN MAC, f5 AK
 _F_FAMILY = {"1": (b"\x01", CHECK_LEN), "2": (b"\x02", KEY_LEN), "3": (b"\x03", KEY_LEN),
-             "4": (b"\x04", KEY_LEN), "5": (b"\x05", KEY_LEN)}
+             "4": (b"\x04", KEY_LEN), "5": (b"\x05", RAND_LEN)}
 
 # RFC 2104 key pads as bytes.translate tables: byte b becomes b ^ pad
 _IPAD = bytes(b ^ 0x36 for b in range(256))

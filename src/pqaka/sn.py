@@ -68,7 +68,7 @@ class SnState:
 
 def _open_session(state: SnState, identifier: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
     """Draw a fresh R_SN and open pending session sid = H(identifier, R_SN)."""
-    r_sn = rng.bytes(32)
+    r_sn = rng.bytes(wire.RAND_LEN)
     sid = crypto.hash_h([identifier, r_sn])
     state.pending[sid] = PendingSession(r_sn=r_sn)
     if len(state.pending) > PENDING_MAX:      # evict the oldest session
@@ -159,7 +159,7 @@ def sn_resolve_guti(
 # keyed by SUPI, so writing a SUPI's row replaces its old GUTI
 _GUTI_TABLE = store.Table(
     "guti_table", (("supi", wire.UTF8), ("guti", wire.fixed(wire.GUTI_LEN)),
-                   ("r_sn_prime", wire.fixed(wire.RAND_LEN))), unique="guti")
+                   ("r_sn_prime", wire.fixed(crypto.KEY_LEN))), unique="guti")
 
 
 def save_guti_table(path: str, table: dict[bytes, GutiEntry],

@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .crypto import AEAD_TAG_OVERHEAD, CHECK_LEN
+from .crypto import AEAD_TAG_OVERHEAD, CHECK_LEN, KEY_LEN, RAND_LEN
 
 GUTI_LEN = 16
-RAND_LEN = 32
 
 
 class EncodeError(Exception):
@@ -179,7 +178,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
     ResponseMsg: (0x06, (("res_star", fixed(CHECK_LEN)),)),
     ConfirmMsg: (0x07, ()),
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
-    GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(RAND_LEN)),
+    GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(KEY_LEN)),
                            ("r_sn", fixed(RAND_LEN)))),
     GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),)),
     SecureEnvelopeMsg: (0x0B, (("ct", VAR),)),
@@ -189,7 +188,7 @@ _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in SCHEMA.items()}
 
 # plaintexts sealed inside SUCI_conc and M; untagged
 _SUCI_PAYLOAD: Fields = (("supi", UTF8), ("pk_u", VAR), ("id_sn", UTF8))
-_M_PAYLOAD: Fields = (("k_seaf", fixed(32)), ("supi", UTF8))
+_M_PAYLOAD: Fields = (("k_seaf", fixed(KEY_LEN)), ("supi", UTF8))
 
 Message = (
     IdRequestMsg | IdResponseMsg | SnToHnIdentMsg | HnToSnAuthMsg

@@ -328,7 +328,7 @@ def test_sn_base_alone_derives_no_session_secret(suite):
     assert "res_star" not in base and {"r_sn", "conc", "m"} <= base
     closure = g.closure(base)
     assert SN_SECRETS.isdisjoint(closure)
-    assert "ak" in closure and _openings(g, closure) == 0
+    assert {"ak", "k_ak"} <= closure.keys() and _openings(g, closure) == 0
 
 
 def test_hn_xres_star_gives_the_sn_k3_which_opens_m_once():
@@ -368,7 +368,7 @@ def test_hn_sealing_m_under_ak_fails_at_the_honest_sn(world, rng):
 
 def test_hn_sealing_m_under_ak_is_caught_by_the_opening_test_only():
     """The open-M recipes raise inside closure, so the graph admits no
-    secret; the key AK, which the SN derives, opens M."""
+    secret; the key KDF(AK), which the SN derives, opens M."""
     make_roles, _games = attacks.WEAKENINGS["hn-seal-ak"]
     _world, g, base = _sn_pre_response(**make_roles())
     with pytest.raises(crypto.AeadFailure):
@@ -378,10 +378,11 @@ def test_hn_sealing_m_under_ak_is_caught_by_the_opening_test_only():
     closure = g.closure(base)
     assert SN_SECRETS.isdisjoint(closure)
     assert _openings(g, closure) == 1
-    assert attacks.opening_count([g.nodes["ak"].value], g.nodes["m"].value) == 1
+    assert attacks.opening_count([g.nodes["k_ak"].value], g.nodes["m"].value) == 1
     (v,) = attacks.run_scenarios(["sn-binding"], weaken=frozenset({"hn-seal-ak"}))
     assert not v.holds
-    assert v.evidence[:2] == ["pre-response-keys-tried=5 opened=1", "pre-response-secrets=[]"]
+    # c1, c2 and KDF(AK): CONC, R_SN and AK are 16 bytes, too short to be a key
+    assert v.evidence[:2] == ["pre-response-keys-tried=3 opened=1", "pre-response-secrets=[]"]
 
 
 def test_linkability_multiset_splits_autn_into_halves():
@@ -393,6 +394,6 @@ def test_linkability_multiset_splits_autn_into_halves():
         return sim.SessionOutcome(abort_step=None, transcript=t)
 
     mac = b"\x07" * crypto.CHECK_LEN
-    f1 = attacks._field_multiset(outcome(b"\x01" * 32, mac, b"\x02" * 8))
-    f2 = attacks._field_multiset(outcome(b"\x03" * 32, mac, b"\x04" * 8))
+    f1 = attacks._field_multiset(outcome(b"\x01" * crypto.RAND_LEN, mac, b"\x02" * 8))
+    f2 = attacks._field_multiset(outcome(b"\x03" * crypto.RAND_LEN, mac, b"\x04" * 8))
     assert f1 & f2 == Counter({b"\x05": 1, mac: 1})

@@ -217,21 +217,21 @@ def test_sizes_match_a_real_supi_session(suite, capsys):
 
 # `pqaka sizes` with no flags: the communication-cost columns, whose message
 # sizes run through wire.pack_suci_payload and wire.pack_m_payload.
-# Re-pinned when RES* went to 16 bytes: the resp column is 16 bytes shorter
-# on every row. CI checks the installed console script's output against
-# this table
+# Re-pinned when R_SN went to 16 bytes: CONC, and so the hn-sn and chall
+# columns, are 16 bytes shorter on every row. CI checks the installed
+# console script's output against this table
 SIZES_TABLE = """\
 algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp  assign
 -----------------------------------------------------------------------------------------
-bike               5223     1541     1573    32     3183     1696     1626     17      35
-ecies-p256           32       33       33    32      129      154       84     17      35
-ecies-x25519         32       32       32    32      127      153       83     17      35
-hqc                2289     2249     4481    64     6799     4604     4534     17      35
-kyber              1632      800      768    32     1637      891      821     17      35
-mceliece           6452   261120      128    32   261318      250      180     17      35
-ml-kem-1024          64     1568     1568    32     3205     1691     1621     17      35
-ml-kem-768           64     1184     1088    32     2341     1211     1141     17      35
-test                 32       32       32    32      127      153       83     17      35
+bike               5223     1541     1573    32     3183     1680     1610     17      35
+ecies-p256           32       33       33    32      129      138       68     17      35
+ecies-x25519         32       32       32    32      127      137       67     17      35
+hqc                2289     2249     4481    64     6799     4588     4518     17      35
+kyber              1632      800      768    32     1637      875      805     17      35
+mceliece           6452   261120      128    32   261318      234      164     17      35
+ml-kem-1024          64     1568     1568    32     3205     1675     1605     17      35
+ml-kem-768           64     1184     1088    32     2341     1195     1125     17      35
+test                 32       32       32    32      127      137       67     17      35
 """
 MLKEM_ROWS = ("ml-kem-768 ", "ml-kem-1024 ")
 

@@ -93,7 +93,9 @@ def test_registry_lists_test_suite():
 # --- f-family ----------------------------------------------------------------
 
 def test_f5_zero_frozen():
-    assert crypto.prf_f("5", bytes(32), [bytes(32)]) == CONSTANTS["f5_zero"]
+    # f5 (AK) keeps the leftmost RAND_LEN bytes of the frozen HMAC output
+    assert crypto.prf_f("5", bytes(32), [bytes(32)]) == \
+        CONSTANTS["f5_zero"][:crypto.RAND_LEN]
 
 
 def test_f_family_domain_separation():
@@ -127,9 +129,9 @@ def test_f_output_is_32_bytes():
 @given(KEY32, st.sampled_from("12345"),
        st.lists(st.binary(max_size=80), min_size=1, max_size=3))
 def test_f_under_a_loaded_key_is_hmac_sha256(key, index, inputs):
-    # f1, the AUTN MAC, keeps the leftmost 16 bytes of the HMAC
+    # f1, the AUTN MAC, and f5, AK, keep the leftmost 16 bytes of the HMAC
     expected = _hmac.new(key, bytes([int(index)]) + crypto._lp(inputs),
-                         hashlib.sha256).digest()[:16 if index == "1" else 32]
+                         hashlib.sha256).digest()[:16 if index in "15" else 32]
     loaded = crypto.prf_key(key)
     assert crypto.prf_f(index, loaded, inputs) == expected
     assert crypto.prf_f(index, loaded, inputs) == expected     # reusable
@@ -138,7 +140,7 @@ def test_f_under_a_loaded_key_is_hmac_sha256(key, index, inputs):
 
 def test_f5_zero_frozen_under_a_loaded_key():
     assert crypto.prf_f("5", crypto.prf_key(bytes(32)), [bytes(32)]) == \
-        CONSTANTS["f5_zero"]
+        CONSTANTS["f5_zero"][:crypto.RAND_LEN]
 
 
 @pytest.mark.parametrize("length", [0, 31, 33, 64])

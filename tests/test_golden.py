@@ -17,27 +17,41 @@ they stay independent of the encoder they check:
   leftmost 16 bytes, as RFC 2104 §5 truncates an HMAC;
 - HXRES* is no longer sent in auth-vector: the SN checks RES* by opening
   M, whose AES-GCM tag is under K3, so the HN's hash of XRES* is gone;
+- R_SN is 16 bytes, as 5G sizes RAND, no longer 32. The SN draws 16
+  bytes of the seeded stream where it drew 32, and the draws after it
+  shift: R_SN is the former R_SN's first half, c2 (the test KEM's
+  encapsulation randomness) is the former R_SN's second half followed by
+  the former c2's first half, and the GUTI is the former c2's second half.
+  So K*, SHA-256 over the length-prefixed pk_U and c2 as the test KEM
+  decapsulates, is new, and every value after it is computed again;
+- f1..f5 are HMAC-SHA-256 under K over the f-index byte and the
+  length-prefixed inputs; each keeps its leftmost bytes (RFC 2104 §5). AK
+  is f5 of K* at 16 bytes, the width of R_SN, and CONC = AK xor R_SN; the
+  AUTN MAC is f1 of K* and R_SN at 16 bytes;
 - RES* binds R_SN and is 16 bytes: the last 16 bytes of SHA-256 over the
   4-byte length-prefixed CK, IK, K*, RES, R_SN and ID_SN, where RES, CK
-  and IK are f2, f3 and f4 of K*, HMAC-SHA-256 under K over the f-index
-  byte and K* length-prefixed (TS 33.501 A.4 keeps RES*'s 128 least
-  significant bits). The former RES* is checked against the same formula
-  without R_SN, untruncated, before the new one replaces it;
+  and IK are f2, f3 and f4 of K* (TS 33.501 A.4 keeps RES*'s 128 least
+  significant bits). K_seaf is SHA-256 of K_AUSF and ID_SN, K_AUSF that
+  of CK, IK, K*, CONC and ID_SN, and the next K_S that of K* and R_SN.
+  The former CONC, MAC and RES* are checked against the same formulas on
+  the former K* and R_SN, 32 bytes wide, with RES* untruncated and
+  without R_SN, before the new values replace them;
 - the three ciphertexts over a plaintext with such a field are opened and
   sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
   ID_SN, all variable-length) under K_S1; M in auth-vector (its
   K_seaf and SUPI), opened under the former K3 = RES* xor CONC xor R_SN
   and sealed under K3 = SHA-256 of the length-prefixed RES* and
-  AK = CONC xor R_SN; and the secure envelope (the GUTI assignment),
-  under SHA-256 of the 4-byte length-prefixed K_seaf and
-  b"guti-transport". All use the zero nonce;
+  AK; and the secure envelope (the GUTI assignment), under SHA-256 of
+  the 4-byte length-prefixed K_seaf and b"guti-transport". The former M
+  and envelope open under the former K_seaf, and are sealed under the
+  new one. All use the zero nonce;
 - MAC_U is no longer an HMAC of SUCI_conc but SUCI_conc's GCM tag: the
   last 16 bytes of the sealed SUCI payload cross the wire as MAC_U, and
   SUCI_conc is the ciphertext before them;
 - R_SN' is no longer drawn by the SN and sent in the GUTI assignment,
   which is the GUTI alone: both ends derive it as SHA-256 of the 4-byte
-  length-prefixed K_seaf and b"r-sn-prime", and sn-hn-guti carries that.
-  The GUTI is drawn before R_SN' was, so it keeps its bytes.
+  length-prefixed K_seaf and b"r-sn-prime", and sn-hn-guti carries that
+  and the session's R_SN.
 """
 
 import hashlib
@@ -83,6 +97,7 @@ SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
 CHECK_LEN = 16              # the AUTN MAC and RES* on the wire
+RAND_LEN = 16               # R_SN, AK and CONC
 TAG_LEN = 16                # AES-256-GCM's tag, sent as MAC_U
 
 
@@ -101,9 +116,17 @@ def _kdf(*inputs: bytes) -> bytes:
     return hashlib.sha256(b"".join(map(_lp, inputs))).digest()
 
 
-def _f(index: int, k: bytes, k_star: bytes) -> bytes:
-    """f_index(K, K*): HMAC-SHA-256 under K over the index byte and K*."""
-    return hmac.new(k, bytes([index]) + _lp(k_star), hashlib.sha256).digest()
+def _f(index: int, k: bytes, *inputs: bytes) -> bytes:
+    """f_index(K, inputs), untruncated: HMAC-SHA-256 under K over the index
+    byte and the length-prefixed inputs."""
+    return hmac.new(k, bytes([index]) + b"".join(map(_lp, inputs)),
+                    hashlib.sha256).digest()
+
+
+def _schedule(k: bytes, k_star: bytes, conc: bytes) -> tuple[bytes, ...]:
+    """RES, CK and IK, f2..f4 of K*, and K_seaf, from K_AUSF."""
+    res, ck, ik = (_f(i, k, k_star) for i in (2, 3, 4))
+    return res, ck, ik, _kdf(_kdf(ck, ik, k_star, conc, ID_SN), ID_SN)
 
 
 def _legacy_fields(blob: bytes) -> list[bytes]:
@@ -130,7 +153,7 @@ def _reseal(key: bytes, ct: bytes, old_plain: bytes, new_plain: bytes,
 
 def derive_session_wire() -> dict[str, bytes]:
     fields = {name: _legacy_fields(blob) for name, blob in LEGACY_WIRE.items()}
-    k_seaf, k_s1 = SESSION_VALUES["k_seaf"], SESSION_VALUES["k_s1"]
+    k, k_s1 = SESSION_VALUES["k"], SESSION_VALUES["k_s1"]
     pk_u = SESSION_VALUES["pk_u"]
     sealed = _reseal(k_s1, fields["id-response"][1], _lp(SUPI) + _lp(pk_u) + _lp(ID_SN),
                      _der(SUPI) + _der(pk_u) + _der(ID_SN))
@@ -138,30 +161,51 @@ def derive_session_wire() -> dict[str, bytes]:
     assert fields["sn-hn-ident"][:3] == fields["id-response"][:3]
     for name in ("id-response", "sn-hn-ident"):
         fields[name][1:3] = [suci_conc, mac_u]
+
+    # the former session, each value checked against its formula
     assert fields["challenge"][0] == fields["auth-vector"][0]
-    conc, r_sn = fields["auth-vector"][0][:32], fields["sn-hn-ident"][3]
-    for name in ("auth-vector", "challenge"):       # AUTN = CONC || MAC
-        fields[name][0] = fields[name][0][:32 + CHECK_LEN]
-    k, k_star = SESSION_VALUES["k"], SESSION_VALUES["k_star"]
-    res, ck, ik = (_f(i, k, k_star) for i in (2, 3, 4))
+    assert fields["challenge"][2] == fields["auth-vector"][4]
+    old_r_sn, old_c2 = fields["sn-hn-ident"][3], fields["auth-vector"][4]
+    old_conc, old_mac = fields["auth-vector"][0][:32], fields["auth-vector"][0][32:]
+    old_k_star = _kdf(pk_u, old_c2)
+    assert _xor(_f(5, k, old_k_star), old_r_sn) == old_conc
+    assert _f(1, k, old_k_star, old_r_sn) == old_mac
+    old_res, old_ck, old_ik, old_k_seaf = _schedule(k, old_k_star, old_conc)
     old_res_star = fields["response"][0]
-    assert _kdf(ck, ik, k_star, res, ID_SN) == old_res_star
+    assert _kdf(old_ck, old_ik, old_k_star, old_res, ID_SN) == old_res_star
+
+    # R_SN drawn at 16 bytes shifts the seeded stream's later draws
+    assert fields["guti-id"][0] == fields["guti-assign"][0]
+    r_sn = old_r_sn[:RAND_LEN]
+    c2 = old_r_sn[RAND_LEN:] + old_c2[:RAND_LEN]
+    guti = old_c2[RAND_LEN:]
+    k_star = _kdf(pk_u, c2)
+    ak = _f(5, k, k_star)[:RAND_LEN]
+    conc = _xor(ak, r_sn)
+    mac = _f(1, k, k_star, r_sn)[:CHECK_LEN]
+    res, ck, ik, k_seaf = _schedule(k, k_star, conc)
     res_star = _kdf(ck, ik, k_star, res, r_sn, ID_SN)[-CHECK_LEN:]
-    assert res_star == SESSION_VALUES["res_star"]
+    assert (k_star, res_star, k_seaf, _kdf(k_star, r_sn)) == tuple(
+        SESSION_VALUES[n] for n in ("k_star", "res_star", "k_seaf", "k_s_next"))
+
+    fields["sn-hn-ident"][3] = r_sn
+    for name in ("auth-vector", "challenge"):       # AUTN = CONC || MAC
+        fields[name][0] = conc + mac
+        fields[name][-1] = c2
     fields["response"][0] = res_star
-    ak = _xor(conc, r_sn)
     fields["auth-vector"][2] = _reseal(
-        _xor(old_res_star, ak), fields["auth-vector"][2], _lp(k_seaf) + _lp(SUPI),
-        k_seaf + _der(SUPI), new_key=_kdf(res_star, ak))
-    assert fields["sn-hn-guti"][1] == fields["guti-assign"][1]
-    fields["sn-hn-guti"][1] = _kdf(k_seaf, b"r-sn-prime")
+        _xor(old_res_star, _xor(old_conc, old_r_sn)), fields["auth-vector"][2],
+        _lp(old_k_seaf) + _lp(SUPI), k_seaf + _der(SUPI), new_key=_kdf(res_star, ak))
+    fields["guti-id"][0] = fields["guti-assign"][0] = guti
+    assert fields["sn-hn-guti"][1:] == [fields["guti-assign"][1], old_r_sn]
+    fields["sn-hn-guti"][1:] = [_kdf(k_seaf, b"r-sn-prime"), r_sn]
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
                {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))
            for name in LEGACY_WIRE}
-    envelope_key = _kdf(k_seaf, b"guti-transport")
-    ct = _reseal(envelope_key, fields["secure-envelope"][0],
-                 LEGACY_WIRE["guti-assign"], out["guti-assign"])
+    ct = _reseal(_kdf(old_k_seaf, b"guti-transport"), fields["secure-envelope"][0],
+                 LEGACY_WIRE["guti-assign"], out["guti-assign"],
+                 new_key=_kdf(k_seaf, b"guti-transport"))
     out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(ct)
     return out
 

@@ -157,7 +157,7 @@ def test_auth_vector_carries_no_session_secrets(world, rng):
 def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
     record = world.hn.registry[world.ue.supi]
     record.k_s = SeededRandom(11).bytes(32)
-    r_sn = SeededRandom(12).bytes(32)
+    r_sn = SeededRandom(12).bytes(wire.RAND_LEN)
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32), r_sn=r_sn)
     vector = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid1")
     # with R' = 0 the derived key K* equals the stored ratchet key
@@ -167,7 +167,7 @@ def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
 
 def test_guti_vector_requires_ratchet_key(world):
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32),
-                             r_sn=bytes(32))
+                             r_sn=bytes(wire.RAND_LEN))
     with pytest.raises(hn_mod.IdentificationAbort):
         hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid")
     with pytest.raises(hn_mod.IdentificationAbort):

@@ -42,12 +42,14 @@ def _verdict_lines(keys_tried: int) -> list[str]:
     ]
 
 
-# the keys tried on M are the 32-byte values of the SN's closure: CONC,
-# R_SN, AK, and c1 and c2 where the KEM makes them 32 bytes. Re-pinned from
-# 8 (6 on ecies-p256) when MAC, MAC_U and the former HXRES* went to 16
-# bytes, too short to be a key. The forward-secrecy line was re-pinned when
-# the game gained its two stolen-store evidence items
-KEYS_TRIED = {"test": 5, "ecies-x25519": 5, "ecies-p256": 3}
+# the keys tried on M are the 32-byte values of the SN's closure: KDF(AK),
+# and c1 and c2 where the KEM makes them 32 bytes. Re-pinned from 8 (6 on
+# ecies-p256) when MAC, MAC_U and the former HXRES* went to 16 bytes, too
+# short to be a key, and from 5 (3) when R_SN, AK and CONC did, and the
+# graph gained KDF(AK), the key the hn-seal-ak weakening seals M under.
+# The forward-secrecy line was re-pinned when the game gained its two
+# stolen-store evidence items
+KEYS_TRIED = {"test": 3, "ecies-x25519": 3, "ecies-p256": 1}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -58,15 +60,15 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when RES* went to 16 bytes and took R_SN as a KDF input (16
-# bytes fewer per response, M sealed under K3 = KDF(RES*, AK); no draw
-# changes).
+# re-pinned when R_SN, AK and CONC went to 16 bytes: 16 bytes fewer per
+# challenge, auth-vector and sn-hn-* message, and the SN's 16-byte draw
+# shifts every later draw of the seeded stream.
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "a21e9391586a5014e6238d86225b49021413190f9ec6f41e468e2d75c3e185b0",
-    "ecies-x25519": "e6cd68e2cd9568a4fd1745ebfef9ac1b1624af8b22b38e48c79f3af8741b1f03",
-    "ecies-p256": "30c580655328881d0dbffe0bfc041f8a953ccd804587cac0efd345ccbf38f6ae",
+    "test": "1115feefbf5f313f7190ac3e074830134cc59fd3b3258a90b3f0fee895f4a767",
+    "ecies-x25519": "cb00af6069c4df9c4d09386e5b4604723919960f494d39e5509edb781442c2a6",
+    "ecies-p256": "08ad059615c59f1771c92029ec5febde62bc30db145b9096c1ae1239e5decb85",
 }
 
 
@@ -84,7 +86,7 @@ def test_mixed_run_transcript_pinned(suite):
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification; re-pinned with MIXED_RUN_SHA256, for the same
 # change
-FALLBACK_RUN_SHA256 = "224527247303b2a63932973e7cb0cfe528ef363b3dc09765d5ec5ee353fa2621"
+FALLBACK_RUN_SHA256 = "8c0269978e17120036a372d988ebe1c289c2a1225cfc66cb78d51c618a1484ba"
 
 
 def test_fallback_run_transcript_pinned():

@@ -42,23 +42,23 @@ def test_honest_guti_session_has_no_c2(world, rng):
 
 # one honest session's communication cost per suite and path, as (radio,
 # core) bytes, and the radio size of each of its messages; the core bytes
-# are sn-hn-ident 148 (sn-hn-guti 86), auth-vector 153 (120) and confirm 1.
+# are sn-hn-ident 132 (sn-hn-guti 70), auth-vector 137 (104) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
-# Re-pinned when RES* went to 16 bytes: the response carries 16 bytes fewer,
-# and the core is unchanged
+# Re-pinned when R_SN, and so CONC, went to 16 bytes: the challenge and
+# auth-vector carry 16 bytes fewer, and so does sn-hn-ident or sn-hn-guti
 SESSION_BYTES = {
-    "test": {"supi": (264, 302), "guti": (121, 207)},
-    "ecies-x25519": {"supi": (264, 302), "guti": (121, 207)},
-    "ecies-p256": {"supi": (267, 305), "guti": (121, 207)},
+    "test": {"supi": (248, 270), "guti": (105, 175)},
+    "ecies-x25519": {"supi": (248, 270), "guti": (105, 175)},
+    "ecies-p256": {"supi": (251, 273), "guti": (105, 175)},
 }
 RADIO_MESSAGE_BYTES = {
-    "supi": {"id-request": 2, "id-response": 127, "challenge": 83,
+    "supi": {"id-request": 2, "id-response": 127, "challenge": 67,
              "response": 17, "guti-assign": 35},
-    "guti": {"id-request": 2, "guti-id": 17, "challenge": 50,
+    "guti": {"id-request": 2, "guti-id": 17, "challenge": 34,
              "response": 17, "guti-assign": 35},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
-P256_SUPI_RADIO_BYTES = {"id-response": 129, "challenge": 84}
+P256_SUPI_RADIO_BYTES = {"id-response": 129, "challenge": 68}
 
 
 @pytest.mark.parametrize("suite", list(SESSION_BYTES))

@@ -93,7 +93,7 @@ def test_replayed_challenge_against_fresh_ephemeral_aborts(world, rng):
 
 
 def test_challenge_without_ephemeral_aborts(world):
-    ch = wire.ChallengeMsg(conc=bytes(32), mac=bytes(32), c2=bytes(32))
+    ch = wire.ChallengeMsg(conc=bytes(16), mac=bytes(16), c2=bytes(32))
     assert world.ue.ephemeral is None
     assert ue_mod.ue_process_challenge(world.ue, ch) is None
 

@@ -34,6 +34,29 @@ def test_response_msg_carries_a_128_bit_res_star_only():
     assert exc.value.offset == 17
 
 
+def test_r_sn_and_conc_are_128_bits_and_r_sn_prime_256():
+    """R_SN, and CONC = AK xor R_SN, are 16 bytes, as 5G sizes RAND; R_SN'
+    masks a 32-byte key and stays 32 bytes. A 32-byte R_SN or CONC does not
+    encode, and 16 bytes after a challenge are trailing bytes."""
+    conc, mac, r_sn = bytes(range(16)), bytes(range(16, 32)), bytes(range(32, 48))
+    blob = wire.encode(wire.ChallengeMsg(conc=conc, mac=mac))
+    assert blob == b"\x05" + conc + mac + b"\x00"
+    assert wire.encode(wire.SnToHnIdentMsg(c1=b"", suci_conc=b"", mac_u=mac, r_sn=r_sn)) \
+        == b"\x03\x00\x00" + mac + r_sn
+    assert wire.decode(wire.encode(wire.GutiSnToHnMsg(
+        supi="s", r_sn_prime=bytes(32), r_sn=r_sn))).r_sn == r_sn
+    for bad in [wire.ChallengeMsg(conc=bytes(32), mac=mac),
+                wire.HnToSnAuthMsg(conc=bytes(32), mac=mac, m=b""),
+                wire.SnToHnIdentMsg(c1=b"", suci_conc=b"", mac_u=mac, r_sn=bytes(32)),
+                wire.GutiSnToHnMsg(supi="s", r_sn_prime=bytes(32), r_sn=bytes(32)),
+                wire.GutiSnToHnMsg(supi="s", r_sn_prime=bytes(16), r_sn=r_sn)]:
+        with pytest.raises(wire.EncodeError):
+            wire.encode(bad)
+    with pytest.raises(wire.ParseError, match="trailing bytes") as exc:
+        wire.decode(blob + bytes(16))
+    assert exc.value.offset == len(blob)
+
+
 def test_id_request_layout():
     assert wire.encode(wire.IdRequestMsg(force_supi=True)) == b"\x01\x01"
     assert wire.encode(wire.IdRequestMsg(force_supi=False)) == b"\x01\x00"
@@ -106,7 +129,7 @@ BAD_PREFIXES = {
 PREFIX_SITES = {
     "envelope-ct": ("0b", ""),
     "suci-conc": ("02" + "01aa", "00" * 16 + "00"),
-    "optional-c2": ("05" + "00" * 48 + "01", ""),
+    "optional-c2": ("05" + "00" * 32 + "01", ""),
 }
 
 
@@ -149,20 +172,20 @@ def test_golden_challenge_has_c2_and_guti_assign_sizes():
 
 def _random_messages(r: random.Random):
     b = r.randbytes
-    conc, mac = b(32), b(16)
+    conc, mac = b(16), b(16)
     c2 = b(r.randint(1, 64)) if r.random() < 0.5 else None
     supi = "imsi-" + "".join(r.choices("0123456789", k=15))
     return [
         wire.IdRequestMsg(force_supi=r.random() < 0.5),
         wire.IdResponseMsg(c1=b(r.randint(0, 64)), suci_conc=b(r.randint(0, 64)),
                            mac_u=b(16), id_hn=supi),
-        wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(16), r_sn=b(32)),
+        wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(16), r_sn=b(16)),
         wire.HnToSnAuthMsg(conc=conc, mac=mac, m=b(r.randint(0, 80)), c2=c2),
         wire.ChallengeMsg(conc=conc, mac=mac, c2=c2),
         wire.ResponseMsg(res_star=b(16)),
         wire.ConfirmMsg(),
         wire.GutiIdMsg(guti=b(16)),
-        wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(32)),
+        wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(16)),
         wire.GutiAssignMsg(guti_new=b(16)),
         wire.SecureEnvelopeMsg(ct=b(r.randint(0, 100))),
         wire.AbortMsg(),
@@ -290,15 +313,15 @@ def test_m_payload_roundtrip():
 FIXED_FIELDS = [
     (wire.IdResponseMsg, "mac_u", 16),
     (wire.SnToHnIdentMsg, "mac_u", 16),
-    (wire.SnToHnIdentMsg, "r_sn", 32),
-    (wire.HnToSnAuthMsg, "conc", 32),
+    (wire.SnToHnIdentMsg, "r_sn", 16),
+    (wire.HnToSnAuthMsg, "conc", 16),
     (wire.HnToSnAuthMsg, "mac", 16),
-    (wire.ChallengeMsg, "conc", 32),
+    (wire.ChallengeMsg, "conc", 16),
     (wire.ChallengeMsg, "mac", 16),
     (wire.ResponseMsg, "res_star", 16),
     (wire.GutiIdMsg, "guti", 16),
     (wire.GutiSnToHnMsg, "r_sn_prime", 32),
-    (wire.GutiSnToHnMsg, "r_sn", 32),
+    (wire.GutiSnToHnMsg, "r_sn", 16),
     (wire.GutiAssignMsg, "guti_new", 16),
 ]
 SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
@@ -320,9 +343,9 @@ def _flag_offsets(msg) -> list[int]:
     if isinstance(msg, wire.IdRequestMsg):
         return [1]
     if isinstance(msg, wire.ChallengeMsg):
-        return [1 + 32 + 16]
+        return [1 + 16 + 16]
     if isinstance(msg, wire.HnToSnAuthMsg):
-        return [1 + 32 + 16 + 1 + len(msg.m)]   # m is shorter than 128 B
+        return [1 + 16 + 16 + 1 + len(msg.m)]   # m is shorter than 128 B
     return []
 
 
