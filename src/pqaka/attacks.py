@@ -136,9 +136,9 @@ def _radio(outcome: sim.SessionOutcome) -> dict[str, bytes]:
 @dataclass
 class OracleCapture:
     """Test-only UE secrets of one session that the game oracles are given:
-    the ratchet state before the run, the ephemeral sk_U as the challenge
-    crosses the radio, and the UE's K_seaf as its response does. The
-    simulator never returns them."""
+    the ratchet state before the run, the sk_U the session drew and the
+    K_seaf its UE accepted the challenge with. The simulator never returns
+    them."""
 
     k_s_prev: Optional[bytes]
     r_sn_prime: Optional[bytes]
@@ -148,20 +148,25 @@ class OracleCapture:
 
 def run_captured(world: sim.World, mode: str, rng: RandomSource, drop_response: bool = False,
                  **roles) -> tuple[sim.SessionOutcome, OracleCapture]:
-    """One session run with roles (ue_mod=, hn_mod=), its challenge and response
-    taps filling the capture; drop_response then drops the response."""
+    """One session run with roles (ue_mod=, hn_mod=), a wrapper around its UE
+    role filling the capture; drop_response has the radio drop the response."""
     capture = OracleCapture(k_s_prev=world.ue.k_s, r_sn_prime=world.ue.r_sn_prime)
+    role = roles.get("ue_mod", ue)
 
-    def on_challenge(data: bytes, ctx) -> bytes:
-        if world.ue.ephemeral is not None:
-            capture.sk_u = world.ue.ephemeral.sk
-        return data
+    def identification_response(state: ue.UeState, rng: RandomSource):
+        msg, pair = role.ue_identification_response(state, rng)
+        capture.sk_u = pair.sk
+        return msg, pair
 
-    def on_response(data: bytes, ctx) -> Optional[bytes]:
-        capture.k_seaf = world.ue.k_seaf
-        return None if drop_response else data
+    def process_challenge(state: ue.UeState, ch: wire.ChallengeMsg, ephemeral):
+        accepted = role.ue_process_challenge(state, ch, ephemeral)
+        if accepted is not None:
+            capture.k_seaf = accepted[1]
+        return accepted
 
-    tap = sim.ScriptedAttacker({"challenge": on_challenge, "response": on_response})
+    roles["ue_mod"] = Weakened(role, ue_identification_response=identification_response,
+                               ue_process_challenge=process_challenge)
+    tap = sim.ScriptedAttacker({"response": lambda data, ctx: None}) if drop_response else None
     return sim.run_session(world, mode, tap, rng, **roles), capture
 
 
@@ -248,21 +253,22 @@ class Weakened:
         return getattr(self._module, name)
 
 
-def _ue_without_mac_check(state: ue.UeState, ch: wire.ChallengeMsg) -> Optional[wire.ResponseMsg]:
+def _ue_without_mac_check(
+    state: ue.UeState, ch: wire.ChallengeMsg, ephemeral: Optional[crypto.KemKeyPair],
+) -> Optional[tuple[wire.ResponseMsg, bytes, bytes]]:
     """UE that accepts any AUTN MAC on the SUPI path: it puts the MAC it
     expects, from K, sk_U and CONC, into the challenge before the real check.
-    A challenge it cannot splice (no c2, no pending sk_U, or a c2 that does
-    not decapsulate) goes to the honest UE as it came."""
-    if ch.c2 is not None and state.ephemeral is not None:
+    A challenge it cannot splice (no c2, a session that drew no sk_U, or a c2
+    that does not decapsulate) goes to the honest UE as it came."""
+    if ch.c2 is not None and ephemeral is not None:
         try:
-            k_star = crypto.as_shared_key(
-                crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
+            k_star = crypto.as_shared_key(crypto.kem_decaps(state.kem, ephemeral, ch.c2))
         except crypto.CryptoError:
             pass
         else:
             r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", state.k, [k_star]))
             ch = replace(ch, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
-    return ue.ue_process_challenge(state, ch)
+    return ue.ue_process_challenge(state, ch, ephemeral)
 
 
 def _broken_ue() -> Weakened:
@@ -272,9 +278,8 @@ def _broken_ue() -> Weakened:
 
     def identification_response(state: ue.UeState, rng: RandomSource):
         if "suci" not in first:
-            first["suci"] = ue.ue_identification_response(state, rng), state.ephemeral
-        msg, state.ephemeral = first["suci"]
-        return msg
+            first["suci"] = ue.ue_identification_response(state, rng)
+        return first["suci"]
 
     def guti_identification(state: ue.UeState):
         msg = ue.ue_guti_identification(state)

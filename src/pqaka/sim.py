@@ -175,8 +175,9 @@ def session(
     """One authentication session over both channels, calling the UE and HN
     roles by name on ue_mod and hn_mod (weakened in games). Yields (label,
     bytes) per radio message, is sent the bytes the radio delivers (None if
-    dropped) and returns the SessionOutcome. However it ends, the UE then
-    holds no sk_U drawn for it."""
+    dropped) and returns the SessionOutcome. The sk_U pair, K_seaf and the
+    next K_S the UE makes are this session's locals, so one UE's sessions
+    may interleave."""
     if mode not in ("supi", "guti"):
         raise ValueError("mode must be 'supi' or 'guti'")
     rng = rng or OsRandom()
@@ -192,7 +193,7 @@ def session(
         raise SetupError("UE and HN disagree on the HN identity")
 
     t = SessionTranscript()
-    drawn = None     # the sk_U pair this session drew
+    ephemeral = None     # the sk_U pair, if this session draws one
 
     def send_radio(direction: str, label: str, msg: wire.Message):
         data = wire.encode(msg)
@@ -218,96 +219,91 @@ def session(
         hn.pending.pop(sid, None)
         return _aborted(t, step)
 
+    # 1-3. identification, in at most two rounds: the UE answers with its
+    # GUTI only a first request that allows one, and with a SUCI otherwise;
+    # an unknown GUTI makes the SN's fallback the second round's request
+    request = wire.IdRequestMsg(force_supi=(mode == "supi"))
+    for first in (True, False):
+        req = yield from send_radio("SN->UE", "id-request", request)
+        if req is None:
+            return _aborted(t, "id-request")
+        ident: Optional[wire.Message] = None
+        if first and isinstance(req, wire.IdRequestMsg) and not req.force_supi:
+            ident = ue_mod.ue_guti_identification(ue)
+        if ident is None:
+            ident, ephemeral = ue_mod.ue_identification_response(ue, rng)
+        label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
+        received = yield from send_radio("UE->SN", label, ident)
+        if received is None:
+            return _aborted(t, label)
+        if isinstance(received, wire.IdResponseMsg):
+            forwarded = sn_mod.sn_forward_identification(sn, received, rng)
+        elif first and isinstance(received, wire.GutiIdMsg):
+            forwarded = sn_mod.sn_resolve_guti(sn, received, rng)
+        else:
+            return _aborted(t, "sn-ident")   # a foreign type, or a GUTI again
+        if not isinstance(forwarded, wire.IdRequestMsg):
+            break
+        request = forwarded
+    to_hn, sid = forwarded
+
+    ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"
+    at_hn = send_core("SN->HN", ident_label, to_hn)
+
+    # 4. HN: identification and authentication vector
     try:
-        # 1-3. identification, in at most two rounds: the UE answers with its
-        # GUTI only a first request that allows one, and with a SUCI otherwise;
-        # an unknown GUTI makes the SN's fallback the second round's request
-        request = wire.IdRequestMsg(force_supi=(mode == "supi"))
-        for first in (True, False):
-            req = yield from send_radio("SN->UE", "id-request", request)
-            if req is None:
-                return _aborted(t, "id-request")
-            ident: Optional[wire.Message] = None
-            if first and isinstance(req, wire.IdRequestMsg) and not req.force_supi:
-                ident = ue_mod.ue_guti_identification(ue)
-            if ident is None:
-                ident = ue_mod.ue_identification_response(ue, rng)
-                drawn = ue.ephemeral
-            label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
-            received = yield from send_radio("UE->SN", label, ident)
-            if received is None:
-                return _aborted(t, label)
-            if isinstance(received, wire.IdResponseMsg):
-                forwarded = sn_mod.sn_forward_identification(sn, received, rng)
-            elif first and isinstance(received, wire.GutiIdMsg):
-                forwarded = sn_mod.sn_resolve_guti(sn, received, rng)
-            else:
-                return _aborted(t, "sn-ident")   # a foreign type, or a GUTI again
-            if not isinstance(forwarded, wire.IdRequestMsg):
-                break
-            request = forwarded
-        to_hn, sid = forwarded
+        if isinstance(at_hn, wire.SnToHnIdentMsg):
+            supi, pk_u, record = hn_mod.hn_identify(hn, at_hn, sn.id_sn)
+            to_sn = hn_mod.hn_auth_vector(
+                hn, record, pk_u, at_hn.r_sn, sn.id_sn, rng, sid)
+        else:
+            to_sn = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
+    except hn_mod.IdentificationAbort:
+        send_core("HN->SN", "hn-abort", wire.AbortMsg())
+        sn.pending.pop(sid, None)
+        return _aborted(t, "hn-identify")
 
-        ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"
-        at_hn = send_core("SN->HN", ident_label, to_hn)
+    vector = send_core("HN->SN", "auth-vector", to_sn)
 
-        # 4. HN: identification and authentication vector
-        try:
-            if isinstance(at_hn, wire.SnToHnIdentMsg):
-                supi, pk_u, record = hn_mod.hn_identify(hn, at_hn, sn.id_sn)
-                to_sn = hn_mod.hn_auth_vector(
-                    hn, record, pk_u, at_hn.r_sn, sn.id_sn, rng, sid)
-            else:
-                to_sn = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
-        except hn_mod.IdentificationAbort:
-            send_core("HN->SN", "hn-abort", wire.AbortMsg())
-            sn.pending.pop(sid, None)
-            return _aborted(t, "hn-identify")
+    # 5. challenge to the UE
+    challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
+    if challenge is None:
+        return sn_abort("sn-challenge")
+    ch = yield from send_radio("SN->UE", "challenge", challenge)
+    if ch is None or not isinstance(ch, wire.ChallengeMsg):
+        return _aborted(t, "challenge")
 
-        vector = send_core("HN->SN", "auth-vector", to_sn)
+    # 6. UE response (silent abort emits nothing on the radio)
+    accepted = ue_mod.ue_process_challenge(ue, ch, ephemeral)
+    if accepted is None:
+        return _aborted(t, "ue-challenge")
+    response, k_seaf_ue, k_s_new = accepted
+    resp = yield from send_radio("UE->SN", "response", response)
+    if resp is None or not isinstance(resp, wire.ResponseMsg):
+        return _aborted(t, "response")
 
-        # 5. challenge to the UE
-        challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
-        if challenge is None:
-            return sn_abort("sn-challenge")
-        ch = yield from send_radio("SN->UE", "challenge", challenge)
-        if ch is None or not isinstance(ch, wire.ChallengeMsg):
-            return _aborted(t, "challenge")
+    # 7. SN verification, confirmation, GUTI reassignment
+    result = sn_mod.sn_verify_response(sn, sid, resp, rng)
+    if result is None:
+        return sn_abort("sn-verify")
+    send_core("SN->HN", "confirm", wire.ConfirmMsg())
+    k_seaf_hn = hn_mod.hn_finalize(hn, sid)
 
-        # 6. UE response (silent abort emits nothing on the radio)
-        response = ue_mod.ue_process_challenge(ue, ch)
-        if response is None:
-            return _aborted(t, "ue-challenge")
-        k_seaf_ue = ue.k_seaf     # a later session's challenge may replace it
-        resp = yield from send_radio("UE->SN", "response", response)
-        if resp is None or not isinstance(resp, wire.ResponseMsg):
-            return _aborted(t, "response")
+    envelope = seal_assignment(result.k_seaf, result.assignment)
+    delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
+    assignment_delivered = False
+    if isinstance(delivered, wire.SecureEnvelopeMsg):
+        inner = open_assignment(k_seaf_ue, delivered)
+        if inner is not None:
+            ue_mod.ue_handle_guti_assignment(ue, inner, k_seaf_ue, k_s_new)
+            assignment_delivered = True
 
-        # 7. SN verification, confirmation, GUTI reassignment
-        result = sn_mod.sn_verify_response(sn, sid, resp, rng)
-        if result is None:
-            return sn_abort("sn-verify")
-        send_core("SN->HN", "confirm", wire.ConfirmMsg())
-        k_seaf_hn = hn_mod.hn_finalize(hn, sid)
-
-        envelope = seal_assignment(result.k_seaf, result.assignment)
-        delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
-        assignment_delivered = False
-        if isinstance(delivered, wire.SecureEnvelopeMsg) and ue.k_seaf:
-            inner = open_assignment(ue.k_seaf, delivered)
-            if inner is not None:
-                ue_mod.ue_handle_guti_assignment(ue, inner)
-                assignment_delivered = True
-
-        return SessionOutcome(
-            abort_step=None, transcript=t,
-            k_seaf_ue=k_seaf_ue,
-            k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
-            supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
-            key_source="guti" if ch.c2 is None else "supi")
-    finally:
-        if drawn is not None and ue.ephemeral is drawn:
-            ue.ephemeral = None
+    return SessionOutcome(
+        abort_step=None, transcript=t,
+        k_seaf_ue=k_seaf_ue,
+        k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
+        supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
+        key_source="guti" if ch.c2 is None else "supi")
 
 
 def run_session(

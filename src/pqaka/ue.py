@@ -1,14 +1,16 @@
 """UE state machine: identification, challenge verification, ratchet upkeep.
 
-The USIM and ME are modeled as one entity holding one state object. All
-verification failures abort silently: the UE emits nothing, so an observer
-cannot distinguish failure causes. No operation touches a sequence number.
+The USIM and ME are modeled as one entity holding one state object, which
+keeps only what outlives a session: what one session makes (sk_U, K_seaf,
+the next K_S) goes back to the caller, so one UE's sessions may overlap.
+All verification failures abort silently: the UE emits nothing, so an
+observer cannot distinguish failure causes. No operation touches a
+sequence number.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,9 +26,6 @@ from .wire import (
     pack_suci_payload,
 )
 
-log = logging.getLogger(__name__)
-
-
 class ConfigurationError(Exception):
     pass
 
@@ -41,19 +40,17 @@ class UeState:
     kem: KemSuite
     guti: Optional[bytes] = None
     k_s: Optional[bytes] = None              # confirmed ratchet key
-    k_s_pending: Optional[bytes] = None      # staged until GUTI assignment
     r_sn_prime: Optional[bytes] = None
-    ephemeral: Optional[KemKeyPair] = None   # sk_U/pk_U and sk_U's handle, session-scoped
-    k_seaf: Optional[bytes] = None           # anchor key of the last session
 
 
-def ue_identification_response(state: UeState, rng: RandomSource) -> IdResponseMsg:
+def ue_identification_response(state: UeState,
+                               rng: RandomSource) -> tuple[IdResponseMsg, KemKeyPair]:
     """SUPI-based identification: fresh KEM pair, SUCI concealment. The AEAD's
-    tag is sent as MAC_U, apart from the ciphertext SUCI_conc."""
+    tag is sent as MAC_U, apart from the ciphertext SUCI_conc. The pair,
+    sk_U/pk_U and sk_U's handle, belongs to this session alone."""
     if state.pk_h is None:
         raise ConfigurationError("UE has no HN public key provisioned")
     pair = crypto.kem_keygen(state.kem, rng)
-    state.ephemeral = pair
     c1, k_s1_raw = crypto.kem_encaps(state.kem, state.pk_h, rng)
     k_s1 = crypto.as_shared_key(k_s1_raw)
     sealed = crypto.aead_seal(
@@ -61,7 +58,7 @@ def ue_identification_response(state: UeState, rng: RandomSource) -> IdResponseM
     del k_s1  # single-use; not retained in state
     cut = len(sealed) - crypto.AEAD_TAG_OVERHEAD
     return IdResponseMsg(c1=c1, suci_conc=sealed[:cut], mac_u=sealed[cut:],
-                         id_hn=state.id_hn)
+                         id_hn=state.id_hn), pair
 
 
 def ue_guti_identification(state: UeState) -> Optional[GutiIdMsg]:
@@ -71,26 +68,22 @@ def ue_guti_identification(state: UeState) -> Optional[GutiIdMsg]:
     return GutiIdMsg(guti=state.guti)
 
 
-def _abort(state: UeState) -> None:
-    state.ephemeral = None
-    state.k_s_pending = None
-
-
-def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseMsg]:
-    """Verify AUTN and derive the session keys; None means silent abort."""
+def ue_process_challenge(
+    state: UeState, ch: ChallengeMsg, ephemeral: Optional[KemKeyPair],
+) -> Optional[tuple[ResponseMsg, bytes, bytes]]:
+    """Verify AUTN under the sk_U pair this session drew (None if it drew
+    none) and derive the session keys: (RES*, K_seaf, the next K_S), the
+    last staged with the caller until the GUTI assignment. None means
+    silent abort."""
     if ch.c2 is not None:
-        if state.ephemeral is None:
-            _abort(state)
+        if ephemeral is None:
             return None
         try:
-            k_star = crypto.as_shared_key(
-                crypto.kem_decaps(state.kem, state.ephemeral, ch.c2))
+            k_star = crypto.as_shared_key(crypto.kem_decaps(state.kem, ephemeral, ch.c2))
         except crypto.CryptoError:
-            _abort(state)
             return None
     else:       # the GUTI path: never in a session that drew sk_U
-        if state.ephemeral is not None or state.k_s is None or state.r_sn_prime is None:
-            _abort(state)
+        if ephemeral is not None or state.k_s is None or state.r_sn_prime is None:
             return None
         k_star = crypto.xor_bytes(state.k_s, state.r_sn_prime)
 
@@ -99,24 +92,19 @@ def ue_process_challenge(state: UeState, ch: ChallengeMsg) -> Optional[ResponseM
     r_sn = crypto.xor_bytes(ch.conc, ak)
     mac = crypto.prf_f("1", k, [k_star, r_sn])
     if not _hmac.compare_digest(mac, ch.mac):
-        _abort(state)
         if ch.c2 is None:    # the HN may hold another K_S: identify by SUPI next
             state.guti = None
         return None
 
-    res_star, state.k_seaf, state.k_s_pending = crypto.session_keys(
+    res_star, k_seaf, k_s_new = crypto.session_keys(
         k, k_star, r_sn, ch.conc, state.id_sn_expected)
-    return ResponseMsg(res_star=res_star)
+    return ResponseMsg(res_star=res_star), k_seaf, k_s_new
 
 
-def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg) -> None:
-    """Commit the pending ratchet key, and R_SN' derived from the K_seaf
+def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg,
+                              k_seaf: bytes, k_s_new: bytes) -> None:
+    """Commit the session's ratchet key, and R_SN' derived from the K_seaf
     that opened the assignment; doubles as completion confirmation."""
-    if state.k_s_pending is None:
-        log.info("GUTI assignment with no pending session; ignored")
-        return
     state.guti = msg.guti_new
-    state.r_sn_prime = crypto.r_sn_prime(state.k_seaf)
-    state.k_s = state.k_s_pending
-    state.k_s_pending = None
-    state.ephemeral = None
+    state.r_sn_prime = crypto.r_sn_prime(k_seaf)
+    state.k_s = k_s_new

@@ -65,13 +65,13 @@ def test_criterion_3_exhaustive_bit_flip_and_replay():
     world = sim.make_world("test", seed=rng)
     # drive an honest run up to a fixed challenge, then fuzz every bit
     from pqaka import hn as hn_mod, sn as sn_mod
-    msg = ue_mod.ue_identification_response(world.ue, rng)
+    msg, pair = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
     challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
-    assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge)
+    assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge, pair)
 
     # the widths of the challenge's fixed fields, as SCHEMA sends them
     widths = {name: kind.width for name, kind in wire.SCHEMA[wire.ChallengeMsg][1]}
@@ -85,7 +85,7 @@ def test_criterion_3_exhaustive_bit_flip_and_replay():
         mutated[bit // 8] ^= 1 << (bit % 8)
         ch = wire.ChallengeMsg(conc=bytes(mutated[:mac_at]), mac=bytes(mutated[mac_at:c2_at]),
                                c2=bytes(mutated[c2_at:]))
-        if ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch) is None:
+        if ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch, pair) is None:
             aborts += 1
     assert aborts == total                      # 100% silent abort
 

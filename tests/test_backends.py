@@ -140,7 +140,7 @@ def test_rejected_point_in_c2_aborts_at_ue_challenge(name):
     attacker = sim.ScriptedAttacker({"challenge": _zeroed("c2")})
     outcome = sim.run_session(world, "supi", attacker, rng)
     assert outcome.abort_step == "ue-challenge"
-    assert world.ue.ephemeral is None and world.ue.k_seaf is None
+    assert outcome.k_seaf_ue is None and world.ue.k_s is None
 
 
 @pytest.mark.parametrize("name", ECIES)
@@ -150,14 +150,14 @@ def test_every_bit_flip_of_c2_aborts_silently(name):
     silently on each (on P-256, 129 of the 264 flips are not points)."""
     rng = SeededRandom(3)
     world = sim.make_world(name, seed=rng)
-    _msg, _sid, _vector, challenge = to_challenge(world, rng)
-    assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge)
+    _msg, pair, _sid, _vector, challenge = to_challenge(world, rng)
+    assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge, pair)
     assert len(challenge.c2) == world.suite.ct_len
     for bit in range(len(challenge.c2) * 8):
         c2 = bytearray(challenge.c2)
         c2[bit // 8] ^= 1 << (bit % 8)
         ch = dataclasses.replace(challenge, c2=bytes(c2))
-        assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch) is None, bit
+        assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), ch, pair) is None, bit
 
 
 # --- loaded private keys -----------------------------------------------------

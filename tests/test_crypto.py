@@ -183,7 +183,7 @@ def test_no_loaded_key_outlives_its_session():
     assert _hash_objects_reachable_from(roots) == []
     # the walk would find a loaded key kept in a slotted role state or outcome
     loaded = crypto.prf_key(world.ue.k)
-    for kept in (dataclasses.replace(world.ue, k_seaf=loaded),
+    for kept in (dataclasses.replace(world.ue, guti=loaded),
                  dataclasses.replace(done, key_source={"k": [loaded]})):
         assert len(_hash_objects_reachable_from([kept])) == 2
 

@@ -11,28 +11,30 @@ from pqaka.rng import SeededRandom
 
 
 def _ident_msg(world, rng):
-    msg = ue_mod.ue_identification_response(world.ue, rng)
+    """The SN's forward of a fresh id-response, its session id and the
+    sk_U pair the UE drew."""
+    msg, pair = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
-    return to_hn, sid
+    return to_hn, sid, pair
 
 
 def test_identify_recovers_supi_and_pk(world, rng):
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     assert supi == world.ue.supi
-    assert pk_u == world.ue.ephemeral.pk
+    assert pk_u == pair.pk
     assert record is world.hn.registry[supi]
 
 
 def test_identify_rejects_wrong_claimed_sn(world, rng):
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
     world.hn.sn_allowlist.add("other-sn.example")
     with pytest.raises(hn_mod.IdentificationAbort):
         hn_mod.hn_identify(world.hn, to_hn, "other-sn.example")
 
 
 def test_identify_rejects_unlisted_sn(world, rng, monkeypatch):
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
     world.hn.sn_allowlist.clear()
     decaps_calls = []
     real_decaps = crypto.kem_decaps
@@ -49,7 +51,7 @@ def test_identify_rejects_unlisted_sn(world, rng, monkeypatch):
 
 
 def test_identify_rejects_zeroed_mac(world, rng):
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
     bad = wire.SnToHnIdentMsg(c1=to_hn.c1, suci_conc=to_hn.suci_conc,
                               mac_u=bytes(crypto.AEAD_TAG_OVERHEAD), r_sn=to_hn.r_sn)
     with pytest.raises(hn_mod.IdentificationAbort):
@@ -57,7 +59,7 @@ def test_identify_rejects_zeroed_mac(world, rng):
 
 
 def test_identify_rejects_every_one_bit_flip_of_mac_u(world, rng):
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
     assert len(to_hn.mac_u) == crypto.AEAD_TAG_OVERHEAD
     hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)      # the honest tag passes
     for bit in range(crypto.AEAD_TAG_OVERHEAD * 8):
@@ -71,7 +73,7 @@ def test_identify_rejects_every_one_bit_flip_of_mac_u(world, rng):
 def test_identify_rejects_every_one_bit_flip_of_suci_conc(world, rng):
     """MAC_U is SUCI_conc's AEAD tag: with the tag intact, no flipped
     ciphertext bit gets past identification."""
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
     for bit in range(len(to_hn.suci_conc) * 8):
         suci_conc = bytearray(to_hn.suci_conc)
         suci_conc[bit // 8] ^= 1 << (bit % 8)
@@ -81,8 +83,8 @@ def test_identify_rejects_every_one_bit_flip_of_suci_conc(world, rng):
 
 
 def test_identify_rejects_mac_u_of_another_suci_of_the_same_ue(world, rng):
-    to_hn, _sid = _ident_msg(world, rng)
-    other, _other_sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
+    other, _other_sid, _pair = _ident_msg(world, rng)
     assert other.mac_u != to_hn.mac_u
     for c1 in (to_hn.c1, other.c1):     # under either SUCI's K_S1
         bad = dataclasses.replace(to_hn, c1=c1, mac_u=other.mac_u)
@@ -92,7 +94,7 @@ def test_identify_rejects_mac_u_of_another_suci_of_the_same_ue(world, rng):
 
 
 def test_identify_rejects_unknown_subscriber(world, rng):
-    to_hn, _sid = _ident_msg(world, rng)
+    to_hn, _sid, _pair = _ident_msg(world, rng)
     del world.hn.registry[world.ue.supi]
     with pytest.raises(hn_mod.IdentificationAbort):
         hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
@@ -103,7 +105,7 @@ def test_all_aborts_share_one_code(world, rng):
     raised = set()
     for mutate in ("mac", "registry", "sn"):
         w = sim.make_world("test", seed=0)
-        to_hn, _sid = _ident_msg(w, SeededRandom(1))
+        to_hn, _sid, _pair = _ident_msg(w, SeededRandom(1))
         if mutate == "mac":
             to_hn = wire.SnToHnIdentMsg(c1=to_hn.c1, suci_conc=to_hn.suci_conc,
                                         mac_u=bytes(crypto.AEAD_TAG_OVERHEAD), r_sn=to_hn.r_sn)
@@ -120,14 +122,14 @@ def test_all_aborts_share_one_code(world, rng):
 
 
 def test_vector_internal_consistency(world, rng):
-    to_hn, sid = _ident_msg(world, rng)
+    to_hn, sid, pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
     pending = world.hn.pending[sid]
     # AUTN CONC must unmask to the forwarded R_SN under the subscriber key
     k_star = crypto.as_shared_key(
-        crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
+        crypto.kem_decaps(world.suite, pair.sk, vector.c2))
     ak = crypto.prf_f("5", record.k, [k_star])
     assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
     xres_star, _, _ = crypto.session_keys(
@@ -139,13 +141,13 @@ def test_vector_internal_consistency(world, rng):
 
 
 def test_auth_vector_carries_no_session_secrets(world, rng):
-    to_hn, sid = _ident_msg(world, rng)
+    to_hn, sid, pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
     pending = world.hn.pending[sid]
     k_star = crypto.as_shared_key(
-        crypto.kem_decaps(world.suite, world.ue.ephemeral.sk, vector.c2))
+        crypto.kem_decaps(world.suite, pair.sk, vector.c2))
     xres_star, _, _ = crypto.session_keys(
         record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
     k3 = crypto.kdf([xres_star, crypto.prf_f("5", record.k, [k_star])])
@@ -175,7 +177,7 @@ def test_guti_vector_requires_ratchet_key(world):
 
 
 def test_finalize_commits_staged_key(world, rng):
-    to_hn, sid = _ident_msg(world, rng)
+    to_hn, sid, _pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
                           rng, sid)
@@ -187,7 +189,7 @@ def test_finalize_commits_staged_key(world, rng):
 
 
 def test_finalize_twice_second_ignored(world, rng):
-    to_hn, sid = _ident_msg(world, rng)
+    to_hn, sid, _pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
                           rng, sid)
@@ -221,9 +223,9 @@ def test_overlapping_guti_sessions_keep_ratchet_in_step(world, rng):
 @pytest.mark.parametrize("mode", ["supi", "guti"])
 def test_overlapped_sessions_each_report_their_own_ue_key(world, rng, mode):
     """The UE answers A's challenge, then B's; A's response arrives first.
-    A reports the key its own challenge gave the UE, its assignment, sealed
-    under that key, fails to open at the UE, which now holds B's, and B's
-    assignment commits."""
+    Each session reports the key its own challenge gave the UE, and each
+    assignment, sealed under that key, opens and commits; B's, committed
+    last, leaves the UE in step with the HN and the SN."""
     assert sim.run_session(world, "supi", rng=rng).completed
     a = sim.session(world, mode, rng)
     response_a = run_until(a, "response")                   # held back
@@ -234,7 +236,7 @@ def test_overlapped_sessions_each_report_their_own_ue_key(world, rng, mode):
         assert outcome.completed and outcome.key_source == mode
         assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn
     assert outcomes[0].k_seaf_ue != outcomes[1].k_seaf_ue
-    assert [o.assignment_delivered for o in outcomes] == [False, True]
+    assert [o.assignment_delivered for o in outcomes] == [True, True]
     _assert_ratchet_in_step(world, rng)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from drive import fields_holding, finish, keeping_pairs, run_until
 from pqaka import attacks, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
@@ -224,7 +225,7 @@ def test_dropped_challenge_aborts_without_commits(world, rng):
     attacker = sim.ScriptedAttacker({"challenge": lambda data, ctx: None})
     outcome = sim.run_session(world, "supi", attacker, rng)
     assert not outcome.completed and outcome.abort_step == "challenge"
-    assert world.ue.k_seaf is None
+    assert outcome.k_seaf_ue is None
     assert world.ue.k_s is None
     assert world.hn.registry[world.ue.supi].k_s is None
     assert world.ue.guti is None
@@ -353,6 +354,28 @@ def test_dropped_assignment_still_completes(path):
         _HONEST[path][:-1] + ["guti-assign [dropped]"])
 
 
+def test_replayed_assignment_leaves_the_ue_state(world, rng):
+    """The previous session's guti-assign, delivered in the next session,
+    does not open under that session's K_seaf: the session completes, the
+    UE keeps its (GUTI, R_SN', K_S), and the session after it completes."""
+    recorded = []
+
+    def record(data, ctx):
+        recorded.append(data)
+        return data
+
+    assert sim.run_session(
+        world, "supi", sim.ScriptedAttacker({"guti-assign": record}), rng).completed
+    before = (world.ue.guti, world.ue.r_sn_prime, world.ue.k_s)
+    replay = sim.ScriptedAttacker({"guti-assign": lambda data, ctx: recorded[0]})
+    outcome = sim.run_session(world, "guti", replay, rng)
+    assert outcome.completed and not outcome.assignment_delivered
+    assert (world.ue.guti, world.ue.r_sn_prime, world.ue.k_s) == before
+    # the SN has replaced the UE's GUTI, so the UE identifies by SUPI
+    after = sim.run_session(world, "guti", rng=rng)
+    assert after.completed and after.key_source == "supi"
+
+
 def _pass_through(steps):
     """Drive a session with every radio message delivered unchanged; return
     the labels it yielded and its outcome."""
@@ -462,6 +485,39 @@ def test_interleaved_sessions_of_two_subscribers_agree_on_keys(world, rng, mode)
     assert outcomes[0].k_seaf_ue != outcomes[1].k_seaf_ue
 
 
+def _held_supi_session_with(world, rng, case):
+    """Hold a SUPI session of the UE at its challenge, then run the case:
+    "guti", a GUTI session of the same UE run to its end before the held
+    one finishes; "supi", a second SUPI session also held at its challenge,
+    the first one's challenge delivered first. Returns both outcomes."""
+    a = sim.session(world, "supi", rng)
+    challenge_a = run_until(a, "challenge")
+    if case == "guti":
+        b = sim.run_session(world, "guti", rng=rng)
+        return [finish(a, challenge_a), b]
+    b = sim.session(world, "supi", rng)
+    challenge_b = run_until(b, "challenge")
+    return [finish(a, challenge_a), finish(b, challenge_b)]
+
+
+@pytest.mark.parametrize("case", ["guti", "supi"])
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519"])
+def test_sessions_of_one_ue_held_at_their_challenges_each_complete(suite, case):
+    """One UE's overlapping sessions share no sk_U, K_seaf or staged K_S:
+    each completes with one K_seaf at UE, SN and HN, and the UE's K_S ends
+    equal to the HN's."""
+    rng = SeededRandom(4)
+    world = sim.make_world(suite, seed=rng)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    outcomes = _held_supi_session_with(world, rng, case)
+    for outcome in outcomes:
+        assert outcome.completed, outcome.abort_step
+        assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn is not None
+    assert world.ue.k_s == world.hn.registry[world.ue.supi].k_s is not None
+    nxt = sim.run_session(world, "guti", rng=rng)
+    assert nxt.completed and nxt.key_source == "guti"
+
+
 def test_core_messages_never_reach_the_attacker(world, rng):
     seen = []
     attacker = sim.ScriptedAttacker(
@@ -486,21 +542,18 @@ def _leaves(value):
 
 def test_outcomes_carry_no_secrets(world, rng):
     """Besides the transcript and the three K_seaf copies, nothing a session
-    returns equals K, sk_H, an ephemeral sk_U or a ratchet key K_S."""
+    returns equals K, sk_H, an ephemeral sk_U or a ratchet key K_S; and the
+    UE's state holds no sk_U."""
     record = world.hn.registry[world.ue.supi]
     secrets = {world.ue.k, world.hn.kem_pair.sk}
-
-    def keep_sk_u(data, ctx):
-        if world.ue.ephemeral is not None:
-            secrets.add(world.ue.ephemeral.sk)
-        return data
-
-    attacker = sim.ScriptedAttacker({"challenge": keep_sk_u})
+    pairs = []
     outcomes = []
     for mode in ("supi", "guti", "supi", "guti"):
-        outcomes.append(sim.run_session(world, mode, attacker, rng))
+        outcomes.append(sim.run_session(world, mode, rng=rng, ue_mod=keeping_pairs(pairs)))
         secrets |= {world.ue.k_s, record.k_s}
     assert all(o.completed for o in outcomes)
+    assert fields_holding(world.ue, pairs) == []
+    secrets |= {pair.sk for pair in pairs}
     secrets.discard(None)
     assert len(secrets) == 8     # K, sk_H, two sk_U, four ratchet keys
     exempt = {"transcript", "k_seaf_ue", "k_seaf_sn", "k_seaf_hn"}
@@ -575,6 +628,16 @@ def test_assignment_envelope_roundtrip():
     env = sim.seal_assignment(k_seaf, msg)
     assert sim.open_assignment(k_seaf, env) == msg
     assert sim.open_assignment(SeededRandom(21).bytes(32), env) is None
+
+
+def test_assignment_envelope_around_another_message_does_not_open():
+    """An envelope that opens under the transport key, to a message other
+    than a GUTI assignment, gives no assignment."""
+    k_seaf = SeededRandom(20).bytes(32)
+    key = crypto.kdf([k_seaf, b"guti-transport"])
+    env = wire.SecureEnvelopeMsg(ct=crypto.aead_seal(key, wire.encode(wire.ConfirmMsg())))
+    assert wire.decode(crypto.aead_open(key, env.ct)) == wire.ConfirmMsg()
+    assert sim.open_assignment(k_seaf, env) is None
 
 
 def test_export_transcript_lines(world, rng):
@@ -698,13 +761,15 @@ def test_lost_sn_entry_at_the_challenge_frees_the_hn_entry(world, rng):
         return hn_mod.hn_auth_vector(state, *args)
 
     hn_losing_sn = attacks.Weakened(hn_mod, hn_auth_vector=auth_vector_after_sn_loss)
-    outcome = sim.run_session(world, "supi", rng=rng, hn_mod=hn_losing_sn)
+    pairs = []
+    outcome = sim.run_session(world, "supi", rng=rng, hn_mod=hn_losing_sn,
+                              ue_mod=keeping_pairs(pairs))
     assert outcome.abort_step == "sn-challenge"
     last = outcome.transcript.entries[-1]
     assert (last.channel, last.direction, last.annotation) == (
         sim.CORE, "SN->HN", "sn-abort")
     assert last.data == wire.encode(wire.AbortMsg())
     assert world.sn.pending == {} and world.hn.pending == {}
-    assert world.ue.ephemeral is None
+    assert len(pairs) == 1 and fields_holding(world.ue, pairs) == []
     assert sim.run_session(world, "supi", rng=rng).completed
     assert world.hn.pending == {}

@@ -13,7 +13,7 @@ from pqaka.rng import RandomSource, SeededRandom
 
 
 def test_forward_identification_fresh_r_sn(world, rng):
-    msg = ue_mod.ue_identification_response(world.ue, rng)
+    msg, _pair = ue_mod.ue_identification_response(world.ue, rng)
     a, _ = sn_mod.sn_forward_identification(world.sn, msg, rng)
     b, _ = sn_mod.sn_forward_identification(world.sn, msg, rng)
     assert a.r_sn != b.r_sn
@@ -21,7 +21,7 @@ def test_forward_identification_fresh_r_sn(world, rng):
 
 
 def test_forward_identification_seeded_r_sn(world):
-    msg = ue_mod.ue_identification_response(world.ue, SeededRandom(1))
+    msg, _pair = ue_mod.ue_identification_response(world.ue, SeededRandom(1))
     seed = 424242
     to_hn, _sid = sn_mod.sn_forward_identification(world.sn, msg, SeededRandom(seed))
     expected = hashlib.sha256(
@@ -30,7 +30,7 @@ def test_forward_identification_seeded_r_sn(world):
 
 
 def test_forward_challenge_passes_autn_unmodified(world, rng):
-    _msg, sid, vector, challenge = to_challenge(world, rng)
+    _msg, _pair, sid, vector, challenge = to_challenge(world, rng)
     assert (challenge.conc, challenge.mac) == (vector.conc, vector.mac)
     assert challenge.c2 == vector.c2
     pending = world.sn.pending[sid]
@@ -41,32 +41,32 @@ def test_pending_session_holds_r_sn_conc_and_m_only(world, rng):
     """Before RES* the SN keeps its R_SN and the vector's CONC and M, no
     check value: opening M under K3 is its RES* check."""
     assert [f.name for f in dataclasses.fields(sn_mod.PendingSession)] == ["r_sn", "conc", "m"]
-    _msg, sid, vector, _challenge = to_challenge(world, rng)
+    _msg, pair, sid, vector, _challenge = to_challenge(world, rng)
     pending = world.sn.pending[sid]
     assert crypto.xor_bytes(pending.conc, pending.r_sn) == crypto.prf_f(
         "5", world.ue.k, [crypto.as_shared_key(crypto.kem_decaps(
-            world.suite, world.ue.ephemeral, vector.c2))])
+            world.suite, pair, vector.c2))])
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):
-    _msg, _sid, vector, _challenge = to_challenge(world, rng)
+    _msg, _pair, _sid, vector, _challenge = to_challenge(world, rng)
     assert sn_mod.sn_forward_challenge(world.sn, b"nosuch", vector) is None
 
 
 def test_verify_response_recovers_supi_and_key(world, rng):
-    _msg, sid, _vector, challenge = to_challenge(world, rng)
-    response = ue_mod.ue_process_challenge(world.ue, challenge)
+    _msg, pair, sid, _vector, challenge = to_challenge(world, rng)
+    response, k_seaf_ue, _k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, pair)
     result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
     assert result is not None
     assert result.supi == world.ue.supi
     k_seaf_hn = world.hn.pending[sid].k_seaf
-    assert result.k_seaf == k_seaf_hn == world.ue.k_seaf
+    assert result.k_seaf == k_seaf_hn == k_seaf_ue
     assert sid not in world.sn.pending
 
 
 def test_verify_response_bit_flip_fuzz(world, rng):
-    _msg, sid, _vector, challenge = to_challenge(world, rng)
-    response = ue_mod.ue_process_challenge(world.ue, challenge)
+    _msg, pair, sid, _vector, challenge = to_challenge(world, rng)
+    response, _k_seaf, _k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, pair)
     honest = response.res_star
     assert len(honest) == crypto.CHECK_LEN
     for bit in range(8 * crypto.CHECK_LEN):
@@ -85,8 +85,8 @@ def test_verify_response_rejects_every_res_star_but_xres_star(delta):
     """RES* = XRES* xor delta, delta nonzero, spans every other 128-bit
     RES*: M does not open, so the SN returns None and keeps no entry."""
     world, rng = sim.make_world("test", seed=0), SeededRandom(1)
-    _msg, sid, _vector, challenge = to_challenge(world, rng)
-    xres_star = ue_mod.ue_process_challenge(world.ue, challenge).res_star
+    _msg, pair, sid, _vector, challenge = to_challenge(world, rng)
+    xres_star = ue_mod.ue_process_challenge(world.ue, challenge, pair)[0].res_star
     bad = crypto.xor_bytes(xres_star, delta.to_bytes(crypto.CHECK_LEN, "big"))
     assert sn_mod.sn_verify_response(
         world.sn, sid, wire.ResponseMsg(res_star=bad), rng) is None
