@@ -364,6 +364,10 @@ def _linkability_constants(world: sim.World) -> set[bytes]:
     return tags | {b"\x00", b"\x01", world.hn.id_hn.encode()}
 
 
+# the largest offset any game adds to its seed, taken by linkability's control
+MAX_SEED_OFFSET = 17
+
+
 def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
                                mode: str = "supi", *, ue_mod=ue) -> Verdict:
     """No UE-specific radio field value may repeat across the UE's sessions."""
@@ -396,7 +400,7 @@ def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
     controls: list[tuple[str, bool]] = []
     if ue_mod is ue:
         flipped = not scenario_linkability_probe(
-            suite_name, seed + 17, ue_mod=_broken_ue(), mode=mode).holds
+            suite_name, seed + MAX_SEED_OFFSET, ue_mod=_broken_ue(), mode=mode).holds
         controls.append(("broken-ue-reuse-detected", flipped))
     return Verdict(scenario="linkability", holds=holds,
                    evidence=evidence, controls=controls)

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from . import crypto, wire
 from .crypto import KemSuite, get_suite
 from .rng import OsRandom
-from .sim import ID_HN, ID_SN
-
-_SUPI = "imsi-001010000000001"
+from .sim import DEFAULT_SUPI, ID_HN, ID_SN
 
 
 @dataclass
@@ -79,9 +77,9 @@ def size_row(suite: KemSuite) -> SizeRow:
     """Protocol message sizes for this suite, measured on real encodings."""
     c = bytes(suite.ct_len)
     # SUCI_conc is the bare ciphertext; its AEAD tag is sent as MAC_U
-    suci_conc = bytes(len(wire.pack_suci_payload(_SUPI, bytes(suite.pk_len), ID_SN)))
+    suci_conc = bytes(len(wire.pack_suci_payload(DEFAULT_SUPI, bytes(suite.pk_len), ID_SN)))
     tag = bytes(crypto.AEAD_TAG_OVERHEAD)
-    m = bytes(len(wire.pack_m_payload(bytes(crypto.KEY_LEN), _SUPI))
+    m = bytes(len(wire.pack_m_payload(bytes(crypto.KEY_LEN), DEFAULT_SUPI))
               + crypto.AEAD_TAG_OVERHEAD)
     conc, check = bytes(wire.RAND_LEN), bytes(crypto.CHECK_LEN)
     msgs = {

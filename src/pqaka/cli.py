@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from typing import Optional, TextIO
 
 from . import backends  # noqa: F401  (registers the real KEM suites)
 from . import attacks, bench, sim
-from .crypto import get_suite, registered_suites
+from .crypto import available_suites, get_suite, registered_suites
 from .rng import SeededRandom
 
 
@@ -26,9 +25,10 @@ def _open_out(parser: argparse.ArgumentParser,
         parser.error(f"cannot write {path}: {exc.strerror}")
 
 
-# SeededRandom takes 0 <= seed < 2**256, and a game seeds with up to seed + 17
-MAX_SEED = 2**256 - 18
-_SEED_RANGE = "0 to 2**256-18"
+# SeededRandom takes 0 <= seed < 2**256, and a game seeds with up to
+# seed + attacks.MAX_SEED_OFFSET
+MAX_SEED = 2**256 - 1 - attacks.MAX_SEED_OFFSET
+_SEED_RANGE = f"0 to 2**256-{attacks.MAX_SEED_OFFSET + 1}"
 
 
 def _check_seed(parser: argparse.ArgumentParser, seed: int) -> None:
@@ -40,23 +40,13 @@ def _write_lines(out: TextIO, lines: list[str]) -> None:
     out.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _suite_or_exit(parser: argparse.ArgumentParser, name: str):
-    try:
-        return get_suite(name)
-    except KeyError as exc:
-        parser.error(exc.args[0])
-
-
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.sessions < 0:
         parser.error("--sessions must not be negative")
-    suite = _suite_or_exit(parser, args.kem)
-    if not suite.available:
-        parser.error(f"KEM suite {suite.name!r} has no operational backend")
     _check_seed(parser, args.seed)
     with _open_out(parser, args.out) as out:
         rng = SeededRandom(args.seed)
-        world = sim.make_world(suite.name, seed=rng)
+        world = sim.make_world(args.kem, seed=rng)
         outcomes = []
         for i in range(args.sessions):
             if args.mode == "mixed":
@@ -74,9 +64,6 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    suite = _suite_or_exit(parser, args.kem)
-    if not suite.available:
-        parser.error(f"KEM suite {suite.name!r} has no operational backend")
     names = list(attacks.SCENARIOS) if args.scenario == "all" else [args.scenario]
     weaken = frozenset(args.weaken or [])
     try:
@@ -85,7 +72,7 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(str(exc))
     _check_seed(parser, args.seed)
     with _open_out(parser, args.out) as out:
-        verdicts = attacks.run_scenarios(names, suite.name, args.seed, weaken=weaken)
+        verdicts = attacks.run_scenarios(names, args.kem, args.seed, weaken=weaken)
         lines = [v.to_line() for v in verdicts]
         _write_lines(out, lines)
     if args.out:
@@ -97,7 +84,10 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _suite_list(parser: argparse.ArgumentParser, csv: str) -> list[str]:
     names = [n.strip() for n in csv.split(",") if n.strip()]
     for n in names:
-        _suite_or_exit(parser, n)
+        try:
+            get_suite(n)
+        except KeyError as exc:
+            parser.error(exc.args[0])
     return names
 
 
@@ -126,12 +116,12 @@ def cmd_sizes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqaka",
-        description="KEM-based AKA protocol simulator, attack suite and benchmarks")
-    parser.add_argument("--config", help="JSON file with default flag values")
+        description="KEM-based AKA protocol simulator, attack suite and benchmarks",
+        fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate authentication sessions")
-    p_run.add_argument("--kem", default="test")
+    p_run.add_argument("--kem", choices=available_suites(), default="test")
     p_run.add_argument("--sessions", type=int, default=1)
     p_run.add_argument("--mode", choices=["supi", "guti", "mixed"], default="supi")
     p_run.add_argument("--seed", type=int, default=0, help=f"{_SEED_RANGE} (default 0)")
@@ -140,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attack = sub.add_parser("attack", help="run adversary-game scenarios")
     p_attack.add_argument("scenario", choices=sorted(attacks.SCENARIOS) + ["all"])
-    p_attack.add_argument("--kem", default="test")
+    p_attack.add_argument("--kem", choices=available_suites(), default="test")
     p_attack.add_argument("--seed", type=int, default=0, help=f"{_SEED_RANGE} (default 0)")
     p_attack.add_argument("--out", help="verdict output file")
     p_attack.add_argument("--weaken", action="append", choices=sorted(attacks.WEAKENINGS),
@@ -163,36 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    try:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config: {exc}")
-    if not isinstance(defaults, dict):
-        parser.error("config must be a JSON object")
-    # config values become flags (one per list item) right after the command,
-    # so argparse checks them like any flag and a user flag after them wins
-    flags = []
-    for key, value in defaults.items():
-        if not hasattr(args, key):
-            continue
-        for v in value if isinstance(value, list) else [value]:
-            # bool first: True is an int, but would be formatted as "True"
-            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
-                parser.error(f"config {key!r}: {json.dumps(v)} is not a string or a number")
-            flags.append(f"--{key.replace('_', '-')}={v}")
-    start = argv.index("--config") + 2 if "--config" in argv else 0   # past its path
-    at = argv.index(args.command, start) + 1
-    return parser.parse_args(argv[:at] + flags + argv[at:])
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     return args.func(parser, args)
 
 

@@ -26,6 +26,8 @@ CORE = "core"
 # the one SN and HN of every world
 ID_SN = "sn.example"
 ID_HN = "hn.example"
+# make_world's subscriber, whose SUPI the size rows encode
+DEFAULT_SUPI = "imsi-001010000000001"
 
 
 class SetupError(Exception):
@@ -117,12 +119,12 @@ class World:
 def make_world(
     suite_name: str = "test",
     seed: int | RandomSource = 0,
-    supi: str = "imsi-001010000000001",
+    supi: str = DEFAULT_SUPI,
 ) -> World:
     """A consistently provisioned UE/SN/HN triple."""
     rng = seed if isinstance(seed, RandomSource) else SeededRandom(seed)
     suite = get_suite(suite_name)
-    k = rng.bytes(32)
+    k = rng.bytes(crypto.KEY_LEN)
     hn_pair = crypto.kem_keygen(suite, rng)
     hn = hn_mod.HnState(
         id_hn=ID_HN, kem=suite, kem_pair=hn_pair,
@@ -137,7 +139,7 @@ def make_world(
 
 def add_subscriber(world: World, supi: str, rng: RandomSource) -> ue_mod.UeState:
     """Provision another UE against the same SN/HN pair."""
-    k = rng.bytes(32)
+    k = rng.bytes(crypto.KEY_LEN)
     world.hn.registry[supi] = hn_mod.SubscriberRecord(supi=supi, k=k)
     if world.hn.persist_path:
         hn_mod.save_registry(world.hn.persist_path, world.hn.registry, supi)

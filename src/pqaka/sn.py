@@ -129,9 +129,9 @@ def sn_assign_guti(state: SnState, supi: str, k_seaf: bytes,
     """Fresh GUTI (collision-checked), stored with the R_SN' derived from the
     session's K_seaf; old GUTI for the SUPI goes."""
     old = state.guti_of.get(supi)
-    guti = rng.bytes(16)
+    guti = rng.bytes(wire.GUTI_LEN)
     while guti in state.guti_table:
-        guti = rng.bytes(16)
+        guti = rng.bytes(wire.GUTI_LEN)
     r_sn_prime = crypto.r_sn_prime(k_seaf)
     if old in state.guti_table and state.guti_table[old].supi == supi:
         del state.guti_table[old]

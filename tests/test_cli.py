@@ -1,4 +1,4 @@
-"""CLI: exit codes, outputs, config handling."""
+"""CLI: exit codes, outputs, flag files."""
 
 import importlib.util
 import json
@@ -98,12 +98,17 @@ def test_unused_weakening_leaves_out_untouched(tmp_path):
 
 
 def test_run_unknown_kem_usage_error(capsys):
+    """argparse's choices error names the value and lists the operational
+    suites only."""
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--kem", "nosuch")
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "pqaka: error: unknown KEM suite 'nosuch'; registered: "
-        + ", ".join(registered_suites()))
+    error = capsys.readouterr().err.splitlines()[-1]
+    head, listed = error.split(" (choose from ")
+    assert head.startswith("pqaka run: error: argument --kem: invalid choice: ")
+    assert "nosuch" in head
+    # Python 3.10 and 3.11 quote each choice; later versions may not
+    assert [n.strip("'") for n in listed.rstrip(")").split(", ")] == available_suites()
 
 
 def test_run_metadata_only_kem_usage_error():
@@ -160,17 +165,12 @@ def test_attack_weakening_fails_each_game_it_lists(weakening):
         assert run_cli("attack", scenario, "--weaken", weakening) == 1, scenario
 
 
-def test_attack_unknown_weakening_usage_error(tmp_path, capsys):
+def test_attack_unknown_weakening_usage_error(capsys):
     """A misspelt negative control is refused, not run as the honest game."""
     with pytest.raises(SystemExit) as exc:
         run_cli("attack", "replay", "--weaken", "ue-mca")
     assert exc.value.code == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"weaken": ["typo"]}))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--config", str(cfg), "attack", "replay")
-    assert exc.value.code == 2
-    assert "typo" in capsys.readouterr().err
+    assert "ue-mca" in capsys.readouterr().err
 
 
 def test_sizes_kyber_row(capsys):
@@ -205,7 +205,7 @@ def test_sizes_match_a_real_supi_session(suite, capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     row = next(r for r in rows if r.split()[0] == suite)
     columns = dict(zip(header.split(), row.split()))
-    world = sim.make_world(suite, supi=bench._SUPI)
+    world = sim.make_world(suite, supi=sim.DEFAULT_SUPI)
     outcome = sim.run_session(world, "supi", rng=SeededRandom(1))
     assert outcome.completed
     sent = {e.annotation: len(e.data) for e in outcome.transcript.entries}
@@ -274,73 +274,78 @@ def test_bench_unavailable_suite_reported(capsys):
     assert "unavailable" in capsys.readouterr().out
 
 
-def test_config_file_defaults_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sessions": 3, "seed": 5}))
+def test_flag_file_values_apply(tmp_path):
+    """A file of one argument per line runs as the same flags given inline."""
+    flags = tmp_path / "flags"
+    flags.write_text("--kem\ntest\n--sessions=3\n--mode=mixed\n--seed\n5\n")
+    from_file, inline = tmp_path / "file.log", tmp_path / "inline.log"
+    assert run_cli("run", f"@{flags}", "--out", str(from_file)) == 0
+    assert run_cli("run", "--kem", "test", "--sessions", "3", "--mode", "mixed",
+                   "--seed", "5", "--out", str(inline)) == 0
+    assert {line.split()[0] for line in from_file.read_text().splitlines()} == {"0", "1", "2"}
+    assert from_file.read_bytes() == inline.read_bytes()
+
+
+@pytest.mark.parametrize("argv,sessions", [
+    pytest.param(["@FLAGS", "--sessions", "1"], {"0"}, id="after-wins"),
+    pytest.param(["@FLAGS", "--sessions=1"], {"0"}, id="after-with-equals-wins"),
+    pytest.param(["--sessions=1", "@FLAGS"], {"0", "1", "2"}, id="before-loses")])
+def test_flag_file_expands_in_place_and_the_later_flag_wins(tmp_path, argv, sessions):
+    flags = tmp_path / "flags"
+    flags.write_text("--sessions=3\n")
     out = tmp_path / "c.log"
-    assert run_cli("--config", str(cfg), "run", "--out", str(out)) == 0
-    assert {line.split()[0] for line in out.read_text().splitlines()} == {"0", "1", "2"}
-    # explicit flag wins over the config value
-    assert run_cli("--config", str(cfg), "run", "--sessions", "1",
-                   "--out", str(out)) == 0
-    assert {line.split()[0] for line in out.read_text().splitlines()} == {"0"}
+    argv = [a.replace("FLAGS", str(flags)) for a in argv]
+    assert run_cli("run", *argv, "--out", str(out)) == 0
+    assert {line.split()[0] for line in out.read_text().splitlines()} == sessions
 
 
-def test_config_yields_to_flag_given_with_equals_sign(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sessions": 3}))
+def test_flag_file_repeats_a_repeatable_flag(tmp_path, monkeypatch):
+    flags = tmp_path / "flags"
+    flags.write_text("--weaken=ue-mac\n--weaken=hn-seal-ak\n")
+    seen = []
+    monkeypatch.setattr(attacks, "run_scenarios",
+                        lambda names, suite, seed, weaken: seen.append(weaken) or [])
+    assert run_cli("attack", "sn-binding", f"@{flags}") == 0
+    assert seen == [frozenset({"ue-mac", "hn-seal-ak"})]
+
+
+def test_flag_file_holds_the_command(tmp_path):
+    flags = tmp_path / "flags"
+    flags.write_text("attack\nreplay\n--weaken=ue-mac\n")
+    assert run_cli(f"@{flags}") == 1
+
+
+@pytest.mark.parametrize("command,line", [
+    (["run"], "--sessions=two"), (["run"], "--sessions=2.5"), (["run"], "--mode=bogus"),
+    (["attack", "replay"], "--weaken=typo"), (["run"], "--seed=-1")])
+def test_flag_file_value_rejected_is_usage_error(tmp_path, capsys, command, line):
+    flags = tmp_path / "flags"
     out = tmp_path / "c.log"
-    assert run_cli("--config", str(cfg), "run", "--sessions=1",
-                   f"--out={out}") == 0
-    assert {line.split()[0] for line in out.read_text().splitlines()} == {"0"}
-
-
-def test_config_values_are_parsed_like_flags(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "c.log"
-    cfg.write_text(json.dumps({"sessions": "2"}))
-    assert run_cli("--config", str(cfg), "run", "--out", str(out)) == 0
-    assert {line.split()[0] for line in out.read_text().splitlines()} == {"0", "1"}
-    cfg.write_text(json.dumps({"weaken": ["ue-mac"]}))
-    assert run_cli("--config", str(cfg), "attack", "replay", "--out", str(out)) == 1
-
-
-@pytest.mark.parametrize("config", [
-    {"sessions": "two"}, {"sessions": 2.5}, {"mode": "bogus"}])
-def test_config_value_rejected_by_argparse_is_usage_error(tmp_path, capsys, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    flags.write_text(f"{line}\n--out={out}\n")
     with pytest.raises(SystemExit) as exc:
-        run_cli("--config", str(cfg), "run", "--out", str(tmp_path / "c.log"))
+        run_cli(*command, f"@{flags}")
     assert exc.value.code == 2
-    assert next(iter(config)) in capsys.readouterr().err
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("config", [
-    {"out": None}, {"out": True}, {"sessions": False}, {"out": {"a": 1}},
-    {"weaken": ["ue-mac", None]}, {"weaken": [["ue-mac"]]}])
-def test_config_value_not_a_string_or_number_is_usage_error(
-        tmp_path, monkeypatch, capsys, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    monkeypatch.chdir(tmp_path)
-    command = ["attack", "replay"] if "weaken" in config else ["run"]
+def test_missing_flag_file_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
     with pytest.raises(SystemExit) as exc:
-        run_cli("--config", str(cfg), *command)
+        run_cli("run", f"@{missing}")
     assert exc.value.code == 2
-    assert f"config {next(iter(config))!r}" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]   # no --out opened
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
 
 
-def test_config_unreadable_usage_error(tmp_path):
+@pytest.mark.parametrize("argv", [["sizes", "--kem", "test,nosuch"],
+                                  ["bench", "--kem", "nosuch"]], ids=["sizes", "bench"])
+def test_unknown_suite_in_list_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
-        run_cli("--config", str(tmp_path / "missing.json"), "run")
+        run_cli(*argv, "--out", str(out))
     assert exc.value.code == 2
-    cfg = tmp_path / "list.json"
-    cfg.write_text("[1, 2]")
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--config", str(cfg), "run")
-    assert exc.value.code == 2
+    assert "'nosuch'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.skipif("ecies-x25519" not in available_suites(),
