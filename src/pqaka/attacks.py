@@ -42,7 +42,7 @@ def _opened(key: bytes, ct: bytes, unpack: Callable[[bytes], tuple]) -> tuple:
 
 # recipe op -> its executable form, called as _OPS[op](suite, *input_values)
 _OPS = {
-    "decaps": lambda suite, sk, ct: crypto.as_shared_key(crypto.kem_decaps(suite, sk, ct)),
+    "decaps": lambda suite, sk, ct: crypto.kem_decaps(suite, sk, ct),
     **{f"f{i}": lambda suite, key, *values, i=i: crypto.prf_f(i, key, list(values))
        for i in "12345"},
     "kdf": lambda suite, *values: crypto.kdf(list(values)),
@@ -262,7 +262,7 @@ def _ue_without_mac_check(
     that does not decapsulate) goes to the honest UE as it came."""
     if ch.c2 is not None and ephemeral is not None:
         try:
-            k_star = crypto.as_shared_key(crypto.kem_decaps(state.kem, ephemeral, ch.c2))
+            k_star = crypto.kem_decaps(state.kem, ephemeral, ch.c2)
         except crypto.CryptoError:
             pass
         else:

@@ -81,22 +81,24 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if all(v.holds for v in verdicts) else 1
 
 
-def _suite_list(parser: argparse.ArgumentParser, csv: str) -> list[str]:
+def _suite_list(csv: str) -> list[str]:
+    """The --kem type of bench and sizes: a comma list naming registered suites."""
     names = [n.strip() for n in csv.split(",") if n.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"{csv!r} names no suite")
     for n in names:
         try:
             get_suite(n)
         except KeyError as exc:
-            parser.error(exc.args[0])
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
     return names
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.iters < 2:
         parser.error("--iters must be at least 2: the IQR needs two samples")
-    names = _suite_list(parser, args.kem)
     with _open_out(parser, args.out) as out:
-        rows = bench.run_bench(names, args.iters)
+        rows = bench.run_bench(args.kem, args.iters)
         print(bench.format_bench_table(rows))
         if args.out:
             _write_lines(out, bench.rows_jsonl(rows))
@@ -104,9 +106,8 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_sizes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    names = _suite_list(parser, args.kem)
     with _open_out(parser, args.out) as out:
-        rows = bench.run_sizes(names)
+        rows = bench.run_sizes(args.kem)
         print(bench.format_size_table(rows))
         if args.out:
             _write_lines(out, bench.rows_jsonl(rows))
@@ -138,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.set_defaults(func=cmd_attack)
 
     p_bench = sub.add_parser("bench", help="time KEM primitives per suite")
-    p_bench.add_argument("--kem", default="test",
+    p_bench.add_argument("--kem", type=_suite_list, default="test",
                          help="comma-separated suite names")
     p_bench.add_argument("--iters", type=int, default=100)
     p_bench.add_argument("--out", help="JSONL report file")
     p_bench.set_defaults(func=cmd_bench)
 
     p_sizes = sub.add_parser("sizes", help="communication cost table")
-    p_sizes.add_argument("--kem", default=",".join(registered_suites()),
+    p_sizes.add_argument("--kem", type=_suite_list, default=",".join(registered_suites()),
                          help="comma-separated suite names")
     p_sizes.add_argument("--out", help="JSONL report file")
     p_sizes.set_defaults(func=cmd_sizes)

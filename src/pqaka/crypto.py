@@ -220,6 +220,7 @@ def kem_keygen(suite: KemSuite, rng: RandomSource) -> KemKeyPair:
 
 
 def kem_encaps(suite: KemSuite, pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
+    """(ct, the protocol key): as_shared_key of the shared secret."""
     if not suite.available:
         raise SuiteUnavailableError(f"KEM backend {suite.name!r} not compiled in")
     if len(pk) != suite.pk_len:
@@ -227,7 +228,7 @@ def kem_encaps(suite: KemSuite, pk: bytes, rng: RandomSource) -> tuple[bytes, by
     ct, k = suite.encaps(pk, rng)
     if len(ct) != suite.ct_len or len(k) != suite.key_len:
         raise CryptoError(f"{suite.name}: encaps output lengths differ from metadata")
-    return ct, k
+    return ct, as_shared_key(k)
 
 
 def _load_sk(suite: KemSuite, sk: bytes) -> object:
@@ -240,8 +241,8 @@ def kem_load(suite: KemSuite, pair: KemKeyPair) -> KemKeyPair:
 
 
 def kem_decaps(suite: KemSuite, sk: bytes | KemKeyPair, ct: bytes) -> bytes:
-    """Decapsulate under raw sk bytes, or under a key pair with its pk and
-    handle; raw bytes, or a pair without a handle, are loaded for this call."""
+    """The protocol key from ct, under raw sk bytes or a key pair with its pk
+    and handle; raw bytes, or a pair without a handle, are loaded for this call."""
     if not suite.available:
         raise SuiteUnavailableError(f"KEM backend {suite.name!r} not compiled in")
     if isinstance(sk, KemKeyPair):
@@ -252,7 +253,8 @@ def kem_decaps(suite: KemSuite, sk: bytes | KemKeyPair, ct: bytes) -> bytes:
         raise CryptoError(f"{suite.name}: sk must be {suite.sk_len} bytes")
     if len(ct) != suite.ct_len:
         raise CryptoError(f"{suite.name}: ct must be {suite.ct_len} bytes")
-    return suite.decaps(_load_sk(suite, sk) if handle is None else handle, pk, ct)
+    return as_shared_key(
+        suite.decaps(_load_sk(suite, sk) if handle is None else handle, pk, ct))
 
 
 # --- test KEM -------------------------------------------------------------
@@ -310,9 +312,9 @@ def available_suites() -> list[str]:
 
 register_suite(TEST_KEM)
 
-# Post-quantum parameter sizes at the NIST level-1 / 128-bit setting.
-# No PQ backend ships with this package; these rows exist so size
-# reports cover the algorithms, while key operations stay unavailable.
+# Post-quantum parameter sizes at the NIST level-1 / 128-bit setting, for size
+# reports; key operations need liboqs, whose backends replace these rows.
+# ML-KEM ships operational in backends when cryptography's mlkem imports.
 for _name, _sk, _pk, _ct, _k in [
     ("kyber", 1632, 800, 768, 32),
     ("mceliece", 6452, 261120, 128, 32),

@@ -44,9 +44,6 @@ class PendingAuth:
     k_s_new: bytes                            # committed on confirmation
 
 
-PENDING_MAX = 64    # sessions awaiting confirmation, bounded as in sn
-
-
 @dataclass
 class HnState:
     id_hn: str
@@ -68,8 +65,7 @@ def hn_identify(
     if state.kem_pair.handle is None:        # a pickled pair drops its handle
         state.kem_pair = crypto.kem_load(state.kem, state.kem_pair)
     try:
-        k_s1 = crypto.as_shared_key(
-            crypto.kem_decaps(state.kem, state.kem_pair, msg.c1))
+        k_s1 = crypto.kem_decaps(state.kem, state.kem_pair, msg.c1)
         plain = crypto.aead_open(k_s1, msg.suci_conc + msg.mac_u)
         supi, pk_u, id_sn = unpack_suci_payload(plain)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
@@ -99,10 +95,8 @@ def _derive_vector(
         k, k_star, r_sn, conc, id_sn)
     k3 = crypto.kdf([res_star, f5])
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
-    state.pending[sid] = PendingAuth(k_seaf=k_seaf, supi=record.supi,
-                                     k_s_new=k_s_new)
-    if len(state.pending) > PENDING_MAX:      # evict the oldest session
-        del state.pending[next(iter(state.pending))]
+    store.hold_pending(state.pending, sid, PendingAuth(
+        k_seaf=k_seaf, supi=record.supi, k_s_new=k_s_new))
     return HnToSnAuthMsg(conc=conc, mac=mac, m=m, c2=c2)
 
 
@@ -119,10 +113,9 @@ def hn_auth_vector(
     pk_U the suite rejects (a SUCI forged by a subscriber's own device)
     aborts like any identification failure."""
     try:
-        c2, k_s2_raw = crypto.kem_encaps(state.kem, pk_u, rng)
+        c2, k_s2 = crypto.kem_encaps(state.kem, pk_u, rng)
     except crypto.CryptoError:
         raise IdentificationAbort() from None
-    k_s2 = crypto.as_shared_key(k_s2_raw)
     return _derive_vector(state, record, k_s2, c2, r_sn, id_sn, sid)
 
 

@@ -45,11 +45,6 @@ class PendingSession:
     m: Optional[bytes] = None
 
 
-# Sessions awaiting their next message; one more evicts the oldest, so
-# replays cannot grow the table. Tests and benchmarks hold at most 4.
-PENDING_MAX = 64
-
-
 @dataclass
 class SnState:
     id_sn: str
@@ -70,9 +65,7 @@ def _open_session(state: SnState, identifier: bytes, rng: RandomSource) -> tuple
     """Draw a fresh R_SN and open pending session sid = H(identifier, R_SN)."""
     r_sn = rng.bytes(wire.RAND_LEN)
     sid = crypto.hash_h([identifier, r_sn])
-    state.pending[sid] = PendingSession(r_sn=r_sn)
-    if len(state.pending) > PENDING_MAX:      # evict the oldest session
-        del state.pending[next(iter(state.pending))]
+    store.hold_pending(state.pending, sid, PendingSession(r_sn=r_sn))
     return r_sn, sid
 
 

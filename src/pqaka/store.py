@@ -11,7 +11,8 @@ SUPI is its row. A commit appends its one row in one unsynced
 records outnumber the rows by COMPACT_SLACK, write the file whole through a
 fsynced ``path + ".tmp"``. A power loss can drop the last commits, but
 ``load`` never returns a torn row. File descriptors are cached here by
-path, not kept on the role state, so the state stays picklable.
+path, not kept on the role state, so the state stays picklable. Pending
+sessions are never stored: each role bounds its table by ``hold_pending``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .wire import Fields, ParseError, pack_fields, unpack_fields
 
 VERSION = 3
 COMPACT_SLACK = 64
+PENDING_MAX = 64        # sessions a role holds awaiting their next message
 _FRAME = struct.Struct("<II")      # body length, zlib.crc32 of the body
 
 
@@ -45,6 +47,14 @@ class Table:
 
     def decode(self, body: bytes) -> list:
         return unpack_fields(self.fields, body, 0, f"in {self.name} record")
+
+
+def hold_pending(pending: dict, sid: bytes, entry: object) -> None:
+    """Hold entry as pending session sid. Past PENDING_MAX the oldest goes,
+    so replays cannot grow the table."""
+    pending[sid] = entry
+    if len(pending) > PENDING_MAX:
+        del pending[next(iter(pending))]
 
 
 @dataclass

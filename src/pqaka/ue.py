@@ -51,8 +51,7 @@ def ue_identification_response(state: UeState,
     if state.pk_h is None:
         raise ConfigurationError("UE has no HN public key provisioned")
     pair = crypto.kem_keygen(state.kem, rng)
-    c1, k_s1_raw = crypto.kem_encaps(state.kem, state.pk_h, rng)
-    k_s1 = crypto.as_shared_key(k_s1_raw)
+    c1, k_s1 = crypto.kem_encaps(state.kem, state.pk_h, rng)
     sealed = crypto.aead_seal(
         k_s1, pack_suci_payload(state.supi, pair.pk, state.id_sn_expected))
     del k_s1  # single-use; not retained in state
@@ -79,7 +78,7 @@ def ue_process_challenge(
         if ephemeral is None:
             return None
         try:
-            k_star = crypto.as_shared_key(crypto.kem_decaps(state.kem, ephemeral, ch.c2))
+            k_star = crypto.kem_decaps(state.kem, ephemeral, ch.c2)
         except crypto.CryptoError:
             return None
     else:       # the GUTI path: never in a session that drew sk_U

@@ -29,6 +29,18 @@ def test_run_zero_sessions(tmp_path):
     assert out.read_text() == ""
 
 
+def test_run_reports_each_aborted_session(tmp_path, monkeypatch, capsys):
+    """Sessions whose challenge the radio drops are named on stderr with
+    their abort step, and the run exits 1."""
+    real = sim.run_session
+    drop = sim.ScriptedAttacker({"challenge": lambda data, ctx: None})
+    monkeypatch.setattr(sim, "run_session",
+                        lambda world, mode, rng=None: real(world, mode, drop, rng))
+    assert run_cli("run", "--sessions", "2", "--out", str(tmp_path / "t.log")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "session 0 aborted at challenge", "session 1 aborted at challenge"]
+
+
 def test_run_negative_sessions_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--sessions", "-3")
@@ -337,14 +349,18 @@ def test_missing_flag_file_usage_error(tmp_path, capsys):
     assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["sizes", "--kem", "test,nosuch"],
-                                  ["bench", "--kem", "nosuch"]], ids=["sizes", "bench"])
-def test_unknown_suite_in_list_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, named", [
+    (["sizes", "--kem", "test,nosuch"], "'nosuch'"),
+    (["bench", "--kem", "nosuch"], "'nosuch'"),
+    (["sizes", "--kem", ","], "',' names no suite"),
+    (["bench", "--kem", ""], "'' names no suite"),
+], ids=["sizes", "bench", "sizes-empty", "bench-empty"])
+def test_unknown_suite_in_list_usage_error(tmp_path, capsys, argv, named):
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out", str(out))
     assert exc.value.code == 2
-    assert "'nosuch'" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -72,6 +72,27 @@ def test_kem_length_validation():
         crypto.kem_decaps(TEST_KEM, b"\x00" * 5, b"\x00" * 32)
 
 
+@pytest.mark.parametrize("field", ["ct_len", "key_len"])
+def test_encaps_output_off_its_metadata_raises(field):
+    """A backend whose ct or shared secret differs from its suite's sizes."""
+    suite = dataclasses.replace(TEST_KEM, **{field: 31})
+    pair = crypto.kem_keygen(suite, SeededRandom(0))
+    with pytest.raises(crypto.CryptoError, match="encaps output lengths"):
+        crypto.kem_encaps(suite, pair.pk, SeededRandom(1))
+
+
+@pytest.mark.parametrize("field", ["sk_len", "pk_len"])
+def test_keygen_output_off_its_metadata_raises(field):
+    suite = dataclasses.replace(TEST_KEM, **{field: 31})
+    with pytest.raises(crypto.CryptoError, match="keypair lengths"):
+        crypto.kem_keygen(suite, SeededRandom(0))
+
+
+def test_seed_not_32_bytes_is_hashed_to_one():
+    assert (SeededRandom(b"short").bytes(64)
+            == SeededRandom(hashlib.sha256(b"short").digest()).bytes(64))
+
+
 def test_metadata_only_suite_unavailable():
     suite = crypto.get_suite("kyber")
     assert not suite.available

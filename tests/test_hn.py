@@ -128,8 +128,7 @@ def test_vector_internal_consistency(world, rng):
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
     pending = world.hn.pending[sid]
     # AUTN CONC must unmask to the forwarded R_SN under the subscriber key
-    k_star = crypto.as_shared_key(
-        crypto.kem_decaps(world.suite, pair.sk, vector.c2))
+    k_star = crypto.kem_decaps(world.suite, pair.sk, vector.c2)
     ak = crypto.prf_f("5", record.k, [k_star])
     assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
     xres_star, _, _ = crypto.session_keys(
@@ -146,8 +145,7 @@ def test_auth_vector_carries_no_session_secrets(world, rng):
     vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
     pending = world.hn.pending[sid]
-    k_star = crypto.as_shared_key(
-        crypto.kem_decaps(world.suite, pair.sk, vector.c2))
+    k_star = crypto.kem_decaps(world.suite, pair.sk, vector.c2)
     xres_star, _, _ = crypto.session_keys(
         record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
     k3 = crypto.kdf([xres_star, crypto.prf_f("5", record.k, [k_star])])
@@ -259,8 +257,7 @@ def test_replayed_suci_during_supi_session_keeps_ratchet_in_step(world, rng):
 def _forged_id_response(world, pk_u, rng) -> bytes:
     """The id-response a device holding pk_H and a registered SUPI seals
     around a pk_U of its choosing: it opens, tag and all, at the HN."""
-    c1, k_raw = crypto.kem_encaps(world.suite, world.ue.pk_h, rng)
-    k_s1 = crypto.as_shared_key(k_raw)
+    c1, k_s1 = crypto.kem_encaps(world.suite, world.ue.pk_h, rng)
     sealed = crypto.aead_seal(
         k_s1, wire.pack_suci_payload(world.ue.supi, pk_u, world.sn.id_sn))
     tag = crypto.AEAD_TAG_OVERHEAD

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from drive import fields_holding, finish, keeping_pairs, run_until
-from pqaka import attacks, crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
+from pqaka import attacks, crypto, hn as hn_mod, sim, store, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
 
@@ -596,6 +596,46 @@ def test_misconfigured_world_raises_setup_error(rng):
     del world3.hn.registry[world3.ue.supi]
     with pytest.raises(sim.SetupError):
         sim.run_session(world3, "supi", rng=rng)
+    world4 = sim.make_world("test", seed=0)
+    world4.ue.id_hn = "other-hn.example"
+    with pytest.raises(sim.SetupError):
+        sim.run_session(world4, "supi", rng=rng)
+
+
+def test_unknown_mode_raises_value_error(world, rng):
+    with pytest.raises(ValueError):
+        next(sim.session(world, "suci", rng))
+
+
+def _wide(key: bytes) -> bytes:
+    return key + crypto.hash_h([key])
+
+
+def _wide_encaps(pk, rng):
+    ct, key = crypto._test_encaps(pk, rng)
+    return ct, _wide(key)
+
+
+# the test KEM with a 64-byte shared secret, as HQC-128 has
+WIDE_KEM = dataclasses.replace(
+    crypto.TEST_KEM, name="test-wide", key_len=64, encaps=_wide_encaps,
+    decaps=lambda sk, pk, ct: _wide(crypto._test_decaps(sk, pk, ct)))
+
+
+def test_sessions_over_a_kem_whose_shared_secret_is_not_32_bytes(monkeypatch, rng):
+    """The KEM wrappers hash a 64-byte shared secret to the 32-byte protocol
+    key alike at both ends, and both paths complete with one K_seaf."""
+    monkeypatch.setitem(crypto._REGISTRY, WIDE_KEM.name, WIDE_KEM)
+    pair = crypto.kem_keygen(WIDE_KEM, SeededRandom(0))
+    ct, key = crypto.kem_encaps(WIDE_KEM, pair.pk, SeededRandom(1))
+    _ct, raw = WIDE_KEM.encaps(pair.pk, SeededRandom(1))
+    assert len(raw) == 64
+    assert key == crypto.kdf([raw]) == crypto.kem_decaps(WIDE_KEM, pair, ct)
+    world = sim.make_world(WIDE_KEM.name, seed=0)
+    for mode in ("supi", "guti"):
+        outcome = sim.run_session(world, mode, rng=rng)
+        assert outcome.completed and outcome.key_source == mode
+        assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn
 
 
 def test_compromised_sk_h_opens_recorded_suci(world, rng):
@@ -604,8 +644,7 @@ def test_compromised_sk_h_opens_recorded_suci(world, rng):
     sk_h = world.hn.kem_pair.sk
     id_resp = next(wire.decode(e.data) for e in outcome.transcript.radio_entries()
                    if e.annotation == "id-response")
-    k_s1 = crypto.as_shared_key(
-        crypto.kem_decaps(world.suite, sk_h, id_resp.c1))
+    k_s1 = crypto.kem_decaps(world.suite, sk_h, id_resp.c1)
     supi, _pk_u, _id_sn = wire.unpack_suci_payload(
         crypto.aead_open(k_s1, id_resp.suci_conc + id_resp.mac_u))
     assert supi == world.ue.supi
@@ -672,9 +711,9 @@ def _replay_suci(world, rng, times):
 
 
 def test_replayed_suci_leaves_at_most_pending_max_entries(world, rng):
-    _replay_suci(world, rng, max(sn_mod.PENDING_MAX, hn_mod.PENDING_MAX) + 10)
-    assert len(world.sn.pending) == sn_mod.PENDING_MAX
-    assert len(world.hn.pending) == hn_mod.PENDING_MAX
+    _replay_suci(world, rng, store.PENDING_MAX + 10)
+    assert len(world.sn.pending) == store.PENDING_MAX
+    assert len(world.hn.pending) == store.PENDING_MAX
 
 
 def _second_ue(world, rng):
@@ -688,7 +727,7 @@ def test_session_evicted_while_its_response_is_in_flight_aborts_then_heals(world
     committed, and the UE's next GUTI session completes."""
     other = _second_ue(world, rng)
     assert sim.run_session(world, "supi", rng=rng).completed
-    replays = max(sn_mod.PENDING_MAX, hn_mod.PENDING_MAX)
+    replays = store.PENDING_MAX
 
     def in_flight(data, ctx):
         _replay_suci(other, rng, replays)

@@ -44,8 +44,7 @@ def test_pending_session_holds_r_sn_conc_and_m_only(world, rng):
     _msg, pair, sid, vector, _challenge = to_challenge(world, rng)
     pending = world.sn.pending[sid]
     assert crypto.xor_bytes(pending.conc, pending.r_sn) == crypto.prf_f(
-        "5", world.ue.k, [crypto.as_shared_key(crypto.kem_decaps(
-            world.suite, pair, vector.c2))])
+        "5", world.ue.k, [crypto.kem_decaps(world.suite, pair, vector.c2)])
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):
