@@ -213,7 +213,7 @@ class KemSuite:
 def kem_keygen(suite: KemSuite, rng: RandomSource) -> KemKeyPair:
     if not suite.available:
         raise SuiteUnavailableError(f"KEM backend {suite.name!r} not compiled in")
-    pair = suite.keygen(rng)
+    pair = suite.keygen(rng.stream("kem_keygen"))
     if len(pair.pk) != suite.pk_len or len(pair.sk) != suite.sk_len:
         raise CryptoError(f"{suite.name}: keypair lengths differ from metadata")
     return pair
@@ -225,7 +225,7 @@ def kem_encaps(suite: KemSuite, pk: bytes, rng: RandomSource) -> tuple[bytes, by
         raise SuiteUnavailableError(f"KEM backend {suite.name!r} not compiled in")
     if len(pk) != suite.pk_len:
         raise CryptoError(f"{suite.name}: pk must be {suite.pk_len} bytes")
-    ct, k = suite.encaps(pk, rng)
+    ct, k = suite.encaps(pk, rng.stream("kem_encaps"))
     if len(ct) != suite.ct_len or len(k) != suite.key_len:
         raise CryptoError(f"{suite.name}: encaps output lengths differ from metadata")
     return ct, as_shared_key(k)

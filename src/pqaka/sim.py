@@ -124,7 +124,7 @@ def make_world(
     """A consistently provisioned UE/SN/HN triple."""
     rng = seed if isinstance(seed, RandomSource) else SeededRandom(seed)
     suite = get_suite(suite_name)
-    k = rng.bytes(crypto.KEY_LEN)
+    k = rng.stream("k").bytes(crypto.KEY_LEN)
     hn_pair = crypto.kem_keygen(suite, rng)
     hn = hn_mod.HnState(
         id_hn=ID_HN, kem=suite, kem_pair=hn_pair,
@@ -139,7 +139,7 @@ def make_world(
 
 def add_subscriber(world: World, supi: str, rng: RandomSource) -> ue_mod.UeState:
     """Provision another UE against the same SN/HN pair."""
-    k = rng.bytes(crypto.KEY_LEN)
+    k = rng.stream("k").bytes(crypto.KEY_LEN)
     world.hn.registry[supi] = hn_mod.SubscriberRecord(supi=supi, k=k)
     if world.hn.persist_path:
         hn_mod.save_registry(world.hn.persist_path, world.hn.registry, supi)

@@ -63,7 +63,7 @@ class SnState:
 
 def _open_session(state: SnState, identifier: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
     """Draw a fresh R_SN and open pending session sid = H(identifier, R_SN)."""
-    r_sn = rng.bytes(wire.RAND_LEN)
+    r_sn = rng.stream("r_sn").bytes(wire.RAND_LEN)
     sid = crypto.hash_h([identifier, r_sn])
     store.hold_pending(state.pending, sid, PendingSession(r_sn=r_sn))
     return r_sn, sid
@@ -122,9 +122,10 @@ def sn_assign_guti(state: SnState, supi: str, k_seaf: bytes,
     """Fresh GUTI (collision-checked), stored with the R_SN' derived from the
     session's K_seaf; old GUTI for the SUPI goes."""
     old = state.guti_of.get(supi)
-    guti = rng.bytes(wire.GUTI_LEN)
+    draw = rng.stream("guti")
+    guti = draw.bytes(wire.GUTI_LEN)
     while guti in state.guti_table:
-        guti = rng.bytes(wire.GUTI_LEN)
+        guti = draw.bytes(wire.GUTI_LEN)
     r_sn_prime = crypto.r_sn_prime(k_seaf)
     if old in state.guti_table and state.guti_table[old].supi == supi:
         del state.guti_table[old]

@@ -98,10 +98,11 @@ REFERENCE = {
 def test_ecies_matches_an_independent_reference(name, seed):
     keypair, exchange = REFERENCE[name]
     suite = get_suite(name)
-    sk, priv, pk = keypair(SeededRandom(seed))
+    # the wrappers draw keygen's and encaps' bytes under their labels
+    sk, priv, pk = keypair(SeededRandom(seed).stream("kem_keygen"))
     pair = crypto.kem_keygen(suite, SeededRandom(seed))
     assert (pair.sk, pair.pk) == (sk, pk)
-    _eph_sk, eph, ct = keypair(SeededRandom(seed + 100))
+    _eph_sk, eph, ct = keypair(SeededRandom(seed + 100).stream("kem_encaps"))
     fields = (ct, pk, exchange(eph, pk))
     key = hashlib.sha256(b"".join(len(f).to_bytes(4, "big") + f for f in fields)).digest()
     assert exchange(priv, ct) == fields[2]
@@ -329,7 +330,7 @@ def test_mlkem_sizes_are_fips_203(name):
 def test_mlkem_keygen_is_the_drawn_seed_and_encaps_is_not_seeded(name):
     suite = get_suite(name)
     pair = crypto.kem_keygen(suite, SeededRandom(4))
-    assert pair.sk == SeededRandom(4).bytes(64)
+    assert pair.sk == SeededRandom(4).stream("kem_keygen").bytes(64)
     assert crypto.kem_keygen(suite, SeededRandom(4)) == pair
     # encapsulate() draws its own randomness: one RNG state, two ciphertexts
     assert (crypto.kem_encaps(suite, pair.pk, SeededRandom(1))

@@ -1,10 +1,11 @@
-"""SESSION_WIRE derived from the former layout's vectors, without pqaka.
+"""golden.py's session derived from the former layout's vectors, without pqaka.
 
 Until fixed-width fields were sent raw, every field of a message crossed the
 wire behind a 4-byte big-endian length. LEGACY_WIRE is the honest session of
-golden.py in that layout, frozen from the same independent oracle. The
-current vectors follow from it using only hashlib and AES-256-GCM, so
-they stay independent of the encoder they check:
+golden.py in that layout, as an independent oracle froze it before the
+changes below. The current vectors and values follow from it using only
+hashlib, hmac and AES-256-GCM, so they stay independent of the encoder and
+the roles they check:
 
 - a field whose width the protocol fixes (AUTN, RES*, MAC_U, R_SN, R_SN',
   GUTI) and every one-byte flag or presence flag loses its length
@@ -17,13 +18,19 @@ they stay independent of the encoder they check:
   leftmost 16 bytes, as RFC 2104 §5 truncates an HMAC;
 - HXRES* is no longer sent in auth-vector: the SN checks RES* by opening
   M, whose AES-GCM tag is under K3, so the HN's hash of XRES* is gone;
-- R_SN is 16 bytes, as 5G sizes RAND, no longer 32. The SN draws 16
-  bytes of the seeded stream where it drew 32, and the draws after it
-  shift: R_SN is the former R_SN's first half, c2 (the test KEM's
-  encapsulation randomness) is the former R_SN's second half followed by
-  the former c2's first half, and the GUTI is the former c2's second half.
-  So K*, SHA-256 over the length-prefixed pk_U and c2 as the test KEM
-  decapsulates, is new, and every value after it is computed again;
+- R_SN is 16 bytes, as 5G sizes RAND, no longer 32;
+- every seeded value is drawn under a label naming its use, from a child
+  stream of the seed's: the child's seed is SHA-256 of the parent's 32
+  seed bytes and the label, and its block i, as any stream's, SHA-256 of
+  its seed and the 8-byte counter i. In the world of seed 0, K is drawn
+  under "k" and sk_H under "kem_keygen"; in the session of seed 1, sk_U
+  under "kem_keygen", c1 and then c2 (the test KEM's encapsulation
+  randomness, so its ciphertexts) under "kem_encaps", R_SN under "r_sn"
+  and the GUTI under "guti". The former session drew them all, in that
+  order, from the seeds' own streams, as checked below, so every value of
+  the session is new: pk_H and pk_U are HMAC-SHA-256 of b"pk" under sk_H
+  and sk_U, K_S1 SHA-256 over the length-prefixed pk_H and c1, and K*
+  that over pk_U and c2, as the test KEM decapsulates;
 - f1..f5 are HMAC-SHA-256 under K over the f-index byte and the
   length-prefixed inputs; each keeps its leftmost bytes (RFC 2104 §5). AK
   is f5 of K* at 16 bytes, the width of R_SN, and CONC = AK xor R_SN; the
@@ -36,15 +43,14 @@ they stay independent of the encoder they check:
   The former CONC, MAC and RES* are checked against the same formulas on
   the former K* and R_SN, 32 bytes wide, with RES* untruncated and
   without R_SN, before the new values replace them;
-- the three ciphertexts over a plaintext with such a field are opened and
-  sealed again: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
-  ID_SN, all variable-length) under K_S1; M in auth-vector (its
-  K_seaf and SUPI), opened under the former K3 = RES* xor CONC xor R_SN
-  and sealed under K3 = SHA-256 of the length-prefixed RES* and
-  AK; and the secure envelope (the GUTI assignment), under SHA-256 of
-  the 4-byte length-prefixed K_seaf and b"guti-transport". The former M
-  and envelope open under the former K_seaf, and are sealed under the
-  new one. All use the zero nonce;
+- the three ciphertexts are opened under the former keys and checked
+  against the former plaintexts, and the new plaintexts are sealed under
+  the new keys: SUCI_conc in id-response and sn-hn-ident (SUPI, pk_U and
+  ID_SN, all variable-length) under K_S1; M in auth-vector (its K_seaf
+  and SUPI), formerly under K3 = RES* xor CONC xor R_SN and now under K3
+  = SHA-256 of the length-prefixed RES* and AK; and the secure envelope
+  (the GUTI assignment), under SHA-256 of the 4-byte length-prefixed
+  K_seaf and b"guti-transport". All use the zero nonce;
 - MAC_U is no longer an HMAC of SUCI_conc but SUCI_conc's GCM tag: the
   last 16 bytes of the sealed SUCI payload cross the wire as MAC_U, and
   SUCI_conc is the ciphertext before them;
@@ -59,7 +65,7 @@ import hmac
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from golden import SESSION_VALUES, SESSION_WIRE
+from golden import CONSTANTS, SESSION_VALUES, SESSION_WIRE
 
 LEGACY_WIRE = {
     'id-request': bytes.fromhex('010000000101'),
@@ -96,9 +102,30 @@ LAYOUT = {
 SUPI = b"imsi-001010000000001"
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
+KEY_LEN = 32                # K, every sk and KEM ciphertext of the test KEM
 CHECK_LEN = 16              # the AUTN MAC and RES* on the wire
 RAND_LEN = 16               # R_SN, AK and CONC
+GUTI_LEN = 16
 TAG_LEN = 16                # AES-256-GCM's tag, sent as MAC_U
+
+
+def _draw(seed: int, label: str | None, n: int) -> bytes:
+    """The first n bytes of seed's stream, or of its child stream under label."""
+    stream_seed = seed.to_bytes(32, "big")
+    if label is not None:
+        stream_seed = hashlib.sha256(stream_seed + label.encode()).digest()
+    return b"".join(hashlib.sha256(stream_seed + i.to_bytes(8, "big")).digest()
+                    for i in range(-(-n // 32)))[:n]
+
+
+def _cut(data: bytes, *widths: int) -> list[bytes]:
+    at = [sum(widths[:i]) for i in range(len(widths) + 1)]
+    assert at[-1] == len(data)
+    return [data[a:b] for a, b in zip(at, at[1:])]
+
+
+def _test_pk(sk: bytes) -> bytes:
+    return hmac.new(sk, b"pk", hashlib.sha256).digest()
 
 
 def _lp(data: bytes) -> bytes:
@@ -143,73 +170,91 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b, strict=True))
 
 
-def _reseal(key: bytes, ct: bytes, old_plain: bytes, new_plain: bytes,
-            new_key: bytes | None = None) -> bytes:
-    """Open ct under key, check it held old_plain, and seal new_plain under
-    new_key, or under key again."""
-    assert AESGCM(key).decrypt(ZERO_NONCE, ct, None) == old_plain
-    return AESGCM(new_key or key).encrypt(ZERO_NONCE, new_plain, None)
+def _opens(key: bytes, ct: bytes, plain: bytes) -> None:
+    assert AESGCM(key).decrypt(ZERO_NONCE, ct, None) == plain
 
 
-def derive_session_wire() -> dict[str, bytes]:
-    fields = {name: _legacy_fields(blob) for name, blob in LEGACY_WIRE.items()}
-    k, k_s1 = SESSION_VALUES["k"], SESSION_VALUES["k_s1"]
-    pk_u = SESSION_VALUES["pk_u"]
-    sealed = _reseal(k_s1, fields["id-response"][1], _lp(SUPI) + _lp(pk_u) + _lp(ID_SN),
-                     _der(SUPI) + _der(pk_u) + _der(ID_SN))
-    suci_conc, mac_u = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-    assert fields["sn-hn-ident"][:3] == fields["id-response"][:3]
-    for name in ("id-response", "sn-hn-ident"):
-        fields[name][1:3] = [suci_conc, mac_u]
+def _seal(key: bytes, plain: bytes) -> bytes:
+    return AESGCM(key).encrypt(ZERO_NONCE, plain, None)
 
-    # the former session, each value checked against its formula
+
+def check_legacy_session(fields: dict[str, list[bytes]]) -> None:
+    """The former session's draws and values against the formulas that
+    derive_session applies to the labelled draws."""
+    old_k, old_sk_h = _cut(_draw(0, None, 64), KEY_LEN, KEY_LEN)
+    old_sk_u, old_c1, old_r_sn, old_c2, old_guti = _cut(
+        _draw(1, None, 144), KEY_LEN, KEY_LEN, 32, KEY_LEN, 16)
+    assert fields["id-response"][:3] == fields["sn-hn-ident"][:3]
+    assert fields["id-response"][0] == old_c1
+    assert fields["sn-hn-ident"][3] == old_r_sn
     assert fields["challenge"][0] == fields["auth-vector"][0]
-    assert fields["challenge"][2] == fields["auth-vector"][4]
-    old_r_sn, old_c2 = fields["sn-hn-ident"][3], fields["auth-vector"][4]
+    assert fields["challenge"][2] == fields["auth-vector"][4] == old_c2
+    assert fields["guti-id"][0] == fields["guti-assign"][0] == old_guti
+    assert fields["sn-hn-guti"][1:] == [fields["guti-assign"][1], old_r_sn]
+    old_pk_u = _test_pk(old_sk_u)
+    _opens(_kdf(_test_pk(old_sk_h), old_c1), fields["id-response"][1],
+           _lp(SUPI) + _lp(old_pk_u) + _lp(ID_SN))
     old_conc, old_mac = fields["auth-vector"][0][:32], fields["auth-vector"][0][32:]
-    old_k_star = _kdf(pk_u, old_c2)
-    assert _xor(_f(5, k, old_k_star), old_r_sn) == old_conc
-    assert _f(1, k, old_k_star, old_r_sn) == old_mac
-    old_res, old_ck, old_ik, old_k_seaf = _schedule(k, old_k_star, old_conc)
+    old_k_star = _kdf(old_pk_u, old_c2)
+    assert _xor(_f(5, old_k, old_k_star), old_r_sn) == old_conc
+    assert _f(1, old_k, old_k_star, old_r_sn) == old_mac
+    old_res, old_ck, old_ik, old_k_seaf = _schedule(old_k, old_k_star, old_conc)
     old_res_star = fields["response"][0]
     assert _kdf(old_ck, old_ik, old_k_star, old_res, ID_SN) == old_res_star
+    _opens(_xor(old_res_star, _xor(old_conc, old_r_sn)), fields["auth-vector"][2],
+           _lp(old_k_seaf) + _lp(SUPI))
+    _opens(_kdf(old_k_seaf, b"guti-transport"), fields["secure-envelope"][0],
+           LEGACY_WIRE["guti-assign"])
 
-    # R_SN drawn at 16 bytes shifts the seeded stream's later draws
-    assert fields["guti-id"][0] == fields["guti-assign"][0]
-    r_sn = old_r_sn[:RAND_LEN]
-    c2 = old_r_sn[RAND_LEN:] + old_c2[:RAND_LEN]
-    guti = old_c2[RAND_LEN:]
+
+def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """(SESSION_WIRE, SESSION_VALUES): the former layout's fields, each
+    value drawn or computed again for the session of the labelled draws."""
+    fields = {name: _legacy_fields(blob) for name, blob in LEGACY_WIRE.items()}
+    check_legacy_session(fields)
+    k, sk_h = _draw(0, "k", KEY_LEN), _draw(0, "kem_keygen", KEY_LEN)
+    sk_u = _draw(1, "kem_keygen", KEY_LEN)
+    c1, c2 = _cut(_draw(1, "kem_encaps", 2 * KEY_LEN), KEY_LEN, KEY_LEN)
+    r_sn, guti = _draw(1, "r_sn", RAND_LEN), _draw(1, "guti", GUTI_LEN)
+    pk_h, pk_u = _test_pk(sk_h), _test_pk(sk_u)
+    k_s1 = _kdf(pk_h, c1)
+    sealed = _seal(k_s1, _der(SUPI) + _der(pk_u) + _der(ID_SN))
+    for name in ("id-response", "sn-hn-ident"):
+        fields[name][:3] = [c1, sealed[:-TAG_LEN], sealed[-TAG_LEN:]]
+
     k_star = _kdf(pk_u, c2)
     ak = _f(5, k, k_star)[:RAND_LEN]
     conc = _xor(ak, r_sn)
     mac = _f(1, k, k_star, r_sn)[:CHECK_LEN]
     res, ck, ik, k_seaf = _schedule(k, k_star, conc)
     res_star = _kdf(ck, ik, k_star, res, r_sn, ID_SN)[-CHECK_LEN:]
-    assert (k_star, res_star, k_seaf, _kdf(k_star, r_sn)) == tuple(
-        SESSION_VALUES[n] for n in ("k_star", "res_star", "k_seaf", "k_s_next"))
-
     fields["sn-hn-ident"][3] = r_sn
     for name in ("auth-vector", "challenge"):       # AUTN = CONC || MAC
         fields[name][0] = conc + mac
         fields[name][-1] = c2
     fields["response"][0] = res_star
-    fields["auth-vector"][2] = _reseal(
-        _xor(old_res_star, _xor(old_conc, old_r_sn)), fields["auth-vector"][2],
-        _lp(old_k_seaf) + _lp(SUPI), k_seaf + _der(SUPI), new_key=_kdf(res_star, ak))
+    fields["auth-vector"][2] = _seal(_kdf(res_star, ak), k_seaf + _der(SUPI))
     fields["guti-id"][0] = fields["guti-assign"][0] = guti
-    assert fields["sn-hn-guti"][1:] == [fields["guti-assign"][1], old_r_sn]
     fields["sn-hn-guti"][1:] = [_kdf(k_seaf, b"r-sn-prime"), r_sn]
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
                {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))
            for name in LEGACY_WIRE}
-    ct = _reseal(_kdf(old_k_seaf, b"guti-transport"), fields["secure-envelope"][0],
-                 LEGACY_WIRE["guti-assign"], out["guti-assign"],
-                 new_key=_kdf(k_seaf, b"guti-transport"))
-    out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(ct)
-    return out
+    out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(
+        _seal(_kdf(k_seaf, b"guti-transport"), out["guti-assign"]))
+    values = {"k": k, "sk_h": sk_h, "pk_h": pk_h, "sk_u": sk_u, "pk_u": pk_u,
+              "k_s1": k_s1, "k_star": k_star, "res_star": res_star,
+              "k_seaf": k_seaf, "k_s_next": _kdf(k_star, r_sn)}
+    return out, values
 
 
-def test_session_wire_derived_from_legacy_vectors():
-    assert derive_session_wire() == SESSION_WIRE
-
+def test_session_derived_from_legacy_vectors_and_labelled_draws():
+    wire, values = derive_session()
+    assert wire == SESSION_WIRE
+    assert values == SESSION_VALUES
+    # the frozen test-KEM vectors: keygen of seed 0 (sk_H), and encaps to
+    # its pk of seed 1 (c1 and K_S1)
+    assert CONSTANTS["kem_seed0_sk"] == values["sk_h"]
+    assert CONSTANTS["kem_seed0_pk"] == values["pk_h"]
+    assert CONSTANTS["kem_seed1_ct"] == _draw(1, "kem_encaps", KEY_LEN)
+    assert CONSTANTS["kem_seed1_k"] == values["k_s1"]

@@ -60,15 +60,15 @@ def test_attack_verdict_lines_pinned(suite, seed):
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when R_SN, AK and CONC went to 16 bytes: 16 bytes fewer per
-# challenge, auth-vector and sn-hn-* message, and the SN's 16-byte draw
-# shifts every later draw of the seeded stream.
+# re-pinned when each seeded draw took its own labelled stream (k,
+# kem_keygen, kem_encaps, r_sn, guti): every drawn value moves, and no
+# message's length or label does.
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "1115feefbf5f313f7190ac3e074830134cc59fd3b3258a90b3f0fee895f4a767",
-    "ecies-x25519": "cb00af6069c4df9c4d09386e5b4604723919960f494d39e5509edb781442c2a6",
-    "ecies-p256": "08ad059615c59f1771c92029ec5febde62bc30db145b9096c1ae1239e5decb85",
+    "test": "99b8544d8dd7eb14050e81d147b30c5535a86e78b33d9789b408e583b978c640",
+    "ecies-x25519": "af83e50d7c8cf414f6db301b90227f3457234d2487a6753e3ffba6677797c2f8",
+    "ecies-p256": "bd9f4ed310aa16c548528db0a9499cafff6c482da1c576258b9f90d14015c4e9",
 }
 
 
@@ -86,7 +86,7 @@ def test_mixed_run_transcript_pinned(suite):
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification; re-pinned with MIXED_RUN_SHA256, for the same
 # change
-FALLBACK_RUN_SHA256 = "8c0269978e17120036a372d988ebe1c289c2a1225cfc66cb78d51c618a1484ba"
+FALLBACK_RUN_SHA256 = "171289a4b7545436a65d4c4565a70f179e292b4f535ba0b7d3264266236ff74c"
 
 
 def test_fallback_run_transcript_pinned():

@@ -18,6 +18,25 @@ def test_identical_seeds_identical_transcripts():
     assert lines[0] == lines[1]
 
 
+def test_a_draw_under_a_new_label_moves_no_other_value():
+    """Each use draws from its own labelled stream, so a UE that draws a
+    nonce under a new label before its SUCI leaves every seeded value where
+    it was: those of its SUPI session, and of the GUTI session after it."""
+    def identification_response(state, rng):
+        rng.stream("n_u").bytes(16)
+        return ue_mod.ue_identification_response(state, rng)
+
+    drawing = attacks.Weakened(ue_mod, ue_identification_response=identification_response)
+    lines = []
+    for roles in (ue_mod, drawing):
+        world, rng = sim.make_world("test", seed=0), SeededRandom(1)
+        outcomes = [sim.run_session(world, mode, rng=rng, ue_mod=roles)
+                    for mode in ("supi", "guti")]
+        assert [o.key_source for o in outcomes] == ["supi", "guti"]
+        lines.append(sim.export_transcript(outcomes))
+    assert lines[0] == lines[1]
+
+
 def test_honest_supi_session_shape(world, rng):
     outcome = sim.run_session(world, "supi", rng=rng)
     assert outcome.completed
@@ -283,6 +302,28 @@ def _known_guti(world, rng):
                       sn=world.sn, hn=world.hn, suite=world.suite)
     assert sim.run_session(other, "supi", rng=rng).completed
     return wire.encode(wire.GutiIdMsg(guti=other.ue.guti))
+
+
+def test_guessed_guti_earns_one_challenge_and_no_key():
+    """An attacker who sends b's GUTI in a's guti-id gets what replaying b's
+    own guti-id gives: one challenge that a's UE cannot answer and one
+    pending entry per role. b's ratchet stays where it was, and only a,
+    who then identifies by SUPI, pays for it."""
+    rng = SeededRandom(21)
+    world = sim.make_world("test", seed=rng)
+    world_b = sim.World(ue=sim.add_subscriber(world, "imsi-001010000000002", rng),
+                        sn=world.sn, hn=world.hn, suite=world.suite)
+    for w in (world, world_b):
+        assert sim.run_session(w, "supi", rng=rng).completed
+    k_s_b = world.hn.registry[world_b.ue.supi].k_s
+    guessed = wire.encode(wire.GutiIdMsg(guti=world_b.ue.guti))
+    attacker = sim.ScriptedAttacker({"guti-id": lambda data, ctx: guessed})
+    outcome = sim.run_session(world, "guti", attacker, rng)
+    assert outcome.abort_step == "ue-challenge"
+    assert world.hn.registry[world_b.ue.supi].k_s == k_s_b
+    assert len(world.sn.pending) == len(world.hn.pending) == 1
+    assert sim.run_session(world_b, "guti", rng=rng).key_source == "guti"
+    assert sim.run_session(world, "guti", rng=rng).key_source == "supi"
 
 
 @pytest.mark.parametrize("path,forge", [
@@ -628,7 +669,7 @@ def test_sessions_over_a_kem_whose_shared_secret_is_not_32_bytes(monkeypatch, rn
     monkeypatch.setitem(crypto._REGISTRY, WIDE_KEM.name, WIDE_KEM)
     pair = crypto.kem_keygen(WIDE_KEM, SeededRandom(0))
     ct, key = crypto.kem_encaps(WIDE_KEM, pair.pk, SeededRandom(1))
-    _ct, raw = WIDE_KEM.encaps(pair.pk, SeededRandom(1))
+    _ct, raw = WIDE_KEM.encaps(pair.pk, SeededRandom(1).stream("kem_encaps"))
     assert len(raw) == 64
     assert key == crypto.kdf([raw]) == crypto.kem_decaps(WIDE_KEM, pair, ct)
     world = sim.make_world(WIDE_KEM.name, seed=0)
@@ -663,7 +704,7 @@ def test_transcript_is_byte_faithful_under_tamper(world, rng):
 
 def test_assignment_envelope_roundtrip():
     k_seaf = SeededRandom(20).bytes(32)
-    msg = wire.GutiAssignMsg(guti_new=b"\x05" * 16)
+    msg = wire.GutiAssignMsg(guti_new=b"\x05" * wire.GUTI_LEN)
     env = sim.seal_assignment(k_seaf, msg)
     assert sim.open_assignment(k_seaf, env) == msg
     assert sim.open_assignment(SeededRandom(21).bytes(32), env) is None

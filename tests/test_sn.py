@@ -24,8 +24,10 @@ def test_forward_identification_seeded_r_sn(world):
     msg, _pair = ue_mod.ue_identification_response(world.ue, SeededRandom(1))
     seed = 424242
     to_hn, _sid = sn_mod.sn_forward_identification(world.sn, msg, SeededRandom(seed))
+    # block 0 of the child stream under the label "r_sn"
+    child_seed = hashlib.sha256(seed.to_bytes(32, "big") + b"r_sn").digest()
     expected = hashlib.sha256(
-        seed.to_bytes(32, "big") + (0).to_bytes(8, "big")).digest()[:16]
+        child_seed + (0).to_bytes(8, "big")).digest()[:wire.RAND_LEN]
     assert to_hn.r_sn == expected
 
 
@@ -125,7 +127,7 @@ class _CollidingRng(RandomSource):
     """First GUTI draw repeats an existing table key, forcing a redraw."""
 
     def __init__(self, collide_with: bytes):
-        self.queue = [collide_with, b"\x42" * 16]
+        self.queue = [collide_with, b"\x42" * wire.GUTI_LEN]
 
     def bytes(self, n: int) -> bytes:
         out = self.queue.pop(0)
@@ -137,7 +139,7 @@ def test_guti_collision_forces_redraw(world, rng):
     first = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
     colliding = _CollidingRng(first.guti_new)
     second = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, colliding)
-    assert second.guti_new == b"\x42" * 16          # redrawn after collision
+    assert second.guti_new == b"\x42" * wire.GUTI_LEN  # redrawn after collision
     assert colliding.queue == []                    # and R_SN' draws nothing
     table_supis = [e.supi for e in world.sn.guti_table.values()]
     assert sorted(table_supis) == ["imsi-1", "imsi-2"]   # stays injective
@@ -145,9 +147,10 @@ def test_guti_collision_forces_redraw(world, rng):
 
 def _assign_by_scan(table, supi, k_seaf, rng):
     """Reference: the linear-scan assignment the SUPI -> GUTI index replaced."""
-    guti = rng.bytes(16)
+    draw = rng.stream("guti")
+    guti = draw.bytes(wire.GUTI_LEN)
     while guti in table:
-        guti = rng.bytes(16)
+        guti = draw.bytes(wire.GUTI_LEN)
     for old, entry in list(table.items()):
         if entry.supi == supi:
             del table[old]
@@ -182,7 +185,8 @@ def test_guti_index_matches_linear_scan(seed, steps):
         assert list(state.guti_table.items()) == list(table.items())
         supis = [e.supi for e in table.values()]
         assert len(supis) == len(set(supis))       # one GUTI per SUPI
-    assert rng.bytes(8) == ref_rng.bytes(8)        # same draws on both sides
+    # same draws on both sides
+    assert rng.stream("guti").bytes(8) == ref_rng.stream("guti").bytes(8)
 
 
 def test_guti_index_ignores_a_guti_reassigned_after_clear(world):
@@ -210,14 +214,14 @@ def test_resolve_known_guti_carries_stored_rprime(world, rng):
 
 def test_resolve_unknown_guti_falls_back_to_supi(world, rng):
     resolved = sn_mod.sn_resolve_guti(
-        world.sn, wire.GutiIdMsg(guti=b"\x00" * 16), rng)
+        world.sn, wire.GutiIdMsg(guti=b"\x00" * wire.GUTI_LEN), rng)
     assert resolved == wire.IdRequestMsg(force_supi=True)
 
 
 def test_guti_table_persistence_roundtrip(tmp_path):
     table = {
-        b"\x01" * 16: sn_mod.GutiEntry(supi="imsi-1", r_sn_prime=b"\x02" * 32),
-        b"\x03" * 16: sn_mod.GutiEntry(supi="imsi-2", r_sn_prime=b"\x04" * 32),
+        b"\x01" * wire.GUTI_LEN: sn_mod.GutiEntry(supi="imsi-1", r_sn_prime=b"\x02" * 32),
+        b"\x03" * wire.GUTI_LEN: sn_mod.GutiEntry(supi="imsi-2", r_sn_prime=b"\x04" * 32),
     }
     path = str(tmp_path / "guti.db")
     sn_mod.save_guti_table(path, table)

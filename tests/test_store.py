@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from pqaka import hn as hn_mod, sim, sn as sn_mod, store
+from pqaka import hn as hn_mod, sim, sn as sn_mod, store, wire
 from pqaka.rng import SeededRandom
 
 # role -> (save, load, the state's mapping the store mirrors)
@@ -21,7 +21,7 @@ ROLES = {
 def _sample(role, supi):
     if role == "hn":
         return {supi: hn_mod.SubscriberRecord(supi=supi, k=b"\x01" * 32, k_s=b"\x02" * 32)}
-    return {b"\x03" * 16: sn_mod.GutiEntry(supi=supi, r_sn_prime=b"\x04" * 32)}
+    return {b"\x03" * wire.GUTI_LEN: sn_mod.GutiEntry(supi=supi, r_sn_prime=b"\x04" * 32)}
 
 
 def _provisioned(n, rng):
@@ -141,7 +141,7 @@ def _rows(role, n):
                     supi=f"imsi-{i}", k=bytes([i % 256]) * 32,
                     k_s=None if i % 2 else bytes([i % 256]) * 32)
                 for i in range(n)}
-    return {i.to_bytes(16, "big"): sn_mod.GutiEntry(
+    return {i.to_bytes(wire.GUTI_LEN, "big"): sn_mod.GutiEntry(
                 supi=f"imsi-{i}", r_sn_prime=bytes([i % 256]) * 32)
             for i in range(n)}
 
@@ -155,8 +155,9 @@ def _commit(role, path, mapping, i, value):
         hn_mod.save_registry(path, mapping, supi)
         return
     del mapping[next(g for g, e in mapping.items() if e.supi == supi)]
-    mapping[value[:16]] = sn_mod.GutiEntry(supi=supi, r_sn_prime=value)
-    sn_mod.save_guti_table(path, mapping, value[:16])
+    guti = value[:wire.GUTI_LEN]
+    mapping[guti] = sn_mod.GutiEntry(supi=supi, r_sn_prime=value)
+    sn_mod.save_guti_table(path, mapping, guti)
 
 
 @pytest.mark.parametrize("role", ROLES)

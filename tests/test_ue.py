@@ -113,12 +113,12 @@ def test_bad_second_challenge_aborts_silently_and_clears_session(world, rng, bad
 
 def test_guti_identification_requires_ratchet_state(world):
     assert ue_mod.ue_guti_identification(world.ue) is None  # no GUTI yet
-    world.ue.guti = bytes(16)
+    world.ue.guti = bytes(wire.GUTI_LEN)
     assert ue_mod.ue_guti_identification(world.ue) is None  # k_s missing
     world.ue.k_s = bytes(32)
     world.ue.r_sn_prime = bytes(32)
     msg = ue_mod.ue_guti_identification(world.ue)
-    assert msg == wire.GutiIdMsg(guti=bytes(16))
+    assert msg == wire.GutiIdMsg(guti=bytes(wire.GUTI_LEN))
 
 
 def test_guti_path_challenge_uses_ratchet_key(world, rng):
@@ -133,9 +133,9 @@ def test_assignment_commits_pending_ratchet(world, rng):
     _msg, pair, _sid, _vector, challenge = to_challenge(world, rng)
     _response, k_seaf, k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, pair)
     assert world.ue.k_s is None
-    assign = wire.GutiAssignMsg(guti_new=b"\x01" * 16)
+    assign = wire.GutiAssignMsg(guti_new=b"\x01" * wire.GUTI_LEN)
     ue_mod.ue_handle_guti_assignment(world.ue, assign, k_seaf, k_s_new)
-    assert world.ue.guti == b"\x01" * 16
+    assert world.ue.guti == b"\x01" * wire.GUTI_LEN
     assert world.ue.r_sn_prime == crypto.r_sn_prime(k_seaf)
     assert world.ue.k_s == k_s_new
 

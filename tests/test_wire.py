@@ -165,7 +165,7 @@ def test_golden_challenge_has_c2_and_guti_assign_sizes():
     assert isinstance(ch, wire.ChallengeMsg) and ch.c2 is not None
     ga = wire.decode(SESSION_WIRE["guti-assign"])
     assert isinstance(ga, wire.GutiAssignMsg)
-    assert len(ga.guti_new) == 16
+    assert len(ga.guti_new) == wire.GUTI_LEN
 
 
 # --- randomized round-trips ---------------------------------------------
@@ -184,9 +184,9 @@ def _random_messages(r: random.Random):
         wire.ChallengeMsg(conc=conc, mac=mac, c2=c2),
         wire.ResponseMsg(res_star=b(16)),
         wire.ConfirmMsg(),
-        wire.GutiIdMsg(guti=b(16)),
+        wire.GutiIdMsg(guti=b(wire.GUTI_LEN)),
         wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(16)),
-        wire.GutiAssignMsg(guti_new=b(16)),
+        wire.GutiAssignMsg(guti_new=b(wire.GUTI_LEN)),
         wire.SecureEnvelopeMsg(ct=b(r.randint(0, 100))),
         wire.AbortMsg(),
     ]
@@ -231,17 +231,17 @@ def test_decode_invalid_utf8_rejected_at_its_field():
 
 
 def test_decode_truncated_rejected():
-    blob = wire.encode(wire.GutiIdMsg(guti=bytes(16)))
+    blob = wire.encode(wire.GutiIdMsg(guti=bytes(wire.GUTI_LEN)))
     with pytest.raises(wire.ParseError):
         wire.decode(blob[:-1])
 
 
 def test_decode_wrong_fixed_width_rejected():
-    # a GutiIdMsg with a 15- or 17-byte GUTI
+    # a GutiIdMsg with a GUTI one byte short or one byte long
     with pytest.raises(wire.ParseError):
-        wire.decode(b"\x08" + bytes(15))
+        wire.decode(b"\x08" + bytes(wire.GUTI_LEN - 1))
     with pytest.raises(wire.ParseError):
-        wire.decode(b"\x08" + bytes(17))
+        wire.decode(b"\x08" + bytes(wire.GUTI_LEN + 1))
 
 
 def test_decode_bad_flag_rejected():
@@ -266,7 +266,7 @@ def test_encode_rejects_bad_widths():
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.ResponseMsg(res_star=bytes(15)))
     with pytest.raises(wire.EncodeError):
-        wire.encode(wire.GutiIdMsg(guti=bytes(17)))
+        wire.encode(wire.GutiIdMsg(guti=bytes(wire.GUTI_LEN + 1)))
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.ChallengeMsg(conc=bytes(31), mac=bytes(16)))
     with pytest.raises(wire.EncodeError):
@@ -319,10 +319,10 @@ FIXED_FIELDS = [
     (wire.ChallengeMsg, "conc", 16),
     (wire.ChallengeMsg, "mac", 16),
     (wire.ResponseMsg, "res_star", 16),
-    (wire.GutiIdMsg, "guti", 16),
+    (wire.GutiIdMsg, "guti", wire.GUTI_LEN),
     (wire.GutiSnToHnMsg, "r_sn_prime", 32),
     (wire.GutiSnToHnMsg, "r_sn", 16),
-    (wire.GutiAssignMsg, "guti_new", 16),
+    (wire.GutiAssignMsg, "guti_new", wire.GUTI_LEN),
 ]
 SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
 
