@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Mapping, Optional
 
 from .wire import Fields, ParseError, pack_fields, unpack_fields
 
-VERSION = 3
+VERSION = 4
 COMPACT_SLACK = 64
 PENDING_MAX = 64        # sessions a role holds awaiting their next message
 _FRAME = struct.Struct("<II")      # body length, zlib.crc32 of the body

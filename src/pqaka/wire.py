@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .crypto import AEAD_TAG_OVERHEAD, CHECK_LEN, KEY_LEN, RAND_LEN
 
-GUTI_LEN = 16
+GUTI_LEN = 4        # the 5G-TMSI's 32 bits (TS 23.003 §2.10.1)
 
 
 class EncodeError(Exception):

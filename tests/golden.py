@@ -20,10 +20,10 @@ SESSION_WIRE = {
     'challenge': bytes.fromhex('052e3d0d48b7cda719d69f7c68c299da3c605dcd4ba68aa47f50eb31b5a4f0aef30120d951808751b95134bbf31e2792417b2968a963d1dc3e6da966a90f68cb0838d8'),
     'response': bytes.fromhex('065a1e062087966c0643da9927eb4e0bca'),
     'confirm': bytes.fromhex('07'),
-    'guti-id': bytes.fromhex('08ac6f8d7f467bc0ec767cef60f8aa8c33'),
+    'guti-id': bytes.fromhex('08ac6f8d7f'),
     'sn-hn-guti': bytes.fromhex('0914696d73692d303031303130303030303030303031c1cc289ece9490d21ef30d558802d34fe1feb37257d6e9a0b0b0337f39e4ee89789b1af96f3a25aaf55a89cbfa00e144'),
-    'guti-assign': bytes.fromhex('0aac6f8d7f467bc0ec767cef60f8aa8c33'),
-    'secure-envelope': bytes.fromhex('0b2170aefb16b38ba3fed0cb806bdbf3810e14692fc17058b3a1e7d91d19e131183f75'),
+    'guti-assign': bytes.fromhex('0aac6f8d7f'),
+    'secure-envelope': bytes.fromhex('0b1570aefb16b32d23e22c515e5100368d21c2747ae04c'),
     'abort': bytes.fromhex('0c'),
 }
 

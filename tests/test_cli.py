@@ -229,21 +229,21 @@ def test_sizes_match_a_real_supi_session(suite, capsys):
 
 # `pqaka sizes` with no flags: the communication-cost columns, whose message
 # sizes run through wire.pack_suci_payload and wire.pack_m_payload.
-# Re-pinned when R_SN went to 16 bytes: CONC, and so the hn-sn and chall
-# columns, are 16 bytes shorter on every row. CI checks the installed
+# Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: the sealed
+# assign column is 12 bytes shorter on every row. CI checks the installed
 # console script's output against this table
 SIZES_TABLE = """\
 algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp  assign
 -----------------------------------------------------------------------------------------
-bike               5223     1541     1573    32     3183     1680     1610     17      35
-ecies-p256           32       33       33    32      129      138       68     17      35
-ecies-x25519         32       32       32    32      127      137       67     17      35
-hqc                2289     2249     4481    64     6799     4588     4518     17      35
-kyber              1632      800      768    32     1637      875      805     17      35
-mceliece           6452   261120      128    32   261318      234      164     17      35
-ml-kem-1024          64     1568     1568    32     3205     1675     1605     17      35
-ml-kem-768           64     1184     1088    32     2341     1195     1125     17      35
-test                 32       32       32    32      127      137       67     17      35
+bike               5223     1541     1573    32     3183     1680     1610     17      23
+ecies-p256           32       33       33    32      129      138       68     17      23
+ecies-x25519         32       32       32    32      127      137       67     17      23
+hqc                2289     2249     4481    64     6799     4588     4518     17      23
+kyber              1632      800      768    32     1637      875      805     17      23
+mceliece           6452   261120      128    32   261318      234      164     17      23
+ml-kem-1024          64     1568     1568    32     3205     1675     1605     17      23
+ml-kem-768           64     1184     1088    32     2341     1195     1125     17      23
+test                 32       32       32    32      127      137       67     17      23
 """
 MLKEM_ROWS = ("ml-kem-768 ", "ml-kem-1024 ")
 

@@ -19,6 +19,8 @@ the roles they check:
 - HXRES* is no longer sent in auth-vector: the SN checks RES* by opening
   M, whose AES-GCM tag is under K3, so the HN's hash of XRES* is gone;
 - R_SN is 16 bytes, as 5G sizes RAND, no longer 32;
+- the GUTI is 4 bytes, the 5G-TMSI's width, no longer 16: the first 4
+  bytes of its labelled stream;
 - every seeded value is drawn under a label naming its use, from a child
   stream of the seed's: the child's seed is SHA-256 of the parent's 32
   seed bytes and the label, and its block i, as any stream's, SHA-256 of
@@ -105,7 +107,7 @@ ZERO_NONCE = bytes(12)
 KEY_LEN = 32                # K, every sk and KEM ciphertext of the test KEM
 CHECK_LEN = 16              # the AUTN MAC and RES* on the wire
 RAND_LEN = 16               # R_SN, AK and CONC
-GUTI_LEN = 16
+GUTI_LEN = 4                # the 5G-TMSI's 32 bits
 TAG_LEN = 16                # AES-256-GCM's tag, sent as MAC_U
 
 
@@ -182,6 +184,7 @@ def check_legacy_session(fields: dict[str, list[bytes]]) -> None:
     """The former session's draws and values against the formulas that
     derive_session applies to the labelled draws."""
     old_k, old_sk_h = _cut(_draw(0, None, 64), KEY_LEN, KEY_LEN)
+    # R_SN was 32 bytes then, and the GUTI 16
     old_sk_u, old_c1, old_r_sn, old_c2, old_guti = _cut(
         _draw(1, None, 144), KEY_LEN, KEY_LEN, 32, KEY_LEN, 16)
     assert fields["id-response"][:3] == fields["sn-hn-ident"][:3]

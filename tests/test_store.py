@@ -323,16 +323,17 @@ def _utf8(text):
 
 
 # role -> (the mapping, its file: header, then one record per row with the
-# fixed-width fields raw and K_S behind a presence byte)
+# fixed-width fields raw and K_S behind a presence byte). Re-pinned at
+# version 4, when the GUTI went to 4 bytes, the 5G-TMSI's width
 LAYOUT = {
     "hn": ({"imsi-1": hn_mod.SubscriberRecord("imsi-1", b"\x01" * 32, b"\x02" * 32),
             "imsi-ü": hn_mod.SubscriberRecord("imsi-ü", b"\x03" * 32, None)},
-           b"pqaka-store 3 registry\n"
+           b"pqaka-store 4 registry\n"
            + _record(_utf8("imsi-1") + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
            + _record(_utf8("imsi-ü") + b"\x03" * 32 + b"\x00")),
-    "sn": ({b"\x04" * 16: sn_mod.GutiEntry("imsi-1", b"\x05" * 32)},
-           b"pqaka-store 3 guti_table\n"
-           + _record(_utf8("imsi-1") + b"\x04" * 16 + b"\x05" * 32)),
+    "sn": ({b"\x04" * 4: sn_mod.GutiEntry("imsi-1", b"\x05" * 32)},
+           b"pqaka-store 4 guti_table\n"
+           + _record(_utf8("imsi-1") + b"\x04" * 4 + b"\x05" * 32)),
 }
 
 
@@ -390,4 +391,19 @@ def test_version_2_store_is_refused_by_load_and_save(tmp_path, role):
     else:
         data = b"pqaka-store 2 guti_table\n" + _record(
             supi + b"\x04" * 16 + b"\x05" * 32)
+    _refused_by_load_and_save(tmp_path, role, data)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_version_3_store_is_refused_by_load_and_save(tmp_path, role):
+    """The former layout: version 4's, but with a 16-byte GUTI. Read as
+    version 4, the first GUTI record would parse with 12 trailing bytes, so
+    the load would end there and return an empty table: every UE would then
+    fall back to SUPI. The version in the header refuses the file instead."""
+    if role == "hn":
+        data = b"pqaka-store 3 registry\n" + _record(
+            _utf8("imsi-1") + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
+    else:
+        data = b"pqaka-store 3 guti_table\n" + _record(
+            _utf8("imsi-1") + b"\x04" * 16 + b"\x05" * 32)
     _refused_by_load_and_save(tmp_path, role, data)
