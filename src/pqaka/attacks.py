@@ -308,11 +308,12 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
     rng = SeededRandom(seed)
     world = sim.make_world(suite_name, seed=rng)
 
-    def run(attacker: Optional[sim.Attacker], rng: RandomSource) -> sim.SessionOutcome:
+    def run(attacker: Optional[sim.Attacker]) -> sim.SessionOutcome:
         return sim.run_session(world, "supi", attacker, rng, ue_mod=ue_mod)
 
-    a = run(None, rng)
-    assert a.completed
+    a = run(None)
+    if not a.completed:
+        raise RuntimeError(f"session A ended at {a.abort_step}")
     radio_a = _radio(a)
     ch_a = wire.decode(radio_a["challenge"])
 
@@ -323,7 +324,7 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
         nonlocal holds
         attacker = sim.ScriptedAttacker({
             "challenge": lambda data, ctx: wire.encode(make(wire.decode(data)))})
-        out = run(attacker, SeededRandom(seed + 1))
+        out = run(attacker)
         holds = holds and out.abort_step == "ue-challenge"
         evidence.append(f"{name}: abort_step={out.abort_step}")
 
@@ -335,14 +336,14 @@ def scenario_replay_challenge(suite_name: str = "test", seed: int = 0,
     # complete and UE key state stays intact
     guti_before, ks_before = world.ue.guti, world.ue.k_s
     attacker = sim.ScriptedAttacker({"id-response": lambda data, ctx: radio_a["id-response"]})
-    out = run(attacker, SeededRandom(seed + 2))
+    out = run(attacker)
     hn_accepted = any(e.annotation == "auth-vector" for e in out.transcript.entries)
     suci_ok = (hn_accepted and out.abort_step == "ue-challenge"
                and world.ue.guti == guti_before and world.ue.k_s == ks_before)
     holds = holds and suci_ok
     evidence.append(f"replay-suci: hn_accepted={hn_accepted} abort_step={out.abort_step}")
 
-    honest = run(sim.Attacker(), SeededRandom(seed + 3))
+    honest = run(sim.Attacker())
     return Verdict(
         scenario="replay", holds=holds, evidence=evidence,
         controls=[("honest-passthrough-completes", honest.completed)])
@@ -364,10 +365,6 @@ def _linkability_constants(world: sim.World) -> set[bytes]:
     return tags | {b"\x00", b"\x01", world.hn.id_hn.encode()}
 
 
-# the largest offset any game adds to its seed, taken by linkability's control
-MAX_SEED_OFFSET = 17
-
-
 def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
                                mode: str = "supi", *, ue_mod=ue) -> Verdict:
     """No UE-specific radio field value may repeat across the UE's sessions."""
@@ -381,7 +378,10 @@ def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
         return sim.run_session(w, session_mode, rng=rng, ue_mod=roles)
 
     if mode == "guti":
-        assert run(ue1, "supi").completed and run(ue2, "supi").completed
+        for state in (ue1, ue2):
+            provision = run(state, "supi")
+            if not provision.completed:
+                raise RuntimeError(f"a provisioning session ended at {provision.abort_step}")
 
     s1 = run(ue1, mode, ue_mod)
     s2 = run(ue1, mode, ue_mod)
@@ -400,7 +400,7 @@ def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,
     controls: list[tuple[str, bool]] = []
     if ue_mod is ue:
         flipped = not scenario_linkability_probe(
-            suite_name, seed + MAX_SEED_OFFSET, ue_mod=_broken_ue(), mode=mode).holds
+            suite_name, seed, ue_mod=_broken_ue(), mode=mode).holds
         controls.append(("broken-ue-reuse-detected", flipped))
     return Verdict(scenario="linkability", holds=holds,
                    evidence=evidence, controls=controls)
@@ -497,7 +497,8 @@ def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Ve
             ("supi", "supi-sk_u-reveals-k_seaf", {"sk_u"}),
             ("guti", "guti-pre-ratchet-state-reveals-k_seaf", {"k_s_prev", "r_sn_prime"})):
         out, capture = run_captured(world, mode, rng)
-        assert out.completed and out.key_source == mode
+        if out.key_source != mode:          # None if it aborted
+            raise RuntimeError(f"the {mode} session ended at {out.abort_step}")
         k_seaf[mode] = out.k_seaf_ue
         g = build_session_graph(world, out, capture)
         base = g.public | {"k", "sk_h"}

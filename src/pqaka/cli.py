@@ -10,7 +10,7 @@ from typing import Optional, TextIO
 from . import backends  # noqa: F401  (registers the real KEM suites)
 from . import attacks, bench, sim
 from .crypto import available_suites, get_suite, registered_suites
-from .rng import SeededRandom
+from .rng import SEED_RANGE, SeededRandom
 
 
 def _open_out(parser: argparse.ArgumentParser,
@@ -25,15 +25,12 @@ def _open_out(parser: argparse.ArgumentParser,
         parser.error(f"cannot write {path}: {exc.strerror}")
 
 
-# SeededRandom takes 0 <= seed < 2**256, and a game seeds with up to
-# seed + attacks.MAX_SEED_OFFSET
-MAX_SEED = 2**256 - 1 - attacks.MAX_SEED_OFFSET
-_SEED_RANGE = f"0 to 2**256-{attacks.MAX_SEED_OFFSET + 1}"
-
-
-def _check_seed(parser: argparse.ArgumentParser, seed: int) -> None:
-    if not 0 <= seed <= MAX_SEED:
-        parser.error(f"--seed {seed} is not in {_SEED_RANGE}")
+def _seeded(parser: argparse.ArgumentParser, seed: int) -> SeededRandom:
+    """SeededRandom(seed); a seed it refuses is a usage error."""
+    try:
+        return SeededRandom(seed)
+    except OverflowError:
+        parser.error(f"--seed {seed} is not in {SEED_RANGE}")
 
 
 def _write_lines(out: TextIO, lines: list[str]) -> None:
@@ -43,9 +40,8 @@ def _write_lines(out: TextIO, lines: list[str]) -> None:
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.sessions < 0:
         parser.error("--sessions must not be negative")
-    _check_seed(parser, args.seed)
+    rng = _seeded(parser, args.seed)
     with _open_out(parser, args.out) as out:
-        rng = SeededRandom(args.seed)
         world = sim.make_world(args.kem, seed=rng)
         outcomes = []
         for i in range(args.sessions):
@@ -70,7 +66,7 @@ def cmd_attack(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         attacks.weakened_roles(names, weaken)
     except attacks.UnusedWeakening as exc:
         parser.error(str(exc))
-    _check_seed(parser, args.seed)
+    _seeded(parser, args.seed)
     with _open_out(parser, args.out) as out:
         verdicts = attacks.run_scenarios(names, args.kem, args.seed, weaken=weaken)
         lines = [v.to_line() for v in verdicts]
@@ -125,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--kem", choices=available_suites(), default="test")
     p_run.add_argument("--sessions", type=int, default=1)
     p_run.add_argument("--mode", choices=["supi", "guti", "mixed"], default="supi")
-    p_run.add_argument("--seed", type=int, default=0, help=f"{_SEED_RANGE} (default 0)")
+    p_run.add_argument("--seed", type=int, default=0, help=f"{SEED_RANGE} (default 0)")
     p_run.add_argument("--out", help="transcript output file")
     p_run.set_defaults(func=cmd_run)
 
     p_attack = sub.add_parser("attack", help="run adversary-game scenarios")
     p_attack.add_argument("scenario", choices=sorted(attacks.SCENARIOS) + ["all"])
     p_attack.add_argument("--kem", choices=available_suites(), default="test")
-    p_attack.add_argument("--seed", type=int, default=0, help=f"{_SEED_RANGE} (default 0)")
+    p_attack.add_argument("--seed", type=int, default=0, help=f"{SEED_RANGE} (default 0)")
     p_attack.add_argument("--out", help="verdict output file")
     p_attack.add_argument("--weaken", action="append", choices=sorted(attacks.WEAKENINGS),
                           help=argparse.SUPPRESS)   # negative-control hook

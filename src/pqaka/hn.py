@@ -148,8 +148,8 @@ def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:
 # --- registry persistence ---------------------------------------------------
 
 _REGISTRY = store.Table(
-    "registry", (("supi", wire.UTF8), ("k", wire.fixed(crypto.KEY_LEN)),
-                 ("k_s", wire.Kind(crypto.KEY_LEN, optional=True))))
+    "registry", 4, (("supi", wire.UTF8), ("k", wire.fixed(crypto.KEY_LEN)),
+                    ("k_s", wire.Kind(crypto.KEY_LEN, optional=True))))
 
 
 def save_registry(path: str, registry: dict[str, SubscriberRecord],

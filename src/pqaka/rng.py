@@ -15,6 +15,9 @@ from __future__ import annotations
 import hashlib
 import os
 
+SEED_LEN = 32       # bytes an int seed is packed into
+SEED_RANGE = f"0 to 2**{8 * SEED_LEN}-1"     # SeededRandom refuses other int seeds
+
 
 class RandomSource:
     """Interface: anything with a bytes(n) method yielding n random bytes."""
@@ -37,8 +40,8 @@ class SeededRandom(RandomSource):
 
     def __init__(self, seed: int | bytes):
         if isinstance(seed, int):
-            seed = seed.to_bytes(32, "big", signed=False)
-        if len(seed) != 32:
+            seed = seed.to_bytes(SEED_LEN, "big", signed=False)
+        if len(seed) != SEED_LEN:
             seed = hashlib.sha256(seed).digest()
         self._seed = seed
         self._counter = 0

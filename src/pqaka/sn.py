@@ -152,8 +152,8 @@ def sn_resolve_guti(
 
 # keyed by SUPI, so writing a SUPI's row replaces its old GUTI
 _GUTI_TABLE = store.Table(
-    "guti_table", (("supi", wire.UTF8), ("guti", wire.fixed(wire.GUTI_LEN)),
-                   ("r_sn_prime", wire.fixed(crypto.KEY_LEN))), unique="guti")
+    "guti_table", 4, (("supi", wire.UTF8), ("guti", wire.fixed(wire.GUTI_LEN)),
+                      ("r_sn_prime", wire.fixed(crypto.KEY_LEN))), unique="guti")
 
 
 def save_guti_table(path: str, table: dict[bytes, GutiEntry],

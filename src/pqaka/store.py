@@ -1,10 +1,10 @@
 """Durable role state: one append-only record log per role, keyed by SUPI.
 
-A file is a header naming its table and the format version, then records:
+A file is a header naming its table and the table's version, then records:
 the body's length and ``zlib.crc32``, 4 bytes each, then the body, the row
 packed by ``wire.pack_fields`` in the table's field kinds, as a message's
 fields are after its tag: fixed-width fields raw, the SUPI behind its DER
-length, one byte below 128 B. The header's version changes with that
+length, one byte below 128 B. Each table's version changes with its own
 layout, and a file of another version is refused. The last record of a
 SUPI is its row. A commit appends its one row in one unsynced
 ``os.write``. The first save of a mapping, and compaction once appended
@@ -26,7 +26,6 @@ from typing import Callable, Iterator, Mapping, Optional
 
 from .wire import Fields, ParseError, pack_fields, unpack_fields
 
-VERSION = 4
 COMPACT_SLACK = 64
 PENDING_MAX = 64        # sessions a role holds awaiting their next message
 _FRAME = struct.Struct("<II")      # body length, zlib.crc32 of the body
@@ -36,9 +35,9 @@ class Table:
     """One role's table: rows keyed on the SUPI in the first field, no two
     SUPIs on the unique one; each row is packed by wire's field walk."""
 
-    def __init__(self, name: str, fields: Fields, unique: str = ""):
-        self.name, self.fields = name, fields
-        self.header = f"pqaka-store {VERSION} {name}\n".encode()
+    def __init__(self, name: str, version: int, fields: Fields, unique: str = ""):
+        self.name, self.version, self.fields = name, version, fields
+        self.header = f"pqaka-store {version} {name}\n".encode()
         self.unique = [f for f, _ in fields].index(unique) if unique else None
 
     def encode(self, row: tuple) -> bytes:
@@ -108,7 +107,7 @@ def load(path: str, table: Table) -> Iterator[list]:
     records that check and parse. A missing store is an error, not empty."""
     with open(path, "rb") as f:
         if f.read(len(table.header)) != table.header:
-            raise ValueError(f"{path} is not a version {VERSION} {table.name} store")
+            raise ValueError(f"{path} is not a version {table.version} {table.name} store")
         data = f.read()
     rows, at = {}, _FRAME.size
     while at <= len(data):

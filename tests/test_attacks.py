@@ -1,6 +1,9 @@
 """Adversary-game scenarios and the derivation-closure oracle."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -156,6 +159,68 @@ def test_run_scenarios_all():
     for v in verdicts:
         line = v.to_line()
         assert v.scenario in line and "holds=True" in line
+
+
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519"])
+def test_every_game_session_draws_fresh_values(monkeypatch, suite):
+    """Over one pass of every game, no UE state draws one sk_U twice and no
+    SN opens one sid twice: each session draws from its game's one seeded
+    source. The replayed id-response of replay-suci is the attack itself;
+    the UE draws a fresh sk_U for that session all the same."""
+    draws: dict[int, tuple[object, Counter]] = {}    # id(state) -> (state, values)
+
+    def count(state, value):
+        draws.setdefault(id(state), (state, Counter()))[1][value] += 1
+
+    honest_response = ue_mod.ue_identification_response
+
+    def identification_response(state, rng):
+        msg, pair = honest_response(state, rng)
+        count(state, pair.sk)
+        return msg, pair
+
+    def opening(forward):
+        def opened(state, msg, rng):
+            forwarded = forward(state, msg, rng)
+            if isinstance(forwarded, tuple):
+                count(state, forwarded[1])
+            return forwarded
+        return opened
+
+    monkeypatch.setattr(ue_mod, "ue_identification_response", identification_response)
+    for name in ("sn_forward_identification", "sn_resolve_guti"):
+        monkeypatch.setattr(sn, name, opening(getattr(sn, name)))
+    assert all(v.holds for v in attacks.run_scenarios(list(attacks.SCENARIOS), suite))
+    assert {type(state).__name__ for state, _ in draws.values()} == {"UeState", "SnState"}
+    repeated = {type(state).__name__: [v.hex() for v, n in values.items() if n > 1]
+                for state, values in draws.values() if max(values.values()) > 1}
+    assert repeated == {}
+
+
+def test_guti_linkability_verdict_is_the_same_under_python_O():
+    """The game's provisioning sessions run, and its preconditions are
+    checked, with assertions stripped too."""
+    src = os.path.dirname(os.path.dirname(attacks.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from pqaka import attacks; "
+            "print(attacks.scenario_linkability_probe(mode='guti').to_line())")
+    lines = [subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+             for flags in ([], ["-O"])]
+    assert lines[0] == lines[1]
+    assert "holds=True" in lines[0]
+
+
+@pytest.mark.parametrize("game, kwargs", [
+    ("replay", {}), ("linkability", {"mode": "guti"}), ("forward-secrecy", {})],
+    ids=["replay", "linkability-guti", "forward-secrecy"])
+def test_game_whose_first_session_aborts_raises(monkeypatch, game, kwargs):
+    """A game checks that the sessions it builds on completed with an
+    explicit raise, which python -O keeps."""
+    monkeypatch.setattr(ue_mod, "ue_process_challenge", lambda state, ch, ephemeral: None)
+    with pytest.raises(RuntimeError, match="ended at ue-challenge"):
+        attacks.SCENARIOS[game](**kwargs)
 
 
 def test_verdicts_carry_witness_evidence():

@@ -52,7 +52,8 @@ def _verdict_lines(keys_tried: int) -> list[str]:
 KEYS_TRIED = {"test": 3, "ecies-x25519": 3, "ecies-p256": 1}
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+# 2**256 - 1, SeededRandom's largest seed, is a game's seed as any other
+@pytest.mark.parametrize("seed", [0, 1, 2**256 - 1])
 @pytest.mark.parametrize("suite", list(KEYS_TRIED))
 def test_attack_verdict_lines_pinned(suite, seed):
     verdicts = attacks.run_scenarios(list(attacks.SCENARIOS), suite, seed)

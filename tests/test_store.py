@@ -348,6 +348,23 @@ def test_store_file_layout_pinned(tmp_path, role):
     assert load(path) == mapping
 
 
+def test_each_table_has_its_own_version(tmp_path, monkeypatch):
+    """A layout change to the SN's table raises its version only: the HN's
+    version-4 registry still loads and saves, and the SN's version-4 file
+    is refused."""
+    hn_path, sn_path = str(tmp_path / "hn"), str(tmp_path / "sn")
+    for role, path in (("hn", hn_path), ("sn", sn_path)):
+        ROLES[role][0](path, LAYOUT[role][0])
+    table = sn_mod._GUTI_TABLE
+    monkeypatch.setattr(sn_mod, "_GUTI_TABLE",
+                        store.Table(table.name, 5, table.fields, unique="guti"))
+    assert hn_mod.load_registry(hn_path) == LAYOUT["hn"][0]
+    hn_mod.save_registry(hn_path, _rows("hn", 2))
+    assert hn_mod.load_registry(hn_path) == _rows("hn", 2)
+    with pytest.raises(ValueError, match="version 5"):
+        sn_mod.load_guti_table(sn_path)
+
+
 def _refused_by_load_and_save(tmp_path, role, data):
     """A file holding data is refused by load and by save, and left as is."""
     save, load, _ = ROLES[role]
