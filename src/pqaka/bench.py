@@ -2,9 +2,9 @@
 
 UE cost is one KeyGen + one Encaps + one Decaps per session; HN cost is
 one Encaps + one Decaps. Timings are medians over the configured
-iteration count with the interquartile range as dispersion. Size rows
-come straight from suite metadata; message rows are measured by encoding
-messages with correctly sized placeholder contents.
+iteration count with the interquartile range as dispersion. A size row
+takes the four lengths from suite metadata and the message sizes from one
+seeded honest SUPI session over the suite's stand-in, operational or not.
 """
 
 from __future__ import annotations
@@ -12,12 +12,20 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import crypto, wire
-from .crypto import KemSuite, get_suite
-from .rng import OsRandom
-from .sim import DEFAULT_SUPI, ID_HN, ID_SN
+from . import crypto, sim
+from .crypto import KemKeyPair, KemSuite, get_suite
+from .rng import OsRandom, SeededRandom
+
+# each measured message: table column, width, SizeRow.msg_bytes key, transcript label
+MESSAGES = (
+    ("id-resp", 8, "IdResponseMsg", "id-response"),
+    ("hn-sn", 8, "HnToSnAuthMsg", "auth-vector"),
+    ("chall", 8, "ChallengeMsg", "challenge"),
+    ("resp", 6, "ResponseMsg", "response"),
+    ("assign", 7, "SecureEnvelopeMsg", "guti-assign"),
+)
 
 
 @dataclass
@@ -73,31 +81,24 @@ def run_bench(suite_names: list[str], iters: int) -> list[BenchRow]:
     return [bench_suite(get_suite(n), iters) for n in suite_names]
 
 
+def stand_in(suite: KemSuite) -> KemSuite:
+    """The suite with its four lengths, whose every sk, pk, ct and key is
+    zero bytes: the roles run on it whether or not the suite is operational.
+    It loads no sk, since P-256's own load_sk refuses an all-zero one."""
+    sk, pk, ct, key = map(bytes, (suite.sk_len, suite.pk_len, suite.ct_len, suite.key_len))
+    return replace(suite, load_sk=None, keygen=lambda rng: KemKeyPair(pk=pk, sk=sk),
+                   encaps=lambda _pk, rng: (ct, key), decaps=lambda _sk, _pk, _ct: key)
+
+
 def size_row(suite: KemSuite) -> SizeRow:
-    """Protocol message sizes for this suite, measured on real encodings."""
-    c = bytes(suite.ct_len)
-    # SUCI_conc is the bare ciphertext; its AEAD tag is sent as MAC_U
-    suci_conc = bytes(len(wire.pack_suci_payload(DEFAULT_SUPI, bytes(suite.pk_len), ID_SN)))
-    tag = bytes(crypto.AEAD_TAG_OVERHEAD)
-    m = bytes(len(wire.pack_m_payload(bytes(crypto.KEY_LEN), DEFAULT_SUPI))
-              + crypto.AEAD_TAG_OVERHEAD)
-    conc, check = bytes(wire.RAND_LEN), bytes(crypto.CHECK_LEN)
-    msgs = {
-        "IdResponseMsg": wire.IdResponseMsg(
-            c1=c, suci_conc=suci_conc, mac_u=tag, id_hn=ID_HN),
-        "HnToSnAuthMsg": wire.HnToSnAuthMsg(
-            conc=conc, mac=check, m=m, c2=c),
-        "ChallengeMsg": wire.ChallengeMsg(conc=conc, mac=check, c2=c),
-        "ResponseMsg": wire.ResponseMsg(res_star=check),
-        # the GUTI assignment as it crosses the radio, sealed
-        "SecureEnvelopeMsg": wire.SecureEnvelopeMsg(ct=bytes(
-            len(wire.encode(wire.GutiAssignMsg(guti_new=bytes(wire.GUTI_LEN))))
-            + crypto.AEAD_TAG_OVERHEAD)),
-    }
+    """Protocol message sizes for this suite, read off the transcript of one
+    seeded honest SUPI session over its stand-in."""
+    outcome = sim.run_session(sim.make_world(stand_in(suite)), "supi", rng=SeededRandom(0))
+    sent = {e.annotation: len(e.data) for e in outcome.transcript.entries}
     return SizeRow(
         name=suite.name, sk_len=suite.sk_len, pk_len=suite.pk_len,
         ct_len=suite.ct_len, key_len=suite.key_len,
-        msg_bytes={k: len(wire.encode(v)) for k, v in msgs.items()})
+        msg_bytes={key: sent[label] for _col, _w, key, label in MESSAGES})
 
 
 def run_sizes(suite_names: list[str]) -> list[SizeRow]:
@@ -119,14 +120,12 @@ def format_bench_table(rows: list[BenchRow]) -> str:
 
 def format_size_table(rows: list[SizeRow]) -> str:
     header = (f"{'algorithm':<14} {'sk':>8} {'pk':>8} {'ct':>8} {'key':>5} "
-              f"{'id-resp':>8} {'hn-sn':>8} {'chall':>8} {'resp':>6} {'assign':>7}")
+              + " ".join(f"{col:>{w}}" for col, w, _key, _label in MESSAGES))
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r.name:<14} {r.sk_len:>8} {r.pk_len:>8} {r.ct_len:>8} {r.key_len:>5} "
-            f"{r.msg_bytes['IdResponseMsg']:>8} {r.msg_bytes['HnToSnAuthMsg']:>8} "
-            f"{r.msg_bytes['ChallengeMsg']:>8} {r.msg_bytes['ResponseMsg']:>6} "
-            f"{r.msg_bytes['SecureEnvelopeMsg']:>7}")
+            + " ".join(f"{r.msg_bytes[key]:>{w}}" for _col, w, key, _label in MESSAGES))
     return "\n".join(lines)
 
 

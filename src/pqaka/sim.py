@@ -26,7 +26,7 @@ CORE = "core"
 # the one SN and HN of every world
 ID_SN = "sn.example"
 ID_HN = "hn.example"
-# make_world's subscriber, whose SUPI the size rows encode
+# make_world's subscriber, whose session the size rows measure
 DEFAULT_SUPI = "imsi-001010000000001"
 
 
@@ -117,13 +117,13 @@ class World:
 
 
 def make_world(
-    suite_name: str = "test",
+    suite: str | KemSuite = "test",
     seed: int | RandomSource = 0,
     supi: str = DEFAULT_SUPI,
 ) -> World:
-    """A consistently provisioned UE/SN/HN triple."""
+    """A consistently provisioned UE/SN/HN triple over a suite or its name."""
     rng = seed if isinstance(seed, RandomSource) else SeededRandom(seed)
-    suite = get_suite(suite_name)
+    suite = suite if isinstance(suite, KemSuite) else get_suite(suite)
     k = rng.stream("k").bytes(crypto.KEY_LEN)
     hn_pair = crypto.kem_keygen(suite, rng)
     hn = hn_mod.HnState(
@@ -211,9 +211,8 @@ def session(
         except wire.ParseError:
             return None
 
-    def send_core(direction: str, label: str, msg: wire.Message) -> wire.Message:
+    def send_core(direction: str, label: str, msg: wire.Message) -> None:
         t.append(CORE, direction, wire.encode(msg), label)
-        return msg
 
     def sn_abort(step: str) -> SessionOutcome:
         """The SN ends the session at the HN too, which drops its entry."""
@@ -250,25 +249,25 @@ def session(
     to_hn, sid = forwarded
 
     ident_label = "sn-hn-guti" if isinstance(to_hn, wire.GutiSnToHnMsg) else "sn-hn-ident"
-    at_hn = send_core("SN->HN", ident_label, to_hn)
+    send_core("SN->HN", ident_label, to_hn)
 
     # 4. HN: identification and authentication vector
     try:
-        if isinstance(at_hn, wire.SnToHnIdentMsg):
-            supi, pk_u, record = hn_mod.hn_identify(hn, at_hn, sn.id_sn)
+        if isinstance(to_hn, wire.SnToHnIdentMsg):
+            supi, pk_u, record = hn_mod.hn_identify(hn, to_hn, sn.id_sn)
             to_sn = hn_mod.hn_auth_vector(
-                hn, record, pk_u, at_hn.r_sn, sn.id_sn, rng, sid)
+                hn, record, pk_u, to_hn.r_sn, sn.id_sn, rng, sid)
         else:
-            to_sn = hn_mod.hn_guti_auth_vector(hn, at_hn, sn.id_sn, sid)
+            to_sn = hn_mod.hn_guti_auth_vector(hn, to_hn, sn.id_sn, sid)
     except hn_mod.IdentificationAbort:
         send_core("HN->SN", "hn-abort", wire.AbortMsg())
         sn.pending.pop(sid, None)
         return _aborted(t, "hn-identify")
 
-    vector = send_core("HN->SN", "auth-vector", to_sn)
+    send_core("HN->SN", "auth-vector", to_sn)
 
     # 5. challenge to the UE
-    challenge = sn_mod.sn_forward_challenge(sn, sid, vector)
+    challenge = sn_mod.sn_forward_challenge(sn, sid, to_sn)
     if challenge is None:
         return sn_abort("sn-challenge")
     ch = yield from send_radio("SN->UE", "challenge", challenge)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from pqaka import attacks, bench, cli, sim
-from pqaka.crypto import available_suites, registered_suites
+from pqaka.crypto import available_suites, get_suite, registered_suites
 from pqaka.rng import SeededRandom
 
 
@@ -206,28 +206,50 @@ def test_sizes_default_covers_all_registered(capsys):
         assert any(line.startswith(name) for line in out.splitlines())
 
 
+def _supi_then_guti(kem) -> list[list[tuple[str, str, int]]]:
+    """Each transcript entry's channel, label and length, over a seeded SUPI
+    session and the GUTI session after it."""
+    rng = SeededRandom(1)
+    world = sim.make_world(kem, seed=rng, supi=sim.DEFAULT_SUPI)
+    outcomes = [sim.run_session(world, mode, rng=rng) for mode in ("supi", "guti")]
+    assert all(outcome.completed for outcome in outcomes)
+    return [[(e.channel, e.annotation, len(e.data)) for e in outcome.transcript.entries]
+            for outcome in outcomes]
+
+
 @pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"] + [
     name for name in ("ml-kem-768", "ml-kem-1024") if name in registered_suites()])
 def test_sizes_match_a_real_supi_session(suite, capsys):
-    """The message columns, encoded from placeholders, are the lengths an
-    honest SUPI session of the same SUPI sends; assign is its sealed GUTI
-    assignment."""
+    """The message columns, read off a session over bench's stand-in, are
+    the lengths an honest SUPI session of the same SUPI sends; assign is its
+    sealed GUTI assignment. The stand-in's premise: a seeded SUPI session and
+    the GUTI session after it send, over the stand-in and over the suite
+    itself, the same messages at the same lengths on both channels."""
     assert run_cli("sizes", "--kem", suite) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     row = next(r for r in rows if r.split()[0] == suite)
     columns = dict(zip(header.split(), row.split()))
-    world = sim.make_world(suite, supi=sim.DEFAULT_SUPI)
-    outcome = sim.run_session(world, "supi", rng=SeededRandom(1))
-    assert outcome.completed
-    sent = {e.annotation: len(e.data) for e in outcome.transcript.entries}
+    real = _supi_then_guti(get_suite(suite))
+    assert _supi_then_guti(bench.stand_in(get_suite(suite))) == real
+    sent = {label: n for _channel, label, n in real[0]}
     entries = {"id-resp": "id-response", "hn-sn": "auth-vector",
                "chall": "challenge", "resp": "response", "assign": "guti-assign"}
     assert {col: int(columns[col]) for col in entries} == \
         {col: sent[entry] for col, entry in entries.items()}
 
 
+@pytest.mark.parametrize("suite", registered_suites())
+def test_every_size_row_is_a_completed_session(suite):
+    """Metadata-only suites included, the stand-in's SUPI session completes
+    with one K_seaf at UE, SN and HN."""
+    world = sim.make_world(bench.stand_in(get_suite(suite)))
+    outcome = sim.run_session(world, "supi", rng=SeededRandom(0))
+    assert outcome.completed and outcome.key_source == "supi"
+    assert outcome.k_seaf_ue == outcome.k_seaf_sn == outcome.k_seaf_hn is not None
+
+
 # `pqaka sizes` with no flags: the communication-cost columns, whose message
-# sizes run through wire.pack_suci_payload and wire.pack_m_payload.
+# sizes are read off one honest SUPI session over each suite's stand-in.
 # Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: the sealed
 # assign column is 12 bytes shorter on every row. CI checks the installed
 # console script's output against this table
