@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidTag
@@ -206,8 +206,10 @@ class KemSuite:
         return self.keygen is not None
 
     def __reduce__(self):
-        # pickled and copied by name: a backend's callables may be closures
-        return get_suite, (self.name,)
+        # by name if registered (a backend's callables may be closures), else by value
+        if _REGISTRY.get(self.name) is self:
+            return get_suite, (self.name,)
+        return KemSuite, tuple(getattr(self, f.name) for f in fields(self))
 
 
 def kem_keygen(suite: KemSuite, rng: RandomSource) -> KemKeyPair:

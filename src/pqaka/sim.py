@@ -124,17 +124,11 @@ def make_world(
     """A consistently provisioned UE/SN/HN triple over a suite or its name."""
     rng = seed if isinstance(seed, RandomSource) else SeededRandom(seed)
     suite = suite if isinstance(suite, KemSuite) else get_suite(suite)
-    k = rng.stream("k").bytes(crypto.KEY_LEN)
-    hn_pair = crypto.kem_keygen(suite, rng)
-    hn = hn_mod.HnState(
-        id_hn=ID_HN, kem=suite, kem_pair=hn_pair,
-        registry={supi: hn_mod.SubscriberRecord(supi=supi, k=k)},
-        sn_allowlist={ID_SN})
-    ue = ue_mod.UeState(
-        supi=supi, k=k, pk_h=hn_pair.pk, id_hn=ID_HN,
-        id_sn_expected=ID_SN, kem=suite)
-    sn = sn_mod.SnState(id_sn=ID_SN)
-    return World(ue=ue, sn=sn, hn=hn, suite=suite)
+    hn = hn_mod.HnState(id_hn=ID_HN, kem=suite, kem_pair=crypto.kem_keygen(suite, rng),
+                        sn_allowlist={ID_SN})
+    world = World(ue=None, sn=sn_mod.SnState(id_sn=ID_SN), hn=hn, suite=suite)
+    world.ue = add_subscriber(world, supi, rng)
+    return world
 
 
 def add_subscriber(world: World, supi: str, rng: RandomSource) -> ue_mod.UeState:

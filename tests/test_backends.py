@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from drive import to_challenge
-from pqaka import attacks, backends, crypto, sim, ue as ue_mod, wire
+from pqaka import attacks, backends, bench, crypto, sim, ue as ue_mod, wire
 from pqaka.crypto import available_suites, get_suite
 from pqaka.rng import SeededRandom
 
@@ -222,6 +222,20 @@ def test_pickled_and_copied_suites_are_the_registered_suite(name):
     twin = pickle.loads(pickle.dumps(world))
     assert twin.suite is twin.ue.kem is twin.hn.kem is suite
     assert copy.deepcopy(world.ue).kem is suite
+
+
+@pytest.mark.parametrize("name", ECIES)
+def test_a_copied_stand_in_world_keeps_the_stand_in(name):
+    """A suite that is not the registered one copies by value: swapped for
+    the real suite, the world's all-zero pk_H would be rejected. Its lambdas
+    do not pickle, so pickling it fails rather than swapping suites."""
+    world = sim.make_world(bench.stand_in(get_suite(name)), seed=0)
+    twin = copy.deepcopy(world)
+    assert twin.suite == world.suite and twin.suite is not get_suite(name)
+    assert twin.ue.kem is twin.hn.kem is twin.suite
+    assert sim.run_session(twin, "supi", rng=SeededRandom(0)).completed
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(world)
 
 
 # --- the liboqs hook, driven by a fake ``oqs`` module -------------------------

@@ -1,5 +1,6 @@
 """CLI: exit codes, outputs, flag files."""
 
+import hashlib
 import importlib.util
 import json
 
@@ -8,19 +9,30 @@ import pytest
 from pqaka import attacks, bench, cli, sim
 from pqaka.crypto import available_suites, get_suite, registered_suites
 from pqaka.rng import SeededRandom
+from test_pinned_outputs import KEYS_TRIED, MIXED_RUN_SHA256, _verdict_lines
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def test_run_mixed_sessions(tmp_path):
-    out = tmp_path / "t.log"
-    assert run_cli("run", "--kem", "test", "--sessions", "10",
-                   "--mode", "mixed", "--seed", "7", "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    session_ids = {line.split()[0] for line in lines}
-    assert session_ids == {str(i) for i in range(10)}
+@pytest.mark.parametrize("kem,flag_file", [(kem, False) for kem in MIXED_RUN_SHA256]
+                         + [("test", True)], ids=[*MIXED_RUN_SHA256, "test-@file"])
+def test_run_mixed_sessions(tmp_path, capsys, kem, flag_file):
+    """The pinned mixed run, its flags given inline with --out, or read from
+    a file of one argument per line with the transcript on stdout."""
+    argv = ["--kem", kem, "--sessions", "20", "--mode", "mixed", "--seed", "3"]
+    if flag_file:
+        flags = tmp_path / "flags"
+        flags.write_text("".join(arg + "\n" for arg in argv))
+        assert run_cli("run", f"@{flags}") == 0
+        text = capsys.readouterr().out
+    else:
+        out = tmp_path / "t.log"
+        assert run_cli("run", *argv, "--out", str(out)) == 0
+        text = out.read_text()
+    assert {line.split()[0] for line in text.splitlines()} == {str(i) for i in range(20)}
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_RUN_SHA256[kem]
 
 
 def test_run_zero_sessions(tmp_path):
@@ -134,12 +146,13 @@ def test_run_guti_mode(tmp_path):
                    "--out", str(out)) == 0
 
 
-def test_attack_all_passes(tmp_path):
+@pytest.mark.parametrize("kem", list(KEYS_TRIED))
+def test_attack_all_passes(tmp_path, kem):
+    """Every game holds, with the verdict lines pinned for the suite."""
     out = tmp_path / "verdicts.log"
-    assert run_cli("attack", "all", "--kem", "test", "--seed", "0",
+    assert run_cli("attack", "all", "--kem", kem, "--seed", "0",
                    "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 4 and all("holds=True" in line for line in lines)
+    assert out.read_text().splitlines() == _verdict_lines(KEYS_TRIED[kem])
 
 
 def test_attack_single_scenario():
@@ -150,10 +163,6 @@ def test_attack_unknown_scenario_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("attack", "nosuch")
     assert exc.value.code == 2
-
-
-def test_attack_weakened_ue_fails():
-    assert run_cli("attack", "replay", "--weaken", "ue-mac") == 1
 
 
 @pytest.mark.parametrize("scenario", list(attacks.SCENARIOS))
@@ -251,8 +260,8 @@ def test_every_size_row_is_a_completed_session(suite):
 # `pqaka sizes` with no flags: the communication-cost columns, whose message
 # sizes are read off one honest SUPI session over each suite's stand-in.
 # Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: the sealed
-# assign column is 12 bytes shorter on every row. CI checks the installed
-# console script's output against this table
+# assign column is 12 bytes shorter on every row. test_default_sizes_table_pinned
+# checks both the table printed and the --out JSONL rows against it
 SIZES_TABLE = """\
 algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp  assign
 -----------------------------------------------------------------------------------------
@@ -275,14 +284,23 @@ MLKEM_ROWS = ("ml-kem-768 ", "ml-kem-1024 ")
 # it the other rows are checked
 @pytest.mark.skipif(importlib.util.find_spec("oqs") is not None,
                     reason="liboqs sets the post-quantum rows")
-def test_default_sizes_table_pinned(capsys):
-    assert run_cli("sizes") == 0
-    out = capsys.readouterr().out
-    if "ml-kem-768" in registered_suites():
-        assert out == SIZES_TABLE
-    else:
-        assert out == "".join(line for line in SIZES_TABLE.splitlines(keepends=True)
-                              if not line.startswith(MLKEM_ROWS))
+def test_default_sizes_table_pinned(tmp_path, capsys):
+    out = tmp_path / "sizes.jsonl"
+    assert run_cli("sizes", "--out", str(out)) == 0
+    table = SIZES_TABLE if "ml-kem-768" in registered_suites() else "".join(
+        line for line in SIZES_TABLE.splitlines(keepends=True) if not line.startswith(MLKEM_ROWS))
+    assert capsys.readouterr().out == table
+    # each --out row: its four lengths and five msg_bytes, by table column
+    header, _rule, *lines = table.splitlines()
+    want = {f[0]: dict(zip(header.split()[1:], map(int, f[1:]))) for f in map(str.split, lines)}
+    lengths = {"sk": "sk_len", "pk": "pk_len", "ct": "ct_len", "key": "key_len"}
+    msgs = {"id-resp": "IdResponseMsg", "hn-sn": "HnToSnAuthMsg", "chall": "ChallengeMsg",
+            "resp": "ResponseMsg", "assign": "SecureEnvelopeMsg"}
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == len(want)
+    assert {r["name"]: {**{col: r[key] for col, key in lengths.items()},
+                        **{col: r["msg_bytes"][key] for col, key in msgs.items()}}
+            for r in rows} == want
 
 
 def test_bench_runs_on_test_kem(tmp_path, capsys):
