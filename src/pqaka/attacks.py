@@ -1,17 +1,17 @@
 """Executable adversary games, each returning a machine-checkable verdict.
 
 Forward secrecy, and what a compromised SN knows before RES*, are decided
-by a knowledge-closure oracle: the session's value-derivation graph is
-rebuilt independently from raw secrets and transcript bytes, and a value
-counts as derivable only if a chain of real operation applications (each
-executed once, when its recipe is added, not assumed) reaches it from the
-attacker's knowledge set. Every scenario also runs
-controls that must flip, and WEAKENINGS names the weakened roles each game
-must fail with.
+by a knowledge closure over the calls the roles made: a Recorder logs the
+crypto, wire and draw calls of a game's sessions, DerivationGraph reads
+Dolev-Yao edges over byte values off that log, and a value counts as
+derivable only if a chain of edges reaches it from the attacker's
+knowledge set. Every scenario also runs controls that must flip, and
+WEAKENINGS names the weakened roles each game must fail with.
 """
 
 from __future__ import annotations
 
+import hmac
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Optional
@@ -34,97 +34,154 @@ class Verdict:
         return f"{self.scenario} holds={self.holds} controls=[{ctrl}] evidence=[{ev}]"
 
 
-# --- derivation-graph knowledge closure -------------------------------------
+# --- recorded derivation graph ----------------------------------------------
 
-def _opened(key: bytes, ct: bytes, unpack: Callable[[bytes], tuple]) -> tuple:
-    return unpack(crypto.aead_open(key, ct))
-
-
-# recipe op -> its executable form, called as _OPS[op](suite, *input_values)
-_OPS = {
-    "decaps": lambda suite, sk, ct: crypto.kem_decaps(suite, sk, ct),
-    **{f"f{i}": lambda suite, key, *values, i=i: crypto.prf_f(i, key, list(values))
-       for i in "12345"},
-    "kdf": lambda suite, *values: crypto.kdf(list(values)),
-    # RES*: the CHECK_LEN least significant bytes of the kdf (TS 33.501 A.4)
-    "kdf-res": lambda suite, *values: crypto.kdf(list(values))[-crypto.CHECK_LEN:],
-    "hash": lambda suite, *values: crypto.hash_h(list(values)),
-    "xor": lambda suite, a, b: crypto.xor_bytes(a, b),
-    # SUCI_conc opens with MAC_U, its AEAD tag, appended
-    "open-suci-supi": lambda suite, key, ct, tag: _opened(
-        key, ct + tag, wire.unpack_suci_payload)[0].encode(),
-    "open-suci-pk": lambda suite, key, ct, tag: _opened(
-        key, ct + tag, wire.unpack_suci_payload)[1],
-    "open-m-k_seaf": lambda suite, key, m: _opened(key, m, wire.unpack_m_payload)[0],
-    "open-m-supi": lambda suite, key, m: _opened(key, m, wire.unpack_m_payload)[1].encode(),
-}
+# (owner, name) of every function the Recorder logs: the roles call each
+# crypto one through the crypto module, wire's encode, decode and payload
+# packers reach the two field walks through wire's globals, and every draw
+# goes through SeededRandom.bytes
+_RECORDED = [(crypto, name) for name in (
+    "prf_key", "prf_f", "kdf", "hash_h", "xor_bytes", "aead_seal", "aead_open",
+    "kem_keygen", "kem_encaps", "kem_decaps")] + [
+    (wire, "pack_fields"), (wire, "unpack_fields"), (SeededRandom, "bytes")]
 
 
-@dataclass
-class _Node:
-    value: bytes
-    # (op, inputs, whether op on the inputs' bytes reproduces value)
-    recipes: list[tuple[str, tuple[str, ...], bool]] = field(default_factory=list)
+class Recorder:
+    """Context manager that logs each call of a _RECORDED function as (name,
+    args, result) and puts every original back on exit. A call that raises
+    is not logged, nor is a call made inside a kem_* call, so that each KEM
+    is one opaque edge: the ideal KEM the games assume, not the test double."""
+
+    def __init__(self):
+        self.log: list[tuple[str, tuple, object]] = []
+        self._undo: list[tuple[object, str, object]] = []
+        self._in_kem = False
+
+    def __enter__(self) -> Recorder:
+        for owner, name in _RECORDED:
+            self._undo.append((owner, name, getattr(owner, name)))
+            setattr(owner, name, self._recording(name, getattr(owner, name)))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        while self._undo:
+            setattr(*self._undo.pop())
+
+    def _recording(self, name: str, fn: Callable) -> Callable:
+        def recorded(*args):
+            if self._in_kem:
+                return fn(*args)
+            self._in_kem = name.startswith("kem_")
+            try:
+                result = fn(*args)
+            finally:
+                self._in_kem = False
+            self.log.append((name, args, result))
+            return result
+        return recorded
 
 
 class DerivationGraph:
-    """Protocol values with executable recipes; closure = deducibility."""
+    """Edges over the byte values of a recorded history. Each call gives its
+    forward edge, and the attacker also gets: a seal opens under its key, a
+    packed value unpacks, an XOR solves for either operand, an AEAD output is
+    its body plus its tag (SUCI_conc and MAC_U), a kdf output gives its last
+    CHECK_LEN bytes (RES*), and a ct decapsulates under the sk of the pk it
+    was made for. The constants, the inputs that no call made, no draw gave
+    and secrets (SUPIs) does not name, are public; names maps a value to the
+    wire fields it crossed as."""
 
-    def __init__(self, suite: crypto.KemSuite):
-        self.suite = suite
-        self.nodes: dict[str, _Node] = {}
-        self.public: set[str] = set()      # atoms a radio attacker knows
+    def __init__(self, recorder: Recorder, secrets: Iterable[str] = ()):
+        self.names: dict[bytes, set[str]] = {}
+        # per edge its outputs and its input count; per value its edges
+        self._outputs: list[tuple[bytes, ...]] = []
+        self._arity: list[int] = []
+        self._uses: dict[bytes, list[int]] = {}
+        made: set[bytes] = set()        # what a call returned, whole or in part
+        prf_keys: dict[crypto.PrfKey, bytes] = {}
+        sks: dict[bytes, bytes] = {}
 
-    def atom(self, name: str, value: bytes, public: bool = False) -> None:
-        self.nodes.setdefault(name, _Node(value=bytes(value)))
-        if public:
-            self.public.add(name)
+        def edge(inputs: Iterable[bytes], *outputs: bytes) -> tuple[bytes, ...]:
+            for value in inputs:
+                self._uses.setdefault(value, []).append(len(self._arity))
+            self._outputs.append(outputs)
+            self._arity.append(len(inputs))
+            return outputs
 
-    def derived(self, name: str, op: str, *inputs: str) -> None:
-        """Add a recipe and run its op once, on the inputs' bytes. A new node
-        takes the bytes it computes; a node that already holds bytes keeps
-        them, and the recipe records whether the op reproduces them (an op
-        that raises does not)."""
-        values = [self.nodes[i].value for i in inputs]
-        node = self.nodes.get(name)
-        if node is None:
-            self.nodes[name] = _Node(_OPS[op](self.suite, *values), [(op, inputs, True)])
-            return
-        try:
-            reproduces = _OPS[op](self.suite, *values) == node.value
-        except (crypto.CryptoError, crypto.AeadFailure, wire.ParseError):
-            reproduces = False
-        node.recipes.append((op, inputs, reproduces))
+        for name, args, result in recorder.log:
+            if name == "bytes":
+                made.add(result)
+            elif name == "prf_key":
+                prf_keys[result] = args[0]
+            elif name == "prf_f":
+                made.update(edge([prf_keys.get(args[1], args[1]), *args[2]], result))
+            elif name in ("kdf", "hash_h"):
+                made.update(edge(args[0], result))
+                if name == "kdf":
+                    made.update(edge([result], result[-crypto.CHECK_LEN:]))
+            elif name == "xor_bytes":
+                a, b = args
+                made.update(edge(args, result))
+                edge([a, result], b)
+                edge([b, result], a)
+            elif name == "aead_seal":
+                key, plain = args
+                body, tag = result[:-crypto.AEAD_TAG_OVERHEAD], result[-crypto.AEAD_TAG_OVERHEAD:]
+                made.update(edge(args, result))
+                edge([key, result], plain)
+                made.update(edge([result], body, tag))
+                edge([body, tag], result)
+            elif name == "aead_open":
+                made.update(edge(args, result))
+            elif name in ("pack_fields", "unpack_fields"):
+                packed, values = (result, args[1]) if name == "pack_fields" else (args[1], result)
+                named = {f: v.encode() if isinstance(v, str) else v     # not flags or None
+                         for (f, _kind), v in zip(args[0], values) if isinstance(v, (str, bytes))}
+                if named:
+                    if name == "pack_fields":
+                        made.update(edge(named.values(), packed))
+                    edge([packed], *named.values())
+                for f, v in named.items():
+                    self.names.setdefault(v, set()).add(f)
+            elif name == "kem_keygen":
+                made.update((result.pk, result.sk))
+                sks[result.pk] = result.sk
+                edge([result.sk], result.pk)
+            elif name == "kem_encaps":
+                (ct, key), pk = result, args[1]
+                made.update((ct, key))
+                if pk in sks:
+                    edge([sks[pk], ct], key)
+            else:                                   # kem_decaps
+                made.update(edge([getattr(args[1], "sk", args[1]), args[2]], result))
+        self.constants = self._uses.keys() - made - {s.encode() for s in secrets}
 
-    def closure(self, base: set[str]) -> dict[str, int]:
-        """Names deducible from base, each with the fewest rounds that reach it.
-
-        Round r admits every node with a recipe whose inputs were all deduced
-        before the round and whose op, run when the recipe was added,
-        reproduced the session's bytes; a round that admits nothing ends it.
-        """
-        depths = {n: 0 for n in base if n in self.nodes}
-        rounds = 0
-        while True:
+    def closure(self, base: Iterable[bytes]) -> dict[bytes, int]:
+        """Each value deducible from base, with the fewest rounds that reach
+        it: round r admits the outputs of every edge whose inputs were all
+        deduced before it, and a round that admits nothing ends it. There is
+        no depth cap."""
+        depths = dict.fromkeys(base, 0)
+        missing = self._arity.copy()
+        edges, uses = self._outputs, self._uses
+        frontier, rounds = list(depths), 0
+        while frontier:
             rounds += 1
-            admitted = [name for name, node in self.nodes.items() if name not in depths
-                        and any(reproduces and all(i in depths for i in inputs)
-                                for _op, inputs, reproduces in node.recipes)]
-            if not admitted:
-                return depths
-            depths.update(dict.fromkeys(admitted, rounds))
+            admitted = []
+            for value in frontier:
+                for i in uses.get(value, ()):
+                    missing[i] -= 1
+                    if not missing[i]:
+                        for output in edges[i]:
+                            if output not in depths:
+                                depths[output] = rounds
+                                admitted.append(output)
+            frontier = admitted
+        return depths
 
-
-def opening_count(keys: Iterable[bytes], ct: bytes) -> int:
-    """How many of the keys open ct, each tried with crypto.aead_open."""
-    opened = 0
-    for key in keys:
-        try:
-            crypto.aead_open(key, ct)
-        except crypto.AeadFailure:
-            continue
-        opened += 1
-    return opened
+    def named(self, values: Iterable[bytes]) -> list[str]:
+        """The wire fields the values were recorded as, sorted."""
+        return sorted(set().union(*(self.names.get(v, ()) for v in values)))
 
 
 def _radio(outcome: sim.SessionOutcome) -> dict[str, bytes]:
@@ -133,23 +190,26 @@ def _radio(outcome: sim.SessionOutcome) -> dict[str, bytes]:
     return {e.annotation: e.data for e in outcome.transcript.radio_entries()}
 
 
+def _heard(*outcomes: sim.SessionOutcome) -> set[bytes]:
+    """Every message the radio delivered in the outcomes."""
+    return {e.data for o in outcomes for e in o.transcript.radio_entries() if e.data}
+
+
 @dataclass
 class OracleCapture:
-    """Test-only UE secrets of one session that the game oracles are given:
-    the ratchet state before the run, the sk_U the session drew and the
-    K_seaf its UE accepted the challenge with. The simulator never returns
-    them."""
+    """Test-only UE secrets of one session that the game oracles are given,
+    which the simulator never returns: the ratchet state before the run and
+    the sk_U the session drew."""
 
     k_s_prev: Optional[bytes]
     r_sn_prime: Optional[bytes]
     sk_u: Optional[bytes] = None
-    k_seaf: Optional[bytes] = None
 
 
-def run_captured(world: sim.World, mode: str, rng: RandomSource, drop_response: bool = False,
+def run_captured(world: sim.World, mode: str, rng: RandomSource,
                  **roles) -> tuple[sim.SessionOutcome, OracleCapture]:
     """One session run with roles (ue_mod=, hn_mod=), a wrapper around its UE
-    role filling the capture; drop_response has the radio drop the response."""
+    role filling the capture."""
     capture = OracleCapture(k_s_prev=world.ue.k_s, r_sn_prime=world.ue.r_sn_prime)
     role = roles.get("ue_mod", ue)
 
@@ -158,86 +218,8 @@ def run_captured(world: sim.World, mode: str, rng: RandomSource, drop_response: 
         capture.sk_u = pair.sk
         return msg, pair
 
-    def process_challenge(state: ue.UeState, ch: wire.ChallengeMsg, ephemeral):
-        accepted = role.ue_process_challenge(state, ch, ephemeral)
-        if accepted is not None:
-            capture.k_seaf = accepted[1]
-        return accepted
-
-    roles["ue_mod"] = Weakened(role, ue_identification_response=identification_response,
-                               ue_process_challenge=process_challenge)
-    tap = sim.ScriptedAttacker({"response": lambda data, ctx: None}) if drop_response else None
-    return sim.run_session(world, mode, tap, rng, **roles), capture
-
-
-def build_session_graph(world: sim.World, outcome: sim.SessionOutcome,
-                        capture: OracleCapture) -> DerivationGraph:
-    """Independent reconstruction of one session's derivation chains; the
-    atoms taken from radio bytes, and the public identities, form g.public.
-    RES* is an atom only if the response crossed the radio. Raises
-    ValueError unless the rebuilt k_seaf is the UE's captured K_seaf."""
-    g = DerivationGraph(world.suite)
-    radio = _radio(outcome)
-    g.atom("k", world.ue.k)
-    g.atom("sk_h", world.hn.kem_pair.sk)
-    g.atom("id_sn", world.sn.id_sn.encode(), public=True)
-    g.atom("id_hn", world.hn.id_hn.encode(), public=True)
-
-    ch = wire.decode(radio["challenge"])
-    g.atom("conc", ch.conc, public=True)
-    g.atom("mac", ch.mac, public=True)
-    if "response" in radio:
-        g.atom("res_star", wire.decode(radio["response"]).res_star, public=True)
-
-    if ch.c2 is not None:                          # the SUPI path
-        ident = wire.decode(radio["id-response"])
-        g.atom("c1", ident.c1, public=True)
-        g.atom("suci_conc", ident.suci_conc, public=True)
-        g.atom("mac_u", ident.mac_u, public=True)
-        g.atom("sk_u", capture.sk_u)
-        g.atom("c2", ch.c2, public=True)
-        g.atom("supi", world.ue.supi.encode())     # the SUCI must open to it
-        g.derived("k_s1", "decaps", "sk_h", "c1")
-        g.derived("supi", "open-suci-supi", "k_s1", "suci_conc", "mac_u")
-        g.derived("pk_u", "open-suci-pk", "k_s1", "suci_conc", "mac_u")
-        g.derived("k_star", "decaps", "sk_u", "c2")
-    else:
-        g.atom("k_s_prev", capture.k_s_prev)
-        g.atom("r_sn_prime", capture.r_sn_prime)
-        g.derived("k_star", "xor", "k_s_prev", "r_sn_prime")
-
-    g.derived("ak", "f5", "k", "k_star")
-    g.derived("r_sn", "xor", "conc", "ak")
-    g.derived("mac", "f1", "k", "k_star", "r_sn")
-    g.derived("res", "f2", "k", "k_star")
-    g.derived("ck", "f3", "k", "k_star")
-    g.derived("ik", "f4", "k", "k_star")
-    g.derived("res_star", "kdf-res", "ck", "ik", "k_star", "res", "r_sn", "id_sn")
-    g.derived("k_ausf", "kdf", "ck", "ik", "k_star", "conc", "id_sn")
-    g.derived("k_seaf", "kdf", "k_ausf", "id_sn")
-    g.derived("k_s_new", "hash", "k_star", "r_sn")
-    if g.nodes["k_seaf"].value != capture.k_seaf:
-        raise ValueError("the rebuilt k_seaf is not the session's K_seaf")
-    return g
-
-
-def sn_pre_response_graph(world: sim.World, outcome: sim.SessionOutcome,
-                          capture: OracleCapture) -> tuple[DerivationGraph, set[str]]:
-    """The session graph of a run whose response was dropped, with every
-    field of the SN's pending entry (R_SN, CONC, M) and the recipes by which
-    RES* opens M, and the SN's knowledge before RES* arrives: the radio atoms
-    and what it holds."""
-    g = build_session_graph(world, outcome, capture)
-    (pending,) = world.sn.pending.values()
-    held = [f.name for f in fields(pending)]
-    for name in held:
-        g.atom(name, getattr(pending, name))
-    g.derived("ak", "xor", "conc", "r_sn")
-    g.derived("k_ak", "kdf", "ak")          # a 32-byte key from AK alone
-    g.derived("k3", "kdf", "res_star", "ak")
-    g.derived("k_seaf", "open-m-k_seaf", "k3", "m")
-    g.derived("supi", "open-m-supi", "k3", "m")
-    return g, (g.public - {"res_star"}) | set(held)
+    roles["ue_mod"] = Weakened(role, ue_identification_response=identification_response)
+    return sim.run_session(world, mode, rng=rng, **roles), capture
 
 
 # --- weakened roles ----------------------------------------------------------
@@ -298,6 +280,31 @@ def _hn_sealing_m_under_ak(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
     ak = crypto.xor_bytes(vector.conc, r_sn)
     return replace(vector, m=crypto.aead_seal(
         crypto.kdf([ak]), wire.pack_m_payload(pending.k_seaf, pending.supi)))
+
+
+def _hn_without_pfs(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
+                    id_sn: str, rng: RandomSource, sid: bytes) -> wire.HnToSnAuthMsg:
+    """SUPI-path HN with no KEM to the UE: c2 is a random string and
+    K* = KDF(K, c2), so K and the radio give K*."""
+    c2 = rng.stream("kem_encaps").bytes(state.kem.ct_len)
+    return hn._derive_vector(state, record, crypto.kdf([record.k, c2]), c2, r_sn, id_sn, sid)
+
+
+def _ue_without_pfs(
+    state: ue.UeState, ch: wire.ChallengeMsg, ephemeral: Optional[crypto.KemKeyPair],
+) -> Optional[tuple[wire.ResponseMsg, bytes, bytes]]:
+    """The UE of _hn_without_pfs: on the SUPI path K* = KDF(K, c2), then the
+    AUTN check and key schedule of ue_process_challenge."""
+    if ch.c2 is None:
+        return ue.ue_process_challenge(state, ch, ephemeral)
+    k_star = crypto.kdf([state.k, ch.c2])
+    k = crypto.prf_key(state.k)
+    r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", k, [k_star]))
+    if not hmac.compare_digest(crypto.prf_f("1", k, [k_star, r_sn]), ch.mac):
+        return None
+    res_star, k_seaf, k_s_new = crypto.session_keys(
+        k, k_star, r_sn, ch.conc, state.id_sn_expected)
+    return wire.ResponseMsg(res_star=res_star), k_seaf, k_s_new
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -413,22 +420,24 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     (a) runs its session with hn_mod. The three parts share one world."""
     evidence: list[str] = []
     rng = SeededRandom(seed)
-    world = sim.make_world(suite_name, seed=rng)
 
-    # (a) pre-response knowledge closure of the SN, and every 32-byte value
-    # in it tried on M, which catches M sealed under a known key other than
-    # K3; it runs first, as sn_pre_response_graph unpacks the SN's only
-    # pending entry
-    out, capture = run_captured(world, "supi", rng, drop_response=True, hn_mod=hn_mod)
-    g, base = sn_pre_response_graph(world, out, capture)
-    known = g.closure(base)
-    # what M binds, and the keys that open it or come before it
-    learned = [n for n in ("k3", "k_seaf", "supi", "k_star") if n in known]
-    keys = {g.nodes[n].value for n in known if len(g.nodes[n].value) == crypto.KEY_LEN}
-    opened = opening_count(keys, g.nodes["m"].value)
-    no_early_supi = all(g.nodes["supi"].value not in g.nodes[n].value for n in base)
-    part_a = opened == 0 and not learned and no_early_supi
-    evidence += [f"pre-response-keys-tried={len(keys)} opened={opened}",
+    # (a) the SN's knowledge before RES* arrives, the radio of a session
+    # whose response was dropped and its pending entry (R_SN, CONC, M), must
+    # not reach the K_seaf and SUPI the HN sealed into M
+    drop_response = sim.ScriptedAttacker({"response": lambda data, ctx: None})
+    with Recorder() as recorder:
+        world = sim.make_world(suite_name, seed=rng)
+        out = sim.run_session(world, "supi", drop_response, rng, hn_mod=hn_mod)
+    g = DerivationGraph(recorder, [world.ue.supi])
+    (pending,) = world.sn.pending.values()
+    (sealed,) = world.hn.pending.values()
+    base = g.constants | _heard(out) | {getattr(pending, f.name) for f in fields(pending)}
+    supi = sealed.supi.encode()
+    closure = g.closure(base)
+    learned = g.named({sealed.k_seaf, supi} & closure.keys())
+    no_early_supi = all(supi not in value for value in base)
+    part_a = not learned and no_early_supi
+    evidence += [f"pre-response-closure={g.named(closure)}",
                  f"pre-response-secrets={learned}", f"supi-absent-from-sn-state={no_early_supi}"]
 
     # (b) malicious SN forwards UE-A's challenge into UE-B's session; A's
@@ -461,62 +470,49 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
         controls=[("honest-sn-recovers-after-response", control_ok)])
 
 
-def _backward_closure(g: DerivationGraph, k_seaf_prev: bytes) -> dict[str, int]:
-    """What a radio attacker deduces in a GUTI session's graph g once it
-    holds k_seaf_prev, the K_seaf of the session that assigned the GUTI.
-    The graph learns how that K_seaf makes R_SN', which it then yields;
-    the K_S that R_SN' masks must stay out of reach."""
-    g.atom("k_seaf_prev", k_seaf_prev)
-    g.atom("r_sn_prime_label", b"r-sn-prime", public=True)
-    g.derived("r_sn_prime", "kdf", "k_seaf_prev", "r_sn_prime_label")
-    return g.closure(g.public | {"k_seaf_prev"})
-
-
-# a GUTI session's ratchet shares as the roles store them, by graph atom:
-# the HN's row (SUPI, K, K_S) and the SN's GUTI table entry (SUPI, GUTI, R_SN')
-STORES = {"stolen-hn-row": "k_s_prev", "stolen-sn-store": "r_sn_prime"}
-
-
-def _stolen_stores(g: DerivationGraph, base: set[str]) -> list[tuple[str, bool]]:
-    """Per role store, whether base plus that store's share reaches the
-    k_seaf of g, a GUTI session's graph."""
-    return [(name, "k_seaf" in g.closure(base | {share})) for name, share in STORES.items()]
-
-
-def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0) -> Verdict:
-    """Long-term compromise after the fact must not reveal session keys."""
-    evidence: list[str] = []
-    controls: list[tuple[str, bool]] = []
-    holds = True
-    k_seaf: dict[str, bytes] = {}
+def scenario_forward_secrecy_game(suite_name: str = "test", seed: int = 0,
+                                  *, ue_mod=ue, hn_mod=hn) -> Verdict:
+    """Long-term compromise after the fact must not reveal session keys.
+    make_world and its two sessions, SUPI then GUTI (whose ratchet the
+    first advanced), are one recorded history; the attacker holds the radio
+    of both, the constants and {K, sk_H}. K* needs no check of its own: with
+    K, it gives K_seaf."""
     rng = SeededRandom(seed)
-    world = sim.make_world(suite_name, seed=rng)
-    # (path, control, the UE secrets that must reveal k_seaf); the GUTI
-    # session runs with the ratchet already advanced once
-    for mode, control, secrets in (
-            ("supi", "supi-sk_u-reveals-k_seaf", {"sk_u"}),
-            ("guti", "guti-pre-ratchet-state-reveals-k_seaf", {"k_s_prev", "r_sn_prime"})):
-        out, capture = run_captured(world, mode, rng)
-        if out.key_source != mode:          # None if it aborted
-            raise RuntimeError(f"the {mode} session ended at {out.abort_step}")
-        k_seaf[mode] = out.k_seaf_ue
-        g = build_session_graph(world, out, capture)
-        base = g.public | {"k", "sk_h"}
-        closure = g.closure(base)
-        holds = holds and "k_seaf" not in closure and "k_star" not in closure
-        evidence.append(f"{mode}: closure={sorted(closure)}")
-        controls.append((control, "k_seaf" in g.closure(base | secrets)))
+    runs = []
+    with Recorder() as recorder:
+        world = sim.make_world(suite_name, seed=rng)
+        for mode in ("supi", "guti"):
+            out, capture = run_captured(world, mode, rng, ue_mod=ue_mod, hn_mod=hn_mod)
+            if out.key_source != mode:          # None if it aborted
+                raise RuntimeError(f"the {mode} session ended at {out.abort_step}")
+            runs.append((out, capture))
+    (supi_run, supi_capture), (guti_run, guti_capture) = runs
+    g = DerivationGraph(recorder, [world.ue.supi])
+    radio = g.constants | _heard(supi_run, guti_run)
+    base = radio | {world.ue.k, world.hn.kem_pair.sk}
+    k_seaf, k_seaf_next = supi_run.k_seaf_ue, guti_run.k_seaf_ue
+    closure = g.closure(base)
+    holds = k_seaf not in closure and k_seaf_next not in closure
+    evidence = [f"closure={g.named(closure)}"]
+    controls = [
+        ("supi-sk_u-reveals-k_seaf", k_seaf in g.closure(base | {supi_capture.sk_u})),
+        ("guti-pre-ratchet-state-reveals-k_seaf", k_seaf_next in g.closure(
+            base | {guti_capture.k_s_prev, guti_capture.r_sn_prime}))]
 
-    # one stolen role store, with {K, sk_H} and the radio, does not give the
-    # GUTI session's key; the control above, holding both stores, does
-    for name, reached in _stolen_stores(g, base):
+    # one stolen role store, the HN's row (SUPI, K, K_S) or the SN's GUTI
+    # table entry (SUPI, GUTI, R_SN'), with {K, sk_H} and the radio, does not
+    # give the GUTI session's key; the control above, holding both, does
+    for name, share in (("stolen-hn-row", guti_capture.k_s_prev),
+                        ("stolen-sn-store", guti_capture.r_sn_prime)):
+        reached = k_seaf_next in g.closure(base | {share})
         holds = holds and not reached
         evidence.append(f"{name}: k_seaf_derivable={reached}")
 
-    # backward direction: session i's anchor key does not yield session i+1's
-    backward = _backward_closure(g, k_seaf["supi"])
-    holds = holds and "k_seaf" not in backward
-    evidence.append(f"backward: k_seaf_next_derivable={'k_seaf' in backward}")
+    # backward direction: session i's anchor key yields the R_SN' it made,
+    # but not the K_S that R_SN' masks, so not session i+1's key
+    backward = k_seaf_next in g.closure(radio | {k_seaf})
+    holds = holds and not backward
+    evidence.append(f"backward: k_seaf_next_derivable={backward}")
     return Verdict(scenario="forward-secrecy", holds=holds,
                    evidence=evidence, controls=controls)
 
@@ -541,6 +537,9 @@ WEAKENINGS = {
     "ue-reuse": (lambda: {"ue_mod": _broken_ue()}, {"linkability"}),
     "hn-seal-ak": (lambda: {"hn_mod": Weakened(hn, hn_auth_vector=_hn_sealing_m_under_ak)},
                    {"sn-binding"}),
+    "no-pfs": (lambda: {"ue_mod": Weakened(ue, ue_process_challenge=_ue_without_pfs),
+                        "hn_mod": Weakened(hn, hn_auth_vector=_hn_without_pfs)},
+               {"forward-secrecy"}),
 }
 
 

@@ -133,7 +133,7 @@ def test_broken_ue_reaches_only_the_sessions_it_is_passed_to(world, rng):
 def test_sn_binding_scenario_holds():
     v = attacks.scenario_compromised_sn_binding()
     assert v.holds and _all_controls_ok(v)
-    assert any("opened=0" in e for e in v.evidence)
+    assert "pre-response-secrets=[]" in v.evidence
 
 
 def test_sn_binding_control_fails_when_the_sn_never_accepts_a_response(monkeypatch):
@@ -229,196 +229,214 @@ def test_verdicts_carry_witness_evidence():
         assert v.holds and v.evidence, name
 
 
-# --- derivation graph --------------------------------------------------------
+# --- recorded derivation graph -----------------------------------------------
 
-def test_closure_re_executes_recipes():
-    g = attacks.DerivationGraph(TEST_KEM)
-    g.atom("a", b"\x01" * 32)
-    g.atom("b", b"\x02" * 32)
-    g.derived("x", "xor", "a", "b")
-    g.derived("y", "kdf", "x")
-    closure = g.closure({"a", "b"})
-    assert closure["x"] == 1 and closure["y"] == 2
+def _graph(*calls, secrets=()):
+    """The graph of a hand-made log of (name, args, result) calls."""
+    recorder = attacks.Recorder()
+    recorder.log.extend(calls)
+    return attacks.DerivationGraph(recorder, secrets)
+
+
+def _kdf(*inputs):
+    return ("kdf", ([*inputs],), crypto.kdf([*inputs]))
+
+
+def _xor(a, b):
+    return ("xor_bytes", (a, b), crypto.xor_bytes(a, b))
+
+
+def test_closure_solves_an_xor_for_either_operand():
+    a, b = b"\x01" * 32, b"\x02" * 32
+    g = _graph(_xor(a, b))
+    c = crypto.xor_bytes(a, b)
+    assert g.closure({a, b})[c] == 1
+    assert g.closure({a, c})[b] == 1 and g.closure({b, c})[a] == 1
+    assert g.closure({a}) == {a: 0}
 
 
 def test_closure_reaches_the_end_of_a_long_chain():
-    """No depth cap: a six-kdf chain is deduced to its end, v6 at round 6."""
-    g = attacks.DerivationGraph(TEST_KEM)
-    g.atom("v0", b"\x03" * 32)
-    for i in range(1, 7):
-        g.derived(f"v{i}", "kdf", f"v{i-1}")
-    assert g.closure({"v0"}) == {f"v{i}": i for i in range(7)}
+    """No depth cap: a six-kdf chain is deduced to its end, v6 at round 6,
+    and each kdf output gives its last CHECK_LEN bytes one round later."""
+    chain = [b"\x03" * 32]
+    for _ in range(6):
+        chain.append(crypto.kdf([chain[-1]]))
+    closure = _graph(*(_kdf(v) for v in chain[:-1])).closure({chain[0]})
+    assert [closure[v] for v in chain] == list(range(7))
+    assert closure[chain[6][-crypto.CHECK_LEN:]] == 7
 
 
-def test_closure_admits_each_node_at_its_fewest_rounds():
-    """y is reached by xor(x3, a) at the end of a three-kdf chain, and by
-    xor(a, t) in one round; z = kdf(y) is then two rounds from the base."""
-    g = attacks.DerivationGraph(TEST_KEM)
-    g.atom("a", b"\x07" * 32)
-    g.derived("x1", "kdf", "a")
-    g.derived("x2", "kdf", "x1")
-    g.derived("x3", "kdf", "x2")
-    g.atom("t", g.nodes["x3"].value)
-    g.derived("y", "xor", "x3", "a")
-    g.derived("y", "xor", "a", "t")
-    g.derived("z", "kdf", "y")
-    assert g.closure({"a", "t"}) == {"a": 0, "t": 0, "x1": 1, "y": 1,
-                                     "x2": 2, "z": 2, "x3": 3}
+def test_closure_admits_each_value_at_its_fewest_rounds():
+    """y is xor(x3, b), x3 the end of a three-kdf chain from a, and also
+    xor(a, t): from {a, t} it takes one round, and b, solved from x3 and
+    y, takes four."""
+    a, b = b"\x07" * 32, b"\x08" * 32
+    x1 = crypto.kdf([a])
+    x2 = crypto.kdf([x1])
+    x3 = crypto.kdf([x2])
+    y = crypto.xor_bytes(x3, b)
+    t = crypto.xor_bytes(a, y)
+    closure = _graph(_kdf(a), _kdf(x1), _kdf(x2), _xor(x3, b), _xor(a, t)).closure({a, t})
+    assert {v: closure[v] for v in (a, t, x1, y, x2, x3, b)} == {
+        a: 0, t: 0, x1: 1, y: 1, x2: 2, x3: 3, b: 4}
 
 
-def test_closure_runs_each_recipe_once_when_it_is_added(monkeypatch):
-    """derived runs the op and stores whether it reproduces the node's
-    bytes; closure reads that and runs no op."""
-    g = attacks.DerivationGraph(TEST_KEM)
-    g.atom("a", b"\x05" * 32)
-    g.atom("b", b"\x06" * 32)
-    g.derived("x", "xor", "a", "b")
-    g.derived("x", "kdf", "a")             # does not reproduce x
-    g.derived("x", "open-m-k_seaf", "a", "b")   # raises: does not either
-    assert g.nodes["x"].recipes == [("xor", ("a", "b"), True), ("kdf", ("a",), False),
-                                    ("open-m-k_seaf", ("a", "b"), False)]
-    monkeypatch.setattr(attacks, "_OPS", {})
-    assert g.closure({"a"}) == {"a": 0}
-    assert g.closure({"a", "b"}) == {"a": 0, "b": 0, "x": 1}
+def test_closure_runs_no_crypto(monkeypatch):
+    """The closure reads the recorded values only: it calls no crypto."""
+    world, _runs, g = _history()
+    base = g.constants | {world.ue.k}
+    expected = g.closure(base)
+
+    def called(*args):
+        raise AssertionError("the closure called crypto")
+
+    for name in ("prf_f", "kdf", "hash_h", "xor_bytes", "aead_open", "kem_decaps"):
+        monkeypatch.setattr(crypto, name, called)
+    assert g.closure(base) == expected
 
 
-def test_closure_rejects_wrong_recipe_bytes():
-    g = attacks.DerivationGraph(TEST_KEM)
-    g.atom("a", b"\x04" * 32)
-    # a node that holds bytes keeps them; its recipe does not reproduce them
-    g.atom("bogus", b"\xff" * 32)
-    g.derived("bogus", "kdf", "a")
-    assert "bogus" not in g.closure({"a"})
+def _history(suite="test", seed=0, **roles):
+    """make_world and a SUPI then a GUTI session, recorded as one history as
+    forward-secrecy records it; the world, both (outcome, capture) pairs
+    and the graph."""
+    rng = SeededRandom(seed)
+    with attacks.Recorder() as recorder:
+        world = sim.make_world(suite, seed=rng)
+        runs = [attacks.run_captured(world, mode, rng, **roles) for mode in ("supi", "guti")]
+    assert [out.key_source for out, _capture in runs] == ["supi", "guti"]
+    return world, runs, attacks.DerivationGraph(recorder, [world.ue.supi])
 
 
-def test_session_graph_reconstructs_anchor_key(world, rng):
-    outcome, capture = attacks.run_captured(world, "supi", rng)
-    g = attacks.build_session_graph(world, outcome, capture)
-    # full knowledge (including sk_U) reaches the anchor key
-    base = g.public | {"k", "sk_h", "sk_u"}
-    closure = g.closure(base)
-    assert "k_seaf" in closure
+def _recorded_bindings():
+    return [getattr(owner, name) for owner, name in attacks._RECORDED]
 
 
-def test_session_graph_refuses_an_outcome_with_another_k_seaf(world, rng):
-    """The rebuilt k_seaf is the UE's K_seaf, or the graph is refused."""
-    outcome, capture = attacks.run_captured(world, "supi", rng)
-    assert capture.k_seaf == outcome.k_seaf_ue
-    attacks.build_session_graph(world, outcome, capture)
-    forged = dataclasses.replace(capture, k_seaf=bytes(32))
-    with pytest.raises(ValueError, match="k_seaf"):
-        attacks.build_session_graph(world, outcome, forged)
+def test_recorder_restores_every_patched_attribute():
+    before = _recorded_bindings()
+    with attacks.Recorder() as recorder:
+        assert all(a is not b for a, b in zip(_recorded_bindings(), before))
+        sim.run_session(sim.make_world("test", seed=0), "supi", rng=SeededRandom(1))
+    assert _recorded_bindings() == before
+    assert {name for name, _args, _result in recorder.log} == {
+        name for _owner, name in attacks._RECORDED}
 
 
-def test_backward_closure_derives_r_sn_prime_but_not_the_next_k_seaf(world, rng):
-    """The K_seaf of the session that assigned the GUTI yields its R_SN',
-    by the graph's recipe, and nothing behind the K_S that R_SN' masks."""
-    first, _ = attacks.run_captured(world, "supi", rng)
-    out, capture = attacks.run_captured(world, "guti", rng)
-    g = attacks.build_session_graph(world, out, capture)
-    backward = attacks._backward_closure(g, first.k_seaf_ue)
-    assert backward["r_sn_prime"] == 1
-    assert {"k_s_prev", "k_star", "k_seaf"}.isdisjoint(backward)
-    # a wrong previous K_seaf does not reproduce the session's R_SN'
-    g = attacks.build_session_graph(world, out, capture)
-    assert "r_sn_prime" not in attacks._backward_closure(g, bytes(32))
+def test_recorder_restores_every_patched_attribute_when_a_game_raises(monkeypatch):
+    before = _recorded_bindings()
+    monkeypatch.setattr(ue_mod, "ue_process_challenge", lambda state, ch, ephemeral: None)
+    with pytest.raises(RuntimeError, match="ended at ue-challenge"):
+        attacks.scenario_forward_secrecy_game()
+    assert _recorded_bindings() == before
 
 
-def test_stolen_store_check_fires_when_the_hn_row_holds_k_star(world, rng):
-    """With R_SN' folded into the K_S the HN stores, the row alone is the
-    next GUTI session's K*: the R_SN' left to mask it is the all-zero
-    string, which every party knows."""
-    attacks.run_captured(world, "supi", rng)
-    out, capture = attacks.run_captured(world, "guti", rng)
-    folded = dataclasses.replace(
-        capture, k_s_prev=crypto.xor_bytes(capture.k_s_prev, capture.r_sn_prime),
-        r_sn_prime=bytes(32))
-    g = attacks.build_session_graph(world, out, folded)
-    g.public.add("r_sn_prime")
-    base = g.public | {"k", "sk_h"}
-    assert "k_seaf" not in g.closure(base)
-    assert attacks._stolen_stores(g, base)[0] == ("stolen-hn-row", True)
+def test_recorder_logs_no_call_made_inside_a_kem():
+    """Each KEM call is one entry: the test KEM's own hash_h and draws,
+    and as_shared_key's kdf, stay out of the log."""
+    with attacks.Recorder() as recorder:
+        pair = crypto.kem_keygen(TEST_KEM, SeededRandom(0))
+        ct, key = crypto.kem_encaps(TEST_KEM, pair.pk, SeededRandom(1))
+        assert crypto.kem_decaps(TEST_KEM, pair.sk, ct) == key
+    assert [name for name, _args, _result in recorder.log] == [
+        "kem_keygen", "kem_encaps", "kem_decaps"]
 
 
-def test_session_graph_public_set_distinguishes_paths(world, rng):
-    supi = attacks.build_session_graph(world, *attacks.run_captured(world, "supi", rng))
-    guti = attacks.build_session_graph(world, *attacks.run_captured(world, "guti", rng))
-    assert supi.public == {"id_sn", "id_hn", "c1", "suci_conc", "mac_u", "c2",
-                           "conc", "mac", "res_star"}
-    assert guti.public == {"id_sn", "id_hn", "conc", "mac", "res_star"}
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
+def test_the_constants_are_the_identities_and_the_two_labels(suite):
+    _world, _runs, g = _history(suite)
+    assert g.constants == {b"sn.example", b"hn.example", b"r-sn-prime", b"guti-transport"}
+
+
+def test_the_kem_stays_opaque_on_the_test_kem():
+    """The test KEM's key is hash_h(pk, ct), but no KEM call is opened up:
+    radio + pk_H does not give the SUPI, and radio + K + sk_H does not give
+    K_seaf, which the UE's sk_U does."""
+    world, ((supi_run, capture), _guti), g = _history()
+    radio = g.constants | attacks._heard(supi_run)
+    supi = world.ue.supi.encode()
+    assert supi not in g.closure(radio | {world.hn.kem_pair.pk})
+    assert supi in g.closure(radio | {world.hn.kem_pair.sk})
+    base = radio | {world.ue.k, world.hn.kem_pair.sk}
+    assert supi_run.k_seaf_ue not in g.closure(base)
+    assert supi_run.k_seaf_ue in g.closure(base | {capture.sk_u})
+
+
+def test_the_guti_sessions_k_star_with_k_gives_its_k_seaf():
+    """A role store holding K* = K_S xor R_SN' itself would fail the stolen
+    store check: K* with {K, sk_H} and the radio reaches the GUTI session's
+    K_seaf, which neither share alone does."""
+    world, ((supi_run, _), (guti_run, capture)), g = _history()
+    base = g.constants | attacks._heard(supi_run, guti_run) | {world.ue.k, world.hn.kem_pair.sk}
+    k_star = crypto.xor_bytes(capture.k_s_prev, capture.r_sn_prime)
+    assert guti_run.k_seaf_ue in g.closure(base | {k_star})
+    assert all(guti_run.k_seaf_ue not in g.closure(base | {share})
+               for share in (capture.k_s_prev, capture.r_sn_prime))
+
+
+def test_backward_the_previous_k_seaf_gives_r_sn_prime_but_not_the_next_k_seaf():
+    """The K_seaf of the session that assigned the GUTI yields its R_SN'
+    by the recorded kdf, and nothing behind the K_S that R_SN' masks."""
+    world, ((supi_run, _), (guti_run, capture)), g = _history()
+    radio = g.constants | attacks._heard(supi_run, guti_run)
+    backward = g.closure(radio | {supi_run.k_seaf_ue})
+    assert backward[capture.r_sn_prime] == 1
+    assert {capture.k_s_prev, guti_run.k_seaf_ue}.isdisjoint(backward)
+    # a wrong previous K_seaf was never an input of the recorded kdf
+    assert capture.r_sn_prime not in g.closure(radio | {bytes(32)})
+
+
+@pytest.mark.parametrize("suite", [s for s in ("test", "ecies-x25519", "ml-kem-768")
+                                   if s in crypto.available_suites()])
+def test_no_pfs_gives_both_sessions_keys_to_k_and_the_radio(suite):
+    """Under no-pfs, K* = KDF(K, c2): the radio and K reach both sessions'
+    K_seaf, the radio alone neither."""
+    make_roles, _games = attacks.WEAKENINGS["no-pfs"]
+    world, ((supi_run, _), (guti_run, _)), g = _history(suite, **make_roles())
+    radio = g.constants | attacks._heard(supi_run, guti_run)
+    keys = {supi_run.k_seaf_ue, guti_run.k_seaf_ue}
+    assert keys <= g.closure(radio | {world.ue.k}).keys()
+    assert keys.isdisjoint(g.closure(radio))
 
 
 # --- the SN's knowledge before RES* arrives ----------------------------------
 
-SN_SECRETS = {"k3", "k_seaf", "supi", "k_star"}
-
-
 def _sn_pre_response(suite="test", seed=0, **roles):
-    """A SUPI run whose response was dropped, its SN graph and SN base."""
+    """A recorded SUPI run whose response was dropped: the world, the
+    graph, the SN's base (the radio, its pending R_SN, CONC and M, the
+    constants), the UE's RES* and the K_seaf and SUPI the HN sealed in M."""
     rng = SeededRandom(seed)
-    world = sim.make_world(suite, seed=rng)
-    out, capture = attacks.run_captured(world, "supi", rng, drop_response=True, **roles)
+    responses = []
+    drop = sim.ScriptedAttacker({"response": lambda data, ctx: responses.append(data)})
+    with attacks.Recorder() as recorder:
+        world = sim.make_world(suite, seed=rng)
+        out = sim.run_session(world, "supi", drop, rng, **roles)
     assert out.abort_step == "response" and out.k_seaf_ue is None
-    g, base = attacks.sn_pre_response_graph(world, out, capture)
-    return world, g, base
-
-
-def test_opening_count_matches_per_key_open_count():
-    key = SeededRandom(11).bytes(32)
-    ct = crypto.aead_seal(key, b"secret")
-    keys = {key} | {SeededRandom(i).bytes(32) for i in range(20)}
-
-    def opens(k: bytes) -> bool:
-        try:
-            crypto.aead_open(k, ct)
-        except crypto.AeadFailure:
-            return False
-        return True
-
-    assert attacks.opening_count(keys, ct) == sum(map(opens, keys)) == 1
-    assert attacks.opening_count(keys - {key}, ct) == 0
-    with pytest.raises(crypto.CryptoError):
-        attacks.opening_count([key, bytes(31)], ct)
-
-
-def _openings(g, names):
-    """How many distinct 32-byte values of the named nodes open M."""
-    keys = {g.nodes[n].value for n in names if len(g.nodes[n].value) == 32}
-    return attacks.opening_count(keys, g.nodes["m"].value)
+    g = attacks.DerivationGraph(recorder, [world.ue.supi])
+    (pending,) = world.sn.pending.values()
+    (sealed,) = world.hn.pending.values()
+    base = g.constants | attacks._heard(out) | {pending.r_sn, pending.conc, pending.m}
+    res_star = wire.decode(responses[0]).res_star
+    return world, g, base, res_star, {sealed.k_seaf, sealed.supi.encode()}
 
 
 @pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
 def test_sn_base_alone_derives_no_session_secret(suite):
-    _world, g, base = _sn_pre_response(suite)
-    assert "res_star" not in base and {"r_sn", "conc", "m"} <= base
+    world, g, base, res_star, secrets = _sn_pre_response(suite)
     closure = g.closure(base)
-    assert SN_SECRETS.isdisjoint(closure)
-    assert {"ak", "k_ak"} <= closure.keys() and _openings(g, closure) == 0
+    assert res_star not in closure and secrets.isdisjoint(closure)
+    (pending,) = world.sn.pending.values()
+    assert crypto.xor_bytes(pending.conc, pending.r_sn) in closure     # AK
 
 
-def test_hn_xres_star_gives_the_sn_k3_which_opens_m_once():
-    """K3 = KDF(XRES*, CONC xor R_SN) is two operations deep from the XRES*
-    the HN computes."""
-    world, g, base = _sn_pre_response()
-    xres_star, _, _ = crypto.session_keys(
-        world.hn.registry[world.ue.supi].k,
-        *(g.nodes[n].value for n in ("k_star", "r_sn", "conc")), world.sn.id_sn)
-    g.atom("xres_star", xres_star)
-    g.derived("k3", "kdf", "xres_star", "ak")
-    closure = g.closure(base | {"xres_star"})
-    assert closure["k3"] == 2
-    assert _openings(g, closure) == 1
-
-
-def test_res_star_gives_the_sn_k_seaf_and_supi():
-    """The honest-SN control as a closure: RES* opens M."""
-    world, g, base = _sn_pre_response()
-    closure = g.closure(base | {"res_star"})
-    assert {"k3", "k_seaf", "supi"} <= closure.keys()
-    (sn_pending,) = world.sn.pending.values()
-    k_seaf, supi = wire.unpack_m_payload(crypto.aead_open(g.nodes["k3"].value, sn_pending.m))
-    assert (g.nodes["k_seaf"].value, g.nodes["supi"].value) == (k_seaf, supi.encode())
-    assert supi == world.ue.supi
+def test_res_star_gives_the_sn_k3_then_k_seaf_and_supi():
+    """The honest-SN control as a closure: K3 = KDF(RES*, CONC xor R_SN)
+    is two rounds from the SN's base and RES*, and opens M."""
+    world, g, base, res_star, secrets = _sn_pre_response()
+    (pending,) = world.sn.pending.values()
+    k3 = crypto.kdf([res_star, crypto.xor_bytes(pending.conc, pending.r_sn)])
+    closure = g.closure(base | {res_star})
+    assert closure[k3] == 2
+    assert secrets <= closure.keys()
+    assert g.named(secrets) == ["k_seaf", "supi"]
 
 
 def test_hn_sealing_m_under_ak_fails_at_the_honest_sn(world, rng):
@@ -431,23 +449,15 @@ def test_hn_sealing_m_under_ak_fails_at_the_honest_sn(world, rng):
     assert world.hn.pending == {} and world.sn.pending == {}
 
 
-def test_hn_sealing_m_under_ak_is_caught_by_the_opening_test_only():
-    """The open-M recipes raise inside closure, so the graph admits no
-    secret; the key KDF(AK), which the SN derives, opens M."""
+def test_hn_sealing_m_under_ak_is_caught_by_the_closure():
+    """The recorded kdf([AK]) and the seal edge open M: the SN's base alone
+    reaches the K_seaf and SUPI in it, and the game names both."""
     make_roles, _games = attacks.WEAKENINGS["hn-seal-ak"]
-    _world, g, base = _sn_pre_response(**make_roles())
-    with pytest.raises(crypto.AeadFailure):
-        attacks._OPS["open-m-k_seaf"](g.suite, g.nodes["k3"].value, g.nodes["m"].value)
-    closure = g.closure(base | {"res_star"})
-    assert "k3" in closure and "k_seaf" not in closure
-    closure = g.closure(base)
-    assert SN_SECRETS.isdisjoint(closure)
-    assert _openings(g, closure) == 1
-    assert attacks.opening_count([g.nodes["k_ak"].value], g.nodes["m"].value) == 1
+    _world, g, base, _res_star, secrets = _sn_pre_response(**make_roles())
+    assert secrets <= g.closure(base).keys()
     (v,) = attacks.run_scenarios(["sn-binding"], weaken=frozenset({"hn-seal-ak"}))
     assert not v.holds
-    # c1, c2 and KDF(AK): CONC, R_SN and AK are 16 bytes, too short to be a key
-    assert v.evidence[:2] == ["pre-response-keys-tried=3 opened=1", "pre-response-secrets=[]"]
+    assert "pre-response-secrets=['k_seaf', 'supi']" in v.evidence
 
 
 def test_linkability_multiset_splits_autn_into_halves():

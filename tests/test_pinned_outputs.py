@@ -12,52 +12,43 @@ from pqaka import attacks, sim
 from pqaka.rng import SeededRandom
 
 
-def _verdict_lines(keys_tried: int) -> list[str]:
-    """run_scenarios(all) output; suites differ only in how many 32-byte
-    values the SN's pre-response closure holds."""
-    supi_closure = ("['c1', 'c2', 'conc', 'id_hn', 'id_sn', 'k', 'k_s1', 'mac', "
-                    "'mac_u', 'pk_u', 'res_star', 'sk_h', 'suci_conc', 'supi']")
-    repeats = "['01', '02', '05', '06', '0b', '686e2e6578616d706c65']"
-    return [
-        "replay holds=True controls=[honest-passthrough-completes=ok] "
-        "evidence=[session-A completed steps=8;"
-        "replay-c2-and-autn: abort_step=ue-challenge;"
-        "replay-c2-fresh-autn: abort_step=ue-challenge;"
-        "replay-autn-fresh-c2: abort_step=ue-challenge;"
-        "replay-suci: hn_accepted=True abort_step=ue-challenge]",
-        "linkability holds=True controls=[broken-ue-reuse-detected=ok] "
-        f"evidence=[mode=supi;same-ue-repeats={repeats};"
-        f"cross-ue-repeats={repeats}]",
-        "sn-binding holds=True controls=[honest-sn-recovers-after-response=ok] "
-        f"evidence=[pre-response-keys-tried={keys_tried} opened=0;"
-        "pre-response-secrets=[];supi-absent-from-sn-state=True;"
-        "cross-ue-challenge: abort_step=ue-challenge;"
-        "wrong-sn-vector: abort_step=sn-verify]",
-        "forward-secrecy holds=True controls=[supi-sk_u-reveals-k_seaf=ok;"
-        "guti-pre-ratchet-state-reveals-k_seaf=ok] "
-        f"evidence=[supi: closure={supi_closure};"
-        "guti: closure=['conc', 'id_hn', 'id_sn', 'k', 'mac', 'res_star', 'sk_h'];"
-        "stolen-hn-row: k_seaf_derivable=False;stolen-sn-store: k_seaf_derivable=False;"
-        "backward: k_seaf_next_derivable=False]",
-    ]
-
-
-# the keys tried on M are the 32-byte values of the SN's closure: KDF(AK),
-# and c1 and c2 where the KEM makes them 32 bytes. Re-pinned from 8 (6 on
-# ecies-p256) when MAC, MAC_U and the former HXRES* went to 16 bytes, too
-# short to be a key, and from 5 (3) when R_SN, AK and CONC did, and the
-# graph gained KDF(AK), the key the hn-seal-ak weakening seals M under.
-# The forward-secrecy line was re-pinned when the game gained its two
-# stolen-store evidence items
-KEYS_TRIED = {"test": 3, "ecies-x25519": 3, "ecies-p256": 1}
+# run_scenarios(all) output, the same on every suite. Re-pinned when the
+# forward-secrecy and sn-binding closures came to be taken over the calls
+# the roles made: their evidence names the wire fields the closure reaches,
+# and forward-secrecy's two sessions are one history with one closure
+SN_CLOSURE = "['c1', 'c2', 'conc', 'id_hn', 'id_sn', 'm', 'mac', 'mac_u', 'r_sn', 'suci_conc']"
+FS_CLOSURE = ("['c1', 'c2', 'conc', 'ct', 'guti', 'guti_new', 'id_hn', 'id_sn', 'mac', "
+              "'mac_u', 'pk_u', 'res_star', 'suci_conc', 'supi']")
+REPEATS = "['01', '02', '05', '06', '0b', '686e2e6578616d706c65']"
+VERDICT_LINES = [
+    "replay holds=True controls=[honest-passthrough-completes=ok] "
+    "evidence=[session-A completed steps=8;"
+    "replay-c2-and-autn: abort_step=ue-challenge;"
+    "replay-c2-fresh-autn: abort_step=ue-challenge;"
+    "replay-autn-fresh-c2: abort_step=ue-challenge;"
+    "replay-suci: hn_accepted=True abort_step=ue-challenge]",
+    "linkability holds=True controls=[broken-ue-reuse-detected=ok] "
+    f"evidence=[mode=supi;same-ue-repeats={REPEATS};cross-ue-repeats={REPEATS}]",
+    "sn-binding holds=True controls=[honest-sn-recovers-after-response=ok] "
+    f"evidence=[pre-response-closure={SN_CLOSURE};"
+    "pre-response-secrets=[];supi-absent-from-sn-state=True;"
+    "cross-ue-challenge: abort_step=ue-challenge;"
+    "wrong-sn-vector: abort_step=sn-verify]",
+    "forward-secrecy holds=True controls=[supi-sk_u-reveals-k_seaf=ok;"
+    "guti-pre-ratchet-state-reveals-k_seaf=ok] "
+    f"evidence=[closure={FS_CLOSURE};"
+    "stolen-hn-row: k_seaf_derivable=False;stolen-sn-store: k_seaf_derivable=False;"
+    "backward: k_seaf_next_derivable=False]",
+]
+PINNED_SUITES = ["test", "ecies-x25519", "ecies-p256"]
 
 
 # 2**256 - 1, SeededRandom's largest seed, is a game's seed as any other
 @pytest.mark.parametrize("seed", [0, 1, 2**256 - 1])
-@pytest.mark.parametrize("suite", list(KEYS_TRIED))
+@pytest.mark.parametrize("suite", PINNED_SUITES)
 def test_attack_verdict_lines_pinned(suite, seed):
     verdicts = attacks.run_scenarios(list(attacks.SCENARIOS), suite, seed)
-    assert [v.to_line() for v in verdicts] == _verdict_lines(KEYS_TRIED[suite])
+    assert [v.to_line() for v in verdicts] == VERDICT_LINES
 
 
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
