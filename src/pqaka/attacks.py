@@ -422,8 +422,9 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     rng = SeededRandom(seed)
 
     # (a) the SN's knowledge before RES* arrives, the radio of a session
-    # whose response was dropped and its pending entry (R_SN, CONC, M), must
-    # not reach the K_seaf and SUPI the HN sealed into M
+    # whose response was dropped and the fields its pending entry set (R_SN,
+    # CONC, M; the SUPI is set on the GUTI path only), must not reach the
+    # K_seaf and SUPI the HN sealed into M
     drop_response = sim.ScriptedAttacker({"response": lambda data, ctx: None})
     with Recorder() as recorder:
         world = sim.make_world(suite_name, seed=rng)
@@ -431,7 +432,8 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     g = DerivationGraph(recorder, [world.ue.supi])
     (pending,) = world.sn.pending.values()
     (sealed,) = world.hn.pending.values()
-    base = g.constants | _heard(out) | {getattr(pending, f.name) for f in fields(pending)}
+    base = g.constants | _heard(out) | (
+        {getattr(pending, f.name) for f in fields(pending)} - {None})
     supi = sealed.supi.encode()
     closure = g.closure(base)
     learned = g.named({sealed.k_seaf, supi} & closure.keys())

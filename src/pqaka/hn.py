@@ -94,7 +94,9 @@ def _derive_vector(
     res_star, k_seaf, k_s_new = crypto.session_keys(
         k, k_star, r_sn, conc, id_sn)
     k3 = crypto.kdf([res_star, f5])
-    m = crypto.aead_seal(k3, pack_m_payload(k_seaf, record.supi))
+    # the SUPI goes back only to an SN that sent a SUCI (TS 33.501
+    # §6.1.3.2, step 12); c2 is None on the GUTI path alone
+    m = crypto.aead_seal(k3, pack_m_payload(k_seaf, None if c2 is None else record.supi))
     store.hold_pending(state.pending, sid, PendingAuth(
         k_seaf=k_seaf, supi=record.supi, k_s_new=k_s_new))
     return HnToSnAuthMsg(conc=conc, mac=mac, m=m, c2=c2)

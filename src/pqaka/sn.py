@@ -2,9 +2,10 @@
 
 Before a valid RES* arrives, SN state for a SUCI-initiated session holds
 only (R_SN, CONC, M); the session key and SUPI come out of one AEAD open
-over M, so they cannot be separated or learned early. That open is also
-the SN's RES* check: M is sealed under K3 = KDF(XRES*, AK), AK = CONC xor
-R_SN, so its GCM tag fails for any RES* other than XRES*.
+over M, so they cannot be separated or learned early. A GUTI session also
+holds the SUPI its GUTI resolved to, and its M seals the key alone. That
+open is also the SN's RES* check: M is sealed under K3 = KDF(XRES*, AK),
+AK = CONC xor R_SN, so its GCM tag fails for any RES* other than XRES*.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class PendingSession:
     r_sn: bytes
     conc: Optional[bytes] = None
     m: Optional[bytes] = None
+    supi: Optional[str] = None                # set on the GUTI path only
 
 
 @dataclass
@@ -61,11 +63,12 @@ class SnState:
         self.guti_of = {e.supi: guti for guti, e in self.guti_table.items()}
 
 
-def _open_session(state: SnState, identifier: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
+def _open_session(state: SnState, identifier: bytes, rng: RandomSource,
+                  supi: Optional[str] = None) -> tuple[bytes, bytes]:
     """Draw a fresh R_SN and open pending session sid = H(identifier, R_SN)."""
     r_sn = rng.stream("r_sn").bytes(wire.RAND_LEN)
     sid = crypto.hash_h([identifier, r_sn])
-    store.hold_pending(state.pending, sid, PendingSession(r_sn=r_sn))
+    store.hold_pending(state.pending, sid, PendingSession(r_sn=r_sn, supi=supi))
     return r_sn, sid
 
 
@@ -102,15 +105,15 @@ def sn_verify_response(
     state: SnState, sid: bytes, msg: ResponseMsg, rng: RandomSource
 ) -> Optional[SnSessionResult]:
     """Check RES* by opening M under K3 = KDF(RES*, AK), AK = CONC xor R_SN:
-    the one decryption that recovers (K_seaf, SUPI) fails for any RES*
-    other than the XRES* the HN sealed M under."""
+    the one decryption that recovers K_seaf, with the SUPI on the SUPI path,
+    fails for any RES* other than the XRES* the HN sealed M under."""
     p = state.pending.get(sid)
     if p is None or p.m is None:
         return None
     del state.pending[sid]          # one response is checked per challenge
     try:
         k3 = crypto.kdf([msg.res_star, crypto.xor_bytes(p.conc, p.r_sn)])
-        k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m))
+        k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m), p.supi)
     except (crypto.CryptoError, crypto.AeadFailure, ParseError):
         return None
     assignment = sn_assign_guti(state, supi, k_seaf, rng)
@@ -143,7 +146,7 @@ def sn_resolve_guti(
     entry = state.guti_table.get(msg.guti)
     if entry is None:
         return IdRequestMsg(force_supi=True)
-    r_sn, sid = _open_session(state, msg.guti, rng)
+    r_sn, sid = _open_session(state, msg.guti, rng, entry.supi)
     return GutiSnToHnMsg(
         supi=entry.supi, r_sn_prime=entry.r_sn_prime, r_sn=r_sn), sid
 

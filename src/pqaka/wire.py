@@ -303,10 +303,15 @@ def unpack_suci_payload(data: bytes) -> tuple[str, bytes, str]:
     return tuple(unpack_fields(_SUCI_PAYLOAD, data, 0, "in SUCI payload"))
 
 
-def pack_m_payload(k_seaf: bytes, supi: str) -> bytes:
-    """Plaintext of M: session key and subscriber identity bound together."""
-    return pack_fields(_M_PAYLOAD, (k_seaf, supi), [])
+def pack_m_payload(k_seaf: bytes, supi: Optional[str]) -> bytes:
+    """Plaintext of M: session key and subscriber identity bound together,
+    or the key alone (supi None) for an SN that named the SUPI itself."""
+    values = (k_seaf,) if supi is None else (k_seaf, supi)
+    return pack_fields(_M_PAYLOAD[:len(values)], values, [])
 
 
-def unpack_m_payload(data: bytes) -> tuple[bytes, str]:
-    return tuple(unpack_fields(_M_PAYLOAD, data, 0, "in M payload"))
+def unpack_m_payload(data: bytes, supi: Optional[str] = None) -> tuple[bytes, str]:
+    """(K_seaf, SUPI) from M; given the supi, M is read as the key alone."""
+    if supi is None:
+        return tuple(unpack_fields(_M_PAYLOAD, data, 0, "in M payload"))
+    return unpack_fields(_M_PAYLOAD[:1], data, 0, "in M payload")[0], supi

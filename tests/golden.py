@@ -1,4 +1,5 @@
-# The session of SESSION_WIRE and SESSION_VALUES, and CONSTANTS' test-KEM
+# The session of SESSION_WIRE and SESSION_VALUES, the GUTI session after it
+# (GUTI_SESSION_WIRE and GUTI_SESSION_VALUES), and CONSTANTS' test-KEM
 # values, are derived by tests/test_golden.py from an independent oracle's
 # vectors and the labelled seeded draws, with hashlib alone; the other
 # CONSTANTS are that oracle's. Do not edit by hand.
@@ -38,4 +39,13 @@ SESSION_VALUES = {
     'res_star': bytes.fromhex('5a1e062087966c0643da9927eb4e0bca'),
     'k_seaf': bytes.fromhex('7504a61c2b2e8b4cb3512386268336d4cdbdd1105ba590720fb38b4c46dc09c9'),
     'k_s_next': bytes.fromhex('93c5ce1392b8534f840863619abc9994b816c10c44a681bd2cf67a8a0f3cbd1b'),
+}
+
+# the GUTI session's auth-vector: its M, 48 bytes, seals K_seaf alone
+GUTI_SESSION_WIRE = {
+    'auth-vector': bytes.fromhex('048f7fa0836365a6275d06078dc1d5b7a1d6f3c6b9aaf0ac2a1937fedab8a10dcc30730a593848caf28a4ad75f3ba38ea1c1cc5bf46e0535693474024d4ffd46412eb1ec5c903696d0de9ee027a943f020bf00'),
+}
+
+GUTI_SESSION_VALUES = {
+    'm_plaintext': bytes.fromhex('1113a9f06df1df1a0ca446fd107d8dcf36ea4809dc6ab7fab703935718d3462e'),
 }

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from golden import SESSION_WIRE
+from golden import GUTI_SESSION_VALUES, GUTI_SESSION_WIRE, SESSION_WIRE
 from pqaka import attacks, bench, crypto, sim, ue as ue_mod, wire
 from pqaka.crypto import get_suite
 from pqaka.rng import SeededRandom
@@ -156,10 +156,17 @@ def test_criterion_9_wire_golden_vectors():
     assert len(decoded_types) == 12             # every message type covered
     # a live seeded session reproduces the honest-session vectors exactly
     world = sim.make_world("test", seed=0)
-    outcome = sim.run_session(world, "supi", rng=SeededRandom(1))
+    rng = SeededRandom(1)
+    outcome = sim.run_session(world, "supi", rng=rng)
     assert outcome.completed
     produced = {e.annotation: e.data for e in outcome.transcript.entries}
     for name in ("id-request", "id-response", "sn-hn-ident", "auth-vector",
                  "challenge", "response", "confirm"):
         assert produced[name] == SESSION_WIRE[name], name
     assert produced["guti-assign"] == SESSION_WIRE["secure-envelope"]
+    # and the GUTI session after it, whose M seals K_seaf alone
+    outcome = sim.run_session(world, "guti", rng=rng)
+    assert outcome.completed and outcome.supi_at_sn == world.ue.supi
+    produced = {e.annotation: e.data for e in outcome.transcript.entries}
+    assert produced["auth-vector"] == GUTI_SESSION_WIRE["auth-vector"]
+    assert outcome.k_seaf_sn == GUTI_SESSION_VALUES["m_plaintext"]

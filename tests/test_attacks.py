@@ -134,6 +134,7 @@ def test_sn_binding_scenario_holds():
     v = attacks.scenario_compromised_sn_binding()
     assert v.holds and _all_controls_ok(v)
     assert "pre-response-secrets=[]" in v.evidence
+    assert "supi-absent-from-sn-state=True" in v.evidence
 
 
 def test_sn_binding_control_fails_when_the_sn_never_accepts_a_response(monkeypatch):

@@ -67,7 +67,8 @@ import hmac
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from golden import CONSTANTS, SESSION_VALUES, SESSION_WIRE
+from golden import (
+    CONSTANTS, GUTI_SESSION_VALUES, GUTI_SESSION_WIRE, SESSION_VALUES, SESSION_WIRE)
 
 LEGACY_WIRE = {
     'id-request': bytes.fromhex('010000000101'),
@@ -251,6 +252,26 @@ def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
     return out, values
 
 
+def derive_guti_session(values: dict[str, bytes]) -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """(GUTI_SESSION_WIRE, GUTI_SESSION_VALUES): the auth-vector of the GUTI
+    session that follows the SUPI session of `values` in its world and
+    seeded source. Its R_SN is the next 16 bytes under "r_sn", K* the SUPI
+    session's next K_S xor R_SN', and M, under K3, seals K_seaf alone: the
+    HN returns the SUPI only to an SN that sent a SUCI (TS 33.501 §6.1.3.2,
+    step 12). The vector has no c2, so it ends in a zero presence byte."""
+    k = values["k"]
+    r_sn = _draw(1, "r_sn", 2 * RAND_LEN)[RAND_LEN:]
+    k_star = _xor(values["k_s_next"], _kdf(values["k_seaf"], b"r-sn-prime"))
+    ak = _f(5, k, k_star)[:RAND_LEN]
+    conc = _xor(ak, r_sn)
+    mac = _f(1, k, k_star, r_sn)[:CHECK_LEN]
+    res, ck, ik, k_seaf = _schedule(k, k_star, conc)
+    res_star = _kdf(ck, ik, k_star, res, r_sn, ID_SN)[-CHECK_LEN:]
+    m = _seal(_kdf(res_star, ak), k_seaf)
+    auth_vector = LEGACY_WIRE["auth-vector"][:1] + conc + mac + _der(m) + b"\x00"
+    return {"auth-vector": auth_vector}, {"m_plaintext": k_seaf}
+
+
 def test_session_derived_from_legacy_vectors_and_labelled_draws():
     wire, values = derive_session()
     assert wire == SESSION_WIRE
@@ -261,3 +282,10 @@ def test_session_derived_from_legacy_vectors_and_labelled_draws():
     assert CONSTANTS["kem_seed0_pk"] == values["pk_h"]
     assert CONSTANTS["kem_seed1_ct"] == _draw(1, "kem_encaps", KEY_LEN)
     assert CONSTANTS["kem_seed1_k"] == values["k_s1"]
+
+
+def test_guti_session_auth_vector_derived_from_labelled_draws():
+    wire, values = derive_guti_session(derive_session()[1])
+    assert wire == GUTI_SESSION_WIRE
+    assert values == GUTI_SESSION_VALUES
+    assert len(values["m_plaintext"]) == KEY_LEN

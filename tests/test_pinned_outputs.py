@@ -54,13 +54,14 @@ def test_attack_verdict_lines_pinned(suite, seed):
 # SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
 # re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width. The GUTI is
 # drawn from its own labelled stream, so only the guti-id and guti-assign
-# lines move.
+# lines moved. Re-pinned again when M on the GUTI path came to seal K_seaf
+# alone: only the GUTI sessions' auth-vector lines move, 21 bytes shorter.
 # The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "64f119f7381960b55d0329caa51542da4c87c846d665743dd41630ba52d6bfec",
-    "ecies-x25519": "42ef9ad18d33ee0be99d7800417b937fa39fa1ee855bfa10359f60d0d6674eb9",
-    "ecies-p256": "999ba3b9f8d7c1d45d58bad6f2d3d52763a48cc06c99399688f860ed987551d5",
+    "test": "ebea6056d1deee307d1acbd470194edf5ea78f229224d40c87dd9d2f327250ed",
+    "ecies-x25519": "77b3227606433c7b5006e458066157f59ffb914b13d9f8d6bfe5480bef425e46",
+    "ecies-p256": "e58c1b86aef72d7d1b54959fe255a7bf864c1377a1284cf544b01eb749f5c43b",
 }
 
 
@@ -76,8 +77,9 @@ def test_mixed_run_transcript_pinned(suite):
 
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
 # cleared before each GUTI session, so that every one of them falls back to
-# SUPI-based identification; re-pinned with MIXED_RUN_SHA256, for the same
-# change
+# SUPI-based identification; re-pinned with MIXED_RUN_SHA256 when the GUTI
+# went to 4 bytes. Every session here takes the SUPI path, whose M still
+# seals the SUPI, so M's GUTI-path layout does not move it
 FALLBACK_RUN_SHA256 = "57e5b6674de51875a845bbf839df5b816a553f474bd3bc8a4487f3e8d6835477"
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drive import to_challenge
-from pqaka import crypto, sim, sn as sn_mod, ue as ue_mod, wire
+from pqaka import crypto, hn as hn_mod, sim, sn as sn_mod, ue as ue_mod, wire
 from pqaka.rng import RandomSource, SeededRandom
 
 
@@ -41,12 +41,47 @@ def test_forward_challenge_passes_autn_unmodified(world, rng):
 
 def test_pending_session_holds_r_sn_conc_and_m_only(world, rng):
     """Before RES* the SN keeps its R_SN and the vector's CONC and M, no
-    check value: opening M under K3 is its RES* check."""
-    assert [f.name for f in dataclasses.fields(sn_mod.PendingSession)] == ["r_sn", "conc", "m"]
+    check value: opening M under K3 is its RES* check. The SUPI field is
+    set on the GUTI path only, so a SUPI session holds no SUPI before RES*."""
+    assert [f.name for f in dataclasses.fields(sn_mod.PendingSession)] == [
+        "r_sn", "conc", "m", "supi"]
     _msg, pair, sid, vector, _challenge = to_challenge(world, rng)
     pending = world.sn.pending[sid]
+    assert pending.supi is None
     assert crypto.xor_bytes(pending.conc, pending.r_sn) == crypto.prf_f(
         "5", world.ue.k, [crypto.kem_decaps(world.suite, pair, vector.c2)])
+
+
+def _m_plaintext(world, sid, vector, response):
+    """M opened under K3 = KDF(RES*, AK), AK = CONC xor R_SN, as the SN
+    opens it."""
+    ak = crypto.xor_bytes(vector.conc, world.sn.pending[sid].r_sn)
+    return crypto.aead_open(crypto.kdf([response.res_star, ak]), vector.m)
+
+
+def test_m_carries_the_supi_only_to_an_sn_that_sent_a_suci(world, rng):
+    """The HN returns the SUPI only to an SN that sent a SUCI (TS 33.501
+    §6.1.3.2, step 12). On the SUPI path M opens to K_seaf and the SUPI; on
+    the GUTI path to K_seaf alone, and the SN's result names the SUPI of its
+    own GUTI entry."""
+    _msg, pair, sid, vector, challenge = to_challenge(world, rng)
+    response, k_seaf, k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, pair)
+    assert _m_plaintext(world, sid, vector, response) == wire.pack_m_payload(
+        k_seaf, world.ue.supi)
+    result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
+    assert (result.supi, result.k_seaf) == (world.ue.supi, k_seaf)
+    ue_mod.ue_handle_guti_assignment(world.ue, result.assignment, k_seaf, k_s_new)
+    assert hn_mod.hn_finalize(world.hn, sid) == k_seaf
+
+    entry = world.sn.guti_table[world.ue.guti]
+    to_hn, sid = sn_mod.sn_resolve_guti(world.sn, wire.GutiIdMsg(guti=world.ue.guti), rng)
+    vector = hn_mod.hn_guti_auth_vector(world.hn, to_hn, world.sn.id_sn, sid)
+    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
+    response, k_seaf, _k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, None)
+    assert _m_plaintext(world, sid, vector, response) == k_seaf
+    assert world.sn.pending[sid].supi is entry.supi
+    result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
+    assert (result.supi, result.k_seaf) == (entry.supi, k_seaf)
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):

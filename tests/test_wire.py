@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from golden import SESSION_WIRE
+from golden import GUTI_SESSION_WIRE, SESSION_WIRE
 from pqaka import wire
 
 
@@ -148,7 +148,7 @@ def test_bad_length_prefix_rejected_at_its_offset(bad, site):
 # --- golden vectors (one honest session, frozen from an independent oracle) --
 
 def test_golden_vectors_decode_and_reencode():
-    for name, blob in SESSION_WIRE.items():
+    for name, blob in [*SESSION_WIRE.items(), *GUTI_SESSION_WIRE.items()]:
         msg = wire.decode(blob)
         assert wire.encode(msg) == blob, name
 
@@ -294,18 +294,32 @@ def test_suci_payload_roundtrip():
         wire.unpack_suci_payload(packed + b"\x00")
 
 
-def test_m_payload_roundtrip():
-    packed = wire.pack_m_payload(bytes(32), "imsi-2")
-    assert wire.unpack_m_payload(packed) == (bytes(32), "imsi-2")
+# M seals (K_seaf, SUPI) on the SUPI path and K_seaf alone on the GUTI path,
+# where the SN reads it with the SUPI its GUTI resolved to: (sealed, known,
+# the error when read as the other layout). A SUPI-layout M is a GUTI-layout
+# M with a SUPI appended, and a GUTI-layout M a SUPI-layout M missing its SUPI
+M_LAYOUTS = {"supi-path": ("imsi-2", None, "trailing bytes in M payload"),
+             "guti-path": (None, "imsi-2", "truncated length prefix")}
+
+
+@pytest.mark.parametrize("layout", list(M_LAYOUTS))
+def test_m_payload_roundtrip(layout):
+    sealed, known, as_other = M_LAYOUTS[layout]
+    packed = wire.pack_m_payload(bytes(32), sealed)
+    assert len(packed) == 32 + (0 if sealed is None else 1 + len(sealed))
+    assert wire.unpack_m_payload(packed, known) == (bytes(32), "imsi-2")
     with pytest.raises(wire.ParseError) as exc:
-        wire.unpack_m_payload(packed + b"\x00")
+        wire.unpack_m_payload(packed + b"\x00", known)
     assert exc.value.offset == len(packed)
     with pytest.raises(wire.ParseError):
-        wire.unpack_m_payload(wire.pack_m_payload(bytes(32), "x")[:-1])
+        wire.unpack_m_payload(packed[:-1], known)
     with pytest.raises(wire.ParseError):
-        wire.unpack_m_payload(bytes(31))
+        wire.unpack_m_payload(bytes(31), known)
     with pytest.raises(wire.EncodeError):
-        wire.pack_m_payload(bytes(31), "imsi-2")
+        wire.pack_m_payload(bytes(31), sealed)
+    with pytest.raises(wire.ParseError, match=as_other) as exc:
+        wire.unpack_m_payload(packed, "imsi-2" if known is None else None)
+    assert exc.value.offset == 32
 
 
 # --- fixed-width enforcement, from a list written independently of the table --
@@ -367,6 +381,10 @@ def _strict_cases():
     cases["m-payload"] = (
         lambda v: wire.pack_m_payload(*v), wire.unpack_m_payload,
         [(r.randbytes(32), "imsi-" + str(r.getrandbits(40))) for _ in range(8)])
+    cases["m-payload-guti-path"] = (
+        lambda v: wire.pack_m_payload(v[0], None),
+        lambda blob: wire.unpack_m_payload(blob, "imsi-2"),
+        [(r.randbytes(32), "imsi-2") for _ in range(8)])
     return cases
 
 
