@@ -150,7 +150,7 @@ def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:
 # --- registry persistence ---------------------------------------------------
 
 _REGISTRY = store.Table(
-    "registry", 4, (("supi", wire.UTF8), ("k", wire.fixed(crypto.KEY_LEN)),
+    "registry", 5, (("supi", wire.SUPI), ("k", wire.fixed(crypto.KEY_LEN)),
                     ("k_s", wire.Kind(crypto.KEY_LEN, optional=True))))
 
 

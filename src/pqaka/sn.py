@@ -155,7 +155,7 @@ def sn_resolve_guti(
 
 # keyed by SUPI, so writing a SUPI's row replaces its old GUTI
 _GUTI_TABLE = store.Table(
-    "guti_table", 4, (("supi", wire.UTF8), ("guti", wire.fixed(wire.GUTI_LEN)),
+    "guti_table", 5, (("supi", wire.SUPI), ("guti", wire.fixed(wire.GUTI_LEN)),
                       ("r_sn_prime", wire.fixed(crypto.KEY_LEN))), unique="guti")
 
 

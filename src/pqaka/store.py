@@ -3,16 +3,17 @@
 A file is a header naming its table and the table's version, then records:
 the body's length and ``zlib.crc32``, 4 bytes each, then the body, the row
 packed by ``wire.pack_fields`` in the table's field kinds, as a message's
-fields are after its tag: fixed-width fields raw, the SUPI behind its DER
-length, one byte below 128 B. Each table's version changes with its own
-layout, and a file of another version is refused. The last record of a
-SUPI is its row. A commit appends its one row in one unsynced
-``os.write``. The first save of a mapping, and compaction once appended
-records outnumber the rows by COMPACT_SLACK, write the file whole through a
-fsynced ``path + ".tmp"``. A power loss can drop the last commits, but
-``load`` never returns a torn row. File descriptors are cached here by
-path, not kept on the role state, so the state stays picklable. Pending
-sessions are never stored: each role bounds its table by ``hold_pending``.
+fields are after its tag: fixed-width fields raw, the SUPI as ``wire.SUPI``
+packs it (an IMSI's digits in BCD) behind its DER length, one byte below
+128 B. Each table's version changes with its own layout, and a file of
+another version is refused. The last record of a SUPI is its row. A commit
+appends its one row in one unsynced ``os.write``. The first save of a
+mapping, and compaction once appended records outnumber the rows by
+COMPACT_SLACK, write the file whole through a fsynced ``path + ".tmp"``. A
+power loss can drop the last commits, but ``load`` never returns a torn
+row. File descriptors are cached here by path, not kept on the role state,
+so the state stays picklable. Pending sessions are never stored: each role
+bounds its table by ``hold_pending``.
 """
 
 from __future__ import annotations

@@ -10,17 +10,21 @@ and of each ``store`` record's body, which is one row in this layout.
 Layout: one message-type tag byte, then each field in table order. A
 field whose kind fixes its width (``fixed(n)``, ``FLAG``) is
 sent as its raw bytes alone; a variable-length field (``VAR``, ``UTF8``,
-``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
+``SUPI``, ``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
 in the V and LV formats of 3GPP TS 24.007 §11.2. The prefix is the definite
 length of ASN.1 DER (X.690 §8.1.3, minimal as §10.1 asks): a length of 0 to
 127 is one byte, and a longer one is ``0x80 | k`` followed by its k
 big-endian bytes, k from 1 to 4. On the test and ECIES suites every
 field is shorter than 128 bytes, so each prefix is one byte; four length
 bytes still carry McEliece's 261,120-byte public key. An optional field is
-preceded by one raw presence byte, 0x00 or 0x01. Decoding is strict and
+preceded by one raw presence byte, 0x00 or 0x01. A SUPI opens with a
+format byte (TS 24.501 §9.11.3.4): 0x00 and packed BCD for ``imsi-`` and
+ASCII digits, the first in the low nibble and an odd count padded with 0xF
+(TS 24.008 §10.5.1.4), else 0x01 and UTF-8. Decoding is strict and
 canonical: unknown tags, truncation, a long-form or zero-led length a
 shorter prefix could carry, a flag or presence byte other than 0 or 1,
-invalid UTF-8 and trailing bytes are all rejected with the failing offset.
+invalid UTF-8 or BCD, a SUPI in a format not its own and trailing bytes
+are all rejected with the failing offset.
 """
 
 from __future__ import annotations
@@ -153,12 +157,36 @@ def _utf8_from_raw(raw: bytes, name: str, at: int) -> str:
         raise ParseError(f"{name} is not valid UTF-8", at) from None
 
 
+_NIBBLE_SWAP = bytes((b >> 4) | (b & 0xF) << 4 for b in range(256))
+
+
+def _supi_to_raw(supi: str, name: str) -> bytes:
+    digits = supi[5:]
+    if not (supi.startswith("imsi-") and digits.isascii() and digits.isdigit()):
+        return b"\x01" + supi.encode()
+    return b"\x00" + bytes.fromhex(digits + "f" * (len(digits) % 2)).translate(_NIBBLE_SWAP)
+
+
+def _supi_from_raw(raw: bytes, name: str, at: int) -> str:
+    """The SUPI raw carries, if encoding it gives raw back."""
+    if raw[:1] == b"\x00":
+        supi = "imsi-" + raw[1:].translate(_NIBBLE_SWAP).hex().removesuffix("f")
+    elif raw[:1] == b"\x01":
+        supi = _utf8_from_raw(raw[1:], name, at)
+    else:
+        raise ParseError(f"{name} has no known SUPI format", at)
+    if _supi_to_raw(supi, name) != raw:
+        raise ParseError(f"{name} is not a canonical SUPI", at)
+    return supi
+
+
 def fixed(n: int) -> Kind:
     return Kind(width=n)
 
 
 VAR = Kind()
 UTF8 = Kind(to_raw=lambda v, name: v.encode(), from_raw=_utf8_from_raw)
+SUPI = Kind(to_raw=_supi_to_raw, from_raw=_supi_from_raw)
 FLAG = Kind(1, lambda v, name: b"\x01" if v else b"\x00", _flag_from_raw)
 OPTIONAL_VAR = Kind(optional=True)
 
@@ -178,7 +206,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
     ResponseMsg: (0x06, (("res_star", fixed(CHECK_LEN)),)),
     ConfirmMsg: (0x07, ()),
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
-    GutiSnToHnMsg: (0x09, (("supi", UTF8), ("r_sn_prime", fixed(KEY_LEN)),
+    GutiSnToHnMsg: (0x09, (("supi", SUPI), ("r_sn_prime", fixed(KEY_LEN)),
                            ("r_sn", fixed(RAND_LEN)))),
     GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),)),
     SecureEnvelopeMsg: (0x0B, (("ct", VAR),)),
@@ -187,8 +215,8 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
 _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in SCHEMA.items()}
 
 # plaintexts sealed inside SUCI_conc and M; untagged
-_SUCI_PAYLOAD: Fields = (("supi", UTF8), ("pk_u", VAR), ("id_sn", UTF8))
-_M_PAYLOAD: Fields = (("k_seaf", fixed(KEY_LEN)), ("supi", UTF8))
+_SUCI_PAYLOAD: Fields = (("supi", SUPI), ("pk_u", VAR), ("id_sn", UTF8))
+_M_PAYLOAD: Fields = (("k_seaf", fixed(KEY_LEN)), ("supi", SUPI))
 
 Message = (
     IdRequestMsg | IdResponseMsg | SnToHnIdentMsg | HnToSnAuthMsg

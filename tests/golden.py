@@ -15,14 +15,12 @@ CONSTANTS = {
 
 SESSION_WIRE = {
     'id-request': bytes.fromhex('0101'),
-    'id-response': bytes.fromhex('0220eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566641e920d2aee8aea8ec72cb6cc3d98d0fd79347db7a250b9b3b731d68c5e6a42bb504f5391feb6b59769162dd315bcb4ea8b62dd4fc43c8daa1379d1d103198fb45d38e0a2ab4911ba214534fcc8672f3d92a0a686e2e6578616d706c65'),
-    'sn-hn-ident': bytes.fromhex('0320eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566641e920d2aee8aea8ec72cb6cc3d98d0fd79347db7a250b9b3b731d68c5e6a42bb504f5391feb6b59769162dd315bcb4ea8b62dd4fc43c8daa1379d1d103198fb45d38e0a2ab4911ba214534fcc8672f3d92a789b1af96f3a25aaf55a89cbfa00e144'),
-    'auth-vector': bytes.fromhex('042e3d0d48b7cda719d69f7c68c299da3c605dcd4ba68aa47f50eb31b5a4f0aef345bbd9b6518f645c53df22343d0e0e5a6d2ee407b9b81cb8a17736c2cbd00b851574462ca9f0e7cce427a88585675ed4476bdab8c5f00c14026fa66d9948bbc9ea5962e440960120d951808751b95134bbf31e2792417b2968a963d1dc3e6da966a90f68cb0838d8'),
+    'id-response': bytes.fromhex('0220eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566636f449bfdc808398dc430a7d4995a4d9405b86cbda6840c84f2d50c8ac566380b528a81be5e858599141cf0b7c9c8fdd65fadd1fbbb90768b4dbee9fd0e96d23d503b93cb263260a686e2e6578616d706c65'),
+    'sn-hn-ident': bytes.fromhex('0320eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566636f449bfdc808398dc430a7d4995a4d9405b86cbda6840c84f2d50c8ac566380b528a81be5e858599141cf0b7c9c8fdd65fadd1fbbb90768b4dbee9fd0e96d23d503b93cb26326789b1af96f3a25aaf55a89cbfa00e144'),
+    'auth-vector': bytes.fromhex('042e3d0d48b7cda719d69f7c68c299da3c605dcd4ba68aa47f50eb31b5a4f0aef33abbd9b6518f645c53df22343d0e0e5a6d2ee407b9b81cb8a17736c2cbd00b8515692f41db98cafcd416694b468409d287b84af6d3481f6ed95e490120d951808751b95134bbf31e2792417b2968a963d1dc3e6da966a90f68cb0838d8'),
     'challenge': bytes.fromhex('052e3d0d48b7cda719d69f7c68c299da3c605dcd4ba68aa47f50eb31b5a4f0aef30120d951808751b95134bbf31e2792417b2968a963d1dc3e6da966a90f68cb0838d8'),
     'response': bytes.fromhex('065a1e062087966c0643da9927eb4e0bca'),
     'confirm': bytes.fromhex('07'),
-    'guti-id': bytes.fromhex('08ac6f8d7f'),
-    'sn-hn-guti': bytes.fromhex('0914696d73692d303031303130303030303030303031c1cc289ece9490d21ef30d558802d34fe1feb37257d6e9a0b0b0337f39e4ee89789b1af96f3a25aaf55a89cbfa00e144'),
     'guti-assign': bytes.fromhex('0aac6f8d7f'),
     'secure-envelope': bytes.fromhex('0b1570aefb16b32d23e22c515e5100368d21c2747ae04c'),
     'abort': bytes.fromhex('0c'),
@@ -41,8 +39,11 @@ SESSION_VALUES = {
     'k_s_next': bytes.fromhex('93c5ce1392b8534f840863619abc9994b816c10c44a681bd2cf67a8a0f3cbd1b'),
 }
 
-# the GUTI session's auth-vector: its M, 48 bytes, seals K_seaf alone
+# the GUTI session's guti-id, sn-hn-guti and auth-vector: its M, 48 bytes,
+# seals K_seaf alone
 GUTI_SESSION_WIRE = {
+    'guti-id': bytes.fromhex('08ac6f8d7f'),
+    'sn-hn-guti': bytes.fromhex('09090000010100000000f1c1cc289ece9490d21ef30d558802d34fe1feb37257d6e9a0b0b0337f39e4ee8920f5bb7b79e96dcf7d6d406eebb6f476'),
     'auth-vector': bytes.fromhex('048f7fa0836365a6275d06078dc1d5b7a1d6f3c6b9aaf0ac2a1937fedab8a10dcc30730a593848caf28a4ad75f3ba38ea1c1cc5bf46e0535693474024d4ffd46412eb1ec5c903696d0de9ee027a943f020bf00'),
 }
 

@@ -149,7 +149,7 @@ def test_criterion_8_runtime_ordering_of_real_backends():
 def test_criterion_9_wire_golden_vectors():
     # frozen vectors decode, and re-encode bit-identically
     decoded_types = set()
-    for name, blob in SESSION_WIRE.items():
+    for name, blob in [*SESSION_WIRE.items(), *GUTI_SESSION_WIRE.items()]:
         msg = wire.decode(blob)
         assert wire.encode(msg) == blob, name
         decoded_types.add(type(msg))
@@ -168,5 +168,6 @@ def test_criterion_9_wire_golden_vectors():
     outcome = sim.run_session(world, "guti", rng=rng)
     assert outcome.completed and outcome.supi_at_sn == world.ue.supi
     produced = {e.annotation: e.data for e in outcome.transcript.entries}
-    assert produced["auth-vector"] == GUTI_SESSION_WIRE["auth-vector"]
+    for name in ("guti-id", "sn-hn-guti", "auth-vector"):
+        assert produced[name] == GUTI_SESSION_WIRE[name], name
     assert outcome.k_seaf_sn == GUTI_SESSION_VALUES["m_plaintext"]

@@ -260,20 +260,22 @@ def test_every_size_row_is_a_completed_session(suite):
 # `pqaka sizes` with no flags: the communication-cost columns, whose message
 # sizes are read off one honest SUPI session over each suite's stand-in.
 # Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: the sealed
-# assign column is 12 bytes shorter on every row. test_default_sizes_table_pinned
+# assign column is 12 bytes shorter on every row. Re-pinned when the SUPI went
+# to a format byte and packed BCD digits: id-resp and hn-sn, which carry it
+# in SUCI_conc and in M, are 11 bytes shorter on every row. test_default_sizes_table_pinned
 # checks both the table printed and the --out JSONL rows against it
 SIZES_TABLE = """\
 algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp  assign
 -----------------------------------------------------------------------------------------
-bike               5223     1541     1573    32     3183     1680     1610     17      23
-ecies-p256           32       33       33    32      129      138       68     17      23
-ecies-x25519         32       32       32    32      127      137       67     17      23
-hqc                2289     2249     4481    64     6799     4588     4518     17      23
-kyber              1632      800      768    32     1637      875      805     17      23
-mceliece           6452   261120      128    32   261318      234      164     17      23
-ml-kem-1024          64     1568     1568    32     3205     1675     1605     17      23
-ml-kem-768           64     1184     1088    32     2341     1195     1125     17      23
-test                 32       32       32    32      127      137       67     17      23
+bike               5223     1541     1573    32     3172     1669     1610     17      23
+ecies-p256           32       33       33    32      118      127       68     17      23
+ecies-x25519         32       32       32    32      116      126       67     17      23
+hqc                2289     2249     4481    64     6788     4577     4518     17      23
+kyber              1632      800      768    32     1626      864      805     17      23
+mceliece           6452   261120      128    32   261307      223      164     17      23
+ml-kem-1024          64     1568     1568    32     3194     1664     1605     17      23
+ml-kem-768           64     1184     1088    32     2330     1184     1125     17      23
+test                 32       32       32    32      116      126       67     17      23
 """
 MLKEM_ROWS = ("ml-kem-768 ", "ml-kem-1024 ")
 

@@ -58,8 +58,15 @@ the roles they check:
   SUCI_conc is the ciphertext before them;
 - R_SN' is no longer drawn by the SN and sent in the GUTI assignment,
   which is the GUTI alone: both ends derive it as SHA-256 of the 4-byte
-  length-prefixed K_seaf and b"r-sn-prime", and sn-hn-guti carries that
-  and the session's R_SN.
+  length-prefixed K_seaf and b"r-sn-prime";
+- the SUPI, in the SUCI payload, in M on the SUPI path and in sn-hn-guti,
+  is no longer its UTF-8 text but, as TS 24.501 §9.11.3.4 conceals an
+  IMSI, the format byte 0x00 and its 15 digits as packed BCD: two to a
+  byte, the first in the low nibble, the odd count's last high nibble 0xF
+  (TS 24.008 §10.5.1.4), 9 bytes in all;
+- guti-id and sn-hn-guti are those of the GUTI session that follows, as it
+  sends them: the GUTI the SUPI session assigned, and that session's R_SN'
+  with the GUTI session's own R_SN.
 """
 
 import hashlib
@@ -86,8 +93,9 @@ LEGACY_WIRE = {
 }
 
 
-# each vector's fields in wire order: "r" is sent raw now, "l" keeps a
-# length prefix and "x" is no longer sent
+# each SUPI-session vector's fields in wire order: "r" is sent raw now, "l"
+# keeps a length prefix and "x" is no longer sent. guti-id and sn-hn-guti
+# are the GUTI session's, built whole by derive_guti_session
 LAYOUT = {
     "id-request": "r",        # force_supi
     "id-response": "llrl",    # c1, suci_conc, mac_u, id_hn
@@ -96,8 +104,6 @@ LAYOUT = {
     "challenge": "rrl",       # autn, c2 presence, c2
     "response": "r",          # res_star
     "confirm": "x",           # ok, always set
-    "guti-id": "r",           # guti
-    "sn-hn-guti": "lrr",      # supi, r_sn_prime, r_sn
     "guti-assign": "rx",      # guti_new, r_sn_prime_new (derived now)
     "secure-envelope": "l",   # ct
     "abort": "x",             # code, a constant
@@ -140,6 +146,14 @@ def _der(data: bytes) -> bytes:
     """The wire's prefix on a field shorter than 128 bytes: one length byte."""
     assert len(data) < 128
     return bytes([len(data)]) + data
+
+
+def _packed_supi(supi: bytes) -> bytes:
+    """The SUPI's raw wire field: format 0x00 (IMSI), then its digits two to
+    a byte, the first in the low nibble, an odd count padded with 0xF."""
+    digits = [int(d) for d in supi.removeprefix(b"imsi-").decode()]
+    digits += [0xF] * (len(digits) % 2)
+    return b"\x00" + bytes(lo | hi << 4 for lo, hi in zip(digits[::2], digits[1::2]))
 
 
 def _kdf(*inputs: bytes) -> bytes:
@@ -222,7 +236,7 @@ def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
     r_sn, guti = _draw(1, "r_sn", RAND_LEN), _draw(1, "guti", GUTI_LEN)
     pk_h, pk_u = _test_pk(sk_h), _test_pk(sk_u)
     k_s1 = _kdf(pk_h, c1)
-    sealed = _seal(k_s1, _der(SUPI) + _der(pk_u) + _der(ID_SN))
+    sealed = _seal(k_s1, _der(_packed_supi(SUPI)) + _der(pk_u) + _der(ID_SN))
     for name in ("id-response", "sn-hn-ident"):
         fields[name][:3] = [c1, sealed[:-TAG_LEN], sealed[-TAG_LEN:]]
 
@@ -237,13 +251,12 @@ def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
         fields[name][0] = conc + mac
         fields[name][-1] = c2
     fields["response"][0] = res_star
-    fields["auth-vector"][2] = _seal(_kdf(res_star, ak), k_seaf + _der(SUPI))
-    fields["guti-id"][0] = fields["guti-assign"][0] = guti
-    fields["sn-hn-guti"][1:] = [_kdf(k_seaf, b"r-sn-prime"), r_sn]
+    fields["auth-vector"][2] = _seal(_kdf(res_star, ak), k_seaf + _der(_packed_supi(SUPI)))
+    fields["guti-assign"][0] = guti
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
                {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))
-           for name in LEGACY_WIRE}
+           for name in LAYOUT}
     out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(
         _seal(_kdf(k_seaf, b"guti-transport"), out["guti-assign"]))
     values = {"k": k, "sk_h": sk_h, "pk_h": pk_h, "sk_u": sk_u, "pk_u": pk_u,
@@ -255,21 +268,30 @@ def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
 def derive_guti_session(values: dict[str, bytes]) -> tuple[dict[str, bytes], dict[str, bytes]]:
     """(GUTI_SESSION_WIRE, GUTI_SESSION_VALUES): the auth-vector of the GUTI
     session that follows the SUPI session of `values` in its world and
-    seeded source. Its R_SN is the next 16 bytes under "r_sn", K* the SUPI
-    session's next K_S xor R_SN', and M, under K3, seals K_seaf alone: the
-    HN returns the SUPI only to an SN that sent a SUCI (TS 33.501 §6.1.3.2,
-    step 12). The vector has no c2, so it ends in a zero presence byte."""
+    seeded source, and the guti-id and sn-hn-guti before it. The UE sends
+    the GUTI the SUPI session assigned; the SN sends the SUPI that GUTI
+    names, the SUPI session's R_SN' and its own R_SN, the next 16 bytes
+    under "r_sn". K* is the SUPI session's next K_S xor R_SN', and M, under
+    K3, seals K_seaf alone: the HN returns the SUPI only to an SN that sent
+    a SUCI (TS 33.501 §6.1.3.2, step 12). The vector has no c2, so it ends
+    in a zero presence byte."""
     k = values["k"]
     r_sn = _draw(1, "r_sn", 2 * RAND_LEN)[RAND_LEN:]
-    k_star = _xor(values["k_s_next"], _kdf(values["k_seaf"], b"r-sn-prime"))
+    r_sn_prime = _kdf(values["k_seaf"], b"r-sn-prime")
+    k_star = _xor(values["k_s_next"], r_sn_prime)
     ak = _f(5, k, k_star)[:RAND_LEN]
     conc = _xor(ak, r_sn)
     mac = _f(1, k, k_star, r_sn)[:CHECK_LEN]
     res, ck, ik, k_seaf = _schedule(k, k_star, conc)
     res_star = _kdf(ck, ik, k_star, res, r_sn, ID_SN)[-CHECK_LEN:]
     m = _seal(_kdf(res_star, ak), k_seaf)
-    auth_vector = LEGACY_WIRE["auth-vector"][:1] + conc + mac + _der(m) + b"\x00"
-    return {"auth-vector": auth_vector}, {"m_plaintext": k_seaf}
+    wire = {
+        "guti-id": LEGACY_WIRE["guti-id"][:1] + _draw(1, "guti", GUTI_LEN),
+        "sn-hn-guti": LEGACY_WIRE["sn-hn-guti"][:1] + _der(_packed_supi(SUPI))
+                      + r_sn_prime + r_sn,
+        "auth-vector": LEGACY_WIRE["auth-vector"][:1] + conc + mac + _der(m) + b"\x00",
+    }
+    return wire, {"m_plaintext": k_seaf}
 
 
 def test_session_derived_from_legacy_vectors_and_labelled_draws():

@@ -56,12 +56,15 @@ def test_attack_verdict_lines_pinned(suite, seed):
 # drawn from its own labelled stream, so only the guti-id and guti-assign
 # lines moved. Re-pinned again when M on the GUTI path came to seal K_seaf
 # alone: only the GUTI sessions' auth-vector lines move, 21 bytes shorter.
-# The ECIES runs are the pins on profile A's and profile B's bytes,
+# Re-pinned when the SUPI went to a format byte and packed BCD digits: only
+# the lines that carry it move, each 11 bytes shorter: id-response,
+# sn-hn-ident and auth-vector of the SUPI sessions, sn-hn-guti of the GUTI
+# sessions. The ECIES runs are the pins on profile A's and profile B's bytes,
 # so a change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "ebea6056d1deee307d1acbd470194edf5ea78f229224d40c87dd9d2f327250ed",
-    "ecies-x25519": "77b3227606433c7b5006e458066157f59ffb914b13d9f8d6bfe5480bef425e46",
-    "ecies-p256": "e58c1b86aef72d7d1b54959fe255a7bf864c1377a1284cf544b01eb749f5c43b",
+    "test": "494943a8e26c00019f583e8d2bceb4fb430d18c65943a9892487cf2fa2b69603",
+    "ecies-x25519": "d6540ce6826ebe8c694e2608d7c694c34168136dfa8ef5d398a23befc85ce1c6",
+    "ecies-p256": "1a0b7cb8dfff690e7a5d028c8fae550329ccb5638ed94d01b628780770b3805a",
 }
 
 
@@ -79,8 +82,10 @@ def test_mixed_run_transcript_pinned(suite):
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification; re-pinned with MIXED_RUN_SHA256 when the GUTI
 # went to 4 bytes. Every session here takes the SUPI path, whose M still
-# seals the SUPI, so M's GUTI-path layout does not move it
-FALLBACK_RUN_SHA256 = "57e5b6674de51875a845bbf839df5b816a553f474bd3bc8a4487f3e8d6835477"
+# seals the SUPI, so M's GUTI-path layout does not move it. Re-pinned with
+# MIXED_RUN_SHA256 when the SUPI went to packed BCD: its id-response,
+# sn-hn-ident and auth-vector lines are each 11 bytes shorter
+FALLBACK_RUN_SHA256 = "331a0ac8890e2057045f602aba1bd9b2596de20327b2005af8ff7e0cb64d98a8"
 
 
 def test_fallback_run_transcript_pinned():

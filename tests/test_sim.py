@@ -62,25 +62,28 @@ def test_honest_guti_session_has_no_c2(world, rng):
 
 # one honest session's communication cost per suite and path, as (radio,
 # core) bytes, and the radio size of each of its messages; the core bytes
-# are sn-hn-ident 132 (sn-hn-guti 70), auth-vector 137 (83) and confirm 1.
+# are sn-hn-ident 121 (sn-hn-guti 59), auth-vector 126 (83) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
 # Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: guti-id and
 # the sealed guti-assign carry 12 bytes fewer each, and the core none. Re-
 # pinned when M on the GUTI path came to seal K_seaf alone, as the SN sent
-# the SUPI itself: the GUTI core 21 bytes fewer (175 to 154), the radio none
+# the SUPI itself: the GUTI core 21 bytes fewer (175 to 154), the radio none.
+# Re-pinned when the SUPI went to a format byte and packed BCD digits, 9
+# bytes where its 20 characters were: 11 bytes fewer in each of id-response,
+# sn-hn-ident, the SUPI path's M and sn-hn-guti
 SESSION_BYTES = {
-    "test": {"supi": (236, 270), "guti": (81, 154)},
-    "ecies-x25519": {"supi": (236, 270), "guti": (81, 154)},
-    "ecies-p256": {"supi": (239, 273), "guti": (81, 154)},
+    "test": {"supi": (225, 248), "guti": (81, 143)},
+    "ecies-x25519": {"supi": (225, 248), "guti": (81, 143)},
+    "ecies-p256": {"supi": (228, 251), "guti": (81, 143)},
 }
 RADIO_MESSAGE_BYTES = {
-    "supi": {"id-request": 2, "id-response": 127, "challenge": 67,
+    "supi": {"id-request": 2, "id-response": 116, "challenge": 67,
              "response": 17, "guti-assign": 23},
     "guti": {"id-request": 2, "guti-id": 5, "challenge": 34,
              "response": 17, "guti-assign": 23},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
-P256_SUPI_RADIO_BYTES = {"id-response": 129, "challenge": 68}
+P256_SUPI_RADIO_BYTES = {"id-response": 118, "challenge": 68}
 
 
 @pytest.mark.parametrize("suite", list(SESSION_BYTES))

@@ -322,18 +322,28 @@ def _utf8(text):
     return bytes([len(text.encode())]) + text.encode()
 
 
+def _text_supi(text):
+    """A SUPI other than imsi- and ASCII digits: its length in one byte,
+    the format byte 0x01 (other), then its UTF-8."""
+    return bytes([1 + len(text.encode()), 0x01]) + text.encode()
+
+
+# imsi-1: its length, the format byte 0x00 (IMSI), then 1 and the 0xF filler
+IMSI_1 = bytes.fromhex("02" "00" "f1")
+
 # role -> (the mapping, its file: header, then one record per row with the
 # fixed-width fields raw and K_S behind a presence byte). Re-pinned at
-# version 4, when the GUTI went to 4 bytes, the 5G-TMSI's width
+# version 4, when the GUTI went to 4 bytes, the 5G-TMSI's width, and at
+# version 5, when the SUPI went to a format byte and, for an IMSI, packed BCD
 LAYOUT = {
     "hn": ({"imsi-1": hn_mod.SubscriberRecord("imsi-1", b"\x01" * 32, b"\x02" * 32),
             "imsi-ü": hn_mod.SubscriberRecord("imsi-ü", b"\x03" * 32, None)},
-           b"pqaka-store 4 registry\n"
-           + _record(_utf8("imsi-1") + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
-           + _record(_utf8("imsi-ü") + b"\x03" * 32 + b"\x00")),
+           b"pqaka-store 5 registry\n"
+           + _record(IMSI_1 + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
+           + _record(_text_supi("imsi-ü") + b"\x03" * 32 + b"\x00")),
     "sn": ({b"\x04" * 4: sn_mod.GutiEntry("imsi-1", b"\x05" * 32)},
-           b"pqaka-store 4 guti_table\n"
-           + _record(_utf8("imsi-1") + b"\x04" * 4 + b"\x05" * 32)),
+           b"pqaka-store 5 guti_table\n"
+           + _record(IMSI_1 + b"\x04" * 4 + b"\x05" * 32)),
 }
 
 
@@ -350,18 +360,19 @@ def test_store_file_layout_pinned(tmp_path, role):
 
 def test_each_table_has_its_own_version(tmp_path, monkeypatch):
     """A layout change to the SN's table raises its version only: the HN's
-    version-4 registry still loads and saves, and the SN's version-4 file
+    registry still loads and saves, and the SN's file of the version before
     is refused."""
     hn_path, sn_path = str(tmp_path / "hn"), str(tmp_path / "sn")
     for role, path in (("hn", hn_path), ("sn", sn_path)):
         ROLES[role][0](path, LAYOUT[role][0])
     table = sn_mod._GUTI_TABLE
     monkeypatch.setattr(sn_mod, "_GUTI_TABLE",
-                        store.Table(table.name, 5, table.fields, unique="guti"))
+                        store.Table(table.name, table.version + 1, table.fields,
+                                    unique="guti"))
     assert hn_mod.load_registry(hn_path) == LAYOUT["hn"][0]
     hn_mod.save_registry(hn_path, _rows("hn", 2))
     assert hn_mod.load_registry(hn_path) == _rows("hn", 2)
-    with pytest.raises(ValueError, match="version 5"):
+    with pytest.raises(ValueError, match=f"version {table.version + 1}"):
         sn_mod.load_guti_table(sn_path)
 
 
@@ -423,4 +434,19 @@ def test_version_3_store_is_refused_by_load_and_save(tmp_path, role):
     else:
         data = b"pqaka-store 3 guti_table\n" + _record(
             _utf8("imsi-1") + b"\x04" * 16 + b"\x05" * 32)
+    _refused_by_load_and_save(tmp_path, role, data)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_version_4_store_is_refused_by_load_and_save(tmp_path, role):
+    """The former layout: version 5's, but with the SUPI as UTF-8 alone.
+    Read as version 5, its "imsi-1" would begin with the unknown format
+    byte "i", so the load would end at the first record and return an
+    empty table. The version in the header refuses the file instead."""
+    if role == "hn":
+        data = b"pqaka-store 4 registry\n" + _record(
+            _utf8("imsi-1") + b"\x01" * 32 + b"\x01" + b"\x02" * 32)
+    else:
+        data = b"pqaka-store 4 guti_table\n" + _record(
+            _utf8("imsi-1") + b"\x04" * 4 + b"\x05" * 32)
     _refused_by_load_and_save(tmp_path, role, data)

@@ -2,8 +2,11 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from golden import GUTI_SESSION_WIRE, SESSION_WIRE
 from pqaka import wire
@@ -306,7 +309,8 @@ M_LAYOUTS = {"supi-path": ("imsi-2", None, "trailing bytes in M payload"),
 def test_m_payload_roundtrip(layout):
     sealed, known, as_other = M_LAYOUTS[layout]
     packed = wire.pack_m_payload(bytes(32), sealed)
-    assert len(packed) == 32 + (0 if sealed is None else 1 + len(sealed))
+    # imsi-2: its length, format 0x00 (IMSI), then 2 and the 0xF filler
+    assert packed == bytes(32) + (b"" if sealed is None else b"\x02\x00\xf2")
     assert wire.unpack_m_payload(packed, known) == (bytes(32), "imsi-2")
     with pytest.raises(wire.ParseError) as exc:
         wire.unpack_m_payload(packed + b"\x00", known)
@@ -320,6 +324,75 @@ def test_m_payload_roundtrip(layout):
     with pytest.raises(wire.ParseError, match=as_other) as exc:
         wire.unpack_m_payload(packed, "imsi-2" if known is None else None)
     assert exc.value.offset == 32
+
+
+# --- the SUPI: a format byte, then packed BCD or UTF-8 (TS 24.501 §9.11.3.4) --
+
+SUPI_FIELD = (("supi", wire.SUPI),)
+
+
+def _pack_supi(supi: str) -> bytes:
+    return wire.pack_fields(SUPI_FIELD, [supi], [])
+
+
+def _unpack_supi(blob: bytes) -> str:
+    return wire.unpack_fields(SUPI_FIELD, blob, 0, "after supi")[0]
+
+
+def test_imsi_packs_as_bcd_in_ts_24_008_order():
+    """Two digits a byte, the first in the low nibble, and the odd count's
+    last high nibble 0xF: 9 bytes behind the length, not 20 characters."""
+    assert _pack_supi("imsi-001010000000001") == bytes.fromhex("09" "00" "00010100000000f1")
+    assert _pack_supi("imsi-12") == bytes.fromhex("02" "00" "21")
+    assert _unpack_supi(bytes.fromhex("09" "00" "00010100000000f1")) == "imsi-001010000000001"
+
+
+@given(st.text("0123456789", min_size=1, max_size=20))
+def test_imsi_of_ascii_digits_round_trips_as_packed_bcd(digits):
+    supi = "imsi-" + digits
+    packed = _pack_supi(supi)
+    assert packed[:2] == bytes([1 + (len(digits) + 1) // 2, 0x00])
+    assert _unpack_supi(packed) == supi
+
+
+@given(st.one_of(st.text(max_size=40), st.text(max_size=40).map("imsi-".__add__)))
+def test_any_text_supi_round_trips(supi):
+    raw = wire.SUPI.to_raw(supi, "supi")
+    if re.fullmatch(r"imsi-[0-9]+", supi):
+        assert raw[0] == 0x00
+    else:
+        assert raw == b"\x01" + supi.encode()
+    assert _unpack_supi(_pack_supi(supi)) == supi
+
+
+def test_imsi_of_non_ascii_digits_packs_as_text():
+    assert "١٢".isdigit()
+    assert _pack_supi("imsi-١٢") == lp(b"\x01" + "imsi-١٢".encode())
+    assert _unpack_supi(_pack_supi("imsi-١٢")) == "imsi-١٢"
+
+
+# raw SUPI values the decoder refuses, and the error each gives
+BAD_SUPIS = {
+    "empty": ("", "no known SUPI format"),
+    "unknown-format": ("0231", "no known SUPI format"),
+    "zero-digits": ("00", "not a canonical SUPI"),
+    "filler-as-first-digit": ("001f", "not a canonical SUPI"),
+    "filler-mid-value": ("00f121", "not a canonical SUPI"),
+    "filler-on-even-count": ("0021ff", "not a canonical SUPI"),
+    "filler-alone": ("00ff", "not a canonical SUPI"),
+    "non-bcd-nibble": ("00a1", "not a canonical SUPI"),
+    "imsi-as-text": ("01" + b"imsi-12".hex(), "not a canonical SUPI"),
+    "invalid-utf8": ("01ff", "not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SUPIS))
+def test_bad_supi_rejected_at_its_field(bad):
+    raw, error = BAD_SUPIS[bad]
+    blob = b"\x09" + lp(bytes.fromhex(raw)) + bytes(32) + bytes(16)
+    with pytest.raises(wire.ParseError, match=error) as exc:
+        wire.decode(blob)
+    assert exc.value.offset == 1        # the SUPI's length prefix, after the tag
 
 
 # --- fixed-width enforcement, from a list written independently of the table --
@@ -381,6 +454,9 @@ def _strict_cases():
     cases["m-payload"] = (
         lambda v: wire.pack_m_payload(*v), wire.unpack_m_payload,
         [(r.randbytes(32), "imsi-" + str(r.getrandbits(40))) for _ in range(8)])
+    cases["supi"] = (_pack_supi, _unpack_supi, [
+        "imsi-1", "imsi-12", "imsi-001010000000001", "imsi-" + "9" * 20,
+        "imsi-", "imsi-١٢", "imsi-1,2", "nai-user@example", ""])
     cases["m-payload-guti-path"] = (
         lambda v: wire.pack_m_payload(v[0], None),
         lambda blob: wire.unpack_m_payload(blob, "imsi-2"),
