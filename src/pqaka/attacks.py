@@ -256,16 +256,16 @@ def _ue_without_mac_check(
 def _broken_ue() -> Weakened:
     """UE whose every session repeats its first SUCI, together with that
     session's key pair, and its first GUTI."""
-    first: dict[str, object] = {}
+    kept: dict[str, object] = {}
 
     def identification_response(state: ue.UeState, rng: RandomSource):
-        if "suci" not in first:
-            first["suci"] = ue.ue_identification_response(state, rng)
-        return first["suci"]
+        if "suci" not in kept:
+            kept["suci"] = ue.ue_identification_response(state, rng)
+        return kept["suci"]
 
-    def guti_identification(state: ue.UeState):
-        msg = ue.ue_guti_identification(state)
-        return msg and first.setdefault("guti", msg)
+    def guti_identification(state: ue.UeState, req: wire.Message, first: bool):
+        msg = ue.ue_guti_identification(state, req, first)
+        return msg and kept.setdefault("guti", msg)
 
     return Weakened(ue, ue_identification_response=identification_response,
                     ue_guti_identification=guti_identification)

@@ -147,6 +147,11 @@ def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:
     return pending.k_seaf
 
 
+def hn_abort(state: HnState, sid: bytes) -> None:
+    """sn-abort: drop the session's pending entry, so its K_S is never committed."""
+    state.pending.pop(sid, None)
+
+
 # --- registry persistence ---------------------------------------------------
 
 _REGISTRY = store.Table(

@@ -208,35 +208,29 @@ def session(
     def send_core(direction: str, label: str, msg: wire.Message) -> None:
         t.append(CORE, direction, wire.encode(msg), label)
 
-    def sn_abort(step: str) -> SessionOutcome:
-        """The SN ends the session at the HN too, which drops its entry."""
+    def abort_at_hn(step: str) -> SessionOutcome:
+        """The SN ends the session at the HN too."""
         send_core("SN->HN", "sn-abort", wire.AbortMsg())
-        hn.pending.pop(sid, None)
+        hn_mod.hn_abort(hn, sid)
         return _aborted(t, step)
 
-    # 1-3. identification, in at most two rounds: the UE answers with its
-    # GUTI only a first request that allows one, and with a SUCI otherwise;
-    # an unknown GUTI makes the SN's fallback the second round's request
+    # 1-3. identification, in at most two rounds: an unknown GUTI makes the
+    # SN's fallback the second round's request
     request = wire.IdRequestMsg(force_supi=(mode == "supi"))
     for first in (True, False):
         req = yield from send_radio("SN->UE", "id-request", request)
         if req is None:
             return _aborted(t, "id-request")
-        ident: Optional[wire.Message] = None
-        if first and isinstance(req, wire.IdRequestMsg) and not req.force_supi:
-            ident = ue_mod.ue_guti_identification(ue)
+        ident = ue_mod.ue_guti_identification(ue, req, first)
         if ident is None:
             ident, ephemeral = ue_mod.ue_identification_response(ue, rng)
         label = "guti-id" if isinstance(ident, wire.GutiIdMsg) else "id-response"
         received = yield from send_radio("UE->SN", label, ident)
         if received is None:
             return _aborted(t, label)
-        if isinstance(received, wire.IdResponseMsg):
-            forwarded = sn_mod.sn_forward_identification(sn, received, rng)
-        elif first and isinstance(received, wire.GutiIdMsg):
-            forwarded = sn_mod.sn_resolve_guti(sn, received, rng)
-        else:
-            return _aborted(t, "sn-ident")   # a foreign type, or a GUTI again
+        forwarded = sn_mod.sn_identify(sn, request, received, rng)
+        if forwarded is None:
+            return _aborted(t, "sn-ident")
         if not isinstance(forwarded, wire.IdRequestMsg):
             break
         request = forwarded
@@ -255,7 +249,7 @@ def session(
             to_sn = hn_mod.hn_guti_auth_vector(hn, to_hn, sn.id_sn, sid)
     except hn_mod.IdentificationAbort:
         send_core("HN->SN", "hn-abort", wire.AbortMsg())
-        sn.pending.pop(sid, None)
+        sn_mod.sn_abort(sn, sid)
         return _aborted(t, "hn-identify")
 
     send_core("HN->SN", "auth-vector", to_sn)
@@ -263,7 +257,7 @@ def session(
     # 5. challenge to the UE
     challenge = sn_mod.sn_forward_challenge(sn, sid, to_sn)
     if challenge is None:
-        return sn_abort("sn-challenge")
+        return abort_at_hn("sn-challenge")
     ch = yield from send_radio("SN->UE", "challenge", challenge)
     if ch is None or not isinstance(ch, wire.ChallengeMsg):
         return _aborted(t, "challenge")
@@ -280,7 +274,7 @@ def session(
     # 7. SN verification, confirmation, GUTI reassignment
     result = sn_mod.sn_verify_response(sn, sid, resp, rng)
     if result is None:
-        return sn_abort("sn-verify")
+        return abort_at_hn("sn-verify")
     send_core("SN->HN", "confirm", wire.ConfirmMsg())
     k_seaf_hn = hn_mod.hn_finalize(hn, sid)
 

@@ -24,6 +24,7 @@ from .wire import (
     HnToSnAuthMsg,
     IdRequestMsg,
     IdResponseMsg,
+    Message,
     ResponseMsg,
     SnToHnIdentMsg,
     unpack_m_payload,
@@ -149,6 +150,22 @@ def sn_resolve_guti(
     r_sn, sid = _open_session(state, msg.guti, rng, entry.supi)
     return GutiSnToHnMsg(
         supi=entry.supi, r_sn_prime=entry.r_sn_prime, r_sn=r_sn), sid
+
+
+def sn_identify(state: SnState, request: IdRequestMsg, msg: Message,
+                rng: RandomSource) -> Union[tuple[Message, bytes], IdRequestMsg, None]:
+    """Take the UE's answer to the SN's own request: a SUCI is forwarded, and
+    a GUTI resolved if that request allowed one; None ends the session."""
+    if isinstance(msg, IdResponseMsg):
+        return sn_forward_identification(state, msg, rng)
+    if isinstance(msg, GutiIdMsg) and not request.force_supi:
+        return sn_resolve_guti(state, msg, rng)
+    return None
+
+
+def sn_abort(state: SnState, sid: bytes) -> None:
+    """The HN ended the session (hn-abort): drop its pending entry."""
+    state.pending.pop(sid, None)
 
 
 # --- GUTI table persistence --------------------------------------------------

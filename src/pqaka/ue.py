@@ -21,7 +21,9 @@ from .wire import (
     ChallengeMsg,
     GutiAssignMsg,
     GutiIdMsg,
+    IdRequestMsg,
     IdResponseMsg,
+    Message,
     ResponseMsg,
     pack_suci_payload,
 )
@@ -60,9 +62,12 @@ def ue_identification_response(state: UeState,
                          id_hn=state.id_hn), pair
 
 
-def ue_guti_identification(state: UeState) -> Optional[GutiIdMsg]:
-    """GUTI-based identification; None tells the caller to run the SUPI path."""
-    if state.guti is None or state.k_s is None or state.r_sn_prime is None:
+def ue_guti_identification(state: UeState, req: Message,
+                           first: bool) -> Optional[GutiIdMsg]:
+    """GUTI-based identification, in answer to a first request that allows
+    one; None tells the caller to run the SUPI path."""
+    allowed = first and isinstance(req, IdRequestMsg) and not req.force_supi
+    if not allowed or state.guti is None or state.k_s is None or state.r_sn_prime is None:
         return None
     return GutiIdMsg(guti=state.guti)
 

@@ -197,6 +197,21 @@ def test_finalize_twice_second_ignored(world, rng):
     assert (record.k_s, world.hn.pending) == snapshot
 
 
+def test_abort_drops_the_entry_and_commits_no_key(world, rng):
+    """sn-abort drops the session's entry without committing its K_S; an
+    unknown sid changes nothing."""
+    to_hn, sid, _pair = _ident_msg(world, rng)
+    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
+                          rng, sid)
+    snapshot = dict(world.hn.pending)
+    hn_mod.hn_abort(world.hn, b"nosuch")
+    assert world.hn.pending == snapshot
+    hn_mod.hn_abort(world.hn, sid)
+    assert world.hn.pending == {} and record.k_s is None
+    assert hn_mod.hn_finalize(world.hn, sid) is None and record.k_s is None
+
+
 # --- overlapping sessions of one subscriber ---------------------------------
 
 def _assert_ratchet_in_step(world, rng):

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from drive import fields_holding, finish, keeping_pairs, run_until
-from pqaka import attacks, crypto, hn as hn_mod, sim, store, ue as ue_mod, wire
+from pqaka import attacks, crypto, hn as hn_mod, sim, sn as sn_mod, store, ue as ue_mod, wire
 from pqaka.rng import SeededRandom
 
 
@@ -377,6 +377,28 @@ def test_id_request_that_allows_no_guti_gets_a_suci(path, n, substitute):
     assert answer_at.annotation == "id-response"
 
 
+@pytest.mark.parametrize("suite", ["test", "ecies-x25519"])
+def test_flipped_force_supi_does_not_put_a_supi_session_on_guti(suite):
+    """The radio attacker who flips the SN's request for a SUCI to one that
+    allows a GUTI does not pick the path: the SN takes a GUTI only under a
+    request of its own that allowed one, so the session ends at sn-ident
+    with nothing sent on the core and nothing held, and the UE's ratchet
+    stays for its next GUTI session."""
+    world, rng = sim.make_world(suite, seed=0), SeededRandom(1)
+    assert sim.run_session(world, "supi", rng=rng).completed
+    ratchet = (world.ue.guti, world.ue.k_s, world.ue.r_sn_prime)
+    flipped = wire.encode(wire.IdRequestMsg(force_supi=False))
+    attacker = sim.ScriptedAttacker({"id-request": lambda data, ctx: flipped})
+    outcome = sim.run_session(world, "supi", attacker, rng)
+    assert outcome.abort_step == "sn-ident"
+    assert [e.annotation for e in outcome.transcript.entries] == ["id-request", "guti-id"]
+    assert not any(e.channel == sim.CORE for e in outcome.transcript.entries)
+    assert world.sn.pending == {} and world.hn.pending == {}
+    assert (world.ue.guti, world.ue.k_s, world.ue.r_sn_prime) == ratchet
+    nxt = sim.run_session(world, "guti", rng=rng)
+    assert nxt.completed and nxt.key_source == "guti"
+
+
 @pytest.mark.parametrize("path,n,at", list(_radio_drops()))
 def test_dropped_radio_message_aborts_at_its_step(path, n, at):
     world, rng, mode = _provisioned(path)
@@ -611,7 +633,8 @@ def test_outcomes_carry_no_secrets(world, rng):
 
 
 @pytest.mark.parametrize("module, name", [
-    (ue_mod, "ue_process_challenge"), (hn_mod, "hn_finalize")])
+    (ue_mod, "ue_process_challenge"), (hn_mod, "hn_finalize"),
+    (ue_mod, "ue_guti_identification"), (sn_mod, "sn_identify")])
 def test_default_roles_are_looked_up_at_call_time(world, rng, monkeypatch,
                                                   module, name):
     """A role function patched on its module after import is the one
@@ -835,6 +858,28 @@ def test_failed_res_star_frees_the_hn_entry(world, rng):
     assert last.data == wire.encode(wire.AbortMsg())
     assert len(world.sn.pending) == 0
     assert len(world.hn.pending) == 0
+
+
+def test_sn_abort_reaches_the_hn_role_the_session_runs_with(world, rng):
+    """The HN's side of sn-abort is hn_abort on the HN role the session is
+    given, so a weakened HN receives it, with the session's sid."""
+    sids, aborts = [], []
+
+    def auth_vector(state, *args):
+        sids.append(args[-1])
+        return hn_mod.hn_auth_vector(state, *args)
+
+    def hn_abort(state, sid):
+        aborts.append(sid)
+        hn_mod.hn_abort(state, sid)
+
+    weakened = attacks.Weakened(hn_mod, hn_auth_vector=auth_vector, hn_abort=hn_abort)
+    corrupt = sim.ScriptedAttacker(
+        {"response": lambda data, ctx: data[:-1] + bytes([data[-1] ^ 1])})
+    outcome = sim.run_session(world, "supi", corrupt, rng, hn_mod=weakened)
+    assert outcome.abort_step == "sn-verify"
+    assert len(aborts) == 1 and aborts == sids
+    assert world.hn.pending == {}
 
 
 def test_lost_sn_entry_at_the_challenge_frees_the_hn_entry(world, rng):

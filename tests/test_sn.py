@@ -253,6 +253,53 @@ def test_resolve_unknown_guti_falls_back_to_supi(world, rng):
     assert resolved == wire.IdRequestMsg(force_supi=True)
 
 
+_FORCING = wire.IdRequestMsg(force_supi=True)
+
+
+def test_identify_forwards_a_suci_under_either_request(world, rng):
+    msg, _pair = ue_mod.ue_identification_response(world.ue, rng)
+    for request in (_FORCING, wire.IdRequestMsg(force_supi=False)):
+        to_hn, sid = sn_mod.sn_identify(world.sn, request, msg, rng)
+        assert isinstance(to_hn, wire.SnToHnIdentMsg) and to_hn.c1 == msg.c1
+        assert world.sn.pending[sid].r_sn == to_hn.r_sn
+
+
+def test_identify_takes_no_guti_under_a_request_that_forced_supi(world, rng):
+    """A known GUTI is resolved under a request that allowed one; under one
+    that forced SUPI it ends the session and opens no pending entry."""
+    assign = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
+    guti_id = wire.GutiIdMsg(guti=assign.guti_new)
+    assert sn_mod.sn_identify(world.sn, _FORCING, guti_id, rng) is None
+    assert world.sn.pending == {}
+    to_hn, sid = sn_mod.sn_identify(
+        world.sn, wire.IdRequestMsg(force_supi=False), guti_id, rng)
+    assert to_hn.supi == "imsi-1" and sid in world.sn.pending
+
+
+def test_identify_unknown_guti_under_a_request_allowing_one_falls_back(world, rng):
+    unknown = wire.GutiIdMsg(guti=b"\x00" * wire.GUTI_LEN)
+    assert sn_mod.sn_identify(
+        world.sn, wire.IdRequestMsg(force_supi=False), unknown, rng) == _FORCING
+    assert world.sn.pending == {}
+
+
+def test_identify_foreign_type_ends_the_session(world, rng):
+    foreign = wire.ResponseMsg(res_star=bytes(crypto.CHECK_LEN))
+    for request in (_FORCING, wire.IdRequestMsg(force_supi=False)):
+        assert sn_mod.sn_identify(world.sn, request, foreign, rng) is None
+    assert world.sn.pending == {}
+
+
+def test_abort_drops_only_its_own_session(world, rng):
+    """hn-abort drops the session's entry; an unknown sid changes nothing."""
+    _msg, _pair, sid, _vector, _challenge = to_challenge(world, rng)
+    snapshot = dict(world.sn.pending)
+    sn_mod.sn_abort(world.sn, b"nosuch")
+    assert world.sn.pending == snapshot
+    sn_mod.sn_abort(world.sn, sid)
+    assert world.sn.pending == {}
+
+
 def test_guti_table_persistence_roundtrip(tmp_path):
     table = {
         b"\x01" * wire.GUTI_LEN: sn_mod.GutiEntry(supi="imsi-1", r_sn_prime=b"\x02" * 32),

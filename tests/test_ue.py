@@ -111,14 +111,29 @@ def test_bad_second_challenge_aborts_silently_and_clears_session(world, rng, bad
     assert world.ue == before
 
 
+_ALLOWING = wire.IdRequestMsg(force_supi=False)
+
+
 def test_guti_identification_requires_ratchet_state(world):
-    assert ue_mod.ue_guti_identification(world.ue) is None  # no GUTI yet
+    assert ue_mod.ue_guti_identification(world.ue, _ALLOWING, True) is None  # no GUTI yet
     world.ue.guti = bytes(wire.GUTI_LEN)
-    assert ue_mod.ue_guti_identification(world.ue) is None  # k_s missing
+    assert ue_mod.ue_guti_identification(world.ue, _ALLOWING, True) is None  # k_s missing
     world.ue.k_s = bytes(32)
     world.ue.r_sn_prime = bytes(32)
-    msg = ue_mod.ue_guti_identification(world.ue)
+    msg = ue_mod.ue_guti_identification(world.ue, _ALLOWING, True)
     assert msg == wire.GutiIdMsg(guti=bytes(wire.GUTI_LEN))
+
+
+@pytest.mark.parametrize("req, first", [
+    pytest.param(wire.IdRequestMsg(force_supi=True), True, id="forcing-request"),
+    pytest.param(wire.ResponseMsg(res_star=bytes(crypto.CHECK_LEN)), True, id="foreign-type"),
+    pytest.param(_ALLOWING, False, id="second-round")])
+def test_guti_identification_answers_only_a_first_request_allowing_one(world, rng, req, first):
+    """A UE that holds a GUTI sends it only in answer to a first request that
+    allows one; to any other request it returns None, the SUPI path."""
+    assert sim.run_session(world, "supi", rng=rng).completed
+    assert ue_mod.ue_guti_identification(world.ue, _ALLOWING, True) is not None
+    assert ue_mod.ue_guti_identification(world.ue, req, first) is None
 
 
 def test_guti_path_challenge_uses_ratchet_key(world, rng):
