@@ -11,7 +11,6 @@ WEAKENINGS names the weakened roles each game must fail with.
 
 from __future__ import annotations
 
-import hmac
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Optional
@@ -272,39 +271,31 @@ def _broken_ue() -> Weakened:
 
 
 def _hn_sealing_m_under_ak(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
-                           id_sn: str, rng: RandomSource, sid: bytes) -> wire.HnToSnAuthMsg:
+                           id_sn: str, rng: RandomSource) -> wire.HnToSnAuthMsg:
     """SUPI-path HN that seals M under KDF(AK), AK = CONC xor R_SN, a key
     the SN can form before RES* arrives, instead of under K3."""
-    vector = hn.hn_auth_vector(state, record, pk_u, r_sn, id_sn, rng, sid)
-    pending = state.pending[sid]
+    vector = hn.hn_auth_vector(state, record, pk_u, r_sn, id_sn, rng)
+    pending = state.pending[r_sn]
     ak = crypto.xor_bytes(vector.conc, r_sn)
     return replace(vector, m=crypto.aead_seal(
         crypto.kdf([ak]), wire.pack_m_payload(pending.k_seaf, pending.supi)))
 
 
 def _hn_without_pfs(state: hn.HnState, record, pk_u: bytes, r_sn: bytes,
-                    id_sn: str, rng: RandomSource, sid: bytes) -> wire.HnToSnAuthMsg:
+                    id_sn: str, rng: RandomSource) -> wire.HnToSnAuthMsg:
     """SUPI-path HN with no KEM to the UE: c2 is a random string and
     K* = KDF(K, c2), so K and the radio give K*."""
     c2 = rng.stream("kem_encaps").bytes(state.kem.ct_len)
-    return hn._derive_vector(state, record, crypto.kdf([record.k, c2]), c2, r_sn, id_sn, sid)
+    return hn._derive_vector(state, record, crypto.kdf([record.k, c2]), c2, r_sn, id_sn)
 
 
 def _ue_without_pfs(
     state: ue.UeState, ch: wire.ChallengeMsg, ephemeral: Optional[crypto.KemKeyPair],
 ) -> Optional[tuple[wire.ResponseMsg, bytes, bytes]]:
-    """The UE of _hn_without_pfs: on the SUPI path K* = KDF(K, c2), then the
-    AUTN check and key schedule of ue_process_challenge."""
+    """The UE of _hn_without_pfs: on the SUPI path it answers under K* = KDF(K, c2)."""
     if ch.c2 is None:
         return ue.ue_process_challenge(state, ch, ephemeral)
-    k_star = crypto.kdf([state.k, ch.c2])
-    k = crypto.prf_key(state.k)
-    r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", k, [k_star]))
-    if not hmac.compare_digest(crypto.prf_f("1", k, [k_star, r_sn]), ch.mac):
-        return None
-    res_star, k_seaf, k_s_new = crypto.session_keys(
-        k, k_star, r_sn, ch.conc, state.id_sn_expected)
-    return wire.ResponseMsg(res_star=res_star), k_seaf, k_s_new
+    return ue._answer(state, ch, crypto.kdf([state.k, ch.c2]))
 
 
 # --- scenarios ---------------------------------------------------------------

@@ -85,7 +85,6 @@ def _derive_vector(
     c2: Optional[bytes],
     r_sn: bytes,
     id_sn: str,
-    sid: bytes,
 ) -> HnToSnAuthMsg:
     k = crypto.prf_key(record.k)
     mac = crypto.prf_f("1", k, [k_star, r_sn])
@@ -97,7 +96,7 @@ def _derive_vector(
     # the SUPI goes back only to an SN that sent a SUCI (TS 33.501
     # §6.1.3.2, step 12); c2 is None on the GUTI path alone
     m = crypto.aead_seal(k3, pack_m_payload(k_seaf, None if c2 is None else record.supi))
-    store.hold_pending(state.pending, sid, PendingAuth(
+    store.hold_pending(state.pending, r_sn, PendingAuth(
         k_seaf=k_seaf, supi=record.supi, k_s_new=k_s_new))
     return HnToSnAuthMsg(conc=conc, mac=mac, m=m, c2=c2)
 
@@ -109,7 +108,6 @@ def hn_auth_vector(
     r_sn: bytes,
     id_sn: str,
     rng: RandomSource,
-    sid: bytes,
 ) -> HnToSnAuthMsg:
     """SUPI-path vector: fresh encapsulation against the UE public key. A
     pk_U the suite rejects (a SUCI forged by a subscriber's own device)
@@ -118,11 +116,11 @@ def hn_auth_vector(
         c2, k_s2 = crypto.kem_encaps(state.kem, pk_u, rng)
     except crypto.CryptoError:
         raise IdentificationAbort() from None
-    return _derive_vector(state, record, k_s2, c2, r_sn, id_sn, sid)
+    return _derive_vector(state, record, k_s2, c2, r_sn, id_sn)
 
 
 def hn_guti_auth_vector(
-    state: HnState, msg: GutiSnToHnMsg, id_sn: str, sid: bytes
+    state: HnState, msg: GutiSnToHnMsg, id_sn: str
 ) -> HnToSnAuthMsg:
     """GUTI-path vector: ratchet key replaces the encapsulated key, no c2."""
     if id_sn not in state.sn_allowlist:
@@ -131,7 +129,7 @@ def hn_guti_auth_vector(
     if record is None or record.k_s is None:
         raise IdentificationAbort()
     k_s_prime = crypto.xor_bytes(record.k_s, msg.r_sn_prime)
-    return _derive_vector(state, record, k_s_prime, None, msg.r_sn, id_sn, sid)
+    return _derive_vector(state, record, k_s_prime, None, msg.r_sn, id_sn)
 
 
 def hn_finalize(state: HnState, sid: bytes) -> Optional[bytes]:

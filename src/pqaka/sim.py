@@ -243,10 +243,9 @@ def session(
     try:
         if isinstance(to_hn, wire.SnToHnIdentMsg):
             supi, pk_u, record = hn_mod.hn_identify(hn, to_hn, sn.id_sn)
-            to_sn = hn_mod.hn_auth_vector(
-                hn, record, pk_u, to_hn.r_sn, sn.id_sn, rng, sid)
+            to_sn = hn_mod.hn_auth_vector(hn, record, pk_u, to_hn.r_sn, sn.id_sn, rng)
         else:
-            to_sn = hn_mod.hn_guti_auth_vector(hn, to_hn, sn.id_sn, sid)
+            to_sn = hn_mod.hn_guti_auth_vector(hn, to_hn, sn.id_sn)
     except hn_mod.IdentificationAbort:
         send_core("HN->SN", "hn-abort", wire.AbortMsg())
         sn_mod.sn_abort(sn, sid)

@@ -64,22 +64,20 @@ class SnState:
         self.guti_of = {e.supi: guti for guti, e in self.guti_table.items()}
 
 
-def _open_session(state: SnState, identifier: bytes, rng: RandomSource,
-                  supi: Optional[str] = None) -> tuple[bytes, bytes]:
-    """Draw a fresh R_SN and open pending session sid = H(identifier, R_SN)."""
+def _open_session(state: SnState, rng: RandomSource, supi: Optional[str] = None) -> bytes:
+    """Draw a fresh R_SN, the session's one name, and hold its pending session."""
     r_sn = rng.stream("r_sn").bytes(wire.RAND_LEN)
-    sid = crypto.hash_h([identifier, r_sn])
-    store.hold_pending(state.pending, sid, PendingSession(r_sn=r_sn, supi=supi))
-    return r_sn, sid
+    store.hold_pending(state.pending, r_sn, PendingSession(r_sn=r_sn, supi=supi))
+    return r_sn
 
 
 def sn_forward_identification(
     state: SnState, msg: IdResponseMsg, rng: RandomSource
 ) -> tuple[SnToHnIdentMsg, bytes]:
     """Draw a fresh R_SN and forward the concealed identifier to the HN."""
-    r_sn, sid = _open_session(state, msg.c1, rng)
+    r_sn = _open_session(state, rng)
     return SnToHnIdentMsg(
-        c1=msg.c1, suci_conc=msg.suci_conc, mac_u=msg.mac_u, r_sn=r_sn), sid
+        c1=msg.c1, suci_conc=msg.suci_conc, mac_u=msg.mac_u, r_sn=r_sn), r_sn
 
 
 def sn_forward_challenge(
@@ -147,9 +145,9 @@ def sn_resolve_guti(
     entry = state.guti_table.get(msg.guti)
     if entry is None:
         return IdRequestMsg(force_supi=True)
-    r_sn, sid = _open_session(state, msg.guti, rng, entry.supi)
+    r_sn = _open_session(state, rng, entry.supi)
     return GutiSnToHnMsg(
-        supi=entry.supi, r_sn_prime=entry.r_sn_prime, r_sn=r_sn), sid
+        supi=entry.supi, r_sn_prime=entry.r_sn_prime, r_sn=r_sn), r_sn
 
 
 def sn_identify(state: SnState, request: IdRequestMsg, msg: Message,

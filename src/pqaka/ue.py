@@ -90,7 +90,13 @@ def ue_process_challenge(
         if ephemeral is not None or state.k_s is None or state.r_sn_prime is None:
             return None
         k_star = crypto.xor_bytes(state.k_s, state.r_sn_prime)
+    return _answer(state, ch, k_star)
 
+
+def _answer(state: UeState, ch: ChallengeMsg,
+            k_star: bytes) -> Optional[tuple[ResponseMsg, bytes, bytes]]:
+    """Check AUTN under K* and derive (RES*, K_seaf, the next K_S); None
+    means silent abort."""
     k = crypto.prf_key(state.k)
     ak = crypto.prf_f("5", k, [k_star])
     r_sn = crypto.xor_bytes(ch.conc, ak)

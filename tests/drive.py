@@ -10,13 +10,13 @@ from pqaka.attacks import Weakened
 
 def to_challenge(world, rng):
     """Run the SUPI flow up to the challenge by direct module calls; return
-    the id-response, the sk_U pair it drew, the session id, the HN's vector
-    and the challenge."""
+    the id-response, the sk_U pair it drew, the session's name (its R_SN),
+    the HN's vector and the challenge."""
     msg, pair = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     _supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     return msg, pair, sid, vector, sn_mod.sn_forward_challenge(world.sn, sid, vector)
 
 

@@ -69,7 +69,7 @@ def test_criterion_3_exhaustive_bit_flip_and_replay():
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
     assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge, pair)
 

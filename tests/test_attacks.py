@@ -165,7 +165,7 @@ def test_run_scenarios_all():
 @pytest.mark.parametrize("suite", ["test", "ecies-x25519"])
 def test_every_game_session_draws_fresh_values(monkeypatch, suite):
     """Over one pass of every game, no UE state draws one sk_U twice and no
-    SN opens one sid twice: each session draws from its game's one seeded
+    SN opens one R_SN twice: each session draws from its game's one seeded
     source. The replayed id-response of replay-suci is the attack itself;
     the UE draws a fresh sk_U for that session all the same."""
     draws: dict[int, tuple[object, Counter]] = {}    # id(state) -> (state, values)
@@ -341,6 +341,28 @@ def test_recorder_logs_no_call_made_inside_a_kem():
         "kem_keygen", "kem_encaps", "kem_decaps"]
 
 
+# the calls the Recorder logs for one seeded session on each path, the SUPI
+# session first, each recorded on its own: a change that adds or drops a
+# crypto, wire or draw call shows here as an exact diff
+SESSION_CALLS = {
+    "supi": {"aead_open": 3, "aead_seal": 3, "bytes": 2, "hash_h": 2, "kdf": 12,
+             "kem_decaps": 2, "kem_encaps": 2, "kem_keygen": 1, "pack_fields": 11,
+             "prf_f": 10, "prf_key": 2, "unpack_fields": 3, "xor_bytes": 3},
+    "guti": {"aead_open": 2, "aead_seal": 2, "bytes": 2, "hash_h": 2, "kdf": 12,
+             "pack_fields": 10, "prf_f": 10, "prf_key": 2, "unpack_fields": 2,
+             "xor_bytes": 5},
+}
+
+
+def test_recorded_calls_of_one_session_on_each_path():
+    world, rng = sim.make_world("test", seed=0), SeededRandom(1)
+    for mode, calls in SESSION_CALLS.items():
+        with attacks.Recorder() as recorder:
+            out = sim.run_session(world, mode, rng=rng)
+        assert out.completed and out.key_source == mode
+        assert Counter(name for name, _args, _result in recorder.log) == calls, mode
+
+
 @pytest.mark.parametrize("suite", ["test", "ecies-x25519", "ecies-p256"])
 def test_the_constants_are_the_identities_and_the_two_labels(suite):
     _world, _runs, g = _history(suite)
@@ -396,6 +418,25 @@ def test_no_pfs_gives_both_sessions_keys_to_k_and_the_radio(suite):
     keys = {supi_run.k_seaf_ue, guti_run.k_seaf_ue}
     assert keys <= g.closure(radio | {world.ue.k}).keys()
     assert keys.isdisjoint(g.closure(radio))
+
+
+def test_ue_without_pfs_aborts_a_flipped_autn_mac_silently(world, rng):
+    """The no-pfs UE still checks AUTN: a SUPI challenge with one MAC bit
+    flipped ends the session at the UE, which sends nothing and leaves its
+    state as it was."""
+    assert sim.run_session(world, "supi", rng=rng).completed
+
+    def flip(data, ctx):
+        ch = wire.decode(data)
+        return wire.encode(dataclasses.replace(ch, mac=bytes([ch.mac[0] ^ 1]) + ch.mac[1:]))
+
+    make_roles, _games = attacks.WEAKENINGS["no-pfs"]
+    before = dataclasses.replace(world.ue)
+    out = sim.run_session(world, "supi", sim.ScriptedAttacker({"challenge": flip}),
+                          rng, **make_roles())
+    assert out.abort_step == "ue-challenge"
+    assert out.transcript.entries[-1].annotation == "challenge"
+    assert world.ue == before and world.ue.guti is not None
 
 
 # --- the SN's knowledge before RES* arrives ----------------------------------

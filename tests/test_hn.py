@@ -11,8 +11,8 @@ from pqaka.rng import SeededRandom
 
 
 def _ident_msg(world, rng):
-    """The SN's forward of a fresh id-response, its session id and the
-    sk_U pair the UE drew."""
+    """The SN's forward of a fresh id-response, its session's name (the
+    R_SN it carries) and the sk_U pair the UE drew."""
     msg, pair = ue_mod.ue_identification_response(world.ue, rng)
     to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
     return to_hn, sid, pair
@@ -125,7 +125,7 @@ def test_vector_internal_consistency(world, rng):
     to_hn, sid, pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     pending = world.hn.pending[sid]
     # AUTN CONC must unmask to the forwarded R_SN under the subscriber key
     k_star = crypto.kem_decaps(world.suite, pair.sk, vector.c2)
@@ -143,7 +143,7 @@ def test_auth_vector_carries_no_session_secrets(world, rng):
     to_hn, sid, pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng, sid)
+        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     pending = world.hn.pending[sid]
     k_star = crypto.kem_decaps(world.suite, pair.sk, vector.c2)
     xres_star, _, _ = crypto.session_keys(
@@ -159,7 +159,7 @@ def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
     record.k_s = SeededRandom(11).bytes(32)
     r_sn = SeededRandom(12).bytes(wire.RAND_LEN)
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32), r_sn=r_sn)
-    vector = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid1")
+    vector = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn)
     # with R' = 0 the derived key K* equals the stored ratchet key
     assert vector.mac == crypto.prf_f("1", record.k, [record.k_s, r_sn])
     assert vector.c2 is None
@@ -169,16 +169,15 @@ def test_guti_vector_requires_ratchet_key(world):
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32),
                              r_sn=bytes(wire.RAND_LEN))
     with pytest.raises(hn_mod.IdentificationAbort):
-        hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn, b"sid")
+        hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn)
     with pytest.raises(hn_mod.IdentificationAbort):
-        hn_mod.hn_guti_auth_vector(world.hn, msg, "nosuch-sn", b"sid")
+        hn_mod.hn_guti_auth_vector(world.hn, msg, "nosuch-sn")
 
 
 def test_finalize_commits_staged_key(world, rng):
     to_hn, sid, _pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
-                          rng, sid)
+    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     pending = world.hn.pending[sid]
     assert pending.k_s_new is not None and record.k_s is None
     assert hn_mod.hn_finalize(world.hn, sid) == pending.k_seaf
@@ -189,8 +188,7 @@ def test_finalize_commits_staged_key(world, rng):
 def test_finalize_twice_second_ignored(world, rng):
     to_hn, sid, _pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
-                          rng, sid)
+    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     assert hn_mod.hn_finalize(world.hn, sid) is not None
     snapshot = (record.k_s, dict(world.hn.pending))
     assert hn_mod.hn_finalize(world.hn, sid) is None
@@ -202,8 +200,7 @@ def test_abort_drops_the_entry_and_commits_no_key(world, rng):
     unknown sid changes nothing."""
     to_hn, sid, _pair = _ident_msg(world, rng)
     supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn,
-                          rng, sid)
+    hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     snapshot = dict(world.hn.pending)
     hn_mod.hn_abort(world.hn, b"nosuch")
     assert world.hn.pending == snapshot
@@ -291,13 +288,12 @@ BAD_PK_U = [("test", bytes(31)), ("ecies-x25519", bytes(31)),
 def test_forged_suci_with_a_bad_pk_u_aborts_at_hn_identify(name, pk_u):
     rng = SeededRandom(8)
     world = sim.make_world(name, seed=rng)
-    to_hn, sid = sn_mod.sn_forward_identification(
+    to_hn, _sid = sn_mod.sn_forward_identification(
         world.sn, wire.decode(_forged_id_response(world, pk_u, rng)), rng)
     supi, got_pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
     assert (supi, got_pk_u) == (world.ue.supi, pk_u)
     with pytest.raises(hn_mod.IdentificationAbort):
-        hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn,
-                              world.sn.id_sn, rng, sid)
+        hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     assert world.hn.pending == {}
     world.sn.pending.clear()
 

@@ -12,10 +12,10 @@ from pqaka import attacks, sim
 from pqaka.rng import SeededRandom
 
 
-# run_scenarios(all) output, the same on every suite. Re-pinned when the
-# forward-secrecy and sn-binding closures came to be taken over the calls
-# the roles made: their evidence names the wire fields the closure reaches,
-# and forward-secrecy's two sessions are one history with one closure
+# run_scenarios(all) output, the same on every suite. The forward-secrecy
+# and sn-binding closures are taken over the calls the roles made: their
+# evidence names the wire fields the closure reaches, and forward-secrecy's
+# two sessions are one history with one closure
 SN_CLOSURE = "['c1', 'c2', 'conc', 'id_hn', 'id_sn', 'm', 'mac', 'mac_u', 'r_sn', 'suci_conc']"
 FS_CLOSURE = ("['c1', 'c2', 'conc', 'ct', 'guti', 'guti_new', 'id_hn', 'id_sn', 'mac', "
               "'mac_u', 'pk_u', 'res_star', 'suci_conc', 'supi']")
@@ -51,16 +51,9 @@ def test_attack_verdict_lines_pinned(suite, seed):
     assert [v.to_line() for v in verdicts] == VERDICT_LINES
 
 
-# SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`;
-# re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width. The GUTI is
-# drawn from its own labelled stream, so only the guti-id and guti-assign
-# lines moved. Re-pinned again when M on the GUTI path came to seal K_seaf
-# alone: only the GUTI sessions' auth-vector lines move, 21 bytes shorter.
-# Re-pinned when the SUPI went to a format byte and packed BCD digits: only
-# the lines that carry it move, each 11 bytes shorter: id-response,
-# sn-hn-ident and auth-vector of the SUPI sessions, sn-hn-guti of the GUTI
-# sessions. The ECIES runs are the pins on profile A's and profile B's bytes,
-# so a change to a backend's keygen, point encoding or key derivation shows here
+# SHA-256 of `pqaka run --kem <suite> --sessions 20 --mode mixed --seed 3 --out F`.
+# The ECIES runs are the pins on profile A's and profile B's bytes, so a
+# change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
     "test": "494943a8e26c00019f583e8d2bceb4fb430d18c65943a9892487cf2fa2b69603",
     "ecies-x25519": "d6540ce6826ebe8c694e2608d7c694c34168136dfa8ef5d398a23befc85ce1c6",
@@ -80,11 +73,8 @@ def test_mixed_run_transcript_pinned(suite):
 
 # SHA-256 of the same kind of run over 10 sessions, with the SN's GUTI table
 # cleared before each GUTI session, so that every one of them falls back to
-# SUPI-based identification; re-pinned with MIXED_RUN_SHA256 when the GUTI
-# went to 4 bytes. Every session here takes the SUPI path, whose M still
-# seals the SUPI, so M's GUTI-path layout does not move it. Re-pinned with
-# MIXED_RUN_SHA256 when the SUPI went to packed BCD: its id-response,
-# sn-hn-ident and auth-vector lines are each 11 bytes shorter
+# SUPI-based identification. Every session here takes the SUPI path, whose
+# M seals the SUPI, so M's GUTI-path layout does not move it
 FALLBACK_RUN_SHA256 = "331a0ac8890e2057045f602aba1bd9b2596de20327b2005af8ff7e0cb64d98a8"
 
 

@@ -64,13 +64,6 @@ def test_honest_guti_session_has_no_c2(world, rng):
 # core) bytes, and the radio size of each of its messages; the core bytes
 # are sn-hn-ident 121 (sn-hn-guti 59), auth-vector 126 (83) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
-# Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: guti-id and
-# the sealed guti-assign carry 12 bytes fewer each, and the core none. Re-
-# pinned when M on the GUTI path came to seal K_seaf alone, as the SN sent
-# the SUPI itself: the GUTI core 21 bytes fewer (175 to 154), the radio none.
-# Re-pinned when the SUPI went to a format byte and packed BCD digits, 9
-# bytes where its 20 characters were: 11 bytes fewer in each of id-response,
-# sn-hn-ident, the SUPI path's M and sn-hn-guti
 SESSION_BYTES = {
     "test": {"supi": (225, 248), "guti": (81, 143)},
     "ecies-x25519": {"supi": (225, 248), "guti": (81, 143)},
@@ -862,12 +855,13 @@ def test_failed_res_star_frees_the_hn_entry(world, rng):
 
 def test_sn_abort_reaches_the_hn_role_the_session_runs_with(world, rng):
     """The HN's side of sn-abort is hn_abort on the HN role the session is
-    given, so a weakened HN receives it, with the session's sid."""
-    sids, aborts = [], []
+    given, so a weakened HN receives it, named by the R_SN the HN's vector
+    call was given."""
+    r_sns, aborts = [], []
 
-    def auth_vector(state, *args):
-        sids.append(args[-1])
-        return hn_mod.hn_auth_vector(state, *args)
+    def auth_vector(state, record, pk_u, r_sn, id_sn, rng):
+        r_sns.append(r_sn)
+        return hn_mod.hn_auth_vector(state, record, pk_u, r_sn, id_sn, rng)
 
     def hn_abort(state, sid):
         aborts.append(sid)
@@ -878,7 +872,7 @@ def test_sn_abort_reaches_the_hn_role_the_session_runs_with(world, rng):
         {"response": lambda data, ctx: data[:-1] + bytes([data[-1] ^ 1])})
     outcome = sim.run_session(world, "supi", corrupt, rng, hn_mod=weakened)
     assert outcome.abort_step == "sn-verify"
-    assert len(aborts) == 1 and aborts == sids
+    assert len(aborts) == 1 and aborts == r_sns
     assert world.hn.pending == {}
 
 

@@ -75,13 +75,32 @@ def test_m_carries_the_supi_only_to_an_sn_that_sent_a_suci(world, rng):
 
     entry = world.sn.guti_table[world.ue.guti]
     to_hn, sid = sn_mod.sn_resolve_guti(world.sn, wire.GutiIdMsg(guti=world.ue.guti), rng)
-    vector = hn_mod.hn_guti_auth_vector(world.hn, to_hn, world.sn.id_sn, sid)
+    vector = hn_mod.hn_guti_auth_vector(world.hn, to_hn, world.sn.id_sn)
     challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
     response, k_seaf, _k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, None)
     assert _m_plaintext(world, sid, vector, response) == k_seaf
     assert world.sn.pending[sid].supi is entry.supi
     result = sn_mod.sn_verify_response(world.sn, sid, response, rng)
     assert (result.supi, result.k_seaf) == (entry.supi, k_seaf)
+
+
+@pytest.mark.parametrize("path", ["supi", "guti"])
+def test_each_role_names_the_session_by_its_r_sn(world, rng, path):
+    """The handle the SN returns is the R_SN its message to the HN carries,
+    and with the session held at its challenge the SN and the HN each hold
+    it under that R_SN alone."""
+    if path == "guti":
+        assert sim.run_session(world, "supi", rng=rng).completed
+        to_hn, sid = sn_mod.sn_resolve_guti(world.sn, wire.GutiIdMsg(guti=world.ue.guti), rng)
+        vector = hn_mod.hn_guti_auth_vector(world.hn, to_hn, world.sn.id_sn)
+    else:
+        msg, _pair = ue_mod.ue_identification_response(world.ue, rng)
+        to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
+        _supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
+        vector = hn_mod.hn_auth_vector(world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
+    assert sid == to_hn.r_sn
+    assert sn_mod.sn_forward_challenge(world.sn, sid, vector) is not None
+    assert list(world.sn.pending) == list(world.hn.pending) == [to_hn.r_sn]
 
 
 def test_forward_challenge_unknown_session_dropped(world, rng):
