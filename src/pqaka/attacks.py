@@ -113,7 +113,7 @@ class DerivationGraph:
             elif name == "prf_key":
                 prf_keys[result] = args[0]
             elif name == "prf_f":
-                made.update(edge([prf_keys.get(args[1], args[1]), *args[2]], result))
+                made.update(edge([prf_keys[args[1]], *args[2]], result))
             elif name in ("kdf", "hash_h"):
                 made.update(edge(args[0], result))
                 if name == "kdf":
@@ -152,7 +152,7 @@ class DerivationGraph:
                 if pk in sks:
                     edge([sks[pk], ct], key)
             else:                                   # kem_decaps
-                made.update(edge([getattr(args[1], "sk", args[1]), args[2]], result))
+                made.update(edge([args[1].sk, args[2]], result))
         self.constants = self._uses.keys() - made - {s.encode() for s in secrets}
 
     def closure(self, base: Iterable[bytes]) -> dict[bytes, int]:
@@ -247,8 +247,9 @@ def _ue_without_mac_check(
         except crypto.CryptoError:
             pass
         else:
-            r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", state.k, [k_star]))
-            ch = replace(ch, mac=crypto.prf_f("1", state.k, [k_star, r_sn]))
+            k = crypto.prf_key(state.k)
+            r_sn = crypto.xor_bytes(ch.conc, crypto.prf_f("5", k, [k_star]))
+            ch = replace(ch, mac=crypto.prf_f("1", k, [k_star, r_sn]))
     return ue.ue_process_challenge(state, ch, ephemeral)
 
 
@@ -413,17 +414,17 @@ def scenario_compromised_sn_binding(suite_name: str = "test", seed: int = 0,
     rng = SeededRandom(seed)
 
     # (a) the SN's knowledge before RES* arrives, the radio of a session
-    # whose response was dropped and the fields its pending entry set (R_SN,
-    # CONC, M; the SUPI is set on the GUTI path only), must not reach the
-    # K_seaf and SUPI the HN sealed into M
+    # whose response was dropped, its pending entry's key (R_SN) and the
+    # fields that entry set (CONC, M; the SUPI is set on the GUTI path
+    # only), must not reach the K_seaf and SUPI the HN sealed into M
     drop_response = sim.ScriptedAttacker({"response": lambda data, ctx: None})
     with Recorder() as recorder:
         world = sim.make_world(suite_name, seed=rng)
         out = sim.run_session(world, "supi", drop_response, rng, hn_mod=hn_mod)
     g = DerivationGraph(recorder, [world.ue.supi])
-    (pending,) = world.sn.pending.values()
+    ((sid, pending),) = world.sn.pending.items()
     (sealed,) = world.hn.pending.values()
-    base = g.constants | _heard(out) | (
+    base = g.constants | _heard(out) | {sid} | (
         {getattr(pending, f.name) for f in fields(pending)} - {None})
     supi = sealed.supi.encode()
     closure = g.closure(base)

@@ -11,7 +11,7 @@ SuiteUnavailableError.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric import ec, x25519
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -43,8 +43,8 @@ def _register_dh_kem(name: str, pk_len: int, sk_from_rng: Callable, load: Callab
         ct = pk_bytes(eph)
         return ct, hash_h([ct, pk, dh(eph, pk)])
 
-    def decaps(priv: object, pk: Optional[bytes], ct: bytes) -> bytes:
-        return hash_h([ct, pk or pk_bytes(priv), dh(priv, ct)])
+    def decaps(priv: object, pk: bytes, ct: bytes) -> bytes:
+        return hash_h([ct, pk, dh(priv, ct)])
 
     register_suite(KemSuite(
         name=name, sk_len=32, pk_len=pk_len, ct_len=pk_len, key_len=32,
@@ -146,7 +146,7 @@ def _try_register_liboqs() -> None:
             with oqs.KeyEncapsulation(_mech) as kem:
                 return kem.encap_secret(pk)
 
-        def decaps(sk: bytes, pk: Optional[bytes], ct: bytes, _mech=mech) -> bytes:
+        def decaps(sk: bytes, pk: bytes, ct: bytes, _mech=mech) -> bytes:
             with oqs.KeyEncapsulation(_mech, sk) as kem:
                 return kem.decap_secret(ct)
 

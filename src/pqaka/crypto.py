@@ -47,7 +47,7 @@ class SuiteUnavailableError(CryptoError):
     """The named KEM backend is registered for metadata only."""
 
 
-class AeadFailure(Exception):
+class AeadFailure(CryptoError):
     """Authentication failure on open; callers abort silently."""
 
 
@@ -81,14 +81,14 @@ def prf_key(key: bytes) -> PrfKey:
                   hashlib.sha256(block.translate(_OPAD)))
 
 
-def prf_f(index: str, key: bytes | PrfKey, inputs: list[bytes]) -> bytes:
+def prf_f(index: str, key: PrfKey, inputs: list[bytes]) -> bytes:
     """f_index(key, inputs): HMAC-SHA-256 over a tag byte plus the inputs,
-    under the raw key or the PrfKey that prf_key loaded from it, cut to the
-    index's width (its leftmost bytes, RFC 2104 §5)."""
+    under the key prf_key loaded, cut to the index's width (its leftmost
+    bytes, RFC 2104 §5)."""
     if index not in _F_FAMILY:
         raise CryptoError(f"unknown f-index {index!r}")
     tag, width = _F_FAMILY[index]
-    inner, outer = key if isinstance(key, PrfKey) else prf_key(key)
+    inner, outer = key
     if not inputs:
         raise CryptoError("f-family requires at least one input")
     inner = inner.copy()
@@ -152,10 +152,10 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def session_keys(k: bytes | PrfKey, k_star: bytes, r_sn: bytes, conc: bytes,
+def session_keys(k: PrfKey, k_star: bytes, r_sn: bytes, conc: bytes,
                  id_sn: str) -> tuple[bytes, bytes, bytes]:
     """The key schedule UE and HN share: (RES*, K_SEAF, next K_S), under
-    the raw K or its PrfKey. RES* is the CHECK_LEN least significant bytes
+    K as prf_key loaded it. RES* is the CHECK_LEN least significant bytes
     of its KDF output, as TS 33.501 Annex A.4 takes them, and binds R_SN,
     so it is fresh per session even where K* repeats (the GUTI path)."""
     id_sn_b = id_sn.encode()
@@ -186,9 +186,8 @@ class KemSuite:
     A suite with callables set to None is metadata-only: its sizes appear
     in reports but key operations raise SuiteUnavailableError.
 
-    decaps(handle, pk, ct) takes the sk as load_sk loaded it, and the pk
-    of the pair, or None for the suite to derive it from the handle.
-    Without load_sk the handle is the sk bytes.
+    decaps(handle, pk, ct) takes the sk as load_sk loaded it and the pk
+    of the pair. Without load_sk the handle is the sk bytes.
     """
 
     name: str
@@ -198,7 +197,7 @@ class KemSuite:
     key_len: int
     keygen: Optional[Callable[[RandomSource], KemKeyPair]] = field(default=None)
     encaps: Optional[Callable[[bytes, RandomSource], tuple[bytes, bytes]]] = field(default=None)
-    decaps: Optional[Callable[[object, Optional[bytes], bytes], bytes]] = field(default=None)
+    decaps: Optional[Callable[[object, bytes, bytes], bytes]] = field(default=None)
     load_sk: Optional[Callable[[bytes], object]] = field(default=None)
 
     @property
@@ -242,32 +241,24 @@ def kem_load(suite: KemSuite, pair: KemKeyPair) -> KemKeyPair:
     return replace(pair, handle=_load_sk(suite, pair.sk))
 
 
-def kem_decaps(suite: KemSuite, sk: bytes | KemKeyPair, ct: bytes) -> bytes:
-    """The protocol key from ct, under raw sk bytes or a key pair with its pk
-    and handle; raw bytes, or a pair without a handle, are loaded for this call."""
+def kem_decaps(suite: KemSuite, pair: KemKeyPair, ct: bytes) -> bytes:
+    """The protocol key from ct under a key pair's pk and handle; a pair
+    without a handle is loaded for this call."""
     if not suite.available:
         raise SuiteUnavailableError(f"KEM backend {suite.name!r} not compiled in")
-    if isinstance(sk, KemKeyPair):
-        sk, pk, handle = sk.sk, sk.pk, sk.handle
-    else:
-        pk = handle = None
-    if len(sk) != suite.sk_len:
+    if len(pair.sk) != suite.sk_len:
         raise CryptoError(f"{suite.name}: sk must be {suite.sk_len} bytes")
     if len(ct) != suite.ct_len:
         raise CryptoError(f"{suite.name}: ct must be {suite.ct_len} bytes")
-    return as_shared_key(
-        suite.decaps(_load_sk(suite, sk) if handle is None else handle, pk, ct))
+    handle = _load_sk(suite, pair.sk) if pair.handle is None else pair.handle
+    return as_shared_key(suite.decaps(handle, pair.pk, ct))
 
 
 # --- test KEM -------------------------------------------------------------
 
-def _test_pk(sk: bytes) -> bytes:
-    return _hmac.new(sk, b"pk", hashlib.sha256).digest()
-
-
 def _test_keygen(rng: RandomSource) -> KemKeyPair:
     sk = rng.bytes(32)
-    return KemKeyPair(pk=_test_pk(sk), sk=sk, handle=sk)
+    return KemKeyPair(pk=_hmac.new(sk, b"pk", hashlib.sha256).digest(), sk=sk, handle=sk)
 
 
 def _test_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
@@ -275,8 +266,8 @@ def _test_encaps(pk: bytes, rng: RandomSource) -> tuple[bytes, bytes]:
     return r, hash_h([pk, r])
 
 
-def _test_decaps(sk: bytes, pk: Optional[bytes], ct: bytes) -> bytes:
-    return hash_h([pk or _test_pk(sk), ct])
+def _test_decaps(sk: bytes, pk: bytes, ct: bytes) -> bytes:
+    return hash_h([pk, ct])
 
 
 TEST_KEM = KemSuite(

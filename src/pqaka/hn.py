@@ -68,7 +68,7 @@ def hn_identify(
         k_s1 = crypto.kem_decaps(state.kem, state.kem_pair, msg.c1)
         plain = crypto.aead_open(k_s1, msg.suci_conc + msg.mac_u)
         supi, pk_u, id_sn = unpack_suci_payload(plain)
-    except (crypto.CryptoError, crypto.AeadFailure, ParseError):
+    except (crypto.CryptoError, ParseError):
         raise IdentificationAbort() from None
     if id_sn != claimed_id_sn:
         raise IdentificationAbort()

@@ -1,8 +1,8 @@
 """SN state machine: forwarding, R_SN generation, response check, GUTI table.
 
 Before a valid RES* arrives, SN state for a SUCI-initiated session holds
-only (R_SN, CONC, M); the session key and SUPI come out of one AEAD open
-over M, so they cannot be separated or learned early. A GUTI session also
+only (CONC, M) under its R_SN; the session key and SUPI come out of one
+AEAD open over M, so they cannot be separated or learned early. A GUTI session also
 holds the SUPI its GUTI resolved to, and its M seals the key alone. That
 open is also the SN's RES* check: M is sealed under K3 = KDF(XRES*, AK),
 AK = CONC xor R_SN, so its GCM tag fails for any RES* other than XRES*.
@@ -42,7 +42,6 @@ class GutiEntry:
 
 @dataclass
 class PendingSession:
-    r_sn: bytes
     conc: Optional[bytes] = None
     m: Optional[bytes] = None
     supi: Optional[str] = None                # set on the GUTI path only
@@ -67,7 +66,7 @@ class SnState:
 def _open_session(state: SnState, rng: RandomSource, supi: Optional[str] = None) -> bytes:
     """Draw a fresh R_SN, the session's one name, and hold its pending session."""
     r_sn = rng.stream("r_sn").bytes(wire.RAND_LEN)
-    store.hold_pending(state.pending, r_sn, PendingSession(r_sn=r_sn, supi=supi))
+    store.hold_pending(state.pending, r_sn, PendingSession(supi=supi))
     return r_sn
 
 
@@ -111,9 +110,9 @@ def sn_verify_response(
         return None
     del state.pending[sid]          # one response is checked per challenge
     try:
-        k3 = crypto.kdf([msg.res_star, crypto.xor_bytes(p.conc, p.r_sn)])
+        k3 = crypto.kdf([msg.res_star, crypto.xor_bytes(p.conc, sid)])
         k_seaf, supi = unpack_m_payload(crypto.aead_open(k3, p.m), p.supi)
-    except (crypto.CryptoError, crypto.AeadFailure, ParseError):
+    except (crypto.CryptoError, ParseError):
         return None
     assignment = sn_assign_guti(state, supi, k_seaf, rng)
     return SnSessionResult(supi=supi, k_seaf=k_seaf, assignment=assignment)

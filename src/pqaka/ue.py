@@ -28,15 +28,12 @@ from .wire import (
     pack_suci_payload,
 )
 
-class ConfigurationError(Exception):
-    pass
-
 
 @dataclass(slots=True)
 class UeState:
     supi: str
     k: bytes                      # long-term key; never leaves this object
-    pk_h: Optional[bytes]
+    pk_h: bytes
     id_hn: str
     id_sn_expected: str
     kem: KemSuite
@@ -50,8 +47,6 @@ def ue_identification_response(state: UeState,
     """SUPI-based identification: fresh KEM pair, SUCI concealment. The AEAD's
     tag is sent as MAC_U, apart from the ciphertext SUCI_conc. The pair,
     sk_U/pk_U and sk_U's handle, belongs to this session alone."""
-    if state.pk_h is None:
-        raise ConfigurationError("UE has no HN public key provisioned")
     pair = crypto.kem_keygen(state.kem, rng)
     c1, k_s1 = crypto.kem_encaps(state.kem, state.pk_h, rng)
     sealed = crypto.aead_seal(

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from drive import to_challenge
 from golden import GUTI_SESSION_VALUES, GUTI_SESSION_WIRE, SESSION_WIRE
 from pqaka import attacks, bench, crypto, sim, ue as ue_mod, wire
 from pqaka.crypto import get_suite
@@ -64,13 +65,7 @@ def test_criterion_3_exhaustive_bit_flip_and_replay():
     rng = SeededRandom(3)
     world = sim.make_world("test", seed=rng)
     # drive an honest run up to a fixed challenge, then fuzz every bit
-    from pqaka import hn as hn_mod, sn as sn_mod
-    msg, pair = ue_mod.ue_identification_response(world.ue, rng)
-    to_hn, sid = sn_mod.sn_forward_identification(world.sn, msg, rng)
-    supi, pk_u, record = hn_mod.hn_identify(world.hn, to_hn, world.sn.id_sn)
-    vector = hn_mod.hn_auth_vector(
-        world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
-    challenge = sn_mod.sn_forward_challenge(world.sn, sid, vector)
+    _msg, pair, _sid, _vector, challenge = to_challenge(world, rng)
     assert ue_mod.ue_process_challenge(copy.deepcopy(world.ue), challenge, pair)
 
     # the widths of the challenge's fixed fields, as SCHEMA sends them

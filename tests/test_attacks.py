@@ -336,7 +336,7 @@ def test_recorder_logs_no_call_made_inside_a_kem():
     with attacks.Recorder() as recorder:
         pair = crypto.kem_keygen(TEST_KEM, SeededRandom(0))
         ct, key = crypto.kem_encaps(TEST_KEM, pair.pk, SeededRandom(1))
-        assert crypto.kem_decaps(TEST_KEM, pair.sk, ct) == key
+        assert crypto.kem_decaps(TEST_KEM, pair, ct) == key
     assert [name for name, _args, _result in recorder.log] == [
         "kem_keygen", "kem_encaps", "kem_decaps"]
 
@@ -453,9 +453,9 @@ def _sn_pre_response(suite="test", seed=0, **roles):
         out = sim.run_session(world, "supi", drop, rng, **roles)
     assert out.abort_step == "response" and out.k_seaf_ue is None
     g = attacks.DerivationGraph(recorder, [world.ue.supi])
-    (pending,) = world.sn.pending.values()
+    ((r_sn, pending),) = world.sn.pending.items()
     (sealed,) = world.hn.pending.values()
-    base = g.constants | attacks._heard(out) | {pending.r_sn, pending.conc, pending.m}
+    base = g.constants | attacks._heard(out) | {r_sn, pending.conc, pending.m}
     res_star = wire.decode(responses[0]).res_star
     return world, g, base, res_star, {sealed.k_seaf, sealed.supi.encode()}
 
@@ -465,16 +465,16 @@ def test_sn_base_alone_derives_no_session_secret(suite):
     world, g, base, res_star, secrets = _sn_pre_response(suite)
     closure = g.closure(base)
     assert res_star not in closure and secrets.isdisjoint(closure)
-    (pending,) = world.sn.pending.values()
-    assert crypto.xor_bytes(pending.conc, pending.r_sn) in closure     # AK
+    ((r_sn, pending),) = world.sn.pending.items()
+    assert crypto.xor_bytes(pending.conc, r_sn) in closure     # AK
 
 
 def test_res_star_gives_the_sn_k3_then_k_seaf_and_supi():
     """The honest-SN control as a closure: K3 = KDF(RES*, CONC xor R_SN)
     is two rounds from the SN's base and RES*, and opens M."""
     world, g, base, res_star, secrets = _sn_pre_response()
-    (pending,) = world.sn.pending.values()
-    k3 = crypto.kdf([res_star, crypto.xor_bytes(pending.conc, pending.r_sn)])
+    ((r_sn, pending),) = world.sn.pending.items()
+    k3 = crypto.kdf([res_star, crypto.xor_bytes(pending.conc, r_sn)])
     closure = g.closure(base | {res_star})
     assert closure[k3] == 2
     assert secrets <= closure.keys()

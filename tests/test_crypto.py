@@ -52,24 +52,25 @@ def test_test_kem_correctness_many_seeds():
     for seed in range(1000):
         pair = crypto.kem_keygen(TEST_KEM, SeededRandom(seed))
         ct, k = crypto.kem_encaps(TEST_KEM, pair.pk, SeededRandom(seed + 10_000))
-        assert crypto.kem_decaps(TEST_KEM, pair.sk, ct) == k
+        assert crypto.kem_decaps(TEST_KEM, pair, ct) == k
 
 
 def test_test_kem_decaps_flipped_ct_changes_key():
     pair = crypto.kem_keygen(TEST_KEM, SeededRandom(0))
     ct, k = crypto.kem_encaps(TEST_KEM, pair.pk, SeededRandom(1))
     flipped = bytes([ct[0] ^ 1]) + ct[1:]
-    assert crypto.kem_decaps(TEST_KEM, pair.sk, flipped) != k
+    assert crypto.kem_decaps(TEST_KEM, pair, flipped) != k
 
 
 def test_kem_length_validation():
     pair = crypto.kem_keygen(TEST_KEM, SeededRandom(0))
     with pytest.raises(crypto.CryptoError):
-        crypto.kem_decaps(TEST_KEM, pair.sk, b"\x00" * 31)
+        crypto.kem_decaps(TEST_KEM, pair, b"\x00" * 31)
     with pytest.raises(crypto.CryptoError):
         crypto.kem_encaps(TEST_KEM, b"\x00" * 33, SeededRandom(0))
     with pytest.raises(crypto.CryptoError):
-        crypto.kem_decaps(TEST_KEM, b"\x00" * 5, b"\x00" * 32)
+        crypto.kem_decaps(TEST_KEM, crypto.KemKeyPair(pk=pair.pk, sk=b"\x00" * 5),
+                          b"\x00" * 32)
 
 
 @pytest.mark.parametrize("field", ["ct_len", "key_len"])
@@ -101,7 +102,9 @@ def test_metadata_only_suite_unavailable():
     with pytest.raises(crypto.SuiteUnavailableError):
         crypto.kem_encaps(suite, bytes(suite.pk_len), SeededRandom(0))
     with pytest.raises(crypto.SuiteUnavailableError):
-        crypto.kem_decaps(suite, bytes(suite.sk_len), bytes(suite.ct_len))
+        crypto.kem_decaps(suite, crypto.KemKeyPair(pk=bytes(suite.pk_len),
+                                                   sk=bytes(suite.sk_len)),
+                          bytes(suite.ct_len))
 
 
 def test_registry_lists_test_suite():
@@ -115,7 +118,7 @@ def test_registry_lists_test_suite():
 
 def test_f5_zero_frozen():
     # f5 (AK) keeps the leftmost RAND_LEN bytes of the frozen HMAC output
-    assert crypto.prf_f("5", bytes(32), [bytes(32)]) == \
+    assert crypto.prf_f("5", crypto.prf_key(bytes(32)), [bytes(32)]) == \
         CONSTANTS["f5_zero"][:crypto.RAND_LEN]
 
 
@@ -123,27 +126,26 @@ def test_f_family_domain_separation():
     indices = ["1", "2", "3", "4", "5"]
     rng = SeededRandom(99)
     for _ in range(100):
-        key, data = rng.bytes(32), rng.bytes(32)
+        key, data = crypto.prf_key(rng.bytes(32)), rng.bytes(32)
         outputs = [crypto.prf_f(i, key, [data]) for i in indices]
         assert len(set(outputs)) == len(indices)
 
 
 def test_f_deterministic():
-    key, data = bytes(32), b"x" * 32
+    key, data = crypto.prf_key(bytes(32)), b"x" * 32
     assert crypto.prf_f("5", key, [data]) == crypto.prf_f("5", key, [data])
 
 
 def test_f_rejects_bad_inputs():
+    key = crypto.prf_key(bytes(32))
     with pytest.raises(crypto.CryptoError):
-        crypto.prf_f("9", bytes(32), [b"x"])
+        crypto.prf_f("9", key, [b"x"])
     with pytest.raises(crypto.CryptoError):
-        crypto.prf_f("1", bytes(31), [b"x"])
-    with pytest.raises(crypto.CryptoError):
-        crypto.prf_f("1", bytes(32), [])
+        crypto.prf_f("1", key, [])
 
 
 def test_f_output_is_32_bytes():
-    assert len(crypto.prf_f("2", bytes(32), [b"payload"])) == 32
+    assert len(crypto.prf_f("2", crypto.prf_key(bytes(32)), [b"payload"])) == 32
 
 
 @settings(max_examples=200)
@@ -156,12 +158,6 @@ def test_f_under_a_loaded_key_is_hmac_sha256(key, index, inputs):
     loaded = crypto.prf_key(key)
     assert crypto.prf_f(index, loaded, inputs) == expected
     assert crypto.prf_f(index, loaded, inputs) == expected     # reusable
-    assert crypto.prf_f(index, key, inputs) == expected
-
-
-def test_f5_zero_frozen_under_a_loaded_key():
-    assert crypto.prf_f("5", crypto.prf_key(bytes(32)), [bytes(32)]) == \
-        CONSTANTS["f5_zero"][:crypto.RAND_LEN]
 
 
 @pytest.mark.parametrize("length", [0, 31, 33, 64])
@@ -290,6 +286,7 @@ def test_aead_wrong_key_rejected():
     ct = crypto.aead_seal(key, b"secret")
     with pytest.raises(crypto.AeadFailure) as failure:
         crypto.aead_open(SeededRandom(10).bytes(32), ct)
+    assert isinstance(failure.value, crypto.CryptoError)   # one except catches every failure
     assert isinstance(failure.value.__cause__, InvalidTag)
 
 

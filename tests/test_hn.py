@@ -128,11 +128,12 @@ def test_vector_internal_consistency(world, rng):
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     pending = world.hn.pending[sid]
     # AUTN CONC must unmask to the forwarded R_SN under the subscriber key
-    k_star = crypto.kem_decaps(world.suite, pair.sk, vector.c2)
-    ak = crypto.prf_f("5", record.k, [k_star])
+    k_star = crypto.kem_decaps(world.suite, pair, vector.c2)
+    k = crypto.prf_key(record.k)
+    ak = crypto.prf_f("5", k, [k_star])
     assert crypto.xor_bytes(vector.conc, ak) == to_hn.r_sn
     xres_star, _, _ = crypto.session_keys(
-        record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
+        k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
     # M opens under K3 = KDF(XRES*, f5) to the anchored key and identity
     k3 = crypto.kdf([xres_star, ak])
     k_seaf, supi_in_m = wire.unpack_m_payload(crypto.aead_open(k3, vector.m))
@@ -145,10 +146,11 @@ def test_auth_vector_carries_no_session_secrets(world, rng):
     vector = hn_mod.hn_auth_vector(
         world.hn, record, pk_u, to_hn.r_sn, world.sn.id_sn, rng)
     pending = world.hn.pending[sid]
-    k_star = crypto.kem_decaps(world.suite, pair.sk, vector.c2)
+    k_star = crypto.kem_decaps(world.suite, pair, vector.c2)
+    k = crypto.prf_key(record.k)
     xres_star, _, _ = crypto.session_keys(
-        record.k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
-    k3 = crypto.kdf([xres_star, crypto.prf_f("5", record.k, [k_star])])
+        k, k_star, to_hn.r_sn, vector.conc, world.sn.id_sn)
+    k3 = crypto.kdf([xres_star, crypto.prf_f("5", k, [k_star])])
     secrets = {k3, xres_star, pending.k_seaf}
     for f in dataclasses.fields(vector):
         assert getattr(vector, f.name) not in secrets, f.name
@@ -161,7 +163,7 @@ def test_guti_vector_zero_rprime_reuses_ratchet_key(world, rng):
     msg = wire.GutiSnToHnMsg(supi=world.ue.supi, r_sn_prime=bytes(32), r_sn=r_sn)
     vector = hn_mod.hn_guti_auth_vector(world.hn, msg, world.sn.id_sn)
     # with R' = 0 the derived key K* equals the stored ratchet key
-    assert vector.mac == crypto.prf_f("1", record.k, [record.k_s, r_sn])
+    assert vector.mac == crypto.prf_f("1", crypto.prf_key(record.k), [record.k_s, r_sn])
     assert vector.c2 is None
 
 

@@ -133,7 +133,7 @@ def test_stolen_hn_row_does_not_reveal_the_next_guti_session_key(suite):
     sim.run_session(world, "supi", rng=rng)
     for _ in range(2):
         record = world.hn.registry[world.ue.supi]
-        stolen_k, stolen_k_s = record.k, record.k_s
+        stolen_k, stolen_k_s = crypto.prf_key(record.k), record.k_s
         sn_share = world.sn.guti_table[world.ue.guti].r_sn_prime
         out = sim.run_session(world, "guti", rng=rng)
         assert out.completed and out.key_source == "guti"
@@ -703,10 +703,11 @@ def test_sessions_over_a_kem_whose_shared_secret_is_not_32_bytes(monkeypatch, rn
 def test_compromised_sk_h_opens_recorded_suci(world, rng):
     """Negative control: with sk_H the concealed identifier opens."""
     outcome = sim.run_session(world, "supi", rng=rng)
-    sk_h = world.hn.kem_pair.sk
+    # sk_H alone, with the public pk_H, not the HN's loaded pair
+    stolen = crypto.KemKeyPair(pk=world.hn.kem_pair.pk, sk=world.hn.kem_pair.sk)
     id_resp = next(wire.decode(e.data) for e in outcome.transcript.radio_entries()
                    if e.annotation == "id-response")
-    k_s1 = crypto.kem_decaps(world.suite, sk_h, id_resp.c1)
+    k_s1 = crypto.kem_decaps(world.suite, stolen, id_resp.c1)
     supi, _pk_u, _id_sn = wire.unpack_suci_payload(
         crypto.aead_open(k_s1, id_resp.suci_conc + id_resp.mac_u))
     assert supi == world.ue.supi

@@ -40,22 +40,22 @@ def test_forward_challenge_passes_autn_unmodified(world, rng):
 
 
 def test_pending_session_holds_r_sn_conc_and_m_only(world, rng):
-    """Before RES* the SN keeps its R_SN and the vector's CONC and M, no
+    """Before RES* the SN keeps, under its R_SN, the vector's CONC and M, no
     check value: opening M under K3 is its RES* check. The SUPI field is
     set on the GUTI path only, so a SUPI session holds no SUPI before RES*."""
     assert [f.name for f in dataclasses.fields(sn_mod.PendingSession)] == [
-        "r_sn", "conc", "m", "supi"]
+        "conc", "m", "supi"]
     _msg, pair, sid, vector, _challenge = to_challenge(world, rng)
     pending = world.sn.pending[sid]
     assert pending.supi is None
-    assert crypto.xor_bytes(pending.conc, pending.r_sn) == crypto.prf_f(
-        "5", world.ue.k, [crypto.kem_decaps(world.suite, pair, vector.c2)])
+    assert crypto.xor_bytes(pending.conc, sid) == crypto.prf_f(
+        "5", crypto.prf_key(world.ue.k), [crypto.kem_decaps(world.suite, pair, vector.c2)])
 
 
 def _m_plaintext(world, sid, vector, response):
     """M opened under K3 = KDF(RES*, AK), AK = CONC xor R_SN, as the SN
     opens it."""
-    ak = crypto.xor_bytes(vector.conc, world.sn.pending[sid].r_sn)
+    ak = crypto.xor_bytes(vector.conc, sid)
     return crypto.aead_open(crypto.kdf([response.res_star, ak]), vector.m)
 
 
@@ -263,7 +263,7 @@ def test_resolve_known_guti_carries_stored_rprime(world, rng):
     msg, sid = resolved
     assert msg.supi == "imsi-1"
     assert msg.r_sn_prime == crypto.r_sn_prime(K_SEAF_1)
-    assert world.sn.pending[sid].r_sn == msg.r_sn
+    assert sid == msg.r_sn and sid in world.sn.pending
 
 
 def test_resolve_unknown_guti_falls_back_to_supi(world, rng):
@@ -280,7 +280,7 @@ def test_identify_forwards_a_suci_under_either_request(world, rng):
     for request in (_FORCING, wire.IdRequestMsg(force_supi=False)):
         to_hn, sid = sn_mod.sn_identify(world.sn, request, msg, rng)
         assert isinstance(to_hn, wire.SnToHnIdentMsg) and to_hn.c1 == msg.c1
-        assert world.sn.pending[sid].r_sn == to_hn.r_sn
+        assert sid == to_hn.r_sn and sid in world.sn.pending
 
 
 def test_identify_takes_no_guti_under_a_request_that_forced_supi(world, rng):

