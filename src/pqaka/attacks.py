@@ -361,7 +361,7 @@ def _field_multiset(outcome: sim.SessionOutcome) -> Counter:
 def _linkability_constants(world: sim.World) -> set[bytes]:
     """Message tags, the one-byte flag values and the HN identity."""
     tags = {bytes([tag]) for tag, _ in wire.SCHEMA.values()}
-    return tags | {b"\x00", b"\x01", world.hn.id_hn.encode()}
+    return tags | {b"\x00", b"\x01", wire.PLMN.to_raw(world.hn.id_hn, "id_hn")}
 
 
 def scenario_linkability_probe(suite_name: str = "test", seed: int = 0,

@@ -24,7 +24,7 @@ MESSAGES = (
     ("hn-sn", 8, "HnToSnAuthMsg", "auth-vector"),
     ("chall", 8, "ChallengeMsg", "challenge"),
     ("resp", 6, "ResponseMsg", "response"),
-    ("assign", 7, "SecureEnvelopeMsg", "guti-assign"),
+    ("assign", 7, "GutiAssignMsg", "guti-assign"),
 )
 
 

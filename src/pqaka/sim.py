@@ -25,7 +25,7 @@ CORE = "core"
 
 # the one SN and HN of every world
 ID_SN = "sn.example"
-ID_HN = "hn.example"
+ID_HN = "00101"     # the MCC and MNC of the model's IMSIs
 # make_world's subscriber, whose session the size rows measure
 DEFAULT_SUPI = "imsi-001010000000001"
 
@@ -92,20 +92,18 @@ class ScriptedAttacker(Attacker):
         return handler(data, None)
 
 
-def seal_assignment(k_seaf: bytes, msg: wire.GutiAssignMsg) -> wire.SecureEnvelopeMsg:
+def seal_assignment(k_seaf: bytes, guti: bytes) -> wire.GutiAssignMsg:
     key = crypto.kdf([k_seaf, b"guti-transport"])
-    return wire.SecureEnvelopeMsg(ct=crypto.aead_seal(key, wire.encode(msg)))
+    return wire.GutiAssignMsg(sealed_guti=crypto.aead_seal(key, guti))
 
 
-def open_assignment(k_seaf: bytes, env: wire.SecureEnvelopeMsg) -> Optional[wire.GutiAssignMsg]:
+def open_assignment(k_seaf: bytes, msg: wire.GutiAssignMsg) -> Optional[bytes]:
+    """The GUTI msg seals under k_seaf, or None if it does not open."""
     key = crypto.kdf([k_seaf, b"guti-transport"])
     try:
-        inner = wire.decode(crypto.aead_open(key, env.ct))
-    except (crypto.AeadFailure, wire.ParseError):
+        return crypto.aead_open(key, msg.sealed_guti)
+    except crypto.CryptoError:
         return None
-    if not isinstance(inner, wire.GutiAssignMsg):
-        return None
-    return inner
 
 
 @dataclass(slots=True)
@@ -277,20 +275,19 @@ def session(
     send_core("SN->HN", "confirm", wire.ConfirmMsg())
     k_seaf_hn = hn_mod.hn_finalize(hn, sid)
 
-    envelope = seal_assignment(result.k_seaf, result.assignment)
-    delivered = yield from send_radio("SN->UE", "guti-assign", envelope)
-    assignment_delivered = False
-    if isinstance(delivered, wire.SecureEnvelopeMsg):
-        inner = open_assignment(k_seaf_ue, delivered)
-        if inner is not None:
-            ue_mod.ue_handle_guti_assignment(ue, inner, k_seaf_ue, k_s_new)
-            assignment_delivered = True
+    sealed = seal_assignment(result.k_seaf, result.assignment)
+    delivered = yield from send_radio("SN->UE", "guti-assign", sealed)
+    guti = None
+    if isinstance(delivered, wire.GutiAssignMsg):
+        guti = open_assignment(k_seaf_ue, delivered)
+    if guti is not None:
+        ue_mod.ue_handle_guti_assignment(ue, guti, k_seaf_ue, k_s_new)
 
     return SessionOutcome(
         abort_step=None, transcript=t,
         k_seaf_ue=k_seaf_ue,
         k_seaf_sn=result.k_seaf, k_seaf_hn=k_seaf_hn,
-        supi_at_sn=result.supi, assignment_delivered=assignment_delivered,
+        supi_at_sn=result.supi, assignment_delivered=guti is not None,
         key_source="guti" if ch.c2 is None else "supi")
 
 

@@ -18,7 +18,6 @@ from . import crypto, store, wire
 from .rng import RandomSource
 from .wire import (
     ChallengeMsg,
-    GutiAssignMsg,
     GutiIdMsg,
     GutiSnToHnMsg,
     HnToSnAuthMsg,
@@ -96,7 +95,7 @@ def sn_forward_challenge(
 class SnSessionResult:
     supi: str
     k_seaf: bytes
-    assignment: GutiAssignMsg
+    assignment: bytes    # the new GUTI, sealed for the radio by sim
 
 
 def sn_verify_response(
@@ -119,7 +118,7 @@ def sn_verify_response(
 
 
 def sn_assign_guti(state: SnState, supi: str, k_seaf: bytes,
-                   rng: RandomSource) -> GutiAssignMsg:
+                   rng: RandomSource) -> bytes:
     """Fresh GUTI (collision-checked), stored with the R_SN' derived from the
     session's K_seaf; old GUTI for the SUPI goes."""
     old = state.guti_of.get(supi)
@@ -134,7 +133,7 @@ def sn_assign_guti(state: SnState, supi: str, k_seaf: bytes,
     state.guti_of[supi] = guti
     if state.persist_path:
         save_guti_table(state.persist_path, state.guti_table, guti)
-    return GutiAssignMsg(guti_new=guti)
+    return guti
 
 
 def sn_resolve_guti(

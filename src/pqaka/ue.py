@@ -19,7 +19,6 @@ from .crypto import KemKeyPair, KemSuite
 from .rng import RandomSource
 from .wire import (
     ChallengeMsg,
-    GutiAssignMsg,
     GutiIdMsg,
     IdRequestMsg,
     IdResponseMsg,
@@ -106,10 +105,10 @@ def _answer(state: UeState, ch: ChallengeMsg,
     return ResponseMsg(res_star=res_star), k_seaf, k_s_new
 
 
-def ue_handle_guti_assignment(state: UeState, msg: GutiAssignMsg,
+def ue_handle_guti_assignment(state: UeState, guti: bytes,
                               k_seaf: bytes, k_s_new: bytes) -> None:
     """Commit the session's ratchet key, and R_SN' derived from the K_seaf
     that opened the assignment; doubles as completion confirmation."""
-    state.guti = msg.guti_new
+    state.guti = guti
     state.r_sn_prime = crypto.r_sn_prime(k_seaf)
     state.k_s = k_s_new

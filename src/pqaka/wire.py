@@ -8,7 +8,7 @@ fields of every message after its tag, of the untagged SUCI and M payloads,
 and of each ``store`` record's body, which is one row in this layout.
 
 Layout: one message-type tag byte, then each field in table order. A
-field whose kind fixes its width (``fixed(n)``, ``FLAG``) is
+field whose kind fixes its width (``fixed(n)``, ``FLAG``, ``PLMN``) is
 sent as its raw bytes alone; a variable-length field (``VAR``, ``UTF8``,
 ``SUPI``, ``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
 in the V and LV formats of 3GPP TS 24.007 §11.2. The prefix is the definite
@@ -20,11 +20,13 @@ bytes still carry McEliece's 261,120-byte public key. An optional field is
 preceded by one raw presence byte, 0x00 or 0x01. A SUPI opens with a
 format byte (TS 24.501 §9.11.3.4): 0x00 and packed BCD for ``imsi-`` and
 ASCII digits, the first in the low nibble and an odd count padded with 0xF
-(TS 24.008 §10.5.1.4), else 0x01 and UTF-8. Decoding is strict and
-canonical: unknown tags, truncation, a long-form or zero-led length a
-shorter prefix could carry, a flag or presence byte other than 0 or 1,
-invalid UTF-8 or BCD, a SUPI in a format not its own and trailing bytes
-are all rejected with the failing offset.
+(TS 24.008 §10.5.1.4), else 0x01 and UTF-8. The SUCI's home network
+identity is a ``PLMN``: the MCC and a 2- or 3-digit MNC as 3 BCD octets
+(TS 24.008 §10.5.1.3), MNC digit 3 0xF when the MNC has two. Decoding is
+strict and canonical: unknown tags, truncation, a long-form or zero-led
+length a shorter prefix could carry, a flag or presence byte other than 0
+or 1, invalid UTF-8 or BCD, a SUPI in a format not its own and trailing
+bytes are all rejected with the failing offset.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class IdResponseMsg:
     c1: bytes
     suci_conc: bytes  # the AEAD ciphertext of the SUCI payload, and
     mac_u: bytes      # its AEAD tag
-    id_hn: str
+    id_hn: str        # the HN's MCC and MNC digits
 
 
 @dataclass(frozen=True)
@@ -108,18 +110,10 @@ class GutiSnToHnMsg:
 
 @dataclass(frozen=True)
 class GutiAssignMsg:
-    """The new GUTI alone: R_SN' is derived from K_seaf at both ends."""
-    guti_new: bytes
-
-
-@dataclass(frozen=True)
-class SecureEnvelopeMsg:
-    """A message sealed under a key derived from the session's K_seaf.
-
-    Carries the GUTI assignment: the new GUTI must cross the radio only
-    over the secure channel the session just established.
-    """
-    ct: bytes
+    """The new GUTI alone, sealed under a key derived from the session's
+    K_seaf: it crosses the radio only over the secure channel the session
+    just established. R_SN' is derived from K_seaf at both ends."""
+    sealed_guti: bytes
 
 
 @dataclass(frozen=True)
@@ -180,6 +174,21 @@ def _supi_from_raw(raw: bytes, name: str, at: int) -> str:
     return supi
 
 
+def _plmn_to_raw(plmn: str, name: str) -> bytes:
+    if len(plmn) not in (5, 6) or not (plmn.isascii() and plmn.isdigit()):
+        raise EncodeError(f"{name} must be 5 or 6 digits")
+    return bytes.fromhex(plmn[:3] + (plmn[5:] or "f") + plmn[3:5]).translate(_NIBBLE_SWAP)
+
+
+def _plmn_from_raw(raw: bytes, name: str, at: int) -> str:
+    """MCC, MNC digits 1-2 and MNC digit 3 unless it is the 0xF filler."""
+    nibbles = raw.translate(_NIBBLE_SWAP).hex()
+    plmn = nibbles[:3] + nibbles[4:] + nibbles[3].replace("f", "")
+    if not plmn.isdigit():
+        raise ParseError(f"{name} is not a BCD PLMN identity", at)
+    return plmn
+
+
 def fixed(n: int) -> Kind:
     return Kind(width=n)
 
@@ -188,6 +197,7 @@ VAR = Kind()
 UTF8 = Kind(to_raw=lambda v, name: v.encode(), from_raw=_utf8_from_raw)
 SUPI = Kind(to_raw=_supi_to_raw, from_raw=_supi_from_raw)
 FLAG = Kind(1, lambda v, name: b"\x01" if v else b"\x00", _flag_from_raw)
+PLMN = Kind(3, _plmn_to_raw, _plmn_from_raw)
 OPTIONAL_VAR = Kind(optional=True)
 
 Fields = tuple[tuple[str, Kind], ...]
@@ -196,7 +206,7 @@ Fields = tuple[tuple[str, Kind], ...]
 SCHEMA: dict[type, tuple[int, Fields]] = {
     IdRequestMsg: (0x01, (("force_supi", FLAG),)),
     IdResponseMsg: (0x02, (("c1", VAR), ("suci_conc", VAR),
-                           ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("id_hn", UTF8))),
+                           ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("id_hn", PLMN))),
     SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR),
                             ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("r_sn", fixed(RAND_LEN)))),
     HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
@@ -208,8 +218,7 @@ SCHEMA: dict[type, tuple[int, Fields]] = {
     GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
     GutiSnToHnMsg: (0x09, (("supi", SUPI), ("r_sn_prime", fixed(KEY_LEN)),
                            ("r_sn", fixed(RAND_LEN)))),
-    GutiAssignMsg: (0x0A, (("guti_new", fixed(GUTI_LEN)),)),
-    SecureEnvelopeMsg: (0x0B, (("ct", VAR),)),
+    GutiAssignMsg: (0x0A, (("sealed_guti", fixed(GUTI_LEN + AEAD_TAG_OVERHEAD)),)),
     AbortMsg: (0x0C, ()),
 }
 _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in SCHEMA.items()}
@@ -221,7 +230,7 @@ _M_PAYLOAD: Fields = (("k_seaf", fixed(KEY_LEN)), ("supi", SUPI))
 Message = (
     IdRequestMsg | IdResponseMsg | SnToHnIdentMsg | HnToSnAuthMsg
     | ChallengeMsg | ResponseMsg | ConfirmMsg | GutiIdMsg
-    | GutiSnToHnMsg | GutiAssignMsg | SecureEnvelopeMsg | AbortMsg
+    | GutiSnToHnMsg | GutiAssignMsg | AbortMsg
 )
 
 

@@ -15,14 +15,13 @@ CONSTANTS = {
 
 SESSION_WIRE = {
     'id-request': bytes.fromhex('0101'),
-    'id-response': bytes.fromhex('0220eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566636f449bfdc808398dc430a7d4995a4d9405b86cbda6840c84f2d50c8ac566380b528a81be5e858599141cf0b7c9c8fdd65fadd1fbbb90768b4dbee9fd0e96d23d503b93cb263260a686e2e6578616d706c65'),
+    'id-response': bytes.fromhex('0220eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566636f449bfdc808398dc430a7d4995a4d9405b86cbda6840c84f2d50c8ac566380b528a81be5e858599141cf0b7c9c8fdd65fadd1fbbb90768b4dbee9fd0e96d23d503b93cb2632600f110'),
     'sn-hn-ident': bytes.fromhex('0320eaf5471ba5f06564b383de8271167653309a7a89f22bbd8e8fc60a9b8c5d566636f449bfdc808398dc430a7d4995a4d9405b86cbda6840c84f2d50c8ac566380b528a81be5e858599141cf0b7c9c8fdd65fadd1fbbb90768b4dbee9fd0e96d23d503b93cb26326789b1af96f3a25aaf55a89cbfa00e144'),
     'auth-vector': bytes.fromhex('042e3d0d48b7cda719d69f7c68c299da3c605dcd4ba68aa47f50eb31b5a4f0aef33abbd9b6518f645c53df22343d0e0e5a6d2ee407b9b81cb8a17736c2cbd00b8515692f41db98cafcd416694b468409d287b84af6d3481f6ed95e490120d951808751b95134bbf31e2792417b2968a963d1dc3e6da966a90f68cb0838d8'),
     'challenge': bytes.fromhex('052e3d0d48b7cda719d69f7c68c299da3c605dcd4ba68aa47f50eb31b5a4f0aef30120d951808751b95134bbf31e2792417b2968a963d1dc3e6da966a90f68cb0838d8'),
     'response': bytes.fromhex('065a1e062087966c0643da9927eb4e0bca'),
     'confirm': bytes.fromhex('07'),
-    'guti-assign': bytes.fromhex('0aac6f8d7f'),
-    'secure-envelope': bytes.fromhex('0b1570aefb16b32d23e22c515e5100368d21c2747ae04c'),
+    'guti-assign': bytes.fromhex('0ad66d19e45e7c0cf99e3a03051cbd1c1f61de7c0a'),
     'abort': bytes.fromhex('0c'),
 }
 

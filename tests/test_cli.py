@@ -262,20 +262,23 @@ def test_every_size_row_is_a_completed_session(suite):
 # Re-pinned when the GUTI went to 4 bytes, the 5G-TMSI's width: the sealed
 # assign column is 12 bytes shorter on every row. Re-pinned when the SUPI went
 # to a format byte and packed BCD digits: id-resp and hn-sn, which carry it
-# in SUCI_conc and in M, are 11 bytes shorter on every row. test_default_sizes_table_pinned
-# checks both the table printed and the --out JSONL rows against it
+# in SUCI_conc and in M, are 11 bytes shorter on every row. Re-pinned when the
+# HN identity went to a 3-octet PLMN identity and the GUTI assignment to one
+# sealed field: id-resp is 8 bytes shorter and assign 2 on every row.
+# test_default_sizes_table_pinned checks both the table printed and the --out
+# JSONL rows against it
 SIZES_TABLE = """\
 algorithm            sk       pk       ct   key  id-resp    hn-sn    chall   resp  assign
 -----------------------------------------------------------------------------------------
-bike               5223     1541     1573    32     3172     1669     1610     17      23
-ecies-p256           32       33       33    32      118      127       68     17      23
-ecies-x25519         32       32       32    32      116      126       67     17      23
-hqc                2289     2249     4481    64     6788     4577     4518     17      23
-kyber              1632      800      768    32     1626      864      805     17      23
-mceliece           6452   261120      128    32   261307      223      164     17      23
-ml-kem-1024          64     1568     1568    32     3194     1664     1605     17      23
-ml-kem-768           64     1184     1088    32     2330     1184     1125     17      23
-test                 32       32       32    32      116      126       67     17      23
+bike               5223     1541     1573    32     3164     1669     1610     17      21
+ecies-p256           32       33       33    32      110      127       68     17      21
+ecies-x25519         32       32       32    32      108      126       67     17      21
+hqc                2289     2249     4481    64     6780     4577     4518     17      21
+kyber              1632      800      768    32     1618      864      805     17      21
+mceliece           6452   261120      128    32   261299      223      164     17      21
+ml-kem-1024          64     1568     1568    32     3186     1664     1605     17      21
+ml-kem-768           64     1184     1088    32     2322     1184     1125     17      21
+test                 32       32       32    32      108      126       67     17      21
 """
 MLKEM_ROWS = ("ml-kem-768 ", "ml-kem-1024 ")
 
@@ -297,7 +300,7 @@ def test_default_sizes_table_pinned(tmp_path, capsys):
     want = {f[0]: dict(zip(header.split()[1:], map(int, f[1:]))) for f in map(str.split, lines)}
     lengths = {"sk": "sk_len", "pk": "pk_len", "ct": "ct_len", "key": "key_len"}
     msgs = {"id-resp": "IdResponseMsg", "hn-sn": "HnToSnAuthMsg", "chall": "ChallengeMsg",
-            "resp": "ResponseMsg", "assign": "SecureEnvelopeMsg"}
+            "resp": "ResponseMsg", "assign": "GutiAssignMsg"}
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == len(want)
     assert {r["name"]: {**{col: r[key] for col, key in lengths.items()},

@@ -64,6 +64,15 @@ the roles they check:
   IMSI, the format byte 0x00 and its 15 digits as packed BCD: two to a
   byte, the first in the low nibble, the odd count's last high nibble 0xF
   (TS 24.008 §10.5.1.4), 9 bytes in all;
+- the HN identity in id-response is no longer the UTF-8 text
+  "hn.example" but, as the SUCI names its home network (TS 24.501
+  §9.11.3.4), the MCC 001 and MNC 01 of the SUPI's IMSI as 3 raw BCD
+  octets in TS 24.008 §10.5.1.3's order: MCC digits 1 and 2, MCC digit 3
+  and MNC digit 3 (0xF, as the MNC has two digits), MNC digits 1 and 2,
+  each pair's first digit in the low nibble;
+- the GUTI assignment is no longer an envelope around a tagged inner
+  message: guti-assign, under its own tag, is the 4-byte GUTI sealed under
+  the envelope's key, raw, and the secure-envelope message is gone;
 - guti-id and sn-hn-guti are those of the GUTI session that follows, as it
   sends them: the GUTI the SUPI session assigned, and that session's R_SN'
   with the GUTI session's own R_SN.
@@ -98,17 +107,17 @@ LEGACY_WIRE = {
 # are the GUTI session's, built whole by derive_guti_session
 LAYOUT = {
     "id-request": "r",        # force_supi
-    "id-response": "llrl",    # c1, suci_conc, mac_u, id_hn
+    "id-response": "llrr",    # c1, suci_conc, mac_u, id_hn
     "sn-hn-ident": "llrr",    # c1, suci_conc, mac_u, r_sn
     "auth-vector": "rxlrl",   # autn, hxres_star (dropped), m, c2 presence, c2
     "challenge": "rrl",       # autn, c2 presence, c2
     "response": "r",          # res_star
     "confirm": "x",           # ok, always set
-    "guti-assign": "rx",      # guti_new, r_sn_prime_new (derived now)
-    "secure-envelope": "l",   # ct
+    "guti-assign": "rx",      # the GUTI (sealed now), r_sn_prime_new (derived now)
     "abort": "x",             # code, a constant
 }
 SUPI = b"imsi-001010000000001"
+PLMN = b"00101"             # the MCC and MNC the SUPI's IMSI starts with
 ID_SN = b"sn.example"
 ZERO_NONCE = bytes(12)
 KEY_LEN = 32                # K, every sk and KEM ciphertext of the test KEM
@@ -154,6 +163,13 @@ def _packed_supi(supi: bytes) -> bytes:
     digits = [int(d) for d in supi.removeprefix(b"imsi-").decode()]
     digits += [0xF] * (len(digits) % 2)
     return b"\x00" + bytes(lo | hi << 4 for lo, hi in zip(digits[::2], digits[1::2]))
+
+
+def _packed_plmn(plmn: bytes) -> bytes:
+    """The HN identity's raw wire field: MCC digits 1-2, MCC digit 3 and MNC
+    digit 3 (0xF for a 2-digit MNC), MNC digits 1-2, low nibble first."""
+    mcc1, mcc2, mcc3, mnc1, mnc2, *mnc3 = (int(d) for d in plmn.decode())
+    return bytes([mcc1 | mcc2 << 4, mcc3 | (mnc3 or [0xF])[0] << 4, mnc1 | mnc2 << 4])
 
 
 def _kdf(*inputs: bytes) -> bytes:
@@ -239,6 +255,7 @@ def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
     sealed = _seal(k_s1, _der(_packed_supi(SUPI)) + _der(pk_u) + _der(ID_SN))
     for name in ("id-response", "sn-hn-ident"):
         fields[name][:3] = [c1, sealed[:-TAG_LEN], sealed[-TAG_LEN:]]
+    fields["id-response"][3] = _packed_plmn(PLMN)
 
     k_star = _kdf(pk_u, c2)
     ak = _f(5, k, k_star)[:RAND_LEN]
@@ -252,13 +269,11 @@ def derive_session() -> tuple[dict[str, bytes], dict[str, bytes]]:
         fields[name][-1] = c2
     fields["response"][0] = res_star
     fields["auth-vector"][2] = _seal(_kdf(res_star, ak), k_seaf + _der(_packed_supi(SUPI)))
-    fields["guti-assign"][0] = guti
+    fields["guti-assign"][0] = _seal(_kdf(k_seaf, b"guti-transport"), guti)
     out = {name: LEGACY_WIRE[name][:1] + b"".join(
                {"r": f, "l": _der(f), "x": b""}[kind]
                for kind, f in zip(LAYOUT[name], fields[name], strict=True))
            for name in LAYOUT}
-    out["secure-envelope"] = LEGACY_WIRE["secure-envelope"][:1] + _der(
-        _seal(_kdf(k_seaf, b"guti-transport"), out["guti-assign"]))
     values = {"k": k, "sk_h": sk_h, "pk_h": pk_h, "sk_u": sk_u, "pk_u": pk_u,
               "k_s1": k_s1, "k_star": k_star, "res_star": res_star,
               "k_seaf": k_seaf, "k_s_next": _kdf(k_star, r_sn)}

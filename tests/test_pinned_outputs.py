@@ -17,9 +17,9 @@ from pqaka.rng import SeededRandom
 # evidence names the wire fields the closure reaches, and forward-secrecy's
 # two sessions are one history with one closure
 SN_CLOSURE = "['c1', 'c2', 'conc', 'id_hn', 'id_sn', 'm', 'mac', 'mac_u', 'r_sn', 'suci_conc']"
-FS_CLOSURE = ("['c1', 'c2', 'conc', 'ct', 'guti', 'guti_new', 'id_hn', 'id_sn', 'mac', "
-              "'mac_u', 'pk_u', 'res_star', 'suci_conc', 'supi']")
-REPEATS = "['01', '02', '05', '06', '0b', '686e2e6578616d706c65']"
+FS_CLOSURE = ("['c1', 'c2', 'conc', 'guti', 'id_hn', 'id_sn', 'mac', 'mac_u', 'pk_u', "
+              "'res_star', 'sealed_guti', 'suci_conc', 'supi']")
+REPEATS = "['00f110', '01', '02', '05', '06', '0a']"
 VERDICT_LINES = [
     "replay holds=True controls=[honest-passthrough-completes=ok] "
     "evidence=[session-A completed steps=8;"
@@ -55,9 +55,9 @@ def test_attack_verdict_lines_pinned(suite, seed):
 # The ECIES runs are the pins on profile A's and profile B's bytes, so a
 # change to a backend's keygen, point encoding or key derivation shows here
 MIXED_RUN_SHA256 = {
-    "test": "494943a8e26c00019f583e8d2bceb4fb430d18c65943a9892487cf2fa2b69603",
-    "ecies-x25519": "d6540ce6826ebe8c694e2608d7c694c34168136dfa8ef5d398a23befc85ce1c6",
-    "ecies-p256": "1a0b7cb8dfff690e7a5d028c8fae550329ccb5638ed94d01b628780770b3805a",
+    "test": "565514d328e4c84bc21a8734a3482c142d198061ba2048e5f34843d12ffae0f1",
+    "ecies-x25519": "19105ebfe2e22feaef903240246e7141c9a7e50cca50fac91bdc07fcb7dd4e5e",
+    "ecies-p256": "1e19b6fb3a478b15e31009e6fff708a0f4c85fe9a4a19dcd3663229c99ef5bed",
 }
 
 
@@ -75,7 +75,7 @@ def test_mixed_run_transcript_pinned(suite):
 # cleared before each GUTI session, so that every one of them falls back to
 # SUPI-based identification. Every session here takes the SUPI path, whose
 # M seals the SUPI, so M's GUTI-path layout does not move it
-FALLBACK_RUN_SHA256 = "331a0ac8890e2057045f602aba1bd9b2596de20327b2005af8ff7e0cb64d98a8"
+FALLBACK_RUN_SHA256 = "e963f3a82ba055686097bd5e18ddfb82278b1ab02ebba3c0a7725b261cd2b52b"
 
 
 def test_fallback_run_transcript_pinned():

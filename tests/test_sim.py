@@ -65,18 +65,18 @@ def test_honest_guti_session_has_no_c2(world, rng):
 # are sn-hn-ident 121 (sn-hn-guti 59), auth-vector 126 (83) and confirm 1.
 # Every variable-length field here is under 128 B: its length is one byte.
 SESSION_BYTES = {
-    "test": {"supi": (225, 248), "guti": (81, 143)},
-    "ecies-x25519": {"supi": (225, 248), "guti": (81, 143)},
-    "ecies-p256": {"supi": (228, 251), "guti": (81, 143)},
+    "test": {"supi": (215, 248), "guti": (79, 143)},
+    "ecies-x25519": {"supi": (215, 248), "guti": (79, 143)},
+    "ecies-p256": {"supi": (218, 251), "guti": (79, 143)},
 }
 RADIO_MESSAGE_BYTES = {
-    "supi": {"id-request": 2, "id-response": 116, "challenge": 67,
-             "response": 17, "guti-assign": 23},
+    "supi": {"id-request": 2, "id-response": 108, "challenge": 67,
+             "response": 17, "guti-assign": 21},
     "guti": {"id-request": 2, "guti-id": 5, "challenge": 34,
-             "response": 17, "guti-assign": 23},
+             "response": 17, "guti-assign": 21},
 }
 # a compressed P-256 point (c1, pk_U, c2) is one byte longer than an X25519 key
-P256_SUPI_RADIO_BYTES = {"id-response": 118, "challenge": 68}
+P256_SUPI_RADIO_BYTES = {"id-response": 110, "challenge": 68}
 
 
 @pytest.mark.parametrize("suite", list(SESSION_BYTES))
@@ -487,7 +487,7 @@ def test_every_message_a_role_builds_decodes_to_itself(path, monkeypatch):
     assert sim.run_session(world, mode, rng=rng).completed
     assert {type(m) for m in built} >= {
         wire.IdRequestMsg, wire.ChallengeMsg, wire.ResponseMsg, wire.ConfirmMsg,
-        wire.HnToSnAuthMsg, wire.SecureEnvelopeMsg, wire.GutiAssignMsg}
+        wire.HnToSnAuthMsg, wire.GutiAssignMsg}
     for msg in built:
         assert _same_exactly(wire.decode(encode(msg)), msg), msg
 
@@ -500,8 +500,8 @@ def _outcome_fields(outcome):
 @pytest.mark.parametrize("path", list(_HONEST))
 def test_equal_copies_of_the_sent_bytes_decode_to_the_same_session(path, monkeypatch):
     """Delivering an equal copy of the sent bytes ends the session exactly
-    as passing them on does, and neither is decoded again: the decoder
-    sees only the sealed assignment's plaintext."""
+    as passing them on does, and neither is decoded again: no radio
+    message is decoded at all."""
     world, rng, mode = _provisioned(path)
     passed = sim.run_session(world, mode, rng=rng)
     world, rng, mode = _provisioned(path)
@@ -518,7 +518,7 @@ def test_equal_copies_of_the_sent_bytes_decode_to_the_same_session(path, monkeyp
          for label in _HONEST[path] if label not in _CORE_LABELS}))
     assert passed.completed
     assert _outcome_fields(copied) == _outcome_fields(passed)
-    assert len(decoded) == 1 and decoded[0][0] == wire.SCHEMA[wire.GutiAssignMsg][0]
+    assert decoded == []
 
 
 @pytest.mark.parametrize("mode", ["supi", "guti"])
@@ -726,20 +726,46 @@ def test_transcript_is_byte_faithful_under_tamper(world, rng):
 
 def test_assignment_envelope_roundtrip():
     k_seaf = SeededRandom(20).bytes(32)
-    msg = wire.GutiAssignMsg(guti_new=b"\x05" * wire.GUTI_LEN)
-    env = sim.seal_assignment(k_seaf, msg)
-    assert sim.open_assignment(k_seaf, env) == msg
-    assert sim.open_assignment(SeededRandom(21).bytes(32), env) is None
+    guti = b"\x05" * wire.GUTI_LEN
+    msg = sim.seal_assignment(k_seaf, guti)
+    assert len(wire.encode(msg)) == 1 + wire.GUTI_LEN + crypto.AEAD_TAG_OVERHEAD
+    assert sim.open_assignment(k_seaf, msg) == guti
+    assert sim.open_assignment(SeededRandom(21).bytes(32), msg) is None
 
 
-def test_assignment_envelope_around_another_message_does_not_open():
-    """An envelope that opens under the transport key, to a message other
-    than a GUTI assignment, gives no assignment."""
-    k_seaf = SeededRandom(20).bytes(32)
-    key = crypto.kdf([k_seaf, b"guti-transport"])
-    env = wire.SecureEnvelopeMsg(ct=crypto.aead_seal(key, wire.encode(wire.ConfirmMsg())))
-    assert wire.decode(crypto.aead_open(key, env.ct)) == wire.ConfirmMsg()
-    assert sim.open_assignment(k_seaf, env) is None
+def _flip_bit(at: int):
+    def flip(data, ctx):
+        return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+    return flip
+
+
+def _sealed_under_another_session():
+    """A GUTI sealed under the K_seaf of another subscriber's session."""
+    other = sim.make_world("test", seed=5)
+    k_seaf = sim.run_session(other, "supi", rng=SeededRandom(6)).k_seaf_sn
+    forged = wire.encode(sim.seal_assignment(k_seaf, b"\x05" * wire.GUTI_LEN))
+    return lambda data, ctx: forged
+
+
+# a substitute guti-assign per case: a bit flipped in the sealed GUTI's
+# ciphertext or in its GCM tag, or a GUTI sealed under another K_seaf
+_BAD_ASSIGNMENTS = {
+    "flipped-guti-bit": lambda: _flip_bit(1),
+    "flipped-tag-bit": lambda: _flip_bit(1 + wire.GUTI_LEN + 15),
+    "another-k-seaf": _sealed_under_another_session,
+}
+
+
+@pytest.mark.parametrize("path", list(_HONEST))
+@pytest.mark.parametrize("case", list(_BAD_ASSIGNMENTS))
+def test_a_sealed_guti_that_does_not_open_leaves_the_ue_state(case, path):
+    """The session completes, but the UE commits no GUTI, K_S or R_SN'."""
+    world, rng, mode = _provisioned(path)
+    before = (world.ue.guti, world.ue.k_s, world.ue.r_sn_prime)
+    attacker = sim.ScriptedAttacker({"guti-assign": _BAD_ASSIGNMENTS[case]()})
+    outcome = sim.run_session(world, mode, attacker, rng)
+    assert outcome.completed and not outcome.assignment_delivered
+    assert (world.ue.guti, world.ue.k_s, world.ue.r_sn_prime) == before
 
 
 def test_export_transcript_lines(world, rng):

@@ -159,8 +159,8 @@ K_SEAF_1, K_SEAF_2 = SeededRandom(31).bytes(32), SeededRandom(32).bytes(32)
 def test_guti_assignments_fresh_and_indexed(world, rng):
     a = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
     b = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, rng)
-    assert a.guti_new != b.guti_new
-    entry_a, entry_b = world.sn.guti_table[a.guti_new], world.sn.guti_table[b.guti_new]
+    assert a != b
+    entry_a, entry_b = world.sn.guti_table[a], world.sn.guti_table[b]
     assert (entry_a.supi, entry_b.supi) == ("imsi-1", "imsi-2")
     # two assignments under different K_seaf carry different R_SN'
     assert entry_a.r_sn_prime == crypto.r_sn_prime(K_SEAF_1)
@@ -171,8 +171,8 @@ def test_guti_assignments_fresh_and_indexed(world, rng):
 def test_guti_reassignment_drops_old_entry(world, rng):
     a = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
     b = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_2, rng)
-    assert a.guti_new not in world.sn.guti_table
-    assert world.sn.guti_table[b.guti_new].supi == "imsi-1"
+    assert a not in world.sn.guti_table
+    assert world.sn.guti_table[b].supi == "imsi-1"
     supis = [e.supi for e in world.sn.guti_table.values()]
     assert supis.count("imsi-1") == 1
 
@@ -191,9 +191,9 @@ class _CollidingRng(RandomSource):
 
 def test_guti_collision_forces_redraw(world, rng):
     first = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
-    colliding = _CollidingRng(first.guti_new)
+    colliding = _CollidingRng(first)
     second = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, colliding)
-    assert second.guti_new == b"\x42" * wire.GUTI_LEN  # redrawn after collision
+    assert second == b"\x42" * wire.GUTI_LEN  # redrawn after collision
     assert colliding.queue == []                    # and R_SN' draws nothing
     table_supis = [e.supi for e in world.sn.guti_table.values()]
     assert sorted(table_supis) == ["imsi-1", "imsi-2"]   # stays injective
@@ -209,7 +209,7 @@ def _assign_by_scan(table, supi, k_seaf, rng):
         if entry.supi == supi:
             del table[old]
     table[guti] = sn_mod.GutiEntry(supi=supi, r_sn_prime=crypto.r_sn_prime(k_seaf))
-    return wire.GutiAssignMsg(guti_new=guti)
+    return guti
 
 
 GUTI_STEPS = st.lists(st.one_of(
@@ -248,18 +248,17 @@ def test_guti_index_ignores_a_guti_reassigned_after_clear(world):
     world.sn.guti_table.clear()
     # the same draws give imsi-2 the GUTI the stale index holds for imsi-1
     again = sn_mod.sn_assign_guti(world.sn, "imsi-2", K_SEAF_2, SeededRandom(9))
-    assert again.guti_new == first.guti_new
+    assert again == first
     # imsi-1's fresh assignment must not take the entry from imsi-2
     fresh = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, SeededRandom(10))
-    assert fresh.guti_new != first.guti_new
-    assert world.sn.guti_table[first.guti_new].supi == "imsi-2"
-    assert world.sn.guti_table[fresh.guti_new].supi == "imsi-1"
+    assert fresh != first
+    assert world.sn.guti_table[first].supi == "imsi-2"
+    assert world.sn.guti_table[fresh].supi == "imsi-1"
 
 
 def test_resolve_known_guti_carries_stored_rprime(world, rng):
-    assign = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
-    resolved = sn_mod.sn_resolve_guti(
-        world.sn, wire.GutiIdMsg(guti=assign.guti_new), rng)
+    guti = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
+    resolved = sn_mod.sn_resolve_guti(world.sn, wire.GutiIdMsg(guti=guti), rng)
     msg, sid = resolved
     assert msg.supi == "imsi-1"
     assert msg.r_sn_prime == crypto.r_sn_prime(K_SEAF_1)
@@ -286,8 +285,8 @@ def test_identify_forwards_a_suci_under_either_request(world, rng):
 def test_identify_takes_no_guti_under_a_request_that_forced_supi(world, rng):
     """A known GUTI is resolved under a request that allowed one; under one
     that forced SUPI it ends the session and opens no pending entry."""
-    assign = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
-    guti_id = wire.GutiIdMsg(guti=assign.guti_new)
+    guti = sn_mod.sn_assign_guti(world.sn, "imsi-1", K_SEAF_1, rng)
+    guti_id = wire.GutiIdMsg(guti=guti)
     assert sn_mod.sn_identify(world.sn, _FORCING, guti_id, rng) is None
     assert world.sn.pending == {}
     to_hn, sid = sn_mod.sn_identify(

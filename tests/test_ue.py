@@ -142,8 +142,7 @@ def test_assignment_commits_pending_ratchet(world, rng):
     _msg, pair, _sid, _vector, challenge = to_challenge(world, rng)
     _response, k_seaf, k_s_new = ue_mod.ue_process_challenge(world.ue, challenge, pair)
     assert world.ue.k_s is None
-    assign = wire.GutiAssignMsg(guti_new=b"\x01" * wire.GUTI_LEN)
-    ue_mod.ue_handle_guti_assignment(world.ue, assign, k_seaf, k_s_new)
+    ue_mod.ue_handle_guti_assignment(world.ue, b"\x01" * wire.GUTI_LEN, k_seaf, k_s_new)
     assert world.ue.guti == b"\x01" * wire.GUTI_LEN
     assert world.ue.r_sn_prime == crypto.r_sn_prime(k_seaf)
     assert world.ue.k_s == k_s_new

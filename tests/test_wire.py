@@ -87,6 +87,12 @@ def test_abort_is_its_tag_alone():
 
 # --- DER length prefixes, written by hand (X.690 §8.1.3, minimal) ---------
 
+def _auth_vector(m: bytes) -> wire.HnToSnAuthMsg:
+    """A message whose M, a VAR field, carries m: tag, conc and mac, then m
+    behind its prefix, then c2's absent presence byte."""
+    return wire.HnToSnAuthMsg(conc=bytes(16), mac=bytes(16), m=m)
+
+
 DER_LENGTHS = [
     (0, "00"), (127, "7f"), (128, "8180"), (255, "81ff"), (256, "820100"),
     (65_535, "82ffff"), (65_536, "83010000"), (261_120, "8303fc00"),
@@ -96,9 +102,9 @@ DER_LENGTHS = [
 @pytest.mark.parametrize("n,prefix", DER_LENGTHS, ids=[str(n) for n, _ in DER_LENGTHS])
 def test_length_prefix_round_trips(n, prefix):
     ct = bytes(range(256)) * (n // 256) + bytes(n % 256)
-    blob = wire.encode(wire.SecureEnvelopeMsg(ct=ct))
-    assert blob == b"\x0b" + bytes.fromhex(prefix) + ct
-    assert wire.decode(blob) == wire.SecureEnvelopeMsg(ct=ct)
+    blob = wire.encode(_auth_vector(ct))
+    assert blob == b"\x04" + bytes(32) + bytes.fromhex(prefix) + ct + b"\x00"
+    assert wire.decode(blob) == _auth_vector(ct)
 
 
 class _Sized(bytes):
@@ -114,10 +120,10 @@ class _Sized(bytes):
 
 
 def test_length_prefix_takes_at_most_four_length_bytes():
-    assert wire.encode(wire.SecureEnvelopeMsg(ct=_Sized(2**32 - 1))) == \
-        bytes.fromhex("0b84ffffffff")
+    assert wire.encode(_auth_vector(_Sized(2**32 - 1))) == \
+        b"\x04" + bytes(32) + bytes.fromhex("84ffffffff") + b"\x00"
     with pytest.raises(wire.EncodeError):
-        wire.encode(wire.SecureEnvelopeMsg(ct=_Sized(2**32)))
+        wire.encode(_auth_vector(_Sized(2**32)))
 
 
 # a prefix the strict decoder refuses, then enough bytes for the length it claims
@@ -130,7 +136,7 @@ BAD_PREFIXES = {
 }
 # (message bytes before the prefix, bytes after the field) per position
 PREFIX_SITES = {
-    "envelope-ct": ("0b", ""),
+    "auth-vector-m": ("04" + "00" * 32, "00"),
     "suci-conc": ("02" + "01aa", "00" * 16 + "00"),
     "optional-c2": ("05" + "00" * 32 + "01", ""),
 }
@@ -159,7 +165,7 @@ def test_golden_vectors_decode_and_reencode():
 def test_golden_id_response_fields():
     msg = wire.decode(SESSION_WIRE["id-response"])
     assert isinstance(msg, wire.IdResponseMsg)
-    assert msg.id_hn == "hn.example"
+    assert msg.id_hn == "00101"
     assert len(msg.c1) == 32 and len(msg.mac_u) == 16
 
 
@@ -168,7 +174,7 @@ def test_golden_challenge_has_c2_and_guti_assign_sizes():
     assert isinstance(ch, wire.ChallengeMsg) and ch.c2 is not None
     ga = wire.decode(SESSION_WIRE["guti-assign"])
     assert isinstance(ga, wire.GutiAssignMsg)
-    assert len(ga.guti_new) == wire.GUTI_LEN
+    assert len(ga.sealed_guti) == wire.GUTI_LEN + 16   # the GUTI and its GCM tag
 
 
 # --- randomized round-trips ---------------------------------------------
@@ -178,10 +184,11 @@ def _random_messages(r: random.Random):
     conc, mac = b(16), b(16)
     c2 = b(r.randint(1, 64)) if r.random() < 0.5 else None
     supi = "imsi-" + "".join(r.choices("0123456789", k=15))
+    plmn = "".join(r.choices("0123456789", k=r.choice((5, 6))))
     return [
         wire.IdRequestMsg(force_supi=r.random() < 0.5),
         wire.IdResponseMsg(c1=b(r.randint(0, 64)), suci_conc=b(r.randint(0, 64)),
-                           mac_u=b(16), id_hn=supi),
+                           mac_u=b(16), id_hn=plmn),
         wire.SnToHnIdentMsg(c1=b(16), suci_conc=b(40), mac_u=b(16), r_sn=b(16)),
         wire.HnToSnAuthMsg(conc=conc, mac=mac, m=b(r.randint(0, 80)), c2=c2),
         wire.ChallengeMsg(conc=conc, mac=mac, c2=c2),
@@ -189,8 +196,7 @@ def _random_messages(r: random.Random):
         wire.ConfirmMsg(),
         wire.GutiIdMsg(guti=b(wire.GUTI_LEN)),
         wire.GutiSnToHnMsg(supi=supi, r_sn_prime=b(32), r_sn=b(16)),
-        wire.GutiAssignMsg(guti_new=b(wire.GUTI_LEN)),
-        wire.SecureEnvelopeMsg(ct=b(r.randint(0, 100))),
+        wire.GutiAssignMsg(sealed_guti=b(wire.GUTI_LEN + 16)),
         wire.AbortMsg(),
     ]
 
@@ -224,13 +230,11 @@ def test_decode_trailing_byte_rejected():
 
 
 def test_decode_invalid_utf8_rejected_at_its_field():
-    msg = wire.IdResponseMsg(c1=b"\x01", suci_conc=b"\x02\x03",
-                             mac_u=bytes(16), id_hn="h")
-    blob = wire.encode(msg)
-    with pytest.raises(wire.ParseError) as exc:
-        wire.decode(blob[:-1] + b"\xff")
-    # tag, then c1 and suci_conc behind a one-byte length, and raw mac_u
-    assert exc.value.offset == 1 + (1 + 1) + (1 + 2) + 16
+    blob = wire.pack_suci_payload("imsi-1", b"\x02\x03", "h")
+    with pytest.raises(wire.ParseError, match="id_sn is not valid UTF-8") as exc:
+        wire.unpack_suci_payload(blob[:-1] + b"\xff")
+    # the SUPI (format byte, one BCD byte) and pk_u, each behind a one-byte length
+    assert exc.value.offset == (1 + 2) + (1 + 2)
 
 
 def test_decode_truncated_rejected():
@@ -273,7 +277,7 @@ def test_encode_rejects_bad_widths():
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.ChallengeMsg(conc=bytes(31), mac=bytes(16)))
     with pytest.raises(wire.EncodeError):
-        wire.encode(wire.IdResponseMsg(c1=b"", suci_conc=b"", mac_u=b"x", id_hn="h"))
+        wire.encode(wire.IdResponseMsg(c1=b"", suci_conc=b"", mac_u=b"x", id_hn="00101"))
 
 
 @pytest.mark.parametrize("cls", list(wire.SCHEMA), ids=lambda cls: cls.__name__)
@@ -395,6 +399,54 @@ def test_bad_supi_rejected_at_its_field(bad):
     assert exc.value.offset == 1        # the SUPI's length prefix, after the tag
 
 
+# --- the HN identity: MCC and MNC as 3 BCD octets (TS 24.008 §10.5.1.3) -----
+
+PLMN_FIELD = (("id_hn", wire.PLMN),)
+
+
+@given(st.text("0123456789", min_size=5, max_size=6))
+def test_plmn_of_five_or_six_digits_round_trips_in_three_octets(plmn):
+    raw = wire.pack_fields(PLMN_FIELD, [plmn], [])
+    assert len(raw) == 3                    # fixed width: no length prefix
+    assert wire.unpack_fields(PLMN_FIELD, raw, 0, "after id_hn") == [plmn]
+
+
+def test_plmn_packs_in_ts_24_008_order():
+    """MCC digits 1-2, then MCC digit 3 beside MNC digit 3 (0xF for a
+    2-digit MNC), then MNC digits 1-2, each pair's first in the low nibble."""
+    assert wire.PLMN.to_raw("00101", "id_hn") == bytes.fromhex("00f110")
+    assert wire.PLMN.to_raw("310260", "id_hn") == bytes.fromhex("130062")
+
+
+# raw 3-octet HN identities the decoder refuses
+BAD_PLMNS = {
+    "non-bcd-mcc-digit": "0af110",
+    "non-bcd-mnc-digit": "00f1e0",
+    "non-bcd-mnc-digit-3": "00c110",
+    "filler-as-mcc-digit-1": "0ff110",
+    "filler-as-mcc-digit-2": "f0f110",
+    "filler-as-mcc-digit-3": "00ff10",
+    "filler-as-mnc-digit-1": "00f11f",
+    "filler-as-mnc-digit-2": "00f1f0",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_PLMNS))
+def test_bad_plmn_rejected_at_its_field(bad):
+    head = wire.encode(wire.IdResponseMsg(c1=b"\x01", suci_conc=b"\x02\x03",
+                                          mac_u=bytes(16), id_hn="00101"))[:-3]
+    with pytest.raises(wire.ParseError, match="not a BCD PLMN identity") as exc:
+        wire.decode(head + bytes.fromhex(BAD_PLMNS[bad]))
+    # tag, then c1 and suci_conc behind a one-byte length, and raw mac_u
+    assert exc.value.offset == 1 + (1 + 1) + (1 + 2) + 16 == len(head)
+
+
+@pytest.mark.parametrize("plmn", ["", "0010", "0010101", "0010a", "00 01", "٠٠١٠١"])
+def test_plmn_of_other_than_five_or_six_ascii_digits_does_not_encode(plmn):
+    with pytest.raises(wire.EncodeError, match="id_hn must be 5 or 6 digits"):
+        wire.encode(wire.IdResponseMsg(c1=b"", suci_conc=b"", mac_u=bytes(16), id_hn=plmn))
+
+
 # --- fixed-width enforcement, from a list written independently of the table --
 
 FIXED_FIELDS = [
@@ -409,7 +461,7 @@ FIXED_FIELDS = [
     (wire.GutiIdMsg, "guti", wire.GUTI_LEN),
     (wire.GutiSnToHnMsg, "r_sn_prime", 32),
     (wire.GutiSnToHnMsg, "r_sn", 16),
-    (wire.GutiAssignMsg, "guti_new", wire.GUTI_LEN),
+    (wire.GutiAssignMsg, "sealed_guti", wire.GUTI_LEN + 16),
 ]
 SAMPLES = {type(m): m for m in _random_messages(random.Random(11))}
 
@@ -443,7 +495,9 @@ def _strict_cases():
                 if isinstance(m, (wire.HnToSnAuthMsg, wire.ChallengeMsg))
                 for c2 in (None, b"", b"\x05")]
     # long-form lengths: 0x81 and 0x82 prefixes
-    samples += [wire.SecureEnvelopeMsg(ct=r.randbytes(n)) for n in (128, 300)]
+    samples += [wire.IdResponseMsg(c1=r.randbytes(n), suci_conc=r.randbytes(40),
+                                   mac_u=r.randbytes(16), id_hn="310260")
+                for n in (128, 300)]
     cases = {cls.__name__: (wire.encode, wire.decode,
                             [m for m in samples if type(m) is cls])
              for cls in wire.SCHEMA}
