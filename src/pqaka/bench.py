@@ -14,17 +14,18 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 
-from . import crypto, sim
+from . import crypto, sim, wire
 from .crypto import KemKeyPair, KemSuite, get_suite
 from .rng import OsRandom, SeededRandom
 
-# each measured message: table column, width, SizeRow.msg_bytes key, transcript label
+# each measured message: table column, width, class (its name is the
+# SizeRow.msg_bytes key), transcript label
 MESSAGES = (
-    ("id-resp", 8, "IdResponseMsg", "id-response"),
-    ("hn-sn", 8, "HnToSnAuthMsg", "auth-vector"),
-    ("chall", 8, "ChallengeMsg", "challenge"),
-    ("resp", 6, "ResponseMsg", "response"),
-    ("assign", 7, "GutiAssignMsg", "guti-assign"),
+    ("id-resp", 8, wire.IdResponseMsg, "id-response"),
+    ("hn-sn", 8, wire.HnToSnAuthMsg, "auth-vector"),
+    ("chall", 8, wire.ChallengeMsg, "challenge"),
+    ("resp", 6, wire.ResponseMsg, "response"),
+    ("assign", 7, wire.GutiAssignMsg, "guti-assign"),
 )
 
 
@@ -98,7 +99,7 @@ def size_row(suite: KemSuite) -> SizeRow:
     return SizeRow(
         name=suite.name, sk_len=suite.sk_len, pk_len=suite.pk_len,
         ct_len=suite.ct_len, key_len=suite.key_len,
-        msg_bytes={key: sent[label] for _col, _w, key, label in MESSAGES})
+        msg_bytes={cls.__name__: sent[label] for _col, _w, cls, label in MESSAGES})
 
 
 def run_sizes(suite_names: list[str]) -> list[SizeRow]:
@@ -120,12 +121,12 @@ def format_bench_table(rows: list[BenchRow]) -> str:
 
 def format_size_table(rows: list[SizeRow]) -> str:
     header = (f"{'algorithm':<14} {'sk':>8} {'pk':>8} {'ct':>8} {'key':>5} "
-              + " ".join(f"{col:>{w}}" for col, w, _key, _label in MESSAGES))
+              + " ".join(f"{col:>{w}}" for col, w, _cls, _label in MESSAGES))
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r.name:<14} {r.sk_len:>8} {r.pk_len:>8} {r.ct_len:>8} {r.key_len:>5} "
-            + " ".join(f"{r.msg_bytes[key]:>{w}}" for _col, w, key, _label in MESSAGES))
+            + " ".join(f"{r.msg_bytes[cls.__name__]:>{w}}" for _col, w, cls, _label in MESSAGES))
     return "\n".join(lines)
 
 

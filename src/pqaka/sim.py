@@ -185,6 +185,10 @@ def session(
         raise SetupError("SN identity not allowlisted at the HN")
     if ue.id_hn != hn.id_hn:
         raise SetupError("UE and HN disagree on the HN identity")
+    try:
+        wire.PLMN.to_raw(hn.id_hn, "id_hn")
+    except wire.EncodeError:
+        raise SetupError("HN identity is not a PLMN identity") from None
 
     t = SessionTranscript()
     ephemeral = None     # the sk_U pair, if this session draws one

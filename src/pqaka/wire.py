@@ -1,13 +1,15 @@
 """Bit-exact wire encoding for every protocol message.
 
-One table, ``SCHEMA``, is the only statement of the layout: it maps each
-message class to its tag byte and its ordered ``(field, kind)`` pairs.
-``encode``, ``decode`` and the linkability field walk (``field_values``)
-all iterate it. ``pack_fields`` and ``unpack_fields`` pack and parse the
-fields of every message after its tag, of the untagged SUCI and M payloads,
-and of each ``store`` record's body, which is one row in this layout.
+Each message class is the one statement of its layout: its class line
+declares its tag byte, and each field's annotation its Python type and its
+``Kind``, in wire order. ``SCHEMA``, read off these declarations, maps each
+class to its tag and ordered ``(field, kind)`` pairs; ``encode``, ``decode``
+and the linkability field walk (``field_values``) all iterate it.
+``pack_fields`` and ``unpack_fields`` pack and parse the fields of every
+message after its tag, of the untagged SUCI and M payloads, and of each
+``store`` record's body, which is one row in this layout.
 
-Layout: one message-type tag byte, then each field in table order. A
+Layout: one message-type tag byte, then each field in declared order. A
 field whose kind fixes its width (``fixed(n)``, ``FLAG``, ``PLMN``) is
 sent as its raw bytes alone; a variable-length field (``VAR``, ``UTF8``,
 ``SUPI``, ``OPTIONAL_VAR``) is a length prefix followed by its raw bytes, as
@@ -32,7 +34,7 @@ bytes are all rejected with the failing offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Annotated, Callable, Iterable, Iterator, NamedTuple, Optional, get_type_hints
 
 from .crypto import AEAD_TAG_OVERHEAD, CHECK_LEN, KEY_LEN, RAND_LEN
 
@@ -47,79 +49,6 @@ class ParseError(Exception):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class IdRequestMsg:
-    """SN-to-UE identification request; force_supi forbids the GUTI path."""
-    force_supi: bool = False
-
-
-@dataclass(frozen=True)
-class IdResponseMsg:
-    c1: bytes
-    suci_conc: bytes  # the AEAD ciphertext of the SUCI payload, and
-    mac_u: bytes      # its AEAD tag
-    id_hn: str        # the HN's MCC and MNC digits
-
-
-@dataclass(frozen=True)
-class SnToHnIdentMsg:
-    c1: bytes
-    suci_conc: bytes
-    mac_u: bytes
-    r_sn: bytes
-
-
-@dataclass(frozen=True)
-class HnToSnAuthMsg:
-    conc: bytes  # f5(K, K*) xor R_SN; conc and mac are the paper's AUTN
-    mac: bytes
-    m: bytes
-    c2: Optional[bytes] = None  # absent on the GUTI path
-
-
-@dataclass(frozen=True)
-class ChallengeMsg:
-    conc: bytes  # conc and mac are the paper's AUTN, as HN sent them
-    mac: bytes
-    c2: Optional[bytes] = None
-
-
-@dataclass(frozen=True)
-class ResponseMsg:
-    res_star: bytes
-
-
-@dataclass(frozen=True)
-class ConfirmMsg:
-    """SN-to-HN confirmation that the UE's RES* checked; its tag alone."""
-
-
-@dataclass(frozen=True)
-class GutiIdMsg:
-    guti: bytes
-
-
-@dataclass(frozen=True)
-class GutiSnToHnMsg:
-    supi: str
-    r_sn_prime: bytes
-    r_sn: bytes
-
-
-@dataclass(frozen=True)
-class GutiAssignMsg:
-    """The new GUTI alone, sealed under a key derived from the session's
-    K_seaf: it crosses the radio only over the secure channel the session
-    just established. R_SN' is derived from K_seaf at both ends."""
-    sealed_guti: bytes
-
-
-@dataclass(frozen=True)
-class AbortMsg:
-    """Generic abort on the core channel, its tag alone, so no failure cause
-    can be told apart: HN-to-SN as ``hn-abort``, SN-to-HN as ``sn-abort``."""
 
 
 class Kind(NamedTuple):
@@ -201,37 +130,89 @@ PLMN = Kind(3, _plmn_to_raw, _plmn_from_raw)
 OPTIONAL_VAR = Kind(optional=True)
 
 Fields = tuple[tuple[str, Kind], ...]
+SCHEMA: dict[type, tuple[int, Fields]] = {}
 
-# message class -> (tag, fields in wire order == dataclass field order)
-SCHEMA: dict[type, tuple[int, Fields]] = {
-    IdRequestMsg: (0x01, (("force_supi", FLAG),)),
-    IdResponseMsg: (0x02, (("c1", VAR), ("suci_conc", VAR),
-                           ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("id_hn", PLMN))),
-    SnToHnIdentMsg: (0x03, (("c1", VAR), ("suci_conc", VAR),
-                            ("mac_u", fixed(AEAD_TAG_OVERHEAD)), ("r_sn", fixed(RAND_LEN)))),
-    HnToSnAuthMsg: (0x04, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
-                           ("m", VAR), ("c2", OPTIONAL_VAR))),
-    ChallengeMsg: (0x05, (("conc", fixed(RAND_LEN)), ("mac", fixed(CHECK_LEN)),
-                          ("c2", OPTIONAL_VAR))),
-    ResponseMsg: (0x06, (("res_star", fixed(CHECK_LEN)),)),
-    ConfirmMsg: (0x07, ()),
-    GutiIdMsg: (0x08, (("guti", fixed(GUTI_LEN)),)),
-    GutiSnToHnMsg: (0x09, (("supi", SUPI), ("r_sn_prime", fixed(KEY_LEN)),
-                           ("r_sn", fixed(RAND_LEN)))),
-    GutiAssignMsg: (0x0A, (("sealed_guti", fixed(GUTI_LEN + AEAD_TAG_OVERHEAD)),)),
-    AbortMsg: (0x0C, ()),
-}
+
+class Message:
+    """A protocol message: ``class XMsg(Message, tag=...)`` with fields
+    ``name: Annotated[type, kind]`` becomes a frozen dataclass whose tag and
+    fields ``SCHEMA`` records."""
+
+    def __init_subclass__(cls, tag: int):
+        dataclass(frozen=True)(cls)
+        hints = get_type_hints(cls, include_extras=True)
+        SCHEMA[cls] = (tag, tuple((name, hint.__metadata__[0]) for name, hint in hints.items()))
+
+
+class IdRequestMsg(Message, tag=0x01):
+    """SN-to-UE identification request; force_supi forbids the GUTI path."""
+    force_supi: Annotated[bool, FLAG] = False
+
+
+class IdResponseMsg(Message, tag=0x02):
+    c1: Annotated[bytes, VAR]
+    suci_conc: Annotated[bytes, VAR]                   # the AEAD ciphertext of the
+    mac_u: Annotated[bytes, fixed(AEAD_TAG_OVERHEAD)]  # SUCI payload, and its tag
+    id_hn: Annotated[str, PLMN]                        # the HN's MCC and MNC digits
+
+
+class SnToHnIdentMsg(Message, tag=0x03):
+    c1: Annotated[bytes, VAR]
+    suci_conc: Annotated[bytes, VAR]
+    mac_u: Annotated[bytes, fixed(AEAD_TAG_OVERHEAD)]
+    r_sn: Annotated[bytes, fixed(RAND_LEN)]
+
+
+class HnToSnAuthMsg(Message, tag=0x04):
+    # conc is f5(K, K*) xor R_SN; conc and mac are the paper's AUTN
+    conc: Annotated[bytes, fixed(RAND_LEN)]
+    mac: Annotated[bytes, fixed(CHECK_LEN)]
+    m: Annotated[bytes, VAR]
+    c2: Annotated[Optional[bytes], OPTIONAL_VAR] = None  # absent on the GUTI path
+
+
+class ChallengeMsg(Message, tag=0x05):
+    # conc and mac are the paper's AUTN, as the HN sent them
+    conc: Annotated[bytes, fixed(RAND_LEN)]
+    mac: Annotated[bytes, fixed(CHECK_LEN)]
+    c2: Annotated[Optional[bytes], OPTIONAL_VAR] = None
+
+
+class ResponseMsg(Message, tag=0x06):
+    res_star: Annotated[bytes, fixed(CHECK_LEN)]
+
+
+class ConfirmMsg(Message, tag=0x07):
+    """SN-to-HN confirmation that the UE's RES* checked; its tag alone."""
+
+
+class GutiIdMsg(Message, tag=0x08):
+    guti: Annotated[bytes, fixed(GUTI_LEN)]
+
+
+class GutiSnToHnMsg(Message, tag=0x09):
+    supi: Annotated[str, SUPI]
+    r_sn_prime: Annotated[bytes, fixed(KEY_LEN)]
+    r_sn: Annotated[bytes, fixed(RAND_LEN)]
+
+
+class GutiAssignMsg(Message, tag=0x0A):
+    """The new GUTI alone, sealed under a key derived from the session's
+    K_seaf: it crosses the radio only over the secure channel the session
+    just established. R_SN' is derived from K_seaf at both ends."""
+    sealed_guti: Annotated[bytes, fixed(GUTI_LEN + AEAD_TAG_OVERHEAD)]
+
+
+class AbortMsg(Message, tag=0x0C):
+    """Generic abort on the core channel, its tag alone, so no failure cause
+    can be told apart: HN-to-SN as ``hn-abort``, SN-to-HN as ``sn-abort``."""
+
+
 _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in SCHEMA.items()}
 
 # plaintexts sealed inside SUCI_conc and M; untagged
 _SUCI_PAYLOAD: Fields = (("supi", SUPI), ("pk_u", VAR), ("id_sn", UTF8))
 _M_PAYLOAD: Fields = (("k_seaf", fixed(KEY_LEN)), ("supi", SUPI))
-
-Message = (
-    IdRequestMsg | IdResponseMsg | SnToHnIdentMsg | HnToSnAuthMsg
-    | ChallengeMsg | ResponseMsg | ConfirmMsg | GutiIdMsg
-    | GutiSnToHnMsg | GutiAssignMsg | AbortMsg
-)
 
 
 def _length_prefix(n: int, name: str) -> bytes:

@@ -664,6 +664,16 @@ def test_misconfigured_world_raises_setup_error(rng):
         sim.run_session(world4, "supi", rng=rng)
 
 
+@pytest.mark.parametrize("mode", ["supi", "guti"])
+def test_an_hn_identity_that_is_not_a_plmn_identity_raises_setup_error(rng, mode):
+    """Both roles agree on "hn.example", which the id-response cannot carry:
+    the session refuses the world before it sends any message."""
+    world = sim.make_world("test", seed=0)
+    world.hn.id_hn = world.ue.id_hn = "hn.example"
+    with pytest.raises(sim.SetupError, match="PLMN"):
+        next(sim.session(world, mode, rng))
+
+
 def test_unknown_mode_raises_value_error(world, rng):
     with pytest.raises(ValueError):
         next(sim.session(world, "suci", rng))

@@ -287,6 +287,16 @@ def test_dataclass_fields_are_the_schema_fields_in_order(cls):
         name for name, _ in wire.SCHEMA[cls][1]]
 
 
+def test_every_message_class_is_in_the_schema_under_its_own_tag():
+    # a reused tag would shadow a message in decode's tag table
+    classes = {obj for name, obj in vars(wire).items()
+               if name.endswith("Msg") and isinstance(obj, type)}
+    assert classes == set(wire.SCHEMA)
+    assert len(wire._BY_TAG) == len(wire.SCHEMA) == 11
+    assert all(isinstance(kind, wire.Kind)
+               for _tag, fields in wire.SCHEMA.values() for _name, kind in fields)
+
+
 def test_encode_rejects_foreign_type():
     with pytest.raises(wire.EncodeError):
         wire.encode(object())
